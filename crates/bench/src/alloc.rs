@@ -2,40 +2,49 @@
 //!
 //! Every binary in this crate (the stopwatch benches and the `repro` tool)
 //! routes its heap traffic through [`CountingAlloc`], which forwards to the
-//! system allocator while maintaining process-wide atomic counters. The
+//! system allocator while counting each thread's own traffic. The
 //! baseline runner ([`crate::baseline`]) snapshots the counters around a
 //! single-threaded simulation to obtain *exact, deterministic* per-run
 //! allocation counts — the quantity the CI perf gate pins, because unlike
 //! wall-clock throughput it is identical on every machine.
 //!
-//! The counters use relaxed atomics: they are totals, not synchronization,
-//! and the measured regions are single-threaded.
+//! The counters are per-thread, so a measurement sees only the measuring
+//! thread's allocations: concurrent tests or worker lanes allocating at
+//! the same time cannot leak into it. They are const-initialised
+//! `Cell`s with no destructor, which the allocator may touch at any
+//! point of a thread's life, teardown included.
 
 #![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; this is the one spot.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    // Signed: a thread may free blocks another thread allocated.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn bump<T: Copy>(cell: &'static std::thread::LocalKey<Cell<T>>, f: impl FnOnce(T) -> T) {
+    cell.with(|c| c.set(f(c.get())));
+}
 
 /// System-allocator wrapper that counts every allocation.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
     fn on_alloc(size: usize) {
-        ALLOCS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(size as u64, Relaxed);
-        let live = LIVE_BYTES.fetch_add(size as u64, Relaxed) + size as u64;
-        PEAK_LIVE_BYTES.fetch_max(live, Relaxed);
+        bump(&ALLOCS, |n| n + 1);
+        bump(&ALLOC_BYTES, |n| n + size as u64);
+        bump(&LIVE_BYTES, |n| n + size as i64);
+        let live = LIVE_BYTES.with(Cell::get);
+        bump(&PEAK_LIVE_BYTES, |p| p.max(live));
     }
 
     fn on_free(size: usize) {
-        FREES.fetch_add(1, Relaxed);
-        LIVE_BYTES.fetch_sub(size as u64, Relaxed);
+        bump(&LIVE_BYTES, |n| n - size as i64);
     }
 }
 
@@ -68,26 +77,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// A point-in-time copy of the allocator counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSnapshot {
-    /// Allocation events since process start (reallocs count once).
+    /// Allocation events since the thread started (reallocs count once).
     pub allocs: u64,
     /// Bytes requested by those events.
     pub alloc_bytes: u64,
-    /// Deallocation events.
-    pub frees: u64,
-    /// Bytes currently live.
-    pub live_bytes: u64,
+    /// Bytes this thread allocated minus bytes it freed; negative when
+    /// it freed more than it allocated.
+    pub live_bytes: i64,
     /// High-water mark of live bytes since the last [`reset_peak`].
-    pub peak_live_bytes: u64,
+    pub peak_live_bytes: i64,
 }
 
-/// Reads the counters. Exact when no other thread is allocating.
+/// Reads the calling thread's counters.
 pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot {
-        allocs: ALLOCS.load(Relaxed),
-        alloc_bytes: ALLOC_BYTES.load(Relaxed),
-        frees: FREES.load(Relaxed),
-        live_bytes: LIVE_BYTES.load(Relaxed),
-        peak_live_bytes: PEAK_LIVE_BYTES.load(Relaxed),
+        allocs: ALLOCS.with(Cell::get),
+        alloc_bytes: ALLOC_BYTES.with(Cell::get),
+        live_bytes: LIVE_BYTES.with(Cell::get),
+        peak_live_bytes: PEAK_LIVE_BYTES.with(Cell::get),
     }
 }
 
@@ -95,7 +102,7 @@ pub fn snapshot() -> AllocSnapshot {
 /// subsequent [`snapshot`] reports the high-water mark of the measured
 /// region alone.
 pub fn reset_peak() {
-    PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
+    PEAK_LIVE_BYTES.with(|p| p.set(LIVE_BYTES.with(Cell::get)));
 }
 
 /// What one region of code allocated: the difference between two
@@ -111,8 +118,8 @@ pub struct AllocDelta {
 }
 
 /// Runs `f` and returns its result together with exact allocation counts
-/// for the call. Only meaningful when no other thread allocates
-/// concurrently (the baseline runner is single-threaded).
+/// for the call. Counts only the calling thread: work `f` hands to other
+/// threads is not seen (the baseline runner measures inline code).
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocDelta) {
     reset_peak();
     let before = snapshot();
@@ -123,7 +130,7 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocDelta) {
         AllocDelta {
             allocs: after.allocs - before.allocs,
             alloc_bytes: after.alloc_bytes - before.alloc_bytes,
-            peak_above_start: after.peak_live_bytes.saturating_sub(before.live_bytes),
+            peak_above_start: (after.peak_live_bytes - before.live_bytes).max(0) as u64,
         },
     )
 }

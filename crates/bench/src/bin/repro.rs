@@ -308,20 +308,7 @@ fn bench_json(args: &[String]) -> ExitCode {
         "measuring engine baseline ({budget} ms/workload budget, {} worker lanes)...",
         mcloud_simkit::configured_lanes()
     );
-    let measured = baseline::measure_all(budget, |m| {
-        println!(
-            "  {:<18} {:>6} tasks  {:>8} events  {:>8} allocs/sim ({:.1}/task)  \
-             {:>3} warm allocs/sim  {:>10.0} events/s  {:>9.1} batch sims/s",
-            m.name,
-            m.tasks,
-            m.events,
-            m.allocs_per_sim,
-            m.allocs_per_task(),
-            m.batch_allocs_per_sim,
-            m.events_per_sec,
-            m.batch_sims_per_sec,
-        );
-    });
+    let measured = baseline::measure_all(budget, |row| println!("  {row}"));
 
     if let Some(path) = check {
         let text = match std::fs::read_to_string(&path) {
@@ -348,9 +335,9 @@ fn bench_json(args: &[String]) -> ExitCode {
                 println!("  {line}");
             }
             println!(
-                "baseline check passed against {} ({} workloads)",
+                "baseline check passed against {} ({} rows)",
                 path.display(),
-                committed.workloads.len()
+                committed.rows.len()
             );
             return ExitCode::SUCCESS;
         }

@@ -23,8 +23,8 @@ fn arrivals(horizon_hours: f64) -> Vec<Arrival> {
     poisson(2.0, horizon_hours, 1.0, 0xBEEF)
 }
 
-/// One test, not several: the allocation counters are process-wide, so
-/// the measured regions must not race a sibling test's allocations.
+/// The allocation counters are per-thread, so the measured regions see
+/// only this test's own allocations.
 #[test]
 fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
     let cfg = ServiceConfig::default_burst();

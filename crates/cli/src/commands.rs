@@ -203,6 +203,42 @@ pub(crate) const SIM_FLAGS: &[&str] = &[
     "trace-format",
 ];
 
+/// Flags that name a host file (or shape one written there). The CLI
+/// honours them; `mcloud serve` refuses them over the wire.
+pub(crate) const FILE_FLAGS: &[&str] = &[
+    "out",
+    "svg",
+    "trace",
+    "trace-out",
+    "trace-format",
+    "metrics-out",
+    "profile-out",
+];
+
+/// Flags of `plan --slo-p99`, the capacity planner.
+const PLAN_CAPACITY_FLAGS: &[&str] = &[
+    "slo-p99", "rate", "horizon", "seed", "class", "diurnal", "seasonal", "flash", "format", "out",
+];
+
+/// True when a `plan` argument list selects the capacity planner.
+fn is_capacity_plan(rest: &[String]) -> bool {
+    rest.iter().any(|a| a == "--slo-p99")
+}
+
+/// Every flag `simulate`, `profile` or `plan` accepts for the argument
+/// list `rest`: the one table both the CLI and the server's wire flags
+/// derive from.
+pub(crate) fn command_flags(cmd: &str, rest: &[String]) -> Vec<&'static str> {
+    let extra: &[&str] = match cmd {
+        "simulate" => &["profile-out", "metrics-out"],
+        "profile" => &["trace", "format", "out", "svg"],
+        "plan" if is_capacity_plan(rest) => return PLAN_CAPACITY_FLAGS.to_vec(),
+        "plan" => &["deadline-hours", "requests", "max-procs"],
+        other => unreachable!("no flag table for '{other}'"),
+    };
+    SIM_FLAGS.iter().chain(extra).copied().collect()
+}
+
 /// Parses `--trace-format` (jsonl | chrome), defaulting to JSONL.
 fn parse_trace_format(args: &Args) -> Result<&'static str, String> {
     match args.get("trace-format").unwrap_or("jsonl") {
@@ -248,9 +284,7 @@ flags:
   --seed / --region / --band   workload generator knobs"
             .to_string());
     }
-    let mut flags = SIM_FLAGS.to_vec();
-    flags.extend(["profile-out", "metrics-out"]);
-    let args = Args::parse(rest, &flags)?;
+    let args = Args::parse(rest, &command_flags("simulate", rest))?;
     let wf = workflow_from(&args)?;
     let mut cfg = exec_from(&args)?;
     if let Some(p) = args.get_parsed::<u32>("procs")? {
@@ -471,9 +505,7 @@ flags:
   plus all `mcloud simulate` flags (--degrees, --procs, --mode, ...)"
             .to_string());
     }
-    let mut flags = SIM_FLAGS.to_vec();
-    flags.extend(["trace", "format", "out", "svg"]);
-    let args = Args::parse(rest, &flags)?;
+    let args = Args::parse(rest, &command_flags("profile", rest))?;
     let wf = workflow_from(&args)?;
     let mut cfg = exec_from(&args)?;
     if let Some(p) = args.get_parsed::<u32>("procs")? {
@@ -631,12 +663,10 @@ against a seeded demand forecast.
   --out PATH           write the plan to a file instead of stdout"
             .to_string());
     }
-    if rest.iter().any(|a| a == "--slo-p99") {
+    if is_capacity_plan(rest) {
         return cmd_plan_capacity(rest);
     }
-    let mut flags = SIM_FLAGS.to_vec();
-    flags.extend(["deadline-hours", "requests", "max-procs"]);
-    let args = Args::parse(rest, &flags)?;
+    let args = Args::parse(rest, &command_flags("plan", rest))?;
     let wf = workflow_from(&args)?;
     let cfg = exec_from(&args)?;
     let deadline: f64 = args.require("deadline-hours")?;
@@ -696,13 +726,7 @@ against a seeded demand forecast.
 
 /// The `plan --slo-p99` branch: the service-level capacity planner.
 fn cmd_plan_capacity(rest: &[String]) -> Result<String, String> {
-    let args = Args::parse(
-        rest,
-        &[
-            "slo-p99", "rate", "horizon", "seed", "class", "diurnal", "seasonal", "flash",
-            "format", "out",
-        ],
-    )?;
+    let args = Args::parse(rest, PLAN_CAPACITY_FLAGS)?;
     let slo: f64 = args.require("slo-p99")?;
     let rate: f64 = args.get_or("rate", 2.0)?;
     let horizon: f64 = args.get_or("horizon", 168.0)?;

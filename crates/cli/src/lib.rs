@@ -12,7 +12,6 @@
 
 mod args;
 mod commands;
-mod json;
 mod serve;
 
 pub use args::Args;

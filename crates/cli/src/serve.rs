@@ -33,10 +33,10 @@ use mcloud_core::{
 };
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, Band, MosaicConfig};
+use mcloud_simkit::json::{self, Value};
 
 use crate::args::Args;
-use crate::commands::{exec_from, parse_band, wants_help, SIM_FLAGS};
-use crate::json::{self, Value};
+use crate::commands::{command_flags, exec_from, parse_band, wants_help, FILE_FLAGS};
 
 /// Per-command help text.
 const HELP: &str = "\
@@ -53,7 +53,10 @@ requests:
   {\"op\": \"batch\",    \"scenarios\": [[...simulate args...], ...]}
   {\"op\": \"metrics\"}
 
-`args` use the matching subcommand's flag vocabulary. Responses are
+`args` use the matching subcommand's flag vocabulary, minus the flags
+that name host files (--out, --svg, --trace, --trace-out, --trace-format,
+--metrics-out, --profile-out). Any other request member is refused, as
+is a request over 16 MiB or nested deeper than 128 levels. Responses are
 {\"ok\": true, \"result\": ...} or {\"ok\": false, \"error\": \"...\"}.
 Results are memoized in the content-addressed cache: repeated queries
 are digest lookups, batch misses run through the worker pool, and warm
@@ -117,6 +120,10 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
     }
 }
 
+/// Largest request the server reads: a stdio frame's declared length or
+/// an HTTP `Content-Length`, checked before any buffer is allocated.
+const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 /// Runs one framed request/response session to EOF; returns the number
 /// of requests answered. Factored over `BufRead`/`Write` so tests drive
 /// it in-process.
@@ -128,7 +135,7 @@ pub(crate) fn serve_session<R: BufRead, W: Write>(
     while let Some(payload) = read_frame(input)? {
         let response = match handle_request(&payload) {
             Ok(doc) => doc,
-            Err(e) => format!("{{\"ok\": false, \"error\": \"{}\"}}\n", json::escape(&e)),
+            Err(e) => error_doc(&e),
         };
         write!(output, "{}\n{response}", response.len())
             .and_then(|_| output.flush())
@@ -160,6 +167,9 @@ fn read_frame<R: BufRead>(input: &mut R) -> Result<Option<String>, String> {
             header.trim()
         )
     })?;
+    if len > MAX_REQUEST_BYTES {
+        return Err(too_large(len));
+    }
     let mut payload = vec![0u8; len];
     input
         .read_exact(&mut payload)
@@ -167,6 +177,10 @@ fn read_frame<R: BufRead>(input: &mut R) -> Result<Option<String>, String> {
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| "frame is not UTF-8".to_string())
+}
+
+fn too_large(len: usize) -> String {
+    format!("request of {len} bytes exceeds the {MAX_REQUEST_BYTES}-byte limit")
 }
 
 /// Parses and dispatches one request payload.
@@ -180,21 +194,53 @@ fn handle_request(payload: &str) -> Result<String, String> {
 }
 
 fn dispatch(op: &str, request: &Value) -> Result<String, String> {
+    let members: &[&str] = match op {
+        "simulate" | "plan" | "profile" => &["op", "args"],
+        "batch" => &["op", "scenarios"],
+        "metrics" => &["op"],
+        other => {
+            return Err(format!(
+                "unknown op '{other}' (simulate | plan | profile | batch | metrics)"
+            ))
+        }
+    };
+    let request_members = request
+        .as_object()
+        .ok_or("a request must be a JSON object")?;
+    if let Some((name, _)) = request_members
+        .iter()
+        .find(|(name, _)| !members.contains(&name.as_str()))
+    {
+        return Err(format!(
+            "unknown request member \"{name}\" for op '{op}' (expected: {})",
+            members.join(", ")
+        ));
+    }
     match op {
         "simulate" => op_simulate(&string_args(request)?).map(|doc| wrap_json(&doc)),
         "plan" | "profile" => {
-            let mut argv = vec![op.to_string()];
-            argv.extend(string_args(request)?);
+            let raw = string_args(request)?;
+            if !wants_help(&raw) {
+                Args::parse(&raw, &wire_flags(op, &raw))?;
+            }
+            let argv: Vec<String> = std::iter::once(op.to_string()).chain(raw).collect();
             crate::commands::run(&argv).map(|out| wrap_output(&out))
         }
         "batch" => op_batch(request),
-        "metrics" => Ok(wrap_text(
+        _ => Ok(wrap_text(
             &mcloud_cache::global().registry().prometheus_text(),
         )),
-        other => Err(format!(
-            "unknown op '{other}' (simulate | plan | profile | batch | metrics)"
-        )),
     }
+}
+
+/// The flags op `op` takes over the wire for `raw`: its subcommand's
+/// flags minus every [`FILE_FLAGS`] entry, so no request can name a
+/// file on the server's host.
+fn wire_flags(op: &str, raw: &[String]) -> Vec<&'static str> {
+    command_flags(op, raw)
+        .into_iter()
+        .filter(|f| !FILE_FLAGS.contains(f))
+        .collect()
 }
 
 /// The request's `args` member as owned strings (absent = empty).
@@ -217,6 +263,11 @@ fn owned_args(args: &Value) -> Result<Vec<String>, String> {
         .collect()
 }
 
+/// The `{"ok": false, ...}` response for an error.
+fn error_doc(e: &str) -> String {
+    format!("{{\"ok\": false, \"error\": \"{}\"}}\n", json::escape(e))
+}
+
 /// Embeds an already-JSON document as the `result` member.
 fn wrap_json(doc: &str) -> String {
     format!("{{\"ok\": true, \"result\": {}}}\n", doc.trim_end())
@@ -236,19 +287,9 @@ fn wrap_output(out: &str) -> String {
     }
 }
 
-/// `simulate` flags the server accepts: everything `mcloud simulate`
-/// takes except the file-writing side channels.
-fn serve_sim_flags() -> Vec<&'static str> {
-    SIM_FLAGS
-        .iter()
-        .copied()
-        .filter(|f| *f != "trace-out" && *f != "trace-format")
-        .collect()
-}
-
 /// Parses one simulate arg-list into its content-addressed scenario.
 fn scenario_from(raw: &[String]) -> Result<Scenario, String> {
-    let args = Args::parse(raw, &serve_sim_flags())?;
+    let args = Args::parse(raw, &wire_flags("simulate", raw))?;
     let degrees: f64 = args.get_or("degrees", 1.0)?;
     if !(degrees.is_finite() && degrees > 0.0) {
         return Err(format!("--degrees must be positive, got {degrees}"));
@@ -383,6 +424,14 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
         .and_then(|(_, v)| v.trim().parse::<usize>().ok())
         .unwrap_or(0);
+    if content_length > MAX_REQUEST_BYTES {
+        return write_http(
+            stream,
+            413,
+            "application/json",
+            &error_doc(&too_large(content_length)),
+        );
+    }
     while body.len() < content_length {
         let mut chunk = vec![0u8; content_length - body.len()];
         let n = stream
@@ -415,12 +464,7 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
                 .and_then(|request| dispatch(op, &request));
             match outcome {
                 Ok(doc) => write_http(stream, 200, "application/json", &doc),
-                Err(e) => write_http(
-                    stream,
-                    400,
-                    "application/json",
-                    &format!("{{\"ok\": false, \"error\": \"{}\"}}\n", json::escape(&e)),
-                ),
+                Err(e) => write_http(stream, 400, "application/json", &error_doc(&e)),
             }
         }
         _ => write_http(stream, 404, "text/plain", "not found\n"),
@@ -462,6 +506,7 @@ fn write_http<S: Write>(
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     write!(
@@ -538,39 +583,44 @@ mod tests {
         assert_eq!(count, 2);
     }
 
+    /// A loopback stream stand-in: reads from `input`, writes to `output`.
+    struct Duplex {
+        input: Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One HTTP exchange over an in-memory stream; the raw response.
+    fn http(request: &str) -> String {
+        let mut s = Duplex {
+            input: Cursor::new(request.as_bytes().to_vec()),
+            output: Vec::new(),
+        };
+        handle_http(&mut s).expect("http");
+        String::from_utf8(s.output).expect("utf8")
+    }
+
+    fn post(path: &str, body: &str) -> String {
+        http(&format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ))
+    }
+
     #[test]
     fn http_routes_simulate_metrics_and_404() {
-        // A loopback stream stand-in: reads from `input`, writes to `output`.
-        struct Duplex {
-            input: Cursor<Vec<u8>>,
-            output: Vec<u8>,
-        }
-        impl Read for Duplex {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.input.read(buf)
-            }
-        }
-        impl Write for Duplex {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.output.write(buf)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let post = |path: &str, body: &str| {
-            let req = format!(
-                "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            let mut s = Duplex {
-                input: Cursor::new(req.into_bytes()),
-                output: Vec::new(),
-            };
-            handle_http(&mut s).expect("http");
-            String::from_utf8(s.output).expect("utf8")
-        };
-
         let sim = post(
             "/simulate",
             r#"{"args": ["--degrees", "0.2", "--procs", "2"]}"#,
@@ -581,22 +631,95 @@ mod tests {
         let bad = post("/simulate", r#"{"args": ["--bogus"]}"#);
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
 
-        let mut s = Duplex {
-            input: Cursor::new(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n".to_vec()),
-            output: Vec::new(),
-        };
-        handle_http(&mut s).expect("http");
-        let metrics = String::from_utf8(s.output).unwrap();
+        let metrics = http("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(metrics.contains("mcloud_cache_misses_total"), "{metrics}");
 
-        let mut s = Duplex {
-            input: Cursor::new(b"GET /nope HTTP/1.1\r\n\r\n".to_vec()),
-            output: Vec::new(),
-        };
-        handle_http(&mut s).expect("http");
-        assert!(String::from_utf8(s.output)
-            .unwrap()
-            .starts_with("HTTP/1.1 404"));
+        assert!(http("GET /nope HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 404"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_response_and_the_session_continues() {
+        let deep = "[".repeat(200_008);
+        let (served, out) = run_session(&[&deep, r#"{"op": "metrics"}"#]);
+        assert_eq!(served, 2);
+        let mut cursor = Cursor::new(out.into_bytes());
+        let first = read_frame(&mut cursor).expect("frame").expect("first");
+        assert!(first.starts_with("{\"ok\": false"), "{first}");
+        assert!(
+            first.contains("nesting deeper than 128 levels at byte 128"),
+            "{first}"
+        );
+        let second = read_frame(&mut cursor).expect("frame").expect("second");
+        assert!(second.contains("mcloud_cache_hits_total"), "{second}");
+    }
+
+    #[test]
+    fn oversized_stdio_frame_is_refused_before_allocating() {
+        let mut input = Cursor::new(b"99999999999999\n{}".to_vec());
+        let err = serve_session(&mut input, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, too_large(99_999_999_999_999));
+        // At the cap the frame is read (and here found truncated).
+        let mut input = Cursor::new(format!("{MAX_REQUEST_BYTES}\n{{}}").into_bytes());
+        let err = serve_session(&mut input, &mut Vec::new()).unwrap_err();
+        assert!(err.starts_with("reading 16777216-byte frame"), "{err}");
+    }
+
+    #[test]
+    fn oversized_http_body_is_refused_before_allocating() {
+        let resp = http("POST /simulate HTTP/1.1\r\nContent-Length: 99999999999999\r\n\r\n{}");
+        assert!(
+            resp.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+            "{resp}"
+        );
+        assert!(resp.contains("exceeds the 16777216-byte limit"), "{resp}");
+    }
+
+    #[test]
+    fn no_op_accepts_a_file_flag() {
+        for flag in FILE_FLAGS {
+            for (op, args) in [
+                ("simulate", vec!["--degrees", "0.2"]),
+                ("profile", vec!["--degrees", "0.2"]),
+                ("plan", vec!["--degrees", "0.2", "--deadline-hours", "1"]),
+                ("plan", vec!["--slo-p99", "7", "--horizon", "24"]),
+            ] {
+                let mut argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+                argv.extend([format!("--{flag}"), "/nonexistent/refused".to_string()]);
+                let quoted: Vec<String> = argv.iter().map(|a| format!("\"{a}\"")).collect();
+                let request = format!(r#"{{"op": "{op}", "args": [{}]}}"#, quoted.join(", "));
+                let err = handle_request(&request).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("unknown flag '--{flag}'")),
+                    "{op}: {err}"
+                );
+            }
+            let request = format!(r#"{{"op": "batch", "scenarios": [["--{flag}", "x"]]}}"#);
+            let err = handle_request(&request).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag '--{flag}'")),
+                "batch: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_request_members_are_named() {
+        for (request, member) in [
+            (r#"{"op": "simulate", "arg": ["--x"]}"#, "arg"),
+            (r#"{"op": "plan", "scenarios": []}"#, "scenarios"),
+            (r#"{"op": "batch", "args": [], "scenarios": []}"#, "args"),
+            (r#"{"op": "metrics", "args": []}"#, "args"),
+        ] {
+            let err = handle_request(request).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown request member \"{member}\"")),
+                "{request}: {err}"
+            );
+        }
+        let bad = post("/simulate", r#"{"op": "simulate", "arg": ["--x"]}"#);
+        assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
+        assert!(bad.contains(r#"unknown request member \"arg\""#), "{bad}");
+        assert!(handle_request("[1]").is_err());
     }
 
     #[test]

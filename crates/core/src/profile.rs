@@ -34,6 +34,7 @@ use mcloud_cost::{
     ResourceUsage,
 };
 use mcloud_dag::{TaskId, Workflow};
+use mcloud_simkit::json::escape;
 use mcloud_simkit::{Histogram, SimTime, TimedEvent, TraceEvent};
 
 use crate::report::Report;
@@ -666,21 +667,6 @@ fn xml_esc(s: &str) -> String {
         .replace('>', "&gt;")
 }
 
-/// Escapes a JSON string (same rules as the trace exporter).
-fn json_esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the deterministic plain-text profile report.
 pub fn profile_text(
     wf: &Workflow,
@@ -858,7 +844,7 @@ pub fn profile_json(
     write!(
         out,
         r#"{{"workflow":"{}","tasks":{},"makespan_s":{:.6},"observed_critical_exec_s":{:.6},"graph_critical_path_s":{:.6},"stage_in_window_s":{:.6},"stage_out_window_s":{:.6},"shared_bytes_in":{},"shared_bytes_out":{}"#,
-        json_esc(title),
+        escape(title),
         profile.tasks.len(),
         profile.makespan_s,
         profile.observed_critical_exec_s,
@@ -914,7 +900,7 @@ pub fn profile_json(
         write!(
             out,
             r#"{{"class":"{}","tasks":{},"attempts":{},"exec_s":{:.6},"queue_wait_s":{:.6},"transfer_in_s":{:.6},"transfer_out_s":{:.6},"storage_wait_s":{:.6},"bytes_in":{},"bytes_out":{}}}"#,
-            json_esc(&c.class),
+            escape(&c.class),
             c.tasks,
             c.attempts,
             c.exec_s,
@@ -947,7 +933,7 @@ pub fn profile_json(
         write!(
             out,
             r#"{{"label":"{}","cpu":{:.9},"storage":{:.9},"transfer_in":{:.9},"transfer_out":{:.9},"total":{:.9}}}"#,
-            json_esc(&r.label),
+            escape(&r.label),
             r.cost.cpu.dollars(),
             r.cost.storage.dollars(),
             r.cost.transfer_in.dollars(),
@@ -971,7 +957,7 @@ pub fn profile_json(
         if i > 0 {
             out.push(',');
         }
-        write!(out, r#""{}""#, json_esc(&wf.task(t).name)).unwrap();
+        write!(out, r#""{}""#, escape(&wf.task(t).name)).unwrap();
     }
     out.push_str("]}\n");
     out

@@ -18,7 +18,10 @@
 //! `Report.trace` (and the Gantt renderers on top of it) keep working.
 
 use mcloud_dag::{TaskId, Workflow};
-use mcloud_simkit::{Channel, EventSink, FailureKind, SimTime, TimedEvent, TraceEvent};
+use mcloud_simkit::json::{self, escape, Value};
+use mcloud_simkit::{
+    Channel, EventSink, FailureKind, SimDuration, SimTime, TimedEvent, TraceEvent,
+};
 
 use crate::report::TaskSpan;
 
@@ -81,25 +84,8 @@ impl<S: EventSink> EventSink for SpanTee<S> {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn task_name(wf: &Workflow, task: u32) -> String {
-    esc(&wf.task(TaskId(task)).name)
+    escape(&wf.task(TaskId(task)).name)
 }
 
 /// Serializes a recorded event stream as JSON Lines, one event per line.
@@ -221,21 +207,57 @@ pub fn trace_to_jsonl(wf: &Workflow, events: &[TimedEvent]) -> String {
     out
 }
 
-/// Raw text of one JSON value field (number, bool, or quoted string with
-/// the quotes stripped). Tailored to the exporter's own output: fixed key
-/// order, no nesting, no commas inside the string values it reads.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim_matches('"'))
+/// One parsed trace line: typed member accessors whose errors quote the
+/// line.
+struct Line<'a> {
+    text: &'a str,
+    v: Value,
 }
 
-fn num<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("missing or malformed field {key:?} in line: {line}"))
+impl Line<'_> {
+    fn err(&self, what: &str, key: &str) -> String {
+        format!("{what} field {key:?} in line: {}", self.text)
+    }
+
+    /// Member `key` read by `as_t` (`Value::as_u64`, `as_f64`, ...).
+    fn get<T>(&self, key: &str, as_t: fn(&Value) -> Option<T>) -> Result<T, String> {
+        let v = self.v.get(key).ok_or_else(|| self.err("missing", key))?;
+        as_t(v).ok_or_else(|| self.err("malformed", key))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key, Value::as_u64)
+    }
+
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        self.get(key, |v| u32::try_from(v.as_u64()?).ok())
+    }
+
+    /// An optional task attribution: absent is `None`, present must be a
+    /// task index.
+    fn task_attr(&self) -> Result<Option<u32>, String> {
+        self.v.get("task").map(|_| self.u32("task")).transpose()
+    }
+
+    fn time(&self, key: &str) -> Result<SimTime, String> {
+        self.u64(key).map(SimTime::from_micros)
+    }
+
+    fn duration(&self, key: &str) -> Result<SimDuration, String> {
+        self.u64(key).map(SimDuration::from_micros)
+    }
+
+    fn str(&self, key: &str) -> Option<&str> {
+        self.v.get(key).and_then(Value::as_str)
+    }
+
+    fn chan(&self) -> Result<Channel, String> {
+        match self.str("chan") {
+            Some("in") => Ok(Channel::In),
+            Some("out") => Ok(Channel::Out),
+            other => Err(format!("bad chan {other:?} in line: {}", self.text)),
+        }
+    }
 }
 
 /// Parses a JSON Lines trace produced by [`trace_to_jsonl`] back into the
@@ -244,50 +266,37 @@ fn num<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
 ///
 /// Round-trips exactly: `trace_from_jsonl(&trace_to_jsonl(wf, events))`
 /// reproduces `events` (task *names* are presentation-only and are not
-/// needed to reconstruct the stream). Blank lines are skipped; anything
-/// else that does not parse is an error.
+/// needed to reconstruct the stream). Blank lines are skipped; every
+/// other line must be one JSON object with the members its event type
+/// carries, integer fields exact (see [`Value::as_u64`]).
 pub fn trace_from_jsonl(text: &str) -> Result<Vec<TimedEvent>, String> {
     let mut events = Vec::new();
-    for line in text.lines() {
+    for (n, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let at = SimTime::from_micros(num(line, "t_us")?);
-        let ev = field(line, "ev").ok_or_else(|| format!("line without \"ev\": {line}"))?;
-        let chan = || match field(line, "chan") {
-            Some("in") => Ok(Channel::In),
-            Some("out") => Ok(Channel::Out),
-            other => Err(format!("bad chan {other:?} in line: {line}")),
-        };
-        // The attribution field is optional on transfer events.
-        let task_attr = || -> Result<Option<u32>, String> {
-            match field(line, "task") {
-                None => Ok(None),
-                Some(v) => v
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| format!("bad task id in line: {line}")),
-            }
-        };
-        let event = match ev {
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}: {line}", n + 1))?;
+        let l = Line { text: line, v };
+        let at = l.time("t_us")?;
+        let event = match l.str("ev").ok_or_else(|| l.err("missing", "ev"))? {
             "task_ready" => TraceEvent::TaskReady {
-                task: num(line, "task")?,
+                task: l.u32("task")?,
             },
             "task_started" => TraceEvent::TaskStarted {
-                task: num(line, "task")?,
-                proc: num(line, "proc")?,
-                waited: mcloud_simkit::SimDuration::from_micros(num(line, "waited_us")?),
+                task: l.u32("task")?,
+                proc: l.u32("proc")?,
+                waited: l.duration("waited_us")?,
             },
             "task_finished" => TraceEvent::TaskFinished {
-                task: num(line, "task")?,
-                proc: num(line, "proc")?,
-                ok: num(line, "ok")?,
+                task: l.u32("task")?,
+                proc: l.u32("proc")?,
+                ok: l.get("ok", Value::as_bool)?,
             },
             "task_failed" => TraceEvent::TaskFailed {
-                task: num(line, "task")?,
-                proc: num(line, "proc")?,
-                attempt: num(line, "attempt")?,
-                kind: match field(line, "kind") {
+                task: l.u32("task")?,
+                proc: l.u32("proc")?,
+                attempt: l.u32("attempt")?,
+                kind: match l.str("kind") {
                     Some("fault") => FailureKind::Fault,
                     Some("timeout") => FailureKind::Timeout,
                     Some("preempted") => FailureKind::Preempted,
@@ -295,56 +304,50 @@ pub fn trace_from_jsonl(text: &str) -> Result<Vec<TimedEvent>, String> {
                 },
             },
             "task_retried" => TraceEvent::TaskRetried {
-                task: num(line, "task")?,
-                attempt: num(line, "attempt")?,
-                delay: mcloud_simkit::SimDuration::from_micros(num(line, "delay_us")?),
+                task: l.u32("task")?,
+                attempt: l.u32("attempt")?,
+                delay: l.duration("delay_us")?,
             },
             "processor_preempted" => TraceEvent::ProcessorPreempted {
-                proc: num(line, "proc")?,
-                task: task_attr()?,
+                proc: l.u32("proc")?,
+                task: l.task_attr()?,
             },
             "transfer_failed" => TraceEvent::TransferFailed {
-                chan: chan()?,
-                bytes: num(line, "bytes")?,
-                task: task_attr()?,
+                chan: l.chan()?,
+                bytes: l.u64("bytes")?,
+                task: l.task_attr()?,
             },
             "task_blocked_on_storage" => TraceEvent::TaskBlockedOnStorage {
-                task: num(line, "task")?,
+                task: l.u32("task")?,
             },
             "transfer_granted" => TraceEvent::TransferGranted {
-                chan: chan()?,
-                bytes: num(line, "bytes")?,
-                start: SimTime::from_micros(num(line, "start_us")?),
-                finish: SimTime::from_micros(num(line, "finish_us")?),
-                task: task_attr()?,
+                chan: l.chan()?,
+                bytes: l.u64("bytes")?,
+                start: l.time("start_us")?,
+                finish: l.time("finish_us")?,
+                task: l.task_attr()?,
             },
             "transfer_completed" => TraceEvent::TransferCompleted {
-                chan: chan()?,
-                bytes: num(line, "bytes")?,
-                task: task_attr()?,
+                chan: l.chan()?,
+                bytes: l.u64("bytes")?,
+                task: l.task_attr()?,
             },
             "storage_alloc" => TraceEvent::StorageAlloc {
-                bytes: num(line, "bytes")?,
-                occupancy: num(line, "occupancy_bytes")?,
+                bytes: l.u64("bytes")?,
+                occupancy: l.get("occupancy_bytes", Value::as_f64)?,
             },
             "storage_free" => TraceEvent::StorageFree {
-                bytes: num(line, "bytes")?,
-                occupancy: num(line, "occupancy_bytes")?,
+                bytes: l.u64("bytes")?,
+                occupancy: l.get("occupancy_bytes", Value::as_f64)?,
             },
             "vm_ready" => TraceEvent::VmReady,
-            "request_queued" => TraceEvent::RequestQueued {
-                req: num(line, "req")?,
-            },
+            "request_queued" => TraceEvent::RequestQueued { req: l.u32("req")? },
             "request_started" => TraceEvent::RequestStarted {
-                req: num(line, "req")?,
-                cloud: num(line, "cloud")?,
+                req: l.u32("req")?,
+                cloud: l.get("cloud", Value::as_bool)?,
             },
-            "request_finished" => TraceEvent::RequestFinished {
-                req: num(line, "req")?,
-            },
-            "request_rejected" => TraceEvent::RequestRejected {
-                req: num(line, "req")?,
-            },
+            "request_finished" => TraceEvent::RequestFinished { req: l.u32("req")? },
+            "request_rejected" => TraceEvent::RequestRejected { req: l.u32("req")? },
             other => return Err(format!("unknown event type {other:?} in line: {line}")),
         };
         events.push(TimedEvent { at, event });
@@ -578,7 +581,6 @@ mod tests {
 
     #[test]
     fn fault_events_round_trip_through_the_parser() {
-        use mcloud_simkit::SimDuration;
         let wf = tiny_workflow();
         let events = vec![
             TimedEvent {
@@ -661,9 +663,30 @@ mod tests {
     }
 
     #[test]
-    fn esc_handles_specials() {
-        assert_eq!(esc(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(esc("x\ny"), "x\\ny");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+    fn jsonl_reader_rejects_what_is_not_a_trace_line() {
+        // A scanner keyed on `"t_us":` and `"ev":` substrings would read
+        // this as a `vm_ready` event; it is not JSON.
+        let err =
+            trace_from_jsonl("this is not json \"t_us\":0,\"ev\":\"vm_ready\"}\n").unwrap_err();
+        assert!(err.starts_with("line 1: bad literal at byte 0"), "{err}");
+        for bad in [
+            r#"{"t_us":1.5,"ev":"vm_ready"}"#,
+            r#"{"t_us":-1,"ev":"vm_ready"}"#,
+            r#"{"t_us":9007199254740993,"ev":"vm_ready"}"#,
+            r#"{"t_us":"0","ev":"vm_ready"}"#,
+            r#"{"t_us":0,"ev":"task_ready","task":4294967296}"#,
+            r#"{"t_us":0,"ev":"task_finished","task":1,"proc":0,"ok":1}"#,
+            r#"{"t_us":0,"ev":"vm_ready"} trailing"#,
+            r#"{"t_us":0}"#,
+        ] {
+            assert!(trace_from_jsonl(bad).is_err(), "accepted {bad}");
+        }
+        assert_eq!(
+            trace_from_jsonl("\n{\"t_us\":7,\"ev\":\"vm_ready\"}\n\n").unwrap(),
+            vec![TimedEvent {
+                at: SimTime::from_micros(7),
+                event: TraceEvent::VmReady
+            }]
+        );
     }
 }

@@ -7,18 +7,15 @@ use mcloud_core::{
     RetryPolicy,
 };
 use mcloud_montage::{generate, MosaicConfig};
+use mcloud_simkit::json;
 
 fn half_degree() -> mcloud_dag::Workflow {
     generate(&MosaicConfig::new(0.5))
 }
 
-/// Integer value of `key` on a JSONL line (exporter key order is fixed).
+/// Integer member `key` of one JSONL trace line.
 fn field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].parse().ok()
+    json::parse(line).ok()?.get(key)?.as_u64()
 }
 
 #[test]

@@ -14,7 +14,7 @@ use mcloud_core::{
     RetryPolicy,
 };
 use mcloud_montage::montage_1_degree;
-use mcloud_simkit::SimTime;
+use mcloud_simkit::{json, SimTime};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -166,13 +166,7 @@ fn jsonl_event_sums_reproduce_report() {
     let (report, sink) = simulate_traced(&wf, &ExecConfig::on_demand(DataMode::Regular));
     let jsonl = trace_to_jsonl(&wf, sink.events());
 
-    let field = |line: &str, key: &str| -> Option<u64> {
-        let pat = format!("\"{key}\":");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap();
-        rest[..end].parse().ok()
-    };
+    let field = |line: &str, key: &str| json::parse(line).ok()?.get(key)?.as_u64();
 
     let (mut bytes_in, mut bytes_out, mut n_in, mut n_out, mut execs) =
         (0u64, 0u64, 0u64, 0u64, 0u64);

@@ -37,6 +37,9 @@
 //!   registrable [`Histogram`]s) with byte-deterministic Prometheus text
 //!   and JSON renderings, split by [`MetricClass`] into golden-safe
 //!   event-derived metrics and wall-clock timings.
+//! * [`json`] — the workspace's one JSON reader ([`json::parse`] into a
+//!   [`json::Value`] tree, depth-bounded) and string escaper
+//!   ([`json::escape`]), shared by every emitter and parser above it.
 //!
 //! The kernel is engine-agnostic: simulation logic lives in the crates that
 //! use it (see `mcloud-core`). The simulation primitives never spawn threads
@@ -80,6 +83,7 @@
 mod channel;
 mod fault;
 mod hist;
+pub mod json;
 mod pool;
 mod queue;
 mod rng;

@@ -63,6 +63,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::hist::Histogram;
+use crate::json::escape;
 
 /// Whether a metric is reproducible across runs, machines, and worker
 /// counts — the property that decides if it may appear in a golden.
@@ -149,25 +150,6 @@ fn escape_label(v: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes a string for a JSON document.
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }
@@ -354,9 +336,9 @@ impl Registry {
             let _ = write!(
                 out,
                 "\n    {{\"name\": \"{}\", \"kind\": \"{kind}\", \"class\": \"{}\", \"help\": \"{}\", \"series\": [",
-                escape_json(name),
+                escape(name),
                 family.class.as_str(),
-                escape_json(&family.help),
+                escape(&family.help),
             );
             let mut first_series = true;
             for (labels, value) in &family.series {
@@ -364,7 +346,7 @@ impl Registry {
                     out.push_str(", ");
                 }
                 first_series = false;
-                let _ = write!(out, "{{\"labels\": \"{}\", ", escape_json(labels));
+                let _ = write!(out, "{{\"labels\": \"{}\", ", escape(labels));
                 match value {
                     Value::Counter(v) => {
                         let _ = write!(out, "\"value\": {v}}}");
