@@ -25,9 +25,10 @@
 //!   event as the mosaic grows.
 //! * `service/<scenario>` — a seeded streaming service campaign through
 //!   the bounded-queue admission path.
-//! * `sweep/<axis>` — a dense processor axis walked once from scratch and
-//!   once through the checkpoint/fork chain
-//!   ([`mcloud_core::IncrementalChain`]), both on one thread.
+//! * `sweep/bandwidth/<D>deg-prestaged` — a dense link-bandwidth axis
+//!   with prestaged inputs, walked once from scratch and once through the
+//!   checkpoint/fork chain ([`mcloud_core::IncrementalChain`]), both on
+//!   one thread.
 //! * `cache/<scenario>` — the content-addressed result cache
 //!   ([`mcloud_cache::ResultCache`]) probed the way its hot consumers use
 //!   it.
@@ -44,7 +45,7 @@ use std::time::Instant;
 
 use mcloud_core::{
     simulate, simulate_batch, simulate_batch_on, simulate_with_scratch, BatchScratch, DataMode,
-    ExecConfig, IncrementalChain, Provisioning, SimScratch, SweepAxis,
+    ExecConfig, IncrementalChain, Provisioning, SimScratch,
 };
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, MosaicConfig};
@@ -427,36 +428,34 @@ pub fn measure_service_scale(budget_ms: u64) -> Vec<Row> {
         )]
 }
 
-/// The sweep-scale scenario: the paper's largest canonical mosaic on a
-/// dense processor axis. The 4° mosaic has ~677 tasks ready at `t = 0`,
-/// so adjacent points genuinely diverge within the first ~P events and
-/// the chain can only reuse a short prefix — this row locks the
-/// wide-workflow regime where incremental must simply never lose.
+/// The sweep row's mosaic: the paper's largest canonical size.
 const SWEEP_DEGREES: f64 = 4.0;
 
-/// Top of the dense `1..=N` processor axis the 4° sweep row walks.
-const SWEEP_MAX_PROCS: u32 = 64;
+/// Points on the sweep row's bandwidth axis.
+const SWEEP_POINTS: usize = 16;
 
-/// The sublinearity showcase: a dense axis extending well past the 1°
-/// mosaic's peak parallelism (~50 concurrent tasks). Beyond that width
-/// the pool never exhausts, the divergence witness never fires, and each
-/// point resumes from the previous point's terminal checkpoint replaying
-/// zero events — the whole-axis walk is sublinear in points.
-const SWEEP_SUBLINEAR_DEGREES: f64 = 1.0;
+/// A geometric link-bandwidth axis of `points` steps from 1 Mbps to
+/// 1 Gbps, 16 processors, prestaged inputs: every run's first transfer is
+/// its final stage-out, so each point's whole schedule is shared with its
+/// neighbours and the chain resumes every point after the first.
+fn bandwidth_axis(points: usize) -> Vec<ExecConfig> {
+    let base = ExecConfig::fixed(16).prestaged(true);
+    let steps = points.saturating_sub(1).max(1) as f64;
+    (0..points)
+        .map(|i| base.clone().bandwidth(1e6 * 1000f64.powf(i as f64 / steps)))
+        .collect()
+}
 
-/// Top of the dense `1..=N` processor axis the 1° showcase row walks.
-const SWEEP_SUBLINEAR_MAX_PROCS: u32 = 256;
-
-/// Measures one sweep row on a dense `1..=max_procs` processor axis of
-/// the `degrees` mosaic: one counted chain walk for the exact resume and
+/// Measures one sweep row on the `points`-step bandwidth axis of the
+/// `degrees` mosaic: one counted chain walk for the exact resume and
 /// reuse counters, then timed whole-axis walks (best-of) for both sides.
 /// Everything runs inline on this thread — lane settings do not move
 /// these numbers.
-pub fn measure_sweep_row(degrees: f64, max_procs: u32, budget_ms: u64) -> Row {
+pub fn measure_sweep_row(degrees: f64, points: usize, budget_ms: u64) -> Row {
     let wf = generate(&MosaicConfig::new(degrees));
-    let cfgs = processor_axis(max_procs);
+    let cfgs = bandwidth_axis(points);
     let chain_walk = || {
-        let mut chain = IncrementalChain::new(SweepAxis::Processors);
+        let mut chain = IncrementalChain::new();
         for (i, cfg) in cfgs.iter().enumerate() {
             std::hint::black_box(chain.run_point(&wf, cfg, cfgs.get(i + 1)));
         }
@@ -477,7 +476,7 @@ pub fn measure_sweep_row(degrees: f64, max_procs: u32, budget_ms: u64) -> Row {
     });
 
     let points = cfgs.len() as f64;
-    Row::new(format!("sweep/processors/{degrees}deg-regular"))
+    Row::new(format!("sweep/bandwidth/{degrees}deg-prestaged"))
         .exact("points", stats.points)
         .exact("resumed", stats.resumed)
         .exact("reused_events", stats.reused_events)
@@ -487,20 +486,10 @@ pub fn measure_sweep_row(degrees: f64, max_procs: u32, budget_ms: u64) -> Row {
         .tolerant("speedup", scratch_s / incremental_s, 2)
 }
 
-/// Measures the committed sweep-scale rows: dense `1..=64` processors on
-/// the 4° mosaic (wide-workflow regime, short reusable prefixes) and
-/// dense `1..=256` on the 1° mosaic (the sublinear regime, where points
-/// past peak parallelism resume with zero replay and must clear
-/// [`SWEEP_SPEEDUP_GATE`]).
+/// Measures the committed sweep row: the 16-point bandwidth axis on the
+/// 4° mosaic, which must clear [`BANDWIDTH_SPEEDUP_GATE`].
 pub fn measure_sweep_scale(budget_ms: u64) -> Vec<Row> {
-    vec![
-        measure_sweep_row(SWEEP_DEGREES, SWEEP_MAX_PROCS, budget_ms),
-        measure_sweep_row(
-            SWEEP_SUBLINEAR_DEGREES,
-            SWEEP_SUBLINEAR_MAX_PROCS,
-            budget_ms,
-        ),
-    ]
+    vec![measure_sweep_row(SWEEP_DEGREES, SWEEP_POINTS, budget_ms)]
 }
 
 /// Top of the dense `1..=N` processor grid the cache row probes.
@@ -711,15 +700,10 @@ pub const WARM_ALLOC_BUDGET: u64 = 5;
 /// real parallelism.
 pub const BATCH_SPEEDUP_GATE: f64 = 1.5;
 
-/// Minimum incremental-over-scratch points/sec quotient on the 1° sweep
-/// row — the "whole-axis sweeps are sublinear in points" claim, held as a
-/// hard floor. The dense 4° row measures the wide-workflow regime: with
-/// ~677 tasks ready at `t = 0`, runs at `P` and `P + 1` processors
-/// diverge within ~`P` events, so only a short prefix is ever reusable
-/// and the honest quotient sits near 1.1x. That row's quotient is
-/// informational; its reuse is still locked by the exact resume/reuse
-/// counters and the tolerant points/sec columns.
-pub const SWEEP_SPEEDUP_GATE: f64 = 2.0;
+/// Minimum incremental-over-scratch points/sec quotient on the bandwidth
+/// sweep row: checkpoint/fork re-simulation stays only while it earns at
+/// least this much over simulating every point from scratch.
+pub const BANDWIDTH_SPEEDUP_GATE: f64 = 1.5;
 
 /// Minimum share of the capacity-planner candidate grid the second run
 /// over an unchanged spec must replay from cache, in percent — the
@@ -833,7 +817,7 @@ pub const RULES: &[Rule] = &[
     rule("sweep/",                 "total_events",               Check::Exact,       When::Always),
     rule("sweep/",                 "scratch_points_per_sec",     TPUT_FLOOR,         When::Always),
     rule("sweep/",                 "incremental_points_per_sec", TPUT_FLOOR,         When::Always),
-    rule("sweep/processors/1deg-", "incremental_points_per_sec", SWEEP_SPEEDUP,      When::Always),
+    rule("sweep/bandwidth/",       "incremental_points_per_sec", BANDWIDTH_SPEEDUP,  When::Always),
     rule("sweep/",                 "speedup",                    Check::Info,        When::Always),
     rule("cache/",                 "cold_misses",                Check::Exact,       When::Always),
     rule("cache/",                 "warm_hits",                  Check::Exact,       When::Always),
@@ -848,7 +832,8 @@ const BATCH_FLOOR: Check = Check::Floor(BATCH_THROUGHPUT_TOLERANCE);
 const WARM_CAP: Check = Check::Cap(WARM_ALLOC_BUDGET as f64);
 const FLATNESS_CEILING: Check = Check::Ceiling(FLATNESS_TOLERANCE);
 const BATCH_SPEEDUP: Check = Check::RatioFloor("sims_per_sec", BATCH_SPEEDUP_GATE);
-const SWEEP_SPEEDUP: Check = Check::RatioFloor("scratch_points_per_sec", SWEEP_SPEEDUP_GATE);
+const BANDWIDTH_SPEEDUP: Check =
+    Check::RatioFloor("scratch_points_per_sec", BANDWIDTH_SPEEDUP_GATE);
 const PLAN_REPLAY: Check =
     Check::RatioFloor("plan_candidates", PLAN_REPLAY_GATE_PCT as f64 / 100.0);
 
@@ -987,8 +972,7 @@ mod tests {
     const W1: &str = "workload/1deg/regular";
     const FLAT: &str = "flatness/regular";
     const SERVICE: &str = "service/quarter-mixed-reject";
-    const SWEEP4: &str = "sweep/processors/4deg-regular";
-    const SWEEP1: &str = "sweep/processors/1deg-regular";
+    const SWEEP: &str = "sweep/bandwidth/4deg-prestaged";
     const CACHE: &str = "cache/1deg-procs-grid+plan-replay";
 
     /// A small baseline in the committed format, one row per family.
@@ -1002,8 +986,7 @@ mod tests {
     {"name": "scaling/2", "exact": {"workers": 2}, "tolerant": {"batch_sims_per_sec": 2500.25}},
     {"name": "flatness/regular", "exact": {}, "tolerant": {"small_events_per_sec": 1234500, "large_events_per_sec": 600000, "ratio": 2.058}},
     {"name": "service/quarter-mixed-reject", "exact": {"offered": 25000, "admitted": 24000, "rejected": 1000, "deflected": 0}, "tolerant": {"service_requests_per_sec": 50000}},
-    {"name": "sweep/processors/4deg-regular", "exact": {"points": 64, "resumed": 40, "reused_events": 1500, "total_events": 240000}, "tolerant": {"scratch_points_per_sec": 1500, "incremental_points_per_sec": 1700, "speedup": 1.13}},
-    {"name": "sweep/processors/1deg-regular", "exact": {"points": 128, "resumed": 90, "reused_events": 20000, "total_events": 32000}, "tolerant": {"scratch_points_per_sec": 20000, "incremental_points_per_sec": 52000, "speedup": 2.6}},
+    {"name": "sweep/bandwidth/4deg-prestaged", "exact": {"points": 16, "resumed": 15, "reused_events": 200000, "total_events": 240000}, "tolerant": {"scratch_points_per_sec": 200, "incremental_points_per_sec": 700, "speedup": 3.5}},
     {"name": "cache/1deg-procs-grid+plan-replay", "exact": {"cold_misses": 16, "warm_hits": 16, "single_flight_computes": 1, "plan_candidates": 74, "plan_warm_hits": 74}, "tolerant": {"warm_hits_per_sec": 90000}}
   ]
 }
@@ -1115,19 +1098,18 @@ mod tests {
             |c, _| scale(c, SERVICE, "service_requests_per_sec", 0.2), &[(SERVICE, "service_requests_per_sec")]),
         ("a missing service row fails", |c, _| drop_rows(c, SERVICE), &[(SERVICE, "(whole row)")]),
         ("sweep counters drift in both directions",
-            |c, _| { set(c, SWEEP4, "resumed", 39.0); set(c, SWEEP4, "reused_events", 1_000.0) },
-            &[(SWEEP4, "resumed"), (SWEEP4, "reused_events")]),
-        ("the 1deg sweep speedup floor is hard",
-            |c, _| { set(c, SWEEP1, "incremental_points_per_sec", 21_000.0); set(c, SWEEP1, "speedup", 1.05) },
-            &[(SWEEP1, "incremental_points_per_sec")]),
-        ("the 1deg sweep passes at the floor",
-            |c, _| { set(c, SWEEP1, "incremental_points_per_sec", 41_000.0); set(c, SWEEP1, "speedup", 2.0) },
+            |c, _| { set(c, SWEEP, "resumed", 14.0); set(c, SWEEP, "reused_events", 210_000.0) },
+            &[(SWEEP, "resumed"), (SWEEP, "reused_events")]),
+        ("the bandwidth sweep speedup floor is hard",
+            |c, _| { set(c, SWEEP, "incremental_points_per_sec", 290.0); set(c, SWEEP, "speedup", 1.45) },
+            &[(SWEEP, "incremental_points_per_sec")]),
+        ("the bandwidth sweep passes at the floor",
+            |c, _| { set(c, SWEEP, "incremental_points_per_sec", 300.0); set(c, SWEEP, "speedup", 1.5) },
             &[]),
-        ("the 4deg sweep quotient is informational", |c, _| set(c, SWEEP4, "speedup", 0.9), &[]),
+        ("the sweep quotient column is informational", |c, _| set(c, SWEEP, "speedup", 0.9), &[]),
         ("scratch points/sec 80% slower fails",
-            |c, _| scale(c, SWEEP4, "scratch_points_per_sec", 0.2), &[(SWEEP4, "scratch_points_per_sec")]),
-        ("missing sweep rows fail",
-            |c, _| drop_rows(c, "sweep/"), &[(SWEEP4, "(whole row)"), (SWEEP1, "(whole row)")]),
+            |c, _| scale(c, SWEEP, "scratch_points_per_sec", 0.2), &[(SWEEP, "scratch_points_per_sec")]),
+        ("a missing sweep row fails", |c, _| drop_rows(c, "sweep/"), &[(SWEEP, "(whole row)")]),
         ("cache counters drift in both directions",
             |c, _| { set(c, CACHE, "cold_misses", 17.0); set(c, CACHE, "warm_hits", 15.0) },
             &[(CACHE, "cold_misses"), (CACHE, "warm_hits")]),
@@ -1168,7 +1150,7 @@ mod tests {
         set(&mut budget, W1, "batch_allocs_per_sim", 6.0);
         set(&mut committed_budget, W1, "batch_allocs_per_sim", 8.0);
         let mut scratch = sample();
-        scale(&mut scratch, SWEEP4, "scratch_points_per_sec", 0.2);
+        scale(&mut scratch, SWEEP, "scratch_points_per_sec", 0.2);
         for (current, committed, metric) in [
             (&speedup, &sample(), "batch_sims_per_sec"),
             (&budget, &committed_budget, "batch_allocs_per_sim"),
@@ -1193,9 +1175,9 @@ mod tests {
         scale(&mut current, FLAT, "ratio", 3.0);
         let lines = delta_summary(&current, &committed);
         // One line per rule per row: 15 workload (13 columns, the cap and
-        // the speedup gate), 2x2 scaling, 3 flatness, 5 service, 2x7+1
+        // the speedup gate), 2x2 scaling, 3 flatness, 5 service, 7+1
         // sweep, 6 cache.
-        assert_eq!(lines.len(), 15 + 4 + 3 + 5 + 15 + 6, "{lines:#?}");
+        assert_eq!(lines.len(), 15 + 4 + 3 + 5 + 8 + 6, "{lines:#?}");
         let failing: Vec<&String> = lines.iter().filter(|l| l.contains("FAIL")).collect();
         assert_eq!(failing.len(), 2, "{lines:#?}");
         assert!(failing[0].contains("allocs_per_sim") && failing[0].contains("42 -> 49"));
@@ -1238,14 +1220,14 @@ mod tests {
         let b = sample();
         assert_eq!(to_json(&b), SAMPLE);
         assert_eq!(
-            b.row(SWEEP4).and_then(|r| r.count("total_events")),
+            b.row(SWEEP).and_then(|r| r.count("total_events")),
             Some(240_000)
         );
         assert_eq!(b.row(FLAT).and_then(|r| r.get("ratio")), Some(2.058));
         let text = include_str!("../../../BENCH_baseline.json");
         let committed = from_json(text).expect("parse");
         assert_eq!(to_json(&committed), text);
-        assert_eq!(committed.rows.len(), 15 + 3 + 3 + 1 + 2 + 1);
+        assert_eq!(committed.rows.len(), 15 + 3 + 3 + 1 + 1 + 1);
         assert!(compare(&committed, &committed).is_empty());
     }
 
@@ -1338,18 +1320,14 @@ mod tests {
     #[test]
     fn tiny_sweep_row_measures_deterministically_and_reuses_events() {
         // A small axis in debug builds: the chain counters must agree
-        // between independent measurements, and the chain must actually
-        // resume points on a plain processor axis. The axis reaches past
-        // the 1° mosaic's peak parallelism (~50), where the witness stops
-        // firing and resumes replay zero events.
-        let (a, b) = (measure_sweep_row(1.0, 64, 1), measure_sweep_row(1.0, 64, 1));
-        assert_eq!(a.name, SWEEP1);
+        // between independent measurements, and with prestaged inputs
+        // every point after the first must resume.
+        let (a, b) = (measure_sweep_row(1.0, 8, 1), measure_sweep_row(1.0, 8, 1));
+        assert_eq!(a.name, "sweep/bandwidth/1deg-prestaged");
         assert_eq!(a.exact, b.exact);
-        assert_eq!(a.count("points"), Some(64));
-        assert!(
-            a.count("resumed") > Some(0) && a.count("reused_events") > Some(0),
-            "{a}"
-        );
+        assert_eq!(a.count("points"), Some(8));
+        assert_eq!(a.count("resumed"), Some(7), "{a}");
+        assert!(a.count("reused_events") > Some(0), "{a}");
         assert!(a.count("total_events") > a.count("reused_events"), "{a}");
     }
 

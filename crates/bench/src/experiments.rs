@@ -9,8 +9,8 @@ use mcloud_cost::{ArchiveOrRecompute, Campaign, DatasetHosting, Money, Pricing};
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, MosaicConfig};
 use mcloud_sweep::{
-    ccr_sweep, fault_rate_sweep_incremental, geometric_processors, mode_matrix, pareto_frontier,
-    processor_sweep, processor_sweep_incremental, CostTimePoint, Table,
+    ccr_sweep, fault_rate_sweep, geometric_processors, mode_matrix, pareto_frontier,
+    processor_sweep, CostTimePoint, Table,
 };
 
 /// The paper's three canonical mosaic sizes.
@@ -39,10 +39,8 @@ pub fn fig_processor_sweep(degrees: f64) -> Table {
     let base_regular = ExecConfig::paper_default().mode(DataMode::Regular);
     let base_cleanup = ExecConfig::paper_default().mode(DataMode::DynamicCleanup);
     let procs = geometric_processors(128);
-    // Incremental re-simulation: byte-identical to `processor_sweep`,
-    // sublinear in points (adjacent counts fork off shared checkpoints).
-    let regular = processor_sweep_incremental(&wf, &base_regular, &procs);
-    let cleanup = processor_sweep_incremental(&wf, &base_cleanup, &procs);
+    let regular = processor_sweep(&wf, &base_regular, &procs);
+    let cleanup = processor_sweep(&wf, &base_cleanup, &procs);
 
     let mut t = Table::new(vec![
         "processors",
@@ -393,9 +391,9 @@ pub fn failure_sweep(degrees: f64) -> Table {
         "cost_overhead_pct",
         "runtime_hours",
     ]);
-    // The zero-rate point doubles as the overhead baseline; the chain
+    // The zero-rate point doubles as the overhead baseline; the sweep
     // builds the same per-rate configs `with_faults` would.
-    let points = fault_rate_sweep_incremental(
+    let points = fault_rate_sweep(
         &wf,
         &ExecConfig::paper_default(),
         &[0.0, 0.02, 0.05, 0.1, 0.2, 0.3],
@@ -436,7 +434,7 @@ pub fn fault_reliability_table() -> Table {
         }),
         ..ExecConfig::fixed(8).with_retry(RetryPolicy::bounded(3))
     };
-    let points = fault_rate_sweep_incremental(&wf, &base, &[0.0, 0.01, 0.02, 0.05, 0.1, 0.2], 2008);
+    let points = fault_rate_sweep(&wf, &base, &[0.0, 0.01, 0.02, 0.05, 0.1, 0.2], 2008);
     let mut t = Table::new(vec![
         "failure_prob",
         "attempts",

@@ -3,10 +3,9 @@
 //! spawning processes.
 
 use mcloud_core::{
-    attribute_profile_costs, incremental_unsupported_reason, profile_json, profile_svg,
-    profile_text, profile_trace, simulate, simulate_traced, trace_from_jsonl, trace_to_chrome,
-    trace_to_jsonl, DataMode, ExecConfig, FaultModel, RetryPolicy, SchedulePolicy, SweepAxis,
-    VmOverhead, FROM_SCRATCH_NOTE,
+    attribute_profile_costs, profile_json, profile_svg, profile_text, profile_trace, simulate,
+    simulate_traced, trace_from_jsonl, trace_to_chrome, trace_to_jsonl, DataMode, ExecConfig,
+    FaultModel, RetryPolicy, SchedulePolicy, VmOverhead,
 };
 use mcloud_cost::{ArchiveOrRecompute, Campaign, DatasetHosting, Pricing};
 use mcloud_dag::{from_dax, to_dax, to_dot, DotStyle, Workflow};
@@ -18,8 +17,7 @@ use mcloud_service::{
 use mcloud_simkit::{NullSink, WorkerPool};
 use mcloud_sweep::{
     cheapest_within_deadline, geometric_processors, pareto_frontier, processor_sweep,
-    processor_sweep_incremental, processor_sweep_incremental_progress, processor_sweep_progress,
-    CostTimePoint, Table,
+    processor_sweep_progress, CostTimePoint, Table,
 };
 
 use crate::args::Args;
@@ -781,17 +779,9 @@ self-telemetry (events processed, calendar-queue pops, peak pending)
 for each point. The table is byte-identical at every MCLOUD_WORKERS
 setting; --progress adds a live wall-clock heartbeat on stderr.
 
-By default adjacent points are re-simulated incrementally: each run
-checkpoints its state and the next forks off the latest checkpoint
-its divergence witness proved sound, replaying only the divergent
-suffix. The output is byte-for-byte what from-scratch simulation
-produces (points the witness cannot bound fall back to t = 0).
-
 flags:
   --degrees D          mosaic size (default 1)
   --max-procs P        top of the geometric ladder (default 128)
-  --incremental        checkpoint/fork re-simulation (the default)
-  --no-incremental     every point simulates from scratch
   --progress           live `sweep done/total` heartbeat on stderr, plus
                        a worker-lane summary after the sweep (wall-clock;
                        never part of the stdout table)
@@ -799,29 +789,12 @@ flags:
             .to_string());
     }
     let mut flags = SIM_FLAGS.to_vec();
-    flags.extend(["max-procs", "progress", "incremental", "no-incremental"]);
+    flags.extend(["max-procs", "progress"]);
     let args = Args::parse(rest, &flags)?;
     let wf = workflow_from(&args)?;
     let cfg = exec_from(&args)?;
     let max_procs: u32 = args.get_or("max-procs", 128u32)?;
     let ladder = geometric_processors(max_procs);
-    if args.has("incremental") && args.has("no-incremental") {
-        return Err("--incremental and --no-incremental are mutually exclusive".to_string());
-    }
-    let incremental = !args.has("no-incremental");
-    if incremental {
-        // Fall-back combinations still produce identical output; the note
-        // just explains why --incremental buys nothing here. stderr only,
-        // so the stdout table stays byte-identical.
-        if let Some(reason) = incremental_unsupported_reason(SweepAxis::Processors, &cfg) {
-            eprintln!("note: {reason}");
-        }
-    } else {
-        // The same closing phrase as the unsupported-combination notes
-        // above (FROM_SCRATCH_NOTE), so every from-scratch path reads
-        // the same on stderr.
-        eprintln!("note: --no-incremental: {FROM_SCRATCH_NOTE}");
-    }
 
     let points = if args.has("progress") {
         let on_progress = |done: usize, total: usize| {
@@ -830,11 +803,7 @@ flags:
                 eprintln!();
             }
         };
-        let points = if incremental {
-            processor_sweep_incremental_progress(&wf, &cfg, &ladder, &on_progress)
-        } else {
-            processor_sweep_progress(&wf, &cfg, &ladder, &on_progress)
-        };
+        let points = processor_sweep_progress(&wf, &cfg, &ladder, &on_progress);
         // Lane summary: wall-clock class, so stderr only — stdout stays
         // byte-identical at every MCLOUD_WORKERS setting.
         if WorkerPool::global_initialized() {
@@ -852,8 +821,6 @@ flags:
             }
         }
         points
-    } else if incremental {
-        processor_sweep_incremental(&wf, &cfg, &ladder)
     } else {
         processor_sweep(&wf, &cfg, &ladder)
     };
@@ -1302,32 +1269,13 @@ mod tests {
     }
 
     #[test]
-    fn from_scratch_notes_share_one_phrase() {
-        // The sweep help's --no-incremental line, the stderr note it
-        // triggers, and every unsupported-combination fallback reason in
-        // core end with the same FROM_SCRATCH_NOTE phrase.
+    fn sweep_rejects_the_removed_incremental_flags() {
         let help = run_str("sweep --help").unwrap();
-        assert!(
-            help.contains(&format!("--no-incremental     {FROM_SCRATCH_NOTE}")),
-            "{help}"
-        );
-
-        let mut traced = ExecConfig::paper_default();
-        traced.record_trace = true;
-        let reason = incremental_unsupported_reason(SweepAxis::Processors, &traced)
-            .expect("tracing forces the from-scratch fallback");
-        assert!(reason.ends_with(FROM_SCRATCH_NOTE), "{reason}");
-
-        let mut preempting = ExecConfig::paper_default();
-        preempting.faults = Some(FaultModel {
-            task_failure_prob: 0.0,
-            transfer_failure_prob: 0.0,
-            proc_mttf_s: 1000.0,
-            seed: 1,
-        });
-        let reason = incremental_unsupported_reason(SweepAxis::Processors, &preempting)
-            .expect("preemption forces the from-scratch fallback");
-        assert!(reason.ends_with(FROM_SCRATCH_NOTE), "{reason}");
+        assert!(!help.contains("incremental"), "{help}");
+        for flag in ["--incremental", "--no-incremental"] {
+            let err = run_str(&format!("sweep --degrees 0.5 --max-procs 2 {flag}")).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
     }
 
     #[test]

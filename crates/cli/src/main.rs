@@ -1,5 +1,6 @@
 //! `mcloud` binary entry point. All logic lives in the library.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -8,10 +9,23 @@ fn main() -> ExitCode {
         Ok(report) => {
             // `mcloud serve` writes its responses to the transport and
             // returns an empty report; don't print a stray blank line.
-            if !report.is_empty() {
-                println!("{report}");
+            if report.is_empty() {
+                return ExitCode::SUCCESS;
             }
-            ExitCode::SUCCESS
+            let mut out = std::io::stdout().lock();
+            let written = out
+                .write_all(report.as_bytes())
+                .and_then(|_| out.write_all(b"\n"))
+                .and_then(|_| out.flush());
+            match written {
+                // A reader that stops early (`mcloud trace | head`) has
+                // taken all the output it wants: a quiet, successful end.
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("error: writing output: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
         }
         Err(message) => {
             eprintln!("error: {message}");

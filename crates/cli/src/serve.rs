@@ -23,9 +23,10 @@
 //! one — that equivalence is pinned by the `serve-equivalence` CI job.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::time::Duration;
 
 use mcloud_cache::{decode_report, encode_report, DEFAULT_BUDGET_BYTES};
 use mcloud_core::{
@@ -96,14 +97,7 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| addr.to_string());
             eprintln!("serving HTTP on {bound}");
-            for stream in listener.incoming() {
-                let mut stream = stream.map_err(|e| format!("accept failed: {e}"))?;
-                // One request per connection; a malformed request only
-                // poisons its own connection, never the server.
-                if let Err(e) = handle_http(&mut stream) {
-                    eprintln!("note: dropped connection: {e}");
-                }
-            }
+            serve_http(listener.incoming(), HTTP_IO_TIMEOUT)?;
             Ok(String::new())
         }
         None => {
@@ -120,13 +114,41 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
     }
 }
 
+/// How long an HTTP connection may stall one read or one write before it
+/// is dropped, so a silent client cannot hold the single-threaded accept
+/// loop.
+const HTTP_IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The HTTP accept loop over `incoming` connections: one request per
+/// connection, each connection's reads and writes bounded by `timeout`. A
+/// malformed or stalled request only poisons its own connection, never
+/// the server.
+fn serve_http(
+    incoming: impl Iterator<Item = std::io::Result<TcpStream>>,
+    timeout: Duration,
+) -> Result<(), String> {
+    for stream in incoming {
+        let mut stream = stream.map_err(|e| format!("accept failed: {e}"))?;
+        let served = stream
+            .set_read_timeout(Some(timeout))
+            .and_then(|_| stream.set_write_timeout(Some(timeout)))
+            .map_err(|e| format!("setting timeouts: {e}"))
+            .and_then(|_| handle_http(&mut stream));
+        if let Err(e) = served {
+            eprintln!("note: dropped connection: {e}");
+        }
+    }
+    Ok(())
+}
+
 /// Largest request the server reads: a stdio frame's declared length or
 /// an HTTP `Content-Length`, checked before any buffer is allocated.
 const MAX_REQUEST_BYTES: usize = 16 << 20;
 
-/// Runs one framed request/response session to EOF; returns the number
-/// of requests answered. Factored over `BufRead`/`Write` so tests drive
-/// it in-process.
+/// Runs one framed request/response session to EOF, or until the reader
+/// of the responses goes away (a broken pipe ends the session quietly);
+/// returns the number of requests answered. Factored over
+/// `BufRead`/`Write` so tests drive it in-process.
 pub(crate) fn serve_session<R: BufRead, W: Write>(
     input: &mut R,
     output: &mut W,
@@ -137,10 +159,11 @@ pub(crate) fn serve_session<R: BufRead, W: Write>(
             Ok(doc) => doc,
             Err(e) => error_doc(&e),
         };
-        write!(output, "{}\n{response}", response.len())
-            .and_then(|_| output.flush())
-            .map_err(|e| format!("writing response: {e}"))?;
-        served += 1;
+        match write!(output, "{}\n{response}", response.len()).and_then(|_| output.flush()) {
+            Ok(()) => served += 1,
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => break,
+            Err(e) => return Err(format!("writing response: {e}")),
+        }
     }
     Ok(served)
 }
@@ -672,6 +695,33 @@ mod tests {
             "{resp}"
         );
         assert!(resp.contains("exceeds the 16777216-byte limit"), "{resp}");
+    }
+
+    #[test]
+    fn a_silent_http_client_is_dropped_and_the_next_is_answered() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            serve_http(listener.incoming().take(2), Duration::from_millis(200))
+        });
+        let guard = Some(Duration::from_secs(30));
+        let mut silent = TcpStream::connect(addr).unwrap();
+        silent.set_read_timeout(guard).unwrap();
+        let mut next = TcpStream::connect(addr).unwrap();
+        next.set_read_timeout(guard).unwrap();
+        next.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        // The silent client's connection is closed without a response...
+        let mut buf = Vec::new();
+        match silent.read_to_end(&mut buf) {
+            Ok(_) => assert!(buf.is_empty(), "{}", String::from_utf8_lossy(&buf)),
+            Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset, "{e}"),
+        }
+        // ...and the client queued behind it is still answered.
+        let mut response = String::new();
+        next.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -1,44 +1,33 @@
-//! Incremental re-simulation across adjacent sweep points.
+//! Incremental re-simulation along a link-bandwidth axis.
 //!
-//! A whole-axis sweep (processor counts, link bandwidths, fault rates)
-//! re-simulates mostly shared prefixes: a `P = 64` run is event-for-event
-//! identical to `P = 63` until the 64th slot is first wanted. This module
-//! makes that observation operational. Each run records a **divergence
-//! witness** — the first event at which the *next* point's configuration
-//! becomes observable — plus periodic [`SimCheckpoint`] snapshots of the
-//! full deterministic state. The next point then restores the latest
-//! snapshot (always strictly before the witness, by construction), applies
-//! the axis delta, and replays only the divergent suffix.
+//! With prestaged inputs a run submits its first transfer only at the
+//! final stage-out, so runs that differ only in link bandwidth are
+//! event-for-event identical until then. This module makes that
+//! observation operational. Each run records a **divergence witness** —
+//! the first transfer submission, the first event at which the *next*
+//! point's bandwidth becomes observable — plus periodic [`SimCheckpoint`]
+//! snapshots of the full deterministic state. The next point then
+//! restores the latest snapshot (always strictly before the witness, by
+//! construction), swaps in links at its own bandwidth, and replays only
+//! the divergent suffix.
 //!
 //! The contract is byte-identity: a resumed point produces exactly the
 //! [`Report`] a from-scratch run would, or the chain falls back to `t = 0`
-//! whenever the witness cannot bound divergence (unsupported axis
-//! combinations, trace recording, structural config changes). Differential
-//! tests and the `sweep-equivalence` CI job hold the line.
+//! whenever the witness cannot bound divergence (any difference besides
+//! the bandwidth, trace recording, or a first transfer at `t = 0` as with
+//! cold-staged inputs). Seeded differential tests hold the line.
+//!
+//! Processor-count and fault-rate axes are not chained: measured at 8°
+//! and 16° they gained at most 1.11x, so those points always run from
+//! scratch.
 
 use mcloud_dag::Workflow;
 
-use crate::config::{ExecConfig, Provisioning};
+use crate::config::ExecConfig;
 use crate::engine::{
-    run_probed, run_resumed, simulate_with_scratch, AxisProbe, IncCtl, SimCheckpoint, SimScratch,
+    run_probed, run_resumed, simulate_with_scratch, IncCtl, SimCheckpoint, SimScratch,
 };
 use crate::report::Report;
-
-/// The sweep axis a chain walks; decides which divergence witness runs
-/// arm and which delta a restore applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SweepAxis {
-    /// `Provisioning::Fixed { processors }` varies; witness = first pool
-    /// exhaustion with a dispatchable task waiting. Sound only while the
-    /// pool grows point-over-point and no preemption process observes the
-    /// pool size (`proc_mttf_s == 0`).
-    Processors,
-    /// `bandwidth_bps` varies; witness = first transfer submission.
-    Bandwidth,
-    /// Fault rates vary (same seed, same MTTF); witness = first RNG draw
-    /// whose outcome or stream consumption differs between the two rates.
-    FaultRate,
-}
 
 /// Counters an incremental sweep accumulates, for speedup accounting and
 /// the fallback-visibility the drivers report.
@@ -64,16 +53,15 @@ impl IncrementalStats {
     }
 }
 
-/// Runs the points of one sweep axis in order, forking each run off the
+/// Runs the points of a bandwidth axis in order, forking each run off the
 /// previous point's checkpoint when the divergence witness proves it
 /// sound, and from `t = 0` otherwise.
 ///
 /// Feed points with [`IncrementalChain::run_point`], passing the *next*
 /// point's configuration so the run can arm its witness. Reports are
 /// byte-identical to [`crate::simulate`] on every point.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IncrementalChain {
-    axis: SweepAxis,
     scratch: SimScratch,
     /// Checkpoint from the previous run, valid for `armed_for`.
     restore: Option<Box<SimCheckpoint>>,
@@ -86,21 +74,9 @@ pub struct IncrementalChain {
 }
 
 impl IncrementalChain {
-    /// A fresh chain for one axis.
-    pub fn new(axis: SweepAxis) -> Self {
-        IncrementalChain {
-            axis,
-            scratch: SimScratch::new(),
-            restore: None,
-            armed_for: None,
-            spare: None,
-            stats: IncrementalStats::default(),
-        }
-    }
-
-    /// The axis this chain walks.
-    pub fn axis(&self) -> SweepAxis {
-        self.axis
+    /// A fresh chain.
+    pub fn new() -> Self {
+        IncrementalChain::default()
     }
 
     /// Accumulated reuse counters.
@@ -125,7 +101,7 @@ impl IncrementalChain {
         cfg: &ExecConfig,
         next: Option<&ExecConfig>,
     ) -> Report {
-        // Trace recording bypasses the probed engine entirely so traces
+        // Trace recording bypasses the witness entirely so traces
         // (and their span ordering) stay bit-for-bit what `simulate`
         // produces.
         if cfg.record_trace {
@@ -136,17 +112,15 @@ impl IncrementalChain {
             self.stats.total_events += report.events_processed;
             return report;
         }
-        let probe = next
-            .filter(|n| chainable(self.axis, cfg, n))
-            .map(|n| probe_for(self.axis, n));
-        let mut ctl = IncCtl::new(probe, self.spare.take());
+        let armed = next.is_some_and(|n| chainable(cfg, n));
+        let mut ctl = IncCtl::new(armed, self.spare.take());
         let restore = self
             .restore
             .take()
             .filter(|_| self.armed_for.as_ref() == Some(cfg));
         let report = match restore {
             Some(ck) => {
-                let r = run_resumed(wf, cfg, &mut self.scratch, &ck, self.axis, &mut ctl);
+                let r = run_resumed(wf, cfg, &mut self.scratch, &ck, &mut ctl);
                 self.stats.resumed += 1;
                 self.stats.reused_events += ck.pops;
                 self.spare = Some(ck);
@@ -155,7 +129,7 @@ impl IncrementalChain {
             None => run_probed(wf, cfg, &mut self.scratch, &mut ctl),
         };
         if ctl.snapshot_fresh {
-            // The snapshot was recorded with the probe armed toward
+            // The snapshot was recorded with the witness armed toward
             // `next`, strictly before any witness: valid for `next`.
             self.restore = ctl.snapshot.take();
             self.armed_for = next.cloned();
@@ -171,100 +145,13 @@ impl IncrementalChain {
     }
 }
 
-/// Builds the witness probe a run arms toward `next`.
-fn probe_for(axis: SweepAxis, next: &ExecConfig) -> AxisProbe {
-    match axis {
-        SweepAxis::Processors => AxisProbe::Processors,
-        SweepAxis::Bandwidth => AxisProbe::Bandwidth,
-        SweepAxis::FaultRate => {
-            let f = next.faults.as_ref().expect("chainable requires faults");
-            AxisProbe::FaultRate {
-                next_task_prob: f.task_failure_prob,
-                next_transfer_prob: f.transfer_failure_prob,
-            }
-        }
-    }
-}
-
 /// Whether a witness recorded while running `cur` can soundly bound the
 /// divergence of `next` — i.e. the two runs are provably event-identical
-/// until the witness fires.
-///
-/// Beyond the per-axis conditions, the two configurations must be equal in
-/// every non-axis field (checked by normalized equality), because any
-/// other difference could change behavior before the witness.
-fn chainable(axis: SweepAxis, cur: &ExecConfig, next: &ExecConfig) -> bool {
-    if cur.record_trace || next.record_trace {
-        return false;
-    }
-    match axis {
-        SweepAxis::Processors => {
-            let (Provisioning::Fixed { processors: a }, Provisioning::Fixed { processors: b }) =
-                (cur.provisioning, next.provisioning)
-            else {
-                return false;
-            };
-            if b < a {
-                return false; // the pool only grows along the chain
-            }
-            // Preemption samples its inter-arrival times from the pool
-            // size, so any MTTF makes every event capacity-dependent.
-            if cur.faults.as_ref().is_some_and(|f| f.proc_mttf_s > 0.0) {
-                return false;
-            }
-            let mut norm = next.clone();
-            norm.provisioning = cur.provisioning;
-            norm == *cur
-        }
-        SweepAxis::Bandwidth => {
-            let mut norm = next.clone();
-            norm.bandwidth_bps = cur.bandwidth_bps;
-            norm == *cur
-        }
-        SweepAxis::FaultRate => {
-            // A `None`-faults point has no injector at all: structurally
-            // different from any positive-rate point, so the chain breaks
-            // there (the forced-fallback case the tests pin down).
-            let (Some(cf), Some(_)) = (cur.faults.as_ref(), next.faults.as_ref()) else {
-                return false;
-            };
-            let mut norm = next.clone();
-            let nf = norm.faults.as_mut().expect("checked above");
-            nf.task_failure_prob = cf.task_failure_prob;
-            nf.transfer_failure_prob = cf.transfer_failure_prob;
-            // Equality here also forces identical seeds and MTTFs — only
-            // the two failure rates may differ along this axis.
-            norm == *cur
-        }
-    }
+/// until the first transfer submission. They must be equal in every field
+/// but the bandwidth (`record_trace` included), because any other
+/// difference could change behavior before the witness.
+fn chainable(cur: &ExecConfig, next: &ExecConfig) -> bool {
+    let mut norm = next.clone();
+    norm.bandwidth_bps = cur.bandwidth_bps;
+    norm == *cur
 }
-
-/// A human-readable reason why an incremental sweep over `axis` starting
-/// from `base` must run every point from scratch, or `None` when chaining
-/// can engage. Drivers still produce byte-identical output either way —
-/// this exists so the CLI can tell the user the `--incremental` flag is a
-/// no-op for their configuration.
-pub fn incremental_unsupported_reason(axis: SweepAxis, base: &ExecConfig) -> Option<String> {
-    if base.record_trace {
-        return Some(format!(
-            "trace recording requires full-fidelity runs; {FROM_SCRATCH_NOTE}"
-        ));
-    }
-    match axis {
-        SweepAxis::Processors => {
-            if base.faults.as_ref().is_some_and(|f| f.proc_mttf_s > 0.0) {
-                return Some(format!(
-                    "preemption (proc_mttf_s > 0) samples from the pool size; {FROM_SCRATCH_NOTE}"
-                ));
-            }
-            None
-        }
-        SweepAxis::Bandwidth | SweepAxis::FaultRate => None,
-    }
-}
-
-/// The shared tail of every "no chaining here" explanation — the
-/// unchainable-config reasons above and the CLI's `--no-incremental`
-/// note both end with this exact phrase, so the stderr wording stays
-/// consistent however scratch mode was reached.
-pub const FROM_SCRATCH_NOTE: &str = "every point simulates from scratch";

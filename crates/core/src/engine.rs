@@ -33,7 +33,6 @@ use mcloud_simkit::{
     TraceEvent,
 };
 
-use crate::checkpoint::SweepAxis;
 use crate::config::{DataMode, ExecConfig, Provisioning};
 use crate::report::{KernelStats, Report};
 use crate::soa::{FileTable, InFlightTable, ReadySet, TaskTable};
@@ -326,39 +325,23 @@ impl SimCheckpoint {
     }
 }
 
-/// Which divergence witness a probed run watches for, parameterized by the
-/// *next* sweep point where the witness needs its configuration.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AxisProbe {
-    /// First time the pool is exhausted while a dispatchable task waits —
-    /// the first instant a larger pool would have granted a slot.
-    Processors,
-    /// First transfer submission — the first instant a different link
-    /// bandwidth becomes observable.
-    Bandwidth,
-    /// First fault draw whose outcome or stream consumption differs
-    /// between this point's rates and the next point's.
-    FaultRate {
-        next_task_prob: f64,
-        next_transfer_prob: f64,
-    },
-}
-
 /// First snapshot after this many processed events; the interval doubles
 /// up to [`SNAPSHOT_MAX_STRIDE`] and then grows arithmetically. The early
-/// snapshots are dense because witnesses cluster early (a small pool runs
-/// dry within tens of events); the geometric ramp keeps long runs at a
-/// dozen-odd snapshots while bounding the replay lost between the last
-/// snapshot and the witness.
+/// snapshots are dense so that a witness firing within tens of events
+/// still leaves a checkpoint to resume from; the geometric ramp keeps long
+/// runs at a dozen-odd snapshots while bounding the replay lost between
+/// the last snapshot and the witness.
 const SNAPSHOT_FIRST_POPS: u64 = 16;
 const SNAPSHOT_MAX_STRIDE: u64 = 2048;
 
-/// Per-run incremental-simulation control: the armed probe, the witness it
-/// recorded (as an event count), and the snapshot slot being recorded.
+/// Per-run incremental-simulation control: whether the bandwidth witness
+/// is armed, the witness it recorded (as an event count), and the snapshot
+/// slot being recorded.
 #[derive(Debug, Default)]
 pub(crate) struct IncCtl {
-    /// Witness to watch for; `None` disables snapshots and witnesses.
-    pub probe: Option<AxisProbe>,
+    /// Whether to watch for the witness (the first transfer submission);
+    /// `false` disables snapshots and witnesses.
+    pub armed: bool,
     /// `events.popped()` when the witness fired: the prefix through event
     /// `witness_pops - 1` is proven identical at the next sweep point.
     pub witness_pops: Option<u64>,
@@ -368,14 +351,14 @@ pub(crate) struct IncCtl {
     /// the chain; every retake reuses its allocations).
     pub snapshot: Option<Box<SimCheckpoint>>,
     /// Set when `snapshot` was (re)recorded during this run — i.e. it is
-    /// valid for the configuration the probe was armed toward.
+    /// valid for the configuration the witness was armed toward.
     pub snapshot_fresh: bool,
 }
 
 impl IncCtl {
-    pub fn new(probe: Option<AxisProbe>, recycled: Option<Box<SimCheckpoint>>) -> Self {
+    pub fn new(armed: bool, recycled: Option<Box<SimCheckpoint>>) -> Self {
         IncCtl {
-            probe,
+            armed,
             witness_pops: None,
             next_snapshot_at: SNAPSHOT_FIRST_POPS,
             snapshot: recycled,
@@ -385,7 +368,7 @@ impl IncCtl {
 }
 
 /// Builds the inbound link (and the optional outbound one) exactly as a
-/// fresh engine would — shared by `Engine::new` and the bandwidth-axis
+/// fresh engine would — shared by `Engine::new` and the checkpoint
 /// restore, which swaps in new channels built from the new configuration.
 fn build_links(cfg: &ExecConfig) -> (FcfsChannel, Option<FcfsChannel>) {
     let mut link = FcfsChannel::new(cfg.bandwidth_bps);
@@ -397,11 +380,10 @@ fn build_links(cfg: &ExecConfig) -> (FcfsChannel, Option<FcfsChannel>) {
     (link, link_out)
 }
 
-/// Runs one sweep point from scratch with a divergence probe armed,
-/// recording snapshots and the witness into `ctl`. Byte-identical to
-/// [`simulate_with_scratch`] for untraced configurations: the probe only
-/// reads state the engine already computes, and probed fault draws consume
-/// the RNG stream exactly like plain ones.
+/// Runs one sweep point from scratch with the witness armed, recording
+/// snapshots and the witness into `ctl`. Byte-identical to
+/// [`simulate_with_scratch`] for untraced configurations: the witness only
+/// reads state the engine already computes.
 pub(crate) fn run_probed(
     wf: &Workflow,
     cfg: &ExecConfig,
@@ -414,53 +396,27 @@ pub(crate) fn run_probed(
     engine.run()
 }
 
-/// Runs one sweep point from a checkpoint taken at the *previous* point,
-/// applying the axis delta to the restored state and replaying only the
-/// suffix. The caller must have proven (via the previous run's witness)
-/// that the two points are event-identical through the snapshot.
+/// Runs one sweep point from a checkpoint taken at the *previous* point
+/// of a bandwidth axis, swapping in links at this point's bandwidth and
+/// replaying only the suffix. The caller must have proven (via the
+/// previous run's witness) that the two points are event-identical
+/// through the snapshot.
 pub(crate) fn run_resumed(
     wf: &Workflow,
     cfg: &ExecConfig,
     scr: &mut SimScratch,
     ck: &SimCheckpoint,
-    axis: SweepAxis,
     ctl: &mut IncCtl,
 ) -> Report {
     cfg.validate().expect("invalid execution configuration");
     scr.clone_from(&ck.scratch);
     let mut st = ck.state.clone();
-    match axis {
-        SweepAxis::Processors => {
-            let Provisioning::Fixed { processors } = cfg.provisioning else {
-                unreachable!("processor-axis chaining requires fixed provisioning");
-            };
-            // Pre-witness the smaller pool never ran dry, so the extra
-            // slots were unobservable: growing the restored pool yields
-            // the state a from-scratch run at `processors` would hold.
-            scr.pool.grow(processors);
-            scr.in_flight.grow(processors as usize);
-        }
-        SweepAxis::Bandwidth => {
-            // Pre-witness no transfer was ever submitted, so a fresh pair
-            // of channels at the new bandwidth is exactly the state a
-            // from-scratch run would hold.
-            let (link, link_out) = build_links(cfg);
-            st.link = link;
-            st.link_out = link_out;
-        }
-        SweepAxis::FaultRate => {
-            // Pre-witness every draw agreed in outcome and stream
-            // position, so the same injector mid-stream with the new
-            // rates is exactly the from-scratch state.
-            if let (Some(inj), Some(f)) = (st.injector.as_mut(), cfg.faults.as_ref()) {
-                inj.set_spec(FaultSpec {
-                    task_failure_prob: f.task_failure_prob,
-                    transfer_failure_prob: f.transfer_failure_prob,
-                    proc_mttf_s: f.proc_mttf_s,
-                });
-            }
-        }
-    }
+    // Pre-witness no transfer was ever submitted, so a fresh pair of
+    // channels at the new bandwidth is exactly the state a from-scratch
+    // run would hold.
+    let (link, link_out) = build_links(cfg);
+    st.link = link;
+    st.link_out = link_out;
     let mut engine = Engine::resume(wf, cfg, NullSink, scr, st);
     engine.inc = Some(ctl);
     engine.run_loop()
@@ -516,7 +472,7 @@ struct Engine<'a, S: EventSink> {
     /// Set when a task or transfer exhausts its retry budget: the run
     /// stops dispatching work and finishes with a partial report.
     aborted: bool,
-    /// Incremental-simulation control (probe + snapshot slot), present
+    /// Incremental-simulation control (witness + snapshot slot), present
     /// only when a sweep chain drives this run.
     inc: Option<&'a mut IncCtl>,
 }
@@ -654,7 +610,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         let pops = self.scr.events.popped();
         let terminal = self.scr.events.is_empty();
         match self.inc.as_deref_mut() {
-            Some(ctl) if ctl.probe.is_some() && ctl.witness_pops.is_none() => {
+            Some(ctl) if ctl.armed && ctl.witness_pops.is_none() => {
                 if pops < ctl.next_snapshot_at && !terminal {
                     return;
                 }
@@ -687,88 +643,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
         ctl.snapshot_fresh = true;
     }
 
-    /// Processor-axis witness: the pool just ran dry while a dispatchable
-    /// task was waiting — the first instant a larger pool would have
-    /// granted one more slot, so runs at higher processor counts diverge
-    /// exactly here and snapshots before this event remain valid for them.
-    fn note_pool_exhausted(&mut self) {
-        let pops = self.scr.events.popped();
-        if let Some(ctl) = self.inc.as_deref_mut() {
-            if matches!(ctl.probe, Some(AxisProbe::Processors)) && ctl.witness_pops.is_none() {
-                ctl.witness_pops = Some(pops);
-            }
-        }
-    }
-
-    /// Bandwidth-axis witness: the first transfer submission — the first
+    /// The divergence witness: the first transfer submission — the first
     /// instant the link bandwidth becomes observable.
     fn note_transfer_submitted(&mut self) {
         let pops = self.scr.events.popped();
         if let Some(ctl) = self.inc.as_deref_mut() {
-            if matches!(ctl.probe, Some(AxisProbe::Bandwidth)) && ctl.witness_pops.is_none() {
+            if ctl.armed && ctl.witness_pops.is_none() {
                 ctl.witness_pops = Some(pops);
             }
-        }
-    }
-
-    /// One task-failure draw, probed against the next sweep point's rate
-    /// when the fault axis is being watched. Stream consumption is
-    /// identical to the plain draw.
-    fn draw_task_fails(&mut self) -> bool {
-        let alt = match self.inc.as_deref() {
-            Some(ctl) if ctl.witness_pops.is_none() => match ctl.probe {
-                Some(AxisProbe::FaultRate { next_task_prob, .. }) => Some(next_task_prob),
-                _ => None,
-            },
-            _ => None,
-        };
-        match alt {
-            Some(alt) => {
-                let (fails, diverged) = match self.injector.as_mut() {
-                    Some(i) => i.task_attempt_fails_probed(alt),
-                    None => (false, alt > 0.0),
-                };
-                if diverged {
-                    let pops = self.scr.events.popped();
-                    if let Some(ctl) = self.inc.as_deref_mut() {
-                        ctl.witness_pops = Some(pops);
-                    }
-                }
-                fails
-            }
-            None => self
-                .injector
-                .as_mut()
-                .is_some_and(|i| i.task_attempt_fails()),
-        }
-    }
-
-    /// One transfer-failure draw, probed like [`Engine::draw_task_fails`].
-    fn draw_transfer_fails(&mut self) -> bool {
-        let alt = match self.inc.as_deref() {
-            Some(ctl) if ctl.witness_pops.is_none() => match ctl.probe {
-                Some(AxisProbe::FaultRate {
-                    next_transfer_prob, ..
-                }) => Some(next_transfer_prob),
-                _ => None,
-            },
-            _ => None,
-        };
-        match alt {
-            Some(alt) => {
-                let (fails, diverged) = match self.injector.as_mut() {
-                    Some(i) => i.transfer_fails_probed(alt),
-                    None => (false, alt > 0.0),
-                };
-                if diverged {
-                    let pops = self.scr.events.popped();
-                    if let Some(ctl) = self.inc.as_deref_mut() {
-                        ctl.witness_pops = Some(pops);
-                    }
-                }
-                fails
-            }
-            None => self.injector.as_mut().is_some_and(|i| i.transfer_fails()),
         }
     }
 
@@ -912,7 +794,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         bytes: u64,
         task: Option<TaskId>,
     ) -> bool {
-        let failed = self.draw_transfer_fails();
+        let failed = self.injector.as_mut().is_some_and(|i| i.transfer_fails());
         if failed {
             self.transfer_failures += 1;
             match chan {
@@ -1437,9 +1319,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 continue; // try the next-priority candidate
             }
             let Some(proc) = self.scr.pool.try_acquire(now) else {
-                // A dispatchable task found the pool dry: the processor-
-                // axis divergence witness.
-                self.note_pool_exhausted();
                 break;
             };
             self.remove_ready(now, rank);
@@ -1503,7 +1382,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
         // above) but produced nothing; the retry policy decides whether
         // the task goes back to the ready queue. A timed-out attempt
         // fails deterministically without consuming a fault draw.
-        let failed = timed_out || self.draw_task_fails();
+        let failed = timed_out
+            || self
+                .injector
+                .as_mut()
+                .is_some_and(|i| i.task_attempt_fails());
         narrate!(
             self,
             now,

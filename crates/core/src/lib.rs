@@ -43,10 +43,7 @@ pub use batch::{
     simulate_batch, simulate_batch_on, simulate_batch_progress, simulate_batch_workflows,
     BatchScratch,
 };
-pub use checkpoint::{
-    incremental_unsupported_reason, IncrementalChain, IncrementalStats, SweepAxis,
-    FROM_SCRATCH_NOTE,
-};
+pub use checkpoint::{IncrementalChain, IncrementalStats};
 pub use config::{
     DataMode, ExecConfig, FaultModel, Provisioning, RetryPolicy, SchedulePolicy, VmOverhead,
     PAPER_BANDWIDTH_BPS,

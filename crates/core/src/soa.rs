@@ -274,18 +274,6 @@ impl InFlightTable {
         self.finish.resize(capacity, EventId::NONE);
     }
 
-    /// Adds idle slots up to `capacity` (the processor-axis checkpoint
-    /// restore, mirroring `ProcessorPool::grow`).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is smaller than the current slot count.
-    pub fn grow(&mut self, capacity: usize) {
-        assert!(capacity >= self.task.len(), "grow cannot shrink");
-        self.task.resize(capacity, IDLE);
-        self.started.resize(capacity, SimTime::ZERO);
-        self.finish.resize(capacity, EventId::NONE);
-    }
-
     #[inline]
     pub fn occupy(&mut self, proc: usize, task: TaskId, started: SimTime, finish: EventId) {
         self.task[proc] = task.0;

@@ -1,26 +1,24 @@
 //! Checkpoint/fork re-simulation is byte-identical to from-scratch runs.
 //!
-//! An [`IncrementalChain`] walking any sweep axis must return exactly the
-//! report `simulate` produces at every point — resuming from a checkpoint
-//! when the divergence witness allows it, and silently falling back to
-//! `t = 0` when it cannot. These tests pin both halves: equality always,
-//! and the resume/fallback decision where the design promises it.
+//! An [`IncrementalChain`] walking a bandwidth axis must return exactly
+//! the report `simulate` produces at every point — resuming from a
+//! checkpoint when the divergence witness allows it, and silently falling
+//! back to `t = 0` when it cannot. These tests pin both halves: equality
+//! always, and the resume/fallback decision where the design promises it.
+//! The seeded differential test over drawn configurations lives with the
+//! sweep drivers (`mcloud-sweep`).
 
-use mcloud_core::{
-    simulate, DataMode, ExecConfig, FaultModel, IncrementalChain, Provisioning, RetryPolicy,
-    SweepAxis,
-};
+use mcloud_core::{simulate, DataMode, ExecConfig, IncrementalChain};
 use mcloud_montage::{generate, MosaicConfig};
 
 /// Runs `cfgs` through a chain and asserts byte-identity with sequential
 /// `simulate` at every point; returns the chain for stats assertions.
 fn assert_chain_matches_scratch(
-    axis: SweepAxis,
     wf: &mcloud_dag::Workflow,
     cfgs: &[ExecConfig],
     label: &str,
 ) -> IncrementalChain {
-    let mut chain = IncrementalChain::new(axis);
+    let mut chain = IncrementalChain::new();
     for (i, cfg) in cfgs.iter().enumerate() {
         let next = cfgs.get(i + 1);
         let incremental = chain.run_point(wf, cfg, next);
@@ -30,89 +28,10 @@ fn assert_chain_matches_scratch(
     chain
 }
 
-fn processor_cfgs(base: &ExecConfig, procs: &[u32]) -> Vec<ExecConfig> {
-    procs
-        .iter()
-        .map(|&p| {
-            let mut cfg = base.clone();
-            cfg.provisioning = Provisioning::Fixed { processors: p };
-            cfg
-        })
+fn bandwidth_cfgs(base: &ExecConfig, mbps: &[f64]) -> Vec<ExecConfig> {
+    mbps.iter()
+        .map(|&m| base.clone().bandwidth(m * 1e6))
         .collect()
-}
-
-#[test]
-fn processor_axis_matches_scratch_across_modes() {
-    let wf = generate(&MosaicConfig::new(1.0));
-    let procs = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64];
-    for mode in DataMode::ALL {
-        let base = ExecConfig::paper_default().mode(mode);
-        let cfgs = processor_cfgs(&base, &procs);
-        let chain = assert_chain_matches_scratch(
-            SweepAxis::Processors,
-            &wf,
-            &cfgs,
-            &format!("processors/{mode:?}"),
-        );
-        let stats = chain.stats();
-        assert_eq!(stats.points, procs.len() as u64);
-        assert!(
-            stats.resumed > 0,
-            "{mode:?}: no point ever resumed (stats {stats:?})"
-        );
-        assert!(stats.reused_events > 0);
-    }
-}
-
-#[test]
-fn processor_axis_matches_scratch_with_task_faults() {
-    // Fault draws don't observe the pool size (MTTF = 0), so the
-    // processor witness stays sound with task/transfer failures on.
-    let wf = generate(&MosaicConfig::new(1.0));
-    let base = ExecConfig::paper_default()
-        .with_fault_model(FaultModel::tasks_only(0.1, 0xEC_2008))
-        .with_retry(RetryPolicy::bounded(8));
-    let cfgs = processor_cfgs(&base, &[2, 4, 8, 16, 32]);
-    let chain =
-        assert_chain_matches_scratch(SweepAxis::Processors, &wf, &cfgs, "processors/faults");
-    assert!(chain.stats().resumed > 0);
-}
-
-#[test]
-fn processor_axis_with_preemption_forces_fallback() {
-    // MTTF > 0 means preemption inter-arrival draws sample from the pool
-    // size: no witness can bound divergence, so every point must fall
-    // back — and still match from-scratch exactly.
-    let wf = generate(&MosaicConfig::new(1.0));
-    let mut model = FaultModel::tasks_only(0.05, 7);
-    model.proc_mttf_s = 50_000.0;
-    let base = ExecConfig::paper_default()
-        .with_fault_model(model)
-        .with_retry(RetryPolicy::bounded(16));
-    let cfgs = processor_cfgs(&base, &[4, 8, 16]);
-    let chain =
-        assert_chain_matches_scratch(SweepAxis::Processors, &wf, &cfgs, "processors/preemption");
-    let stats = chain.stats();
-    assert_eq!(stats.resumed, 0, "preemption must disarm the witness");
-    assert_eq!(stats.fallbacks(), 3);
-}
-
-#[test]
-fn oversized_pools_resume_with_zero_replay() {
-    // Pools larger than the workflow's parallelism never run dry: the
-    // witness never fires, the terminal snapshot is taken, and every
-    // later point resumes with nothing left to replay.
-    let wf = generate(&MosaicConfig::new(1.0));
-    let huge = wf.num_tasks() as u32;
-    let base = ExecConfig::paper_default();
-    let cfgs = processor_cfgs(&base, &[huge, huge + 1, huge + 2]);
-    let chain =
-        assert_chain_matches_scratch(SweepAxis::Processors, &wf, &cfgs, "processors/oversized");
-    let stats = chain.stats();
-    assert_eq!(stats.resumed, 2);
-    // Terminal snapshots reuse the entire event history of each resumed
-    // point.
-    assert_eq!(stats.reused_events * 3, stats.total_events * 2);
 }
 
 #[test]
@@ -127,16 +46,8 @@ fn bandwidth_axis_matches_scratch() {
         // stage-out, so almost the whole run is shared.
         ("prestaged", ExecConfig::fixed(8).prestaged(true), true),
     ] {
-        let cfgs: Vec<ExecConfig> = mbps
-            .iter()
-            .map(|&m| base.clone().bandwidth(m * 1e6))
-            .collect();
-        let chain = assert_chain_matches_scratch(
-            SweepAxis::Bandwidth,
-            &wf,
-            &cfgs,
-            &format!("bandwidth/{label}"),
-        );
+        let cfgs = bandwidth_cfgs(&base, &mbps);
+        let chain = assert_chain_matches_scratch(&wf, &cfgs, &format!("bandwidth/{label}"));
         let stats = chain.stats();
         assert_eq!(
             stats.resumed > 0,
@@ -147,35 +58,11 @@ fn bandwidth_axis_matches_scratch() {
 }
 
 #[test]
-fn fault_rate_axis_matches_scratch() {
-    let wf = generate(&MosaicConfig::new(1.0));
-    let base = ExecConfig::fixed(16).with_retry(RetryPolicy::bounded(16));
-    // The zero point carries no injector (faults: None): structurally
-    // unchainable, so the chain must fall back there and resume elsewhere.
-    let probs = [0.0, 0.02, 0.05, 0.1, 0.2];
-    let cfgs: Vec<ExecConfig> = probs
-        .iter()
-        .map(|&p| {
-            let mut cfg = base.clone();
-            cfg.faults = (p > 0.0).then(|| FaultModel::tasks_only(p, 0xEC_2008));
-            cfg
-        })
-        .collect();
-    let chain = assert_chain_matches_scratch(SweepAxis::FaultRate, &wf, &cfgs, "fault-rate");
-    let stats = chain.stats();
-    assert!(stats.resumed > 0, "nonzero points must chain: {stats:?}");
-    assert!(
-        stats.fallbacks() >= 2,
-        "first point and post-zero point must fall back: {stats:?}"
-    );
-}
-
-#[test]
 fn traced_points_fall_back_and_keep_their_traces() {
     let wf = generate(&MosaicConfig::new(1.0));
-    let base = ExecConfig::paper_default().with_trace();
-    let cfgs = processor_cfgs(&base, &[4, 8]);
-    let chain = assert_chain_matches_scratch(SweepAxis::Processors, &wf, &cfgs, "traced");
+    let base = ExecConfig::fixed(8).prestaged(true).with_trace();
+    let cfgs = bandwidth_cfgs(&base, &[5.0, 10.0]);
+    let chain = assert_chain_matches_scratch(&wf, &cfgs, "traced");
     let stats = chain.stats();
     assert_eq!(stats.resumed, 0, "traces require full-fidelity runs");
     // And the reports really do carry traces (checked for equality above).
@@ -185,15 +72,21 @@ fn traced_points_fall_back_and_keep_their_traces() {
 
 #[test]
 fn chain_survives_interleaved_unrelated_configs() {
-    // A point that is not chainable from its predecessor (different mode
-    // mid-axis) must not poison correctness before or after it.
+    // A point that differs from its predecessor in more than the
+    // bandwidth (here the mode, then the processor count) is not
+    // chainable: it must fall back without poisoning correctness before
+    // or after it.
     let wf = generate(&MosaicConfig::new(0.5));
-    let mut cfgs = processor_cfgs(&ExecConfig::paper_default(), &[2, 4]);
-    cfgs.push(
-        ExecConfig::paper_default()
-            .mode(DataMode::DynamicCleanup)
-            .clone(),
-    );
-    cfgs.extend(processor_cfgs(&ExecConfig::paper_default(), &[8, 16]));
-    assert_chain_matches_scratch(SweepAxis::Processors, &wf, &cfgs, "interleaved");
+    let base = ExecConfig::fixed(8).prestaged(true);
+    let mut cfgs = bandwidth_cfgs(&base, &[5.0, 10.0]);
+    cfgs.push(base.clone().mode(DataMode::DynamicCleanup));
+    cfgs.extend(bandwidth_cfgs(&base, &[20.0, 40.0]));
+    cfgs.extend(bandwidth_cfgs(
+        &ExecConfig::fixed(16).prestaged(true),
+        &[40.0],
+    ));
+    let chain = assert_chain_matches_scratch(&wf, &cfgs, "interleaved");
+    let stats = chain.stats();
+    // Resumed: 10 after 5, and 40 after 20; the rest fall back.
+    assert_eq!((stats.points, stats.resumed), (6, 2), "{stats:?}");
 }

@@ -312,10 +312,8 @@ pub fn plan_capacity_with_cache(
         .collect();
     if !miss_idx.is_empty() {
         // Warm one table over the missing (degrees × procs_per_slot)
-        // grid with incremental re-simulation (ascending processor counts
-        // fork off shared checkpoints), then clone the filled cache into
-        // every lane: no lane re-simulates a profile another lane already
-        // needs.
+        // grid, then clone the filled cache into every lane: no lane
+        // re-simulates a profile another lane already needs.
         let degrees: Vec<f64> = spec.classes.iter().map(|c| c.degrees).collect();
         let procs: Vec<u32> = miss_idx
             .iter()

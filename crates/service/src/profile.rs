@@ -9,10 +9,7 @@
 
 use std::collections::HashMap;
 
-use mcloud_core::{
-    simulate_with_scratch, ExecConfig, IncrementalChain, Provisioning, Report, SimScratch,
-    SweepAxis,
-};
+use mcloud_core::{simulate_with_scratch, ExecConfig, Provisioning, Report, SimScratch};
 use mcloud_cost::Money;
 use mcloud_montage::{generate, MosaicConfig};
 
@@ -80,39 +77,12 @@ impl ProfileTable {
         }
     }
 
-    /// Pre-simulates the `degrees` × `processors` grid through one
-    /// incremental chain per mosaic size: ascending processor counts fork
-    /// off each other's checkpoints instead of replaying from `t = 0`, so
-    /// warming a whole candidate grid costs far fewer events than
-    /// independent cache misses would. The cached profiles are
-    /// byte-identical to what [`ProfileTable::fixed`] computes (the
-    /// chain's contract), so later lookups simply hit the cache.
+    /// Pre-simulates the `degrees` × `processors` grid into the cache, so
+    /// later lookups (and clones of this table) simply hit it.
     pub fn warm_fixed(&mut self, degrees: &[f64], processors: &[u32]) {
-        let mut procs: Vec<u32> = processors.to_vec();
-        procs.sort_unstable();
-        procs.dedup();
         for &d in degrees {
-            let todo: Vec<u32> = procs
-                .iter()
-                .copied()
-                .filter(|&p| !self.cache.contains_key(&(d.to_bits(), p)))
-                .collect();
-            if todo.is_empty() {
-                continue;
-            }
-            let wf = generate(&MosaicConfig::new(d));
-            let cfgs: Vec<ExecConfig> = todo
-                .iter()
-                .map(|&p| ExecConfig {
-                    provisioning: Provisioning::Fixed { processors: p },
-                    ..self.exec.clone()
-                })
-                .collect();
-            let mut chain = IncrementalChain::new(SweepAxis::Processors);
-            for (i, (&p, cfg)) in todo.iter().zip(&cfgs).enumerate() {
-                let report = chain.run_point(&wf, cfg, cfgs.get(i + 1));
-                self.cache
-                    .insert((d.to_bits(), p), Self::profile_of(&report));
+            for &p in processors {
+                self.fixed(d, p);
             }
         }
     }

@@ -74,48 +74,6 @@ impl FaultInjector {
         self.spec
     }
 
-    /// Swaps in new rates while keeping the RNG stream mid-position.
-    ///
-    /// This is the fault-axis checkpoint restore: when two sweep points have
-    /// agreed on every draw so far (same outcomes, same number of stream
-    /// advances), the next point's run is the same injector state with the
-    /// new rates applied from here on.
-    pub fn set_spec(&mut self, spec: FaultSpec) {
-        self.spec = spec;
-    }
-
-    /// Like [`FaultInjector::task_attempt_fails`], but also reports whether
-    /// a run configured with `alt_prob` instead would have differed at this
-    /// draw — either in outcome or in whether the RNG stream was consumed.
-    pub fn task_attempt_fails_probed(&mut self, alt_prob: f64) -> (bool, bool) {
-        Self::probed_chance(&mut self.rng, self.spec.task_failure_prob, alt_prob)
-    }
-
-    /// Like [`FaultInjector::transfer_fails`], but also reports whether a
-    /// run configured with `alt_prob` instead would have differed at this
-    /// draw — either in outcome or in whether the RNG stream was consumed.
-    pub fn transfer_fails_probed(&mut self, alt_prob: f64) -> (bool, bool) {
-        Self::probed_chance(&mut self.rng, self.spec.transfer_failure_prob, alt_prob)
-    }
-
-    /// One gated `chance(cur)` draw, returning `(fails, diverged)` where
-    /// `diverged` is true iff the same point in a run with rate `alt`
-    /// would see a different outcome or a different stream position.
-    fn probed_chance(rng: &mut SimRng, cur: f64, alt: f64) -> (bool, bool) {
-        if cur <= 0.0 {
-            // No draw here; an alt run with a positive rate would consume
-            // the stream, desynchronizing everything after this point.
-            return (false, alt > 0.0);
-        }
-        let u = rng.f64();
-        let fails = u < cur;
-        if alt <= 0.0 {
-            // The alt run skips this draw entirely.
-            return (fails, true);
-        }
-        (fails, fails != (u < alt))
-    }
-
     /// Draws whether one task execution attempt fails. No draw is made
     /// when the task failure rate is zero.
     pub fn task_attempt_fails(&mut self) -> bool {
@@ -232,81 +190,6 @@ mod tests {
         let mut rng = SimRng::new(2008);
         for _ in 0..1000 {
             assert_eq!(inj.task_attempt_fails(), rng.chance(0.3));
-        }
-    }
-
-    #[test]
-    fn probed_draws_consume_the_stream_like_plain_draws() {
-        let spec = FaultSpec {
-            task_failure_prob: 0.25,
-            transfer_failure_prob: 0.1,
-            ..FaultSpec::NONE
-        };
-        let mut probed = FaultInjector::new(spec, 11);
-        let mut plain = FaultInjector::new(spec, 11);
-        for _ in 0..500 {
-            let (fails, _) = probed.task_attempt_fails_probed(0.4);
-            assert_eq!(fails, plain.task_attempt_fails());
-            let (fails, _) = probed.transfer_fails_probed(0.0);
-            assert_eq!(fails, plain.transfer_fails());
-        }
-        assert_eq!(probed.rng_mut().next_u64(), plain.rng_mut().next_u64());
-    }
-
-    #[test]
-    fn probed_divergence_matches_a_real_alt_run() {
-        // Replay the same seed at two rates; the probe must flag exactly
-        // the first draw where the two runs differ.
-        let p_cur = 0.2;
-        let p_alt = 0.35;
-        let spec = FaultSpec {
-            task_failure_prob: p_cur,
-            ..FaultSpec::NONE
-        };
-        let mut probed = FaultInjector::new(spec, 99);
-        let mut rng = SimRng::new(99);
-        let mut first_diverged = None;
-        for i in 0..2000 {
-            let (fails, diverged) = probed.task_attempt_fails_probed(p_alt);
-            let u = rng.f64();
-            assert_eq!(fails, u < p_cur);
-            assert_eq!(diverged, (u < p_cur) != (u < p_alt), "draw {i}");
-            if diverged && first_diverged.is_none() {
-                first_diverged = Some(i);
-            }
-        }
-        assert!(first_diverged.is_some(), "rates differ, draws must too");
-    }
-
-    #[test]
-    fn probed_zero_rate_flags_alt_consumption() {
-        let mut inj = FaultInjector::new(FaultSpec::NONE, 5);
-        assert_eq!(inj.task_attempt_fails_probed(0.0), (false, false));
-        assert_eq!(inj.task_attempt_fails_probed(0.5), (false, true));
-        // Zero-rate probes never touch the stream.
-        assert_eq!(inj.rng_mut().next_u64(), SimRng::new(5).next_u64());
-    }
-
-    #[test]
-    fn set_spec_keeps_the_stream_position() {
-        let spec = FaultSpec {
-            task_failure_prob: 0.3,
-            ..FaultSpec::NONE
-        };
-        let mut a = FaultInjector::new(spec, 13);
-        let mut shadow = SimRng::new(13);
-        for _ in 0..100 {
-            assert_eq!(a.task_attempt_fails(), shadow.chance(0.3));
-        }
-        let next = FaultSpec {
-            task_failure_prob: 0.6,
-            ..FaultSpec::NONE
-        };
-        a.set_spec(next);
-        assert_eq!(a.spec(), next);
-        // Draws continue mid-stream, now judged against the new rate.
-        for _ in 0..100 {
-            assert_eq!(a.task_attempt_fails(), shadow.chance(0.6));
         }
     }
 

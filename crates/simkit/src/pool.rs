@@ -78,35 +78,6 @@ impl ProcessorPool {
         self.max_in_use = 0;
     }
 
-    /// Adds idle slots so the pool holds `n` processors, preserving every
-    /// existing slot's state and all cumulative statistics.
-    ///
-    /// This is the processor-axis checkpoint restore: a pool snapshot taken
-    /// at capacity `P` grown to `P' > P` behaves identically to a pool that
-    /// ran from scratch at `P'`, provided no acquisition failed before the
-    /// snapshot. Pre-witness every grant found a free slot below `P`, and
-    /// [`ProcessorPool::try_acquire`] always picks the globally lowest free
-    /// bit, so the extra idle slots above `P` were never observable.
-    ///
-    /// # Panics
-    /// Panics if `n` is smaller than the current capacity.
-    pub fn grow(&mut self, n: u32) {
-        let old = self.capacity();
-        assert!(n >= old, "grow cannot shrink the pool");
-        if n == old {
-            return;
-        }
-        self.busy_since.resize(n as usize, None);
-        self.free_bits.resize((n as usize).div_ceil(64), 0);
-        for slot in old..n {
-            self.free_bits[slot as usize / 64] |= 1 << (slot % 64);
-        }
-        // The word holding `old` may have just gained free bits; keep the
-        // "all words before the cursor are zero" invariant.
-        self.free_cursor = self.free_cursor.min(old as usize / 64);
-        self.available += n - old;
-    }
-
     /// Total number of slots.
     pub fn capacity(&self) -> u32 {
         self.busy_since.len() as u32
@@ -255,47 +226,6 @@ mod tests {
     #[should_panic(expected = "at least one processor")]
     fn zero_capacity_rejected() {
         ProcessorPool::new(0);
-    }
-
-    #[test]
-    fn grow_matches_from_scratch_behavior() {
-        // Drive a small pool and a large pool through the same prefix in
-        // which the small pool never runs dry, then grow the small one:
-        // every subsequent grant must match the large pool's.
-        let mut small = ProcessorPool::new(2);
-        let mut large = ProcessorPool::new(5);
-        let a = small.try_acquire(t(0.0)).unwrap();
-        assert_eq!(large.try_acquire(t(0.0)), Some(a));
-        small.release(t(1.0), a);
-        large.release(t(1.0), a);
-        let b = small.try_acquire(t(2.0)).unwrap();
-        assert_eq!(large.try_acquire(t(2.0)), Some(b));
-
-        small.grow(5);
-        assert_eq!(small.capacity(), 5);
-        assert_eq!(small.available(), large.available());
-        assert_eq!(small.grants(), large.grants());
-        assert_eq!(small.busy_time(), large.busy_time());
-        for _ in 0..4 {
-            assert_eq!(small.try_acquire(t(3.0)), large.try_acquire(t(3.0)));
-        }
-        assert_eq!(small.try_acquire(t(3.0)), None);
-    }
-
-    #[test]
-    fn grow_same_capacity_is_a_no_op() {
-        let mut pool = ProcessorPool::new(3);
-        pool.try_acquire(t(0.0)).unwrap();
-        pool.grow(3);
-        assert_eq!(pool.capacity(), 3);
-        assert_eq!(pool.available(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_rejects_shrinking() {
-        let mut pool = ProcessorPool::new(4);
-        pool.grow(2);
     }
 
     #[test]

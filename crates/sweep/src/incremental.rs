@@ -1,29 +1,24 @@
-//! Incremental sweep drivers: checkpoint/fork re-simulation.
+//! Incremental bandwidth sweeps: checkpoint/fork re-simulation.
 //!
-//! Adjacent points of a sweep axis share long event prefixes — a `P = 64`
-//! run is event-for-event identical to `P = 63` until the 64th slot is
-//! first wanted. The drivers here walk each axis through an
-//! [`IncrementalChain`], which snapshots the full deterministic state
-//! during each run and forks the next point off the latest checkpoint its
-//! divergence witness proved sound, replaying only the divergent suffix.
+//! With prestaged inputs, runs that differ only in link bandwidth share
+//! everything up to their first transfer — the final stage-out. The
+//! drivers here walk a bandwidth axis through an [`IncrementalChain`],
+//! which snapshots the full deterministic state during each run and forks
+//! the next point off the latest checkpoint its divergence witness proved
+//! sound, replaying only the divergent suffix.
 //!
-//! Results are **byte-identical** to the from-scratch drivers in
-//! [`crate::sweeps`] at every point (both build their configurations from
-//! the same shared helpers); points the witness cannot bound silently fall
-//! back to `t = 0`. Under more than one worker lane the axis is split into
-//! contiguous chunks — one chain per lane — so parallel speedup composes
-//! with within-chunk reuse without perturbing a single output byte.
+//! Results are **byte-identical** to [`crate::bandwidth_sweep`] at every
+//! point (both build their configurations from the same shared helper);
+//! points the witness cannot bound silently fall back to `t = 0`. Under
+//! more than one worker lane the axis is split into contiguous chunks —
+//! one chain per lane — so parallel speedup composes with within-chunk
+//! reuse without perturbing a single output byte.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use mcloud_core::{ExecConfig, IncrementalChain, IncrementalStats, Report, SweepAxis};
+use mcloud_core::{ExecConfig, IncrementalChain, IncrementalStats, Report};
 use mcloud_dag::Workflow;
 use mcloud_simkit::configured_lanes;
 
-use crate::sweeps::{
-    bandwidth_configs, fault_rate_configs, processor_configs, BandwidthPoint, FaultRatePoint,
-    ProcessorPoint,
-};
+use crate::sweeps::{bandwidth_configs, processor_sweep, BandwidthPoint, ProcessorPoint};
 
 /// Runs `cfgs` through per-lane [`IncrementalChain`]s: the axis is split
 /// into `lanes` contiguous, balanced chunks, each walked in order by its
@@ -32,23 +27,18 @@ use crate::sweeps::{
 /// `lanes` (each chunk's first point simply falls back to `t = 0`).
 pub(crate) fn run_chunked(
     wf: &Workflow,
-    axis: SweepAxis,
     cfgs: &[ExecConfig],
     lanes: usize,
-    on_progress: Option<&(dyn Fn(usize, usize) + Sync)>,
 ) -> (Vec<Report>, IncrementalStats) {
     let total = cfgs.len();
     let lanes = lanes.clamp(1, total.max(1));
-    let done = AtomicUsize::new(0);
     let run_chunk = |chunk: &[ExecConfig]| {
-        let mut chain = IncrementalChain::new(axis);
-        let mut reports = Vec::with_capacity(chunk.len());
-        for (i, cfg) in chunk.iter().enumerate() {
-            reports.push(chain.run_point(wf, cfg, chunk.get(i + 1)));
-            if let Some(cb) = on_progress {
-                cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-            }
-        }
+        let mut chain = IncrementalChain::new();
+        let reports: Vec<Report> = chunk
+            .iter()
+            .enumerate()
+            .map(|(i, cfg)| chain.run_point(wf, cfg, chunk.get(i + 1)))
+            .collect();
         (reports, chain.stats())
     };
     if lanes == 1 {
@@ -87,63 +77,23 @@ pub(crate) fn run_chunked(
     (reports, stats)
 }
 
-/// [`crate::processor_sweep`] via checkpoint/fork re-simulation:
-/// byte-identical points, sublinear work in the number of points.
-pub fn processor_sweep_incremental(
-    wf: &Workflow,
-    base: &ExecConfig,
-    processors: &[u32],
-) -> Vec<ProcessorPoint> {
-    processor_sweep_incremental_stats(wf, base, processors).0
-}
-
-/// [`processor_sweep_incremental`] plus the chain's reuse counters, for
-/// speedup accounting and fallback visibility.
+/// [`crate::processor_sweep`] plus [`IncrementalStats`] filled from the
+/// reports: `points` and `total_events` count the sweep, and `resumed` and
+/// `reused_events` are zero because processor axes always simulate from
+/// scratch. Kept only for the end-to-end benchmark in `perfbench/`, which
+/// links it.
 pub fn processor_sweep_incremental_stats(
     wf: &Workflow,
     base: &ExecConfig,
     processors: &[u32],
 ) -> (Vec<ProcessorPoint>, IncrementalStats) {
-    let cfgs = processor_configs(base, processors);
-    let (reports, stats) = run_chunked(wf, SweepAxis::Processors, &cfgs, configured_lanes(), None);
-    let points = processors
-        .iter()
-        .zip(reports)
-        .map(|(&p, report)| ProcessorPoint {
-            processors: p,
-            report,
-        })
-        .collect();
+    let points = processor_sweep(wf, base, processors);
+    let stats = IncrementalStats {
+        points: points.len() as u64,
+        total_events: points.iter().map(|p| p.report.events_processed).sum(),
+        ..IncrementalStats::default()
+    };
     (points, stats)
-}
-
-/// [`processor_sweep_incremental`] with a live progress callback:
-/// `on_progress(done, total)` fires after each completed point, in
-/// completion order, from whichever lane finished it. The results are
-/// byte-identical to [`processor_sweep_incremental`] — the callback
-/// observes, it cannot perturb.
-pub fn processor_sweep_incremental_progress(
-    wf: &Workflow,
-    base: &ExecConfig,
-    processors: &[u32],
-    on_progress: &(dyn Fn(usize, usize) + Sync),
-) -> Vec<ProcessorPoint> {
-    let cfgs = processor_configs(base, processors);
-    let (reports, _) = run_chunked(
-        wf,
-        SweepAxis::Processors,
-        &cfgs,
-        configured_lanes(),
-        Some(on_progress),
-    );
-    processors
-        .iter()
-        .zip(reports)
-        .map(|(&p, report)| ProcessorPoint {
-            processors: p,
-            report,
-        })
-        .collect()
 }
 
 /// [`crate::bandwidth_sweep`] via checkpoint/fork re-simulation. With
@@ -165,7 +115,7 @@ pub fn bandwidth_sweep_incremental_stats(
     bandwidths_bps: &[f64],
 ) -> (Vec<BandwidthPoint>, IncrementalStats) {
     let cfgs = bandwidth_configs(base, bandwidths_bps);
-    let (reports, stats) = run_chunked(wf, SweepAxis::Bandwidth, &cfgs, configured_lanes(), None);
+    let (reports, stats) = run_chunked(wf, &cfgs, configured_lanes());
     let points = bandwidths_bps
         .iter()
         .zip(reports)
@@ -177,196 +127,112 @@ pub fn bandwidth_sweep_incremental_stats(
     (points, stats)
 }
 
-/// [`crate::fault_rate_sweep`] via checkpoint/fork re-simulation: the
-/// witness is the first RNG draw whose outcome or stream consumption
-/// differs between adjacent rates, so low-rate neighbours share most of
-/// their history.
-pub fn fault_rate_sweep_incremental(
-    wf: &Workflow,
-    base: &ExecConfig,
-    probs: &[f64],
-    seed: u64,
-) -> Vec<FaultRatePoint> {
-    fault_rate_sweep_incremental_stats(wf, base, probs, seed).0
-}
-
-/// [`fault_rate_sweep_incremental`] plus the chain's reuse counters.
-pub fn fault_rate_sweep_incremental_stats(
-    wf: &Workflow,
-    base: &ExecConfig,
-    probs: &[f64],
-    seed: u64,
-) -> (Vec<FaultRatePoint>, IncrementalStats) {
-    let cfgs = fault_rate_configs(base, probs, seed);
-    let (reports, stats) = run_chunked(wf, SweepAxis::FaultRate, &cfgs, configured_lanes(), None);
-    let points = probs
-        .iter()
-        .zip(reports)
-        .map(|(&p, report)| FaultRatePoint {
-            failure_prob: p,
-            report,
-        })
-        .collect();
-    (points, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweeps::{bandwidth_sweep, fault_rate_sweep, processor_sweep};
-    use mcloud_core::{DataMode, FaultModel, RetryPolicy};
+    use crate::sweeps::bandwidth_sweep;
+    use mcloud_core::{DataMode, FaultModel, Provisioning, RetryPolicy};
     use mcloud_montage::{generate, MosaicConfig};
+    use mcloud_simkit::SimRng;
 
-    const PROCS: [u32; 8] = [1, 2, 4, 8, 12, 16, 24, 32];
     const MBPS: [f64; 5] = [5.0, 10.0, 20.0, 40.0, 100.0];
-    const PROBS: [f64; 4] = [0.0, 0.02, 0.08, 0.15];
-    const SEED: u64 = 0xEC_2008;
 
-    fn wf() -> mcloud_dag::Workflow {
-        generate(&MosaicConfig::new(1.0))
-    }
-
-    /// Every base configuration the differential matrix exercises: the
-    /// three storage modes, with and without task faults.
-    fn bases() -> Vec<ExecConfig> {
-        let mut out = Vec::new();
-        for mode in DataMode::ALL {
-            let base = ExecConfig::paper_default().mode(mode);
-            out.push(base.clone());
-            out.push(
-                base.with_fault_model(FaultModel::tasks_only(0.05, SEED))
-                    .with_retry(RetryPolicy::bounded(8)),
-            );
-        }
-        out
-    }
-
-    #[test]
-    fn processor_axis_matches_scratch_at_one_and_four_lanes() {
-        let wf = wf();
-        for base in bases() {
-            let scratch = processor_sweep(&wf, &base, &PROCS);
-            for lanes in [1, 4] {
-                let cfgs = processor_configs(&base, &PROCS);
-                let (reports, stats) = run_chunked(&wf, SweepAxis::Processors, &cfgs, lanes, None);
-                assert!(stats.resumed > 0, "lanes {lanes}: nothing resumed");
-                for (point, report) in scratch.iter().zip(reports) {
-                    assert_eq!(
-                        point.report, report,
-                        "P = {} drifted at {lanes} lanes",
-                        point.processors
-                    );
-                }
+    /// Draws one base configuration: any mode, fixed or on-demand
+    /// provisioning, prestaged inputs on or off, and each of task faults,
+    /// transfer faults and preemption independently on or off.
+    fn draw_base(rng: &mut SimRng) -> ExecConfig {
+        let mode = DataMode::ALL[rng.below(3) as usize];
+        let mut cfg = if rng.chance(0.5) {
+            ExecConfig::fixed(1 + rng.below(64) as u32).mode(mode)
+        } else {
+            ExecConfig::on_demand(mode)
+        };
+        cfg = cfg.prestaged(rng.chance(0.5));
+        let mut draw_if_on = |lo: f64, hi: f64| {
+            if rng.chance(0.5) {
+                rng.f64_in(lo, hi)
+            } else {
+                0.0
             }
+        };
+        let faults = FaultModel {
+            task_failure_prob: draw_if_on(0.01, 0.2),
+            transfer_failure_prob: draw_if_on(0.01, 0.2),
+            proc_mttf_s: draw_if_on(5_000.0, 200_000.0),
+            seed: rng.next_u64(),
+        };
+        if faults.task_failure_prob + faults.transfer_failure_prob + faults.proc_mttf_s > 0.0 {
+            // Small budgets exhaust now and then: aborted runs must match
+            // their from-scratch twins too.
+            cfg = cfg
+                .with_fault_model(faults)
+                .with_retry(RetryPolicy::bounded(1 + rng.below(8) as u32));
         }
+        cfg
     }
 
     #[test]
     fn bandwidth_axis_matches_scratch_at_one_and_four_lanes() {
-        let wf = wf();
-        let bws: Vec<f64> = MBPS.iter().map(|m| m * 1e6).collect();
-        for base in bases() {
-            // Prestaged inputs defer the first transfer, giving the witness
-            // something to bound; cold staging exercises the fallback path.
-            for base in [base.clone(), base.prestaged(true)] {
-                let scratch = bandwidth_sweep(&wf, &base, &bws);
-                for lanes in [1, 4] {
-                    let cfgs = bandwidth_configs(&base, &bws);
-                    let (reports, _) = run_chunked(&wf, SweepAxis::Bandwidth, &cfgs, lanes, None);
-                    for (point, report) in scratch.iter().zip(reports) {
-                        assert_eq!(
-                            point.report, report,
-                            "{} bps drifted at {lanes} lanes",
-                            point.bandwidth_bps
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fault_axis_matches_scratch_at_one_and_four_lanes() {
-        let wf = wf();
-        for mode in DataMode::ALL {
-            let base = ExecConfig::paper_default()
-                .mode(mode)
-                .with_retry(RetryPolicy::bounded(16));
-            let scratch = fault_rate_sweep(&wf, &base, &PROBS, SEED);
+        // Seeded differential test over 100 drawn configurations, six
+        // bandwidths each in drawn (unsorted) order, checked at one lane
+        // and at four lanes (chunks of one and two points).
+        let mut rng = SimRng::new(0xBA0D_2008);
+        let mut resumed = 0;
+        for case in 0..100 {
+            let degrees = rng.f64_in(0.5, 2.0);
+            let wf = generate(&MosaicConfig::new(degrees));
+            let base = draw_base(&mut rng);
+            let bws: Vec<f64> = (0..6).map(|_| rng.f64_in(1.0, 1_000.0) * 1e6).collect();
+            let scratch = bandwidth_sweep(&wf, &base, &bws);
+            let cfgs = bandwidth_configs(&base, &bws);
             for lanes in [1, 4] {
-                let cfgs = fault_rate_configs(&base, &PROBS, SEED);
-                let (reports, _) = run_chunked(&wf, SweepAxis::FaultRate, &cfgs, lanes, None);
+                let (reports, stats) = run_chunked(&wf, &cfgs, lanes);
+                resumed += stats.resumed;
                 for (point, report) in scratch.iter().zip(reports) {
                     assert_eq!(
                         point.report, report,
-                        "rate {} drifted at {lanes} lanes ({mode:?})",
-                        point.failure_prob
+                        "case {case} ({degrees:.3} deg, {base:?}): {} bps drifted at {lanes} lanes",
+                        point.bandwidth_bps
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn preemption_forces_fallback_but_stays_identical() {
-        // MTTF > 0 disarms the processor witness: every point must fall
-        // back to t = 0 and still match the from-scratch sweep exactly.
-        let wf = wf();
-        let mut model = FaultModel::tasks_only(0.05, SEED);
-        model.proc_mttf_s = 50_000.0;
-        let base = ExecConfig::paper_default()
-            .with_fault_model(model)
-            .with_retry(RetryPolicy::bounded(16));
-        let procs = [4, 8, 16];
-        let scratch = processor_sweep(&wf, &base, &procs);
-        let cfgs = processor_configs(&base, &procs);
-        let (reports, stats) = run_chunked(&wf, SweepAxis::Processors, &cfgs, 1, None);
-        assert_eq!(stats.resumed, 0, "preemption must disarm the witness");
-        for (point, report) in scratch.iter().zip(reports) {
-            assert_eq!(point.report, report);
-        }
+        assert!(resumed > 0, "no drawn configuration ever resumed");
     }
 
     #[test]
     fn public_drivers_agree_with_their_scratch_twins() {
-        let wf = wf();
-        let base = ExecConfig::paper_default();
-        assert_eq!(
-            processor_sweep_incremental(&wf, &base, &PROCS),
-            processor_sweep(&wf, &base, &PROCS),
-        );
+        let wf = generate(&MosaicConfig::new(1.0));
+        let base = ExecConfig::paper_default().prestaged(true);
         let bws: Vec<f64> = MBPS.iter().map(|m| m * 1e6).collect();
         assert_eq!(
             bandwidth_sweep_incremental(&wf, &base, &bws),
             bandwidth_sweep(&wf, &base, &bws),
         );
-        let faulty = base.with_retry(RetryPolicy::bounded(16));
+        let procs = [1, 2, 4, 8];
+        let (points, stats) = processor_sweep_incremental_stats(&wf, &base, &procs);
+        assert_eq!(points, processor_sweep(&wf, &base, &procs));
+        let events: u64 = points.iter().map(|p| p.report.events_processed).sum();
         assert_eq!(
-            fault_rate_sweep_incremental(&wf, &faulty, &PROBS, SEED),
-            fault_rate_sweep(&wf, &faulty, &PROBS, SEED),
+            stats,
+            IncrementalStats {
+                points: 4,
+                resumed: 0,
+                reused_events: 0,
+                total_events: events,
+            }
         );
     }
 
     #[test]
-    fn progress_callback_counts_every_point_without_perturbing() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let wf = wf();
-        let base = ExecConfig::paper_default();
-        let fired = AtomicUsize::new(0);
-        let points = processor_sweep_incremental_progress(&wf, &base, &PROCS, &|done, total| {
-            assert!(done >= 1 && done <= total);
-            assert_eq!(total, PROCS.len());
-            fired.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(fired.load(Ordering::Relaxed), PROCS.len());
-        assert_eq!(points, processor_sweep(&wf, &base, &PROCS));
-    }
-
-    #[test]
     fn lane_counts_beyond_the_axis_are_clamped() {
-        let wf = wf();
-        let cfgs = processor_configs(&ExecConfig::paper_default(), &[2, 4]);
-        let (reports, stats) = run_chunked(&wf, SweepAxis::Processors, &cfgs, 64, None);
+        let wf = generate(&MosaicConfig::new(1.0));
+        let base = ExecConfig {
+            provisioning: Provisioning::Fixed { processors: 8 },
+            ..ExecConfig::paper_default()
+        };
+        let cfgs = bandwidth_configs(&base, &[5e6, 10e6]);
+        let (reports, stats) = run_chunked(&wf, &cfgs, 64);
         assert_eq!(reports.len(), 2);
         assert_eq!(stats.points, 2);
     }

@@ -40,9 +40,8 @@ mod table;
 pub use cached::{bandwidth_sweep_cached, fault_rate_sweep_cached, processor_sweep_cached};
 pub use crossover::find_crossover;
 pub use incremental::{
-    bandwidth_sweep_incremental, bandwidth_sweep_incremental_stats, fault_rate_sweep_incremental,
-    fault_rate_sweep_incremental_stats, processor_sweep_incremental,
-    processor_sweep_incremental_progress, processor_sweep_incremental_stats,
+    bandwidth_sweep_incremental, bandwidth_sweep_incremental_stats,
+    processor_sweep_incremental_stats,
 };
 pub use par::par_map;
 pub use pareto::{cheapest_within_deadline, pareto_frontier, CostTimePoint};

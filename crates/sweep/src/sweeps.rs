@@ -64,7 +64,7 @@ pub struct BandwidthPoint {
 }
 
 /// Per-point configurations of a task-failure-rate axis. Shared by the
-/// from-scratch and incremental drivers so the two paths cannot drift.
+/// from-scratch and cached drivers so the two paths cannot drift.
 pub(crate) fn fault_rate_configs(base: &ExecConfig, probs: &[f64], seed: u64) -> Vec<ExecConfig> {
     probs
         .iter()
@@ -298,6 +298,22 @@ mod tests {
             let direct = simulate(&wf, &ExecConfig::fixed(p.processors));
             assert_eq!(p.report, direct);
         }
+    }
+
+    #[test]
+    fn progress_callback_counts_every_point_without_perturbing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let wf = montage_1_degree();
+        let base = ExecConfig::paper_default();
+        let procs = [1, 2, 4, 8, 12, 16, 24, 32];
+        let fired = AtomicUsize::new(0);
+        let points = processor_sweep_progress(&wf, &base, &procs, &|done, total| {
+            assert!(done >= 1 && done <= total);
+            assert_eq!(total, procs.len());
+            fired.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(fired.load(Ordering::Relaxed), procs.len());
+        assert_eq!(points, processor_sweep(&wf, &base, &procs));
     }
 
     #[test]
