@@ -74,12 +74,13 @@ fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
     // --- The full streaming campaign: generator + simulator, no Vec ----
     //
     // Above, the arrivals were pre-materialized to isolate the
-    // simulator's own working set. The service-scale CI gate cares about
-    // the composed pipeline: a seeded class stream feeding
-    // simulate_service_stream directly, arrivals never collected. A 10x
-    // longer campaign must hold the same peak heap. Default sizing keeps
-    // the test fast in debug CI; MCLOUD_SERVICE_SCALE=full (set by the
-    // release service-scale job) runs the 10^6-request year.
+    // simulator's own working set. The year-long campaign of the golden
+    // table (crates/cli/tests/goldens.rs) runs the composed pipeline: a
+    // seeded class stream feeding simulate_service_stream directly,
+    // arrivals never collected. A 10x longer campaign must hold the same
+    // peak heap. Default sizing keeps the test fast in debug builds;
+    // MCLOUD_SERVICE_SCALE=full (set by CI's release `perf` job) runs the
+    // 10^6-request year.
     let full = std::env::var("MCLOUD_SERVICE_SCALE").as_deref() == Ok("full");
     let classes = [
         RequestClass {

@@ -366,4 +366,57 @@ mod tests {
         bad_money[77..85].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert!(decode_report(&bad_money).is_err());
     }
+
+    /// The disk tier keys reports by scenario digests that lead with
+    /// `SCENARIO_SCHEMA_VERSION`, so an engine change that leaves the
+    /// version alone would let another process serve pre-change reports.
+    /// This pins the cold path's bytes (generate from the recipe,
+    /// simulate, encode, render) to the version.
+    #[test]
+    fn engine_output_is_pinned_to_the_scenario_schema_version() {
+        use mcloud_core::{
+            report_json, Canon, FaultModel, RetryPolicy, Scenario, ScenarioRecipe, DOMAIN_SCENARIO,
+            SCENARIO_SCHEMA_VERSION,
+        };
+        let faults = ExecConfig {
+            faults: Some(FaultModel {
+                task_failure_prob: 0.05,
+                transfer_failure_prob: 0.05,
+                proc_mttf_s: 5_000.0,
+                seed: 2008,
+            }),
+            ..ExecConfig::fixed(8).with_retry(RetryPolicy::bounded(3))
+        };
+        let scenarios = DataMode::ALL
+            .map(|mode| (1.0, ExecConfig::on_demand(mode)))
+            .into_iter()
+            .chain([
+                (1.0, ExecConfig::fixed(8)),
+                (1.0, faults),
+                (0.5, ExecConfig::paper_default()),
+            ])
+            .map(|(degrees, exec)| Scenario {
+                recipe: ScenarioRecipe::new(degrees),
+                exec,
+            });
+        let mut canon = Canon::new(DOMAIN_SCENARIO);
+        for s in scenarios {
+            // `ScenarioRecipe::new` pins `MosaicConfig::new`'s band.
+            let wf = generate(
+                &MosaicConfig::new(s.recipe.degrees)
+                    .seed(s.recipe.seed)
+                    .region(&s.recipe.region),
+            );
+            let report = simulate(&wf, &s.exec);
+            for b in encode_report(&report) {
+                canon.u8(b);
+            }
+            canon.str(&report_json(&report));
+        }
+        assert_eq!(
+            (SCENARIO_SCHEMA_VERSION, canon.finish().to_hex()),
+            (1, "005c366acb02400657dd9b28a8d1fe8b".to_string()),
+            "engine output changed: bump SCENARIO_SCHEMA_VERSION and re-pin"
+        );
+    }
 }

@@ -398,8 +398,8 @@ flags:
     ));
     out.push_str(&trace_note);
     if !r.completed {
-        // A graceful abort is a failure exit (CI greps for this), but the
-        // partial report still tells the user what the attempt cost.
+        // A graceful abort is a failure exit (pinned by a test below), but
+        // the partial report still tells the user what the attempt cost.
         return Err(format!(
             "workflow aborted: retry budget exhausted after {} of {} tasks\n\n\
              partial report:\n{out}",

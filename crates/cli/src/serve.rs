@@ -20,7 +20,8 @@
 //! through the persistent worker pool, and concurrent identical misses
 //! coalesce into one simulation. Responses carry no timing or
 //! hit/miss information, so a warm answer is byte-identical to a cold
-//! one — that equivalence is pinned by the `serve-equivalence` CI job.
+//! one — that equivalence is pinned, cold and disk-warm at 1 and 4
+//! lanes, by the golden table in `tests/goldens.rs`.
 
 use std::collections::HashMap;
 use std::io::{BufRead, ErrorKind, Read, Write};

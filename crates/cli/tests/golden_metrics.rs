@@ -1,10 +1,11 @@
 //! Golden telemetry exposition: the canonical 1-degree fault scenario's
 //! `--metrics-out` dump is pinned to the byte. Every metric in it is
 //! event-derived ([`MetricClass::Deterministic`]), so the file must be
-//! identical across runs, machines, and `MCLOUD_WORKERS` settings — CI
-//! re-derives it at several worker counts and byte-compares. Regenerate
-//! after an *intentional* telemetry change with `MCLOUD_UPDATE_GOLDEN=1`
-//! and review the diff.
+//! identical across runs, machines, and `MCLOUD_WORKERS` settings. The
+//! tests here derive it in-process through [`run`]; the golden table in
+//! `tests/goldens.rs` derives it through the `mcloud` binary at one and
+//! four worker lanes. Regenerate after an *intentional* telemetry change
+//! with `MCLOUD_UPDATE_GOLDEN=1` and review the diff.
 //!
 //! [`MetricClass::Deterministic`]: mcloud_simkit::MetricClass::Deterministic
 

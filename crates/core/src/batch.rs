@@ -70,14 +70,9 @@ pub fn simulate_batch(
     cfgs: &[ExecConfig],
     scratch: &mut BatchScratch,
 ) -> Vec<Report> {
-    if cfgs.len() <= 1 || mcloud_simkit::configured_lanes() == 1 {
-        let scr = &mut scratch.ensure(1)[0];
-        return cfgs
-            .iter()
-            .map(|cfg| simulate_with_scratch(wf, cfg, scr))
-            .collect();
-    }
-    simulate_batch_on(WorkerPool::global(), wf, cfgs, scratch)
+    fan_out(cfgs, scratch, |scr, cfg| {
+        simulate_with_scratch(wf, cfg, scr)
+    })
 }
 
 /// [`simulate_batch`] on an explicit pool — the worker-count-independence
@@ -115,16 +110,7 @@ pub fn simulate_batch_progress(
         on_progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
         report
     };
-    if total <= 1 || mcloud_simkit::configured_lanes() == 1 {
-        let scr = &mut scratch.ensure(1)[0];
-        return cfgs
-            .iter()
-            .map(|cfg| tick(simulate_with_scratch(wf, cfg, scr)))
-            .collect();
-    }
-    let pool = WorkerPool::global();
-    let lanes = scratch.ensure(pool.lanes().max(1));
-    pool.map_with_state(lanes, cfgs, |scr, cfg| {
+    fan_out(cfgs, scratch, |scr, cfg| {
         tick(simulate_with_scratch(wf, cfg, scr))
     })
 }
@@ -138,14 +124,21 @@ pub fn simulate_batch_workflows(
     cfg: &ExecConfig,
     scratch: &mut BatchScratch,
 ) -> Vec<Report> {
-    if wfs.len() <= 1 || mcloud_simkit::configured_lanes() == 1 {
+    fan_out(wfs, scratch, |scr, wf| simulate_with_scratch(wf, cfg, scr))
+}
+
+/// Maps `f` over `items` with one warm scratch per lane: inline on the
+/// caller thread for degenerate inputs (≤ 1 item, or a one-lane
+/// configuration), which never create the pool; else on the global pool.
+fn fan_out<T: Sync>(
+    items: &[T],
+    scratch: &mut BatchScratch,
+    f: impl Fn(&mut SimScratch, &T) -> Report + Sync,
+) -> Vec<Report> {
+    if items.len() <= 1 || mcloud_simkit::configured_lanes() == 1 {
         let scr = &mut scratch.ensure(1)[0];
-        return wfs
-            .iter()
-            .map(|wf| simulate_with_scratch(wf, cfg, scr))
-            .collect();
+        return items.iter().map(|item| f(scr, item)).collect();
     }
     let pool = WorkerPool::global();
-    let lanes = scratch.ensure(pool.lanes().max(1));
-    pool.map_with_state(lanes, wfs, |scr, wf| simulate_with_scratch(wf, cfg, scr))
+    pool.map_with_state(scratch.ensure(pool.lanes()), items, f)
 }

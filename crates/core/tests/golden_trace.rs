@@ -4,8 +4,11 @@
 //! The JSONL export of the paper's 1-degree workflow is pinned to the
 //! byte under each data-management mode (`tests/golden/*.jsonl`). Any
 //! engine change that moves an event, a timestamp, or a byte count shows
-//! up here as a diff. To regenerate after an *intentional* semantic
-//! change, run with `MCLOUD_UPDATE_GOLDEN=1` and review the diff.
+//! up here as a diff. These tests derive the goldens through the library;
+//! the golden table in `crates/cli/tests/goldens.rs` derives the same
+//! files through the `mcloud` binary at one and four worker lanes. To
+//! regenerate after an *intentional* semantic change, run with
+//! `MCLOUD_UPDATE_GOLDEN=1` and review the diff.
 
 use std::path::PathBuf;
 

@@ -251,42 +251,8 @@ impl WorkerPool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        assert!(chunk >= 1, "chunk size must be at least 1");
-        let n = items.len();
-        if self.run_inline(n) {
-            let t0 = Instant::now();
-            let out = items.iter().map(f).collect();
-            self.count_inline(n, t0);
-            return out;
-        }
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-        let slots = SlotPtr(out.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        self.run(&|lane| {
-            let counters = &self.shared.stats[lane];
-            loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                counters.chunks.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .items
-                    .fetch_add((end - start) as u64, Ordering::Relaxed);
-                for (off, item) in items[start..end].iter().enumerate() {
-                    let r = f(item);
-                    // SAFETY: the dispenser hands out each index exactly
-                    // once, so writes to slots are disjoint; the barrier
-                    // in `run` orders them before the reads below.
-                    unsafe { *slots.slot(start + off) = Some(r) };
-                }
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("pool lane dropped an item"))
-            .collect()
+        let mut states = vec![(); self.lanes];
+        self.map_with_state_chunk(&mut states, items, chunk, |(), item| f(item))
     }
 
     /// Like [`WorkerPool::map`], but each lane additionally borrows one
@@ -368,7 +334,9 @@ impl WorkerPool {
                     .fetch_add((end - start) as u64, Ordering::Relaxed);
                 for (off, item) in items[start..end].iter().enumerate() {
                     let r = f(state, item);
-                    // SAFETY: disjoint indices, as in `map_chunk`.
+                    // SAFETY: the dispenser hands out each index exactly
+                    // once, so writes to slots are disjoint; the barrier
+                    // in `run` orders them before the reads below.
                     unsafe { *slots.slot(start + off) = Some(r) };
                 }
             }

@@ -16,15 +16,16 @@
 
 use mcloud_core::{ExecConfig, IncrementalChain, IncrementalStats, Report};
 use mcloud_dag::Workflow;
-use mcloud_simkit::configured_lanes;
+use mcloud_simkit::{configured_lanes, pool_map};
 
 use crate::sweeps::{bandwidth_configs, processor_sweep, BandwidthPoint, ProcessorPoint};
 
 /// Runs `cfgs` through per-lane [`IncrementalChain`]s: the axis is split
 /// into `lanes` contiguous, balanced chunks, each walked in order by its
-/// own chain on its own thread. Reports come back in input order and are
-/// byte-identical to sequential from-scratch simulation regardless of
-/// `lanes` (each chunk's first point simply falls back to `t = 0`).
+/// own chain, fanned out on the persistent worker pool. Reports come
+/// back in input order and are byte-identical to sequential from-scratch
+/// simulation regardless of `lanes` (each chunk's first point simply
+/// falls back to `t = 0`).
 pub(crate) fn run_chunked(
     wf: &Workflow,
     cfgs: &[ExecConfig],
@@ -41,9 +42,6 @@ pub(crate) fn run_chunked(
             .collect();
         (reports, chain.stats())
     };
-    if lanes == 1 {
-        return run_chunk(cfgs);
-    }
     // Contiguous balanced split: the first `total % lanes` chunks take one
     // extra point. Chunk order is input order, so concatenation restores it.
     let base = total / lanes;
@@ -55,16 +53,7 @@ pub(crate) fn run_chunked(
         chunks.push(&cfgs[start..end]);
         start = end;
     }
-    let per_lane: Vec<(Vec<Report>, IncrementalStats)> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(|| run_chunk(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
+    let per_lane = pool_map(&chunks, |chunk| run_chunk(chunk));
     let mut reports = Vec::with_capacity(total);
     let mut stats = IncrementalStats::default();
     for (lane_reports, lane_stats) in per_lane {

@@ -5,11 +5,11 @@
 //! sweeps (Figure 11), Pareto analysis of the cost/makespan trade-off, and
 //! table/CSV emitters for the results.
 //!
-//! Sweeps fan out over the kernel's persistent worker pool (via the
-//! batch simulation API, or [`par_map`] for ad-hoc closures); each point
-//! is an independent deterministic simulation and results are returned in
-//! input order, so parallel and sequential execution produce identical
-//! results (asserted in this crate's tests). Set `MCLOUD_WORKERS` to pin
+//! Sweeps fan out over the kernel's persistent worker pool through the
+//! batch simulation API; each point is an independent deterministic
+//! simulation and results are returned in input order, so parallel and
+//! sequential execution produce identical results (asserted in this
+//! crate's tests). Set `MCLOUD_WORKERS` to pin
 //! the lane count (`MCLOUD_WORKERS=1` forces fully inline execution).
 //!
 //! ```
@@ -28,22 +28,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cached;
 mod crossover;
 mod incremental;
-mod par;
 mod pareto;
 mod plot;
 mod sweeps;
 mod table;
 
-pub use cached::{bandwidth_sweep_cached, fault_rate_sweep_cached, processor_sweep_cached};
 pub use crossover::find_crossover;
 pub use incremental::{
     bandwidth_sweep_incremental, bandwidth_sweep_incremental_stats,
     processor_sweep_incremental_stats,
 };
-pub use par::par_map;
 pub use pareto::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 pub use plot::{LinePlot, Series};
 pub use sweeps::{

@@ -63,9 +63,8 @@ pub struct BandwidthPoint {
     pub report: Report,
 }
 
-/// Per-point configurations of a task-failure-rate axis. Shared by the
-/// from-scratch and cached drivers so the two paths cannot drift.
-pub(crate) fn fault_rate_configs(base: &ExecConfig, probs: &[f64], seed: u64) -> Vec<ExecConfig> {
+/// Per-point configurations of a task-failure-rate axis.
+fn fault_rate_configs(base: &ExecConfig, probs: &[f64], seed: u64) -> Vec<ExecConfig> {
     probs
         .iter()
         .map(|&p| {
