@@ -32,6 +32,10 @@
 //! * `cache/<scenario>` — the content-addressed result cache
 //!   ([`mcloud_cache::ResultCache`]) probed the way its hot consumers use
 //!   it.
+//! * `generate/<D>deg` — building the 1°/4°/16° Montage workflow with
+//!   [`generate`], the first step of every cache-missing `mcloud serve`
+//!   request: task and file counts, allocations per build and build
+//!   throughput in tasks/sec.
 //!
 //! [`RULES`] says how each column is gated. [`delta_summary`] walks it
 //! once per row, one cell per rule, and [`compare`] returns exactly the
@@ -553,6 +557,34 @@ pub fn measure_cache(budget_ms: u64) -> Vec<Row> {
         .tolerant("warm_hits_per_sec", cfgs.len() as f64 / best_s, 0)]
 }
 
+/// Mosaic sizes of the `generate/` rows: the paper's smallest and largest
+/// mosaics plus the 16° scale-up preset, where a builder that is not
+/// linear in the workflow's size shows first.
+const GENERATE_DEGREES: [f64; 3] = [1.0, 4.0, 16.0];
+
+/// Measures the `generate/` rows: one warm-up build, one counted build
+/// for the allocation columns, then best-of timed builds within
+/// `budget_ms` for the throughput.
+pub fn measure_generate(budget_ms: u64) -> Vec<Row> {
+    GENERATE_DEGREES
+        .into_iter()
+        .map(|degrees| {
+            let cfg = MosaicConfig::new(degrees);
+            let wf = generate(&cfg);
+            let (_, delta) = alloc::measure(|| std::hint::black_box(generate(&cfg)));
+            let best_s = best_of(MIN_TIMED_RUNS, budget_ms, || {
+                std::hint::black_box(generate(&cfg));
+            });
+            Row::new(format!("generate/{degrees}deg"))
+                .exact("tasks", wf.num_tasks() as u64)
+                .exact("files", wf.num_files() as u64)
+                .exact("allocs_per_generate", delta.allocs)
+                .exact("alloc_bytes_per_generate", delta.alloc_bytes)
+                .tolerant("tasks_per_sec", wf.num_tasks() as f64 / best_s, 0)
+        })
+        .collect()
+}
+
 /// Cores the current machine reports; 1 when the query fails.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -575,6 +607,7 @@ pub fn measure_all(budget_ms: u64, mut progress: impl FnMut(&Row)) -> Baseline {
     rows.extend(measure_service_scale(budget_ms));
     rows.extend(measure_sweep_scale(budget_ms));
     rows.extend(measure_cache(budget_ms));
+    rows.extend(measure_generate(budget_ms));
     Baseline {
         workers: configured_lanes(),
         host_parallelism: host_parallelism(),
@@ -825,6 +858,11 @@ pub const RULES: &[Rule] = &[
     rule("cache/",                 "plan_candidates",            Check::Exact,       When::Always),
     rule("cache/",                 "plan_warm_hits",             PLAN_REPLAY,        When::Always),
     rule("cache/",                 "warm_hits_per_sec",          TPUT_FLOOR,         When::Always),
+    rule("generate/",              "tasks",                      Check::Exact,       When::Always),
+    rule("generate/",              "files",                      Check::Exact,       When::Always),
+    rule("generate/",              "allocs_per_generate",        Check::NoIncrease,  When::Always),
+    rule("generate/",              "alloc_bytes_per_generate",   Check::NoIncrease,  When::Always),
+    rule("generate/",              "tasks_per_sec",              TPUT_FLOOR,         When::Always),
 ];
 
 const TPUT_FLOOR: Check = Check::Floor(THROUGHPUT_TOLERANCE);
@@ -974,6 +1012,7 @@ mod tests {
     const SERVICE: &str = "service/quarter-mixed-reject";
     const SWEEP: &str = "sweep/bandwidth/4deg-prestaged";
     const CACHE: &str = "cache/1deg-procs-grid+plan-replay";
+    const GEN: &str = "generate/4deg";
 
     /// A small baseline in the committed format, one row per family.
     const SAMPLE: &str = r#"{
@@ -987,7 +1026,8 @@ mod tests {
     {"name": "flatness/regular", "exact": {}, "tolerant": {"small_events_per_sec": 1234500, "large_events_per_sec": 600000, "ratio": 2.058}},
     {"name": "service/quarter-mixed-reject", "exact": {"offered": 25000, "admitted": 24000, "rejected": 1000, "deflected": 0}, "tolerant": {"service_requests_per_sec": 50000}},
     {"name": "sweep/bandwidth/4deg-prestaged", "exact": {"points": 16, "resumed": 15, "reused_events": 200000, "total_events": 240000}, "tolerant": {"scratch_points_per_sec": 200, "incremental_points_per_sec": 700, "speedup": 3.5}},
-    {"name": "cache/1deg-procs-grid+plan-replay", "exact": {"cold_misses": 16, "warm_hits": 16, "single_flight_computes": 1, "plan_candidates": 74, "plan_warm_hits": 74}, "tolerant": {"warm_hits_per_sec": 90000}}
+    {"name": "cache/1deg-procs-grid+plan-replay", "exact": {"cold_misses": 16, "warm_hits": 16, "single_flight_computes": 1, "plan_candidates": 74, "plan_warm_hits": 74}, "tolerant": {"warm_hits_per_sec": 90000}},
+    {"name": "generate/4deg", "exact": {"tasks": 3027, "files": 5056, "allocs_per_generate": 25375, "alloc_bytes_per_generate": 3265951}, "tolerant": {"tasks_per_sec": 1000000}}
   ]
 }
 "#;
@@ -1122,6 +1162,17 @@ mod tests {
         ("cache throughput 80% slower fails",
             |c, _| scale(c, CACHE, "warm_hits_per_sec", 0.2), &[(CACHE, "warm_hits_per_sec")]),
         ("a missing cache row fails", |c, _| drop_rows(c, CACHE), &[(CACHE, "(whole row)")]),
+        ("generated task and file counts drift in both directions",
+            |c, _| { set(c, GEN, "tasks", 3028.0); set(c, GEN, "files", 5055.0) },
+            &[(GEN, "tasks"), (GEN, "files")]),
+        ("an allocation increase per generate fails strictly",
+            |c, _| { set(c, GEN, "allocs_per_generate", 25_376.0); set(c, GEN, "alloc_bytes_per_generate", 3_265_952.0) },
+            &[(GEN, "allocs_per_generate"), (GEN, "alloc_bytes_per_generate")]),
+        ("fewer allocations per generate pass", |c, _| set(c, GEN, "allocs_per_generate", 12_000.0), &[]),
+        ("generate throughput 50% slower is within tolerance", |c, _| scale(c, GEN, "tasks_per_sec", 0.5), &[]),
+        ("generate throughput 80% slower fails",
+            |c, _| scale(c, GEN, "tasks_per_sec", 0.2), &[(GEN, "tasks_per_sec")]),
+        ("a missing generate row fails", |c, _| drop_rows(c, "generate/"), &[(GEN, "(whole row)")]),
         ("a workload the committed file lacks fails",
             |_, b| drop_rows(b, "workload/"), &[(W1, "(whole row)")]),
         ("a column missing from the current run fails",
@@ -1176,8 +1227,8 @@ mod tests {
         let lines = delta_summary(&current, &committed);
         // One line per rule per row: 15 workload (13 columns, the cap and
         // the speedup gate), 2x2 scaling, 3 flatness, 5 service, 7+1
-        // sweep, 6 cache.
-        assert_eq!(lines.len(), 15 + 4 + 3 + 5 + 8 + 6, "{lines:#?}");
+        // sweep, 6 cache, 5 generate.
+        assert_eq!(lines.len(), 15 + 4 + 3 + 5 + 8 + 6 + 5, "{lines:#?}");
         let failing: Vec<&String> = lines.iter().filter(|l| l.contains("FAIL")).collect();
         assert_eq!(failing.len(), 2, "{lines:#?}");
         assert!(failing[0].contains("allocs_per_sim") && failing[0].contains("42 -> 49"));
@@ -1227,7 +1278,7 @@ mod tests {
         let text = include_str!("../../../BENCH_baseline.json");
         let committed = from_json(text).expect("parse");
         assert_eq!(to_json(&committed), text);
-        assert_eq!(committed.rows.len(), 15 + 3 + 3 + 1 + 1 + 1);
+        assert_eq!(committed.rows.len(), 15 + 3 + 3 + 1 + 1 + 1 + 3);
         assert!(compare(&committed, &committed).is_empty());
     }
 

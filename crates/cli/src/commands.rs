@@ -1378,6 +1378,33 @@ mod tests {
     }
 
     #[test]
+    fn info_reports_conflicting_file_sizes() {
+        let dir = std::env::temp_dir().join("mcloud_cli_size_conflict_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let dax = dir.join("bad.dax");
+        std::fs::write(
+            &dax,
+            r#"<adag name="bad">
+  <job id="ID0" name="t0" transformation="m" runtime="1">
+    <uses file="x.fits" link="output" size="250"/>
+  </job>
+  <job id="ID1" name="t1" transformation="m" runtime="1">
+    <uses file="x.fits" link="input" size="999"/>
+  </job>
+</adag>
+"#,
+        )
+        .unwrap();
+        let err = run_str(&format!("info --dax {}", dax.display())).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains("line 6"), "{err}");
+        assert!(
+            err.contains("'x.fits'") && err.contains("250") && err.contains("999"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn economics_reports_break_evens() {
         let out = run_str("economics --degrees 1").unwrap();
         assert!(out.contains("break-even"), "{out}");

@@ -191,6 +191,12 @@ fn parse_job(
                     .ok_or_else(|| parser.error("<uses> missing 'size'".into()))?
                     .parse()
                     .map_err(|_| parser.error("<uses> size is not an integer".into()))?;
+                let known = builder.find_file(file).map(|id| builder.file_bytes(id));
+                if let Some(known) = known.filter(|&known| known != size) {
+                    return Err(parser.error(format!(
+                        "file '{file}' has size {size} here but size {known} earlier"
+                    )));
+                }
                 let id = builder.file(file, size);
                 match uses.attr("link") {
                     Some("input") => inputs.push(id),
@@ -582,6 +588,27 @@ mod tests {
   </job>
 </adag>"#;
         assert!(from_dax(doc).unwrap_err().to_string().contains("size"));
+    }
+
+    #[test]
+    fn conflicting_file_sizes_are_a_parse_error() {
+        let doc = r#"<adag name="x">
+  <job id="ID0" name="t0" transformation="m" runtime="1">
+    <uses file="x.fits" link="output" size="250"/>
+  </job>
+  <job id="ID1" name="t1" transformation="m" runtime="1">
+    <uses file="x.fits" link="input" size="999"/>
+  </job>
+</adag>"#;
+        match from_dax(doc).unwrap_err() {
+            DagError::Parse { line, message } => {
+                assert_eq!(line, 6);
+                for part in ["'x.fits'", "999", "250"] {
+                    assert!(message.contains(part), "{message}");
+                }
+            }
+            other => panic!("expected parse error, got {other}"),
+        }
     }
 
     #[test]

@@ -46,30 +46,44 @@ pub struct Task {
 /// two loads with no pointer chase per row and the whole structure is two
 /// allocations regardless of row count.
 #[derive(Debug, Clone)]
-struct Csr<T> {
+struct Csr {
     offsets: Vec<u32>,
-    ids: Vec<T>,
+    ids: Vec<TaskId>,
 }
 
-impl<T: Copy> Csr<T> {
-    /// Flattens per-row lists. Row order and within-row order are preserved.
-    fn from_lists(lists: &[Vec<T>]) -> Self {
-        let total: usize = lists.iter().map(Vec::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "adjacency has {total} edges, exceeding the u32 offset range"
-        );
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut ids = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for list in lists {
-            ids.extend_from_slice(list);
-            offsets.push(ids.len() as u32);
+impl Csr {
+    /// Groups `(row, id)` pairs into `rows` rows with a counting sort: one
+    /// pass sizes the rows, a second places the ids. Within a row, ids keep
+    /// the order `pairs` yields them in, so `pairs` must yield the same
+    /// sequence on both calls.
+    fn group<I>(rows: usize, pairs: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (usize, TaskId)>,
+    {
+        // `offsets[r + 1]` holds row r's length, then its start, then (as
+        // the fill cursor runs off its end) its end, which is row r + 1's
+        // start.
+        let mut offsets = vec![0u32; rows + 1];
+        for (r, _) in pairs() {
+            offsets[r + 1] += 1;
+        }
+        let mut start = 0u32;
+        for slot in &mut offsets[1..] {
+            let len = *slot;
+            *slot = start;
+            start = start
+                .checked_add(len)
+                .expect("adjacency exceeds the u32 offset range");
+        }
+        let mut ids = vec![TaskId(0); start as usize];
+        for (r, id) in pairs() {
+            ids[offsets[r + 1] as usize] = id;
+            offsets[r + 1] += 1;
         }
         Csr { offsets, ids }
     }
 
-    fn row(&self, i: usize) -> &[T] {
+    fn row(&self, i: usize) -> &[TaskId] {
         &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
@@ -89,9 +103,9 @@ pub struct Workflow {
     tasks: Vec<Task>,
     files: Vec<FileMeta>,
     producer: Vec<Option<TaskId>>,
-    consumers: Csr<TaskId>,
-    parents: Csr<TaskId>,
-    children: Csr<TaskId>,
+    consumers: Csr,
+    parents: Csr,
+    children: Csr,
     external_inputs: Vec<FileId>,
     staged_out: Vec<FileId>,
 }
@@ -194,40 +208,6 @@ impl Workflow {
             }
         }
     }
-
-    pub(crate) fn from_parts(
-        name: String,
-        tasks: Vec<Task>,
-        files: Vec<FileMeta>,
-        producer: Vec<Option<TaskId>>,
-        consumers: Vec<Vec<TaskId>>,
-        parents: Vec<Vec<TaskId>>,
-        children: Vec<Vec<TaskId>>,
-    ) -> Self {
-        let consumers = Csr::from_lists(&consumers);
-        let external_inputs: Vec<FileId> = (0..files.len() as u32)
-            .map(FileId)
-            .filter(|f| producer[f.index()].is_none())
-            .collect();
-        let staged_out: Vec<FileId> = (0..files.len() as u32)
-            .map(FileId)
-            .filter(|f| {
-                producer[f.index()].is_some()
-                    && (files[f.index()].deliverable || consumers.row(f.index()).is_empty())
-            })
-            .collect();
-        Workflow {
-            name,
-            tasks,
-            files,
-            producer,
-            consumers,
-            parents: Csr::from_lists(&parents),
-            children: Csr::from_lists(&children),
-            external_inputs,
-            staged_out,
-        }
-    }
 }
 
 /// Incremental, validating constructor for [`Workflow`].
@@ -256,7 +236,15 @@ pub struct WorkflowBuilder {
     by_file_name: HashMap<String, FileId>,
     by_task_name: HashMap<String, TaskId>,
     producer: Vec<Option<TaskId>>,
-    consumers: Vec<Vec<TaskId>>,
+    /// Per file, the last stamp `add_task` gave it (see `epoch`), so one
+    /// pass over a task's file lists dedups them and spots a file that is
+    /// both read and written.
+    stamp: Vec<u32>,
+    /// Advances by two per `add_task` call: inputs of that call are
+    /// stamped `epoch - 1`, outputs `epoch`. Zero marks "never stamped".
+    /// Not derived from the task index, which a failed call leaves stamps
+    /// behind for and the next call reuses.
+    epoch: u32,
     /// Explicit `(parent, child)` control edges (Pegasus DAX
     /// `<child>/<parent>`), merged with the file-derived edges at build.
     control_edges: Vec<(TaskId, TaskId)>,
@@ -293,7 +281,7 @@ impl WorkflowBuilder {
             deliverable: false,
         });
         self.producer.push(None);
-        self.consumers.push(Vec::new());
+        self.stamp.push(0);
         self.by_file_name.insert(name, id);
         id
     }
@@ -303,6 +291,12 @@ impl WorkflowBuilder {
         self.by_file_name.get(name).copied()
     }
 
+    /// Size of a registered file, for callers that must turn a size
+    /// conflict into an error rather than the panic in [`file`](Self::file).
+    pub(crate) fn file_bytes(&self, file: FileId) -> u64 {
+        self.files[file.index()].bytes
+    }
+
     /// Marks a file for stage-out to the user even if tasks consume it.
     pub fn mark_deliverable(&mut self, file: FileId) {
         self.files[file.index()].deliverable = true;
@@ -310,7 +304,8 @@ impl WorkflowBuilder {
 
     /// Adds a task. Input/output file lists are deduplicated preserving
     /// order. Fails on duplicate task names, invalid runtimes, a file that
-    /// is both input and output, or a second producer for a file.
+    /// is both input and output, or a second producer for a file; a failed
+    /// call leaves the builder unchanged.
     pub fn add_task(
         &mut self,
         name: impl Into<String>,
@@ -329,35 +324,57 @@ impl WorkflowBuilder {
                 runtime: runtime_s,
             });
         }
-        let inputs = dedup_preserving(inputs);
-        let outputs = dedup_preserving(outputs);
-        if let Some(f) = outputs.iter().find(|f| inputs.contains(f)) {
-            return Err(DagError::SelfLoop {
-                task: name,
+        self.epoch = self
+            .epoch
+            .checked_add(2)
+            .expect("more add_task calls than file stamps can tell apart");
+        let (as_input, as_output) = (self.epoch - 1, self.epoch);
+        let mut deduped_inputs = Vec::with_capacity(inputs.len());
+        for &f in inputs {
+            let stamp = &mut self.stamp[f.index()];
+            if *stamp != as_input {
+                *stamp = as_input;
+                deduped_inputs.push(f);
+            }
+        }
+        // Outputs are checked against the input stamp before being stamped
+        // themselves, so the self-loop reported is the first output (in
+        // list order) that is also an input.
+        let mut deduped_outputs = Vec::with_capacity(outputs.len());
+        for &f in outputs {
+            let stamp = &mut self.stamp[f.index()];
+            if *stamp == as_input {
+                return Err(DagError::SelfLoop {
+                    task: name,
+                    file: self.files[f.index()].name.clone(),
+                });
+            }
+            if *stamp != as_output {
+                *stamp = as_output;
+                deduped_outputs.push(f);
+            }
+        }
+        if let Some((f, first)) = deduped_outputs
+            .iter()
+            .find_map(|&f| self.producer[f.index()].map(|first| (f, first)))
+        {
+            return Err(DagError::DuplicateProducer {
                 file: self.files[f.index()].name.clone(),
+                first: self.tasks[first.index()].name.clone(),
+                second: name,
             });
         }
         let id = TaskId(self.tasks.len() as u32);
-        for &f in &outputs {
-            if let Some(first) = self.producer[f.index()] {
-                return Err(DagError::DuplicateProducer {
-                    file: self.files[f.index()].name.clone(),
-                    first: self.tasks[first.index()].name.clone(),
-                    second: name,
-                });
-            }
+        for &f in &deduped_outputs {
             self.producer[f.index()] = Some(id);
-        }
-        for &f in &inputs {
-            self.consumers[f.index()].push(id);
         }
         self.by_task_name.insert(name.clone(), id);
         self.tasks.push(Task {
             name,
             module: module.into(),
             runtime_s,
-            inputs,
-            outputs,
+            inputs: deduped_inputs,
+            outputs: deduped_outputs,
         });
         Ok(id)
     }
@@ -383,47 +400,71 @@ impl WorkflowBuilder {
     }
 
     /// Validates the accumulated graph and freezes it into a [`Workflow`].
+    ///
+    /// Linear in tasks + files + edges, up to sorting each task's parents:
+    /// every adjacency is built straight into CSR form.
     pub fn build(self) -> Result<Workflow, DagError> {
         if self.tasks.is_empty() {
             return Err(DagError::Empty);
         }
         let n = self.tasks.len();
-        // Derive task-level adjacency from file dependencies, then merge
-        // in the explicit control edges.
-        let mut parents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut children: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (t_idx, task) in self.tasks.iter().enumerate() {
-            let t = TaskId(t_idx as u32);
-            for &f in &task.inputs {
-                if let Some(p) = self.producer[f.index()] {
-                    parents[t_idx].push(p);
-                    children[p.index()].push(t);
+        let tasks = &self.tasks;
+        let producer = &self.producer;
+        // Consumers, visiting tasks in id order so each row comes out sorted
+        // (inputs are already deduplicated).
+        let consumers = Csr::group(self.files.len(), || {
+            tasks.iter().enumerate().flat_map(|(t, task)| {
+                task.inputs
+                    .iter()
+                    .map(move |f| (f.index(), TaskId(t as u32)))
+            })
+        });
+        // Parents, row by row: the producers of a task's inputs plus its
+        // control-edge parents, deduplicated by stamping each parent with
+        // the child that last listed it, then sorted.
+        let control_parents = Csr::group(n, || {
+            self.control_edges.iter().map(|&(p, c)| (c.index(), p))
+        });
+        let mut parents = Csr {
+            offsets: Vec::with_capacity(n + 1),
+            ids: Vec::new(),
+        };
+        parents.offsets.push(0);
+        let mut listed_by = vec![u32::MAX; n];
+        for (c, task) in tasks.iter().enumerate() {
+            let row_start = parents.ids.len();
+            let file_parents = task.inputs.iter().filter_map(|f| producer[f.index()]);
+            for p in file_parents.chain(control_parents.row(c).iter().copied()) {
+                if listed_by[p.index()] != c as u32 {
+                    listed_by[p.index()] = c as u32;
+                    parents.ids.push(p);
                 }
             }
+            parents.ids[row_start..].sort_unstable();
+            parents.offsets.push(
+                u32::try_from(parents.ids.len()).expect("adjacency exceeds the u32 offset range"),
+            );
         }
-        for &(p, c) in &self.control_edges {
-            parents[c.index()].push(p);
-            children[p.index()].push(c);
-        }
-        for list in parents.iter_mut().chain(children.iter_mut()) {
-            list.sort_unstable();
-            list.dedup();
-        }
+        // Children: the transpose of parents. Visiting children in id order
+        // leaves every row sorted and unique.
+        let children = Csr::group(n, || {
+            (0..n).flat_map(|c| {
+                parents
+                    .row(c)
+                    .iter()
+                    .map(move |p| (p.index(), TaskId(c as u32)))
+            })
+        });
         // Kahn's algorithm to reject cycles. (A cycle is impossible when
         // tasks can only consume files registered before them *if* callers
         // always produce before consuming, but the builder allows forward
         // file references, so check explicitly.)
-        let mut indeg: Vec<usize> = parents.iter().map(Vec::len).collect();
-        let mut ready: Vec<usize> = indeg
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
+        let mut indeg: Vec<u32> = (0..n).map(|t| parents.row(t).len() as u32).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&t| indeg[t] == 0).collect();
         let mut seen = 0usize;
         while let Some(i) = ready.pop() {
             seen += 1;
-            for c in &children[i] {
+            for c in children.row(i) {
                 indeg[c.index()] -= 1;
                 if indeg[c.index()] == 0 {
                     ready.push(c.index());
@@ -436,26 +477,29 @@ impl WorkflowBuilder {
                 task: self.tasks[on_cycle].name.clone(),
             });
         }
-        Ok(Workflow::from_parts(
-            self.name,
-            self.tasks,
-            self.files,
-            self.producer,
-            self.consumers,
+        let external_inputs: Vec<FileId> = (0..self.files.len() as u32)
+            .map(FileId)
+            .filter(|f| producer[f.index()].is_none())
+            .collect();
+        let staged_out: Vec<FileId> = (0..self.files.len() as u32)
+            .map(FileId)
+            .filter(|f| {
+                producer[f.index()].is_some()
+                    && (self.files[f.index()].deliverable || consumers.row(f.index()).is_empty())
+            })
+            .collect();
+        Ok(Workflow {
+            name: self.name,
+            tasks: self.tasks,
+            files: self.files,
+            producer: self.producer,
+            consumers,
             parents,
             children,
-        ))
+            external_inputs,
+            staged_out,
+        })
     }
-}
-
-fn dedup_preserving(ids: &[FileId]) -> Vec<FileId> {
-    let mut out = Vec::with_capacity(ids.len());
-    for &f in ids {
-        if !out.contains(&f) {
-            out.push(f);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -519,6 +563,25 @@ mod tests {
         let a = b.file("a", 1);
         let err = b.add_task("t0", "m", 1.0, &[a], &[a]).unwrap_err();
         assert!(matches!(err, DagError::SelfLoop { .. }));
+    }
+
+    #[test]
+    fn a_failed_add_task_leaves_no_trace() {
+        let mut b = WorkflowBuilder::new("w");
+        let a = b.file("a", 1);
+        let x = b.file("x", 1);
+        let y = b.file("y", 1);
+        b.add_task("t0", "m", 1.0, &[], &[y]).unwrap();
+        // Fails on `y` after `x` was seen: `x` must stay unproduced.
+        let err = b.add_task("t1", "m", 1.0, &[a], &[x, y]).unwrap_err();
+        assert!(matches!(err, DagError::DuplicateProducer { .. }));
+        // Fails after stamping `a` as an input of the failed call.
+        let err = b.add_task("t1", "m", 1.0, &[a], &[a]).unwrap_err();
+        assert!(matches!(err, DagError::SelfLoop { .. }));
+        let t1 = b.add_task("t1", "m", 1.0, &[a, a], &[x]).unwrap();
+        let wf = b.build().unwrap();
+        assert_eq!(wf.task(t1).inputs, vec![a]);
+        assert_eq!(wf.producer(x), Some(t1));
     }
 
     #[test]
