@@ -1,7 +1,7 @@
 //! A counting global allocator for allocation-budget benchmarks.
 //!
-//! Every binary in this crate (the stopwatch benches and the `repro` tool)
-//! routes its heap traffic through [`CountingAlloc`], which forwards to the
+//! Every binary in this crate (the `repro` tool and its tests) routes its
+//! heap traffic through [`CountingAlloc`], which forwards to the
 //! system allocator while counting each thread's own traffic. The
 //! baseline runner ([`crate::baseline`]) snapshots the counters around a
 //! single-threaded simulation to obtain *exact, deterministic* per-run

@@ -272,8 +272,8 @@ const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-/// Per-workload timing budget for `bench-json`, overridable the same way
-/// as the stopwatch benches (`MCLOUD_BENCH_TARGET_MS`).
+/// Per-workload timing budget for `bench-json`, in milliseconds
+/// (`MCLOUD_BENCH_TARGET_MS`, default 300).
 fn bench_budget_ms() -> u64 {
     std::env::var("MCLOUD_BENCH_TARGET_MS")
         .ok()

@@ -1,8 +1,9 @@
 //! # mcloud-bench
 //!
 //! The experiment layer: one function per table/figure of the paper's
-//! evaluation (Section 6), shared by the `repro` binary (which prints the
-//! paper-style series and writes CSV) and the stopwatch benches.
+//! evaluation (Section 6), run by the `repro` binary (which prints the
+//! paper-style series and writes CSV), plus the allocation-counting
+//! baseline behind `repro bench-json`.
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the one allocator module needs an
@@ -12,7 +13,6 @@
 pub mod alloc;
 pub mod baseline;
 pub mod experiments;
-pub mod harness;
 
 use std::path::PathBuf;
 

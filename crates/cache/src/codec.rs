@@ -14,13 +14,14 @@
 //! returns `Err` rather than a half-plausible report — a corrupt disk
 //! entry must read as "not cached", never as wrong numbers.
 
-use mcloud_core::{KernelStats, Report, TaskSpan};
+use mcloud_core::{KernelStats, Report};
 use mcloud_cost::{CostBreakdown, Money};
-use mcloud_dag::TaskId;
-use mcloud_simkit::{Histogram, QueueStats, SimDuration, SimTime};
+use mcloud_simkit::{Histogram, QueueStats, SimDuration};
 
 const MAGIC: &[u8; 4] = b"MCRP";
-const VERSION: u8 = 1;
+/// Layout version: bump on any change to the byte layout, so entries
+/// written by an older layout decode as "not cached".
+const VERSION: u8 = 2;
 
 /// Encodes a report into the codec's canonical bytes.
 pub fn encode_report(r: &Report) -> Vec<u8> {
@@ -88,20 +89,6 @@ pub fn encode_report(r: &Report) -> Vec<u8> {
     put_f64(&mut w, r.kernel.ready_peak);
     put_f64(&mut w, r.kernel.pool_busy_mean);
     put_u64(&mut w, r.kernel.pool_grants);
-
-    match &r.trace {
-        None => w.push(0),
-        Some(spans) => {
-            w.push(1);
-            put_u32(&mut w, spans.len() as u32);
-            for s in spans {
-                put_u32(&mut w, s.task.0);
-                put_u32(&mut w, s.proc);
-                put_u64(&mut w, s.start.as_micros());
-                put_u64(&mut w, s.finish.as_micros());
-            }
-        }
-    }
     w
 }
 
@@ -191,27 +178,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<Report, String> {
         pool_grants: r.u64()?,
     };
 
-    let trace = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.u32()? as usize;
-            if n > bytes.len() / 24 {
-                return Err("report codec: span count exceeds payload".to_string());
-            }
-            let mut spans = Vec::with_capacity(n);
-            for _ in 0..n {
-                spans.push(TaskSpan {
-                    task: TaskId(r.u32()?),
-                    proc: r.u32()?,
-                    start: SimTime::from_micros(r.u64()?),
-                    finish: SimTime::from_micros(r.u64()?),
-                });
-            }
-            Some(spans)
-        }
-        t => return Err(format!("report codec: bad trace tag {t}")),
-    };
-
     r.finish()?;
     Ok(Report {
         makespan,
@@ -242,7 +208,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<Report, String> {
         queue_wait_max_s,
         queue_wait_hist,
         kernel,
-        trace,
     })
 }
 
@@ -327,7 +292,6 @@ mod tests {
         for cfg in [
             ExecConfig::fixed(8),
             ExecConfig::on_demand(DataMode::DynamicCleanup),
-            ExecConfig::fixed(4).with_trace(),
             ExecConfig::fixed(4)
                 .with_faults(0.05, 2008)
                 .with_retry(mcloud_core::RetryPolicy::bounded(3)),
@@ -353,9 +317,11 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(decode_report(&bad_magic).is_err());
 
-        let mut bad_version = bytes.clone();
-        bad_version[4] = VERSION + 1;
-        assert!(decode_report(&bad_version).is_err());
+        for version in [1, VERSION + 1] {
+            let mut bad_version = bytes.clone();
+            bad_version[4] = version;
+            assert!(decode_report(&bad_version).is_err(), "{version}");
+        }
 
         let mut trailing = bytes.clone();
         trailing.push(0);
@@ -371,7 +337,9 @@ mod tests {
     /// `SCENARIO_SCHEMA_VERSION`, so an engine change that leaves the
     /// version alone would let another process serve pre-change reports.
     /// This pins the cold path's bytes (generate from the recipe,
-    /// simulate, encode, render) to the version.
+    /// simulate, encode, render) to the version. A codec layout change
+    /// moves the pin too, but the codec's own `VERSION` byte already
+    /// rejects old entries, so it re-pins without a schema bump.
     #[test]
     fn engine_output_is_pinned_to_the_scenario_schema_version() {
         use mcloud_core::{
@@ -415,7 +383,7 @@ mod tests {
         }
         assert_eq!(
             (SCENARIO_SCHEMA_VERSION, canon.finish().to_hex()),
-            (1, "005c366acb02400657dd9b28a8d1fe8b".to_string()),
+            (1, "e6e61b941f382d696e905efa2eef88af".to_string()),
             "engine output changed: bump SCENARIO_SCHEMA_VERSION and re-pin"
         );
     }

@@ -24,9 +24,7 @@
 use mcloud_dag::Workflow;
 
 use crate::config::ExecConfig;
-use crate::engine::{
-    run_probed, run_resumed, simulate_with_scratch, IncCtl, SimCheckpoint, SimScratch,
-};
+use crate::engine::{run_probed, run_resumed, IncCtl, SimCheckpoint, SimScratch};
 use crate::report::Report;
 
 /// Counters an incremental sweep accumulates, for speedup accounting and
@@ -90,8 +88,7 @@ impl IncrementalChain {
     /// axis); it arms this run's witness so the *next* call can resume.
     ///
     /// The returned [`Report`] is byte-identical to
-    /// [`crate::simulate`]`(wf, cfg)` — traced configurations simply fall
-    /// back to a full-fidelity run per point.
+    /// [`crate::simulate`]`(wf, cfg)`.
     ///
     /// # Panics
     /// Panics if the configuration fails [`ExecConfig::validate`].
@@ -101,17 +98,6 @@ impl IncrementalChain {
         cfg: &ExecConfig,
         next: Option<&ExecConfig>,
     ) -> Report {
-        // Trace recording bypasses the witness entirely so traces
-        // (and their span ordering) stay bit-for-bit what `simulate`
-        // produces.
-        if cfg.record_trace {
-            self.restore = None;
-            self.armed_for = None;
-            self.stats.points += 1;
-            let report = simulate_with_scratch(wf, cfg, &mut self.scratch);
-            self.stats.total_events += report.events_processed;
-            return report;
-        }
         let armed = next.is_some_and(|n| chainable(cfg, n));
         let mut ctl = IncCtl::new(armed, self.spare.take());
         let restore = self
@@ -148,8 +134,8 @@ impl IncrementalChain {
 /// Whether a witness recorded while running `cur` can soundly bound the
 /// divergence of `next` — i.e. the two runs are provably event-identical
 /// until the first transfer submission. They must be equal in every field
-/// but the bandwidth (`record_trace` included), because any other
-/// difference could change behavior before the witness.
+/// but the bandwidth, because any other difference could change behavior
+/// before the witness.
 fn chainable(cur: &ExecConfig, next: &ExecConfig) -> bool {
     let mut norm = next.clone();
     norm.bandwidth_bps = cur.bandwidth_bps;

@@ -212,8 +212,6 @@ pub struct ExecConfig {
     /// cost nothing to stage in (their long-term storage is billed to the
     /// archive, not to the request).
     pub prestaged_inputs: bool,
-    /// Record per-task Gantt spans in the report.
-    pub record_trace: bool,
     /// VM launch/teardown overhead (fixed provisioning only).
     pub vm: VmOverhead,
     /// Optional stochastic faults (task failures, transfer failures,
@@ -251,7 +249,6 @@ impl ExecConfig {
             pricing: Pricing::amazon_2008(),
             granularity: ChargeGranularity::Exact,
             prestaged_inputs: false,
-            record_trace: false,
             vm: VmOverhead::NONE,
             faults: None,
             retry: RetryPolicy::default(),
@@ -293,12 +290,6 @@ impl ExecConfig {
     /// Marks external inputs as already resident in cloud storage.
     pub fn prestaged(mut self, yes: bool) -> Self {
         self.prestaged_inputs = yes;
-        self
-    }
-
-    /// Enables per-task trace recording.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
         self
     }
 
@@ -458,13 +449,11 @@ mod tests {
         let cfg = ExecConfig::fixed(8)
             .mode(DataMode::DynamicCleanup)
             .bandwidth(20e6)
-            .prestaged(true)
-            .with_trace();
+            .prestaged(true);
         assert_eq!(cfg.provisioning, Provisioning::Fixed { processors: 8 });
         assert_eq!(cfg.mode, DataMode::DynamicCleanup);
         assert_eq!(cfg.bandwidth_bps, 20e6);
         assert!(cfg.prestaged_inputs);
-        assert!(cfg.record_trace);
     }
 
     #[test]

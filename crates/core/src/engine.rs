@@ -36,7 +36,6 @@ use mcloud_simkit::{
 use crate::config::{DataMode, ExecConfig, Provisioning};
 use crate::report::{KernelStats, Report};
 use crate::soa::{FileTable, InFlightTable, ReadySet, TaskTable};
-use crate::trace::SpanTee;
 
 /// Simulates one execution plan over a workflow and reports the paper's
 /// metrics and costs.
@@ -51,8 +50,8 @@ pub fn simulate(wf: &Workflow, cfg: &ExecConfig) -> Report {
 }
 
 /// [`simulate`] against a caller-owned [`SimScratch`]: identical output
-/// (byte-for-byte, including traces), but a warm scratch makes the run
-/// allocation-free at steady state.
+/// (byte-for-byte), but a warm scratch makes the run allocation-free at
+/// steady state.
 ///
 /// # Panics
 /// Panics if the configuration fails [`ExecConfig::validate`].
@@ -85,12 +84,7 @@ pub fn simulate_with_sink_scratch<S: EventSink>(
     scratch: &mut SimScratch,
 ) -> Report {
     cfg.validate().expect("invalid execution configuration");
-    let mut tee = SpanTee::new(sink, cfg.record_trace);
-    let mut report = Engine::new(wf, cfg, &mut tee, scratch).run();
-    if cfg.record_trace {
-        report.trace = Some(tee.into_spans());
-    }
-    report
+    Engine::new(wf, cfg, sink, scratch).run()
 }
 
 /// Simulates one execution plan with a [`RecordingSink`] attached and
@@ -1566,9 +1560,6 @@ impl<'a, S: EventSink> Engine<'a, S> {
             // Cloned (not moved) out of the scratch: the one warm-path
             // allocation a report still costs.
             queue_wait_hist: self.scr.wait_hist.clone(),
-            // Attached by `simulate_with_sink` (via the span tee) when
-            // `record_trace` is set.
-            trace: None,
         }
     }
 }

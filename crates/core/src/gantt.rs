@@ -1,47 +1,54 @@
-//! Gantt-chart rendering of execution traces.
+//! Gantt-chart rendering of a recorded event stream.
 //!
-//! Turns the per-task spans recorded by [`ExecConfig::record_trace`] into
-//! a text timeline (one row per processor slot) or a CSV of spans for
-//! external plotting. Useful for eyeballing why a provisioning level is
-//! underutilized — the paper's "CPU utilization can be low in the
+//! Turns the task start/finish events of a traced run (see
+//! [`simulate_traced`](crate::simulate_traced)) into a text timeline, one
+//! row per processor slot. Useful for eyeballing why a provisioning level
+//! is underutilized — the paper's "CPU utilization can be low in the
 //! provisioned case" made visible.
-//!
-//! [`ExecConfig::record_trace`]: crate::ExecConfig::record_trace
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mcloud_dag::Workflow;
+use mcloud_dag::{TaskId, Workflow};
+use mcloud_simkit::{SimTime, TimedEvent, TraceEvent};
 
-use crate::report::{Report, TaskSpan};
+use crate::report::Report;
 
 /// Renders a text Gantt chart, one row per processor, `width` columns
-/// spanning `[0, makespan]`. Busy cells show the first letter of the
-/// running task's module (e.g. `m` for every Montage stage, so custom
-/// modules are distinguishable); idle cells show `.`.
+/// spanning `[0, makespan]`. Each `TaskStarted` → `TaskFinished` attempt
+/// (failed ones included) is one span; busy cells show the first letter
+/// of the running task's module (e.g. `m` for every Montage stage, so
+/// custom modules are distinguishable); idle cells show `.`.
 ///
 /// # Panics
-/// Panics if the report carries no trace or `width` is zero.
-pub fn gantt_text(wf: &Workflow, report: &Report, width: usize) -> String {
+/// Panics if `width` is zero or `events` name a task outside `wf`.
+pub fn gantt_text(wf: &Workflow, report: &Report, events: &[TimedEvent], width: usize) -> String {
     assert!(width > 0, "gantt width must be positive");
-    let trace = report
-        .trace
-        .as_ref()
-        .expect("gantt rendering needs a report with record_trace enabled");
     let horizon = report.makespan.as_secs_f64().max(f64::MIN_POSITIVE);
 
+    let mut starts = vec![SimTime::ZERO; wf.num_tasks()];
+    let mut spans = 0usize;
     let mut rows: BTreeMap<u32, Vec<char>> = BTreeMap::new();
-    for span in trace {
-        let row = rows.entry(span.proc).or_insert_with(|| vec!['.'; width]);
+    for e in events {
+        let (task, proc) = match e.event {
+            TraceEvent::TaskStarted { task, .. } => {
+                starts[task as usize] = e.at;
+                continue;
+            }
+            TraceEvent::TaskFinished { task, proc, .. } => (task, proc),
+            _ => continue,
+        };
+        spans += 1;
+        let row = rows.entry(proc).or_insert_with(|| vec!['.'; width]);
         let glyph = wf
-            .task(span.task)
+            .task(TaskId(task))
             .module
             .chars()
             .next()
             .unwrap_or('#')
             .to_ascii_lowercase();
-        let a = (span.start.as_secs_f64() / horizon * width as f64).floor() as usize;
-        let b = (span.finish.as_secs_f64() / horizon * width as f64).ceil() as usize;
+        let a = (starts[task as usize].as_secs_f64() / horizon * width as f64).floor() as usize;
+        let b = (e.at.as_secs_f64() / horizon * width as f64).ceil() as usize;
         for cell in row
             .iter_mut()
             .take(b.min(width))
@@ -57,7 +64,7 @@ pub fn gantt_text(wf: &Workflow, report: &Report, width: usize) -> String {
         "gantt: {} over {:.1}s ({} tasks, {} procs shown)",
         wf.name(),
         horizon,
-        trace.len(),
+        spans,
         rows.len()
     );
     for (proc, row) in rows {
@@ -66,28 +73,10 @@ pub fn gantt_text(wf: &Workflow, report: &Report, width: usize) -> String {
     out
 }
 
-/// Emits the trace as CSV: `task,module,proc,start_s,finish_s`.
-pub fn gantt_csv(wf: &Workflow, trace: &[TaskSpan]) -> String {
-    let mut out = String::from("task,module,proc,start_s,finish_s\n");
-    for span in trace {
-        let task = wf.task(span.task);
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.6},{:.6}",
-            task.name,
-            task.module,
-            span.proc,
-            span.start.as_secs_f64(),
-            span.finish.as_secs_f64()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, ExecConfig};
+    use crate::{simulate_traced, ExecConfig, RetryPolicy};
     use mcloud_dag::WorkflowBuilder;
 
     fn two_task_workflow() -> Workflow {
@@ -103,8 +92,8 @@ mod tests {
     #[test]
     fn text_gantt_shows_both_modules() {
         let wf = two_task_workflow();
-        let r = simulate(&wf, &ExecConfig::fixed(1).with_trace());
-        let g = gantt_text(&wf, &r, 20);
+        let (r, sink) = simulate_traced(&wf, &ExecConfig::fixed(1));
+        let g = gantt_text(&wf, &r, sink.events(), 20);
         assert!(g.contains("p0"));
         assert!(g.contains('a'), "{g}"); // alpha
         assert!(g.contains('b'), "{g}"); // beta
@@ -115,29 +104,23 @@ mod tests {
     #[test]
     fn rows_match_processors_used() {
         let wf = mcloud_montage::paper_figure3();
-        let r = simulate(&wf, &ExecConfig::fixed(3).with_trace());
-        let g = gantt_text(&wf, &r, 40);
+        let (r, sink) = simulate_traced(&wf, &ExecConfig::fixed(3));
+        let g = gantt_text(&wf, &r, sink.events(), 40);
         // Three procs busy at level 3.
         assert_eq!(g.lines().count(), 4, "{g}");
     }
 
     #[test]
-    fn csv_lists_every_span() {
-        let wf = two_task_workflow();
-        let r = simulate(&wf, &ExecConfig::fixed(1).with_trace());
-        let csv = gantt_csv(&wf, r.trace.as_ref().unwrap());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], "task,module,proc,start_s,finish_s");
-        assert!(lines[1].starts_with("first,alpha,0,"));
-        assert!(lines[2].starts_with("second,beta,0,10.0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "record_trace")]
-    fn text_gantt_requires_a_trace() {
-        let wf = two_task_workflow();
-        let r = simulate(&wf, &ExecConfig::fixed(1));
-        gantt_text(&wf, &r, 10);
+    fn failed_attempts_are_painted_as_spans() {
+        let wf = mcloud_montage::paper_figure3();
+        let cfg = ExecConfig::fixed(4)
+            .with_faults(0.1, 7)
+            .with_retry(RetryPolicy::bounded(8));
+        let (r, sink) = simulate_traced(&wf, &cfg);
+        assert!(r.failed_attempts > 0, "the seed must inject a failure");
+        let g = gantt_text(&wf, &r, sink.events(), 40);
+        let header = g.lines().next().unwrap();
+        let want = format!("({} tasks,", r.task_executions);
+        assert!(header.contains(&want), "{header} vs {want}");
     }
 }

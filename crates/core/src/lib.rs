@@ -52,13 +52,13 @@ pub use engine::{
     simulate, simulate_traced, simulate_with_scratch, simulate_with_sink,
     simulate_with_sink_scratch, SimCheckpoint, SimScratch,
 };
-pub use gantt::{gantt_csv, gantt_text};
+pub use gantt::gantt_text;
 pub use profile::{
     attribute_profile_costs, profile_json, profile_svg, profile_text, profile_trace, ClassProfile,
     CostAttribution, LevelProfile, TaskProfile, WorkflowProfile, RESIDUAL_LABEL, SHARED_IN_LABEL,
     SHARED_OUT_LABEL, STORAGE_LABEL, WASTED_LABEL,
 };
-pub use report::{report_json, KernelStats, Report, TaskSpan};
+pub use report::{report_json, KernelStats, Report};
 pub use scenario::{
     encode_exec_config, fingerprint_workflow, norm_f64_bits, workflow_exec_digest, Canon, Digest,
     Scenario, ScenarioRecipe, DOMAIN_PLAN, DOMAIN_SCENARIO, DOMAIN_WORKFLOW, DOMAIN_WORKFLOW_EXEC,

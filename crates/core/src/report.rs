@@ -1,25 +1,8 @@
 //! Simulation output: the paper's four metrics (Section 5) plus the cost
-//! breakdown they imply and optional per-task traces.
+//! breakdown they imply.
 
 use mcloud_cost::{CostBreakdown, Money, BYTES_PER_GB};
-use mcloud_dag::TaskId;
-use mcloud_simkit::{Histogram, MetricClass, QueueStats, Registry, SimDuration, SimTime};
-
-/// One task's execution span (a Gantt row), recorded when
-/// [`ExecConfig::record_trace`] is set.
-///
-/// [`ExecConfig::record_trace`]: crate::ExecConfig::record_trace
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskSpan {
-    /// The task.
-    pub task: TaskId,
-    /// Processor slot it ran on.
-    pub proc: u32,
-    /// Execution start.
-    pub start: SimTime,
-    /// Execution finish.
-    pub finish: SimTime,
-}
+use mcloud_simkit::{Histogram, MetricClass, QueueStats, Registry, SimDuration};
 
 /// Deterministic self-telemetry from the simulation kernel for one run:
 /// how the calendar queue, ready set, and processor pool actually behaved
@@ -124,8 +107,6 @@ pub struct Report {
     /// Deterministic kernel self-telemetry (calendar queue, ready set,
     /// processor pool) for this run.
     pub kernel: KernelStats,
-    /// Per-task spans, when tracing was requested.
-    pub trace: Option<Vec<TaskSpan>>,
 }
 
 /// Renders a run report as deterministic single-document JSON
@@ -425,7 +406,6 @@ mod tests {
                 pool_busy_mean: 0.9,
                 pool_grants: 10,
             },
-            trace: None,
         }
     }
 

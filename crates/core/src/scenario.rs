@@ -314,7 +314,6 @@ pub fn encode_exec_config(c: &mut Canon, cfg: &ExecConfig) {
         ChargeGranularity::HourlyCpu => 1,
     });
     c.bool(cfg.prestaged_inputs);
-    c.bool(cfg.record_trace);
     c.f64(cfg.vm.startup_s);
     c.f64(cfg.vm.teardown_s);
     match cfg.faults {
@@ -491,9 +490,6 @@ mod tests {
         let mut s = base();
         s.exec.prestaged_inputs = true;
         check(s, "exec.prestaged_inputs");
-        let mut s = base();
-        s.exec.record_trace = true;
-        check(s, "exec.record_trace");
         let mut s = base();
         s.exec.vm = VmOverhead {
             startup_s: 90.0,

@@ -1,5 +1,5 @@
-//! Trace capture and export: spans from the event stream, plus JSON Lines
-//! and Chrome `trace_event` serializers.
+//! Trace export: JSON Lines and Chrome `trace_event` serializers for the
+//! engine's event stream, and the JSONL parser back.
 //!
 //! The engine narrates execution as [`TraceEvent`]s (see
 //! [`simulate_with_sink`](crate::simulate_with_sink)); this module turns a
@@ -13,76 +13,10 @@
 //!   open the file in Perfetto (ui.perfetto.dev) or `chrome://tracing` to
 //!   see task spans per processor, both link channels, and the storage
 //!   occupancy counter.
-//!
-//! [`SpanTee`] adapts the stream back into the legacy [`TaskSpan`] rows so
-//! `Report.trace` (and the Gantt renderers on top of it) keep working.
 
 use mcloud_dag::{TaskId, Workflow};
 use mcloud_simkit::json::{self, escape, Value};
-use mcloud_simkit::{
-    Channel, EventSink, FailureKind, SimDuration, SimTime, TimedEvent, TraceEvent,
-};
-
-use crate::report::TaskSpan;
-
-/// An [`EventSink`] adapter that forwards every event to an inner sink
-/// and, when enabled, reassembles [`TaskSpan`] rows from task start/finish
-/// events — the bridge between the event stream and `Report.trace`.
-pub(crate) struct SpanTee<S> {
-    inner: S,
-    record: bool,
-    /// Last observed start `(time, proc)` per task index.
-    starts: Vec<(SimTime, u32)>,
-    spans: Vec<TaskSpan>,
-}
-
-impl<S: EventSink> SpanTee<S> {
-    pub(crate) fn new(inner: S, record: bool) -> Self {
-        SpanTee {
-            inner,
-            record,
-            starts: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// The reassembled spans, in task-finish order (matching the legacy
-    /// recorder, which pushed one row per execution attempt).
-    pub(crate) fn into_spans(self) -> Vec<TaskSpan> {
-        self.spans
-    }
-}
-
-impl<S: EventSink> EventSink for SpanTee<S> {
-    fn emit(&mut self, now: SimTime, event: TraceEvent) {
-        if self.record {
-            match event {
-                TraceEvent::TaskStarted { task, proc, .. } => {
-                    let idx = task as usize;
-                    if self.starts.len() <= idx {
-                        self.starts.resize(idx + 1, (SimTime::ZERO, 0));
-                    }
-                    self.starts[idx] = (now, proc);
-                }
-                TraceEvent::TaskFinished { task, proc, .. } => {
-                    let (start, _) = self.starts[task as usize];
-                    self.spans.push(TaskSpan {
-                        task: TaskId(task),
-                        proc,
-                        start,
-                        finish: now,
-                    });
-                }
-                _ => {}
-            }
-        }
-        self.inner.emit(now, event);
-    }
-
-    fn enabled(&self) -> bool {
-        self.record || self.inner.enabled()
-    }
-}
+use mcloud_simkit::{Channel, FailureKind, SimDuration, SimTime, TimedEvent, TraceEvent};
 
 fn task_name(wf: &Workflow, task: u32) -> String {
     escape(&wf.task(TaskId(task)).name)

@@ -3,9 +3,10 @@
 //! run. No pairwise feature interaction may violate the accounting
 //! invariants.
 
-use mcloud_core::{simulate, DataMode, ExecConfig, SchedulePolicy, VmOverhead};
+use mcloud_core::{simulate, simulate_traced, DataMode, ExecConfig, SchedulePolicy, VmOverhead};
 use mcloud_cost::ChargeGranularity;
 use mcloud_montage::montage_1_degree;
+use mcloud_simkit::TraceEvent;
 
 fn kitchen_sink(mode: DataMode) -> ExecConfig {
     ExecConfig::fixed(8)
@@ -20,14 +21,13 @@ fn kitchen_sink(mode: DataMode) -> ExecConfig {
         .with_granularity(ChargeGranularity::HourlyCpu)
         .with_policy(SchedulePolicy::CriticalPathFirst)
         .with_duplex_link()
-        .with_trace()
 }
 
 #[test]
 fn all_extensions_compose_without_breaking_invariants() {
     let wf = montage_1_degree();
     for mode in DataMode::ALL {
-        let r = simulate(&wf, &kitchen_sink(mode));
+        let (r, sink) = simulate_traced(&wf, &kitchen_sink(mode));
         // Work completes.
         assert_eq!(
             r.task_executions,
@@ -42,15 +42,15 @@ fn all_extensions_compose_without_breaking_invariants() {
         assert!(r.storage_peak_bytes >= 0.0);
         assert!(r.queue_wait_max_s >= r.queue_wait_mean_s);
         // The trace covers every execution attempt.
-        assert_eq!(r.trace.as_ref().unwrap().len() as u64, r.task_executions);
-        // VM boot delays the first start past 120 s.
-        let earliest = r
-            .trace
-            .as_ref()
-            .unwrap()
+        let starts: Vec<f64> = sink
+            .events()
             .iter()
-            .map(|s| s.start.as_secs_f64())
-            .fold(f64::INFINITY, f64::min);
+            .filter(|e| matches!(e.event, TraceEvent::TaskStarted { .. }))
+            .map(|e| e.at.as_secs_f64())
+            .collect();
+        assert_eq!(starts.len() as u64, r.task_executions);
+        // VM boot delays the first start past 120 s.
+        let earliest = starts.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(
             earliest >= 120.0 - 1e-9,
             "{}: first start {earliest}",

@@ -3,9 +3,10 @@
 //! The single-task scenario is fully computable by hand at the paper's
 //! 10 Mbps (1.25 MB/s): a 10 MB file takes exactly 8 s to move.
 
-use mcloud_core::{simulate, DataMode, ExecConfig, Provisioning};
+use mcloud_core::{simulate, simulate_traced, DataMode, ExecConfig, Provisioning};
 use mcloud_dag::{Workflow, WorkflowBuilder};
 use mcloud_montage::paper_figure3;
+use mcloud_simkit::{SimTime, TimedEvent, TraceEvent};
 
 const MB: u64 = 1_000_000;
 
@@ -221,21 +222,50 @@ fn simulation_is_deterministic() {
 #[test]
 fn trace_records_every_task_without_overlap() {
     let wf = paper_figure3();
-    let r = simulate(&wf, &ExecConfig::fixed(2).with_trace());
-    let trace = r.trace.as_ref().unwrap();
+    let (r, sink) = simulate_traced(&wf, &ExecConfig::fixed(2));
+    let trace = spans(sink.events());
     assert_eq!(trace.len(), wf.num_tasks());
     // Spans on the same processor never overlap.
-    for a in trace {
-        for b in trace {
+    for a in &trace {
+        for b in &trace {
             if a.task != b.task && a.proc == b.proc {
                 assert!(a.finish <= b.start || b.finish <= a.start);
             }
         }
     }
     // Every span sits within the makespan.
-    for s in trace {
+    for s in &trace {
         assert!(s.finish.as_secs_f64() <= r.makespan.as_secs_f64() + 1e-9);
     }
+}
+
+/// One task attempt, from its `TaskStarted` to its `TaskFinished`.
+struct Span {
+    task: u32,
+    proc: u32,
+    start: SimTime,
+    finish: SimTime,
+}
+
+/// Every attempt's span, in finish order.
+fn spans(events: &[TimedEvent]) -> Vec<Span> {
+    let mut starts = std::collections::HashMap::new();
+    events
+        .iter()
+        .filter_map(|e| match e.event {
+            TraceEvent::TaskStarted { task, .. } => {
+                starts.insert(task, e.at);
+                None
+            }
+            TraceEvent::TaskFinished { task, proc, .. } => Some(Span {
+                task,
+                proc,
+                start: starts[&task],
+                finish: e.at,
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]

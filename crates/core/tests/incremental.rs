@@ -58,19 +58,6 @@ fn bandwidth_axis_matches_scratch() {
 }
 
 #[test]
-fn traced_points_fall_back_and_keep_their_traces() {
-    let wf = generate(&MosaicConfig::new(1.0));
-    let base = ExecConfig::fixed(8).prestaged(true).with_trace();
-    let cfgs = bandwidth_cfgs(&base, &[5.0, 10.0]);
-    let chain = assert_chain_matches_scratch(&wf, &cfgs, "traced");
-    let stats = chain.stats();
-    assert_eq!(stats.resumed, 0, "traces require full-fidelity runs");
-    // And the reports really do carry traces (checked for equality above).
-    let r = simulate(&wf, &cfgs[0]);
-    assert!(r.trace.is_some());
-}
-
-#[test]
 fn chain_survives_interleaved_unrelated_configs() {
     // A point that differs from its predecessor in more than the
     // bandwidth (here the mode, then the processor count) is not

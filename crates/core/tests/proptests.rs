@@ -146,9 +146,7 @@ fn simulation_is_deterministic() {
     for case in 0..CASES {
         let wf = layered_workflow(0xC02E_0006 ^ case);
         let p = 1 + (case % 5) as u32;
-        let cfg = ExecConfig::fixed(p)
-            .mode(DataMode::DynamicCleanup)
-            .with_trace();
+        let cfg = ExecConfig::fixed(p).mode(DataMode::DynamicCleanup);
         assert_eq!(simulate(&wf, &cfg), simulate(&wf, &cfg), "case {case}");
     }
 }

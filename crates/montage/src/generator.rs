@@ -39,15 +39,6 @@ pub const MONTAGE_PIPELINE: [&str; 9] = [
     "mJPEG",
 ];
 
-/// The 1-based pipeline stage (= workflow level) of a Montage task class,
-/// or `None` for a module name outside the pipeline.
-pub fn pipeline_stage(module: &str) -> Option<u32> {
-    MONTAGE_PIPELINE
-        .iter()
-        .position(|&m| m == module)
-        .map(|i| i as u32 + 1)
-}
-
 /// 2MASS survey band (affects naming only; the three bands have the same
 /// plate geometry, which is why the whole-sky estimate is `3 x 1,300`
 /// plates across J/H/K).
@@ -368,6 +359,15 @@ pub fn paper_figure3() -> Workflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The 1-based pipeline stage (= workflow level) of a Montage task class,
+    /// or `None` for a module name outside the pipeline.
+    fn pipeline_stage(module: &str) -> Option<u32> {
+        MONTAGE_PIPELINE
+            .iter()
+            .position(|&m| m == module)
+            .map(|i| i as u32 + 1)
+    }
 
     #[test]
     fn every_generated_module_maps_to_its_pipeline_stage() {

@@ -245,7 +245,7 @@ impl WorkerPool {
     ///
     /// # Panics
     /// Panics if `chunk == 0`.
-    pub fn map_chunk<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
+    fn map_chunk<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
@@ -279,11 +279,11 @@ impl WorkerPool {
     }
 
     /// [`WorkerPool::map_with_state`] with an explicit dispenser chunk
-    /// size (results are chunk-independent; see [`WorkerPool::map_chunk`]).
+    /// size (results are chunk-independent; see `map_chunk`).
     ///
     /// # Panics
     /// Panics if `chunk == 0` or `states` is shorter than the lane count.
-    pub fn map_with_state_chunk<S, T, R, F>(
+    fn map_with_state_chunk<S, T, R, F>(
         &self,
         states: &mut [S],
         items: &[T],

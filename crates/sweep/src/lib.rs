@@ -47,4 +47,4 @@ pub use sweeps::{
     processor_sweep, processor_sweep_progress, scale_to_ccr, BandwidthPoint, CcrPoint,
     FaultRatePoint, ModePoint, ProcessorPoint,
 };
-pub use table::{fmt_dollars, fmt_hours, Table};
+pub use table::Table;

@@ -121,16 +121,6 @@ impl Table {
     }
 }
 
-/// Formats a dollar amount for table cells.
-pub fn fmt_dollars(d: f64) -> String {
-    format!("{d:.3}")
-}
-
-/// Formats a duration in hours for table cells.
-pub fn fmt_hours(h: f64) -> String {
-    format!("{h:.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +191,16 @@ mod tests {
         assert_eq!(sample().len(), 2);
         assert!(!sample().is_empty());
         assert!(Table::new(vec!["x"]).is_empty());
+    }
+
+    /// Formats a dollar amount for table cells.
+    fn fmt_dollars(d: f64) -> String {
+        format!("{d:.3}")
+    }
+
+    /// Formats a duration in hours for table cells.
+    fn fmt_hours(h: f64) -> String {
+        format!("{h:.3}")
     }
 
     #[test]

@@ -11,14 +11,14 @@ use montage_cloud::prelude::*;
 fn main() {
     let wf = montage_1_degree();
     for procs in [4u32, 16] {
-        let r = simulate(&wf, &ExecConfig::fixed(procs).with_trace());
+        let (r, trace) = simulate_traced(&wf, &ExecConfig::fixed(procs));
         println!(
             "--- {procs} processors: {} at {:.2} h, utilization {:.0}% ---",
             r.total_cost(),
             r.makespan_hours(),
             r.cpu_utilization * 100.0
         );
-        print!("{}", gantt_text(&wf, &r, 100));
+        print!("{}", gantt_text(&wf, &r, trace.events(), 100));
         println!();
     }
     println!(

@@ -60,8 +60,8 @@ pub mod prelude {
     };
     pub use mcloud_dag::{DagError, FileId, TaskId, Workflow, WorkflowBuilder};
     pub use mcloud_montage::{
-        generate, montage_1_degree, montage_2_degree, montage_4_degree, paper_figure3,
-        pipeline_stage, Band, MosaicConfig, MONTAGE_PIPELINE,
+        generate, montage_1_degree, montage_2_degree, montage_4_degree, paper_figure3, Band,
+        MosaicConfig, MONTAGE_PIPELINE,
     };
     pub use mcloud_service::{
         bursty, bursty_stream, class_stream, mixed, mixed_stream, periodic, plan_capacity,

@@ -156,11 +156,21 @@ fn trace_reconstructs_utilization() {
     // The Gantt trace must account exactly for the busy time that the
     // utilization figure reports.
     let wf = montage_1_degree();
-    let r = simulate(&wf, &ExecConfig::fixed(4).with_trace());
-    let trace = r.trace.as_ref().unwrap();
-    let busy: f64 = trace
+    let (r, sink) = simulate_traced(&wf, &ExecConfig::fixed(4));
+    let mut starts = std::collections::HashMap::new();
+    let busy: f64 = sink
+        .events()
         .iter()
-        .map(|s| s.finish.as_secs_f64() - s.start.as_secs_f64())
+        .filter_map(|e| match e.event {
+            TraceEvent::TaskStarted { task, .. } => {
+                starts.insert(task, e.at);
+                None
+            }
+            TraceEvent::TaskFinished { task, .. } => {
+                Some(e.at.as_secs_f64() - starts[&task].as_secs_f64())
+            }
+            _ => None,
+        })
         .sum();
     let expect = r.cpu_utilization * 4.0 * r.makespan.as_secs_f64();
     assert!(
