@@ -1433,4 +1433,18 @@ mod tests {
             "{a}"
         );
     }
+
+    /// A `Workflow` is a fixed set of flat buffers: cloning one allocates
+    /// as often at 4° as at 0.5°, so nothing in it is allocated per task or
+    /// per file (the `generate/` rows' allocation counts rest on this).
+    #[test]
+    fn a_workflow_is_a_fixed_number_of_buffers() {
+        let clone_allocs = |degrees| {
+            let wf = generate(&MosaicConfig::new(degrees));
+            alloc::measure(|| std::hint::black_box(wf.clone())).1.allocs
+        };
+        let small = clone_allocs(0.5);
+        assert_eq!(small, clone_allocs(4.0));
+        assert!(small <= 22, "a workflow holds {small} heap buffers");
+    }
 }

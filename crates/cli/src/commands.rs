@@ -967,7 +967,7 @@ flags:
     let mosaic = wf
         .staged_out_files()
         .iter()
-        .map(|&f| wf.file(f).clone())
+        .map(|&f| wf.file(f))
         .find(|f| f.name.ends_with(".fits"))
         .ok_or("workflow delivers no FITS mosaic")?;
     let archive = ArchiveOrRecompute {

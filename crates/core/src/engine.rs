@@ -728,8 +728,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     for t in self.wf.task_ids() {
                         let missing = self
                             .wf
-                            .task(t)
-                            .inputs
+                            .inputs(t)
                             .iter()
                             .filter(|f| self.wf.producer(**f).is_none())
                             .count();
@@ -738,7 +737,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     // Stage in every external input up front, FCFS in file order.
                     let wf = self.wf;
                     for &f in wf.external_inputs() {
-                        let grant = self.submit_in(SimTime::ZERO, wf.file(f).bytes, None);
+                        let grant = self.submit_in(SimTime::ZERO, wf.bytes(f), None);
                         self.scr.events.push(
                             grant.finish,
                             Ev::FileArrived {
@@ -754,9 +753,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
             }
             DataMode::RemoteIo => {
                 for t in self.wf.task_ids() {
-                    self.scr.tasks.missing_inputs[t.index()] = self.wf.task(t).inputs.len() as u32;
-                    self.scr.tasks.outputs_remaining[t.index()] =
-                        self.wf.task(t).outputs.len() as u32;
+                    self.scr.tasks.missing_inputs[t.index()] = self.wf.inputs(t).len() as u32;
+                    self.scr.tasks.outputs_remaining[t.index()] = self.wf.outputs(t).len() as u32;
                 }
                 // Parentless tasks can begin staging immediately.
                 for t in self.wf.task_ids() {
@@ -956,7 +954,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     // --- shared-storage modes ----------------------------------------------
 
     fn on_file_arrived(&mut self, now: SimTime, f: FileId, attempt: u32) {
-        let bytes = self.wf.file(f).bytes;
+        let bytes = self.wf.bytes(f);
         if self.transfer_failed(now, Channel::In, bytes, None) {
             if self.transfer_retry_exhausted(attempt) {
                 self.aborted = true;
@@ -993,7 +991,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     }
 
     fn on_final_stage_out(&mut self, now: SimTime, f: FileId, attempt: u32) {
-        let bytes = self.wf.file(f).bytes;
+        let bytes = self.wf.bytes(f);
         if self.transfer_failed(now, Channel::Out, bytes, None) {
             if self.transfer_retry_exhausted(attempt) {
                 self.aborted = true;
@@ -1027,7 +1025,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
 
     fn remove_from_storage(&mut self, now: SimTime, f: FileId) {
         if self.scr.files.take_in_storage(f) {
-            self.storage_free(now, self.wf.file(f).bytes);
+            self.storage_free(now, self.wf.bytes(f));
             if self.cfg.storage_capacity_bytes.is_some() && !self.scr.storage_blocked.is_empty() {
                 self.unblock_storage_waiters(now);
             }
@@ -1065,14 +1063,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
     /// Submits the private stage-in transfers for one task's inputs.
     fn stage_task_inputs(&mut self, now: SimTime, t: TaskId) {
         let wf = self.wf;
-        for &f in &wf.task(t).inputs {
+        for &f in wf.inputs(t) {
             let external = wf.producer(f).is_none();
             if external && self.cfg.prestaged_inputs {
                 // Reads from the in-cloud archive are free and instant.
                 self.scr.tasks.missing_inputs[t.index()] -= 1;
                 continue;
             }
-            let bytes = wf.file(f).bytes;
+            let bytes = wf.bytes(f);
             let grant = self.submit_in(now, bytes, Some(t));
             self.scr.tasks.staged_in_bytes[t.index()] += bytes;
             self.scr.events.push(
@@ -1356,7 +1354,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
     /// How long one execution attempt of `t` occupies its processor: the
     /// task runtime, truncated by the per-task timeout when one is set.
     fn attempt_seconds(&self, t: TaskId) -> f64 {
-        let runtime_s = self.wf.task(t).runtime_s;
+        let runtime_s = self.wf.runtime_s(t);
         let timeout = self.cfg.retry.task_timeout_s;
         if timeout > 0.0 && runtime_s > timeout {
             timeout
@@ -1369,7 +1367,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.scr.pool.release(now, proc);
         self.scr.in_flight.clear(proc.0 as usize);
         let timeout = self.cfg.retry.task_timeout_s;
-        let timed_out = timeout > 0.0 && self.wf.task(t).runtime_s > timeout;
+        let timed_out = timeout > 0.0 && self.wf.runtime_s(t) > timeout;
         let billed_s = self.attempt_seconds(t);
         self.scr.run_seconds.push(billed_s);
         // Fault injection: a failed attempt consumed its runtime (billed
@@ -1405,8 +1403,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 // Outputs materialize on shared storage. (Consumers track
                 // intermediate availability through `pending_parents`, so
                 // only the occupancy bookkeeping happens here.)
-                for &f in &wf.task(t).outputs {
-                    self.storage_alloc(now, wf.file(f).bytes);
+                for &f in wf.outputs(t) {
+                    self.storage_alloc(now, wf.bytes(f));
                     self.scr.files.mark_in_storage(f);
                 }
                 for &c in wf.children(t) {
@@ -1414,7 +1412,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     self.maybe_ready(now, c);
                 }
                 if self.cfg.mode == DataMode::DynamicCleanup {
-                    for &f in &wf.task(t).inputs {
+                    for &f in wf.inputs(t) {
                         self.scr.files.remaining_consumers[f.index()] -= 1;
                         if self.scr.files.remaining_consumers[f.index()] == 0
                             && !self.scr.files.is_staged_out(f)
@@ -1435,12 +1433,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     self.storage_free(now, held);
                 }
                 // ...and every output is staged back to the user's site.
-                if wf.task(t).outputs.is_empty() {
+                if wf.outputs(t).is_empty() {
                     self.task_fully_done(now, t);
                     return;
                 }
-                for &f in &wf.task(t).outputs {
-                    let bytes = wf.file(f).bytes;
+                for &f in wf.outputs(t) {
+                    let bytes = wf.bytes(f);
                     let grant = self.submit_out(now, bytes, Some(t));
                     self.scr.events.push(
                         grant.finish,
@@ -1464,7 +1462,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
         self.stageouts_pending = files.len();
         for &f in files {
-            let bytes = wf.file(f).bytes;
+            let bytes = wf.bytes(f);
             let grant = self.submit_out(now, bytes, None);
             self.scr.events.push(
                 grant.finish,

@@ -452,15 +452,14 @@ pub fn profile_trace(wf: &Workflow, events: &[TimedEvent]) -> WorkflowProfile {
 
     // Per-class aggregation, first-appearance order (the Montage pipeline).
     let mut class_order: Vec<String> = Vec::new();
-    let mut class_index: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::new();
+    let mut class_index: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     let mut classes: Vec<ClassProfile> = Vec::new();
     for tp in &tasks {
-        let module = &wf.task(tp.task).module;
-        let ci = *class_index.entry(module.clone()).or_insert_with(|| {
-            class_order.push(module.clone());
+        let module = wf.task(tp.task).module;
+        let ci = *class_index.entry(module).or_insert_with(|| {
+            class_order.push(module.to_string());
             classes.push(ClassProfile {
-                class: module.clone(),
+                class: module.to_string(),
                 tasks: 0,
                 attempts: 0,
                 queue_wait_s: 0.0,
@@ -825,7 +824,7 @@ pub fn profile_text(
     let path_names: Vec<&str> = profile
         .observed_critical_path
         .iter()
-        .map(|&t| wf.task(t).name.as_str())
+        .map(|&t| wf.task(t).name)
         .collect();
     writeln!(out, "observed critical path: {}", path_names.join(" -> ")).unwrap();
     out
@@ -957,7 +956,7 @@ pub fn profile_json(
         if i > 0 {
             out.push(',');
         }
-        write!(out, r#""{}""#, escape(&wf.task(t).name)).unwrap();
+        write!(out, r#""{}""#, escape(wf.task(t).name)).unwrap();
     }
     out.push_str("]}\n");
     out
@@ -1170,7 +1169,7 @@ mod tests {
         let names: Vec<&str> = p
             .observed_critical_path
             .iter()
-            .map(|&t| wf.task(t).name.as_str())
+            .map(|&t| wf.task(t).name)
             .collect();
         assert_eq!(names, vec!["a", "b", "d"]); // through the 20 s branch
         assert!((p.observed_critical_exec_s - 38.0).abs() < 1e-3);

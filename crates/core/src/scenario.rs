@@ -366,21 +366,21 @@ pub fn fingerprint_workflow(wf: &Workflow) -> Digest {
     c.str(wf.name());
     c.len(wf.tasks().len());
     for t in wf.tasks() {
-        c.str(&t.name);
-        c.str(&t.module);
+        c.str(t.name);
+        c.str(t.module);
         c.f64(t.runtime_s);
         c.len(t.inputs.len());
-        for f in &t.inputs {
+        for f in t.inputs {
             c.u32(f.0);
         }
         c.len(t.outputs.len());
-        for f in &t.outputs {
+        for f in t.outputs {
             c.u32(f.0);
         }
     }
     c.len(wf.files().len());
     for f in wf.files() {
-        c.str(&f.name);
+        c.str(f.name);
         c.u64(f.bytes);
         c.bool(f.deliverable);
     }

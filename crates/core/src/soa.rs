@@ -92,9 +92,8 @@ impl TaskTable {
         }
         self.output_bytes.clear();
         self.output_bytes.extend(
-            wf.tasks()
-                .iter()
-                .map(|t| t.outputs.iter().map(|f| wf.file(*f).bytes).sum::<u64>()),
+            wf.task_ids()
+                .map(|t| wf.outputs(t).iter().map(|f| wf.bytes(*f)).sum::<u64>()),
         );
         self.staged_in_bytes.clear();
         self.staged_in_bytes.resize(n, 0);

@@ -19,7 +19,7 @@ use mcloud_simkit::json::{self, escape, Value};
 use mcloud_simkit::{Channel, FailureKind, SimDuration, SimTime, TimedEvent, TraceEvent};
 
 fn task_name(wf: &Workflow, task: u32) -> String {
-    escape(&wf.task(TaskId(task)).name)
+    escape(wf.task(TaskId(task)).name)
 }
 
 /// Serializes a recorded event stream as JSON Lines, one event per line.

@@ -82,3 +82,76 @@ fn generated_workflow_structure_is_pinned() {
         mismatches.join("\n")
     );
 }
+
+/// A DAX document with a control-only edge, a deliverable intermediate
+/// and a file read by two tasks, as `from_dax` reads it.
+const DAX_FIXTURE: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
+<adag name="pin_fixture">
+  <job id="ID0" name="project_a" transformation="mProject" runtime="92.5">
+    <uses file="raw_a.fits" link="input" size="4194304"/>
+    <uses file="hdr" link="input" size="301"/>
+    <uses file="proj_a.fits" link="output" size="8388608"/>
+  </job>
+  <job id="ID1" name="project_b" transformation="mProject" runtime="88.25">
+    <uses file="raw_b.fits" link="input" size="4194000"/>
+    <uses file="hdr" link="input" size="301"/>
+    <uses file="proj_b.fits" link="output" size="8388000"/>
+  </job>
+  <job id="ID2" name="add" transformation="mAdd" runtime="40">
+    <uses file="proj_a.fits" link="input" size="8388608"/>
+    <uses file="proj_b.fits" link="input" size="8388000"/>
+    <uses file="mosaic.fits" link="output" size="16000000" deliverable="true"/>
+  </job>
+  <job id="ID3" name="shrink" transformation="mShrink" runtime="3.5">
+    <uses file="mosaic.fits" link="input" size="16000000"/>
+    <uses file="small.fits" link="output" size="160000"/>
+  </job>
+  <child ref="ID1">
+    <parent ref="ID0"/>
+  </child>
+</adag>
+"#;
+
+/// `fingerprint_workflow` digests of workflows reached three ways:
+/// generated, read from DAX, and merged. The digest is the content address
+/// the cache stores reports under, so any storage change to `Workflow` must
+/// leave these exactly as they are.
+#[test]
+fn workflow_fingerprints_are_pinned() {
+    let generated = |degrees: f64, seed: u64| {
+        fingerprint_workflow(&generate(&MosaicConfig::new(degrees).seed(seed))).to_hex()
+    };
+    let dax = mcloud_dag::from_dax(DAX_FIXTURE).expect("fixture parses");
+    let merged = mcloud_dag::merge_workflows(
+        "pin_batch",
+        &[&generate(&MosaicConfig::new(0.5).seed(7)), &dax],
+    )
+    .expect("disjoint namespaces merge");
+    let got = [
+        ("generate 0.5 deg, seed 20081115", generated(0.5, 2008_1115)),
+        ("generate 0.5 deg, seed 7", generated(0.5, 7)),
+        ("generate 2 deg, seed 20081115", generated(2.0, 2008_1115)),
+        ("generate 2 deg, seed 7", generated(2.0, 7)),
+        ("from_dax fixture", fingerprint_workflow(&dax).to_hex()),
+        ("merge_workflows", fingerprint_workflow(&merged).to_hex()),
+    ];
+    let want = [
+        "17632553337ca560db2da5718944dd04",
+        "cef592768d4660445b49a176d7a9ff15",
+        "165e7fe292eba0ee8a45afd9de2b0697",
+        "01277998ac129ab4201ce2ace52cc1dc",
+        "0d38dc789e64acd680c612819ce45134",
+        "f5187c28640801339a55057814980506",
+    ];
+    let mismatches: Vec<String> = got
+        .iter()
+        .zip(want)
+        .filter(|((_, got), want)| got != want)
+        .map(|((what, got), _)| format!("{what}: \"{got}\""))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "workflow fingerprints drifted:\n{}",
+        mismatches.join("\n")
+    );
+}

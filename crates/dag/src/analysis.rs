@@ -106,29 +106,23 @@ impl Workflow {
     /// Sum of task runtimes, in seconds — the denominator of the CCR and the
     /// CPU time billed under utilization-based (on-demand) charging.
     pub fn total_runtime_s(&self) -> f64 {
-        self.tasks().iter().map(|t| t.runtime_s).sum()
+        self.task_ids().map(|t| self.runtime_s(t)).sum()
     }
 
     /// Sum of the sizes of every file used or produced, in bytes — the
     /// numerator (before dividing by bandwidth) of the CCR.
     pub fn total_bytes(&self) -> u64 {
-        self.files().iter().map(|f| f.bytes).sum()
+        self.file_ids().map(|f| self.bytes(f)).sum()
     }
 
     /// Bytes of files with no producer (staged in from the archive).
     pub fn external_input_bytes(&self) -> u64 {
-        self.external_inputs()
-            .iter()
-            .map(|f| self.file(*f).bytes)
-            .sum()
+        self.external_inputs().iter().map(|f| self.bytes(*f)).sum()
     }
 
     /// Bytes of files staged out to the user at the end of the workflow.
     pub fn staged_out_bytes(&self) -> u64 {
-        self.staged_out_files()
-            .iter()
-            .map(|f| self.file(*f).bytes)
-            .sum()
+        self.staged_out_files().iter().map(|f| self.bytes(*f)).sum()
     }
 
     /// The paper's communication-to-computation ratio:
@@ -164,7 +158,7 @@ impl Workflow {
                 .iter()
                 .map(|c| bl[c.index()])
                 .fold(0f64, f64::max);
-            bl[t.index()] = self.task(t).runtime_s + tail;
+            bl[t.index()] = self.runtime_s(t) + tail;
         }
         bl
     }
@@ -179,7 +173,7 @@ impl Workflow {
                 .iter()
                 .map(|p| finish[p.index()])
                 .fold(0f64, f64::max);
-            finish[t.index()] = ready + self.task(t).runtime_s;
+            finish[t.index()] = ready + self.runtime_s(t);
         }
         finish.into_iter().fold(0f64, f64::max)
     }
@@ -204,7 +198,7 @@ impl Workflow {
                 .iter()
                 .map(|p| finish[p.index()])
                 .fold(0f64, f64::max);
-            finish[t.index()] = ready + self.task(t).runtime_s;
+            finish[t.index()] = ready + self.runtime_s(t);
         }
         let mut cur = TaskId(0);
         for t in self.task_ids() {
@@ -245,7 +239,7 @@ impl Workflow {
                 .map(|p| finish[p.index()])
                 .fold(0f64, f64::max);
             start[t.index()] = ready;
-            finish[t.index()] = ready + self.task(t).runtime_s;
+            finish[t.index()] = ready + self.runtime_s(t);
         }
         // Sweep start/finish events; at equal instants process finishes
         // first so that back-to-back tasks do not count as concurrent.
@@ -290,7 +284,7 @@ impl Workflow {
     pub fn max_fan(&self) -> (usize, usize) {
         let fan_in = self
             .task_ids()
-            .map(|t| self.task(t).inputs.len())
+            .map(|t| self.inputs(t).len())
             .max()
             .unwrap_or(0);
         let fan_out = self
@@ -308,17 +302,13 @@ impl Workflow {
         let mut agg: std::collections::HashMap<&str, (usize, f64, u64)> =
             std::collections::HashMap::new();
         for task in self.tasks() {
-            let entry = agg.entry(task.module.as_str()).or_insert_with(|| {
-                order.push(task.module.clone());
+            let entry = agg.entry(task.module).or_insert_with(|| {
+                order.push(task.module.to_string());
                 (0, 0.0, 0)
             });
             entry.0 += 1;
             entry.1 += task.runtime_s;
-            entry.2 += task
-                .outputs
-                .iter()
-                .map(|f| self.file(*f).bytes)
-                .sum::<u64>();
+            entry.2 += task.outputs.iter().map(|f| self.bytes(*f)).sum::<u64>();
         }
         order
             .into_iter()

@@ -23,7 +23,6 @@ pub fn merge_workflows(name: impl Into<String>, parts: &[&Workflow]) -> Result<W
         // Register this part's files under the prefixed namespace.
         let ids: Vec<_> = wf
             .files()
-            .iter()
             .map(|f| b.file(format!("{prefix}{}", f.name), f.bytes))
             .collect();
         for (fid, meta) in ids.iter().zip(wf.files()) {
@@ -37,7 +36,7 @@ pub fn merge_workflows(name: impl Into<String>, parts: &[&Workflow]) -> Result<W
             let outputs: Vec<_> = task.outputs.iter().map(|f| ids[f.index()]).collect();
             b.add_task(
                 format!("{prefix}{}", task.name),
-                task.module.clone(),
+                task.module,
                 task.runtime_s,
                 &inputs,
                 &outputs,
@@ -98,7 +97,7 @@ mod tests {
             5 * wf.staged_out_files().len()
         );
         // Deliverable flags carried over: 5 mosaics flagged.
-        let deliverables = batch.files().iter().filter(|f| f.deliverable).count();
+        let deliverables = batch.files().filter(|f| f.deliverable).count();
         assert_eq!(deliverables, 5);
     }
 
@@ -106,9 +105,9 @@ mod tests {
     fn merged_names_are_prefixed_and_unique() {
         let wf = fixtures::chain(2, 1.0, 10);
         let batch = replicate_workflow("batch", &wf, 3).unwrap();
-        assert!(batch.tasks().iter().any(|t| t.name == "b0__t0"));
-        assert!(batch.tasks().iter().any(|t| t.name == "b2__t1"));
-        let mut names: Vec<&str> = batch.files().iter().map(|f| f.name.as_str()).collect();
+        assert!(batch.tasks().any(|t| t.name == "b0__t0"));
+        assert!(batch.tasks().any(|t| t.name == "b2__t1"));
+        let mut names: Vec<&str> = batch.files().map(|f| f.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), batch.num_files());

@@ -42,20 +42,20 @@ pub fn to_dax(wf: &Workflow) -> String {
             out,
             "  <job id=\"ID{}\" name=\"{}\" transformation=\"{}\" runtime=\"{}\">",
             t.0,
-            escape(&task.name),
-            escape(&task.module),
+            escape(task.name),
+            escape(task.module),
             task.runtime_s,
         );
-        for &f in &task.inputs {
+        for &f in task.inputs {
             let meta = wf.file(f);
             let _ = writeln!(
                 out,
                 "    <uses file=\"{}\" link=\"input\" size=\"{}\"/>",
-                escape(&meta.name),
+                escape(meta.name),
                 meta.bytes
             );
         }
-        for &f in &task.outputs {
+        for &f in task.outputs {
             let meta = wf.file(f);
             let deliverable = if meta.deliverable {
                 " deliverable=\"true\""
@@ -65,7 +65,7 @@ pub fn to_dax(wf: &Workflow) -> String {
             let _ = writeln!(
                 out,
                 "    <uses file=\"{}\" link=\"output\" size=\"{}\"{}/>",
-                escape(&meta.name),
+                escape(meta.name),
                 meta.bytes,
                 deliverable
             );
@@ -76,8 +76,7 @@ pub fn to_dax(wf: &Workflow) -> String {
     // shared file (Pegasus `<child>/<parent>` edges).
     for c in wf.task_ids() {
         let implied: std::collections::HashSet<_> = wf
-            .task(c)
-            .inputs
+            .inputs(c)
             .iter()
             .filter_map(|f| wf.producer(*f))
             .collect();
@@ -452,8 +451,8 @@ mod tests {
     fn roundtrip_preserves_deliverable_flag() {
         let wf = fixtures::mini_montage();
         let back = from_dax(&to_dax(&wf)).unwrap();
-        let flags: Vec<bool> = back.files().iter().map(|f| f.deliverable).collect();
-        let expect: Vec<bool> = wf.files().iter().map(|f| f.deliverable).collect();
+        let flags: Vec<bool> = back.files().map(|f| f.deliverable).collect();
+        let expect: Vec<bool> = wf.files().map(|f| f.deliverable).collect();
         assert_eq!(flags, expect);
     }
 

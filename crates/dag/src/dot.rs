@@ -30,7 +30,7 @@ pub fn to_dot(wf: &Workflow, style: DotStyle) -> String {
                     out,
                     "  {t} [shape=circle, label=\"{}\", tooltip=\"{} ({:.1}s)\"];",
                     levels[t.index()],
-                    sanitize(&task.name),
+                    sanitize(task.name),
                     task.runtime_s
                 );
             }
@@ -45,7 +45,7 @@ pub fn to_dot(wf: &Workflow, style: DotStyle) -> String {
                 let _ = writeln!(
                     out,
                     "  {t} [shape=box, label=\"{}\"];",
-                    sanitize(&wf.task(t).name)
+                    sanitize(wf.task(t).name)
                 );
             }
             for f in wf.file_ids() {
@@ -53,15 +53,15 @@ pub fn to_dot(wf: &Workflow, style: DotStyle) -> String {
                 let _ = writeln!(
                     out,
                     "  {f} [shape=ellipse, label=\"{}\\n{}B\"];",
-                    sanitize(&meta.name),
+                    sanitize(meta.name),
                     meta.bytes
                 );
             }
             for t in wf.task_ids() {
-                for &f in &wf.task(t).inputs {
+                for &f in wf.inputs(t) {
                     let _ = writeln!(out, "  {f} -> {t};");
                 }
-                for &f in &wf.task(t).outputs {
+                for &f in wf.outputs(t) {
                     let _ = writeln!(out, "  {t} -> {f};");
                 }
             }

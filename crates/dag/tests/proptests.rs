@@ -3,6 +3,8 @@
 //! Each case builds a random layered workflow from a deterministic
 //! xorshift64* stream (seeded by the case index), so failures reproduce.
 
+use std::collections::HashMap;
+
 use mcloud_dag::{from_dax, to_dax, FileId, TaskId, Workflow, WorkflowBuilder};
 
 const CASES: u64 = 48;
@@ -97,7 +99,7 @@ fn path_and_parallelism_bounds() {
     for case in 0..CASES {
         let wf = layered_workflow(0xDA6_0003 ^ case);
         let cp = wf.critical_path_s();
-        let longest = wf.tasks().iter().map(|t| t.runtime_s).fold(0.0, f64::max);
+        let longest = wf.tasks().map(|t| t.runtime_s).fold(0.0, f64::max);
         assert!(cp >= longest - 1e-9, "case {case}");
         assert!(cp <= wf.total_runtime_s() + 1e-9, "case {case}");
         let mp = wf.max_parallelism();
@@ -143,7 +145,7 @@ fn dax_roundtrip_is_lossless() {
         // File ids are assigned in registration order, which differs between
         // the builder and the DAX reader; compare by name.
         let names = |w: &Workflow, ids: &[FileId]| -> Vec<String> {
-            let mut v: Vec<String> = ids.iter().map(|f| w.file(*f).name.clone()).collect();
+            let mut v: Vec<String> = ids.iter().map(|f| w.file(*f).name.to_string()).collect();
             v.sort();
             v
         };
@@ -411,14 +413,77 @@ fn random_spec(seed: u64, big_inputs: usize, fault: Fault) -> Spec {
     }
 }
 
-fn build_spec(spec: &Spec) -> Result<Workflow, mcloud_dag::DagError> {
+/// Builds `spec`, interleaving name lookups with the registrations and
+/// checking each against a `HashMap` of what was registered so far:
+/// `find_file`/`find_task` on present and absent names, idempotent
+/// re-registration of a file at its size, the panic on a different size,
+/// and a rejected duplicate task name. Tasks use three module names.
+fn build_spec(spec: &Spec, rng: &mut Rng) -> Result<Workflow, mcloud_dag::DagError> {
     let mut b = WorkflowBuilder::new("equiv");
+    let mut files: HashMap<String, FileId> = HashMap::new();
+    let mut tasks: HashMap<String, TaskId> = HashMap::new();
+    let n_files = spec.sizes.len();
+    let n_tasks = spec.tasks.len();
     for (i, &size) in spec.sizes.iter().enumerate() {
-        b.file(format!("f{i}"), size);
+        let name = format!("f{i}");
+        let id = b.file(&name, size);
+        assert_eq!(id, FileId(i as u32), "file ids follow registration order");
+        files.insert(name, id);
+        let j = rng.below(i + 1);
+        assert_eq!(
+            b.file(format!("f{j}"), spec.sizes[j]),
+            files[&format!("f{j}")],
+            "re-registering f{j} at its size"
+        );
+        let probe = format!("f{}", rng.below(2 * n_files));
+        assert_eq!(
+            b.find_file(&probe),
+            files.get(&probe).copied(),
+            "find_file({probe})"
+        );
     }
+    let j = rng.below(n_files);
+    let conflict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        b.file(format!("f{j}"), spec.sizes[j] + 1)
+    }));
+    assert!(conflict.is_err(), "f{j} re-registered at a different size");
     let ids = |list: &[u32]| list.iter().map(|&f| FileId(f)).collect::<Vec<_>>();
     for (i, (inputs, outputs)) in spec.tasks.iter().enumerate() {
-        b.add_task(format!("t{i}"), "m", 1.0, &ids(inputs), &ids(outputs))?;
+        if i > 0 && rng.below(3) == 0 {
+            let dup = format!("t{}", rng.below(i));
+            if tasks.contains_key(&dup) {
+                assert_eq!(
+                    b.add_task(&dup, "m0", 1.0, &[], &[]),
+                    Err(mcloud_dag::DagError::DuplicateTaskName(dup.clone())),
+                );
+            }
+        }
+        let name = format!("t{i}");
+        let added = b.add_task(
+            &name,
+            format!("m{}", i % 3),
+            1.0,
+            &ids(inputs),
+            &ids(outputs),
+        );
+        let probe = format!("t{}", rng.below(2 * n_tasks));
+        match added {
+            Ok(id) => {
+                assert_eq!(
+                    id,
+                    TaskId(tasks.len() as u32),
+                    "task ids follow insertion order"
+                );
+                tasks.insert(name, id);
+            }
+            Err(_) => assert_eq!(b.find_task(&name), None, "failed {name} was registered"),
+        }
+        assert_eq!(
+            b.find_task(&probe),
+            tasks.get(&probe).copied(),
+            "find_task({probe})"
+        );
+        added?;
     }
     for &(p, c) in &spec.control {
         b.add_control_edge(TaskId(p), TaskId(c));
@@ -538,8 +603,12 @@ fn reference(spec: &Spec) -> Result<Expected, mcloud_dag::DagError> {
 /// Builds `spec` and checks every adjacency, file set and deduplicated
 /// task list (or the error) against the reference. Returns the error
 /// kind, if any, and whether any task read a file a later task produced.
-fn check_against_reference(case: &str, spec: &Spec) -> (Option<mcloud_dag::DagError>, bool) {
-    let got = build_spec(spec);
+fn check_against_reference(
+    case: &str,
+    spec: &Spec,
+    rng: &mut Rng,
+) -> (Option<mcloud_dag::DagError>, bool) {
+    let got = build_spec(spec, rng);
     let want = reference(spec);
     let (wf, want) = match (got, want) {
         (Ok(wf), Ok(want)) => (wf, want),
@@ -556,6 +625,12 @@ fn check_against_reference(case: &str, spec: &Spec) -> (Option<mcloud_dag::DagEr
     let mut forward = false;
     for t in wf.task_ids() {
         let task = wf.task(t);
+        assert_eq!(task.name, format!("t{}", t.0), "{case}: name of {t}");
+        assert_eq!(
+            task.module,
+            format!("m{}", t.0 % 3),
+            "{case}: module of {t}"
+        );
         assert_eq!(task.inputs, want.inputs[t.index()], "{case}: inputs of {t}");
         assert_eq!(
             task.outputs,
@@ -575,6 +650,14 @@ fn check_against_reference(case: &str, spec: &Spec) -> (Option<mcloud_dag::DagEr
         forward |= wf.parents(t).iter().any(|p| *p > t);
     }
     for f in wf.file_ids() {
+        let meta = wf.file(f);
+        assert_eq!(meta.name, format!("f{}", f.0), "{case}: name of {f}");
+        assert_eq!(meta.bytes, spec.sizes[f.index()], "{case}: size of {f}");
+        assert_eq!(
+            meta.deliverable,
+            spec.deliverable.contains(&f.index()),
+            "{case}: deliverable flag of {f}"
+        );
         assert_eq!(
             wf.consumers(f),
             &want.consumers[f.index()][..],
@@ -596,7 +679,8 @@ fn check_against_reference(case: &str, spec: &Spec) -> (Option<mcloud_dag::DagEr
 
 /// The builder's stamp dedup and counting-sort CSR give exactly what
 /// list-scanning dedup and per-row sort give, on valid workflows and on
-/// each kind of defect (the same file or task is named in the error).
+/// each kind of defect (the same file or task is named in the error), and
+/// its name index answers every lookup as a `HashMap` would.
 #[test]
 fn builder_matches_naive_reference() {
     let (mut forward_refs, mut self_loops, mut dup_producers, mut cycles) = (0, 0, 0, 0);
@@ -608,7 +692,8 @@ fn builder_matches_naive_reference() {
             Fault::Cycle,
         ][case as usize % 4];
         let spec = random_spec(0xDA6_0009 ^ case, 0, fault);
-        let (err, forward) = check_against_reference(&format!("case {case}"), &spec);
+        let mut probes = Rng(0xDA6_0019 ^ case);
+        let (err, forward) = check_against_reference(&format!("case {case}"), &spec, &mut probes);
         forward_refs += forward as usize;
         match err {
             None => assert!(
@@ -648,7 +733,8 @@ fn builder_matches_naive_reference_with_a_huge_fan_in() {
             .max()
             .unwrap();
         assert!(big >= 10_000, "case {case}: widest task reads {big}");
-        let (err, _) = check_against_reference(&format!("huge case {case}"), &spec);
+        let mut probes = Rng(0xDA6_001A ^ case);
+        let (err, _) = check_against_reference(&format!("huge case {case}"), &spec, &mut probes);
         assert_eq!(err, None, "huge case {case}");
     }
 }

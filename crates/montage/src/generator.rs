@@ -16,6 +16,8 @@
 //! level 9: mJPEG           renders a preview (deliverable)
 //! ```
 
+use std::fmt::Write as _;
+
 use mcloud_simkit::SimRng;
 
 use mcloud_dag::{Workflow, WorkflowBuilder};
@@ -136,26 +138,40 @@ impl MosaicConfig {
 }
 
 /// Generates the workflow for a mosaic request.
+///
+/// The builder is sized from [`MosaicConfig::expected_tasks`] and
+/// [`MosaicConfig::expected_files`], and every name is formatted into one
+/// reused buffer: generation allocates no name or list per task or file,
+/// only the workflow's fixed set of buffers and their amortized growth.
 pub fn generate(cfg: &MosaicConfig) -> Workflow {
     let side = cfg.side();
     let n = cfg.plates();
     let pairs = grid::overlap_pairs(side);
     let phi = calib::runtime_factor(cfg.degrees);
     let mut rng = SimRng::new(cfg.seed);
+    let (region, band) = (&cfg.region, cfg.band.tag());
 
-    let mut b = WorkflowBuilder::new(format!(
-        "montage_{}_{}deg_{}",
-        cfg.region,
-        cfg.degrees,
-        cfg.band.tag()
-    ));
+    let mut b = WorkflowBuilder::with_capacity(
+        format!("montage_{region}_{}deg_{band}", cfg.degrees),
+        cfg.expected_tasks(),
+        cfg.expected_files(),
+    );
+    let mut buf = String::new();
+    // `name!(...)` formats into `buf` and borrows the result.
+    macro_rules! name {
+        ($($fmt:tt)*) => {{
+            buf.clear();
+            write!(buf, $($fmt)*).expect("formatting into a String cannot fail");
+            buf.as_str()
+        }};
+    }
 
     let jit_rt = |rng: &mut SimRng| 1.0 + rng.f64_in(-calib::RUNTIME_JITTER, calib::RUNTIME_JITTER);
     let jit_sz = |rng: &mut SimRng| 1.0 + rng.f64_in(-calib::SIZE_JITTER, calib::SIZE_JITTER);
     let scaled = |bytes: u64, j: f64| ((bytes as f64 * j).round() as u64).max(1);
 
     // --- files ------------------------------------------------------------
-    let hdr = b.file(format!("{}.hdr", cfg.region), calib::HEADER_BYTES);
+    let hdr = b.file(name!("{region}.hdr"), calib::HEADER_BYTES);
     let mut raw = Vec::with_capacity(n as usize);
     let mut proj = Vec::with_capacity(n as usize);
     let mut area = Vec::with_capacity(n as usize);
@@ -164,30 +180,30 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     for i in 0..n {
         let j = jit_sz(&mut rng);
         raw.push(b.file(
-            format!("2mass_{}_{}_{i:04}.fits", cfg.band.tag(), cfg.region),
+            name!("2mass_{band}_{region}_{i:04}.fits"),
             scaled(calib::RAW_IMAGE_BYTES, j),
         ));
         proj.push(b.file(
-            format!("proj_{i:04}.fits"),
+            name!("proj_{i:04}.fits"),
             scaled(calib::PROJECTED_IMAGE_BYTES, j),
         ));
         area.push(b.file(
-            format!("proj_{i:04}_area.fits"),
+            name!("proj_{i:04}_area.fits"),
             scaled(calib::AREA_IMAGE_BYTES, j),
         ));
         corr.push(b.file(
-            format!("corr_{i:04}.fits"),
+            name!("corr_{i:04}.fits"),
             scaled(calib::CORRECTED_IMAGE_BYTES, j),
         ));
         carea.push(b.file(
-            format!("corr_{i:04}_area.fits"),
+            name!("corr_{i:04}_area.fits"),
             scaled(calib::CORRECTED_AREA_BYTES, j),
         ));
     }
     let fits: Vec<_> = (0..pairs.len())
         .map(|k| {
             let j = jit_sz(&mut rng);
-            b.file(format!("fit_{k:05}.tbl"), scaled(calib::FIT_BYTES, j))
+            b.file(name!("fit_{k:05}.tbl"), scaled(calib::FIT_BYTES, j))
         })
         .collect();
     let fits_tbl = b.file(
@@ -200,13 +216,13 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     );
     let newimg_tbl = b.file("newimg.tbl", calib::IMGTBL_PER_IMAGE_BYTES * n as u64);
     let mosaic_bytes = calib::mosaic_bytes(cfg.degrees);
-    let mosaic = b.file(format!("mosaic_{}.fits", cfg.region), mosaic_bytes);
+    let mosaic = b.file(name!("mosaic_{region}.fits"), mosaic_bytes);
     let shrunk = b.file(
-        format!("mosaic_{}_small.fits", cfg.region),
+        name!("mosaic_{region}_small.fits"),
         (mosaic_bytes / calib::SHRINK_DIVISOR).max(1),
     );
     let jpeg = b.file(
-        format!("mosaic_{}.jpg", cfg.region),
+        name!("mosaic_{region}.jpg"),
         (mosaic_bytes / calib::JPEG_DIVISOR).max(1),
     );
     b.mark_deliverable(mosaic);
@@ -215,7 +231,7 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     for i in 0..n as usize {
         let rt = calib::MPROJECT_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
-            format!("mProject_{i:04}"),
+            name!("mProject_{i:04}"),
             "mProject",
             rt,
             &[raw[i], hdr],
@@ -227,7 +243,7 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
         let (ia, ib) = (pa.index(side) as usize, pb.index(side) as usize);
         let rt = calib::MDIFFFIT_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
-            format!("mDiffFit_{k:05}"),
+            name!("mDiffFit_{k:05}"),
             "mDiffFit",
             rt,
             &[proj[ia], area[ia], proj[ib], area[ib]],
@@ -254,7 +270,7 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     for i in 0..n as usize {
         let rt = calib::MBACKGROUND_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
-            format!("mBackground_{i:04}"),
+            name!("mBackground_{i:04}"),
             "mBackground",
             rt,
             &[proj[i], area[i], corrections_tbl],
@@ -375,7 +391,7 @@ mod tests {
         let levels = wf.levels();
         for t in wf.task_ids() {
             let task = wf.task(t);
-            let stage = pipeline_stage(&task.module)
+            let stage = pipeline_stage(task.module)
                 .unwrap_or_else(|| panic!("unknown module {}", task.module));
             assert_eq!(stage, levels[t.index()], "{}", task.name);
         }
@@ -435,7 +451,7 @@ mod tests {
             by_level
                 .entry(levels[t.index()])
                 .or_default()
-                .push(wf.task(t).module.as_str());
+                .push(wf.task(t).module);
         }
         for (level, modules) in by_level {
             assert!(
@@ -450,7 +466,7 @@ mod tests {
         let wf = montage_1_degree();
         let ext = wf.external_inputs();
         assert_eq!(ext.len(), 50); // 49 plates + header
-        let names: Vec<&str> = ext.iter().map(|f| wf.file(*f).name.as_str()).collect();
+        let names: Vec<&str> = ext.iter().map(|f| wf.file(*f).name).collect();
         assert!(names.iter().any(|n| n.ends_with(".hdr")));
         assert_eq!(names.iter().filter(|n| n.starts_with("2mass_")).count(), 49);
     }
@@ -461,7 +477,7 @@ mod tests {
         let mut names: Vec<String> = wf
             .staged_out_files()
             .iter()
-            .map(|f| wf.file(*f).name.clone())
+            .map(|f| wf.file(*f).name.to_string())
             .collect();
         names.sort();
         assert_eq!(names, vec!["mosaic_M17.fits", "mosaic_M17.jpg"]);
@@ -536,6 +552,6 @@ mod tests {
         let wf = generate(&MosaicConfig::new(1.0).band(Band::K).region("Orion"));
         assert!(wf.name().contains("Orion"));
         assert!(wf.name().ends_with("_k"));
-        assert!(wf.files().iter().any(|f| f.name.contains("2mass_k_Orion")));
+        assert!(wf.files().any(|f| f.name.contains("2mass_k_Orion")));
     }
 }

@@ -19,10 +19,7 @@ use mcloud_dag::{TaskId, Workflow, WorkflowBuilder};
 /// trace file never pass silently.
 pub fn apply_runtime_overrides(wf: &Workflow, csv: &str) -> Result<Workflow, String> {
     let overrides = parse_pairs(csv)?;
-    let by_name: HashMap<&str, TaskId> = wf
-        .task_ids()
-        .map(|t| (wf.task(t).name.as_str(), t))
-        .collect();
+    let by_name: HashMap<&str, TaskId> = wf.task_ids().map(|t| (wf.task(t).name, t)).collect();
     for name in overrides.keys() {
         if !by_name.contains_key(name.as_str()) {
             return Err(format!("trace names unknown task '{name}'"));
@@ -43,8 +40,7 @@ pub fn apply_runtime_overrides(wf: &Workflow, csv: &str) -> Result<Workflow, Str
 /// Applies per-file size overrides (bytes) from CSV.
 pub fn apply_size_overrides(wf: &Workflow, csv: &str) -> Result<Workflow, String> {
     let overrides = parse_pairs(csv)?;
-    let known: std::collections::HashSet<&str> =
-        wf.files().iter().map(|f| f.name.as_str()).collect();
+    let known: std::collections::HashSet<&str> = wf.files().map(|f| f.name).collect();
     for (name, v) in overrides.iter() {
         if !known.contains(name.as_str()) {
             return Err(format!("trace names unknown file '{name}'"));
@@ -92,11 +88,10 @@ fn rebuild(
     size_of: impl Fn(&str, u64) -> u64,
     runtime_of: impl Fn(&str, f64) -> f64,
 ) -> Result<Workflow, String> {
-    let mut b = WorkflowBuilder::new(wf.name());
+    let mut b = WorkflowBuilder::with_capacity(wf.name(), wf.num_tasks(), wf.num_files());
     let ids: Vec<_> = wf
         .files()
-        .iter()
-        .map(|f| b.file(f.name.clone(), size_of(&f.name, f.bytes)))
+        .map(|f| b.file(f.name, size_of(f.name, f.bytes)))
         .collect();
     for (fid, meta) in ids.iter().zip(wf.files()) {
         if meta.deliverable {
@@ -108,9 +103,9 @@ fn rebuild(
         let inputs: Vec<_> = task.inputs.iter().map(|f| ids[f.index()]).collect();
         let outputs: Vec<_> = task.outputs.iter().map(|f| ids[f.index()]).collect();
         b.add_task(
-            task.name.clone(),
-            task.module.clone(),
-            runtime_of(&task.name, task.runtime_s),
+            task.name,
+            task.module,
+            runtime_of(task.name, task.runtime_s),
             &inputs,
             &outputs,
         )
@@ -119,8 +114,7 @@ fn rebuild(
     // Preserve control-only edges (parents not implied by files).
     for c in wf.task_ids() {
         let implied: std::collections::HashSet<_> = wf
-            .task(c)
-            .inputs
+            .inputs(c)
             .iter()
             .filter_map(|f| wf.producer(*f))
             .collect();
@@ -141,22 +135,10 @@ mod tests {
     #[test]
     fn runtime_overrides_apply_and_preserve_the_rest() {
         let wf = generate(&MosaicConfig::new(0.5));
-        let original_add = wf
-            .tasks()
-            .iter()
-            .find(|t| t.name == "mAdd")
-            .unwrap()
-            .runtime_s;
+        let original_add = wf.tasks().find(|t| t.name == "mAdd").unwrap().runtime_s;
         let csv = "# measured runtimes\nmAdd, 1234.5\nmShrink,7.25\n";
         let traced = apply_runtime_overrides(&wf, csv).unwrap();
-        let get = |name: &str| {
-            traced
-                .tasks()
-                .iter()
-                .find(|t| t.name == name)
-                .unwrap()
-                .runtime_s
-        };
+        let get = |name: &str| traced.tasks().find(|t| t.name == name).unwrap().runtime_s;
         assert!((get("mAdd") - 1234.5).abs() < 1e-12);
         assert!((get("mShrink") - 7.25).abs() < 1e-12);
         assert_ne!(original_add, 1234.5);
@@ -171,18 +153,13 @@ mod tests {
         let wf = generate(&MosaicConfig::new(0.5));
         let mosaic_name = wf
             .files()
-            .iter()
             .find(|f| f.name.starts_with("mosaic_") && f.name.ends_with(".fits"))
             .unwrap()
             .name
-            .clone();
+            .to_string();
         let csv = format!("{mosaic_name},999000000\n");
         let traced = apply_size_overrides(&wf, &csv).unwrap();
-        let got = traced
-            .files()
-            .iter()
-            .find(|f| f.name == mosaic_name)
-            .unwrap();
+        let got = traced.files().find(|f| f.name == mosaic_name).unwrap();
         assert_eq!(got.bytes, 999_000_000);
         assert!(got.deliverable, "flags preserved");
         assert!((traced.total_runtime_s() - wf.total_runtime_s()).abs() < 1e-9);
@@ -216,7 +193,7 @@ mod tests {
     fn comments_and_blanks_are_ignored() {
         let wf = generate(&MosaicConfig::new(0.5));
         let traced = apply_runtime_overrides(&wf, "\n# header\n\nmJPEG, 2.0\n").unwrap();
-        let jpeg = traced.tasks().iter().find(|t| t.name == "mJPEG").unwrap();
+        let jpeg = traced.tasks().find(|t| t.name == "mJPEG").unwrap();
         assert!((jpeg.runtime_s - 2.0).abs() < 1e-12);
     }
 }

@@ -44,7 +44,7 @@ fn jitter_stays_in_band() {
         let other = generate(&MosaicConfig::new(deg).seed(seed(case)));
         assert_eq!(base.num_tasks(), other.num_tasks(), "case {case}");
         assert_eq!(base.depth(), other.depth(), "case {case}");
-        for (a, b) in base.tasks().iter().zip(other.tasks()) {
+        for (a, b) in base.tasks().zip(other.tasks()) {
             assert_eq!(&a.name, &b.name, "case {case}");
             assert_eq!(&a.module, &b.module, "case {case}");
             // Runtime jitter is +-15% around the same mean.
@@ -94,7 +94,7 @@ fn shape_is_canonical() {
         let levels = wf.levels();
         for t in wf.task_ids() {
             let task = wf.task(t);
-            let expect = match task.module.as_str() {
+            let expect = match task.module {
                 "mProject" => 1,
                 "mDiffFit" => 2,
                 "mConcatFit" => 3,

@@ -524,16 +524,34 @@ impl<E> EventQueue<E> {
         self.run_bucket = NO_RUN;
     }
 
-    /// The day of the earliest pending event (slab scan; only reached
-    /// after a whole empty ring revolution, so the cost is amortized).
+    /// The day of the earliest pending event. Reached only after a whole
+    /// empty ring revolution. Every pending event sits in the run or in an
+    /// active bucket's chain, so walking those finds it without visiting
+    /// the slab's free slots: the slab keeps its peak size, which in a
+    /// large simulation is many times the pending count. A queue whose
+    /// slab never outgrew the ring (a sparse stream such as an autoscaling
+    /// simulation, which jumps on nearly every pop) scans the slab instead,
+    /// which is then the shorter walk.
     fn min_pending_day(&self) -> u64 {
         let mut best: Option<(SimTime, u64)> = None;
-        for s in &self.slots {
-            if s.payload.is_some()
-                && self.pending.contains(s.seq)
-                && best.is_none_or(|k| (s.time, s.seq) < k)
-            {
-                best = Some((s.time, s.seq));
+        let mut consider = |s: u32| {
+            let slot = &self.slots[s as usize];
+            if self.pending.contains(slot.seq) && best.is_none_or(|k| (slot.time, slot.seq) < k) {
+                best = Some((slot.time, slot.seq));
+            }
+        };
+        if self.slots.len() <= self.active() {
+            // Free slots hold delivered or cancelled sequence numbers,
+            // which are never pending again.
+            (0..self.slots.len() as u32).for_each(&mut consider);
+        } else {
+            self.run.iter().for_each(|&s| consider(s));
+            for &head in &self.heads[..self.active()] {
+                let mut s = head;
+                while s != NIL {
+                    consider(s);
+                    s = self.slots[s as usize].next;
+                }
             }
         }
         let (time, _) = best.expect("no pending entry despite a positive count");
@@ -903,6 +921,29 @@ mod tests {
         for i in 0..64u64 {
             assert_eq!(q.pop().unwrap().1, i);
         }
+    }
+
+    #[test]
+    fn cursor_jump_sees_an_event_left_in_the_served_run() {
+        // After an empty revolution the run holds the last bucket served.
+        // Placing the only pending event in each bucket in turn puts it
+        // there once; with a slab larger than the ring the jump walks the
+        // chains, and must include the run.
+        let mut jumps = 0;
+        for offset in 0..64 {
+            let mut q = EventQueue::new();
+            for i in 0..64 {
+                q.push(SimTime::from_micros(i), i);
+            }
+            while q.pop().is_some() {}
+            assert!(q.slots.len() > q.active(), "the jump must walk the chains");
+            let far_day = q.cur_day + 64 * q.active() as u64 + offset;
+            let far = SimTime::from_micros(far_day << q.width_bits);
+            q.push(far, 0);
+            assert_eq!(q.pop(), Some((far, 0)), "offset {offset}");
+            jumps += q.stats().cursor_jumps;
+        }
+        assert!(jumps >= 64, "every case must jump, saw {jumps}");
     }
 
     #[test]

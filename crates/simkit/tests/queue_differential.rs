@@ -10,11 +10,21 @@
 //! empty-revolution cursor jump, and heavy cancellation interleaves the
 //! lazy-deletion bitset with bucket rebuilds. Each case is seeded from its
 //! index, so a failure message identifies a reproducible stream.
+//!
+//! Pop order alone does not pin the adaptive policies, so every stream's
+//! final [`QueueStats`] (resizes, cursor jumps, width, ring size, peak
+//! occupancy) is also compared against a committed golden file per test
+//! under `tests/golden/`. Those counters reach the metrics exposition, the
+//! cache codec and `mcloud sweep`; a layout change that alters them must
+//! be deliberate. Regenerate with `MCLOUD_UPDATE_GOLDEN=1` and review the
+//! diff.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
-use mcloud_simkit::{EventId, EventQueue, SimRng, SimTime};
+use mcloud_simkit::{EventId, EventQueue, QueueStats, SimRng, SimTime};
 
 const CASES: u64 = 64;
 
@@ -62,16 +72,17 @@ impl ReferenceQueue {
     }
 }
 
-/// Drives one operation stream through both queues. `gap` draws the
-/// inter-event spacing in microseconds; `cancel_pct` is the share of
-/// operations (out of 100) that cancel a random earlier event.
+/// Drives one operation stream through both queues and returns the
+/// calendar queue's stats after the drain. `gap` draws the inter-event
+/// spacing in microseconds; `cancel_pct` is the share of operations (out
+/// of 100) that cancel a random earlier event.
 fn drive_round(
     rng: &mut SimRng,
     q: &mut EventQueue<usize>,
     gap: &dyn Fn(&mut SimRng) -> u64,
     cancel_pct: u64,
     case: u64,
-) {
+) -> QueueStats {
     let mut reference = ReferenceQueue::default();
     let mut ids: Vec<(EventId, u64)> = Vec::new();
     let mut cursor = 0u64; // push-time cursor (micros)
@@ -119,32 +130,73 @@ fn drive_round(
         }
     }
     assert!(q.is_empty(), "case {case}: queue not empty after drain");
+    q.stats()
 }
 
-fn run_cases(seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct: u64) {
+/// Appends one golden line for `stats`.
+fn stats_line(out: &mut String, case: u64, s: QueueStats) {
+    writeln!(
+        out,
+        "case {case}: popped={} cancelled={} resizes={} cursor_jumps={} peak_pending={} width_bits={} buckets={}",
+        s.popped, s.cancelled, s.resizes, s.cursor_jumps, s.peak_pending, s.width_bits, s.buckets
+    )
+    .unwrap();
+}
+
+/// Compares `actual` with `tests/golden/queue_stats_<name>.txt`, or
+/// rewrites that file under `MCLOUD_UPDATE_GOLDEN=1`.
+fn check_stats_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("queue_stats_{name}.txt"));
+    if std::env::var_os("MCLOUD_UPDATE_GOLDEN").is_some_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with MCLOUD_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    for (e, a) in expected.lines().zip(actual.lines()) {
+        assert_eq!(e, a, "{name}: queue stats diverge");
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "{name}: stream count changed"
+    );
+}
+
+fn run_cases(name: &str, seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct: u64) {
+    let mut golden = String::new();
     for case in 0..CASES {
         let mut rng = SimRng::new(seed ^ case);
         let mut q = EventQueue::new();
-        drive_round(&mut rng, &mut q, &gap, cancel_pct, case);
+        let stats = drive_round(&mut rng, &mut q, &gap, cancel_pct, case);
+        stats_line(&mut golden, case, stats);
     }
+    check_stats_golden(name, &golden);
 }
 
 #[test]
 fn all_equal_timestamps_match_the_reference() {
     // Every event lands in the same bucket; order must come from seq.
-    run_cases(0xD1F_0001, |_| 0, 20);
+    run_cases("all_equal", 0xD1F_0001, |_| 0, 20);
 }
 
 #[test]
 fn uniform_gaps_match_the_reference() {
-    run_cases(0xD1F_0002, |rng| rng.below(1_000), 20);
+    run_cases("uniform", 0xD1F_0002, |rng| rng.below(1_000), 20);
 }
 
 #[test]
 fn exponential_gaps_match_the_reference() {
     // Heavy-tailed spacing: most events cluster, a few land whole bucket
     // widths out, exercising the width-sizing policy on rebuilds.
-    run_cases(0xD1F_0003, |rng| 1u64 << rng.below(16), 20);
+    run_cases("exponential", 0xD1F_0003, |rng| 1u64 << rng.below(16), 20);
 }
 
 #[test]
@@ -152,6 +204,7 @@ fn far_future_outliers_match_the_reference() {
     // ~2% of pushes jump ~2^40 us (= days) ahead, forcing ring growth and
     // the empty-revolution cursor jump on the way back down.
     run_cases(
+        "far_future",
         0xD1F_0004,
         |rng| {
             if rng.chance(0.02) {
@@ -168,7 +221,7 @@ fn far_future_outliers_match_the_reference() {
 fn heavy_cancellation_matches_the_reference() {
     // Cancellation dominates: most buckets hold mostly-dead chains, so
     // pops and rebuilds spend their time purging the lazy-deletion bitset.
-    run_cases(0xD1F_0005, |rng| rng.below(200), 40);
+    run_cases("heavy_cancellation", 0xD1F_0005, |rng| rng.below(200), 40);
 }
 
 #[test]
@@ -183,12 +236,16 @@ fn reset_reuses_the_queue_equivalently() {
             rng.below(300)
         }
     }];
+    let mut golden = String::new();
     for case in 0..CASES {
         let mut rng = SimRng::new(0xD1F_0006 ^ case);
         let mut q = EventQueue::new();
         for (round, gap) in gaps.iter().enumerate() {
-            drive_round(&mut rng, &mut q, gap, 20, case * 10 + round as u64);
+            let label = case * 10 + round as u64;
+            let stats = drive_round(&mut rng, &mut q, gap, 20, label);
+            stats_line(&mut golden, label, stats);
             q.reset();
         }
     }
+    check_stats_golden("reset_rounds", &golden);
 }

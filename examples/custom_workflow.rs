@@ -42,11 +42,11 @@ fn main() {
         wf.depth(),
         wf.external_inputs()
             .iter()
-            .map(|&id| wf.file(id).name.as_str())
+            .map(|&id| wf.file(id).name)
             .collect::<Vec<_>>(),
         wf.staged_out_files()
             .iter()
-            .map(|&id| wf.file(id).name.as_str())
+            .map(|&id| wf.file(id).name)
             .collect::<Vec<_>>(),
     );
 

@@ -80,7 +80,7 @@ fn main() {
     let names: Vec<&str> = p
         .observed_critical_path
         .iter()
-        .map(|&t| wf.task(t).name.as_str())
+        .map(|&t| wf.task(t).name)
         .collect();
     println!("  {}", names.join(" -> "));
 

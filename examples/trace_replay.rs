@@ -55,7 +55,7 @@ mosaic_M17_small.fits,2010000
     let mosaic = wf
         .staged_out_files()
         .iter()
-        .map(|&f| wf.file(f).clone())
+        .map(|&f| wf.file(f))
         .find(|f| f.name.ends_with(".fits"))
         .unwrap();
     let on_demand = simulate(&wf, &ExecConfig::paper_default());

@@ -60,7 +60,7 @@ fn main() {
         let mosaic = wf
             .staged_out_files()
             .iter()
-            .map(|&f| wf.file(f).clone())
+            .map(|&f| wf.file(f))
             .find(|f| f.name.ends_with(".fits"))
             .expect("mosaic is always delivered");
         let choice = ArchiveOrRecompute {

@@ -223,7 +223,7 @@ fn question3_whole_sky_and_archival() {
         let mosaic = wf
             .staged_out_files()
             .iter()
-            .map(|&f| wf.file(f).clone())
+            .map(|&f| wf.file(f))
             .find(|f| f.name.ends_with(".fits"))
             .unwrap();
         let months = ArchiveOrRecompute {
