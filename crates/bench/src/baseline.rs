@@ -25,6 +25,10 @@
 //!   event as the mosaic grows.
 //! * `service/<scenario>` — a seeded streaming service campaign through
 //!   the bounded-queue admission path.
+//! * `plan/<scenario>` — one cold capacity plan over the default
+//!   candidate grid ([`mcloud_service::plan_capacity_with_cache`] against
+//!   a fresh cache): summed request counters and candidates evaluated per
+//!   second.
 //! * `sweep/bandwidth/<D>deg-prestaged` — a dense link-bandwidth axis
 //!   with prestaged inputs, walked once from scratch and once through the
 //!   checkpoint/fork chain ([`mcloud_core::IncrementalChain`]), both on
@@ -432,6 +436,44 @@ pub fn measure_service_scale(budget_ms: u64) -> Vec<Row> {
         )]
 }
 
+/// Measures the plan row: a quarter of the default 2 req/h class mix with
+/// one 4x flash crowd, the shape of the end-to-end benchmark's `plan`
+/// workload, planned cold over the default grid. One counted plan for
+/// the summed request counters, then timed cold plans (best-of) for the
+/// throughput column.
+pub fn measure_plan_scale(budget_ms: u64) -> Vec<Row> {
+    use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
+    use mcloud_service::{plan_capacity_with_cache, FlashCrowd, PlanSpec};
+
+    let mut spec = PlanSpec::new(7.0, 2.0, 2190.0);
+    spec.modulation.flash_crowds.push(FlashCrowd {
+        start_hour: 1000.0,
+        duration_hours: 6.0,
+        multiplier: 4.0,
+    });
+    let candidates = spec.default_candidates();
+    let plan = || {
+        let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
+        plan_capacity_with_cache(&spec, candidates.clone(), &cache)
+            .expect("the committed plan spec validates")
+    };
+    let counted = plan();
+    let sum = |f: fn(&mcloud_service::PlanCandidate) -> u64| counted.candidates.iter().map(f).sum();
+    let best_s = best_of(MIN_TIMED_RUNS, budget_ms, || {
+        std::hint::black_box(plan());
+    });
+    vec![Row::new("plan/quarter-flash")
+        .exact("candidates", candidates.len() as u64)
+        .exact("requests", sum(|c| c.requests))
+        .exact("rejected", sum(|c| c.rejected))
+        .exact("deflected", sum(|c| c.deflected))
+        .tolerant(
+            "plan_candidates_per_sec",
+            candidates.len() as f64 / best_s,
+            0,
+        )]
+}
+
 /// The sweep row's mosaic: the paper's largest canonical size.
 const SWEEP_DEGREES: f64 = 4.0;
 
@@ -605,6 +647,7 @@ pub fn measure_all(budget_ms: u64, mut progress: impl FnMut(&Row)) -> Baseline {
     rows.extend(measure_scaling(budget_ms));
     rows.extend(flatness);
     rows.extend(measure_service_scale(budget_ms));
+    rows.extend(measure_plan_scale(budget_ms));
     rows.extend(measure_sweep_scale(budget_ms));
     rows.extend(measure_cache(budget_ms));
     rows.extend(measure_generate(budget_ms));
@@ -844,6 +887,11 @@ pub const RULES: &[Rule] = &[
     rule("service/",               "rejected",                   Check::Exact,       When::Always),
     rule("service/",               "deflected",                  Check::Exact,       When::Always),
     rule("service/",               "service_requests_per_sec",   TPUT_FLOOR,         When::Always),
+    rule("plan/",                  "candidates",                 Check::Exact,       When::Always),
+    rule("plan/",                  "requests",                   Check::Exact,       When::Always),
+    rule("plan/",                  "rejected",                   Check::Exact,       When::Always),
+    rule("plan/",                  "deflected",                  Check::Exact,       When::Always),
+    rule("plan/",                  "plan_candidates_per_sec",    TPUT_FLOOR,         When::Always),
     rule("sweep/",                 "points",                     Check::Exact,       When::Always),
     rule("sweep/",                 "resumed",                    Check::Exact,       When::Always),
     rule("sweep/",                 "reused_events",              Check::Exact,       When::Always),
@@ -1010,6 +1058,7 @@ mod tests {
     const W1: &str = "workload/1deg/regular";
     const FLAT: &str = "flatness/regular";
     const SERVICE: &str = "service/quarter-mixed-reject";
+    const PLAN: &str = "plan/quarter-flash";
     const SWEEP: &str = "sweep/bandwidth/4deg-prestaged";
     const CACHE: &str = "cache/1deg-procs-grid+plan-replay";
     const GEN: &str = "generate/4deg";
@@ -1025,6 +1074,7 @@ mod tests {
     {"name": "scaling/2", "exact": {"workers": 2}, "tolerant": {"batch_sims_per_sec": 2500.25}},
     {"name": "flatness/regular", "exact": {}, "tolerant": {"small_events_per_sec": 1234500, "large_events_per_sec": 600000, "ratio": 2.058}},
     {"name": "service/quarter-mixed-reject", "exact": {"offered": 25000, "admitted": 24000, "rejected": 1000, "deflected": 0}, "tolerant": {"service_requests_per_sec": 50000}},
+    {"name": "plan/quarter-flash", "exact": {"candidates": 74, "requests": 330000, "rejected": 0, "deflected": 1500}, "tolerant": {"plan_candidates_per_sec": 1000}},
     {"name": "sweep/bandwidth/4deg-prestaged", "exact": {"points": 16, "resumed": 15, "reused_events": 200000, "total_events": 240000}, "tolerant": {"scratch_points_per_sec": 200, "incremental_points_per_sec": 700, "speedup": 3.5}},
     {"name": "cache/1deg-procs-grid+plan-replay", "exact": {"cold_misses": 16, "warm_hits": 16, "single_flight_computes": 1, "plan_candidates": 74, "plan_warm_hits": 74}, "tolerant": {"warm_hits_per_sec": 90000}},
     {"name": "generate/4deg", "exact": {"tasks": 3027, "files": 5056, "allocs_per_generate": 25375, "alloc_bytes_per_generate": 3265951}, "tolerant": {"tasks_per_sec": 1000000}}
@@ -1137,6 +1187,14 @@ mod tests {
         ("service throughput 80% slower fails",
             |c, _| scale(c, SERVICE, "service_requests_per_sec", 0.2), &[(SERVICE, "service_requests_per_sec")]),
         ("a missing service row fails", |c, _| drop_rows(c, SERVICE), &[(SERVICE, "(whole row)")]),
+        ("plan counters drift in both directions",
+            |c, _| { set(c, PLAN, "requests", 330_001.0); set(c, PLAN, "deflected", 1499.0) },
+            &[(PLAN, "requests"), (PLAN, "deflected")]),
+        ("plan throughput 50% slower is within tolerance",
+            |c, _| scale(c, PLAN, "plan_candidates_per_sec", 0.5), &[]),
+        ("plan throughput 80% slower fails",
+            |c, _| scale(c, PLAN, "plan_candidates_per_sec", 0.2), &[(PLAN, "plan_candidates_per_sec")]),
+        ("a missing plan row fails", |c, _| drop_rows(c, PLAN), &[(PLAN, "(whole row)")]),
         ("sweep counters drift in both directions",
             |c, _| { set(c, SWEEP, "resumed", 14.0); set(c, SWEEP, "reused_events", 210_000.0) },
             &[(SWEEP, "resumed"), (SWEEP, "reused_events")]),
@@ -1226,9 +1284,9 @@ mod tests {
         scale(&mut current, FLAT, "ratio", 3.0);
         let lines = delta_summary(&current, &committed);
         // One line per rule per row: 15 workload (13 columns, the cap and
-        // the speedup gate), 2x2 scaling, 3 flatness, 5 service, 7+1
-        // sweep, 6 cache, 5 generate.
-        assert_eq!(lines.len(), 15 + 4 + 3 + 5 + 8 + 6 + 5, "{lines:#?}");
+        // the speedup gate), 2x2 scaling, 3 flatness, 5 service, 5 plan,
+        // 7+1 sweep, 6 cache, 5 generate.
+        assert_eq!(lines.len(), 15 + 4 + 3 + 5 + 5 + 8 + 6 + 5, "{lines:#?}");
         let failing: Vec<&String> = lines.iter().filter(|l| l.contains("FAIL")).collect();
         assert_eq!(failing.len(), 2, "{lines:#?}");
         assert!(failing[0].contains("allocs_per_sim") && failing[0].contains("42 -> 49"));
@@ -1278,7 +1336,7 @@ mod tests {
         let text = include_str!("../../../BENCH_baseline.json");
         let committed = from_json(text).expect("parse");
         assert_eq!(to_json(&committed), text);
-        assert_eq!(committed.rows.len(), 15 + 3 + 3 + 1 + 1 + 1 + 3);
+        assert_eq!(committed.rows.len(), 15 + 3 + 3 + 1 + 1 + 1 + 1 + 3);
         assert!(compare(&committed, &committed).is_empty());
     }
 

@@ -10,9 +10,10 @@
 //! allocator — the same instrument the benchmark baseline gates on.
 
 use mcloud_bench::alloc;
+use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mcloud_service::{
-    class_stream, poisson, simulate_service, simulate_service_stream, AdmissionPolicy, Arrival,
-    RateProfile, RequestClass, ServiceConfig,
+    class_stream, plan_capacity_with_cache, poisson, simulate_service, simulate_service_stream,
+    AdmissionPolicy, Arrival, AutoScaleConfig, PlanSpec, RateProfile, RequestClass, ServiceConfig,
 };
 use mcloud_simkit::NullSink;
 
@@ -152,5 +153,71 @@ fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
         "streaming campaign allocations scaled with request count: {} -> {}",
         delta_short.allocs,
         delta_long.allocs
+    );
+}
+
+/// The capacity planner streams its demand too: a plan over a 10x longer
+/// horizon must hold the same peak heap, which a planner that collected
+/// the arrivals into a `Vec` could not.
+#[test]
+fn planner_peak_memory_is_backlog_bounded_not_request_bounded() {
+    let mut spec = PlanSpec::new(7.0, 10.0, 1.0);
+    // One small request class keeps the profile warming (an engine run
+    // per class) from dominating the measured peak.
+    spec.classes = vec![RequestClass {
+        rate_per_hour: 10.0,
+        degrees: 1.0,
+        priority: 0,
+    }];
+    // A bounded queue keeps the backlog, and with it the simulation's
+    // working set, the same size over any horizon.
+    let candidate = AutoScaleConfig {
+        min_slots: 2,
+        max_slots: 8,
+        queue_bound: Some(16),
+        admission: AdmissionPolicy::Deflect,
+        boot_s: spec.boot_s,
+        procs_per_slot: spec.procs_per_slot,
+        slot_cost_per_hour: spec.slot_cost_per_hour,
+        exec: spec.exec.clone(),
+        ..AutoScaleConfig::default_pool()
+    };
+    // One candidate is one work item, which the worker pool runs inline
+    // on this thread, where the per-thread counters see it. A fresh
+    // cache per plan keeps every plan cold.
+    let plan = |horizon_hours: f64| {
+        let spec = PlanSpec {
+            horizon_hours,
+            ..spec.clone()
+        };
+        let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
+        alloc::measure(|| {
+            plan_capacity_with_cache(&spec, vec![candidate.clone()], &cache).expect("plan")
+        })
+    };
+    let (short_h, long_h) = (1_000.0, 10_000.0);
+    std::hint::black_box(plan(short_h)); // warm-up
+
+    let (short, delta_short) = plan(short_h);
+    let (long, delta_long) = plan(long_h);
+    let (short_n, long_n) = (short.candidates[0].requests, long.candidates[0].requests);
+    assert!(
+        long_n >= 9 * short_n,
+        "plan sizes too close: {short_n} vs {long_n}"
+    );
+    let bound = 2 * delta_short.peak_above_start.max(16 * 1024);
+    assert!(
+        delta_long.peak_above_start <= bound,
+        "planner peak memory scaled with request count: \
+         {short_n} requests -> {} peak bytes, {long_n} requests -> {} peak bytes",
+        delta_short.peak_above_start,
+        delta_long.peak_above_start
+    );
+    // The sizing has teeth: the long plan's arrivals alone, collected,
+    // would overshoot the bound at least 4x.
+    let collected = long_n * std::mem::size_of::<Arrival>() as u64;
+    assert!(
+        collected >= 4 * bound,
+        "horizon too short to tell: {collected} collected bytes vs a {bound}-byte bound"
     );
 }

@@ -12,13 +12,20 @@
 //! the peak backlog. Admission control ([`AutoScaleConfig::queue_bound`]
 //! plus an [`AdmissionPolicy`]) keeps that backlog — and the money spent
 //! chasing it — finite even under sustained overload.
+//!
+//! The simulation is a resumable state machine ([`AutoScaleSim`]) that
+//! the caller feeds one arrival at a time. The public entry points run
+//! one pool over one stream; the capacity planner instead generates the
+//! stream once per worker lane and feeds each arrival to every candidate
+//! pool of the lane's group in lockstep.
 
 use std::collections::VecDeque;
 
 use mcloud_cost::Money;
-use mcloud_simkit::{EventQueue, Histogram, SimDuration, SimTime};
+use mcloud_simkit::{Histogram, SimDuration, SimTime};
 
 use crate::arrivals::Arrival;
+use crate::calendar::Calendar;
 use crate::profile::ProfileTable;
 use crate::simulator::{AdmissionPolicy, OutcomeFold, RequestOutcome, Venue};
 
@@ -191,7 +198,7 @@ impl AutoScaleReport {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A rented slot finished booting.
     SlotReady,
@@ -224,12 +231,10 @@ pub fn simulate_autoscale_each(
     simulate_autoscale_stream(arrivals.iter().copied(), cfg, on_outcome)
 }
 
-/// The streaming core: consumes any time-sorted
-/// [`ArrivalStream`](crate::arrivals::ArrivalStream) lazily — arrivals
-/// are merged against the event calendar one at a time (an arrival ties
-/// ahead of any pool event at the same instant, matching the historical
-/// all-events-upfront order), so campaign memory is bounded by the peak
-/// backlog, not the request count.
+/// The streaming front-end: consumes any time-sorted
+/// [`ArrivalStream`](crate::arrivals::ArrivalStream) lazily, one arrival
+/// at a time, so campaign memory is bounded by the peak backlog, not the
+/// request count.
 ///
 /// # Panics
 /// Panics on invalid configuration or unsorted arrivals.
@@ -239,257 +244,236 @@ pub fn simulate_autoscale_stream(
     on_outcome: impl FnMut(&RequestOutcome),
 ) -> AutoScaleReport {
     let mut profiles = ProfileTable::new(cfg.exec.clone());
-    simulate_autoscale_core(arrivals, cfg, &mut profiles, on_outcome)
+    let mut sim = AutoScaleSim::new(cfg, on_outcome);
+    for a in arrivals {
+        sim.arrive(a, &mut profiles);
+    }
+    sim.finish(&mut profiles)
 }
 
-/// [`simulate_autoscale_stream`] with a caller-supplied profile cache, so
-/// batch evaluators (the capacity planner) can reuse warm engine profiles
-/// across many candidate configurations that share an `ExecConfig`.
-/// Results are independent of the cache's warmth — profiles are memoized
-/// pure functions of `(degrees, procs)`.
-pub(crate) fn simulate_autoscale_core(
-    arrivals: impl IntoIterator<Item = Arrival>,
-    cfg: &AutoScaleConfig,
-    profiles: &mut ProfileTable,
-    on_outcome: impl FnMut(&RequestOutcome),
-) -> AutoScaleReport {
-    cfg.validate().expect("invalid autoscale configuration");
-    let mut arrivals = arrivals.into_iter().peekable();
-
-    let mut events: EventQueue<Ev> = EventQueue::new();
-
+/// One auto-scaled pool simulation as a resumable state machine: the
+/// caller feeds it arrivals in time order ([`AutoScaleSim::arrive`]) and
+/// then drains it ([`AutoScaleSim::finish`]). Because the caller owns the
+/// arrival loop, one arrival stream can drive many pools in lockstep
+/// (the capacity planner's candidates), and the profile cache is passed
+/// per call, so those pools can share one warm [`ProfileTable`]. Results
+/// are independent of the cache's warmth: profiles are memoized pure
+/// functions of `(degrees, procs)`.
+pub(crate) struct AutoScaleSim<'c, F: FnMut(&RequestOutcome)> {
+    cfg: &'c AutoScaleConfig,
+    events: Calendar<Ev>,
     // Pool state. Slots are fungible: we track counts, not identities.
-    let mut idle_slots = 0u32; // rented, booted, not serving
-    let mut booting = 0u32;
-    let mut busy = 0u32;
-    let mut rented = 0u32; // idle + booting + busy
-    let mut peak_slots = 0u32;
-    let mut rentals = 0u32;
-    let mut slot_hours = 0.0f64;
-    let mut last_accrual = SimTime::ZERO;
+    idle_slots: u32, // rented, booted, not serving
+    booting: u32,
+    busy: u32,
+    rented: u32, // idle + booting + busy
+    peak_slots: u32,
+    rentals: u32,
+    slot_hours: f64,
+    last_accrual: SimTime,
+    /// FIFO backlog; the arrival rides along because a stream cannot be
+    /// re-indexed.
+    waiting: VecDeque<(usize, Arrival)>,
+    fold: OutcomeFold<F>,
+    next_index: usize,
+    last_arrival_hours: f64,
+    dm_cost: Money,
+    deflected: u64,
+    deflect_cost: Money,
+}
 
-    // FIFO backlog; the arrival rides along because a stream cannot be
-    // re-indexed.
-    let mut waiting: VecDeque<(usize, Arrival)> = VecDeque::new();
-    let mut fold = OutcomeFold::new(on_outcome);
-    let mut next_index = 0usize;
-    let mut last_arrival_hours = f64::NEG_INFINITY;
-    let mut dm_cost = Money::ZERO;
-    let mut deflected = 0u64;
-    let mut deflect_cost = Money::ZERO;
-
-    // Rent the floor immediately (booting).
-    for _ in 0..cfg.min_slots {
-        rented += 1;
-        rentals += 1;
-        booting += 1;
-        events.push(
-            SimTime::ZERO + SimDuration::from_secs_f64(cfg.boot_s),
-            Ev::SlotReady,
-        );
-    }
-    peak_slots = peak_slots.max(rented);
-
-    macro_rules! accrue {
-        ($now:expr) => {{
-            slot_hours += rented as f64 * $now.since(last_accrual).as_hours_f64();
-            last_accrual = $now;
-        }};
-    }
-
-    // Releases one slot that just went idle, honouring the floor and the
-    // idle-release grace window.
-    macro_rules! park_idle {
-        ($now:expr) => {{
-            if rented > cfg.min_slots && cfg.idle_release_s == 0.0 {
-                rented -= 1; // idle above the floor: release immediately
-            } else {
-                idle_slots += 1;
-                if rented > cfg.min_slots {
-                    events.push(
-                        $now + SimDuration::from_secs_f64(cfg.idle_release_s),
-                        Ev::IdleExpire,
-                    );
-                }
-            }
-        }};
-    }
-
-    loop {
-        let arrival_due = match (arrivals.peek(), events.peek_time()) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (Some(a), Some(t)) => SimTime::from_secs_f64(a.at_hours * 3600.0) <= t,
-        };
-        if arrival_due {
-            let a = arrivals.next().expect("peeked arrival");
-            let i = next_index;
-            next_index += 1;
-            assert!(
-                last_arrival_hours <= a.at_hours,
-                "arrivals must be sorted by time"
-            );
-            last_arrival_hours = a.at_hours;
-            let now = SimTime::from_secs_f64(a.at_hours * 3600.0);
-            accrue!(now);
-            // Admission control fires only when no slot could serve the
-            // request immediately and the backlog is at its bound.
-            if idle_slots == 0 && cfg.queue_bound.is_some_and(|b| waiting.len() >= b) {
-                match cfg.admission {
-                    AdmissionPolicy::Reject => fold.push_rejected(i),
-                    AdmissionPolicy::Deflect => {
-                        // Full per-request cloud price: CPU plus data
-                        // management, same as a service cloud burst.
-                        let profile = profiles.fixed(a.degrees, cfg.procs_per_slot);
-                        let cost = profile.cost;
-                        deflected += 1;
-                        deflect_cost += cost;
-                        let start_h = now.as_hours_f64();
-                        fold.push(RequestOutcome {
-                            index: i,
-                            degrees: a.degrees,
-                            arrival_hours: a.at_hours,
-                            start_hours: start_h,
-                            finish_hours: start_h + profile.makespan_hours,
-                            venue: Venue::Cloud,
-                            cost,
-                            attempts: 1,
-                        });
-                    }
-                    // validate() rejects a bound without a policy.
-                    AdmissionPolicy::AdmitAll => unreachable!("bounded queue without a policy"),
-                }
-                continue;
-            }
-            waiting.push_back((i, a));
-            // Serve immediately if a slot is idle.
-            if idle_slots > 0 {
-                idle_slots -= 1;
-                busy += 1;
-                let (j, aj) = waiting.pop_front().expect("just pushed");
-                start_service(
-                    j,
-                    aj,
-                    now,
-                    cfg,
-                    profiles,
-                    &mut events,
-                    &mut fold,
-                    &mut dm_cost,
-                );
-            } else if waiting.len() >= cfg.scale_up_queue && rented < cfg.max_slots {
-                rented += 1;
-                rentals += 1;
-                booting += 1;
-                peak_slots = peak_slots.max(rented);
-                events.push(now + SimDuration::from_secs_f64(cfg.boot_s), Ev::SlotReady);
-            }
-            continue;
+impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
+    /// A pool with its floor rented (booting) at time zero.
+    ///
+    /// # Panics
+    /// Panics on invalid configuration.
+    pub(crate) fn new(cfg: &'c AutoScaleConfig, on_outcome: F) -> Self {
+        cfg.validate().expect("invalid autoscale configuration");
+        let mut events = Calendar::new();
+        let boot = SimTime::ZERO + SimDuration::from_secs_f64(cfg.boot_s);
+        for _ in 0..cfg.min_slots {
+            events.push(boot, Ev::SlotReady);
         }
-        let Some((now, ev)) = events.pop() else { break };
-        accrue!(now);
+        AutoScaleSim {
+            cfg,
+            events,
+            idle_slots: 0,
+            booting: cfg.min_slots,
+            busy: 0,
+            rented: cfg.min_slots,
+            peak_slots: cfg.min_slots,
+            rentals: cfg.min_slots,
+            slot_hours: 0.0,
+            last_accrual: SimTime::ZERO,
+            waiting: VecDeque::new(),
+            fold: OutcomeFold::new(on_outcome),
+            next_index: 0,
+            last_arrival_hours: f64::NEG_INFINITY,
+            dm_cost: Money::ZERO,
+            deflected: 0,
+            deflect_cost: Money::ZERO,
+        }
+    }
+
+    /// Handles the next arrival. Pool events strictly before it fire
+    /// first; an event at the same instant fires after it, so an arrival
+    /// ties ahead of any pool event (the historical all-events-upfront
+    /// order).
+    ///
+    /// # Panics
+    /// Panics if `a` is earlier than the previous arrival.
+    pub(crate) fn arrive(&mut self, a: Arrival, profiles: &mut ProfileTable) {
+        let now = SimTime::from_secs_f64(a.at_hours * 3600.0);
+        while self.events.peek_time().is_some_and(|t| t < now) {
+            let (t, ev) = self.events.pop().expect("peeked event");
+            self.fire(t, ev, profiles);
+        }
+        let i = self.next_index;
+        self.next_index += 1;
+        assert!(
+            self.last_arrival_hours <= a.at_hours,
+            "arrivals must be sorted by time"
+        );
+        self.last_arrival_hours = a.at_hours;
+        self.accrue(now);
+        let cfg = self.cfg;
+        // Admission control fires only when no slot could serve the
+        // request immediately and the backlog is at its bound.
+        if self.idle_slots == 0 && cfg.queue_bound.is_some_and(|b| self.waiting.len() >= b) {
+            match cfg.admission {
+                AdmissionPolicy::Reject => self.fold.push_rejected(i),
+                AdmissionPolicy::Deflect => {
+                    // Full per-request cloud price: CPU plus data
+                    // management, same as a service cloud burst.
+                    let profile = profiles.fixed(a.degrees, cfg.procs_per_slot);
+                    self.deflected += 1;
+                    self.deflect_cost += profile.cost;
+                    let start_h = now.as_hours_f64();
+                    self.fold.push(RequestOutcome {
+                        index: i,
+                        degrees: a.degrees,
+                        arrival_hours: a.at_hours,
+                        start_hours: start_h,
+                        finish_hours: start_h + profile.makespan_hours,
+                        venue: Venue::Cloud,
+                        cost: profile.cost,
+                        attempts: 1,
+                    });
+                }
+                // validate() rejects a bound without a policy.
+                AdmissionPolicy::AdmitAll => unreachable!("bounded queue without a policy"),
+            }
+            return;
+        }
+        if self.idle_slots > 0 {
+            // Serve immediately. A slot only idles once the backlog is
+            // empty, so nobody is waiting ahead of this request.
+            debug_assert!(self.waiting.is_empty());
+            self.idle_slots -= 1;
+            self.start_service(i, a, now, profiles);
+        } else {
+            self.waiting.push_back((i, a));
+            if self.waiting.len() >= cfg.scale_up_queue && self.rented < cfg.max_slots {
+                self.rented += 1;
+                self.rentals += 1;
+                self.booting += 1;
+                self.peak_slots = self.peak_slots.max(self.rented);
+                self.events
+                    .push(now + SimDuration::from_secs_f64(cfg.boot_s), Ev::SlotReady);
+            }
+        }
+    }
+
+    /// Drains every pending pool event and returns the report.
+    pub(crate) fn finish(mut self, profiles: &mut ProfileTable) -> AutoScaleReport {
+        while let Some((t, ev)) = self.events.pop() {
+            self.fire(t, ev, profiles);
+        }
+        debug_assert_eq!(self.busy, 0);
+        debug_assert_eq!(self.booting, 0);
+        debug_assert_eq!(self.fold.next, self.next_index, "every request is decided");
+        let fold = self.fold;
+        AutoScaleReport {
+            requests: fold.served_local + fold.served_cloud,
+            rejected: fold.rejected,
+            deflected: self.deflected,
+            wait_hist: fold.wait_hist,
+            turnaround_hist: fold.turnaround_hist,
+            slot_hours: self.slot_hours,
+            rental_cost: self.cfg.slot_cost_per_hour * self.slot_hours,
+            dm_cost: self.dm_cost,
+            deflect_cost: self.deflect_cost,
+            peak_slots: self.peak_slots,
+            rentals: self.rentals,
+        }
+    }
+
+    fn fire(&mut self, now: SimTime, ev: Ev, profiles: &mut ProfileTable) {
+        self.accrue(now);
         match ev {
             Ev::SlotReady => {
-                booting -= 1;
-                if let Some((i, a)) = waiting.pop_front() {
-                    busy += 1;
-                    start_service(
-                        i,
-                        a,
-                        now,
-                        cfg,
-                        profiles,
-                        &mut events,
-                        &mut fold,
-                        &mut dm_cost,
-                    );
-                } else if rented > cfg.min_slots && cfg.idle_release_s == 0.0 {
-                    rented -= 1; // booted into an empty queue: release
-                } else {
-                    idle_slots += 1;
-                    if rented > cfg.min_slots {
-                        events.push(
-                            now + SimDuration::from_secs_f64(cfg.idle_release_s),
-                            Ev::IdleExpire,
-                        );
-                    }
-                }
+                self.booting -= 1;
+                self.slot_freed(now, profiles);
             }
             Ev::ServiceDone => {
-                busy -= 1;
-                if let Some((i, a)) = waiting.pop_front() {
-                    busy += 1;
-                    start_service(
-                        i,
-                        a,
-                        now,
-                        cfg,
-                        profiles,
-                        &mut events,
-                        &mut fold,
-                        &mut dm_cost,
-                    );
-                } else {
-                    park_idle!(now);
-                }
+                self.busy -= 1;
+                self.slot_freed(now, profiles);
             }
             Ev::IdleExpire => {
                 // Slots are fungible, so the grace window is approximate:
                 // the slot that scheduled this check may have been reused
                 // since. Release one slot only if some slot is still idle
                 // and the pool sits above its floor.
-                if idle_slots > 0 && rented > cfg.min_slots {
-                    idle_slots -= 1;
-                    rented -= 1;
+                if self.idle_slots > 0 && self.rented > self.cfg.min_slots {
+                    self.idle_slots -= 1;
+                    self.rented -= 1;
                 }
             }
         }
     }
-    debug_assert_eq!(busy, 0);
-    debug_assert_eq!(booting, 0);
-    debug_assert_eq!(fold.next, next_index, "every request is decided");
 
-    AutoScaleReport {
-        requests: fold.served_local + fold.served_cloud,
-        rejected: fold.rejected,
-        deflected,
-        wait_hist: fold.wait_hist,
-        turnaround_hist: fold.turnaround_hist,
-        slot_hours,
-        rental_cost: cfg.slot_cost_per_hour * slot_hours,
-        dm_cost,
-        deflect_cost,
-        peak_slots,
-        rentals,
+    /// A slot just booted or finished a request: it takes the head of the
+    /// backlog, or goes idle, honouring the floor and the idle-release
+    /// grace window.
+    fn slot_freed(&mut self, now: SimTime, profiles: &mut ProfileTable) {
+        let cfg = self.cfg;
+        if let Some((i, a)) = self.waiting.pop_front() {
+            self.start_service(i, a, now, profiles);
+        } else if self.rented > cfg.min_slots && cfg.idle_release_s == 0.0 {
+            self.rented -= 1; // idle above the floor: release immediately
+        } else {
+            self.idle_slots += 1;
+            if self.rented > cfg.min_slots {
+                self.events.push(
+                    now + SimDuration::from_secs_f64(cfg.idle_release_s),
+                    Ev::IdleExpire,
+                );
+            }
+        }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn start_service<F: FnMut(&RequestOutcome)>(
-    i: usize,
-    a: Arrival,
-    now: SimTime,
-    cfg: &AutoScaleConfig,
-    profiles: &mut ProfileTable,
-    events: &mut EventQueue<Ev>,
-    fold: &mut OutcomeFold<F>,
-    dm_cost: &mut Money,
-) {
-    // Service time from the engine profile; the slot rental covers CPU, so
-    // the request itself is charged only its data-management share.
-    let profile = profiles.fixed(a.degrees, cfg.procs_per_slot);
-    let dm = profiles.dm_cost(a.degrees, cfg.procs_per_slot);
-    *dm_cost += dm;
-    let finish = now + SimDuration::from_hours_f64(profile.makespan_hours);
-    fold.push(RequestOutcome {
-        index: i,
-        degrees: a.degrees,
-        arrival_hours: a.at_hours,
-        start_hours: now.as_hours_f64(),
-        finish_hours: finish.as_hours_f64(),
-        venue: Venue::Cloud,
-        cost: dm,
-        attempts: 1,
-    });
-    events.push(finish, Ev::ServiceDone);
+    fn accrue(&mut self, now: SimTime) {
+        self.slot_hours += self.rented as f64 * now.since(self.last_accrual).as_hours_f64();
+        self.last_accrual = now;
+    }
+
+    /// Puts request `i` on a slot at `now`. The slot rental covers CPU, so
+    /// the request itself is charged only its data-management share.
+    fn start_service(&mut self, i: usize, a: Arrival, now: SimTime, profiles: &mut ProfileTable) {
+        self.busy += 1;
+        let profile = profiles.fixed(a.degrees, self.cfg.procs_per_slot);
+        self.dm_cost += profile.dm_cost;
+        let finish = now + SimDuration::from_hours_f64(profile.makespan_hours);
+        self.fold.push(RequestOutcome {
+            index: i,
+            degrees: a.degrees,
+            arrival_hours: a.at_hours,
+            start_hours: now.as_hours_f64(),
+            finish_hours: finish.as_hours_f64(),
+            venue: Venue::Cloud,
+            cost: profile.dm_cost,
+            attempts: 1,
+        });
+        self.events.push(finish, Ev::ServiceDone);
+    }
 }

@@ -27,6 +27,7 @@
 
 mod arrivals;
 mod autoscale;
+mod calendar;
 pub mod planner;
 mod profile;
 mod simulator;

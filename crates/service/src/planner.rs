@@ -8,12 +8,15 @@
 //! each, and recommends the cheapest candidate whose p99 turnaround
 //! meets the SLO without rejecting a single request.
 //!
-//! Candidates are evaluated in parallel on the process-wide
-//! [`WorkerPool`]; each candidate regenerates its own arrival stream
-//! from the spec's seed, so results are byte-identical at any lane
-//! count. Each lane keeps a warm [`ProfileTable`], so the engine
-//! profiles behind the service times are simulated once per lane, not
-//! once per candidate.
+//! Candidates are evaluated in lockstep, one contiguous group per lane
+//! of the process-wide [`WorkerPool`]: each group generates the arrival
+//! stream from the spec's seed once and feeds every arrival to all of
+//! its candidates' simulations, so a cold plan pays for the stream once
+//! per lane, not once per candidate, and memory stays bounded by the
+//! candidates' backlogs. A candidate's outcome does not depend on its
+//! group, so results are byte-identical at any lane count. Each lane
+//! keeps a warm [`ProfileTable`], so the engine profiles behind the
+//! service times are simulated once per plan, not once per candidate.
 
 use mcloud_cache::ResultCache;
 use mcloud_core::{encode_exec_config, Canon, Digest, DOMAIN_PLAN};
@@ -22,9 +25,9 @@ use mcloud_simkit::WorkerPool;
 use mcloud_sweep::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 
 use crate::arrivals::{class_stream, MergedStream, RateProfile, RequestClass};
-use crate::autoscale::{simulate_autoscale_core, AutoScaleConfig, AutoScaleReport};
+use crate::autoscale::{AutoScaleConfig, AutoScaleReport, AutoScaleSim};
 use crate::profile::ProfileTable;
-use crate::simulator::AdmissionPolicy;
+use crate::simulator::{AdmissionPolicy, RequestOutcome};
 
 /// What the planner is asked to plan for: a demand forecast plus the SLO
 /// and the slot economics shared by every candidate pool.
@@ -324,15 +327,9 @@ pub fn plan_capacity_with_cache(
 
         let miss_cfgs: Vec<AutoScaleConfig> =
             miss_idx.iter().map(|&i| candidates[i].clone()).collect();
-        let pool = WorkerPool::global();
-        let mut tables: Vec<ProfileTable> =
-            (0..pool.lanes().max(1)).map(|_| proto.clone()).collect();
-        let fresh: Vec<PlanCandidate> =
-            pool.map_with_state(&mut tables, &miss_cfgs, |profiles, cfg| {
-                let report = simulate_autoscale_core(spec.stream(), cfg, profiles, |_| {});
-                score(spec, cfg, &report)
-            });
-        for (&i, candidate) in miss_idx.iter().zip(fresh) {
+        let reports = simulate_grouped(spec, &miss_cfgs, &proto, WorkerPool::global().lanes());
+        for ((&i, cfg), report) in miss_idx.iter().zip(&miss_cfgs).zip(&reports) {
+            let candidate = score(spec, cfg, report);
             cache.insert(keys[i], encode_outcome(&candidate));
             evaluated[i] = Some(candidate);
         }
@@ -361,6 +358,42 @@ pub fn plan_capacity_with_cache(
         frontier,
         best,
     })
+}
+
+/// Simulates every candidate against the spec's demand stream in
+/// `groups` contiguous groups fanned out on the global [`WorkerPool`]:
+/// each group pulls the stream once and feeds every arrival to all of
+/// its candidates in lockstep. Reports come back in candidate order and
+/// do not depend on the grouping.
+fn simulate_grouped(
+    spec: &PlanSpec,
+    cfgs: &[AutoScaleConfig],
+    profiles: &ProfileTable,
+    groups: usize,
+) -> Vec<AutoScaleReport> {
+    let n = cfgs.len();
+    let groups = groups.clamp(1, n.max(1));
+    let parts: Vec<&[AutoScaleConfig]> = (0..groups)
+        .map(|g| &cfgs[g * n / groups..(g + 1) * n / groups])
+        .collect();
+    let pool = WorkerPool::global();
+    let mut tables: Vec<ProfileTable> =
+        (0..pool.lanes().max(1)).map(|_| profiles.clone()).collect();
+    let per_group = pool.map_with_state(&mut tables, &parts, |profiles, part| {
+        let mut sims: Vec<_> = part
+            .iter()
+            .map(|cfg| AutoScaleSim::new(cfg, |_: &RequestOutcome| {}))
+            .collect();
+        for a in spec.stream() {
+            for sim in &mut sims {
+                sim.arrive(a, profiles);
+            }
+        }
+        sims.into_iter()
+            .map(|sim| sim.finish(profiles))
+            .collect::<Vec<_>>()
+    });
+    per_group.into_iter().flatten().collect()
 }
 
 fn score(spec: &PlanSpec, cfg: &AutoScaleConfig, report: &AutoScaleReport) -> PlanCandidate {
@@ -678,6 +711,7 @@ pub fn plan_json(spec: &PlanSpec, plan: &CapacityPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{simulate_autoscale_stream, FlashCrowd};
     use mcloud_cache::DEFAULT_BUDGET_BYTES;
 
     fn quick_spec() -> PlanSpec {
@@ -699,6 +733,31 @@ mod tests {
         // Minimal cost among qualifying candidates.
         for other in plan.candidates.iter().filter(|c| c.meets_slo) {
             assert!(c.total_cost.dollars() <= other.total_cost.dollars() + 1e-9);
+        }
+    }
+
+    #[test]
+    fn grouped_lockstep_matches_one_stream_per_candidate() {
+        let mut spec = quick_spec();
+        spec.modulation.flash_crowds.push(FlashCrowd {
+            start_hour: 20.0,
+            duration_hours: 6.0,
+            multiplier: 4.0,
+        });
+        let cfgs = spec.default_candidates();
+        assert_eq!(cfgs.len(), 74);
+        let alone: Vec<AutoScaleReport> = cfgs
+            .iter()
+            .map(|cfg| simulate_autoscale_stream(spec.stream(), cfg, |_| {}))
+            .collect();
+        let profiles = ProfileTable::new(spec.exec.clone());
+        for groups in [1, 2, 5, 74] {
+            let grouped = simulate_grouped(&spec, &cfgs, &profiles, groups);
+            assert_eq!(grouped.len(), alone.len());
+            // Whole reports, so every scorecard field agrees too.
+            for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
+                assert_eq!(g, a, "candidate {i} at {groups} groups");
+            }
         }
     }
 

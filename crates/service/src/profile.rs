@@ -97,12 +97,6 @@ impl ProfileTable {
         }
     }
 
-    /// Just the data-management share for a request profile (what a
-    /// standing pool does not cover).
-    pub fn dm_cost(&mut self, degrees: f64, processors: u32) -> Money {
-        self.fixed(degrees, processors).dm_cost
-    }
-
     /// Number of distinct profiles simulated so far.
     pub fn cached(&self) -> usize {
         self.cache.len()

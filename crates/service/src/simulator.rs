@@ -36,11 +36,12 @@ use std::collections::VecDeque;
 use mcloud_core::ExecConfig;
 use mcloud_cost::Money;
 use mcloud_simkit::{
-    EventQueue, EventSink, Histogram, MetricClass, NullSink, Registry, SimRng, SimTime,
-    TimeWeighted, TraceEvent,
+    EventSink, Histogram, MetricClass, NullSink, Registry, SimRng, SimTime, TimeWeighted,
+    TraceEvent,
 };
 
 use crate::arrivals::Arrival;
+use crate::calendar::Calendar;
 use crate::profile::ProfileTable;
 
 /// Where a request was served.
@@ -385,7 +386,7 @@ impl ServiceReport {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     LocalDone(usize),
     /// Emits the finish event for a cloud request; scheduled only when a
@@ -552,7 +553,7 @@ pub fn simulate_service_stream<S: EventSink>(
         runs
     };
 
-    let mut events: EventQueue<Ev> = EventQueue::new();
+    let mut events: Calendar<Ev> = Calendar::new();
     let mut next_index = 0usize;
     let mut last_arrival_hours = f64::NEG_INFINITY;
     let mut free_slots = cfg.local_slots;
@@ -698,7 +699,7 @@ fn start_local<S: EventSink, F: FnMut(&RequestOutcome)>(
     now: SimTime,
     cfg: &ServiceConfig,
     profiles: &mut ProfileTable,
-    events: &mut EventQueue<Ev>,
+    events: &mut Calendar<Ev>,
     fold: &mut OutcomeFold<F>,
     local_busy_hours: &mut f64,
     sink: &mut S,
@@ -738,7 +739,7 @@ fn start_cloud<S: EventSink, F: FnMut(&RequestOutcome)>(
     now: SimTime,
     cfg: &ServiceConfig,
     profiles: &mut ProfileTable,
-    events: &mut EventQueue<Ev>,
+    events: &mut Calendar<Ev>,
     fold: &mut OutcomeFold<F>,
     cloud_cost: &mut Money,
     sink: &mut S,

@@ -3,8 +3,9 @@
 use mcloud_cost::Money;
 use mcloud_service::{
     bursty, periodic, poisson, simulate_autoscale, simulate_autoscale_each, AdmissionPolicy,
-    Arrival, AutoScaleConfig, AutoScaleReport,
+    Arrival, AutoScaleConfig, AutoScaleReport, ProfileTable,
 };
+use mcloud_simkit::{SimDuration, SimTime};
 
 fn at(hours: f64) -> Arrival {
     Arrival {
@@ -65,6 +66,40 @@ fn overload_scales_up_then_back_down() {
     );
     // And pay for it.
     assert!(scaled.rentals > fixed_one.rentals);
+}
+
+#[test]
+fn an_arrival_ties_ahead_of_a_completion_at_the_same_instant() {
+    // A one-slot floor that rents on the first waiting request. Request
+    // A starts on the booted floor slot at 1 h; request B arrives at the
+    // exact microsecond A's service ends.
+    let cfg = AutoScaleConfig {
+        max_slots: 2,
+        scale_up_queue: 1,
+        ..base()
+    };
+    let service_h = ProfileTable::new(cfg.exec.clone())
+        .fixed(1.0, cfg.procs_per_slot)
+        .makespan_hours;
+    let a_done = SimTime::from_secs_f64(3600.0) + SimDuration::from_hours_f64(service_h);
+    let b = a_done.as_hours_f64();
+    assert_eq!(
+        SimTime::from_secs_f64(b * 3600.0),
+        a_done,
+        "B lands on A's finish"
+    );
+
+    let mut starts = Vec::new();
+    let report = simulate_autoscale_each(&[at(1.0), at(b)], &cfg, |o| starts.push(o.start_hours));
+    // B is handled before A's completion: it finds the only slot busy,
+    // waits, and rents a second slot. A's completion then hands the
+    // floor slot to B, and the second slot boots into an empty queue and
+    // is released. Completion-first would instead serve B on the freed
+    // floor slot without renting (rentals 1, peak 1).
+    assert_eq!(report.rentals, 2);
+    assert_eq!(report.peak_slots, 2);
+    assert_eq!(report.requests, 2);
+    assert_eq!(starts[1].to_bits(), a_done.as_hours_f64().to_bits());
 }
 
 #[test]

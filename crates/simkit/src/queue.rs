@@ -40,9 +40,13 @@
 //!   sorted (descending, so the minimum pops off the tail in O(1)) only
 //!   when the serve cursor reaches their bucket.
 //!
-//! Far-future outliers cost nothing extra: when a whole ring revolution
-//! finds no event, the queue jumps the cursor straight to the earliest
-//! pending day instead of stepping through empty buckets.
+//! A far-future outlier costs one empty ring revolution: when a whole
+//! revolution finds no event, the queue jumps the cursor straight to the
+//! earliest pending day instead of stepping through every empty day in
+//! between. A sparse stream (a few events pending, each more than a
+//! revolution away) pays that revolution plus the jump's walk on nearly
+//! every pop, so such streams belong in a binary heap; this queue is
+//! built for the dense event streams of workflow simulations.
 
 use crate::time::SimTime;
 
@@ -528,10 +532,7 @@ impl<E> EventQueue<E> {
     /// empty ring revolution. Every pending event sits in the run or in an
     /// active bucket's chain, so walking those finds it without visiting
     /// the slab's free slots: the slab keeps its peak size, which in a
-    /// large simulation is many times the pending count. A queue whose
-    /// slab never outgrew the ring (a sparse stream such as an autoscaling
-    /// simulation, which jumps on nearly every pop) scans the slab instead,
-    /// which is then the shorter walk.
+    /// large simulation is many times the pending count.
     fn min_pending_day(&self) -> u64 {
         let mut best: Option<(SimTime, u64)> = None;
         let mut consider = |s: u32| {
@@ -540,18 +541,12 @@ impl<E> EventQueue<E> {
                 best = Some((slot.time, slot.seq));
             }
         };
-        if self.slots.len() <= self.active() {
-            // Free slots hold delivered or cancelled sequence numbers,
-            // which are never pending again.
-            (0..self.slots.len() as u32).for_each(&mut consider);
-        } else {
-            self.run.iter().for_each(|&s| consider(s));
-            for &head in &self.heads[..self.active()] {
-                let mut s = head;
-                while s != NIL {
-                    consider(s);
-                    s = self.slots[s as usize].next;
-                }
+        self.run.iter().for_each(|&s| consider(s));
+        for &head in &self.heads[..self.active()] {
+            let mut s = head;
+            while s != NIL {
+                consider(s);
+                s = self.slots[s as usize].next;
             }
         }
         let (time, _) = best.expect("no pending entry despite a positive count");
