@@ -15,7 +15,7 @@
 //! * `workload/<D>deg/<mode>` — one per [`workloads`] entry (the paper's
 //!   1°/2°/4° mosaics and the 8°/16° scale-up presets, each in all three
 //!   data modes): events, allocations, warm-scratch allocations and
-//!   calendar-queue counters per simulation, plus single-simulation and
+//!   event-queue counters per simulation, plus single-simulation and
 //!   [`simulate_batch`] throughput.
 //! * `scaling/<lanes>` — `1deg/regular` batch throughput on pools of 1, 2
 //!   and 4 lanes. Informational: throughput at a lane count the host

@@ -21,7 +21,7 @@ use mcloud_simkit::{Histogram, QueueStats, SimDuration};
 const MAGIC: &[u8; 4] = b"MCRP";
 /// Layout version: bump on any change to the byte layout, so entries
 /// written by an older layout decode as "not cached".
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 
 /// Encodes a report into the codec's canonical bytes.
 pub fn encode_report(r: &Report) -> Vec<u8> {
@@ -80,11 +80,7 @@ pub fn encode_report(r: &Report) -> Vec<u8> {
     let q = &r.kernel.queue;
     put_u64(&mut w, q.popped);
     put_u64(&mut w, q.cancelled);
-    put_u64(&mut w, q.resizes);
-    put_u64(&mut w, q.cursor_jumps);
     put_u64(&mut w, q.peak_pending);
-    put_u32(&mut w, q.width_bits);
-    put_u64(&mut w, q.buckets);
     put_f64(&mut w, r.kernel.ready_mean);
     put_f64(&mut w, r.kernel.ready_peak);
     put_f64(&mut w, r.kernel.pool_busy_mean);
@@ -166,11 +162,8 @@ pub fn decode_report(bytes: &[u8]) -> Result<Report, String> {
         queue: QueueStats {
             popped: r.u64()?,
             cancelled: r.u64()?,
-            resizes: r.u64()?,
-            cursor_jumps: r.u64()?,
             peak_pending: r.u64()?,
-            width_bits: r.u32()?,
-            buckets: r.u64()?,
+            ..QueueStats::default()
         },
         ready_mean: r.f64()?,
         ready_peak: r.f64()?,
@@ -383,7 +376,7 @@ mod tests {
         }
         assert_eq!(
             (SCENARIO_SCHEMA_VERSION, canon.finish().to_hex()),
-            (1, "e6e61b941f382d696e905efa2eef88af".to_string()),
+            (1, "6211763518203d05b59853b90c4d3de1".to_string()),
             "engine output changed: bump SCENARIO_SCHEMA_VERSION and re-pin"
         );
     }

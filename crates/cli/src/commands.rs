@@ -775,7 +775,7 @@ mcloud sweep — sweep processor counts with kernel telemetry per point
 
 Simulates the workflow at every processor count of a geometric ladder
 and tabulates cost, makespan, and the kernel's deterministic
-self-telemetry (events processed, calendar-queue pops, peak pending)
+self-telemetry (events processed, event-queue pops, peak pending)
 for each point. The table is byte-identical at every MCLOUD_WORKERS
 setting; --progress adds a live wall-clock heartbeat on stderr.
 

@@ -99,6 +99,16 @@ pub fn simulate_traced(wf: &Workflow, cfg: &ExecConfig) -> (Report, RecordingSin
     (report, sink)
 }
 
+/// The event queue's FIFO lane for completions on `link`: every inbound
+/// transfer, and the outbound ones too unless `duplex_link` is set.
+const LANE_IN: usize = 0;
+/// The FIFO lane for completions on `link_out` (`duplex_link` only).
+const LANE_OUT: usize = 1;
+
+/// A simulation event. Transfer completions (`FileArrived`,
+/// `InputArrived`, `FinalStageOutDone`, `OutputStagedOut`) ride the FIFO
+/// lane of the link that granted them; the rest go through the queue's
+/// heap.
 #[derive(Debug, Clone)]
 enum Ev {
     /// A shared stage-in transfer finished (Regular/Cleanup). `attempt`
@@ -296,7 +306,7 @@ pub(crate) struct EngineState {
 }
 
 /// A full snapshot of a simulation's deterministic state, taken between
-/// events: the struct-of-arrays tables, ready bitmap, calendar-queue arena,
+/// events: the struct-of-arrays tables, ready bitmap, event queue,
 /// processor bitmap, RNG streams, and every accrued counter. All of it is
 /// plain `Vec`s and scalars, so a snapshot is a handful of memcpys.
 ///
@@ -735,16 +745,18 @@ impl<'a, S: EventSink> Engine<'a, S> {
                         self.scr.tasks.missing_inputs[t.index()] = missing as u32;
                     }
                     // Stage in every external input up front, FCFS in file order.
+                    // This burst is the run's pending peak: size the lane
+                    // and slab for it once.
                     let wf = self.wf;
+                    self.scr
+                        .events
+                        .reserve_fifo(LANE_IN, wf.external_inputs().len());
                     for &f in wf.external_inputs() {
-                        let grant = self.submit_in(SimTime::ZERO, wf.bytes(f), None);
-                        self.scr.events.push(
-                            grant.finish,
-                            Ev::FileArrived {
-                                file: f,
-                                attempt: 1,
-                            },
-                        );
+                        let ev = Ev::FileArrived {
+                            file: f,
+                            attempt: 1,
+                        };
+                        self.transfer(Channel::In, SimTime::ZERO, wf.bytes(f), None, ev);
                     }
                 }
                 for t in self.wf.task_ids() {
@@ -960,14 +972,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.aborted = true;
                 return;
             }
-            let grant = self.submit_in(now, bytes, None);
-            self.scr.events.push(
-                grant.finish,
-                Ev::FileArrived {
-                    file: f,
-                    attempt: attempt + 1,
-                },
-            );
+            let ev = Ev::FileArrived {
+                file: f,
+                attempt: attempt + 1,
+            };
+            self.transfer(Channel::In, now, bytes, None, ev);
             return;
         }
         narrate!(
@@ -997,14 +1006,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.aborted = true;
                 return;
             }
-            let grant = self.submit_out(now, bytes, None);
-            self.scr.events.push(
-                grant.finish,
-                Ev::FinalStageOutDone {
-                    file: f,
-                    attempt: attempt + 1,
-                },
-            );
+            let ev = Ev::FinalStageOutDone {
+                file: f,
+                attempt: attempt + 1,
+            };
+            self.transfer(Channel::Out, now, bytes, None, ev);
             return;
         }
         narrate!(
@@ -1071,16 +1077,13 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 continue;
             }
             let bytes = wf.bytes(f);
-            let grant = self.submit_in(now, bytes, Some(t));
             self.scr.tasks.staged_in_bytes[t.index()] += bytes;
-            self.scr.events.push(
-                grant.finish,
-                Ev::InputArrived {
-                    task: t,
-                    bytes,
-                    attempt: 1,
-                },
-            );
+            let ev = Ev::InputArrived {
+                task: t,
+                bytes,
+                attempt: 1,
+            };
+            self.transfer(Channel::In, now, bytes, Some(t), ev);
         }
         self.maybe_ready(now, t);
     }
@@ -1091,15 +1094,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.aborted = true;
                 return;
             }
-            let grant = self.submit_in(now, bytes, Some(t));
-            self.scr.events.push(
-                grant.finish,
-                Ev::InputArrived {
-                    task: t,
-                    bytes,
-                    attempt: attempt + 1,
-                },
-            );
+            let ev = Ev::InputArrived {
+                task: t,
+                bytes,
+                attempt: attempt + 1,
+            };
+            self.transfer(Channel::In, now, bytes, Some(t), ev);
             return;
         }
         narrate!(
@@ -1125,15 +1125,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.aborted = true;
                 return;
             }
-            let grant = self.submit_out(now, bytes, Some(t));
-            self.scr.events.push(
-                grant.finish,
-                Ev::OutputStagedOut {
-                    task: t,
-                    bytes,
-                    attempt: attempt + 1,
-                },
-            );
+            let ev = Ev::OutputStagedOut {
+                task: t,
+                bytes,
+                attempt: attempt + 1,
+            };
+            self.transfer(Channel::Out, now, bytes, Some(t), ev);
             return;
         }
         narrate!(
@@ -1201,62 +1198,42 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.ready_occ.set(now, self.scr.ready.len() as f64);
     }
 
-    /// Submits an inbound (user/archive -> storage) transfer, updating the
-    /// byte accounting and narrating the grant. `task` attributes private
-    /// (remote-I/O) stage-ins to their task; shared staging passes `None`.
-    fn submit_in(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        task: Option<TaskId>,
-    ) -> mcloud_simkit::TransferGrant {
+    /// Submits a transfer on the link that carries `chan` — the outbound
+    /// link for [`Channel::Out`] when `duplex_link` is set, the shared link
+    /// otherwise — updates the byte accounting, narrates the grant, and
+    /// schedules `ev` at the grant's finish on that link's FIFO lane. An
+    /// FCFS link finishes transfers in submission order, so its
+    /// completions never need the queue's heap. `task` attributes private
+    /// (remote-I/O) transfers to their task; shared staging passes `None`.
+    fn transfer(&mut self, chan: Channel, now: SimTime, bytes: u64, task: Option<TaskId>, ev: Ev) {
         self.note_transfer_submitted();
-        let grant = self.link.submit(now, bytes);
-        self.bytes_in += bytes;
-        self.transfers_in += 1;
-        narrate!(
-            self,
-            now,
-            TraceEvent::TransferGranted {
-                chan: Channel::In,
-                bytes,
-                start: grant.start,
-                finish: grant.finish,
-                task: task.map(|t| t.0),
-            },
-        );
-        grant
-    }
-
-    /// Submits an outbound (storage -> user) transfer on the appropriate
-    /// channel, updating the byte accounting and narrating the grant.
-    /// `task` attributes private (remote-I/O) stage-outs to their task; the
-    /// final shared stage-out passes `None`.
-    fn submit_out(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        task: Option<TaskId>,
-    ) -> mcloud_simkit::TransferGrant {
-        self.note_transfer_submitted();
-        let grant = match self.link_out.as_mut() {
-            Some(out) => out.submit(now, bytes),
-            None => self.link.submit(now, bytes),
+        let (link, lane) = match (chan, self.link_out.as_mut()) {
+            (Channel::Out, Some(out)) => (out, LANE_OUT),
+            _ => (&mut self.link, LANE_IN),
         };
-        self.bytes_out += bytes;
-        self.transfers_out += 1;
+        let grant = link.submit(now, bytes);
+        match chan {
+            Channel::In => {
+                self.bytes_in += bytes;
+                self.transfers_in += 1;
+            }
+            Channel::Out => {
+                self.bytes_out += bytes;
+                self.transfers_out += 1;
+            }
+        }
         narrate!(
             self,
             now,
             TraceEvent::TransferGranted {
-                chan: Channel::Out,
+                chan,
                 bytes,
                 start: grant.start,
                 finish: grant.finish,
                 task: task.map(|t| t.0),
             },
         );
-        grant
+        self.scr.events.push_fifo(lane, grant.finish, ev);
     }
 
     /// True when starting `t` now would overflow a configured storage cap
@@ -1439,15 +1416,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 }
                 for &f in wf.outputs(t) {
                     let bytes = wf.bytes(f);
-                    let grant = self.submit_out(now, bytes, Some(t));
-                    self.scr.events.push(
-                        grant.finish,
-                        Ev::OutputStagedOut {
-                            task: t,
-                            bytes,
-                            attempt: 1,
-                        },
-                    );
+                    let ev = Ev::OutputStagedOut {
+                        task: t,
+                        bytes,
+                        attempt: 1,
+                    };
+                    self.transfer(Channel::Out, now, bytes, Some(t), ev);
                 }
             }
         }
@@ -1462,15 +1436,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
         self.stageouts_pending = files.len();
         for &f in files {
-            let bytes = wf.bytes(f);
-            let grant = self.submit_out(now, bytes, None);
-            self.scr.events.push(
-                grant.finish,
-                Ev::FinalStageOutDone {
-                    file: f,
-                    attempt: 1,
-                },
-            );
+            let ev = Ev::FinalStageOutDone {
+                file: f,
+                attempt: 1,
+            };
+            self.transfer(Channel::Out, now, wf.bytes(f), None, ev);
         }
     }
 

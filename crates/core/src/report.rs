@@ -5,7 +5,7 @@ use mcloud_cost::{CostBreakdown, Money, BYTES_PER_GB};
 use mcloud_simkit::{Histogram, MetricClass, QueueStats, Registry, SimDuration};
 
 /// Deterministic self-telemetry from the simulation kernel for one run:
-/// how the calendar queue, ready set, and processor pool actually behaved
+/// how the event queue, ready set, and processor pool actually behaved
 /// while producing the report.
 ///
 /// Every field is a pure function of the simulated event sequence, so the
@@ -16,8 +16,8 @@ use mcloud_simkit::{Histogram, MetricClass, QueueStats, Registry, SimDuration};
 /// wall-clock metric class.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelStats {
-    /// Calendar-queue lifetime counters: pops, cancellations, ring
-    /// resizes, cursor jumps, peak pending events, final geometry.
+    /// Event-queue lifetime counters: pops, cancellations, peak pending
+    /// events.
     pub queue: QueueStats,
     /// Time-weighted mean number of ready-queued tasks over the makespan.
     pub ready_mean: f64,
@@ -104,7 +104,7 @@ pub struct Report {
     /// Distribution of those waits; `quantile(1.0)` equals
     /// [`Report::queue_wait_max_s`] exactly.
     pub queue_wait_hist: Histogram,
-    /// Deterministic kernel self-telemetry (calendar queue, ready set,
+    /// Deterministic kernel self-telemetry (event queue, ready set,
     /// processor pool) for this run.
     pub kernel: KernelStats,
 }
@@ -277,7 +277,7 @@ impl Report {
             &self.queue_wait_hist,
         );
 
-        // Kernel self-telemetry: calendar queue, ready set, processor pool.
+        // Kernel self-telemetry: event queue, ready set, processor pool.
         let q = &self.kernel.queue;
         r.set_counter(
             "mcloud_kernel_queue_pops_total",
@@ -293,40 +293,12 @@ impl Report {
             &[],
             q.cancelled,
         );
-        r.set_counter(
-            "mcloud_kernel_queue_resizes_total",
-            "Calendar-queue ring rebuilds (grows and shrinks).",
-            D,
-            &[],
-            q.resizes,
-        );
-        r.set_counter(
-            "mcloud_kernel_queue_cursor_jumps_total",
-            "Empty-revolution cursor jumps to the earliest pending day.",
-            D,
-            &[],
-            q.cursor_jumps,
-        );
         r.set_gauge(
             "mcloud_kernel_queue_peak_pending",
             "High-water mark of simultaneously pending events.",
             D,
             &[],
             q.peak_pending as f64,
-        );
-        r.set_gauge(
-            "mcloud_kernel_queue_width_bits",
-            "Final log2 bucket width of the calendar queue, microseconds.",
-            D,
-            &[],
-            q.width_bits as f64,
-        );
-        r.set_gauge(
-            "mcloud_kernel_queue_buckets",
-            "Final number of active buckets in the calendar-queue ring.",
-            D,
-            &[],
-            q.buckets as f64,
         );
         r.set_gauge(
             "mcloud_kernel_ready_mean",

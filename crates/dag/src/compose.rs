@@ -11,7 +11,8 @@ use crate::workflow::{Workflow, WorkflowBuilder};
 
 /// Merges independent workflows into one batch DAG. Every file and task
 /// name is prefixed with `b<i>__` (its batch index) so the namespaces
-/// cannot collide; deliverable flags are preserved.
+/// cannot collide; deliverable flags and control-only edges are
+/// preserved.
 ///
 /// # Panics
 /// Panics if `parts` is empty.
@@ -30,17 +31,24 @@ pub fn merge_workflows(name: impl Into<String>, parts: &[&Workflow]) -> Result<W
                 b.mark_deliverable(*fid);
             }
         }
+        let mut tids = Vec::with_capacity(wf.num_tasks());
         for t in wf.task_ids() {
             let task = wf.task(t);
             let inputs: Vec<_> = task.inputs.iter().map(|f| ids[f.index()]).collect();
             let outputs: Vec<_> = task.outputs.iter().map(|f| ids[f.index()]).collect();
-            b.add_task(
+            tids.push(b.add_task(
                 format!("{prefix}{}", task.name),
                 task.module,
                 task.runtime_s,
                 &inputs,
                 &outputs,
-            )?;
+            )?);
+        }
+        // Parents no file implies (DAX `<child>/<parent>` edges).
+        for c in wf.task_ids() {
+            for p in wf.control_parents(c) {
+                b.add_control_edge(tids[p.index()], tids[c.index()]);
+            }
         }
     }
     b.build()
@@ -124,6 +132,31 @@ mod tests {
             .filter(|t| batch.parents(*t).is_empty())
             .count();
         assert_eq!(roots, 2);
+    }
+
+    #[test]
+    fn merge_keeps_control_only_edges() {
+        // B depends on A through a `<child>/<parent>` edge only: no file
+        // links them.
+        let dax = crate::dax::from_dax(
+            r#"<adag name="peg">
+  <job id="A" name="first" transformation="m" runtime="1">
+    <uses file="out_a" link="output" size="5"/>
+  </job>
+  <job id="B" name="second" transformation="m" runtime="1">
+    <uses file="out_b" link="output" size="5"/>
+  </job>
+  <child ref="B">
+    <parent ref="A"/>
+  </child>
+</adag>"#,
+        )
+        .unwrap();
+        let merged = merge_workflows("batch", &[&fixtures::figure3(), &dax]).unwrap();
+        let id = |name: &str| merged.task_ids().find(|&t| merged.task(t).name == name);
+        let (a, b) = (id("b1__first").unwrap(), id("b1__second").unwrap());
+        assert_eq!(merged.parents(b), [a]);
+        assert_eq!(merged.children(a), [b]);
     }
 
     #[test]

@@ -75,16 +75,7 @@ pub fn to_dax(wf: &Workflow) -> String {
     // Emit control-only dependencies: parent/child pairs not implied by a
     // shared file (Pegasus `<child>/<parent>` edges).
     for c in wf.task_ids() {
-        let implied: std::collections::HashSet<_> = wf
-            .inputs(c)
-            .iter()
-            .filter_map(|f| wf.producer(*f))
-            .collect();
-        let extras: Vec<_> = wf
-            .parents(c)
-            .iter()
-            .filter(|p| !implied.contains(p))
-            .collect();
+        let extras: Vec<_> = wf.control_parents(c).collect();
         if !extras.is_empty() {
             let _ = writeln!(out, "  <child ref=\"ID{}\">", c.0);
             for p in extras {

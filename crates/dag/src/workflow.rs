@@ -288,9 +288,24 @@ impl Workflow {
         self.consumers.row(file.index())
     }
 
-    /// Distinct tasks whose outputs this task reads, sorted by id.
+    /// Distinct tasks whose outputs this task reads, plus its control-edge
+    /// parents, sorted by id.
     pub fn parents(&self, task: TaskId) -> &[TaskId] {
         self.parents.row(task.index())
+    }
+
+    /// The parents of `task` that none of its input files implies: its
+    /// control-only (DAX `<child>/<parent>`) edges, sorted by id.
+    pub fn control_parents(&self, task: TaskId) -> impl Iterator<Item = TaskId> + '_ {
+        let implied: std::collections::HashSet<TaskId> = self
+            .inputs(task)
+            .iter()
+            .filter_map(|&f| self.producer(f))
+            .collect();
+        self.parents(task)
+            .iter()
+            .copied()
+            .filter(move |p| !implied.contains(p))
     }
 
     /// Distinct tasks that read this task's outputs, sorted by id.

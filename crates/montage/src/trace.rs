@@ -113,15 +113,8 @@ fn rebuild(
     }
     // Preserve control-only edges (parents not implied by files).
     for c in wf.task_ids() {
-        let implied: std::collections::HashSet<_> = wf
-            .inputs(c)
-            .iter()
-            .filter_map(|f| wf.producer(*f))
-            .collect();
-        for &p in wf.parents(c) {
-            if !implied.contains(&p) {
-                b.add_control_edge(p, c);
-            }
+        for p in wf.control_parents(c) {
+            b.add_control_edge(p, c);
         }
     }
     b.build().map_err(|e| e.to_string())

@@ -1,11 +1,12 @@
 //! The service simulators' event calendar.
 //!
 //! A service simulation keeps only a few dozen events pending at once
-//! (one per busy or booting slot), minutes to hours apart. A binary heap
-//! pops those in O(log n) of a tiny n; `mcloud_simkit::EventQueue`'s
-//! calendar ring, built for the engine's 10^4–10^5 pending events at
-//! task-scale gaps, would spin a whole empty revolution before nearly
-//! every pop here.
+//! (one per busy or booting slot), minutes to hours apart, and never
+//! cancels one. A binary heap holding the payloads inline pops those in
+//! O(log n) of a tiny n. `mcloud_simkit::EventQueue`'s heap does the same
+//! through a payload slab and per-slot cancellation bookkeeping, and cold
+//! capacity plans ran 4–10% slower on it (EXPERIMENTS.md, "Transfers on
+//! FIFO lanes").
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

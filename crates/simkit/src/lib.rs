@@ -10,8 +10,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond clock, so event
 //!   ordering is total and platform-independent.
-//! * [`EventQueue`] — a calendar queue with FIFO tie-breaking for
-//!   same-instant events and O(log n) cancellation.
+//! * [`EventQueue`] — O(1) FIFO lanes for serial-link completions plus a
+//!   binary heap for everything else, with FIFO tie-breaking for
+//!   same-instant events and lazy cancellation.
 //! * [`FcfsChannel`] — the serial fixed-bandwidth link between the
 //!   user/archive and cloud storage (10 Mbps in the paper).
 //! * [`ProcessorPool`] — a `P`-slot compute resource with deterministic

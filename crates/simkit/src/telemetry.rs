@@ -1,7 +1,7 @@
 //! A deterministic metrics registry: the simulator observing itself.
 //!
 //! The engines in this workspace measure a *simulated* system — but after
-//! the calendar-queue and worker-pool rework the simulator's own machinery
+//! the event-queue and worker-pool rework the simulator's own machinery
 //! is worth watching too. This module provides the registry those
 //! subsystems publish into: monotonic [counters](Registry::set_counter),
 //! [gauges](Registry::set_gauge), and the existing log-bucketed

@@ -3,7 +3,7 @@
 //! Runs the canonical 1-degree fault scenario and prints three
 //! expositions:
 //!
-//! 1. the **kernel's** deterministic counters (calendar queue, ready set,
+//! 1. the **kernel's** deterministic counters (event queue, ready set,
 //!    processor pool) from `Report::registry` — byte-identical across
 //!    runs, machines, and `MCLOUD_WORKERS` settings, so CI pins them as a
 //!    golden file;
