@@ -67,7 +67,7 @@ pub fn encode_report(r: &Report) -> Vec<u8> {
 
     let (buckets, zeros, count, sum, min, max) = r.queue_wait_hist.raw_parts();
     put_u32(&mut w, buckets.len() as u32);
-    for &(idx, n) in buckets {
+    for &(idx, n) in &buckets {
         put_u64(&mut w, idx as u64);
         put_u64(&mut w, n);
     }

@@ -14,10 +14,12 @@
 //! chasing it — finite even under sustained overload.
 //!
 //! The simulation is a resumable state machine ([`AutoScaleSim`]) that
-//! the caller feeds one arrival at a time. The public entry points run
+//! the caller feeds one arrival at a time, resolved into a [`Job`] (its
+//! clock instant, profile and service time). The public entry points run
 //! one pool over one stream; the capacity planner instead generates the
-//! stream once per worker lane and feeds each arrival to every candidate
-//! pool of the lane's group in lockstep.
+//! stream once per worker lane, resolves each arrival once per distinct
+//! slot size, and feeds it to every candidate pool of the lane's group in
+//! lockstep.
 
 use std::collections::VecDeque;
 
@@ -26,8 +28,8 @@ use mcloud_simkit::{Histogram, SimDuration, SimTime};
 
 use crate::arrivals::Arrival;
 use crate::calendar::Calendar;
-use crate::profile::ProfileTable;
-use crate::simulator::{AdmissionPolicy, OutcomeFold, RequestOutcome, Venue};
+use crate::profile::{ProfileTable, RequestProfile};
+use crate::simulator::{check_admission, AdmissionPolicy, OutcomeFold, RequestOutcome, Venue};
 
 /// Auto-scaler configuration.
 #[derive(Debug, Clone)]
@@ -99,22 +101,11 @@ impl AutoScaleConfig {
                  waiting request, or the first arrival waits forever"
                 .into());
         }
-        if self.queue_bound.is_some() && self.admission == AdmissionPolicy::AdmitAll {
-            return Err(format!(
-                "a bounded queue (queue_bound = {}) needs an overflow policy: \
-                 with admission = AdmitAll (rejects and deflects disabled) a \
-                 full queue would strand arrivals forever — use Reject or \
-                 Deflect",
-                self.queue_bound.unwrap_or(0)
-            ));
-        }
-        if self.queue_bound.is_none() && self.admission != AdmissionPolicy::AdmitAll {
-            return Err(
-                "an overflow policy (Reject/Deflect) requires a queue_bound; \
-                 an unbounded queue never overflows"
-                    .to_string(),
-            );
-        }
+        check_admission(
+            self.queue_bound,
+            self.admission,
+            "AdmitAll (rejects and deflects disabled)",
+        )?;
         if self
             .queue_bound
             .is_some_and(|b| b < self.scale_up_queue && self.min_slots == 0)
@@ -246,19 +237,55 @@ pub fn simulate_autoscale_stream(
     let mut profiles = ProfileTable::new(cfg.exec.clone());
     let mut sim = AutoScaleSim::new(cfg, on_outcome);
     for a in arrivals {
-        sim.arrive(a, &mut profiles);
+        sim.arrive(Job::new(a, cfg.procs_per_slot, &mut profiles));
     }
-    sim.finish(&mut profiles)
+    sim.finish()
+}
+
+/// One arrival resolved for pools of one slot size: everything a pool
+/// needs to admit, queue and serve it. Profiles are memoized pure
+/// functions of `(degrees, procs)`, so a job built once can be fed to
+/// every pool with that `procs_per_slot`, and results do not depend on
+/// the profile cache's warmth.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Job {
+    arrival: Arrival,
+    /// The arrival instant on the simulation clock.
+    at: SimTime,
+    profile: RequestProfile,
+    /// The request's slot occupancy, `profile.makespan_hours` on the clock.
+    service: SimDuration,
+}
+
+impl Job {
+    /// Resolves `arrival` for slots of `procs_per_slot` processors.
+    pub(crate) fn new(arrival: Arrival, procs_per_slot: u32, profiles: &mut ProfileTable) -> Job {
+        let profile = profiles.fixed(arrival.degrees, procs_per_slot);
+        Job {
+            arrival,
+            at: SimTime::from_secs_f64(arrival.at_hours * 3600.0),
+            profile,
+            service: SimDuration::from_hours_f64(profile.makespan_hours),
+        }
+    }
+}
+
+/// A request in the backlog: what starting it needs, and no more (the
+/// backlog's peak length sets the planner's memory).
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    index: usize,
+    arrival: Arrival,
+    dm_cost: Money,
+    service: SimDuration,
 }
 
 /// One auto-scaled pool simulation as a resumable state machine: the
-/// caller feeds it arrivals in time order ([`AutoScaleSim::arrive`]) and
-/// then drains it ([`AutoScaleSim::finish`]). Because the caller owns the
-/// arrival loop, one arrival stream can drive many pools in lockstep
-/// (the capacity planner's candidates), and the profile cache is passed
-/// per call, so those pools can share one warm [`ProfileTable`]. Results
-/// are independent of the cache's warmth: profiles are memoized pure
-/// functions of `(degrees, procs)`.
+/// caller feeds it resolved arrivals in time order
+/// ([`AutoScaleSim::arrive`]) and then drains it
+/// ([`AutoScaleSim::finish`]). Because the caller owns the arrival loop,
+/// one arrival stream can drive many pools in lockstep (the capacity
+/// planner's candidates), each [`Job`] resolved once for all of them.
 pub(crate) struct AutoScaleSim<'c, F: FnMut(&RequestOutcome)> {
     cfg: &'c AutoScaleConfig,
     events: Calendar<Ev>,
@@ -271,9 +298,9 @@ pub(crate) struct AutoScaleSim<'c, F: FnMut(&RequestOutcome)> {
     rentals: u32,
     slot_hours: f64,
     last_accrual: SimTime,
-    /// FIFO backlog; the arrival rides along because a stream cannot be
+    /// FIFO backlog; the request rides along because a stream cannot be
     /// re-indexed.
-    waiting: VecDeque<(usize, Arrival)>,
+    waiting: VecDeque<Waiting>,
     fold: OutcomeFold<F>,
     next_index: usize,
     last_arrival_hours: f64,
@@ -315,18 +342,18 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
         }
     }
 
-    /// Handles the next arrival. Pool events strictly before it fire
-    /// first; an event at the same instant fires after it, so an arrival
-    /// ties ahead of any pool event (the historical all-events-upfront
-    /// order).
+    /// Handles the next arrival, resolved for this pool's
+    /// `procs_per_slot`. Pool events strictly before it fire first; an
+    /// event at the same instant fires after it, so an arrival ties ahead
+    /// of any pool event (the historical all-events-upfront order).
     ///
     /// # Panics
-    /// Panics if `a` is earlier than the previous arrival.
-    pub(crate) fn arrive(&mut self, a: Arrival, profiles: &mut ProfileTable) {
-        let now = SimTime::from_secs_f64(a.at_hours * 3600.0);
+    /// Panics if `job` arrives earlier than the previous arrival.
+    pub(crate) fn arrive(&mut self, job: Job) {
+        let (a, now, profile) = (job.arrival, job.at, job.profile);
         while self.events.peek_time().is_some_and(|t| t < now) {
             let (t, ev) = self.events.pop().expect("peeked event");
-            self.fire(t, ev, profiles);
+            self.fire(t, ev);
         }
         let i = self.next_index;
         self.next_index += 1;
@@ -345,7 +372,6 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
                 AdmissionPolicy::Deflect => {
                     // Full per-request cloud price: CPU plus data
                     // management, same as a service cloud burst.
-                    let profile = profiles.fixed(a.degrees, cfg.procs_per_slot);
                     self.deflected += 1;
                     self.deflect_cost += profile.cost;
                     let start_h = now.as_hours_f64();
@@ -365,14 +391,20 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
             }
             return;
         }
+        let request = Waiting {
+            index: i,
+            arrival: a,
+            dm_cost: profile.dm_cost,
+            service: job.service,
+        };
         if self.idle_slots > 0 {
             // Serve immediately. A slot only idles once the backlog is
             // empty, so nobody is waiting ahead of this request.
             debug_assert!(self.waiting.is_empty());
             self.idle_slots -= 1;
-            self.start_service(i, a, now, profiles);
+            self.start_service(request, now);
         } else {
-            self.waiting.push_back((i, a));
+            self.waiting.push_back(request);
             if self.waiting.len() >= cfg.scale_up_queue && self.rented < cfg.max_slots {
                 self.rented += 1;
                 self.rentals += 1;
@@ -385,9 +417,9 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
     }
 
     /// Drains every pending pool event and returns the report.
-    pub(crate) fn finish(mut self, profiles: &mut ProfileTable) -> AutoScaleReport {
+    pub(crate) fn finish(mut self) -> AutoScaleReport {
         while let Some((t, ev)) = self.events.pop() {
-            self.fire(t, ev, profiles);
+            self.fire(t, ev);
         }
         debug_assert_eq!(self.busy, 0);
         debug_assert_eq!(self.booting, 0);
@@ -408,16 +440,16 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
         }
     }
 
-    fn fire(&mut self, now: SimTime, ev: Ev, profiles: &mut ProfileTable) {
+    fn fire(&mut self, now: SimTime, ev: Ev) {
         self.accrue(now);
         match ev {
             Ev::SlotReady => {
                 self.booting -= 1;
-                self.slot_freed(now, profiles);
+                self.slot_freed(now);
             }
             Ev::ServiceDone => {
                 self.busy -= 1;
-                self.slot_freed(now, profiles);
+                self.slot_freed(now);
             }
             Ev::IdleExpire => {
                 // Slots are fungible, so the grace window is approximate:
@@ -435,10 +467,10 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
     /// A slot just booted or finished a request: it takes the head of the
     /// backlog, or goes idle, honouring the floor and the idle-release
     /// grace window.
-    fn slot_freed(&mut self, now: SimTime, profiles: &mut ProfileTable) {
+    fn slot_freed(&mut self, now: SimTime) {
         let cfg = self.cfg;
-        if let Some((i, a)) = self.waiting.pop_front() {
-            self.start_service(i, a, now, profiles);
+        if let Some(request) = self.waiting.pop_front() {
+            self.start_service(request, now);
         } else if self.rented > cfg.min_slots && cfg.idle_release_s == 0.0 {
             self.rented -= 1; // idle above the floor: release immediately
         } else {
@@ -457,21 +489,20 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
         self.last_accrual = now;
     }
 
-    /// Puts request `i` on a slot at `now`. The slot rental covers CPU, so
+    /// Puts `request` on a slot at `now`. The slot rental covers CPU, so
     /// the request itself is charged only its data-management share.
-    fn start_service(&mut self, i: usize, a: Arrival, now: SimTime, profiles: &mut ProfileTable) {
+    fn start_service(&mut self, request: Waiting, now: SimTime) {
         self.busy += 1;
-        let profile = profiles.fixed(a.degrees, self.cfg.procs_per_slot);
-        self.dm_cost += profile.dm_cost;
-        let finish = now + SimDuration::from_hours_f64(profile.makespan_hours);
+        self.dm_cost += request.dm_cost;
+        let finish = now + request.service;
         self.fold.push(RequestOutcome {
-            index: i,
-            degrees: a.degrees,
-            arrival_hours: a.at_hours,
+            index: request.index,
+            degrees: request.arrival.degrees,
+            arrival_hours: request.arrival.at_hours,
             start_hours: now.as_hours_f64(),
             finish_hours: finish.as_hours_f64(),
             venue: Venue::Cloud,
-            cost: profile.dm_cost,
+            cost: request.dm_cost,
             attempts: 1,
         });
         self.events.push(finish, Ev::ServiceDone);

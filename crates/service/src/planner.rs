@@ -13,8 +13,10 @@
 //! stream from the spec's seed once and feeds every arrival to all of
 //! its candidates' simulations, so a cold plan pays for the stream once
 //! per lane, not once per candidate, and memory stays bounded by the
-//! candidates' backlogs. A candidate's outcome does not depend on its
-//! group, so results are byte-identical at any lane count. Each lane
+//! candidates' backlogs. Each arrival's profile and clock times are
+//! resolved once per group and slot size, not once per candidate. A
+//! candidate's outcome does not depend on its group, so results are
+//! byte-identical at any lane count. Each lane
 //! keeps a warm [`ProfileTable`], so the engine profiles behind the
 //! service times are simulated once per plan, not once per candidate.
 
@@ -25,7 +27,7 @@ use mcloud_simkit::WorkerPool;
 use mcloud_sweep::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 
 use crate::arrivals::{class_stream, MergedStream, RateProfile, RequestClass};
-use crate::autoscale::{AutoScaleConfig, AutoScaleReport, AutoScaleSim};
+use crate::autoscale::{AutoScaleConfig, AutoScaleReport, AutoScaleSim, Job};
 use crate::profile::ProfileTable;
 use crate::simulator::{AdmissionPolicy, RequestOutcome};
 
@@ -362,9 +364,10 @@ pub fn plan_capacity_with_cache(
 
 /// Simulates every candidate against the spec's demand stream in
 /// `groups` contiguous groups fanned out on the global [`WorkerPool`]:
-/// each group pulls the stream once and feeds every arrival to all of
-/// its candidates in lockstep. Reports come back in candidate order and
-/// do not depend on the grouping.
+/// each group pulls the stream once, resolves every arrival into a
+/// [`Job`] once per distinct `procs_per_slot` among its candidates, and
+/// feeds it to all of them in lockstep. Reports come back in candidate
+/// order and do not depend on the grouping.
 fn simulate_grouped(
     spec: &PlanSpec,
     cfgs: &[AutoScaleConfig],
@@ -380,17 +383,29 @@ fn simulate_grouped(
     let mut tables: Vec<ProfileTable> =
         (0..pool.lanes().max(1)).map(|_| profiles.clone()).collect();
     let per_group = pool.map_with_state(&mut tables, &parts, |profiles, part| {
+        // The group's distinct slot sizes, and each candidate's among them.
+        let mut procs: Vec<u32> = Vec::new();
         let mut sims: Vec<_> = part
             .iter()
-            .map(|cfg| AutoScaleSim::new(cfg, |_: &RequestOutcome| {}))
+            .map(|cfg| {
+                let size = cfg.procs_per_slot;
+                let p = procs.iter().position(|&q| q == size).unwrap_or_else(|| {
+                    procs.push(size);
+                    procs.len() - 1
+                });
+                (p, AutoScaleSim::new(cfg, |_: &RequestOutcome| {}))
+            })
             .collect();
+        let mut jobs: Vec<Job> = Vec::with_capacity(procs.len());
         for a in spec.stream() {
-            for sim in &mut sims {
-                sim.arrive(a, profiles);
+            jobs.clear();
+            jobs.extend(procs.iter().map(|&p| Job::new(a, p, profiles)));
+            for (p, sim) in &mut sims {
+                sim.arrive(jobs[*p]);
             }
         }
         sims.into_iter()
-            .map(|sim| sim.finish(profiles))
+            .map(|(_, sim)| sim.finish())
             .collect::<Vec<_>>()
     });
     per_group.into_iter().flatten().collect()
@@ -755,6 +770,58 @@ mod tests {
             let grouped = simulate_grouped(&spec, &cfgs, &profiles, groups);
             assert_eq!(grouped.len(), alone.len());
             // Whole reports, so every scorecard field agrees too.
+            for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
+                assert_eq!(g, a, "candidate {i} at {groups} groups");
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_lockstep_is_exact_for_mixed_slot_sizes() {
+        // Two slot sizes interleaved, so a group resolves each arrival
+        // twice and every candidate must get the job for its own size;
+        // each overflow policy appears with both sizes.
+        let mut spec = quick_spec();
+        spec.modulation.flash_crowds.push(FlashCrowd {
+            start_hour: 20.0,
+            duration_hours: 6.0,
+            multiplier: 4.0,
+        });
+        let base = AutoScaleConfig {
+            boot_s: spec.boot_s,
+            slot_cost_per_hour: spec.slot_cost_per_hour,
+            exec: spec.exec.clone(),
+            ..AutoScaleConfig::default_pool()
+        };
+        let policies = [
+            (None, AdmissionPolicy::AdmitAll),
+            (Some(2), AdmissionPolicy::Reject),
+            (Some(4), AdmissionPolicy::Deflect),
+        ];
+        let cfgs: Vec<AutoScaleConfig> = policies
+            .iter()
+            .cycle()
+            .take(8)
+            .enumerate()
+            .map(|(k, &(queue_bound, admission))| AutoScaleConfig {
+                procs_per_slot: if k % 2 == 0 { 8 } else { 16 },
+                max_slots: 2 + 2 * (k as u32 % 3),
+                queue_bound,
+                admission,
+                ..base.clone()
+            })
+            .collect();
+        let alone: Vec<AutoScaleReport> = cfgs
+            .iter()
+            .map(|cfg| simulate_autoscale_stream(spec.stream(), cfg, |_| {}))
+            .collect();
+        // The overflow paths are exercised, not just configured.
+        assert!(alone.iter().any(|r| r.rejected > 0));
+        assert!(alone.iter().any(|r| r.deflected > 0));
+        let profiles = ProfileTable::new(spec.exec.clone());
+        for groups in [1, 2, 5] {
+            let grouped = simulate_grouped(&spec, &cfgs, &profiles, groups);
+            assert_eq!(grouped.len(), alone.len());
             for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
                 assert_eq!(g, a, "candidate {i} at {groups} groups");
             }

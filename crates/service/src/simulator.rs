@@ -67,6 +67,29 @@ pub enum AdmissionPolicy {
     Deflect,
 }
 
+/// The `queue_bound`/`admission` pairing rule shared by the service and
+/// the auto-scaled pool: a bound needs an overflow policy, and a policy
+/// needs a bound. `admit_all` is how the error names the no-policy setting.
+pub(crate) fn check_admission(
+    queue_bound: Option<usize>,
+    admission: AdmissionPolicy,
+    admit_all: &str,
+) -> Result<(), String> {
+    match (queue_bound, admission) {
+        (Some(bound), AdmissionPolicy::AdmitAll) => Err(format!(
+            "a bounded queue (queue_bound = {bound}) needs an overflow policy: \
+             with admission = {admit_all} a full queue would strand arrivals \
+             forever — use Reject or Deflect"
+        )),
+        (None, AdmissionPolicy::Reject | AdmissionPolicy::Deflect) => Err(
+            "an overflow policy (Reject/Deflect) requires a queue_bound; \
+             an unbounded queue never overflows"
+                .to_string(),
+        ),
+        _ => Ok(()),
+    }
+}
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -131,21 +154,7 @@ impl ServiceConfig {
         if !(0.0..1.0).contains(&self.request_failure_prob) {
             return Err("request_failure_prob must be in [0, 1)".to_string());
         }
-        if self.queue_bound.is_some() && self.admission == AdmissionPolicy::AdmitAll {
-            return Err(format!(
-                "a bounded queue (queue_bound = {}) needs an overflow policy: \
-                 with admission = AdmitAll a full queue would strand arrivals \
-                 forever — use Reject or Deflect",
-                self.queue_bound.unwrap_or(0)
-            ));
-        }
-        if self.queue_bound.is_none() && self.admission != AdmissionPolicy::AdmitAll {
-            return Err(
-                "an overflow policy (Reject/Deflect) requires a queue_bound; \
-                 an unbounded queue never overflows"
-                    .to_string(),
-            );
-        }
+        check_admission(self.queue_bound, self.admission, "AdmitAll")?;
         self.exec.validate()
     }
 }

@@ -3,7 +3,7 @@
 use mcloud_cost::Money;
 use mcloud_service::{
     bursty, periodic, poisson, simulate_autoscale, simulate_autoscale_each, AdmissionPolicy,
-    Arrival, AutoScaleConfig, AutoScaleReport, ProfileTable,
+    Arrival, AutoScaleConfig, AutoScaleReport, ProfileTable, ServiceConfig,
 };
 use mcloud_simkit::{SimDuration, SimTime};
 
@@ -312,4 +312,40 @@ fn unreachable_scale_up_trigger_rejected() {
         ..base()
     };
     simulate_autoscale(&[at(0.0)], &cfg);
+}
+
+#[test]
+fn both_pool_models_word_the_admission_errors_alike() {
+    // One rule, checked in one place, for the service and the pool; only
+    // the pool's name for the no-policy setting differs.
+    let bounded = "a bounded queue (queue_bound = 4) needs an overflow policy: with admission = ";
+    let stranded = " a full queue would strand arrivals forever — use Reject or Deflect";
+    let unbounded = "an overflow policy (Reject/Deflect) requires a queue_bound; \
+                     an unbounded queue never overflows";
+    let pool = |queue_bound, admission| AutoScaleConfig {
+        queue_bound,
+        admission,
+        ..base()
+    };
+    let service = |queue_bound, admission| ServiceConfig {
+        queue_bound,
+        admission,
+        ..ServiceConfig::default_burst()
+    };
+    assert_eq!(
+        pool(Some(4), AdmissionPolicy::AdmitAll).validate(),
+        Err(format!(
+            "{bounded}AdmitAll (rejects and deflects disabled){stranded}"
+        ))
+    );
+    assert_eq!(
+        service(Some(4), AdmissionPolicy::AdmitAll).validate(),
+        Err(format!("{bounded}AdmitAll{stranded}"))
+    );
+    for policy in [AdmissionPolicy::Reject, AdmissionPolicy::Deflect] {
+        assert_eq!(pool(None, policy).validate(), Err(unbounded.to_string()));
+        assert_eq!(service(None, policy).validate(), Err(unbounded.to_string()));
+        assert_eq!(pool(Some(4), policy).validate(), Ok(()));
+        assert_eq!(service(Some(4), policy).validate(), Ok(()));
+    }
 }

@@ -12,17 +12,24 @@
 //! bucket indices are computed from the IEEE-754 bit pattern of the sample
 //! (exponent plus the top three mantissa bits), never from `log2`, so the
 //! same sample stream produces the same histogram on every platform.
-//! Buckets are stored sparsely as a `Vec` of `(index, count)` pairs kept
-//! sorted by index, so iteration order is the bucket order, two histograms
-//! over the same samples compare equal, and [`Histogram::clear`] retains
-//! the bucket storage for reuse (a `BTreeMap` would free its nodes). The
-//! simulator's distributions occupy a few dozen buckets, so the sorted
-//! insert's `O(buckets)` shift is cheaper than tree rebalancing.
+//! Buckets are stored as one dense window of counts over the occupied
+//! index range, so [`Histogram::record`] is a direct index. The window
+//! shifts only when a sample lands below its lowest bucket, and the f64
+//! exponent range bounds it at 16,376 buckets. Both ends of the window
+//! are nonzero, so two histograms over the same samples compare equal,
+//! and [`Histogram::clear`] retains the storage for reuse. Walks over the
+//! buckets ([`Histogram::quantile`], [`Histogram::raw_parts`],
+//! [`Histogram::cumulative_buckets`]) skip the empty entries, so every
+//! reader sees the same sparse, sorted `(index, count)` sequence.
 
 /// Sub-buckets per power of two (8 → bucket width is 1/8 octave).
 const SUB_BITS: u32 = 3;
 /// `1 << SUB_BITS`.
 const SUB: i64 = 1 << SUB_BITS;
+/// Bucket index of the smallest positive `f64` (a subnormal).
+const MIN_INDEX: i64 = -1023 * SUB;
+/// Bucket index of the largest finite `f64`.
+const MAX_INDEX: i64 = 1023 * SUB + SUB - 1;
 
 /// A mergeable log-bucketed histogram of non-negative `f64` samples.
 ///
@@ -31,9 +38,12 @@ const SUB: i64 = 1 << SUB_BITS;
 /// non-negative; the simulator has no negative durations or sizes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
-    /// Sparse bucket counts as `(log-grid index, count)` pairs, sorted by
-    /// index (see [`bucket_index`]).
-    buckets: Vec<(i64, u64)>,
+    /// Log-grid index of `counts[0]` (see [`bucket_index`]); 0 when the
+    /// window is empty, so empty histograms compare equal.
+    lo: i64,
+    /// Dense bucket counts over `[lo, lo + counts.len())`. The first and
+    /// last entries are nonzero; interior entries may be zero.
+    counts: Vec<u64>,
     /// Samples equal to zero.
     zeros: u64,
     count: u64,
@@ -91,23 +101,53 @@ impl Histogram {
         if v == 0.0 {
             self.zeros += 1;
         } else {
-            self.bump_bucket(bucket_index(v), 1);
+            self.bump_bucket(bucket_index(v));
         }
     }
 
-    /// Adds `n` to bucket `idx`, keeping the pair list sorted.
-    fn bump_bucket(&mut self, idx: i64, n: u64) {
-        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
-            Ok(at) => self.buckets[at].1 += n,
-            Err(at) => self.buckets.insert(at, (idx, n)),
+    /// Counts one sample in bucket `idx`.
+    fn bump_bucket(&mut self, idx: i64) {
+        if idx < self.lo || idx - self.lo >= self.counts.len() as i64 {
+            self.cover(idx, idx);
         }
+        self.counts[(idx - self.lo) as usize] += 1;
+    }
+
+    /// Widens the window to include buckets `first..=last`. The new end
+    /// entries start at zero; the caller fills them.
+    #[cold]
+    fn cover(&mut self, first: i64, last: i64) {
+        debug_assert!((MIN_INDEX..=last).contains(&first) && last <= MAX_INDEX);
+        if self.counts.is_empty() {
+            self.lo = first;
+        } else if first < self.lo {
+            let shift = (self.lo - first) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, shift));
+            self.lo = first;
+        }
+        let len = (last - self.lo + 1) as usize;
+        if len > self.counts.len() {
+            self.counts.resize(len, 0);
+        }
+    }
+
+    /// The occupied buckets as `(log-grid index, count)` pairs in
+    /// ascending index order (empty entries of the window skipped).
+    fn buckets(&self) -> impl Iterator<Item = (i64, u64)> + '_ {
+        let lo = self.lo;
+        self.counts
+            .iter()
+            .zip(lo..)
+            .filter(|&(&n, _)| n > 0)
+            .map(|(&n, idx)| (idx, n))
     }
 
     /// Empties the histogram while keeping the bucket storage allocated,
     /// so a reused histogram records at steady state without touching the
     /// heap.
     pub fn clear(&mut self) {
-        self.buckets.clear();
+        self.lo = 0;
+        self.counts.clear();
         self.zeros = 0;
         self.count = 0;
         self.sum = 0.0;
@@ -119,10 +159,12 @@ impl Histogram {
     /// `(buckets, zeros, count, sum, min, max)`. Together with
     /// [`Histogram::from_raw_parts`] this is an exact round-trip — the
     /// rebuilt histogram compares equal bit for bit, which is what the
-    /// result cache's binary report codec relies on.
-    pub fn raw_parts(&self) -> (&[(i64, u64)], u64, u64, f64, f64, f64) {
+    /// result cache's binary report codec relies on. `buckets` lists the
+    /// occupied buckets only, as `(log-grid index, count)` pairs sorted by
+    /// index.
+    pub fn raw_parts(&self) -> (Vec<(i64, u64)>, u64, u64, f64, f64, f64) {
         (
-            &self.buckets,
+            self.buckets().collect(),
             self.zeros,
             self.count,
             self.sum,
@@ -134,9 +176,10 @@ impl Histogram {
     /// Rebuilds a histogram from [`Histogram::raw_parts`] output.
     ///
     /// Returns `Err` instead of a structurally invalid histogram when the
-    /// parts are inconsistent (unsorted or duplicate bucket indices, empty
-    /// buckets, a count that doesn't add up, non-finite aggregates) — the
-    /// disk cache treats that as a corrupt entry and ignores it.
+    /// parts are inconsistent (unsorted or duplicate bucket indices, an
+    /// index no finite sample maps to, empty buckets, a count that doesn't
+    /// add up, non-finite aggregates) — the disk cache treats that as a
+    /// corrupt entry and ignores it.
     pub fn from_raw_parts(
         buckets: Vec<(i64, u64)>,
         zeros: u64,
@@ -153,6 +196,9 @@ impl Histogram {
             }
             if prev.is_some_and(|p| p >= idx) {
                 return Err("histogram buckets not strictly sorted".to_string());
+            }
+            if !(MIN_INDEX..=MAX_INDEX).contains(&idx) {
+                return Err(format!("histogram bucket {idx} is outside the f64 range"));
             }
             prev = Some(idx);
             bucketed = bucketed
@@ -173,14 +219,21 @@ impl Histogram {
         if count > 0 && (min > max || min < 0.0) {
             return Err(format!("histogram min/max inconsistent: {min}..{max}"));
         }
-        Ok(Histogram {
-            buckets,
+        let mut h = Histogram {
             zeros,
             count,
             sum,
             min,
             max,
-        })
+            ..Histogram::default()
+        };
+        if let (Some(&(first, _)), Some(&(last, _))) = (buckets.first(), buckets.last()) {
+            h.cover(first, last);
+            for (idx, n) in buckets {
+                h.counts[(idx - first) as usize] = n;
+            }
+        }
+        Ok(h)
     }
 
     /// Number of samples recorded.
@@ -246,7 +299,7 @@ impl Histogram {
         if rank <= seen {
             return 0.0;
         }
-        for &(idx, n) in &self.buckets {
+        for (idx, n) in self.buckets() {
             seen += n;
             if rank <= seen {
                 let lo = bucket_lower(idx);
@@ -272,8 +325,12 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
         self.zeros += other.zeros;
-        for &(idx, n) in &other.buckets {
-            self.bump_bucket(idx, n);
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.lo + other.counts.len() as i64 - 1);
+            let at = (other.lo - self.lo) as usize;
+            for (dst, &n) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *dst += n;
+            }
         }
     }
 
@@ -283,13 +340,13 @@ impl Histogram {
     /// total [`Self::count`]. A zero bucket, when present, reports bound
     /// `0.0`.
     pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::with_capacity(self.buckets.len() + 1);
+        let mut out = Vec::with_capacity(self.buckets().count() + 1);
         let mut cum = 0u64;
         if self.zeros > 0 {
             cum += self.zeros;
             out.push((0.0, cum));
         }
-        for &(idx, n) in &self.buckets {
+        for (idx, n) in self.buckets() {
             cum += n;
             out.push((bucket_lower(idx + 1), cum));
         }
@@ -381,7 +438,7 @@ mod tests {
             all.record(v);
         }
         a.merge(&b);
-        assert_eq!(a.buckets, all.buckets);
+        assert_eq!(a.raw_parts().0, all.raw_parts().0);
         assert_eq!(a.zeros, all.zeros);
         assert_eq!(a.count(), all.count());
         assert_eq!(a.min(), all.min());
@@ -430,14 +487,15 @@ mod tests {
             a.record(i as f64 / 1000.0);
             b.record(i as f64 * 1000.0);
         }
-        let (a_buckets, b_buckets) = (a.buckets.len(), b.buckets.len());
+        let (a_buckets, b_buckets) = (a.buckets().count(), b.buckets().count());
         a.merge(&b);
-        assert_eq!(a.buckets.len(), a_buckets + b_buckets);
+        let merged = a.raw_parts().0;
+        assert_eq!(merged.len(), a_buckets + b_buckets);
         assert_eq!(a.count(), 32);
         assert_eq!(a.min(), 0.001);
         assert_eq!(a.max(), 16_000.0);
         // The bucket list is still sorted with strictly increasing indices.
-        for w in a.buckets.windows(2) {
+        for w in merged.windows(2) {
             assert!(w[0].0 < w[1].0);
         }
         // Low quantiles come from a's range, high ones from b's.
@@ -467,7 +525,7 @@ mod tests {
             merged.merge(shard);
         }
         assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.buckets, whole.buckets);
+        assert_eq!(merged.raw_parts().0, whole.raw_parts().0);
         assert_eq!(merged.zeros, whole.zeros);
         for q in [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
             assert_eq!(
@@ -527,14 +585,13 @@ mod tests {
             h.record(v);
         }
         let (buckets, zeros, count, sum, min, max) = h.raw_parts();
-        let back =
-            Histogram::from_raw_parts(buckets.to_vec(), zeros, count, sum, min, max).unwrap();
+        let back = Histogram::from_raw_parts(buckets, zeros, count, sum, min, max).unwrap();
         assert_eq!(h, back);
 
         let empty = Histogram::new();
         let (b, z, c, s, lo, hi) = empty.raw_parts();
         assert_eq!(
-            Histogram::from_raw_parts(b.to_vec(), z, c, s, lo, hi).unwrap(),
+            Histogram::from_raw_parts(b, z, c, s, lo, hi).unwrap(),
             empty
         );
     }

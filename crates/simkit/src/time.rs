@@ -118,12 +118,12 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         let secs = (bytes as f64 * 8.0) / bits_per_sec;
-        let us = (secs * MICROS_PER_SEC as f64).ceil();
+        let us = secs * MICROS_PER_SEC as f64;
         assert!(
             us.is_finite() && us < u64::MAX as f64,
             "transfer time overflow"
         );
-        SimDuration(us as u64)
+        SimDuration(ceil_u64(us))
     }
 
     /// The span as whole microseconds.
@@ -152,9 +152,28 @@ fn secs_to_micros(secs: f64) -> u64 {
         secs.is_finite() && secs >= 0.0,
         "simulation time must be finite and non-negative, got {secs}"
     );
-    let us = (secs * MICROS_PER_SEC as f64).round();
+    let us = secs * MICROS_PER_SEC as f64;
     assert!(us < u64::MAX as f64, "simulation time overflow: {secs} s");
-    us as u64
+    round_u64(us)
+}
+
+// `f64::ceil` and `f64::round` are libm calls on the baseline x86-64
+// target (no SSE4.1 `roundsd`). For a finite `x` in `[0, 2^64)` the
+// truncating cast plus one comparison is exact: `x - trunc(x)` is always
+// representable, and from 2^52 up every float is already an integer. The
+// callers' asserts keep `x` in that range (`ceil(x) < 2^64` and
+// `round(x) < 2^64` both hold exactly when `x < 2^64`).
+
+/// `x.ceil() as u64` for finite `x` in `[0, 2^64)`.
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from((t as f64) < x)
+}
+
+/// `x.round() as u64` (half away from zero) for finite `x` in `[0, 2^64)`.
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -292,6 +311,37 @@ mod tests {
     #[should_panic(expected = "bandwidth must be positive")]
     fn transfer_time_rejects_zero_bandwidth() {
         SimDuration::transfer_time(1, 0.0);
+    }
+
+    #[test]
+    fn integer_rounding_matches_libm_exactly() {
+        let check = |x: f64| {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "ceil {x:e}");
+            assert_eq!(round_u64(x), x.round() as u64, "round {x:e}");
+        };
+        let two52 = (1u64 << 52) as f64;
+        let limit = u64::MAX as f64; // 2^64, the asserts' exclusive bound
+        let mut rng = crate::SimRng::new(0x7e57_c011);
+        for x in [0.0, -0.0, 0.5, 1.0, 1.5, 0.49999999999999994, 1e-300] {
+            check(x);
+        }
+        for _ in 0..20_000 {
+            let k = rng.below(1 << 40) as f64;
+            check(k);
+            check(k + 0.5);
+            check(f64::from_bits((k + 0.5).to_bits() - 1)); // just under k + 0.5
+            check(f64::from_bits((k + 0.5).to_bits() + 1)); // just over
+            check(rng.f64() * 1e6);
+            check(rng.f64_in(two52, 2.0 * two52)); // 2^52..2^53: all integers
+            check(two52 - rng.f64()); // the last fractional binade
+        }
+        // The largest values both asserts admit, and a few just below.
+        let mut x = f64::from_bits(limit.to_bits() - 1);
+        for _ in 0..64 {
+            assert!(x < limit);
+            check(x);
+            x = f64::from_bits(x.to_bits() - 1);
+        }
     }
 
     #[test]
