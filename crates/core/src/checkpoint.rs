@@ -17,9 +17,12 @@
 //! the bandwidth, trace recording, or a first transfer at `t = 0` as with
 //! cold-staged inputs). Seeded differential tests hold the line.
 //!
-//! Processor-count and fault-rate axes are not chained: measured at 8°
-//! and 16° they gained at most 1.11x, so those points always run from
-//! scratch.
+//! Processor-count and fault-rate axes are not chained, so those points
+//! always run from scratch. Runs at P and P + 1 processors part as soon
+//! as the smaller pool first saturates: at 8° (85,018 events per
+//! remote-I/O run) that is after 2P + 2 pops in remote I/O (34 at
+//! P = 16) and P + 2 in regular mode, so a checkpoint could skip next to
+//! nothing.
 
 use mcloud_dag::Workflow;
 

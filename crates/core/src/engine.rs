@@ -109,6 +109,10 @@ const LANE_OUT: usize = 1;
 /// `InputArrived`, `FinalStageOutDone`, `OutputStagedOut`) ride the FIFO
 /// lane of the link that granted them; the rest go through the queue's
 /// heap.
+///
+/// In a batched run (see [`Engine::batched`]) a task's private transfers
+/// deliver one `InputArrived` (or `OutputStagedOut`) for the whole batch,
+/// on its last transfer; the earlier ones leave payload-free lane markers.
 #[derive(Debug, Clone)]
 enum Ev {
     /// A shared stage-in transfer finished (Regular/Cleanup). `attempt`
@@ -117,7 +121,7 @@ enum Ev {
     /// One of a task's private input transfers finished (Remote I/O).
     InputArrived {
         task: TaskId,
-        bytes: u64,
+        file: FileId,
         attempt: u32,
     },
     /// A task's compute finished.
@@ -127,7 +131,7 @@ enum Ev {
     /// One of a task's private output transfers finished (Remote I/O).
     OutputStagedOut {
         task: TaskId,
-        bytes: u64,
+        file: FileId,
         attempt: u32,
     },
     /// The provisioned VMs finished booting (fixed provisioning with a
@@ -191,7 +195,16 @@ pub struct SimScratch {
     /// Billing buffer for fixed provisioning (`finish` fills it with one
     /// entry per provisioned instance).
     instance_seconds: Vec<f64>,
+    /// Remote I/O only (empty otherwise): each file's link time in
+    /// microseconds at this run's bandwidth, [`LINK_TIME_UNKNOWN`] until
+    /// first computed. A remote-I/O run moves every intermediate file once
+    /// out and once per consumer, so most link times repeat.
+    link_us: Vec<u64>,
 }
+
+/// A `SimScratch::link_us` entry not computed yet (no link time reaches
+/// it: `SimDuration::transfer_time` stays below 2^64 - 1 µs).
+const LINK_TIME_UNKNOWN: u64 = u64::MAX;
 
 impl Default for SimScratch {
     fn default() -> Self {
@@ -207,6 +220,7 @@ impl Default for SimScratch {
             run_seconds: Vec::new(),
             in_flight: InFlightTable::default(),
             instance_seconds: Vec::new(),
+            link_us: Vec::new(),
         }
     }
 }
@@ -227,6 +241,7 @@ impl Clone for SimScratch {
             run_seconds: self.run_seconds.clone(),
             in_flight: self.in_flight.clone(),
             instance_seconds: self.instance_seconds.clone(),
+            link_us: self.link_us.clone(),
         }
     }
 
@@ -241,6 +256,7 @@ impl Clone for SimScratch {
         self.run_seconds.clone_from(&src.run_seconds);
         self.in_flight.clone_from(&src.in_flight);
         self.instance_seconds.clone_from(&src.instance_seconds);
+        self.link_us.clone_from(&src.link_us);
     }
 }
 
@@ -272,6 +288,12 @@ impl SimScratch {
         self.run_seconds.clear();
         self.in_flight.reset(capacity as usize);
         self.instance_seconds.clear();
+        // Sized in remote-I/O runs only, so the shared-storage modes
+        // allocate nothing for it.
+        self.link_us.clear();
+        if cfg.mode == DataMode::RemoteIo {
+            self.link_us.resize(wf.num_files(), LINK_TIME_UNKNOWN);
+        }
     }
 }
 
@@ -414,6 +436,8 @@ pub(crate) fn run_resumed(
 ) -> Report {
     cfg.validate().expect("invalid execution configuration");
     scr.clone_from(&ck.scratch);
+    // The memoized link times are the checkpointed run's bandwidth.
+    scr.link_us.fill(LINK_TIME_UNKNOWN);
     let mut st = ck.state.clone();
     // Pre-witness no transfer was ever submitted, so a fresh pair of
     // channels at the new bandwidth is exactly the state a from-scratch
@@ -479,11 +503,34 @@ struct Engine<'a, S: EventSink> {
     /// Incremental-simulation control (witness + snapshot slot), present
     /// only when a sweep chain drives this run.
     inc: Option<&'a mut IncCtl>,
+    /// Whether a task's private (remote-I/O) transfers are batched: one
+    /// delivered completion event for all its inputs, one for all its
+    /// outputs, with payload-free queue markers standing in for the rest.
+    ///
+    /// Before the last completion of a batch, an earlier one only
+    /// decrements the task's counter: nothing becomes ready (the task
+    /// still waits on the rest of the batch), no processor is freed, no
+    /// storage is touched (remote I/O charges storage at dispatch and at
+    /// finish), so the `dispatch` after it starts nothing. It narrates a
+    /// `TransferCompleted` and draws a transfer-fault number, though, so
+    /// batches are on only when neither can happen: the sink is disabled
+    /// and the fault model cannot fail a transfer. Markers keep the
+    /// queue's counters (`events_processed`, `kernel.queue`) exactly those
+    /// of a run that delivers every completion.
+    batched: bool,
+}
+
+/// Whether a run of `cfg` observed by `sink` batches its private
+/// transfers (see [`Engine::batched`]). Read once, when the engine is
+/// built.
+fn batches_transfers<S: EventSink>(cfg: &ExecConfig, sink: &S) -> bool {
+    !sink.enabled() && cfg.faults.is_none_or(|f| f.transfer_failure_prob <= 0.0)
 }
 
 impl<'a, S: EventSink> Engine<'a, S> {
     fn new(wf: &'a Workflow, cfg: &'a ExecConfig, sink: S, scr: &'a mut SimScratch) -> Self {
         scr.reset(wf, cfg);
+        let batched = batches_transfers(cfg, &sink);
         let (link, link_out) = build_links(cfg);
         let vm_ready_at = match cfg.provisioning {
             Provisioning::Fixed { .. } => SimTime::from_secs_f64(cfg.vm.startup_s),
@@ -532,6 +579,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             wasted_bytes_out: 0,
             aborted: false,
             inc: None,
+            batched,
         }
     }
 
@@ -546,6 +594,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         scr: &'a mut SimScratch,
         st: EngineState,
     ) -> Self {
+        let batched = batches_transfers(cfg, &sink);
         Engine {
             wf,
             cfg,
@@ -574,6 +623,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
             wasted_bytes_out: st.wasted_bytes_out,
             aborted: st.aborted,
             inc: None,
+            batched,
         }
     }
 
@@ -682,18 +732,18 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 Ev::FileArrived { file, attempt } => self.on_file_arrived(now, file, attempt),
                 Ev::InputArrived {
                     task,
-                    bytes,
+                    file,
                     attempt,
-                } => self.on_input_arrived(now, task, bytes, attempt),
+                } => self.on_input_arrived(now, task, file, attempt),
                 Ev::TaskFinished { task, proc } => self.on_task_finished(now, task, proc),
                 Ev::FinalStageOutDone { file, attempt } => {
                     self.on_final_stage_out(now, file, attempt)
                 }
                 Ev::OutputStagedOut {
                     task,
-                    bytes,
+                    file,
                     attempt,
-                } => self.on_output_staged_out(now, task, bytes, attempt),
+                } => self.on_output_staged_out(now, task, file, attempt),
                 Ev::VmReady => narrate!(self, now, TraceEvent::VmReady),
                 Ev::TaskRetry(t) => self.on_task_retry(now, t),
                 Ev::Preemption => self.on_preemption(now),
@@ -756,7 +806,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                             file: f,
                             attempt: 1,
                         };
-                        self.transfer(Channel::In, SimTime::ZERO, wf.bytes(f), None, ev);
+                        self.transfer(Channel::In, SimTime::ZERO, f, None, Some(ev));
                     }
                 }
                 for t in self.wf.task_ids() {
@@ -764,11 +814,9 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 }
             }
             DataMode::RemoteIo => {
-                for t in self.wf.task_ids() {
-                    self.scr.tasks.missing_inputs[t.index()] = self.wf.inputs(t).len() as u32;
-                    self.scr.tasks.outputs_remaining[t.index()] = self.wf.outputs(t).len() as u32;
-                }
-                // Parentless tasks can begin staging immediately.
+                // Parentless tasks can begin staging immediately. (A
+                // task's `missing_inputs` and `outputs_remaining` are set
+                // when its transfers are submitted.)
                 for t in self.wf.task_ids() {
                     if self.scr.tasks.pending_parents[t.index()] == 0 {
                         self.stage_task_inputs(SimTime::ZERO, t);
@@ -976,7 +1024,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 file: f,
                 attempt: attempt + 1,
             };
-            self.transfer(Channel::In, now, bytes, None, ev);
+            self.transfer(Channel::In, now, f, None, Some(ev));
             return;
         }
         narrate!(
@@ -1010,7 +1058,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 file: f,
                 attempt: attempt + 1,
             };
-            self.transfer(Channel::Out, now, bytes, None, ev);
+            self.transfer(Channel::Out, now, f, None, Some(ev));
             return;
         }
         narrate!(
@@ -1069,26 +1117,54 @@ impl<'a, S: EventSink> Engine<'a, S> {
     /// Submits the private stage-in transfers for one task's inputs.
     fn stage_task_inputs(&mut self, now: SimTime, t: TaskId) {
         let wf = self.wf;
-        for &f in wf.inputs(t) {
-            let external = wf.producer(f).is_none();
-            if external && self.cfg.prestaged_inputs {
-                // Reads from the in-cloud archive are free and instant.
-                self.scr.tasks.missing_inputs[t.index()] -= 1;
-                continue;
-            }
-            let bytes = wf.bytes(f);
-            self.scr.tasks.staged_in_bytes[t.index()] += bytes;
-            let ev = Ev::InputArrived {
-                task: t,
-                bytes,
-                attempt: 1,
-            };
-            self.transfer(Channel::In, now, bytes, Some(t), ev);
-        }
+        let prestaged = self.cfg.prestaged_inputs;
+        // Reads of prestaged external inputs from the in-cloud archive are
+        // free and instant: they never cross the link.
+        let staged = wf
+            .inputs(t)
+            .iter()
+            .copied()
+            .filter(move |&f| !(prestaged && wf.producer(f).is_none()));
+        self.scr.tasks.staged_in_bytes[t.index()] = staged.clone().map(|f| wf.bytes(f)).sum();
+        self.scr.tasks.missing_inputs[t.index()] = self.stage_private(Channel::In, now, t, staged);
         self.maybe_ready(now, t);
     }
 
-    fn on_input_arrived(&mut self, now: SimTime, t: TaskId, bytes: u64, attempt: u32) {
+    /// Submits task `t`'s private transfers of `files` on `chan`, in order,
+    /// and returns how many completion events they will deliver: one per
+    /// transfer, or, in a batched run, one for the whole batch (on its
+    /// last transfer; markers stand in for the others).
+    fn stage_private(
+        &mut self,
+        chan: Channel,
+        now: SimTime,
+        t: TaskId,
+        files: impl Iterator<Item = FileId>,
+    ) -> u32 {
+        let mut files = files.peekable();
+        let mut delivered = 0;
+        while let Some(file) = files.next() {
+            let deliver = !self.batched || files.peek().is_none();
+            let ev = deliver.then_some(match chan {
+                Channel::In => Ev::InputArrived {
+                    task: t,
+                    file,
+                    attempt: 1,
+                },
+                Channel::Out => Ev::OutputStagedOut {
+                    task: t,
+                    file,
+                    attempt: 1,
+                },
+            });
+            delivered += u32::from(deliver);
+            self.transfer(chan, now, file, Some(t), ev);
+        }
+        delivered
+    }
+
+    fn on_input_arrived(&mut self, now: SimTime, t: TaskId, f: FileId, attempt: u32) {
+        let bytes = self.wf.bytes(f);
         if self.transfer_failed(now, Channel::In, bytes, Some(t)) {
             if self.transfer_retry_exhausted(attempt) {
                 self.aborted = true;
@@ -1096,10 +1172,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
             }
             let ev = Ev::InputArrived {
                 task: t,
-                bytes,
+                file: f,
                 attempt: attempt + 1,
             };
-            self.transfer(Channel::In, now, bytes, Some(t), ev);
+            self.transfer(Channel::In, now, f, Some(t), Some(ev));
             return;
         }
         narrate!(
@@ -1119,7 +1195,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.maybe_ready(now, t);
     }
 
-    fn on_output_staged_out(&mut self, now: SimTime, t: TaskId, bytes: u64, attempt: u32) {
+    fn on_output_staged_out(&mut self, now: SimTime, t: TaskId, f: FileId, attempt: u32) {
+        let bytes = self.wf.bytes(f);
         if self.transfer_failed(now, Channel::Out, bytes, Some(t)) {
             if self.transfer_retry_exhausted(attempt) {
                 self.aborted = true;
@@ -1127,10 +1204,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
             }
             let ev = Ev::OutputStagedOut {
                 task: t,
-                bytes,
+                file: f,
                 attempt: attempt + 1,
             };
-            self.transfer(Channel::Out, now, bytes, Some(t), ev);
+            self.transfer(Channel::Out, now, f, Some(t), Some(ev));
             return;
         }
         narrate!(
@@ -1198,20 +1275,39 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.ready_occ.set(now, self.scr.ready.len() as f64);
     }
 
-    /// Submits a transfer on the link that carries `chan` — the outbound
-    /// link for [`Channel::Out`] when `duplex_link` is set, the shared link
-    /// otherwise — updates the byte accounting, narrates the grant, and
-    /// schedules `ev` at the grant's finish on that link's FIFO lane. An
-    /// FCFS link finishes transfers in submission order, so its
-    /// completions never need the queue's heap. `task` attributes private
-    /// (remote-I/O) transfers to their task; shared staging passes `None`.
-    fn transfer(&mut self, chan: Channel, now: SimTime, bytes: u64, task: Option<TaskId>, ev: Ev) {
+    /// Submits a transfer of file `f` on the link that carries `chan` —
+    /// the outbound link for [`Channel::Out`] when `duplex_link` is set,
+    /// the shared link otherwise — updates the byte accounting, narrates
+    /// the grant, and schedules `ev` (or, for `None`, a marker) at the
+    /// grant's finish on that link's FIFO lane. An FCFS link finishes
+    /// transfers in submission order, so its completions never need the
+    /// queue's heap. `task` attributes private (remote-I/O) transfers to
+    /// their task; shared staging passes `None`.
+    fn transfer(
+        &mut self,
+        chan: Channel,
+        now: SimTime,
+        f: FileId,
+        task: Option<TaskId>,
+        ev: Option<Ev>,
+    ) {
         self.note_transfer_submitted();
+        let bytes = self.wf.bytes(f);
+        let service = match self.scr.link_us.get_mut(f.index()) {
+            Some(&mut us) if us != LINK_TIME_UNKNOWN => SimDuration::from_micros(us),
+            memo => {
+                let service = SimDuration::transfer_time(bytes, self.cfg.bandwidth_bps);
+                if let Some(us) = memo {
+                    *us = service.as_micros();
+                }
+                service
+            }
+        };
         let (link, lane) = match (chan, self.link_out.as_mut()) {
             (Channel::Out, Some(out)) => (out, LANE_OUT),
             _ => (&mut self.link, LANE_IN),
         };
-        let grant = link.submit(now, bytes);
+        let grant = link.submit_for(now, bytes, service);
         match chan {
             Channel::In => {
                 self.bytes_in += bytes;
@@ -1233,7 +1329,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 task: task.map(|t| t.0),
             },
         );
-        self.scr.events.push_fifo(lane, grant.finish, ev);
+        match ev {
+            Some(ev) => self.scr.events.push_fifo(lane, grant.finish, ev),
+            None => self.scr.events.push_fifo_marker(lane, grant.finish),
+        }
     }
 
     /// True when starting `t` now would overflow a configured storage cap
@@ -1410,18 +1509,10 @@ impl<'a, S: EventSink> Engine<'a, S> {
                     self.storage_free(now, held);
                 }
                 // ...and every output is staged back to the user's site.
-                if wf.outputs(t).is_empty() {
-                    self.task_fully_done(now, t);
-                    return;
-                }
-                for &f in wf.outputs(t) {
-                    let bytes = wf.bytes(f);
-                    let ev = Ev::OutputStagedOut {
-                        task: t,
-                        bytes,
-                        attempt: 1,
-                    };
-                    self.transfer(Channel::Out, now, bytes, Some(t), ev);
+                let outputs = wf.outputs(t).iter().copied();
+                match self.stage_private(Channel::Out, now, t, outputs) {
+                    0 => self.task_fully_done(now, t),
+                    n => self.scr.tasks.outputs_remaining[t.index()] = n,
                 }
             }
         }
@@ -1440,7 +1531,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 file: f,
                 attempt: 1,
             };
-            self.transfer(Channel::Out, now, wf.bytes(f), None, ev);
+            self.transfer(Channel::Out, now, f, None, Some(ev));
         }
     }
 

@@ -109,8 +109,24 @@ impl FcfsChannel {
     /// instants. Zero-byte transfers complete immediately (but still queue
     /// behind in-flight work, matching a zero-payload control message).
     pub fn submit(&mut self, now: SimTime, bytes: u64) -> TransferGrant {
+        self.submit_for(
+            now,
+            bytes,
+            SimDuration::transfer_time(bytes, self.bits_per_sec),
+        )
+    }
+
+    /// [`submit`](Self::submit) with the transfer's link time already
+    /// known: `service` must equal
+    /// `SimDuration::transfer_time(bytes, self.bandwidth())`, so a caller
+    /// that moves the same file many times can compute it once.
+    pub fn submit_for(&mut self, now: SimTime, bytes: u64, service: SimDuration) -> TransferGrant {
+        debug_assert_eq!(
+            service,
+            SimDuration::transfer_time(bytes, self.bits_per_sec),
+            "link time does not match the bandwidth"
+        );
         let start = self.busy_until.max(now);
-        let service = SimDuration::transfer_time(bytes, self.bits_per_sec);
         // Walk the blackout windows: the transfer makes progress only
         // outside them, so its span stretches by every overlapped window.
         let mut t = start;

@@ -16,7 +16,13 @@
 //!   order. A serial FCFS link is one: it finishes transfers in the order
 //!   they were submitted, so its completions can be appended with
 //!   [`push_fifo`](EventQueue::push_fifo) and popped off the lane's front.
-//!   Both are O(1), however far ahead the completions lie.
+//!   Both are O(1), however far ahead the completions lie. A lane also
+//!   takes *markers* ([`push_fifo_marker`](EventQueue::push_fifo_marker)):
+//!   keys with no payload that stand for a completion nobody needs to
+//!   handle. A marker is counted like any event (it takes a sequence
+//!   number, is pending until its turn, and counts in
+//!   [`popped`](EventQueue::popped) and the peak) but is never delivered:
+//!   [`pop`](EventQueue::pop) consumes it and moves on to the next event.
 //! * **A binary heap** of compact `(time, seq, slot)` keys for every other
 //!   event. In a workflow simulation these are the compute completions,
 //!   retries and preemptions — at most about one per processor — so the
@@ -50,7 +56,8 @@ impl EventId {
     pub const NONE: EventId = EventId(u64::MAX);
 }
 
-/// Empty free list.
+/// Empty free list, and the slot of a marker's key: the slab never hands
+/// out this index.
 const NIL: u32 = u32::MAX;
 
 /// One slab entry.
@@ -74,6 +81,10 @@ enum Slot<E> {
 struct Key(u128);
 
 impl Key {
+    fn new(time: SimTime, seq: u32, slot: u32) -> Self {
+        Key(u128::from(time.as_micros()) << 64 | u128::from(seq) << 32 | u128::from(slot))
+    }
+
     fn time(self) -> SimTime {
         SimTime::from_micros((self.0 >> 64) as u64)
     }
@@ -140,7 +151,8 @@ pub struct EventQueue<E> {
 /// identical stats on any machine and at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueueStats {
-    /// Events delivered by [`EventQueue::pop`].
+    /// Events taken off the queue by [`EventQueue::pop`], markers
+    /// included.
     pub popped: u64,
     /// Cancellations that removed a still-pending event.
     pub cancelled: u64,
@@ -221,12 +233,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Checks the no-past rule, then stores `payload` in a slab slot under
-    /// a fresh sequence number.
+    /// Checks the no-past rule and counts a new pending event, returning
+    /// its sequence number.
     ///
     /// # Panics
     /// Panics past 2^32 pushes since the last reset.
-    fn store(&mut self, time: SimTime, payload: E) -> Key {
+    fn admit(&mut self, time: SimTime) -> u32 {
         assert!(
             time >= self.last_popped,
             "event scheduled into the past: {} < {}",
@@ -237,6 +249,12 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.live += 1;
         self.peak_pending = self.peak_pending.max(self.live);
+        seq
+    }
+
+    /// Admits an event at `time` and stores `payload` in a slab slot.
+    fn store(&mut self, time: SimTime, payload: E) -> Key {
+        let seq = self.admit(time);
         let slot = self.free_head;
         let slot = if slot == NIL {
             let s = u32::try_from(self.slots.len())
@@ -254,7 +272,7 @@ impl<E> EventQueue<E> {
             self.slot_seq[slot as usize] = seq;
             slot
         };
-        Key(u128::from(time.as_micros()) << 64 | u128::from(seq) << 32 | u128::from(slot))
+        Key::new(time, seq, slot)
     }
 
     /// Returns `slot` to the free list and hands back what it held.
@@ -286,6 +304,25 @@ impl<E> EventQueue<E> {
     /// earlier than the time of the lane's last pushed event that is still
     /// pending: a lane's times must never decrease.
     pub fn push_fifo(&mut self, lane: usize, time: SimTime, payload: E) {
+        self.push_lane(lane, time, Some(payload));
+    }
+
+    /// Schedules a marker at `time` on FIFO lane `lane`: a payload-free
+    /// event that stands for a completion nobody handles. It takes a
+    /// sequence number and counts as pending (in [`len`](Self::len),
+    /// [`peek_time`](Self::peek_time) and the peak) exactly like a
+    /// [`push_fifo`](Self::push_fifo) event, and its turn counts in
+    /// [`popped`](Self::popped) and advances the clock, but
+    /// [`pop`](Self::pop) never returns it. It takes no slab slot.
+    ///
+    /// # Panics
+    /// As [`push_fifo`](Self::push_fifo).
+    pub fn push_fifo_marker(&mut self, lane: usize, time: SimTime) {
+        self.push_lane(lane, time, None);
+    }
+
+    /// Appends an event (or, for `None`, a marker) to lane `lane`.
+    fn push_lane(&mut self, lane: usize, time: SimTime, payload: Option<E>) {
         if let Some(tail) = self.lane_mut(lane).back() {
             assert!(
                 time >= tail.time(),
@@ -294,7 +331,10 @@ impl<E> EventQueue<E> {
                 tail.time()
             );
         }
-        let key = self.store(time, payload);
+        let key = match payload {
+            Some(payload) => self.store(time, payload),
+            None => Key::new(time, self.admit(time), NIL),
+        };
         self.lanes[lane].push_back(key);
     }
 
@@ -373,26 +413,35 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest pending event, advancing the clock.
+    /// Markers reached on the way are consumed (each counts as popped and
+    /// advances the clock) and skipped; `None` once nothing but consumed
+    /// markers was left.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, head) = self.earliest()?;
-        match head {
-            Head::Heap => {
-                self.heap.pop();
+        loop {
+            let (key, head) = self.earliest()?;
+            match head {
+                Head::Heap => {
+                    self.heap.pop();
+                }
+                Head::Lane(i) => {
+                    self.lanes[i].pop_front();
+                }
             }
-            Head::Lane(i) => {
-                self.lanes[i].pop_front();
+            self.live -= 1;
+            self.last_popped = key.time();
+            self.popped += 1;
+            if key.slot() == NIL {
+                continue; // a marker: counted, not delivered
             }
-        }
-        self.live -= 1;
-        self.last_popped = key.time();
-        self.popped += 1;
-        match self.release(key.slot()) {
-            Slot::Live(payload) => Some((key.time(), payload)),
-            _ => unreachable!("pending key without a payload"),
+            match self.release(key.slot()) {
+                Slot::Live(payload) => return Some((key.time(), payload)),
+                _ => unreachable!("pending key without a payload"),
+            }
         }
     }
 
-    /// The timestamp of the next pending event, if any.
+    /// The timestamp of the next pending event (a marker included), if
+    /// any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.earliest().map(|(k, _)| k.time())
     }
@@ -402,15 +451,16 @@ impl<E> EventQueue<E> {
         self.last_popped
     }
 
-    /// Total events delivered by [`pop`](Self::pop) over the queue's
-    /// lifetime (cancelled entries are not counted). This is the
-    /// denominator-free "work done" metric the benchmark baseline reports
-    /// as events/sec.
+    /// Total events taken off the queue by [`pop`](Self::pop) over the
+    /// queue's lifetime: every delivered event plus every marker consumed
+    /// (counted, though never delivered); cancelled entries are not
+    /// counted. This is the denominator-free "work done" metric the
+    /// benchmark baseline reports as events/sec.
     pub fn popped(&self) -> u64 {
         self.popped
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (non-cancelled) events, markers included.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -644,6 +694,75 @@ mod tests {
         let s = q.stats();
         assert_eq!((s.popped, s.cancelled, s.peak_pending), (3, 1, 3));
         assert_eq!((s.resizes, s.cursor_jumps), (0, 0));
+    }
+
+    #[test]
+    fn a_pending_marker_counts_as_an_event_until_its_turn() {
+        let mut q = EventQueue::new();
+        q.push_fifo_marker(0, t(1.0));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(t(1.0)));
+        q.push(t(2.0), "heap");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(1.0)));
+        // The marker is consumed on the way to the heap event.
+        assert_eq!(q.pop(), Some((t(2.0), "heap")));
+        assert_eq!(q.popped(), 2);
+        assert!(q.is_empty());
+        // A marker takes no slab slot.
+        assert_eq!(q.slots.len(), 1);
+    }
+
+    #[test]
+    fn markers_keep_their_place_in_time_and_push_order() {
+        let mut q = EventQueue::new();
+        q.push_fifo(0, t(1.0), "lane a");
+        q.push_fifo_marker(0, t(2.0));
+        q.push(t(2.0), "heap a"); // ties with the marker, pushed after it
+        q.push_fifo_marker(1, t(2.0)); // ties too, pushed last
+        q.push_fifo(0, t(3.0), "lane b");
+        assert_eq!(q.pop(), Some((t(1.0), "lane a")));
+        assert_eq!(q.pop(), Some((t(2.0), "heap a")));
+        assert_eq!(q.popped(), 3); // "lane a", the lane-0 marker, "heap a"
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(t(2.0))); // the lane-1 marker
+        assert_eq!(q.pop(), Some((t(3.0), "lane b")));
+        let s = q.stats();
+        assert_eq!((s.popped, s.peak_pending), (5, 5));
+    }
+
+    #[test]
+    #[should_panic(expected = "FIFO lane 0 pushed out of order")]
+    fn a_marker_obeys_the_lane_order() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.push_fifo(0, t(3.0), ());
+        q.push_fifo_marker(0, t(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled into the past")]
+    fn a_marker_obeys_the_no_past_rule() {
+        let mut q = EventQueue::new();
+        q.push(t(10.0), ());
+        q.pop();
+        q.push_fifo_marker(0, t(5.0));
+    }
+
+    #[test]
+    fn pop_consumes_trailing_markers_then_reports_none() {
+        let mut q = EventQueue::new();
+        q.push(t(1.0), 7);
+        q.push_fifo_marker(0, t(2.0));
+        q.push_fifo_marker(1, t(4.0));
+        q.push_fifo_marker(0, t(3.0));
+        assert_eq!(q.pop(), Some((t(1.0), 7)));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert_eq!(q.popped(), 4);
+        assert_eq!(q.now(), t(4.0));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

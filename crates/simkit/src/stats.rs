@@ -53,6 +53,10 @@ impl TimeWeighted {
     /// Panics if `now` precedes a previously observed instant (updates must
     /// arrive in time order, as they do from an event loop).
     pub fn advance(&mut self, now: SimTime) {
+        if now == self.last_time {
+            // Exact to skip: the update would add a zero-length span.
+            return;
+        }
         let dt = now.since(self.last_time); // panics if time runs backwards
         self.integral += self.value * dt.as_secs_f64();
         self.last_time = now;

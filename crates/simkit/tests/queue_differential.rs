@@ -9,8 +9,11 @@
 //! leaves dead keys at the heap top. The lane streams mix heap pushes
 //! with one or two FIFO lanes: equal-time ties across lanes and the heap
 //! must still pop in push order, and heap cancellations land between lane
-//! pops. Each case is seeded from its index, so a failure message
-//! identifies a reproducible stream.
+//! pops. The marker streams also push payload-free lane markers, which
+//! the reference keeps as heap entries without a payload: they take their
+//! `(time, seq)` place among all other events and count as pending and
+//! as popped, but a pop never returns one. Each case is seeded from its
+//! index, so a failure message identifies a reproducible stream.
 //!
 //! Every heap-only stream's final [`QueueStats`] is also compared against
 //! a committed golden file per test under `tests/golden/`. Those counters
@@ -29,10 +32,10 @@ const CASES: u64 = 64;
 
 /// The kernel's documented order, implemented the obvious way: one binary
 /// heap of ascending `(time, insertion seq)` for every event, lane or not,
-/// with lazy cancellation.
+/// with lazy cancellation. A marker is an entry with no payload.
 #[derive(Default)]
 struct ReferenceQueue {
-    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, Option<usize>)>>,
     /// Indexed by seq; set when an event is cancelled *or* consumed, so
     /// `cancel` on a popped event reports `false` like the real queue.
     dead: Vec<bool>,
@@ -40,10 +43,12 @@ struct ReferenceQueue {
     cancelled: u64,
     live: u64,
     peak_pending: u64,
+    /// Time of the last entry popped, marker or not.
+    now: SimTime,
 }
 
 impl ReferenceQueue {
-    fn push(&mut self, time: SimTime, payload: usize) -> u64 {
+    fn push(&mut self, time: SimTime, payload: Option<usize>) -> u64 {
         let seq = self.dead.len() as u64;
         self.dead.push(false);
         self.heap.push(Reverse((time, seq, payload)));
@@ -62,12 +67,17 @@ impl ReferenceQueue {
         hit
     }
 
+    /// Pops entries in order until one with a payload comes off; the
+    /// markers on the way count as popped.
     fn pop(&mut self) -> Option<(SimTime, usize)> {
         while let Some(Reverse((time, seq, payload))) = self.heap.pop() {
             if !std::mem::replace(&mut self.dead[seq as usize], true) {
                 self.live -= 1;
                 self.popped += 1;
-                return Some((time, payload));
+                self.now = time;
+                if let Some(payload) = payload {
+                    return Some((time, payload));
+                }
             }
         }
         None
@@ -92,13 +102,14 @@ impl ReferenceQueue {
 /// the heap or to one of `lanes` FIFO lanes, drawn uniformly; a lane's
 /// times never decrease. With `lanes == 0` no lane choice is drawn, so a
 /// heap-only stream's draws, and its golden line, do not depend on the
-/// lane code.
+/// lane code. With `markers`, half the lane pushes are markers.
 fn drive_round(
     rng: &mut SimRng,
     q: &mut EventQueue<usize>,
     gap: &dyn Fn(&mut SimRng) -> u64,
     cancel_pct: u64,
     lanes: usize,
+    markers: bool,
     case: u64,
 ) -> QueueStats {
     let mut reference = ReferenceQueue::default();
@@ -121,15 +132,20 @@ fn drive_round(
                     cursor = cursor.max(now).saturating_add(gap(rng));
                     let time = SimTime::from_micros(cursor);
                     let id = q.push(time, payload);
-                    let seq = reference.push(time, payload);
+                    let seq = reference.push(time, Some(payload));
                     ids.push((id, seq));
                 }
                 Some(lane) => {
                     let tail = &mut lane_tail[lane];
                     *tail = (*tail).max(now).saturating_add(gap(rng));
                     let time = SimTime::from_micros(*tail);
-                    q.push_fifo(lane, time, payload);
-                    reference.push(time, payload);
+                    if markers && rng.chance(0.5) {
+                        q.push_fifo_marker(lane, time);
+                        reference.push(time, None);
+                    } else {
+                        q.push_fifo(lane, time, payload);
+                        reference.push(time, Some(payload));
+                    }
                 }
             }
             payload += 1;
@@ -145,9 +161,10 @@ fn drive_round(
             let real = q.pop();
             let model = reference.pop();
             assert_eq!(real, model, "case {case}: pop diverged");
-            if let Some((time, _)) = real {
-                now = time.as_micros();
-            }
+            // Consumed markers advance the clock too, even when nothing
+            // is returned.
+            assert_eq!(q.now(), reference.now, "case {case}: clock diverged");
+            now = q.now().as_micros();
         } else {
             assert_eq!(
                 q.peek_time(),
@@ -222,7 +239,7 @@ fn run_cases(name: &str, seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct
     for case in 0..CASES {
         let mut rng = SimRng::new(seed ^ case);
         let mut q = EventQueue::new();
-        let stats = drive_round(&mut rng, &mut q, &gap, cancel_pct, 0, case);
+        let stats = drive_round(&mut rng, &mut q, &gap, cancel_pct, 0, false, case);
         stats_line(&mut golden, case, stats);
     }
     check_stats_golden(name, &golden);
@@ -287,7 +304,7 @@ fn reset_reuses_the_queue_equivalently() {
         let mut q = EventQueue::new();
         for (round, gap) in gaps.iter().enumerate() {
             let label = case * 10 + round as u64;
-            let stats = drive_round(&mut rng, &mut q, gap, 20, 0, label);
+            let stats = drive_round(&mut rng, &mut q, gap, 20, 0, false, label);
             stats_line(&mut golden, label, stats);
             q.reset();
         }
@@ -301,7 +318,16 @@ fn run_lane_cases(seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct: u64, 
     for case in 0..CASES {
         let mut rng = SimRng::new(seed ^ case);
         let mut q = EventQueue::new();
-        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, case);
+        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, false, case);
+    }
+}
+
+/// [`run_lane_cases`] with half the lane pushes made markers.
+fn run_marker_cases(seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct: u64, lanes: usize) {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(seed ^ case);
+        let mut q = EventQueue::new();
+        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, true, case);
     }
 }
 
@@ -336,7 +362,52 @@ fn reset_between_lane_rounds_matches_a_fresh_queue() {
         let mut rng = SimRng::new(0xD1F_0106 ^ case);
         let mut q = EventQueue::new();
         for lanes in [2, 1, 0, 2] {
-            drive_round(&mut rng, &mut q, &|rng| rng.below(300), 20, lanes, case);
+            drive_round(
+                &mut rng,
+                &mut q,
+                &|rng| rng.below(300),
+                20,
+                lanes,
+                false,
+                case,
+            );
+            q.reset();
+        }
+    }
+}
+
+#[test]
+fn markers_on_one_lane_match_the_reference() {
+    run_marker_cases(0xD1F_0201, |rng| rng.below(1_000), 20, 1);
+}
+
+#[test]
+fn markers_tied_with_the_heap_and_other_lanes_match_the_reference() {
+    // Every push at one instant: markers keep their place by seq alone.
+    run_marker_cases(0xD1F_0202, |_| 0, 20, 2);
+    run_marker_cases(0xD1F_0203, |rng| rng.below(3), 20, 2);
+}
+
+#[test]
+fn markers_running_far_ahead_with_cancellations_match_the_reference() {
+    run_marker_cases(0xD1F_0204, |rng| 1u64 << rng.below(24), 40, 2);
+}
+
+#[test]
+fn reset_between_marker_rounds_matches_a_fresh_queue() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(0xD1F_0205 ^ case);
+        let mut q = EventQueue::new();
+        for (lanes, markers) in [(2, true), (1, false), (0, false), (2, true)] {
+            drive_round(
+                &mut rng,
+                &mut q,
+                &|rng| rng.below(300),
+                20,
+                lanes,
+                markers,
+                case,
+            );
             q.reset();
         }
     }
