@@ -275,7 +275,10 @@ impl Job {
 #[derive(Debug, Clone, Copy)]
 struct Waiting {
     index: usize,
-    arrival: Arrival,
+    degrees: f64,
+    /// The arrival instant on the simulation clock, so the wait is
+    /// measured on one clock (exactly 0 for a request served on arrival).
+    at: SimTime,
     dm_cost: Money,
     service: SimDuration,
 }
@@ -374,11 +377,13 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
                     // management, same as a service cloud burst.
                     self.deflected += 1;
                     self.deflect_cost += profile.cost;
+                    // Served on arrival: arrival and start are one
+                    // instant of the simulation clock.
                     let start_h = now.as_hours_f64();
                     self.fold.push(RequestOutcome {
                         index: i,
                         degrees: a.degrees,
-                        arrival_hours: a.at_hours,
+                        arrival_hours: start_h,
                         start_hours: start_h,
                         finish_hours: start_h + profile.makespan_hours,
                         venue: Venue::Cloud,
@@ -393,7 +398,8 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
         }
         let request = Waiting {
             index: i,
-            arrival: a,
+            degrees: a.degrees,
+            at: now,
             dm_cost: profile.dm_cost,
             service: job.service,
         };
@@ -497,8 +503,8 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
         let finish = now + request.service;
         self.fold.push(RequestOutcome {
             index: request.index,
-            degrees: request.arrival.degrees,
-            arrival_hours: request.arrival.at_hours,
+            degrees: request.degrees,
+            arrival_hours: request.at.as_hours_f64(),
             start_hours: now.as_hours_f64(),
             finish_hours: finish.as_hours_f64(),
             venue: Venue::Cloud,

@@ -485,9 +485,14 @@ fn candidate_digest(spec: &Canon, cfg: &AutoScaleConfig) -> Digest {
 }
 
 /// Magic + version leading every cached candidate outcome. The version
-/// byte keys invalidation if the scorecard ever grows a field.
+/// byte keys invalidation whenever a scorecard field is added or a
+/// simulated outcome changes (version 2: waits and turnarounds measured
+/// from the arrival's clock instant, not its raw hours), so an entry a
+/// disk tier kept from an older build reads as a miss. The
+/// `plan_outcomes_are_pinned_to_the_outcome_version` test ties the
+/// simulated outcomes to this byte.
 const OUTCOME_MAGIC: &[u8; 4] = b"MCPO";
-const OUTCOME_VERSION: u8 = 1;
+const OUTCOME_VERSION: u8 = 2;
 
 /// Serializes a scorecard's measured fields (everything except the
 /// config, which the probing caller already holds, and `meets_slo`,
@@ -952,6 +957,33 @@ mod tests {
         let mut wrong_version = good.clone();
         wrong_version[4] ^= 1;
         assert!(decode_outcome(&wrong_version, &spec, cfg).is_none());
+    }
+
+    /// Disk-tier entries are keyed by spec and candidate, not by what the
+    /// simulation computes, so a change to the outcomes must bump
+    /// `OUTCOME_VERSION` or another process would serve stale
+    /// scorecards. This pins the encoded outcomes of a quick plan to the
+    /// version.
+    #[test]
+    fn plan_outcomes_are_pinned_to_the_outcome_version() {
+        let spec = quick_spec();
+        let plan = plan_capacity_with_cache(
+            &spec,
+            spec.default_candidates(),
+            &ResultCache::new(DEFAULT_BUDGET_BYTES, None),
+        )
+        .expect("plan");
+        let mut canon = Canon::new(DOMAIN_PLAN);
+        for c in &plan.candidates {
+            for b in encode_outcome(c) {
+                canon.u8(b);
+            }
+        }
+        assert_eq!(
+            (OUTCOME_VERSION, canon.finish().to_hex()),
+            (2, "71b75442039808e9302e3a9bb0e1967a".to_string()),
+            "plan outcomes changed: bump OUTCOME_VERSION and re-pin"
+        );
     }
 
     #[test]

@@ -166,7 +166,8 @@ pub struct RequestOutcome {
     pub index: usize,
     /// Requested mosaic size.
     pub degrees: f64,
-    /// Arrival time, hours.
+    /// Arrival time, hours, read off the simulation clock like the start
+    /// and finish, so a request served on arrival waits exactly 0.
     pub arrival_hours: f64,
     /// Service start time, hours.
     pub start_hours: f64,
@@ -488,12 +489,8 @@ impl<F: FnMut(&RequestOutcome)> OutcomeFold<F> {
                 Fate::Served(o) => {
                     self.buf.pop_front();
                     self.next += 1;
-                    // The clock is quantized to microseconds, so a request
-                    // served on arrival can report a wait a fraction of a
-                    // microsecond below zero; the histogram wants true
-                    // durations.
-                    self.wait_hist.record(o.wait_hours().max(0.0));
-                    self.turnaround_hist.record(o.turnaround_hours().max(0.0));
+                    self.wait_hist.record(o.wait_hours());
+                    self.turnaround_hist.record(o.turnaround_hours());
                     match o.venue {
                         Venue::Local => self.served_local += 1,
                         Venue::Cloud => self.served_cloud += 1,
@@ -728,7 +725,7 @@ fn start_local<S: EventSink, F: FnMut(&RequestOutcome)>(
     fold.push(RequestOutcome {
         index: i,
         degrees: a.degrees,
-        arrival_hours: a.at_hours,
+        arrival_hours: hours(a.at_hours).as_hours_f64(),
         start_hours: start_h,
         finish_hours: finish.as_hours_f64(),
         venue: Venue::Local,
@@ -768,7 +765,7 @@ fn start_cloud<S: EventSink, F: FnMut(&RequestOutcome)>(
     fold.push(RequestOutcome {
         index: i,
         degrees: a.degrees,
-        arrival_hours: a.at_hours,
+        arrival_hours: hours(a.at_hours).as_hours_f64(),
         start_hours: start_h,
         finish_hours: start_h + run_hours,
         venue: Venue::Cloud,

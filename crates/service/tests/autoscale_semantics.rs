@@ -5,7 +5,7 @@ use mcloud_service::{
     bursty, periodic, poisson, simulate_autoscale, simulate_autoscale_each, AdmissionPolicy,
     Arrival, AutoScaleConfig, AutoScaleReport, ProfileTable, ServiceConfig,
 };
-use mcloud_simkit::{SimDuration, SimTime};
+use mcloud_simkit::{MetricClass, Registry, SimDuration, SimTime};
 
 fn at(hours: f64) -> Arrival {
     Arrival {
@@ -348,4 +348,46 @@ fn both_pool_models_word_the_admission_errors_alike() {
         assert_eq!(pool(Some(4), policy).validate(), Ok(()));
         assert_eq!(service(Some(4), policy).validate(), Ok(()));
     }
+}
+
+/// Arrival triples at instants that are not whole microseconds: on one
+/// slot with a backlog bound of 1, the first of each takes the idle slot,
+/// the second waits behind it, and the third is served on arrival
+/// elsewhere (deflected, or burst to the cloud).
+fn unaligned_triples() -> Vec<Arrival> {
+    (0..40)
+        .flat_map(|i| {
+            let t = 1.0 + 3.0 * f64::from(i) + 1.0 / 3.0;
+            [at(t), at(t + 1e-4 / 7.0), at(t + 2e-4 / 7.0)]
+        })
+        .collect()
+}
+
+/// A request served on arrival, on an idle slot or deflected, waits
+/// exactly 0 h: its arrival and start are read off the same clock. The
+/// Prometheus `le="0"` bucket counts every one of them.
+#[test]
+fn a_request_served_on_arrival_waits_exactly_zero() {
+    let cfg = AutoScaleConfig {
+        max_slots: 1,
+        queue_bound: Some(1),
+        admission: AdmissionPolicy::Deflect,
+        ..base()
+    };
+    let mut waits = Vec::new();
+    let report =
+        simulate_autoscale_each(&unaligned_triples(), &cfg, |o| waits.push(o.wait_hours()));
+    assert_eq!(report.deflected, 40);
+    assert_eq!(waits.iter().filter(|&&w| w == 0.0).count(), 80);
+    assert!(waits.iter().all(|&w| w == 0.0 || w > 1e-3), "{waits:?}");
+    let mut reg = Registry::new();
+    reg.set_histogram(
+        "waits",
+        "Request waits, hours.",
+        MetricClass::Deterministic,
+        &[],
+        &report.wait_hist,
+    );
+    let text = reg.prometheus_text();
+    assert!(text.contains("waits_bucket{le=\"0\"} 80\n"), "{text}");
 }

@@ -193,3 +193,36 @@ fn unsorted_arrivals_rejected() {
     let arrivals = vec![at(5.0), at(1.0)];
     simulate_service(&arrivals, &ServiceConfig::default_burst());
 }
+
+/// A request served on arrival, on the idle local slot or burst to the
+/// cloud, waits exactly 0 h: arrival and start are read off the same
+/// clock, at instants that are not whole microseconds. The Prometheus
+/// `le="0"` bucket counts every one of them.
+#[test]
+fn a_request_served_on_arrival_waits_exactly_zero() {
+    // Triples: the first takes the slot, the second waits behind it, the
+    // third finds one waiting and bursts.
+    let arrivals: Vec<Arrival> = (0..40)
+        .flat_map(|i| {
+            let t = 1.0 + 3.0 * f64::from(i) + 1.0 / 3.0;
+            [at(t), at(t + 1e-4 / 7.0), at(t + 2e-4 / 7.0)]
+        })
+        .collect();
+    let cfg = ServiceConfig {
+        burst_threshold: Some(1),
+        ..single_slot_no_burst()
+    };
+    let outcomes = outcomes_of(&arrivals, &cfg);
+    let zero = outcomes.iter().filter(|o| o.wait_hours() == 0.0).count();
+    assert_eq!(zero, 80);
+    assert!(outcomes
+        .iter()
+        .all(|o| o.wait_hours() == 0.0 || o.wait_hours() > 1e-3));
+    let report = simulate_service(&arrivals, &cfg);
+    assert_eq!(report.cloud_requests(), 40);
+    let text = report.prometheus_text();
+    assert!(
+        text.contains("mcloud_request_wait_hours_bucket{le=\"0\"} 80\n"),
+        "{text}"
+    );
+}
