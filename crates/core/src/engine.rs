@@ -511,7 +511,9 @@ struct Engine<'a, S: EventSink> {
     /// decrements the task's counter: nothing becomes ready (the task
     /// still waits on the rest of the batch), no processor is freed, no
     /// storage is touched (remote I/O charges storage at dispatch and at
-    /// finish), so the `dispatch` after it starts nothing. It narrates a
+    /// finish), so the `dispatch` after it finds the ready set and the
+    /// pool as the previous event's dispatch left them and starts
+    /// nothing. It narrates a
     /// `TransferCompleted` and draws a transfer-fault number, though, so
     /// batches are on only when neither can happen: the sink is disabled
     /// and the fault model cannot fail a transfer. Markers keep the

@@ -715,24 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn markers_keep_their_place_in_time_and_push_order() {
-        let mut q = EventQueue::new();
-        q.push_fifo(0, t(1.0), "lane a");
-        q.push_fifo_marker(0, t(2.0));
-        q.push(t(2.0), "heap a"); // ties with the marker, pushed after it
-        q.push_fifo_marker(1, t(2.0)); // ties too, pushed last
-        q.push_fifo(0, t(3.0), "lane b");
-        assert_eq!(q.pop(), Some((t(1.0), "lane a")));
-        assert_eq!(q.pop(), Some((t(2.0), "heap a")));
-        assert_eq!(q.popped(), 3); // "lane a", the lane-0 marker, "heap a"
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(t(2.0))); // the lane-1 marker
-        assert_eq!(q.pop(), Some((t(3.0), "lane b")));
-        let s = q.stats();
-        assert_eq!((s.popped, s.peak_pending), (5, 5));
-    }
-
-    #[test]
     #[should_panic(expected = "FIFO lane 0 pushed out of order")]
     fn a_marker_obeys_the_lane_order() {
         let mut q: EventQueue<()> = EventQueue::new();

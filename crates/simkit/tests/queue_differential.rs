@@ -313,47 +313,45 @@ fn reset_reuses_the_queue_equivalently() {
 }
 
 /// Runs `CASES` lane streams against the reference (no golden: the
-/// reference itself checks the stats).
-fn run_lane_cases(seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct: u64, lanes: usize) {
+/// reference itself checks the stats); with `markers`, half the lane
+/// pushes are markers.
+fn run_lane_cases(
+    seed: u64,
+    gap: impl Fn(&mut SimRng) -> u64,
+    cancel_pct: u64,
+    lanes: usize,
+    markers: bool,
+) {
     for case in 0..CASES {
         let mut rng = SimRng::new(seed ^ case);
         let mut q = EventQueue::new();
-        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, false, case);
-    }
-}
-
-/// [`run_lane_cases`] with half the lane pushes made markers.
-fn run_marker_cases(seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct: u64, lanes: usize) {
-    for case in 0..CASES {
-        let mut rng = SimRng::new(seed ^ case);
-        let mut q = EventQueue::new();
-        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, true, case);
+        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, markers, case);
     }
 }
 
 #[test]
 fn one_lane_mixed_with_the_heap_matches_the_reference() {
-    run_lane_cases(0xD1F_0101, |rng| rng.below(1_000), 20, 1);
+    run_lane_cases(0xD1F_0101, |rng| rng.below(1_000), 20, 1, false);
 }
 
 #[test]
 fn two_lanes_tied_with_the_heap_match_the_reference() {
     // Every push at one instant: lanes and heap interleave by seq alone.
-    run_lane_cases(0xD1F_0102, |_| 0, 20, 2);
+    run_lane_cases(0xD1F_0102, |_| 0, 20, 2, false);
     // Gaps of 0-2 us: frequent ties among lane heads and the heap top.
-    run_lane_cases(0xD1F_0103, |rng| rng.below(3), 20, 2);
+    run_lane_cases(0xD1F_0103, |rng| rng.below(3), 20, 2, false);
 }
 
 #[test]
 fn lanes_running_far_ahead_of_the_heap_match_the_reference() {
     // Heavy-tailed gaps let lane tails run far ahead of the heap's
     // cluster, as link completions queued hours ahead do in a workflow.
-    run_lane_cases(0xD1F_0104, |rng| 1u64 << rng.below(24), 20, 2);
+    run_lane_cases(0xD1F_0104, |rng| 1u64 << rng.below(24), 20, 2, false);
 }
 
 #[test]
 fn cancellations_between_lane_pops_match_the_reference() {
-    run_lane_cases(0xD1F_0105, |rng| rng.below(200), 40, 2);
+    run_lane_cases(0xD1F_0105, |rng| rng.below(200), 40, 2, false);
 }
 
 #[test]
@@ -378,19 +376,19 @@ fn reset_between_lane_rounds_matches_a_fresh_queue() {
 
 #[test]
 fn markers_on_one_lane_match_the_reference() {
-    run_marker_cases(0xD1F_0201, |rng| rng.below(1_000), 20, 1);
+    run_lane_cases(0xD1F_0201, |rng| rng.below(1_000), 20, 1, true);
 }
 
 #[test]
 fn markers_tied_with_the_heap_and_other_lanes_match_the_reference() {
     // Every push at one instant: markers keep their place by seq alone.
-    run_marker_cases(0xD1F_0202, |_| 0, 20, 2);
-    run_marker_cases(0xD1F_0203, |rng| rng.below(3), 20, 2);
+    run_lane_cases(0xD1F_0202, |_| 0, 20, 2, true);
+    run_lane_cases(0xD1F_0203, |rng| rng.below(3), 20, 2, true);
 }
 
 #[test]
 fn markers_running_far_ahead_with_cancellations_match_the_reference() {
-    run_marker_cases(0xD1F_0204, |rng| 1u64 << rng.below(24), 40, 2);
+    run_lane_cases(0xD1F_0204, |rng| 1u64 << rng.below(24), 40, 2, true);
 }
 
 #[test]
