@@ -533,14 +533,21 @@ fn write_http<S: Write>(
         413 => "Payload Too Large",
         _ => "Error",
     };
+    // Head and body go out in one buffer: `write!` on the stream itself
+    // would issue one `send` per format piece.
+    let mut response = Vec::with_capacity(body.len() + 128);
     write!(
-        stream,
+        response,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )
-    .and_then(|_| stream.flush())
-    .map_err(|e| format!("writing response: {e}"))
+    .expect("writing into a Vec cannot fail");
+    response.extend_from_slice(body.as_bytes());
+    stream
+        .write_all(&response)
+        .and_then(|_| stream.flush())
+        .map_err(|e| format!("writing response: {e}"))
 }
 
 #[cfg(test)]
@@ -771,6 +778,34 @@ mod tests {
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
         assert!(bad.contains(r#"unknown request member \"arg\""#), "{bad}");
         assert!(handle_request("[1]").is_err());
+    }
+
+    #[test]
+    fn an_http_response_is_one_write() {
+        /// Counts `write` calls and keeps what they wrote.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWriter::default();
+        write_http(&mut w, 200, "application/json", "{\"ok\": true}\n").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Content-Length: 13\r\nConnection: close\r\n\r\n{\"ok\": true}\n"
+        );
     }
 
     #[test]

@@ -281,7 +281,7 @@ impl Report {
         let q = &self.kernel.queue;
         r.set_counter(
             "mcloud_kernel_queue_pops_total",
-            "Events delivered by the calendar queue.",
+            "Events taken off the event queue, payload-free transfer markers included.",
             D,
             &[],
             q.popped,

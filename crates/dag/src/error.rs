@@ -40,6 +40,16 @@ pub enum DagError {
     },
     /// The workflow has no tasks.
     Empty,
+    /// A value column given to [`Workflow::from_shape`](crate::Workflow::from_shape)
+    /// does not have one value per task (`runtime_s`) or per file (`bytes`).
+    ColumnLength {
+        /// Which column: `runtime_s` or `bytes`.
+        column: &'static str,
+        /// The workflow's task or file count.
+        expected: usize,
+        /// The values given.
+        got: usize,
+    },
     /// A DAX document failed to parse.
     Parse {
         /// 1-based line number of the failure.
@@ -73,6 +83,11 @@ impl fmt::Display for DagError {
                 write!(f, "dependency cycle detected through task '{task}'")
             }
             DagError::Empty => write!(f, "workflow contains no tasks"),
+            DagError::ColumnLength {
+                column,
+                expected,
+                got,
+            } => write!(f, "column '{column}' has {got} values, expected {expected}"),
             DagError::Parse { line, message } => {
                 write!(f, "DAX parse error at line {line}: {message}")
             }

@@ -38,7 +38,7 @@ pub use dax::{from_dax, to_dax};
 pub use dot::{to_dot, DotStyle};
 pub use error::DagError;
 pub use ids::{FileId, TaskId};
-pub use workflow::{FileMeta, Task, Workflow, WorkflowBuilder};
+pub use workflow::{FileMeta, Task, Workflow, WorkflowBuilder, WorkflowShape};
 
 /// Shared test workflows used across this crate's unit tests.
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
+use std::sync::Arc;
 
 use crate::error::DagError;
 use crate::ids::{FileId, TaskId};
@@ -153,6 +154,12 @@ fn push_name(arena: &mut String, name: &str) -> Span {
 /// Construct via [`WorkflowBuilder`]; validation guarantees the graph is
 /// non-empty, acyclic, and that every file has at most one producer.
 ///
+/// A workflow is a shared [`WorkflowShape`] (names, modules, file lists,
+/// adjacency, every derived file set) plus two per-instance value columns:
+/// task runtimes and file sizes. Cloning copies the two columns and shares
+/// the shape; [`with_values`](Self::with_values) gives the same shape new
+/// values without rebuilding or revalidating it.
+///
 /// Storage is columnar, so a workflow of any size is a fixed number of
 /// allocations: every task and file name lives in one string arena, module
 /// names are interned once, per-task file lists and all adjacency (file
@@ -162,6 +169,19 @@ fn push_name(arena: &mut String, name: &str) -> Span {
 /// used by the simulation engine's event loop are allocation-free.
 #[derive(Debug, Clone)]
 pub struct Workflow {
+    shape: Arc<WorkflowShape>,
+    /// Per task, its runtime on the reference CPU in seconds.
+    runtime_s: Vec<f64>,
+    /// Per file, its size in bytes.
+    bytes: Vec<u64>,
+}
+
+/// Everything about a [`Workflow`] but its runtimes and file sizes: the
+/// name arena, modules, per-task file lists, adjacency, producers,
+/// deliverable flags and the derived file sets. Immutable once built, so
+/// any number of workflows can share one behind an [`Arc`].
+#[derive(Debug)]
+pub struct WorkflowShape {
     name: String,
     tables: Tables,
     consumers: Csr<TaskId>,
@@ -171,9 +191,10 @@ pub struct Workflow {
     staged_out: Vec<FileId>,
 }
 
-/// The per-task and per-file columns: the builder appends to them and
-/// [`WorkflowBuilder::build`] moves them into the [`Workflow`] as they are.
-#[derive(Debug, Clone)]
+/// The name and structure columns: the builder appends to them and
+/// [`WorkflowBuilder::build`] moves them into the [`WorkflowShape`] as
+/// they are.
+#[derive(Debug)]
 struct Tables {
     /// Every task, module and file name, back to back.
     names: String,
@@ -181,11 +202,9 @@ struct Tables {
     /// Per task, its index into `modules`.
     task_module: Vec<u32>,
     modules: Vec<Span>,
-    runtime_s: Vec<f64>,
     inputs: Csr<FileId>,
     outputs: Csr<FileId>,
     file_names: Vec<Span>,
-    bytes: Vec<u64>,
     deliverable: Vec<bool>,
     producer: Vec<Option<TaskId>>,
 }
@@ -200,12 +219,7 @@ impl Tables {
     }
 }
 
-impl Workflow {
-    /// The workflow's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
+impl WorkflowShape {
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
         self.tables.task_names.len()
@@ -214,6 +228,68 @@ impl Workflow {
     /// Number of distinct files.
     pub fn num_files(&self) -> usize {
         self.tables.file_names.len()
+    }
+}
+
+impl Workflow {
+    /// The workflow with this shape, `runtime_s` per task and `bytes` per
+    /// file, both in id order. Checks what [`WorkflowBuilder::add_task`]
+    /// checks of a runtime (finite and non-negative) and that each column
+    /// has one value per row; the shape itself was validated when built.
+    pub fn from_shape(
+        shape: Arc<WorkflowShape>,
+        runtime_s: Vec<f64>,
+        bytes: Vec<u64>,
+    ) -> Result<Workflow, DagError> {
+        for (column, got, expected) in [
+            ("runtime_s", runtime_s.len(), shape.num_tasks()),
+            ("bytes", bytes.len(), shape.num_files()),
+        ] {
+            if got != expected {
+                return Err(DagError::ColumnLength {
+                    column,
+                    expected,
+                    got,
+                });
+            }
+        }
+        if let Some(t) = runtime_s.iter().position(|r| !r.is_finite() || *r < 0.0) {
+            return Err(DagError::InvalidRuntime {
+                task: shape.tables.task_name(TaskId(t as u32)).to_string(),
+                runtime: runtime_s[t],
+            });
+        }
+        Ok(Workflow {
+            shape,
+            runtime_s,
+            bytes,
+        })
+    }
+
+    /// This workflow's shape with new runtimes and file sizes: see
+    /// [`from_shape`](Self::from_shape).
+    pub fn with_values(&self, runtime_s: Vec<f64>, bytes: Vec<u64>) -> Result<Workflow, DagError> {
+        Workflow::from_shape(Arc::clone(&self.shape), runtime_s, bytes)
+    }
+
+    /// The shared shape: everything but the runtimes and file sizes.
+    pub fn shape(&self) -> &Arc<WorkflowShape> {
+        &self.shape
+    }
+
+    /// The workflow's name.
+    pub fn name(&self) -> &str {
+        &self.shape.name
+    }
+
+    /// Number of tasks.
+    pub fn num_tasks(&self) -> usize {
+        self.shape.num_tasks()
+    }
+
+    /// Number of distinct files.
+    pub fn num_files(&self) -> usize {
+        self.shape.num_files()
     }
 
     /// All tasks, in [`TaskId`] order.
@@ -228,7 +304,7 @@ impl Workflow {
 
     /// A single task.
     pub fn task(&self, id: TaskId) -> Task<'_> {
-        let t = &self.tables;
+        let t = &self.shape.tables;
         Task {
             name: t.task_name(id),
             module: t.modules[t.task_module[id.index()] as usize].of(&t.names),
@@ -241,31 +317,31 @@ impl Workflow {
     /// A single file.
     pub fn file(&self, id: FileId) -> FileMeta<'_> {
         FileMeta {
-            name: self.tables.file_name(id),
+            name: self.shape.tables.file_name(id),
             bytes: self.bytes(id),
-            deliverable: self.tables.deliverable[id.index()],
+            deliverable: self.shape.tables.deliverable[id.index()],
         }
     }
 
     /// A task's runtime on the reference CPU, in seconds: `task(t).runtime_s`
     /// without resolving the task's names.
     pub fn runtime_s(&self, task: TaskId) -> f64 {
-        self.tables.runtime_s[task.index()]
+        self.runtime_s[task.index()]
     }
 
     /// Files a task reads: `task(t).inputs` without resolving its names.
     pub fn inputs(&self, task: TaskId) -> &[FileId] {
-        self.tables.inputs.row(task.index())
+        self.shape.tables.inputs.row(task.index())
     }
 
     /// Files a task writes: `task(t).outputs` without resolving its names.
     pub fn outputs(&self, task: TaskId) -> &[FileId] {
-        self.tables.outputs.row(task.index())
+        self.shape.tables.outputs.row(task.index())
     }
 
     /// A file's size in bytes: `file(f).bytes` without resolving its name.
     pub fn bytes(&self, file: FileId) -> u64 {
-        self.tables.bytes[file.index()]
+        self.bytes[file.index()]
     }
 
     /// Iterator over all task ids in index order.
@@ -280,18 +356,18 @@ impl Workflow {
 
     /// The task that writes `file`, or `None` for an external input.
     pub fn producer(&self, file: FileId) -> Option<TaskId> {
-        self.tables.producer[file.index()]
+        self.shape.tables.producer[file.index()]
     }
 
     /// Tasks that read `file`, sorted by id.
     pub fn consumers(&self, file: FileId) -> &[TaskId] {
-        self.consumers.row(file.index())
+        self.shape.consumers.row(file.index())
     }
 
     /// Distinct tasks whose outputs this task reads, plus its control-edge
     /// parents, sorted by id.
     pub fn parents(&self, task: TaskId) -> &[TaskId] {
-        self.parents.row(task.index())
+        self.shape.parents.row(task.index())
     }
 
     /// The parents of `task` that none of its input files implies: its
@@ -310,13 +386,13 @@ impl Workflow {
 
     /// Distinct tasks that read this task's outputs, sorted by id.
     pub fn children(&self, task: TaskId) -> &[TaskId] {
-        self.children.row(task.index())
+        self.shape.children.row(task.index())
     }
 
     /// Files with no producer: they are staged in from the user/archive.
     /// Computed once at construction; sorted by file id.
     pub fn external_inputs(&self) -> &[FileId] {
-        &self.external_inputs
+        &self.shape.external_inputs
     }
 
     /// Files that are staged out to the user at the end of the workflow:
@@ -324,7 +400,7 @@ impl Workflow {
     /// marked deliverable (the paper's "net output of the workflow").
     /// Computed once at construction; sorted by file id.
     pub fn staged_out_files(&self) -> &[FileId] {
-        &self.staged_out
+        &self.shape.staged_out
     }
 
     /// Multiplies every file size by `factor`, rounding to the nearest byte
@@ -339,7 +415,7 @@ impl Workflow {
             factor.is_finite() && factor > 0.0,
             "scale factor must be positive and finite, got {factor}"
         );
-        for b in &mut self.tables.bytes {
+        for b in &mut self.bytes {
             if *b > 0 {
                 *b = ((*b as f64 * factor).round() as u64).max(1);
             }
@@ -433,6 +509,10 @@ impl NameIndex {
 pub struct WorkflowBuilder {
     name: String,
     tables: Tables,
+    /// The value columns [`WorkflowBuilder::build`] moves into the
+    /// [`Workflow`].
+    runtime_s: Vec<f64>,
+    bytes: Vec<u64>,
     /// Keys the name hash, so each builder hashes differently.
     hasher: RandomState,
     task_index: NameIndex,
@@ -472,14 +552,14 @@ impl WorkflowBuilder {
                 task_names: Vec::with_capacity(tasks),
                 task_module: Vec::with_capacity(tasks),
                 modules: Vec::new(),
-                runtime_s: Vec::with_capacity(tasks),
                 inputs: Csr::with_rows(tasks),
                 outputs: Csr::with_rows(tasks),
                 file_names: Vec::with_capacity(files),
-                bytes: Vec::with_capacity(files),
                 deliverable: Vec::with_capacity(files),
                 producer: Vec::with_capacity(files),
             },
+            runtime_s: Vec::with_capacity(tasks),
+            bytes: Vec::with_capacity(files),
             hasher: RandomState::new(),
             task_index: NameIndex::with_capacity(tasks),
             file_index: NameIndex::with_capacity(files),
@@ -506,7 +586,7 @@ impl WorkflowBuilder {
         let t = &mut self.tables;
         if let Some(id) = self.file_index.find(hash, name, &t.file_names, &t.names) {
             assert_eq!(
-                t.bytes[id as usize], bytes,
+                self.bytes[id as usize], bytes,
                 "file '{name}' re-registered with a different size"
             );
             return FileId(id);
@@ -516,7 +596,7 @@ impl WorkflowBuilder {
             .filter(|&id| id != VACANT)
             .expect("more files than u32 ids");
         t.file_names.push(push_name(&mut t.names, name));
-        t.bytes.push(bytes);
+        self.bytes.push(bytes);
         t.deliverable.push(false);
         t.producer.push(None);
         self.stamp.push(0);
@@ -535,7 +615,7 @@ impl WorkflowBuilder {
     /// Size of a registered file, for callers that must turn a size
     /// conflict into an error rather than the panic in [`file`](Self::file).
     pub(crate) fn file_bytes(&self, file: FileId) -> u64 {
-        self.tables.bytes[file.index()]
+        self.bytes[file.index()]
     }
 
     /// Marks a file for stage-out to the user even if tasks consume it.
@@ -626,7 +706,7 @@ impl WorkflowBuilder {
         t.inputs.push_row();
         t.outputs.push_row();
         t.task_names.push(push_name(&mut t.names, name));
-        t.runtime_s.push(runtime_s);
+        self.runtime_s.push(runtime_s);
         self.task_index.insert(hash, id.0);
         let module = self.intern_module(module.as_ref());
         self.tables.task_module.push(module);
@@ -756,7 +836,7 @@ impl WorkflowBuilder {
                     && (t.deliverable[f.index()] || consumers.row(f.index()).is_empty())
             })
             .collect();
-        Ok(Workflow {
+        let shape = WorkflowShape {
             name: self.name,
             tables: self.tables,
             consumers,
@@ -764,6 +844,11 @@ impl WorkflowBuilder {
             children,
             external_inputs,
             staged_out,
+        };
+        Ok(Workflow {
+            shape: Arc::new(shape),
+            runtime_s: self.runtime_s,
+            bytes: self.bytes,
         })
     }
 }

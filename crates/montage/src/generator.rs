@@ -16,11 +16,13 @@
 //! level 9: mJPEG           renders a preview (deliverable)
 //! ```
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 use mcloud_simkit::SimRng;
 
-use mcloud_dag::{Workflow, WorkflowBuilder};
+use mcloud_dag::{Workflow, WorkflowBuilder, WorkflowShape};
 
 use crate::calib;
 use crate::grid;
@@ -44,7 +46,7 @@ pub const MONTAGE_PIPELINE: [&str; 9] = [
 /// 2MASS survey band (affects naming only; the three bands have the same
 /// plate geometry, which is why the whole-sky estimate is `3 x 1,300`
 /// plates across J/H/K).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Band {
     /// J band (1.25 um).
     #[default]
@@ -137,18 +139,111 @@ impl MosaicConfig {
     }
 }
 
+/// Most tasks the process-wide shape memo retains, summed over its
+/// shapes: the 16-degree preset (48,897 tasks) fits, and beside it the
+/// 1/2/4/8-degree ones (16,110 tasks together).
+pub const SHAPE_MEMO_TASKS: usize = 65_536;
+
 /// Generates the workflow for a mosaic request.
 ///
-/// The builder is sized from [`MosaicConfig::expected_tasks`] and
-/// [`MosaicConfig::expected_files`], and every name is formatted into one
-/// reused buffer: generation allocates no name or list per task or file,
-/// only the workflow's fixed set of buffers and their amortized growth.
+/// Names, file lists, adjacency and deliverables depend only on the
+/// mosaic's degrees, band and region; the seed moves only the jittered
+/// runtimes and sizes. So the shape is built once per (degrees, band,
+/// region) through [`WorkflowBuilder`], with all its checks, and kept in a
+/// process-wide least-recently-used memo bounded by [`SHAPE_MEMO_TASKS`]
+/// retained tasks; every request draws its seeded values and pairs them
+/// with the shared shape. A shape larger than the whole budget is built
+/// and shared by that request's workflow but not retained.
 pub fn generate(cfg: &MosaicConfig) -> Workflow {
+    let (runtime_s, bytes) = draw_values(cfg);
+    let key = ShapeKey {
+        degrees_bits: cfg.degrees.to_bits(),
+        band: cfg.band,
+        region: cfg.region.clone(),
+    };
+    let shape = memoized_shape(key, || build_shape(cfg, &runtime_s, &bytes));
+    Workflow::from_shape(shape, runtime_s, bytes).expect("generator draws one valid value per row")
+}
+
+/// The seeded task runtimes and file sizes of a mosaic, in id order.
+///
+/// The draws come in the generator's fixed order: one size jitter per
+/// plate (shared by its five image files), one per overlap fit, then the
+/// runtime jitter of every `mProject`, `mDiffFit` and `mBackground`. The
+/// other runtimes and sizes depend on the degrees alone.
+fn draw_values(cfg: &MosaicConfig) -> (Vec<f64>, Vec<u64>) {
+    let n = cfg.plates() as usize;
+    let d = grid::overlap_count(cfg.side()) as usize;
+    let phi = calib::runtime_factor(cfg.degrees);
+    let mut rng = SimRng::new(cfg.seed);
+    let jit_rt = |rng: &mut SimRng| 1.0 + rng.f64_in(-calib::RUNTIME_JITTER, calib::RUNTIME_JITTER);
+    let jit_sz = |rng: &mut SimRng| 1.0 + rng.f64_in(-calib::SIZE_JITTER, calib::SIZE_JITTER);
+    let scaled = |bytes: u64, j: f64| ((bytes as f64 * j).round() as u64).max(1);
+
+    // Files: header, five per plate, one fit per overlap, then the tables
+    // and the three mosaic products.
+    let mut bytes = Vec::with_capacity(cfg.expected_files());
+    bytes.push(calib::HEADER_BYTES);
+    for _ in 0..n {
+        let j = jit_sz(&mut rng);
+        bytes.extend(
+            [
+                calib::RAW_IMAGE_BYTES,
+                calib::PROJECTED_IMAGE_BYTES,
+                calib::AREA_IMAGE_BYTES,
+                calib::CORRECTED_IMAGE_BYTES,
+                calib::CORRECTED_AREA_BYTES,
+            ]
+            .map(|b| scaled(b, j)),
+        );
+    }
+    for _ in 0..d {
+        let j = jit_sz(&mut rng);
+        bytes.push(scaled(calib::FIT_BYTES, j));
+    }
+    let mosaic_bytes = calib::mosaic_bytes(cfg.degrees);
+    bytes.extend([
+        calib::FITS_TABLE_PER_DIFF_BYTES * d as u64,
+        calib::CORRECTIONS_PER_IMAGE_BYTES * n as u64,
+        calib::IMGTBL_PER_IMAGE_BYTES * n as u64,
+        mosaic_bytes,
+        (mosaic_bytes / calib::SHRINK_DIVISOR).max(1),
+        (mosaic_bytes / calib::JPEG_DIVISOR).max(1),
+    ]);
+
+    // Tasks, level by level.
+    let mut runtime_s = Vec::with_capacity(cfg.expected_tasks());
+    for _ in 0..n {
+        runtime_s.push(calib::MPROJECT_RUNTIME_S * phi * jit_rt(&mut rng));
+    }
+    for _ in 0..d {
+        runtime_s.push(calib::MDIFFFIT_RUNTIME_S * phi * jit_rt(&mut rng));
+    }
+    runtime_s.push(calib::MCONCATFIT_RUNTIME_S * cfg.degrees);
+    runtime_s.push(calib::MBGMODEL_RUNTIME_S * cfg.degrees.sqrt());
+    for _ in 0..n {
+        runtime_s.push(calib::MBACKGROUND_RUNTIME_S * phi * jit_rt(&mut rng));
+    }
+    runtime_s.extend(
+        [
+            calib::MIMGTBL_RUNTIME_S,
+            calib::MADD_RUNTIME_S,
+            calib::MSHRINK_RUNTIME_S,
+            calib::MJPEG_RUNTIME_S,
+        ]
+        .map(|r| r * cfg.degrees),
+    );
+    (runtime_s, bytes)
+}
+
+/// Builds a mosaic's shape through [`WorkflowBuilder`], registering files
+/// and tasks in the id order [`draw_values`] lays its columns out in and
+/// taking each one's value from there. (The values only satisfy the
+/// builder; the shape keeps none of them.)
+fn build_shape(cfg: &MosaicConfig, runtime_s: &[f64], bytes: &[u64]) -> Arc<WorkflowShape> {
     let side = cfg.side();
     let n = cfg.plates();
     let pairs = grid::overlap_pairs(side);
-    let phi = calib::runtime_factor(cfg.degrees);
-    let mut rng = SimRng::new(cfg.seed);
     let (region, band) = (&cfg.region, cfg.band.tag());
 
     let mut b = WorkflowBuilder::with_capacity(
@@ -165,75 +260,42 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
             buf.as_str()
         }};
     }
-
-    let jit_rt = |rng: &mut SimRng| 1.0 + rng.f64_in(-calib::RUNTIME_JITTER, calib::RUNTIME_JITTER);
-    let jit_sz = |rng: &mut SimRng| 1.0 + rng.f64_in(-calib::SIZE_JITTER, calib::SIZE_JITTER);
-    let scaled = |bytes: u64, j: f64| ((bytes as f64 * j).round() as u64).max(1);
+    let mut size = bytes.iter().copied();
+    let mut size = || size.next().expect("one size per generated file");
+    let mut runtime = runtime_s.iter().copied();
+    let mut runtime = || runtime.next().expect("one runtime per generated task");
 
     // --- files ------------------------------------------------------------
-    let hdr = b.file(name!("{region}.hdr"), calib::HEADER_BYTES);
+    let hdr = b.file(name!("{region}.hdr"), size());
     let mut raw = Vec::with_capacity(n as usize);
     let mut proj = Vec::with_capacity(n as usize);
     let mut area = Vec::with_capacity(n as usize);
     let mut corr = Vec::with_capacity(n as usize);
     let mut carea = Vec::with_capacity(n as usize);
     for i in 0..n {
-        let j = jit_sz(&mut rng);
-        raw.push(b.file(
-            name!("2mass_{band}_{region}_{i:04}.fits"),
-            scaled(calib::RAW_IMAGE_BYTES, j),
-        ));
-        proj.push(b.file(
-            name!("proj_{i:04}.fits"),
-            scaled(calib::PROJECTED_IMAGE_BYTES, j),
-        ));
-        area.push(b.file(
-            name!("proj_{i:04}_area.fits"),
-            scaled(calib::AREA_IMAGE_BYTES, j),
-        ));
-        corr.push(b.file(
-            name!("corr_{i:04}.fits"),
-            scaled(calib::CORRECTED_IMAGE_BYTES, j),
-        ));
-        carea.push(b.file(
-            name!("corr_{i:04}_area.fits"),
-            scaled(calib::CORRECTED_AREA_BYTES, j),
-        ));
+        raw.push(b.file(name!("2mass_{band}_{region}_{i:04}.fits"), size()));
+        proj.push(b.file(name!("proj_{i:04}.fits"), size()));
+        area.push(b.file(name!("proj_{i:04}_area.fits"), size()));
+        corr.push(b.file(name!("corr_{i:04}.fits"), size()));
+        carea.push(b.file(name!("corr_{i:04}_area.fits"), size()));
     }
     let fits: Vec<_> = (0..pairs.len())
-        .map(|k| {
-            let j = jit_sz(&mut rng);
-            b.file(name!("fit_{k:05}.tbl"), scaled(calib::FIT_BYTES, j))
-        })
+        .map(|k| b.file(name!("fit_{k:05}.tbl"), size()))
         .collect();
-    let fits_tbl = b.file(
-        "fits.tbl",
-        calib::FITS_TABLE_PER_DIFF_BYTES * pairs.len() as u64,
-    );
-    let corrections_tbl = b.file(
-        "corrections.tbl",
-        calib::CORRECTIONS_PER_IMAGE_BYTES * n as u64,
-    );
-    let newimg_tbl = b.file("newimg.tbl", calib::IMGTBL_PER_IMAGE_BYTES * n as u64);
-    let mosaic_bytes = calib::mosaic_bytes(cfg.degrees);
-    let mosaic = b.file(name!("mosaic_{region}.fits"), mosaic_bytes);
-    let shrunk = b.file(
-        name!("mosaic_{region}_small.fits"),
-        (mosaic_bytes / calib::SHRINK_DIVISOR).max(1),
-    );
-    let jpeg = b.file(
-        name!("mosaic_{region}.jpg"),
-        (mosaic_bytes / calib::JPEG_DIVISOR).max(1),
-    );
+    let fits_tbl = b.file("fits.tbl", size());
+    let corrections_tbl = b.file("corrections.tbl", size());
+    let newimg_tbl = b.file("newimg.tbl", size());
+    let mosaic = b.file(name!("mosaic_{region}.fits"), size());
+    let shrunk = b.file(name!("mosaic_{region}_small.fits"), size());
+    let jpeg = b.file(name!("mosaic_{region}.jpg"), size());
     b.mark_deliverable(mosaic);
 
     // --- tasks, level by level ---------------------------------------------
     for i in 0..n as usize {
-        let rt = calib::MPROJECT_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
             name!("mProject_{i:04}"),
             "mProject",
-            rt,
+            runtime(),
             &[raw[i], hdr],
             &[proj[i], area[i]],
         )
@@ -241,80 +303,144 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     }
     for (k, (pa, pb)) in pairs.iter().enumerate() {
         let (ia, ib) = (pa.index(side) as usize, pb.index(side) as usize);
-        let rt = calib::MDIFFFIT_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
             name!("mDiffFit_{k:05}"),
             "mDiffFit",
-            rt,
+            runtime(),
             &[proj[ia], area[ia], proj[ib], area[ib]],
             &[fits[k]],
         )
         .expect("generator produces a valid mDiffFit");
     }
-    b.add_task(
-        "mConcatFit",
-        "mConcatFit",
-        calib::MCONCATFIT_RUNTIME_S * cfg.degrees,
-        &fits,
-        &[fits_tbl],
-    )
-    .expect("generator produces a valid mConcatFit");
+    b.add_task("mConcatFit", "mConcatFit", runtime(), &fits, &[fits_tbl])
+        .expect("generator produces a valid mConcatFit");
     b.add_task(
         "mBgModel",
         "mBgModel",
-        calib::MBGMODEL_RUNTIME_S * cfg.degrees.sqrt(),
+        runtime(),
         &[fits_tbl],
         &[corrections_tbl],
     )
     .expect("generator produces a valid mBgModel");
     for i in 0..n as usize {
-        let rt = calib::MBACKGROUND_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
             name!("mBackground_{i:04}"),
             "mBackground",
-            rt,
+            runtime(),
             &[proj[i], area[i], corrections_tbl],
             &[corr[i], carea[i]],
         )
         .expect("generator produces a valid mBackground");
     }
-    b.add_task(
-        "mImgtbl",
-        "mImgtbl",
-        calib::MIMGTBL_RUNTIME_S * cfg.degrees,
-        &corr,
-        &[newimg_tbl],
-    )
-    .expect("generator produces a valid mImgtbl");
+    b.add_task("mImgtbl", "mImgtbl", runtime(), &corr, &[newimg_tbl])
+        .expect("generator produces a valid mImgtbl");
     let mut add_inputs: Vec<_> = corr.iter().chain(carea.iter()).copied().collect();
     add_inputs.push(newimg_tbl);
     add_inputs.push(hdr);
-    b.add_task(
-        "mAdd",
-        "mAdd",
-        calib::MADD_RUNTIME_S * cfg.degrees,
-        &add_inputs,
-        &[mosaic],
-    )
-    .expect("generator produces a valid mAdd");
-    b.add_task(
-        "mShrink",
-        "mShrink",
-        calib::MSHRINK_RUNTIME_S * cfg.degrees,
-        &[mosaic],
-        &[shrunk],
-    )
-    .expect("generator produces a valid mShrink");
-    b.add_task(
-        "mJPEG",
-        "mJPEG",
-        calib::MJPEG_RUNTIME_S * cfg.degrees,
-        &[shrunk],
-        &[jpeg],
-    )
-    .expect("generator produces a valid mJPEG");
+    b.add_task("mAdd", "mAdd", runtime(), &add_inputs, &[mosaic])
+        .expect("generator produces a valid mAdd");
+    b.add_task("mShrink", "mShrink", runtime(), &[mosaic], &[shrunk])
+        .expect("generator produces a valid mShrink");
+    b.add_task("mJPEG", "mJPEG", runtime(), &[shrunk], &[jpeg])
+        .expect("generator produces a valid mJPEG");
 
-    b.build().expect("generator produces an acyclic workflow")
+    let wf = b.build().expect("generator produces an acyclic workflow");
+    Arc::clone(wf.shape())
+}
+
+/// What a mosaic's shape depends on: everything in a [`MosaicConfig`] but
+/// the seed. The degrees are keyed by their bits, which also fix how the
+/// workflow name prints them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ShapeKey {
+    degrees_bits: u64,
+    band: Band,
+    region: String,
+}
+
+/// A least-recently-used map from [`ShapeKey`] to shape, holding at most
+/// `budget` tasks summed over its shapes.
+#[derive(Debug)]
+struct ShapeMemo {
+    budget: usize,
+    /// Each retained shape and the `clock` reading of its last use.
+    shapes: HashMap<ShapeKey, (Arc<WorkflowShape>, u64)>,
+    /// Tasks summed over `shapes`.
+    tasks: usize,
+    clock: u64,
+}
+
+impl ShapeMemo {
+    fn new(budget: usize) -> Self {
+        ShapeMemo {
+            budget,
+            shapes: HashMap::new(),
+            tasks: 0,
+            clock: 0,
+        }
+    }
+
+    /// The shape retained under `key`, marked as just used.
+    fn get(&mut self, key: &ShapeKey) -> Option<Arc<WorkflowShape>> {
+        self.clock += 1;
+        let (shape, last_used) = self.shapes.get_mut(key)?;
+        *last_used = self.clock;
+        Some(Arc::clone(shape))
+    }
+
+    /// Retains `shape` under `key`, evicting the least recently used
+    /// shapes until it fits, and returns the shape callers should share.
+    /// If another caller retained `key` first, that shape is returned
+    /// instead; a shape larger than the whole budget is not retained.
+    fn insert(&mut self, key: ShapeKey, shape: Arc<WorkflowShape>) -> Arc<WorkflowShape> {
+        if let Some(retained) = self.get(&key) {
+            return retained;
+        }
+        let tasks = shape.num_tasks();
+        if tasks > self.budget {
+            return shape;
+        }
+        while self.tasks + tasks > self.budget {
+            // Uses are stamped from one clock, so exactly one shape is
+            // the oldest; evicting it this way clones no key.
+            let oldest = self
+                .shapes
+                .values()
+                .map(|&(_, last_used)| last_used)
+                .min()
+                .expect("a memo over budget retains a shape");
+            let retained = &mut self.tasks;
+            self.shapes.retain(|_, (shape, last_used)| {
+                let keep = *last_used != oldest;
+                if !keep {
+                    *retained -= shape.num_tasks();
+                }
+                keep
+            });
+        }
+        self.shapes.insert(key, (Arc::clone(&shape), self.clock));
+        self.tasks += tasks;
+        shape
+    }
+}
+
+/// The process-wide shape memo behind [`generate`].
+static SHAPES: LazyLock<Mutex<ShapeMemo>> =
+    LazyLock::new(|| Mutex::new(ShapeMemo::new(SHAPE_MEMO_TASKS)));
+
+/// The shape memoized under `key`, built by `build` on a miss. The memo
+/// is unlocked while `build` runs, so requests for other shapes proceed;
+/// two threads missing the same key both build it, and the second to
+/// finish adopts the first one's shape.
+fn memoized_shape(key: ShapeKey, build: impl FnOnce() -> Arc<WorkflowShape>) -> Arc<WorkflowShape> {
+    // A shape is inserted or evicted together with its task count, so a
+    // poisoned memo is still consistent and stays in use.
+    let memo = || SHAPES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(shape) = memo().get(&key) {
+        return shape;
+    }
+    let shape = build();
+    memo().insert(key, shape)
 }
 
 /// The paper's Montage 1-degree workflow (203 tasks).
@@ -545,6 +671,69 @@ mod tests {
             }
         }
         assert_eq!(wf.staged_out_files().len(), 2); // g and h
+    }
+
+    fn key(region: &str) -> ShapeKey {
+        ShapeKey {
+            degrees_bits: 1f64.to_bits(),
+            band: Band::J,
+            region: region.to_string(),
+        }
+    }
+
+    /// A shape of `degrees` (the memo only reads its task count).
+    fn shape(degrees: f64) -> Arc<WorkflowShape> {
+        Arc::clone(generate(&MosaicConfig::new(degrees)).shape())
+    }
+
+    #[test]
+    fn the_memo_evicts_least_recently_used_shapes_to_stay_in_budget() {
+        let one = shape(1.0); // 203 tasks
+        let mut memo = ShapeMemo::new(3 * 203);
+        for region in ["a", "b", "c"] {
+            memo.insert(key(region), Arc::clone(&one));
+        }
+        assert_eq!(memo.tasks, 3 * 203);
+        assert!(memo.get(&key("a")).is_some()); // "b" is now the oldest
+        memo.insert(key("d"), Arc::clone(&one));
+        assert_eq!(memo.tasks, 3 * 203);
+        assert!(memo.get(&key("b")).is_none());
+        for region in ["a", "c", "d"] {
+            assert!(memo.get(&key(region)).is_some(), "{region}");
+        }
+        // A second insert under a retained key hands back the first shape.
+        let twin = shape(1.0);
+        assert!(Arc::ptr_eq(&memo.insert(key("a"), twin), &one));
+        assert_eq!(memo.shapes.len(), 3);
+    }
+
+    #[test]
+    fn a_shape_over_the_whole_budget_is_shared_but_not_retained() {
+        let two = shape(2.0); // 731 tasks
+        let mut memo = ShapeMemo::new(700);
+        memo.insert(key("small"), shape(1.0));
+        let shared = memo.insert(key("big"), Arc::clone(&two));
+        assert!(Arc::ptr_eq(&shared, &two));
+        assert!(memo.get(&key("big")).is_none());
+        assert!(memo.get(&key("small")).is_some(), "nothing was evicted");
+        assert_eq!(memo.tasks, 203);
+    }
+
+    #[test]
+    fn more_distinct_shapes_than_the_budget_keep_the_memo_within_it() {
+        let cfg = |i: usize| MosaicConfig::new(4.0).region(format!("budget-{i}"));
+        let per_shape = cfg(0).expected_tasks();
+        let count = SHAPE_MEMO_TASKS / per_shape + 2;
+        for i in 0..count {
+            generate(&cfg(i));
+            let memo = SHAPES.lock().unwrap();
+            assert!(memo.tasks <= SHAPE_MEMO_TASKS, "{} tasks", memo.tasks);
+            let retained: usize = memo.shapes.values().map(|(s, _)| s.num_tasks()).sum();
+            assert_eq!(retained, memo.tasks);
+        }
+        // The first shapes made way for the last ones.
+        let memo = SHAPES.lock().unwrap();
+        assert!(memo.shapes.keys().all(|k| k.region != "budget-0"));
     }
 
     #[test]

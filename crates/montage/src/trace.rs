@@ -11,12 +11,12 @@
 
 use std::collections::HashMap;
 
-use mcloud_dag::{TaskId, Workflow, WorkflowBuilder};
+use mcloud_dag::{FileId, TaskId, Workflow};
 
 /// Applies per-task runtime overrides (seconds) from CSV.
 ///
 /// Every named task must exist; unknown names are reported so typos in a
-/// trace file never pass silently.
+/// trace file never pass silently. The result shares `wf`'s shape.
 pub fn apply_runtime_overrides(wf: &Workflow, csv: &str) -> Result<Workflow, String> {
     let overrides = parse_pairs(csv)?;
     let by_name: HashMap<&str, TaskId> = wf.task_ids().map(|t| (wf.task(t).name, t)).collect();
@@ -30,30 +30,31 @@ pub fn apply_runtime_overrides(wf: &Workflow, csv: &str) -> Result<Workflow, Str
             return Err(format!("invalid runtime override {v}"));
         }
     }
-    rebuild(
-        wf,
-        |_, bytes| bytes,
-        |name, runtime| overrides.get(name).copied().unwrap_or(runtime),
-    )
+    let mut runtime_s: Vec<f64> = wf.task_ids().map(|t| wf.runtime_s(t)).collect();
+    for (name, v) in &overrides {
+        runtime_s[by_name[name.as_str()].index()] = *v;
+    }
+    let bytes = wf.file_ids().map(|f| wf.bytes(f)).collect();
+    wf.with_values(runtime_s, bytes).map_err(|e| e.to_string())
 }
 
-/// Applies per-file size overrides (bytes) from CSV.
+/// Applies per-file size overrides (bytes) from CSV. The result shares
+/// `wf`'s shape.
 pub fn apply_size_overrides(wf: &Workflow, csv: &str) -> Result<Workflow, String> {
     let overrides = parse_pairs(csv)?;
-    let known: std::collections::HashSet<&str> = wf.files().map(|f| f.name).collect();
+    let by_name: HashMap<&str, FileId> = wf.file_ids().map(|f| (wf.file(f).name, f)).collect();
+    let mut bytes: Vec<u64> = wf.file_ids().map(|f| wf.bytes(f)).collect();
     for (name, v) in overrides.iter() {
-        if !known.contains(name.as_str()) {
+        let Some(&file) = by_name.get(name.as_str()) else {
             return Err(format!("trace names unknown file '{name}'"));
-        }
+        };
         if !(v.is_finite() && *v >= 0.0) {
             return Err(format!("invalid size override {v}"));
         }
+        bytes[file.index()] = *v as u64;
     }
-    rebuild(
-        wf,
-        |name, bytes| overrides.get(name).map(|v| *v as u64).unwrap_or(bytes),
-        |_, runtime| runtime,
-    )
+    let runtime_s = wf.task_ids().map(|t| wf.runtime_s(t)).collect();
+    wf.with_values(runtime_s, bytes).map_err(|e| e.to_string())
 }
 
 fn parse_pairs(csv: &str) -> Result<HashMap<String, f64>, String> {
@@ -79,45 +80,6 @@ fn parse_pairs(csv: &str) -> Result<HashMap<String, f64>, String> {
         }
     }
     Ok(out)
-}
-
-/// Rebuilds a workflow with transformed sizes/runtimes, preserving
-/// structure, deliverable flags, and control-only dependency edges.
-fn rebuild(
-    wf: &Workflow,
-    size_of: impl Fn(&str, u64) -> u64,
-    runtime_of: impl Fn(&str, f64) -> f64,
-) -> Result<Workflow, String> {
-    let mut b = WorkflowBuilder::with_capacity(wf.name(), wf.num_tasks(), wf.num_files());
-    let ids: Vec<_> = wf
-        .files()
-        .map(|f| b.file(f.name, size_of(f.name, f.bytes)))
-        .collect();
-    for (fid, meta) in ids.iter().zip(wf.files()) {
-        if meta.deliverable {
-            b.mark_deliverable(*fid);
-        }
-    }
-    for t in wf.task_ids() {
-        let task = wf.task(t);
-        let inputs: Vec<_> = task.inputs.iter().map(|f| ids[f.index()]).collect();
-        let outputs: Vec<_> = task.outputs.iter().map(|f| ids[f.index()]).collect();
-        b.add_task(
-            task.name,
-            task.module,
-            runtime_of(task.name, task.runtime_s),
-            &inputs,
-            &outputs,
-        )
-        .map_err(|e| e.to_string())?;
-    }
-    // Preserve control-only edges (parents not implied by files).
-    for c in wf.task_ids() {
-        for p in wf.control_parents(c) {
-            b.add_control_edge(p, c);
-        }
-    }
-    b.build().map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
