@@ -229,6 +229,54 @@ impl WorkflowShape {
     pub fn num_files(&self) -> usize {
         self.tables.file_names.len()
     }
+
+    /// Bytes of heap the shape holds: the capacity of every buffer it
+    /// owns, names included, so what keeping it alive costs grows with
+    /// the length of its names as well as with its task and file counts.
+    pub fn heap_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        fn csr<T>(c: &Csr<T>) -> usize {
+            vec(&c.offsets) + vec(&c.ids)
+        }
+        // Destructured in full, so a new buffer cannot go uncounted.
+        let WorkflowShape {
+            name,
+            tables:
+                Tables {
+                    names,
+                    task_names,
+                    task_module,
+                    modules,
+                    inputs,
+                    outputs,
+                    file_names,
+                    deliverable,
+                    producer,
+                },
+            consumers,
+            parents,
+            children,
+            external_inputs,
+            staged_out,
+        } = self;
+        name.capacity()
+            + names.capacity()
+            + vec(task_names)
+            + vec(task_module)
+            + vec(modules)
+            + csr(inputs)
+            + csr(outputs)
+            + vec(file_names)
+            + vec(deliverable)
+            + vec(producer)
+            + csr(consumers)
+            + csr(parents)
+            + csr(children)
+            + vec(external_inputs)
+            + vec(staged_out)
+    }
 }
 
 impl Workflow {
@@ -868,6 +916,20 @@ mod tests {
         assert_eq!(wf.consumers(fb), &[TaskId(1), TaskId(2)]);
         assert_eq!(wf.parents(TaskId(6)), &[TaskId(3), TaskId(4), TaskId(5)]);
         assert_eq!(wf.children(TaskId(0)), &[TaskId(1), TaskId(2)]);
+    }
+
+    #[test]
+    fn heap_bytes_count_the_names() {
+        let shape = |file: &str| {
+            let mut b = WorkflowBuilder::new("w");
+            let a = b.file(file, 1);
+            let x = b.file("x", 1);
+            b.add_task("t0", "m", 1.0, &[a], &[x]).unwrap();
+            Arc::clone(b.build().unwrap().shape())
+        };
+        let (short, long) = (shape("a"), shape(&"a".repeat(10_000)));
+        assert!(short.heap_bytes() > 0);
+        assert!(long.heap_bytes() >= short.heap_bytes() + 9_999);
     }
 
     #[test]

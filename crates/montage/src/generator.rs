@@ -139,10 +139,14 @@ impl MosaicConfig {
     }
 }
 
-/// Most tasks the process-wide shape memo retains, summed over its
-/// shapes: the 16-degree preset (48,897 tasks) fits, and beside it the
-/// 1/2/4/8-degree ones (16,110 tasks together).
-pub const SHAPE_MEMO_TASKS: usize = 65_536;
+/// Most heap bytes the process-wide shape memo retains, summed over its
+/// shapes ([`WorkflowShape::heap_bytes`] plus the region label of each
+/// one's key): the 16-degree preset (48,897 tasks, 9.2 MB with the
+/// paper's region label) fits, and beside it the 1/2/4/8-degree ones
+/// (3.1 MB together). The bound is in bytes, not tasks, because a region
+/// label of any length reaches the memo from `mcloud serve` requests, and
+/// the workflow, header, raw plate and mosaic names all carry it.
+pub const SHAPE_MEMO_BYTES: usize = 16 << 20;
 
 /// Generates the workflow for a mosaic request.
 ///
@@ -150,10 +154,10 @@ pub const SHAPE_MEMO_TASKS: usize = 65_536;
 /// mosaic's degrees, band and region; the seed moves only the jittered
 /// runtimes and sizes. So the shape is built once per (degrees, band,
 /// region) through [`WorkflowBuilder`], with all its checks, and kept in a
-/// process-wide least-recently-used memo bounded by [`SHAPE_MEMO_TASKS`]
-/// retained tasks; every request draws its seeded values and pairs them
-/// with the shared shape. A shape larger than the whole budget is built
-/// and shared by that request's workflow but not retained.
+/// process-wide least-recently-used memo bounded by [`SHAPE_MEMO_BYTES`];
+/// every later request draws its seeded values and pairs them with the
+/// shared shape. A shape larger than the whole budget is built and shared
+/// by that request's workflow but not retained.
 pub fn generate(cfg: &MosaicConfig) -> Workflow {
     let (runtime_s, bytes) = draw_values(cfg);
     let key = ShapeKey {
@@ -161,8 +165,19 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
         band: cfg.band,
         region: cfg.region.clone(),
     };
-    let shape = memoized_shape(key, || build_shape(cfg, &runtime_s, &bytes));
-    Workflow::from_shape(shape, runtime_s, bytes).expect("generator draws one valid value per row")
+    // A shape is inserted or evicted together with its byte count, so a
+    // poisoned memo is still consistent and stays in use.
+    let memo = || SHAPES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(shape) = memo().get(&key) {
+        return Workflow::from_shape(shape, runtime_s, bytes)
+            .expect("generator draws one valid value per row");
+    }
+    // The memo is unlocked while the builder runs, so requests for other
+    // shapes proceed; two threads missing the same key both build it, and
+    // the first to finish is the one retained.
+    let wf = build(cfg, &runtime_s, &bytes);
+    memo().insert(key, Arc::clone(wf.shape()));
+    wf
 }
 
 /// The seeded task runtimes and file sizes of a mosaic, in id order.
@@ -236,11 +251,10 @@ fn draw_values(cfg: &MosaicConfig) -> (Vec<f64>, Vec<u64>) {
     (runtime_s, bytes)
 }
 
-/// Builds a mosaic's shape through [`WorkflowBuilder`], registering files
-/// and tasks in the id order [`draw_values`] lays its columns out in and
-/// taking each one's value from there. (The values only satisfy the
-/// builder; the shape keeps none of them.)
-fn build_shape(cfg: &MosaicConfig, runtime_s: &[f64], bytes: &[u64]) -> Arc<WorkflowShape> {
+/// Builds a mosaic's workflow through [`WorkflowBuilder`], registering
+/// files and tasks in the id order [`draw_values`] lays its columns out in
+/// and taking each one's value from there.
+fn build(cfg: &MosaicConfig, runtime_s: &[f64], bytes: &[u64]) -> Workflow {
     let side = cfg.side();
     let n = cfg.plates();
     let pairs = grid::overlap_pairs(side);
@@ -344,8 +358,7 @@ fn build_shape(cfg: &MosaicConfig, runtime_s: &[f64], bytes: &[u64]) -> Arc<Work
     b.add_task("mJPEG", "mJPEG", runtime(), &[shrunk], &[jpeg])
         .expect("generator produces a valid mJPEG");
 
-    let wf = b.build().expect("generator produces an acyclic workflow");
-    Arc::clone(wf.shape())
+    b.build().expect("generator produces an acyclic workflow")
 }
 
 /// What a mosaic's shape depends on: everything in a [`MosaicConfig`] but
@@ -359,15 +372,22 @@ struct ShapeKey {
 }
 
 /// A least-recently-used map from [`ShapeKey`] to shape, holding at most
-/// `budget` tasks summed over its shapes.
+/// `budget` bytes summed over its entries.
 #[derive(Debug)]
 struct ShapeMemo {
     budget: usize,
-    /// Each retained shape and the `clock` reading of its last use.
-    shapes: HashMap<ShapeKey, (Arc<WorkflowShape>, u64)>,
-    /// Tasks summed over `shapes`.
-    tasks: usize,
+    shapes: HashMap<ShapeKey, Retained>,
+    /// Bytes summed over `shapes`.
+    bytes: usize,
     clock: u64,
+}
+
+/// A retained shape, what it costs and the `clock` reading of its last use.
+#[derive(Debug)]
+struct Retained {
+    shape: Arc<WorkflowShape>,
+    bytes: usize,
+    last_used: u64,
 }
 
 impl ShapeMemo {
@@ -375,7 +395,7 @@ impl ShapeMemo {
         ShapeMemo {
             budget,
             shapes: HashMap::new(),
-            tasks: 0,
+            bytes: 0,
             clock: 0,
         }
     }
@@ -383,65 +403,56 @@ impl ShapeMemo {
     /// The shape retained under `key`, marked as just used.
     fn get(&mut self, key: &ShapeKey) -> Option<Arc<WorkflowShape>> {
         self.clock += 1;
-        let (shape, last_used) = self.shapes.get_mut(key)?;
-        *last_used = self.clock;
-        Some(Arc::clone(shape))
+        let retained = self.shapes.get_mut(key)?;
+        retained.last_used = self.clock;
+        Some(Arc::clone(&retained.shape))
     }
 
     /// Retains `shape` under `key`, evicting the least recently used
-    /// shapes until it fits, and returns the shape callers should share.
-    /// If another caller retained `key` first, that shape is returned
-    /// instead; a shape larger than the whole budget is not retained.
-    fn insert(&mut self, key: ShapeKey, shape: Arc<WorkflowShape>) -> Arc<WorkflowShape> {
-        if let Some(retained) = self.get(&key) {
-            return retained;
+    /// shapes until it fits. A shape already retained under `key` stays,
+    /// and one costing more than the whole budget is not retained.
+    fn insert(&mut self, key: ShapeKey, shape: Arc<WorkflowShape>) {
+        if self.get(&key).is_some() {
+            return;
         }
-        let tasks = shape.num_tasks();
-        if tasks > self.budget {
-            return shape;
+        let bytes = shape.heap_bytes() + key.region.capacity();
+        if bytes > self.budget {
+            return;
         }
-        while self.tasks + tasks > self.budget {
+        while self.bytes + bytes > self.budget {
             // Uses are stamped from one clock, so exactly one shape is
             // the oldest; evicting it this way clones no key.
             let oldest = self
                 .shapes
                 .values()
-                .map(|&(_, last_used)| last_used)
+                .map(|r| r.last_used)
                 .min()
                 .expect("a memo over budget retains a shape");
-            let retained = &mut self.tasks;
-            self.shapes.retain(|_, (shape, last_used)| {
-                let keep = *last_used != oldest;
+            let total = &mut self.bytes;
+            self.shapes.retain(|_, r| {
+                let keep = r.last_used != oldest;
                 if !keep {
-                    *retained -= shape.num_tasks();
+                    *total -= r.bytes;
                 }
                 keep
             });
         }
-        self.shapes.insert(key, (Arc::clone(&shape), self.clock));
-        self.tasks += tasks;
-        shape
+        let last_used = self.clock;
+        self.shapes.insert(
+            key,
+            Retained {
+                shape,
+                bytes,
+                last_used,
+            },
+        );
+        self.bytes += bytes;
     }
 }
 
 /// The process-wide shape memo behind [`generate`].
 static SHAPES: LazyLock<Mutex<ShapeMemo>> =
-    LazyLock::new(|| Mutex::new(ShapeMemo::new(SHAPE_MEMO_TASKS)));
-
-/// The shape memoized under `key`, built by `build` on a miss. The memo
-/// is unlocked while `build` runs, so requests for other shapes proceed;
-/// two threads missing the same key both build it, and the second to
-/// finish adopts the first one's shape.
-fn memoized_shape(key: ShapeKey, build: impl FnOnce() -> Arc<WorkflowShape>) -> Arc<WorkflowShape> {
-    // A shape is inserted or evicted together with its task count, so a
-    // poisoned memo is still consistent and stays in use.
-    let memo = || SHAPES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(shape) = memo().get(&key) {
-        return shape;
-    }
-    let shape = build();
-    memo().insert(key, shape)
-}
+    LazyLock::new(|| Mutex::new(ShapeMemo::new(SHAPE_MEMO_BYTES)));
 
 /// The paper's Montage 1-degree workflow (203 tasks).
 pub fn montage_1_degree() -> Workflow {
@@ -681,59 +692,86 @@ mod tests {
         }
     }
 
-    /// A shape of `degrees` (the memo only reads its task count).
+    /// A shape of `degrees` (the memo only reads its heap bytes).
     fn shape(degrees: f64) -> Arc<WorkflowShape> {
         Arc::clone(generate(&MosaicConfig::new(degrees)).shape())
     }
 
     #[test]
     fn the_memo_evicts_least_recently_used_shapes_to_stay_in_budget() {
-        let one = shape(1.0); // 203 tasks
-        let mut memo = ShapeMemo::new(3 * 203);
+        let one = shape(1.0);
+        // Every key below has a one-byte region label.
+        let cost = one.heap_bytes() + 1;
+        let mut memo = ShapeMemo::new(3 * cost);
         for region in ["a", "b", "c"] {
             memo.insert(key(region), Arc::clone(&one));
         }
-        assert_eq!(memo.tasks, 3 * 203);
+        assert_eq!(memo.bytes, 3 * cost);
         assert!(memo.get(&key("a")).is_some()); // "b" is now the oldest
         memo.insert(key("d"), Arc::clone(&one));
-        assert_eq!(memo.tasks, 3 * 203);
+        assert_eq!(memo.bytes, 3 * cost);
         assert!(memo.get(&key("b")).is_none());
         for region in ["a", "c", "d"] {
             assert!(memo.get(&key(region)).is_some(), "{region}");
         }
-        // A second insert under a retained key hands back the first shape.
-        let twin = shape(1.0);
-        assert!(Arc::ptr_eq(&memo.insert(key("a"), twin), &one));
+        // A second insert under a retained key keeps the first shape.
+        memo.insert(key("a"), shape(1.0));
+        assert!(Arc::ptr_eq(&memo.get(&key("a")).unwrap(), &one));
         assert_eq!(memo.shapes.len(), 3);
+        assert_eq!(memo.bytes, 3 * cost);
     }
 
     #[test]
-    fn a_shape_over_the_whole_budget_is_shared_but_not_retained() {
-        let two = shape(2.0); // 731 tasks
-        let mut memo = ShapeMemo::new(700);
-        memo.insert(key("small"), shape(1.0));
-        let shared = memo.insert(key("big"), Arc::clone(&two));
-        assert!(Arc::ptr_eq(&shared, &two));
+    fn a_shape_over_the_whole_budget_is_not_retained() {
+        let (one, two) = (shape(1.0), shape(2.0));
+        let small = one.heap_bytes() + "small".len();
+        assert!(two.heap_bytes() > small);
+        let mut memo = ShapeMemo::new(small);
+        memo.insert(key("small"), one);
+        memo.insert(key("big"), two);
         assert!(memo.get(&key("big")).is_none());
         assert!(memo.get(&key("small")).is_some(), "nothing was evicted");
-        assert_eq!(memo.tasks, 203);
+        assert_eq!(memo.bytes, small);
+    }
+
+    #[test]
+    fn a_long_region_label_counts_against_the_budget() {
+        let one = shape(1.0);
+        let short = one.heap_bytes() + 1;
+        let mut memo = ShapeMemo::new(2 * short);
+        memo.insert(key("a"), Arc::clone(&one));
+        // The same shape under a label longer than the whole budget.
+        memo.insert(key(&"x".repeat(2 * short)), Arc::clone(&one));
+        assert_eq!(memo.shapes.len(), 1);
+        assert!(memo.get(&key("a")).is_some());
+        assert_eq!(memo.bytes, short);
+
+        // Through `generate`: the smallest mosaic (four plates) carries its
+        // region label in nine names, so a label of an eighth of the
+        // budget makes a shape the process-wide memo does not retain.
+        let region = "r".repeat(SHAPE_MEMO_BYTES / 8);
+        let wf = generate(&MosaicConfig::new(0.1).region(region.as_str()));
+        assert!(wf.shape().heap_bytes() > SHAPE_MEMO_BYTES);
+        let memo = SHAPES.lock().unwrap();
+        assert!(memo.shapes.keys().all(|k| k.region != region));
+        assert!(memo.bytes <= SHAPE_MEMO_BYTES, "{} bytes", memo.bytes);
     }
 
     #[test]
     fn more_distinct_shapes_than_the_budget_keep_the_memo_within_it() {
-        let cfg = |i: usize| MosaicConfig::new(4.0).region(format!("budget-{i}"));
-        let per_shape = cfg(0).expected_tasks();
-        let count = SHAPE_MEMO_TASKS / per_shape + 2;
-        for i in 0..count {
+        let cfg = |i: usize| MosaicConfig::new(4.0).region(format!("budget-{i:03}"));
+        let per_shape = generate(&cfg(0)).shape().heap_bytes();
+        let count = SHAPE_MEMO_BYTES / per_shape + 2;
+        for i in 1..count {
             generate(&cfg(i));
             let memo = SHAPES.lock().unwrap();
-            assert!(memo.tasks <= SHAPE_MEMO_TASKS, "{} tasks", memo.tasks);
-            let retained: usize = memo.shapes.values().map(|(s, _)| s.num_tasks()).sum();
-            assert_eq!(retained, memo.tasks);
+            assert!(memo.bytes <= SHAPE_MEMO_BYTES, "{} bytes", memo.bytes);
+            let retained: usize = memo.shapes.values().map(|r| r.bytes).sum();
+            assert_eq!(retained, memo.bytes);
         }
         // The first shapes made way for the last ones.
         let memo = SHAPES.lock().unwrap();
-        assert!(memo.shapes.keys().all(|k| k.region != "budget-0"));
+        assert!(memo.shapes.keys().all(|k| k.region != "budget-000"));
     }
 
     #[test]
