@@ -251,10 +251,17 @@ fn dispatch(op: &str, request: &Value) -> Result<String, String> {
             crate::commands::run(&argv).map(|out| wrap_output(&out))
         }
         "batch" => op_batch(request),
-        _ => Ok(wrap_text(
-            &mcloud_cache::global().registry().prometheus_text(),
-        )),
+        _ => Ok(wrap_text(&metrics_text())),
     }
+}
+
+/// The deterministic series of the process-wide result cache and shape
+/// memo, as Prometheus text: the `metrics` op's and `GET /metrics`'s
+/// body.
+fn metrics_text() -> String {
+    let mut registry = mcloud_cache::global().registry();
+    mcloud_montage::shape_memo_stats().record(&mut registry);
+    registry.prometheus_text()
 }
 
 /// The flags op `op` takes over the wire for `raw`: its subcommand's
@@ -472,12 +479,9 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
     };
 
     match (method.as_str(), path.as_str()) {
-        ("GET", "/metrics") => write_http(
-            stream,
-            200,
-            "text/plain; version=0.0.4",
-            &mcloud_cache::global().registry().prometheus_text(),
-        ),
+        ("GET", "/metrics") => {
+            write_http(stream, 200, "text/plain; version=0.0.4", &metrics_text())
+        }
         ("POST", "/simulate")
         | ("POST", "/plan")
         | ("POST", "/profile")
@@ -595,6 +599,7 @@ mod tests {
         assert!(out.contains("\"results\": ["), "{out}");
         assert!(out.contains("mcloud-plan/v1"), "{out}");
         assert!(out.contains("mcloud_cache_hits_total"), "{out}");
+        assert!(out.contains("mcloud_shape_memo_misses_total"), "{out}");
         assert!(out.contains("unknown op 'nonsense'"), "{out}");
         assert!(out.contains("\"ok\": false"), "{out}");
     }
@@ -664,6 +669,10 @@ mod tests {
 
         let metrics = http("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(metrics.contains("mcloud_cache_misses_total"), "{metrics}");
+        assert!(
+            metrics.contains("mcloud_shape_memo_hits_total"),
+            "{metrics}"
+        );
 
         assert!(http("GET /nope HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 404"));
     }

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
-use mcloud_simkit::SimRng;
+use mcloud_simkit::{MetricClass, Registry, SimRng};
 
 use mcloud_dag::{Workflow, WorkflowBuilder, WorkflowShape};
 
@@ -168,7 +168,7 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     // A shape is inserted or evicted together with its byte count, so a
     // poisoned memo is still consistent and stays in use.
     let memo = || SHAPES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(shape) = memo().get(&key) {
+    if let Some(shape) = memo().lookup(&key) {
         return Workflow::from_shape(shape, runtime_s, bytes)
             .expect("generator draws one valid value per row");
     }
@@ -380,6 +380,85 @@ struct ShapeMemo {
     /// Bytes summed over `shapes`.
     bytes: usize,
     clock: u64,
+    /// [`ShapeMemo::lookup`]s that found their shape, and that did not.
+    hits: u64,
+    misses: u64,
+    /// Shapes evicted to make room.
+    evictions: u64,
+}
+
+/// What the process-wide shape memo behind [`generate`] has done so far
+/// and what it retains now ([`shape_memo_stats`]).
+///
+/// The counts are a pure function of the sequence of `generate` calls
+/// when the calls are made one at a time, as `mcloud serve` makes them
+/// (its batches generate each workflow before fanning out). Calls that
+/// miss one new shape at the same time each build it and each count a
+/// miss.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShapeMemoStats {
+    /// Calls that reused a retained shape.
+    pub hits: u64,
+    /// Calls that built their shape.
+    pub misses: u64,
+    /// Shapes evicted to stay within the memo's byte budget.
+    pub evictions: u64,
+    /// Shapes retained now.
+    pub shapes: u64,
+    /// Bytes retained now, as the budget counts them.
+    pub bytes: u64,
+}
+
+impl ShapeMemoStats {
+    /// Adds the stats to `registry` as `mcloud_shape_memo_*` series, all
+    /// [`MetricClass::Deterministic`] (see the type's note on concurrent
+    /// calls).
+    pub fn record(&self, registry: &mut Registry) {
+        const D: MetricClass = MetricClass::Deterministic;
+        registry.set_counter(
+            "mcloud_shape_memo_hits_total",
+            "Workflow generations that reused a retained mosaic shape.",
+            D,
+            &[],
+            self.hits,
+        );
+        registry.set_counter(
+            "mcloud_shape_memo_misses_total",
+            "Workflow generations that built their mosaic shape.",
+            D,
+            &[],
+            self.misses,
+        );
+        registry.set_counter(
+            "mcloud_shape_memo_evictions_total",
+            "Mosaic shapes evicted to stay within the memo's byte budget.",
+            D,
+            &[],
+            self.evictions,
+        );
+        registry.set_gauge(
+            "mcloud_shape_memo_shapes",
+            "Mosaic shapes retained.",
+            D,
+            &[],
+            self.shapes as f64,
+        );
+        registry.set_gauge(
+            "mcloud_shape_memo_bytes",
+            "Bytes the retained mosaic shapes hold, as the budget counts them.",
+            D,
+            &[],
+            self.bytes as f64,
+        );
+    }
+}
+
+/// The process-wide shape memo's [`ShapeMemoStats`].
+pub fn shape_memo_stats() -> ShapeMemoStats {
+    SHAPES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .stats()
 }
 
 /// A retained shape, what it costs and the `clock` reading of its last use.
@@ -397,6 +476,30 @@ impl ShapeMemo {
             shapes: HashMap::new(),
             bytes: 0,
             clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// [`ShapeMemo::get`] on behalf of a `generate` call, counted as a
+    /// hit or a miss.
+    fn lookup(&mut self, key: &ShapeKey) -> Option<Arc<WorkflowShape>> {
+        let found = self.get(key);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        found
+    }
+
+    fn stats(&self) -> ShapeMemoStats {
+        ShapeMemoStats {
+            hits: self.hits,
+            misses: self.misses,
+            evictions: self.evictions,
+            shapes: self.shapes.len() as u64,
+            bytes: self.bytes as u64,
         }
     }
 
@@ -428,11 +531,12 @@ impl ShapeMemo {
                 .map(|r| r.last_used)
                 .min()
                 .expect("a memo over budget retains a shape");
-            let total = &mut self.bytes;
+            let (total, evictions) = (&mut self.bytes, &mut self.evictions);
             self.shapes.retain(|_, r| {
                 let keep = r.last_used != oldest;
                 if !keep {
                     *total -= r.bytes;
+                    *evictions += 1;
                 }
                 keep
             });
@@ -719,6 +823,42 @@ mod tests {
         assert!(Arc::ptr_eq(&memo.get(&key("a")).unwrap(), &one));
         assert_eq!(memo.shapes.len(), 3);
         assert_eq!(memo.bytes, 3 * cost);
+    }
+
+    #[test]
+    fn the_memo_counts_hits_misses_and_evictions() {
+        let one = shape(1.0);
+        let cost = one.heap_bytes() + 1;
+        let mut memo = ShapeMemo::new(2 * cost);
+        assert!(memo.lookup(&key("a")).is_none());
+        memo.insert(key("a"), Arc::clone(&one));
+        assert!(memo.lookup(&key("a")).is_some());
+        for region in ["b", "c"] {
+            assert!(memo.lookup(&key(region)).is_none());
+            memo.insert(key(region), Arc::clone(&one));
+        }
+        // Inserting "c" evicted "a"; looking it up again misses.
+        assert!(memo.lookup(&key("a")).is_none());
+        assert_eq!(
+            memo.stats(),
+            ShapeMemoStats {
+                hits: 1,
+                misses: 4,
+                evictions: 1,
+                shapes: 2,
+                bytes: 2 * cost as u64,
+            }
+        );
+
+        // The process-wide memo: a repeated call hits. Other tests share
+        // it, so only lower bounds hold.
+        let cfg = MosaicConfig::new(0.3).region("stats-probe");
+        generate(&cfg);
+        let before = shape_memo_stats();
+        generate(&cfg.clone().seed(7));
+        let after = shape_memo_stats();
+        assert!(after.hits > before.hits);
+        assert!(after.shapes >= 1 && after.bytes <= SHAPE_MEMO_BYTES as u64);
     }
 
     #[test]

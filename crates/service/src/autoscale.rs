@@ -15,11 +15,12 @@
 //!
 //! The simulation is a resumable state machine ([`AutoScaleSim`]) that
 //! the caller feeds one arrival at a time, resolved into a [`Job`] (its
-//! clock instant, profile and service time). The public entry points run
-//! one pool over one stream; the capacity planner instead generates the
-//! stream once per worker lane, resolves each arrival once per distinct
-//! slot size, and feeds it to every candidate pool of the lane's group in
-//! lockstep.
+//! clock instant, profile and service time), in three steps: fire the
+//! pool events before the arrival, ask a configuration what to do with
+//! it (a [`Decision`]), carry the decision out. The public entry points
+//! run one pool over one stream; the capacity planner instead generates
+//! the stream once per worker lane and lets candidates that decide alike
+//! share one simulation.
 
 use std::collections::VecDeque;
 
@@ -189,7 +190,7 @@ impl AutoScaleReport {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     /// A rented slot finished booting.
     SlotReady,
@@ -237,9 +238,10 @@ pub fn simulate_autoscale_stream(
     let mut profiles = ProfileTable::new(cfg.exec.clone());
     let mut sim = AutoScaleSim::new(cfg, on_outcome);
     for a in arrivals {
-        sim.arrive(Job::new(a, cfg.procs_per_slot, &mut profiles));
+        sim.arrive(cfg, Job::new(a, cfg.procs_per_slot, &mut profiles));
     }
-    sim.finish()
+    sim.drain();
+    sim.report(cfg.slot_cost_per_hour)
 }
 
 /// One arrival resolved for pools of one slot size: everything a pool
@@ -251,7 +253,7 @@ pub fn simulate_autoscale_stream(
 pub(crate) struct Job {
     arrival: Arrival,
     /// The arrival instant on the simulation clock.
-    at: SimTime,
+    pub(crate) at: SimTime,
     profile: RequestProfile,
     /// The request's slot occupancy, `profile.makespan_hours` on the clock.
     service: SimDuration,
@@ -270,6 +272,47 @@ impl Job {
     }
 }
 
+/// What a pool does with the next arrival: the only point where the
+/// policy fields of an [`AutoScaleConfig`] (`max_slots`,
+/// `scale_up_queue`, `queue_bound`, `admission`) act. Two pools in the
+/// same state that reach the same decision stay in the same state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Decision {
+    /// Turned away by admission control.
+    Reject,
+    /// Served on per-request cloud resources, outside the pool.
+    Deflect,
+    /// Served at once on an idle slot.
+    Serve,
+    /// Queued in the backlog; `rent` also rents one more slot.
+    Queue { rent: bool },
+}
+
+/// The configuration fields the pool's event handling reads (boots,
+/// completions, idle release): everything two configurations must share
+/// before one pool simulation can stand for both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Pool {
+    /// Slots kept rented at all times.
+    min_slots: u32,
+    /// A rented slot's boot delay.
+    boot: SimDuration,
+    /// How long a slot above the floor may idle before it is released;
+    /// `None` releases it at once (`idle_release_s == 0`).
+    idle_release: Option<SimDuration>,
+}
+
+impl Pool {
+    pub(crate) fn of(cfg: &AutoScaleConfig) -> Pool {
+        Pool {
+            min_slots: cfg.min_slots,
+            boot: SimDuration::from_secs_f64(cfg.boot_s),
+            idle_release: (cfg.idle_release_s != 0.0)
+                .then(|| SimDuration::from_secs_f64(cfg.idle_release_s)),
+        }
+    }
+}
+
 /// A request in the backlog: what starting it needs, and no more (the
 /// backlog's peak length sets the planner's memory).
 #[derive(Debug, Clone, Copy)]
@@ -283,14 +326,18 @@ struct Waiting {
     service: SimDuration,
 }
 
-/// One auto-scaled pool simulation as a resumable state machine: the
-/// caller feeds it resolved arrivals in time order
-/// ([`AutoScaleSim::arrive`]) and then drains it
-/// ([`AutoScaleSim::finish`]). Because the caller owns the arrival loop,
-/// one arrival stream can drive many pools in lockstep (the capacity
-/// planner's candidates), each [`Job`] resolved once for all of them.
-pub(crate) struct AutoScaleSim<'c, F: FnMut(&RequestOutcome)> {
-    cfg: &'c AutoScaleConfig,
+/// One auto-scaled pool simulation as a resumable state machine. The
+/// caller owns the arrival loop: for each resolved arrival it fires the
+/// pool events before it ([`AutoScaleSim::advance`]), asks a
+/// configuration what to do with it ([`AutoScaleSim::decide`]) and
+/// carries that out ([`AutoScaleSim::apply`]); then it drains the pool
+/// ([`AutoScaleSim::drain`]) and reads the report. The state holds no
+/// configuration, only its [`Pool`] fields, so configurations that share
+/// those and decide alike share one simulation (the capacity planner's
+/// cohorts), and a clone forks it where their decisions part.
+#[derive(Clone)]
+pub(crate) struct AutoScaleSim<F: FnMut(&RequestOutcome)> {
+    pool: Pool,
     events: Calendar<Ev>,
     // Pool state. Slots are fungible: we track counts, not identities.
     idle_slots: u32, // rented, booted, not serving
@@ -312,27 +359,27 @@ pub(crate) struct AutoScaleSim<'c, F: FnMut(&RequestOutcome)> {
     deflect_cost: Money,
 }
 
-impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
-    /// A pool with its floor rented (booting) at time zero.
+impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
+    /// A pool with `cfg`'s floor rented (booting) at time zero.
     ///
     /// # Panics
     /// Panics on invalid configuration.
-    pub(crate) fn new(cfg: &'c AutoScaleConfig, on_outcome: F) -> Self {
+    pub(crate) fn new(cfg: &AutoScaleConfig, on_outcome: F) -> Self {
         cfg.validate().expect("invalid autoscale configuration");
+        let pool = Pool::of(cfg);
         let mut events = Calendar::new();
-        let boot = SimTime::ZERO + SimDuration::from_secs_f64(cfg.boot_s);
-        for _ in 0..cfg.min_slots {
-            events.push(boot, Ev::SlotReady);
+        for _ in 0..pool.min_slots {
+            events.push(SimTime::ZERO + pool.boot, Ev::SlotReady);
         }
         AutoScaleSim {
-            cfg,
+            pool,
             events,
             idle_slots: 0,
-            booting: cfg.min_slots,
+            booting: pool.min_slots,
             busy: 0,
-            rented: cfg.min_slots,
-            peak_slots: cfg.min_slots,
-            rentals: cfg.min_slots,
+            rented: pool.min_slots,
+            peak_slots: pool.min_slots,
+            rentals: pool.min_slots,
             slot_hours: 0.0,
             last_accrual: SimTime::ZERO,
             waiting: VecDeque::new(),
@@ -345,19 +392,66 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
         }
     }
 
-    /// Handles the next arrival, resolved for this pool's
-    /// `procs_per_slot`. Pool events strictly before it fire first; an
-    /// event at the same instant fires after it, so an arrival ties ahead
-    /// of any pool event (the historical all-events-upfront order).
+    /// The configuration fields this pool's event handling reads.
+    pub(crate) fn pool(&self) -> Pool {
+        self.pool
+    }
+
+    /// Handles the next arrival, resolved for `cfg`'s `procs_per_slot`,
+    /// as `cfg` would: [`advance`](Self::advance),
+    /// [`decide`](Self::decide), [`apply`](Self::apply).
     ///
     /// # Panics
     /// Panics if `job` arrives earlier than the previous arrival.
-    pub(crate) fn arrive(&mut self, job: Job) {
-        let (a, now, profile) = (job.arrival, job.at, job.profile);
+    pub(crate) fn arrive(&mut self, cfg: &AutoScaleConfig, job: Job) {
+        self.advance(job.at);
+        let decision = self.decide(cfg);
+        self.apply(job, decision);
+    }
+
+    /// Fires the pool events strictly before `now`, the next arrival's
+    /// instant; an event at that instant fires after the arrival, so an
+    /// arrival ties ahead of any pool event (the historical
+    /// all-events-upfront order).
+    pub(crate) fn advance(&mut self, now: SimTime) {
         while self.events.peek_time().is_some_and(|t| t < now) {
             let (t, ev) = self.events.pop().expect("peeked event");
             self.fire(t, ev);
         }
+        self.accrue(now);
+    }
+
+    /// What `cfg` does with the next arrival in the current state.
+    pub(crate) fn decide(&self, cfg: &AutoScaleConfig) -> Decision {
+        if self.idle_slots > 0 {
+            // A slot only idles once the backlog is empty, so nobody is
+            // waiting ahead of this request.
+            return Decision::Serve;
+        }
+        // Admission control fires only when no slot could serve the
+        // request immediately and the backlog is at its bound.
+        if cfg.queue_bound.is_some_and(|b| self.waiting.len() >= b) {
+            return match cfg.admission {
+                AdmissionPolicy::Reject => Decision::Reject,
+                AdmissionPolicy::Deflect => Decision::Deflect,
+                // validate() rejects a bound without a policy.
+                AdmissionPolicy::AdmitAll => unreachable!("bounded queue without a policy"),
+            };
+        }
+        // The trigger counts the backlog with this request in it.
+        let backlog = self.waiting.len() + 1;
+        Decision::Queue {
+            rent: backlog >= cfg.scale_up_queue && self.rented < cfg.max_slots,
+        }
+    }
+
+    /// Carries out `decision` for `job`, which must be the arrival the
+    /// last [`advance`](Self::advance) ran up to.
+    ///
+    /// # Panics
+    /// Panics if `job` arrives earlier than the previous arrival.
+    pub(crate) fn apply(&mut self, job: Job, decision: Decision) {
+        let (a, now, profile) = (job.arrival, job.at, job.profile);
         let i = self.next_index;
         self.next_index += 1;
         assert!(
@@ -365,37 +459,6 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
             "arrivals must be sorted by time"
         );
         self.last_arrival_hours = a.at_hours;
-        self.accrue(now);
-        let cfg = self.cfg;
-        // Admission control fires only when no slot could serve the
-        // request immediately and the backlog is at its bound.
-        if self.idle_slots == 0 && cfg.queue_bound.is_some_and(|b| self.waiting.len() >= b) {
-            match cfg.admission {
-                AdmissionPolicy::Reject => self.fold.push_rejected(i),
-                AdmissionPolicy::Deflect => {
-                    // Full per-request cloud price: CPU plus data
-                    // management, same as a service cloud burst.
-                    self.deflected += 1;
-                    self.deflect_cost += profile.cost;
-                    // Served on arrival: arrival and start are one
-                    // instant of the simulation clock.
-                    let start_h = now.as_hours_f64();
-                    self.fold.push(RequestOutcome {
-                        index: i,
-                        degrees: a.degrees,
-                        arrival_hours: start_h,
-                        start_hours: start_h,
-                        finish_hours: start_h + profile.makespan_hours,
-                        venue: Venue::Cloud,
-                        cost: profile.cost,
-                        attempts: 1,
-                    });
-                }
-                // validate() rejects a bound without a policy.
-                AdmissionPolicy::AdmitAll => unreachable!("bounded queue without a policy"),
-            }
-            return;
-        }
         let request = Waiting {
             index: i,
             degrees: a.degrees,
@@ -403,42 +466,67 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
             dm_cost: profile.dm_cost,
             service: job.service,
         };
-        if self.idle_slots > 0 {
-            // Serve immediately. A slot only idles once the backlog is
-            // empty, so nobody is waiting ahead of this request.
-            debug_assert!(self.waiting.is_empty());
-            self.idle_slots -= 1;
-            self.start_service(request, now);
-        } else {
-            self.waiting.push_back(request);
-            if self.waiting.len() >= cfg.scale_up_queue && self.rented < cfg.max_slots {
-                self.rented += 1;
-                self.rentals += 1;
-                self.booting += 1;
-                self.peak_slots = self.peak_slots.max(self.rented);
-                self.events
-                    .push(now + SimDuration::from_secs_f64(cfg.boot_s), Ev::SlotReady);
+        match decision {
+            Decision::Reject => self.fold.push_rejected(i),
+            Decision::Deflect => {
+                // Full per-request cloud price: CPU plus data management,
+                // same as a service cloud burst.
+                self.deflected += 1;
+                self.deflect_cost += profile.cost;
+                // Served on arrival: arrival and start are one instant of
+                // the simulation clock.
+                let start_h = now.as_hours_f64();
+                self.fold.push(RequestOutcome {
+                    index: i,
+                    degrees: a.degrees,
+                    arrival_hours: start_h,
+                    start_hours: start_h,
+                    finish_hours: start_h + profile.makespan_hours,
+                    venue: Venue::Cloud,
+                    cost: profile.cost,
+                    attempts: 1,
+                });
+            }
+            Decision::Serve => {
+                debug_assert!(self.waiting.is_empty());
+                self.idle_slots -= 1;
+                self.start_service(request, now);
+            }
+            Decision::Queue { rent } => {
+                self.waiting.push_back(request);
+                if rent {
+                    self.rented += 1;
+                    self.rentals += 1;
+                    self.booting += 1;
+                    self.peak_slots = self.peak_slots.max(self.rented);
+                    self.events.push(now + self.pool.boot, Ev::SlotReady);
+                }
             }
         }
     }
 
-    /// Drains every pending pool event and returns the report.
-    pub(crate) fn finish(mut self) -> AutoScaleReport {
+    /// Fires every pending pool event: every request is then decided.
+    pub(crate) fn drain(&mut self) {
         while let Some((t, ev)) = self.events.pop() {
             self.fire(t, ev);
         }
         debug_assert_eq!(self.busy, 0);
         debug_assert_eq!(self.booting, 0);
         debug_assert_eq!(self.fold.next, self.next_index, "every request is decided");
-        let fold = self.fold;
+    }
+
+    /// The report of a drained pool, its rented slot-hours priced at
+    /// `slot_cost_per_hour`.
+    pub(crate) fn report(&self, slot_cost_per_hour: Money) -> AutoScaleReport {
+        let fold = &self.fold;
         AutoScaleReport {
             requests: fold.served_local + fold.served_cloud,
             rejected: fold.rejected,
             deflected: self.deflected,
-            wait_hist: fold.wait_hist,
-            turnaround_hist: fold.turnaround_hist,
+            wait_hist: fold.wait_hist.clone(),
+            turnaround_hist: fold.turnaround_hist.clone(),
             slot_hours: self.slot_hours,
-            rental_cost: self.cfg.slot_cost_per_hour * self.slot_hours,
+            rental_cost: slot_cost_per_hour * self.slot_hours,
             dm_cost: self.dm_cost,
             deflect_cost: self.deflect_cost,
             peak_slots: self.peak_slots,
@@ -462,7 +550,7 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
                 // the slot that scheduled this check may have been reused
                 // since. Release one slot only if some slot is still idle
                 // and the pool sits above its floor.
-                if self.idle_slots > 0 && self.rented > self.cfg.min_slots {
+                if self.idle_slots > 0 && self.rented > self.pool.min_slots {
                     self.idle_slots -= 1;
                     self.rented -= 1;
                 }
@@ -474,19 +562,15 @@ impl<'c, F: FnMut(&RequestOutcome)> AutoScaleSim<'c, F> {
     /// backlog, or goes idle, honouring the floor and the idle-release
     /// grace window.
     fn slot_freed(&mut self, now: SimTime) {
-        let cfg = self.cfg;
         if let Some(request) = self.waiting.pop_front() {
             self.start_service(request, now);
-        } else if self.rented > cfg.min_slots && cfg.idle_release_s == 0.0 {
-            self.rented -= 1; // idle above the floor: release immediately
-        } else {
+        } else if self.rented <= self.pool.min_slots {
+            self.idle_slots += 1; // the floor stays rented
+        } else if let Some(grace) = self.pool.idle_release {
             self.idle_slots += 1;
-            if self.rented > cfg.min_slots {
-                self.events.push(
-                    now + SimDuration::from_secs_f64(cfg.idle_release_s),
-                    Ev::IdleExpire,
-                );
-            }
+            self.events.push(now + grace, Ev::IdleExpire);
+        } else {
+            self.rented -= 1; // idle above the floor: release immediately
         }
     }
 

@@ -18,7 +18,7 @@ use mcloud_simkit::SimTime;
 /// `EventQueue`, so swapping one for the other leaves every schedule
 /// unchanged. `E` must be `Ord` only to sit in the heap; distinct
 /// sequence numbers mean two payloads are never compared.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Calendar<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
     next_seq: u64,

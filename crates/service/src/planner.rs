@@ -8,17 +8,28 @@
 //! each, and recommends the cheapest candidate whose p99 turnaround
 //! meets the SLO without rejecting a single request.
 //!
-//! Candidates are evaluated in lockstep, one contiguous group per lane
-//! of the process-wide [`WorkerPool`]: each group generates the arrival
-//! stream from the spec's seed once and feeds every arrival to all of
-//! its candidates' simulations, so a cold plan pays for the stream once
-//! per lane, not once per candidate, and memory stays bounded by the
-//! candidates' backlogs. Each arrival's profile and clock times are
-//! resolved once per group and slot size, not once per candidate. A
-//! candidate's outcome does not depend on its group, so results are
-//! byte-identical at any lane count. Each lane
-//! keeps a warm [`ProfileTable`], so the engine profiles behind the
-//! service times are simulated once per plan, not once per candidate.
+//! Candidates are evaluated one contiguous group per lane of the
+//! process-wide [`WorkerPool`]: each group generates the arrival stream
+//! from the spec's seed once and resolves each arrival's profile and
+//! clock times once per slot size and execution model, not once per
+//! candidate. Within a group, candidates run in *cohorts*: one pool
+//! simulation shared by candidates that agree on every field the pool's
+//! event handling reads (floor, boot delay, idle release, slot size,
+//! execution model) and have made the same decision at every arrival so
+//! far. The other fields (ceiling, scale-up trigger, queue bound and
+//! admission policy) act only through that decision, so a cohort fires
+//! its pool events once per arrival, asks each member what it does with
+//! the arrival, and splits, one copy of its state per further answer,
+//! only when the members disagree. Candidates whose difference never
+//! matters share a simulation to the end: with `min_slots == max_slots`
+//! the pool can never rent, so the scale-up trigger never matters, and a
+//! queue bound the backlog never reaches never acts. The slot price is
+//! applied per member when the reports are priced. A candidate's report
+//! is its own decisions played out, so it does not depend on its group
+//! or cohort, and results are byte-identical at any lane count; memory
+//! stays bounded by the candidates' backlogs. Each lane keeps a warm
+//! [`ProfileTable`], so the engine profiles behind the service times are
+//! simulated once per plan, not once per candidate.
 
 use mcloud_cache::ResultCache;
 use mcloud_core::{encode_exec_config, Canon, Digest, DOMAIN_PLAN};
@@ -27,7 +38,7 @@ use mcloud_simkit::WorkerPool;
 use mcloud_sweep::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 
 use crate::arrivals::{class_stream, MergedStream, RateProfile, RequestClass};
-use crate::autoscale::{AutoScaleConfig, AutoScaleReport, AutoScaleSim, Job};
+use crate::autoscale::{AutoScaleConfig, AutoScaleReport, AutoScaleSim, Decision, Job, Pool};
 use crate::profile::ProfileTable;
 use crate::simulator::{AdmissionPolicy, RequestOutcome};
 
@@ -363,12 +374,18 @@ pub fn plan_capacity_with_cache(
 }
 
 /// Simulates every candidate against the spec's demand stream in
-/// `groups` contiguous groups fanned out on the global [`WorkerPool`]:
-/// each group pulls the stream once, resolves every arrival into a
-/// [`Job`] once per distinct `procs_per_slot` among its candidates, and
-/// feeds it to all of them in lockstep. Reports come back in candidate
-/// order and do not depend on the grouping.
-fn simulate_grouped(
+/// `groups` contiguous groups fanned out on the global [`WorkerPool`];
+/// each group pulls the stream once and runs its candidates in cohorts
+/// (see the module docs). Reports come back in candidate order, each
+/// equal to [`simulate_autoscale_stream`](crate::simulate_autoscale_stream)
+/// for that candidate alone, at any grouping. `profiles` is a table of
+/// the spec's execution model (warm it to skip profiling); every lane
+/// starts from a copy, and a candidate with another execution model gets
+/// a table of its own.
+///
+/// # Panics
+/// Panics if a candidate fails [`AutoScaleConfig::validate`].
+pub fn simulate_grouped(
     spec: &PlanSpec,
     cfgs: &[AutoScaleConfig],
     profiles: &ProfileTable,
@@ -380,35 +397,134 @@ fn simulate_grouped(
         .map(|g| &cfgs[g * n / groups..(g + 1) * n / groups])
         .collect();
     let pool = WorkerPool::global();
-    let mut tables: Vec<ProfileTable> =
-        (0..pool.lanes().max(1)).map(|_| profiles.clone()).collect();
-    let per_group = pool.map_with_state(&mut tables, &parts, |profiles, part| {
-        // The group's distinct slot sizes, and each candidate's among them.
-        let mut procs: Vec<u32> = Vec::new();
-        let mut sims: Vec<_> = part
-            .iter()
-            .map(|cfg| {
-                let size = cfg.procs_per_slot;
-                let p = procs.iter().position(|&q| q == size).unwrap_or_else(|| {
-                    procs.push(size);
-                    procs.len() - 1
-                });
-                (p, AutoScaleSim::new(cfg, |_: &RequestOutcome| {}))
-            })
-            .collect();
-        let mut jobs: Vec<Job> = Vec::with_capacity(procs.len());
-        for a in spec.stream() {
-            jobs.clear();
-            jobs.extend(procs.iter().map(|&p| Job::new(a, p, profiles)));
-            for (p, sim) in &mut sims {
-                sim.arrive(jobs[*p]);
-            }
-        }
-        sims.into_iter()
-            .map(|(_, sim)| sim.finish())
-            .collect::<Vec<_>>()
+    let mut tables: Vec<Vec<ProfileTable>> = (0..pool.lanes().max(1))
+        .map(|_| vec![profiles.clone()])
+        .collect();
+    let per_group = pool.map_with_state(&mut tables, &parts, |tables, part| {
+        simulate_cohorts(spec, part, tables)
     });
     per_group.into_iter().flatten().collect()
+}
+
+/// Candidates sharing one pool simulation: they resolve arrivals alike
+/// (one slot size and execution model), agree on every field the pool's
+/// event handling reads (its [`Pool`]), and have made the same
+/// [`Decision`] at every arrival so far, so they are in the same state.
+struct Cohort<F: FnMut(&RequestOutcome)> {
+    sim: AutoScaleSim<F>,
+    /// The cohort's entry in the group's job kinds.
+    kind: usize,
+    /// Indices of the member candidates in the group.
+    members: Vec<usize>,
+}
+
+/// Runs one group's candidates over one pull of the demand stream.
+/// Candidates start in one cohort per (job kind, [`Pool`]); each arrival
+/// is resolved into a [`Job`] once per job kind, and each cohort fires
+/// its pool events once and asks every member for its decision. Where
+/// the members disagree the cohort splits, one copy of its state per
+/// further decision. A report is the member's own decision sequence
+/// played out, priced at its own slot rate, so it equals running the
+/// candidate alone and does not depend on the other candidates.
+/// `tables` holds a profile table per execution model seen so far.
+fn simulate_cohorts(
+    spec: &PlanSpec,
+    part: &[AutoScaleConfig],
+    tables: &mut Vec<ProfileTable>,
+) -> Vec<AutoScaleReport> {
+    let visit = |_: &RequestOutcome| {};
+    // Job kinds: each distinct (slot size, profile table).
+    let mut kinds: Vec<(u32, usize)> = Vec::new();
+    let mut cohorts: Vec<Cohort<_>> = Vec::new();
+    for (m, cfg) in part.iter().enumerate() {
+        let table = tables
+            .iter()
+            .position(|t| t.exec() == &cfg.exec)
+            .unwrap_or_else(|| {
+                tables.push(ProfileTable::new(cfg.exec.clone()));
+                tables.len() - 1
+            });
+        let kind_key = (cfg.procs_per_slot, table);
+        let kind = kinds
+            .iter()
+            .position(|&k| k == kind_key)
+            .unwrap_or_else(|| {
+                kinds.push(kind_key);
+                kinds.len() - 1
+            });
+        let pool = Pool::of(cfg);
+        match cohorts
+            .iter_mut()
+            .find(|c| c.kind == kind && c.sim.pool() == pool)
+        {
+            Some(cohort) => cohort.members.push(m),
+            None => cohorts.push(Cohort {
+                sim: AutoScaleSim::new(cfg, visit),
+                kind,
+                members: vec![m],
+            }),
+        }
+    }
+
+    let mut jobs: Vec<Job> = Vec::with_capacity(kinds.len());
+    let mut decisions: Vec<Decision> = Vec::new();
+    let mut forked: Vec<Cohort<_>> = Vec::new();
+    for a in spec.stream() {
+        jobs.clear();
+        jobs.extend(
+            kinds
+                .iter()
+                .map(|&(procs, table)| Job::new(a, procs, &mut tables[table])),
+        );
+        for cohort in &mut cohorts {
+            let job = jobs[cohort.kind];
+            cohort.sim.advance(job.at);
+            let first = cohort.sim.decide(&part[cohort.members[0]]);
+            if cohort.members[1..]
+                .iter()
+                .any(|&m| cohort.sim.decide(&part[m]) != first)
+            {
+                decisions.clear();
+                decisions.extend(cohort.members.iter().map(|&m| cohort.sim.decide(&part[m])));
+                let mut splits: Vec<(Decision, Vec<usize>)> = Vec::new();
+                for (m, d) in std::mem::take(&mut cohort.members)
+                    .into_iter()
+                    .zip(&decisions)
+                {
+                    if *d == first {
+                        cohort.members.push(m);
+                    } else if let Some((_, members)) = splits.iter_mut().find(|(e, _)| e == d) {
+                        members.push(m);
+                    } else {
+                        splits.push((*d, vec![m]));
+                    }
+                }
+                for (decision, members) in splits {
+                    let mut sim = cohort.sim.clone();
+                    sim.apply(job, decision);
+                    forked.push(Cohort {
+                        sim,
+                        kind: cohort.kind,
+                        members,
+                    });
+                }
+            }
+            cohort.sim.apply(job, first);
+        }
+        cohorts.append(&mut forked);
+    }
+
+    let mut reports: Vec<Option<AutoScaleReport>> = vec![None; part.len()];
+    for mut cohort in cohorts {
+        cohort.sim.drain();
+        for &m in &cohort.members {
+            reports[m] = Some(cohort.sim.report(part[m].slot_cost_per_hour));
+        }
+    }
+    reports
+        .into_iter()
+        .map(|r| r.expect("every candidate is in one cohort"))
+        .collect()
 }
 
 fn score(spec: &PlanSpec, cfg: &AutoScaleConfig, report: &AutoScaleReport) -> PlanCandidate {

@@ -51,6 +51,11 @@ impl ProfileTable {
         }
     }
 
+    /// The execution model this table simulates requests under.
+    pub(crate) fn exec(&self) -> &ExecConfig {
+        &self.exec
+    }
+
     /// Profile of a `degrees`-sized request on `processors` nodes under
     /// fixed provisioning, with the bill computed by the engine. Cached.
     pub fn fixed(&mut self, degrees: f64, processors: u32) -> RequestProfile {

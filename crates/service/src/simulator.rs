@@ -442,6 +442,7 @@ enum Fate {
 /// the report's histograms so the fold order matches arrival order.
 /// Rejected requests hold their place in the window (a rejection *is* a
 /// decision) but are only counted, never visited.
+#[derive(Clone)]
 pub(crate) struct OutcomeFold<F: FnMut(&RequestOutcome)> {
     buf: VecDeque<Fate>,
     pub(crate) next: usize,
