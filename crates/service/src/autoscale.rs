@@ -1,4 +1,5 @@
-//! Auto-scaled standing pools.
+//! Auto-scaled standing pools, and the pool state machine every
+//! service-layer simulation runs on.
 //!
 //! Question 2 assumes the application "provisions a certain amount of
 //! resources over a period of time to sustain the expected computational
@@ -13,24 +14,31 @@
 //! plus an [`AdmissionPolicy`]) keeps that backlog — and the money spent
 //! chasing it — finite even under sustained overload.
 //!
-//! The simulation is a resumable state machine ([`AutoScaleSim`]) that
-//! the caller feeds one arrival at a time, resolved into a [`Job`] (its
-//! clock instant, profile and service time), in three steps: fire the
-//! pool events before the arrival, ask a configuration what to do with
-//! it (a [`Decision`]), carry the decision out. The public entry points
-//! run one pool over one stream; the capacity planner instead generates
-//! the stream once per worker lane and lets candidates that decide alike
-//! share one simulation.
+//! Both simulators are one resumable state machine ([`PoolSim`]) over a
+//! slot source ([`Pool`]: owned slots idle from the start, or rented
+//! slots with a floor, a boot delay and idle release) that the caller
+//! feeds one arrival at a time, resolved into a [`Job`] (its clock
+//! instant, attempts, service time and charges), in three steps: fire the
+//! pool events before the arrival, ask a [`Policy`] what to do with it (a
+//! [`Decision`]: serve, queue, burst, reject or deflect), carry the
+//! decision out. The public entry points run one pool over one stream
+//! ([`drive`]); the capacity planner instead generates the stream once
+//! per worker lane and lets candidates that decide alike share one
+//! simulation.
 
 use std::collections::VecDeque;
 
 use mcloud_cost::Money;
-use mcloud_simkit::{Histogram, SimDuration, SimTime};
+use mcloud_simkit::{
+    EventSink, Histogram, NullSink, SimDuration, SimTime, TimeWeighted, TraceEvent,
+};
 
 use crate::arrivals::Arrival;
 use crate::calendar::Calendar;
 use crate::profile::{ProfileTable, RequestProfile};
-use crate::simulator::{check_admission, AdmissionPolicy, OutcomeFold, RequestOutcome, Venue};
+use crate::simulator::{
+    check_admission, AdmissionPolicy, RequestOutcome, ServiceConfig, ServiceReport, Venue,
+};
 
 /// Auto-scaler configuration.
 #[derive(Debug, Clone)]
@@ -126,7 +134,7 @@ impl AutoScaleConfig {
 
 /// Result of an auto-scaled pool simulation: streaming folds, constant
 /// memory. Per-request detail streams through
-/// [`simulate_autoscale_each`].
+/// [`simulate_autoscale_stream`]'s visitor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoScaleReport {
     /// Requests served in the pool.
@@ -166,39 +174,6 @@ impl AutoScaleReport {
     pub fn offered(&self) -> u64 {
         self.requests + self.rejected
     }
-
-    /// Mean wait for a slot, hours.
-    pub fn mean_wait_hours(&self) -> f64 {
-        self.wait_hist.mean()
-    }
-
-    /// Longest wait, hours.
-    pub fn max_wait_hours(&self) -> f64 {
-        self.wait_hist.max()
-    }
-
-    /// Mean turnaround (arrival to completion), hours.
-    pub fn mean_turnaround_hours(&self) -> f64 {
-        self.turnaround_hist.mean()
-    }
-
-    /// Empirical `q`-quantile of turnaround, `0 <= q <= 1`; same
-    /// conventions as `ServiceReport::turnaround_quantile`.
-    pub fn turnaround_quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        self.turnaround_hist.quantile(q)
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    /// A rented slot finished booting.
-    SlotReady,
-    /// A slot finished serving a request.
-    ServiceDone,
-    /// An idle-release grace window expired; release one idle slot above
-    /// the floor if any remains idle.
-    IdleExpire,
 }
 
 /// Simulates the auto-scaled pool over a materialized arrival slice.
@@ -209,24 +184,11 @@ pub fn simulate_autoscale(arrivals: &[Arrival], cfg: &AutoScaleConfig) -> AutoSc
     simulate_autoscale_stream(arrivals.iter().copied(), cfg, |_| {})
 }
 
-/// Like [`simulate_autoscale`], but streams every [`RequestOutcome`] to
-/// `on_outcome` in arrival-index order (rejected requests are counted,
-/// not visited).
-///
-/// # Panics
-/// Panics on invalid configuration or unsorted arrivals.
-pub fn simulate_autoscale_each(
-    arrivals: &[Arrival],
-    cfg: &AutoScaleConfig,
-    on_outcome: impl FnMut(&RequestOutcome),
-) -> AutoScaleReport {
-    simulate_autoscale_stream(arrivals.iter().copied(), cfg, on_outcome)
-}
-
 /// The streaming front-end: consumes any time-sorted
 /// [`ArrivalStream`](crate::arrivals::ArrivalStream) lazily, one arrival
 /// at a time, so campaign memory is bounded by the peak backlog, not the
-/// request count.
+/// request count, and streams every [`RequestOutcome`] to `on_outcome`
+/// in arrival-index order (rejected requests are counted, not visited).
 ///
 /// # Panics
 /// Panics on invalid configuration or unsorted arrivals.
@@ -235,71 +197,172 @@ pub fn simulate_autoscale_stream(
     cfg: &AutoScaleConfig,
     on_outcome: impl FnMut(&RequestOutcome),
 ) -> AutoScaleReport {
+    let mut sim = PoolSim::rented(cfg, on_outcome);
     let mut profiles = ProfileTable::new(cfg.exec.clone());
-    let mut sim = AutoScaleSim::new(cfg, on_outcome);
-    for a in arrivals {
-        sim.arrive(cfg, Job::new(a, cfg.procs_per_slot, &mut profiles));
-    }
-    sim.drain();
-    sim.report(cfg.slot_cost_per_hour)
+    drive(
+        &mut sim,
+        arrivals,
+        &Policy::of(cfg),
+        &mut NullSink,
+        |a, _| Job::new(a, 1, profiles.fixed(a.degrees, cfg.procs_per_slot)),
+    );
+    sim.autoscale_report(cfg.slot_cost_per_hour)
 }
 
-/// One arrival resolved for pools of one slot size: everything a pool
-/// needs to admit, queue and serve it. Profiles are memoized pure
-/// functions of `(degrees, procs)`, so a job built once can be fed to
-/// every pool with that `procs_per_slot`, and results do not depend on
-/// the profile cache's warmth.
+/// Runs `sim` over `arrivals` to the end, deciding each arrival by
+/// `policy` and narrating into `sink`. `resolve` turns an arrival and its
+/// decision into the [`Job`] that carries it out; it is called once per
+/// arrival, in index order.
+///
+/// # Panics
+/// Panics if the arrivals are not sorted by time.
+pub(crate) fn drive<F: FnMut(&RequestOutcome), S: EventSink>(
+    sim: &mut PoolSim<F>,
+    arrivals: impl IntoIterator<Item = Arrival>,
+    policy: &Policy,
+    sink: &mut S,
+    mut resolve: impl FnMut(Arrival, Decision) -> Job,
+) {
+    let mut last_hours = f64::NEG_INFINITY;
+    for a in arrivals {
+        assert!(last_hours <= a.at_hours, "arrivals must be sorted by time");
+        last_hours = a.at_hours;
+        sim.advance(clock(a.at_hours), sink);
+        let decision = sim.decide(policy);
+        sim.apply(resolve(a, decision), decision, sink);
+    }
+    sim.drain(sink);
+}
+
+/// An arrival's instant on the simulation clock.
+fn clock(at_hours: f64) -> SimTime {
+    SimTime::from_secs_f64(at_hours * 3600.0)
+}
+
+/// One arrival resolved for one venue: everything a pool needs to admit,
+/// queue and serve it. Profiles are memoized pure functions of
+/// `(degrees, procs)`, so a job built once can be fed to every pool with
+/// that slot size, and results do not depend on the profile cache's
+/// warmth.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
-    arrival: Arrival,
+    degrees: f64,
     /// The arrival instant on the simulation clock.
     pub(crate) at: SimTime,
-    profile: RequestProfile,
-    /// The request's slot occupancy, `profile.makespan_hours` on the clock.
+    /// Runs the request needs (1 unless a fault model rerolled it); each
+    /// run occupies the venue and bills again.
+    attempts: u32,
+    /// Hours the request occupies its venue, all attempts included.
+    run_hours: f64,
+    /// `run_hours` on the clock: a slot's occupancy.
     service: SimDuration,
+    /// What the request is charged when a pool slot serves it.
+    slot_cost: Money,
+    /// What serving it on per-request cloud resources costs.
+    cloud_cost: Money,
 }
 
 impl Job {
-    /// Resolves `arrival` for slots of `procs_per_slot` processors.
-    pub(crate) fn new(arrival: Arrival, procs_per_slot: u32, profiles: &mut ProfileTable) -> Job {
-        let profile = profiles.fixed(arrival.degrees, procs_per_slot);
+    /// `arrival` run `attempts` times at `profile`'s venue; a slot serving
+    /// it charges the data-management share, as a rented slot's rental
+    /// covers the CPU.
+    pub(crate) fn new(arrival: Arrival, attempts: u32, profile: RequestProfile) -> Job {
+        let run_hours = profile.makespan_hours * attempts as f64;
         Job {
-            arrival,
-            at: SimTime::from_secs_f64(arrival.at_hours * 3600.0),
-            profile,
-            service: SimDuration::from_hours_f64(profile.makespan_hours),
+            degrees: arrival.degrees,
+            at: clock(arrival.at_hours),
+            attempts,
+            run_hours,
+            service: SimDuration::from_hours_f64(run_hours),
+            slot_cost: profile.dm_cost,
+            cloud_cost: profile.cost * attempts as f64,
+        }
+    }
+
+    /// The job on an owned slot that bills `rate` per busy hour.
+    pub(crate) fn billed_per_hour(self, rate: Money) -> Job {
+        Job {
+            slot_cost: rate * self.run_hours,
+            ..self
         }
     }
 }
 
-/// What a pool does with the next arrival: the only point where the
-/// policy fields of an [`AutoScaleConfig`] (`max_slots`,
-/// `scale_up_queue`, `queue_bound`, `admission`) act. Two pools in the
-/// same state that reach the same decision stay in the same state.
+/// What a pool does with the next arrival: the only point where a
+/// [`Policy`] acts. Two pools in the same state that reach the same
+/// decision stay in the same state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Decision {
     /// Turned away by admission control.
     Reject,
-    /// Served on per-request cloud resources, outside the pool.
+    /// Served on per-request cloud resources by admission control.
     Deflect,
+    /// Served on per-request cloud resources because the backlog reached
+    /// the burst threshold.
+    Burst,
     /// Served at once on an idle slot.
     Serve,
     /// Queued in the backlog; `rent` also rents one more slot.
     Queue { rent: bool },
 }
 
-/// The configuration fields the pool's event handling reads (boots,
-/// completions, idle release): everything two configurations must share
-/// before one pool simulation can stand for both.
+/// The configuration fields [`PoolSim::decide`] reads: everything that
+/// acts only through the decision.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Policy {
+    /// Ceiling on rented slots.
+    max_slots: u32,
+    /// Rent another slot when the backlog, this arrival included, reaches
+    /// this length.
+    scale_up_queue: usize,
+    /// Burst to the cloud when at least this many requests wait.
+    burst_at: Option<usize>,
+    queue_bound: Option<usize>,
+    admission: AdmissionPolicy,
+}
+
+impl Policy {
+    /// An auto-scaled pool's policy: it rents, and never bursts.
+    pub(crate) fn of(cfg: &AutoScaleConfig) -> Policy {
+        Policy {
+            max_slots: cfg.max_slots,
+            scale_up_queue: cfg.scale_up_queue,
+            burst_at: None,
+            queue_bound: cfg.queue_bound,
+            admission: cfg.admission,
+        }
+    }
+
+    /// A service's policy: its slot count is its ceiling, so it never
+    /// rents.
+    pub(crate) fn service(cfg: &ServiceConfig) -> Policy {
+        Policy {
+            max_slots: cfg.local_slots,
+            scale_up_queue: 1,
+            burst_at: cfg.burst_threshold,
+            queue_bound: cfg.queue_bound,
+            admission: cfg.admission,
+        }
+    }
+}
+
+/// The slot source: the configuration fields the pool's event handling
+/// reads (boots, completions, idle release), everything two
+/// configurations must share before one pool simulation can stand for
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Pool {
-    /// Slots kept rented at all times.
+    /// Slots held at all times.
     min_slots: u32,
     /// A rented slot's boot delay.
     boot: SimDuration,
     /// How long a slot above the floor may idle before it is released;
     /// `None` releases it at once (`idle_release_s == 0`).
     idle_release: Option<SimDuration>,
+    /// Owned slots: idle from time zero, never rented or released, and
+    /// serving as [`Venue::Local`]; rented slots serve as
+    /// [`Venue::Cloud`].
+    owned: bool,
 }
 
 impl Pool {
@@ -309,11 +372,27 @@ impl Pool {
             boot: SimDuration::from_secs_f64(cfg.boot_s),
             idle_release: (cfg.idle_release_s != 0.0)
                 .then(|| SimDuration::from_secs_f64(cfg.idle_release_s)),
+            owned: false,
         }
     }
 }
 
-/// A request in the backlog: what starting it needs, and no more (the
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Ev {
+    /// A rented slot finished booting.
+    SlotReady,
+    /// A slot finished serving request `.0`.
+    ServiceDone(u32),
+    /// An idle-release grace window expired; release one idle slot above
+    /// the floor if any remains idle.
+    IdleExpire,
+    /// Request `.0` finished on per-request cloud resources. Scheduled
+    /// only when a sink listens, to narrate the finish; it moves no
+    /// accounting, so a traced run reports what an untraced one does.
+    CloudDone(u32),
+}
+
+/// A request a slot takes: what starting it needs, and no more (the
 /// backlog's peak length sets the planner's memory).
 #[derive(Debug, Clone, Copy)]
 struct Waiting {
@@ -322,116 +401,146 @@ struct Waiting {
     /// The arrival instant on the simulation clock, so the wait is
     /// measured on one clock (exactly 0 for a request served on arrival).
     at: SimTime,
-    dm_cost: Money,
     service: SimDuration,
+    cost: Money,
+    attempts: u32,
 }
 
-/// One auto-scaled pool simulation as a resumable state machine. The
-/// caller owns the arrival loop: for each resolved arrival it fires the
-/// pool events before it ([`AutoScaleSim::advance`]), asks a
-/// configuration what to do with it ([`AutoScaleSim::decide`]) and
-/// carries that out ([`AutoScaleSim::apply`]); then it drains the pool
-/// ([`AutoScaleSim::drain`]) and reads the report. The state holds no
-/// configuration, only its [`Pool`] fields, so configurations that share
-/// those and decide alike share one simulation (the capacity planner's
-/// cohorts), and a clone forks it where their decisions part.
+/// One pool simulation as a resumable state machine. The caller owns the
+/// arrival loop: for each resolved arrival it fires the pool events
+/// before it ([`PoolSim::advance`]), asks a [`Policy`] what to do with it
+/// ([`PoolSim::decide`]) and carries that out ([`PoolSim::apply`]); then
+/// it drains the pool ([`PoolSim::drain`]) and reads a report. The state
+/// holds no configuration, only its [`Pool`], so configurations that
+/// share one and decide alike share one simulation (the capacity
+/// planner's cohorts), and a clone forks it where their decisions part.
+/// Trace events go to the sink each step is handed.
 #[derive(Clone)]
-pub(crate) struct AutoScaleSim<F: FnMut(&RequestOutcome)> {
+pub(crate) struct PoolSim<F: FnMut(&RequestOutcome)> {
     pool: Pool,
     events: Calendar<Ev>,
     // Pool state. Slots are fungible: we track counts, not identities.
-    idle_slots: u32, // rented, booted, not serving
+    idle_slots: u32, // held, booted, not serving
     booting: u32,
     busy: u32,
     rented: u32, // idle + booting + busy
     peak_slots: u32,
     rentals: u32,
+    /// Slot-hours held, accrued at every arrival and pool event.
     slot_hours: f64,
+    /// Hours slots spend serving the requests taken so far.
+    busy_hours: f64,
+    /// The last instant accounted for: the previous arrival or pool event.
     last_accrual: SimTime,
     /// FIFO backlog; the request rides along because a stream cannot be
     /// re-indexed.
     waiting: VecDeque<Waiting>,
+    /// The backlog's length over time; kept only for an owned cluster,
+    /// whose report carries it.
+    backlog: Option<TimeWeighted>,
     fold: OutcomeFold<F>,
     next_index: usize,
-    last_arrival_hours: f64,
-    dm_cost: Money,
+    /// Charges of the requests slots took.
+    slot_charges: Money,
     deflected: u64,
-    deflect_cost: Money,
+    /// Spend on requests served on per-request cloud resources.
+    cloud_cost: Money,
 }
 
-impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
-    /// A pool with `cfg`'s floor rented (booting) at time zero.
+// The per-arrival steps are forced inline: the planner runs them once
+// per candidate cohort and arrival, and left to the compiler's choice
+// they cost cold plans ~4% (EXPERIMENTS.md, *One service simulator*).
+impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
+    /// An owned cluster of `cfg.local_slots` slots, all idle at time zero.
     ///
     /// # Panics
     /// Panics on invalid configuration.
-    pub(crate) fn new(cfg: &AutoScaleConfig, on_outcome: F) -> Self {
+    pub(crate) fn owned(cfg: &ServiceConfig, on_outcome: F) -> Self {
+        cfg.validate().expect("invalid service configuration");
+        let pool = Pool {
+            min_slots: cfg.local_slots,
+            boot: SimDuration::ZERO,
+            idle_release: None,
+            owned: true,
+        };
+        let mut sim = Self::empty(pool, on_outcome);
+        sim.idle_slots = pool.min_slots;
+        sim
+    }
+
+    /// A rented pool with `cfg`'s floor booting at time zero.
+    ///
+    /// # Panics
+    /// Panics on invalid configuration.
+    pub(crate) fn rented(cfg: &AutoScaleConfig, on_outcome: F) -> Self {
         cfg.validate().expect("invalid autoscale configuration");
-        let pool = Pool::of(cfg);
-        let mut events = Calendar::new();
-        for _ in 0..pool.min_slots {
-            events.push(SimTime::ZERO + pool.boot, Ev::SlotReady);
+        let mut sim = Self::empty(Pool::of(cfg), on_outcome);
+        sim.booting = sim.pool.min_slots;
+        for _ in 0..sim.booting {
+            sim.events
+                .push(SimTime::ZERO + sim.pool.boot, Ev::SlotReady);
         }
-        AutoScaleSim {
+        sim
+    }
+
+    /// A pool holding its floor of slots, none of them idle or booting.
+    fn empty(pool: Pool, on_outcome: F) -> Self {
+        PoolSim {
             pool,
-            events,
+            events: Calendar::new(),
             idle_slots: 0,
-            booting: pool.min_slots,
+            booting: 0,
             busy: 0,
             rented: pool.min_slots,
             peak_slots: pool.min_slots,
             rentals: pool.min_slots,
             slot_hours: 0.0,
+            busy_hours: 0.0,
             last_accrual: SimTime::ZERO,
             waiting: VecDeque::new(),
+            backlog: pool.owned.then(TimeWeighted::new),
             fold: OutcomeFold::new(on_outcome),
             next_index: 0,
-            last_arrival_hours: f64::NEG_INFINITY,
-            dm_cost: Money::ZERO,
+            slot_charges: Money::ZERO,
             deflected: 0,
-            deflect_cost: Money::ZERO,
+            cloud_cost: Money::ZERO,
         }
     }
 
-    /// The configuration fields this pool's event handling reads.
+    /// The slot source this pool simulates.
     pub(crate) fn pool(&self) -> Pool {
         self.pool
-    }
-
-    /// Handles the next arrival, resolved for `cfg`'s `procs_per_slot`,
-    /// as `cfg` would: [`advance`](Self::advance),
-    /// [`decide`](Self::decide), [`apply`](Self::apply).
-    ///
-    /// # Panics
-    /// Panics if `job` arrives earlier than the previous arrival.
-    pub(crate) fn arrive(&mut self, cfg: &AutoScaleConfig, job: Job) {
-        self.advance(job.at);
-        let decision = self.decide(cfg);
-        self.apply(job, decision);
     }
 
     /// Fires the pool events strictly before `now`, the next arrival's
     /// instant; an event at that instant fires after the arrival, so an
     /// arrival ties ahead of any pool event (the historical
     /// all-events-upfront order).
-    pub(crate) fn advance(&mut self, now: SimTime) {
+    #[inline(always)]
+    pub(crate) fn advance<S: EventSink>(&mut self, now: SimTime, sink: &mut S) {
         while self.events.peek_time().is_some_and(|t| t < now) {
             let (t, ev) = self.events.pop().expect("peeked event");
-            self.fire(t, ev);
+            self.fire(t, ev, sink);
         }
         self.accrue(now);
     }
 
-    /// What `cfg` does with the next arrival in the current state.
-    pub(crate) fn decide(&self, cfg: &AutoScaleConfig) -> Decision {
+    /// What `policy` does with the next arrival in the current state.
+    /// Overflow rules act only when no slot is idle, in order: the burst
+    /// threshold, then the queue bound, then the backlog.
+    #[inline(always)]
+    pub(crate) fn decide(&self, policy: &Policy) -> Decision {
         if self.idle_slots > 0 {
             // A slot only idles once the backlog is empty, so nobody is
             // waiting ahead of this request.
             return Decision::Serve;
         }
-        // Admission control fires only when no slot could serve the
-        // request immediately and the backlog is at its bound.
-        if cfg.queue_bound.is_some_and(|b| self.waiting.len() >= b) {
-            return match cfg.admission {
+        let waiting = self.waiting.len();
+        if policy.burst_at.is_some_and(|k| waiting >= k) {
+            return Decision::Burst;
+        }
+        if policy.queue_bound.is_some_and(|b| waiting >= b) {
+            return match policy.admission {
                 AdmissionPolicy::Reject => Decision::Reject,
                 AdmissionPolicy::Deflect => Decision::Deflect,
                 // validate() rejects a bound without a policy.
@@ -439,61 +548,57 @@ impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
             };
         }
         // The trigger counts the backlog with this request in it.
-        let backlog = self.waiting.len() + 1;
         Decision::Queue {
-            rent: backlog >= cfg.scale_up_queue && self.rented < cfg.max_slots,
+            rent: waiting + 1 >= policy.scale_up_queue && self.rented < policy.max_slots,
         }
     }
 
     /// Carries out `decision` for `job`, which must be the arrival the
     /// last [`advance`](Self::advance) ran up to.
-    ///
-    /// # Panics
-    /// Panics if `job` arrives earlier than the previous arrival.
-    pub(crate) fn apply(&mut self, job: Job, decision: Decision) {
-        let (a, now, profile) = (job.arrival, job.at, job.profile);
+    #[inline(always)]
+    pub(crate) fn apply<S: EventSink>(&mut self, job: Job, decision: Decision, sink: &mut S) {
+        let now = job.at;
         let i = self.next_index;
         self.next_index += 1;
-        assert!(
-            self.last_arrival_hours <= a.at_hours,
-            "arrivals must be sorted by time"
-        );
-        self.last_arrival_hours = a.at_hours;
-        let request = Waiting {
-            index: i,
-            degrees: a.degrees,
-            at: now,
-            dm_cost: profile.dm_cost,
-            service: job.service,
-        };
+        let req = i as u32;
+        sink.emit(now, TraceEvent::RequestQueued { req });
         match decision {
-            Decision::Reject => self.fold.push_rejected(i),
-            Decision::Deflect => {
-                // Full per-request cloud price: CPU plus data management,
-                // same as a service cloud burst.
-                self.deflected += 1;
-                self.deflect_cost += profile.cost;
+            Decision::Reject => {
+                sink.emit(now, TraceEvent::RequestRejected { req });
+                self.fold.push_rejected(i);
+            }
+            Decision::Burst | Decision::Deflect => {
+                // Full per-request cloud price: CPU plus data management.
+                self.deflected += u64::from(decision == Decision::Deflect);
+                self.cloud_cost += job.cloud_cost;
+                sink.emit(now, TraceEvent::RequestStarted { req, cloud: true });
                 // Served on arrival: arrival and start are one instant of
                 // the simulation clock.
                 let start_h = now.as_hours_f64();
                 self.fold.push(RequestOutcome {
                     index: i,
-                    degrees: a.degrees,
+                    degrees: job.degrees,
                     arrival_hours: start_h,
                     start_hours: start_h,
-                    finish_hours: start_h + profile.makespan_hours,
+                    finish_hours: start_h + job.run_hours,
                     venue: Venue::Cloud,
-                    cost: profile.cost,
-                    attempts: 1,
+                    cost: job.cloud_cost,
+                    attempts: job.attempts,
                 });
+                if sink.enabled() {
+                    self.events.push(now + job.service, Ev::CloudDone(req));
+                }
             }
             Decision::Serve => {
                 debug_assert!(self.waiting.is_empty());
                 self.idle_slots -= 1;
-                self.start_service(request, now);
+                let request = self.take(i, job);
+                self.start_service(request, now, sink);
             }
             Decision::Queue { rent } => {
+                let request = self.take(i, job);
                 self.waiting.push_back(request);
+                self.backlog_changed(now);
                 if rent {
                     self.rented += 1;
                     self.rentals += 1;
@@ -506,18 +611,18 @@ impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
     }
 
     /// Fires every pending pool event: every request is then decided.
-    pub(crate) fn drain(&mut self) {
+    pub(crate) fn drain<S: EventSink>(&mut self, sink: &mut S) {
         while let Some((t, ev)) = self.events.pop() {
-            self.fire(t, ev);
+            self.fire(t, ev, sink);
         }
         debug_assert_eq!(self.busy, 0);
         debug_assert_eq!(self.booting, 0);
         debug_assert_eq!(self.fold.next, self.next_index, "every request is decided");
     }
 
-    /// The report of a drained pool, its rented slot-hours priced at
+    /// The report of a drained rented pool, its slot-hours priced at
     /// `slot_cost_per_hour`.
-    pub(crate) fn report(&self, slot_cost_per_hour: Money) -> AutoScaleReport {
+    pub(crate) fn autoscale_report(&self, slot_cost_per_hour: Money) -> AutoScaleReport {
         let fold = &self.fold;
         AutoScaleReport {
             requests: fold.served_local + fold.served_cloud,
@@ -527,25 +632,49 @@ impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
             turnaround_hist: fold.turnaround_hist.clone(),
             slot_hours: self.slot_hours,
             rental_cost: slot_cost_per_hour * self.slot_hours,
-            dm_cost: self.dm_cost,
-            deflect_cost: self.deflect_cost,
+            dm_cost: self.slot_charges,
+            deflect_cost: self.cloud_cost,
             peak_slots: self.peak_slots,
             rentals: self.rentals,
         }
     }
 
-    fn fire(&mut self, now: SimTime, ev: Ev) {
-        self.accrue(now);
+    /// The report of a drained owned cluster, its busy hours priced at
+    /// `cost_per_slot_hour`.
+    pub(crate) fn service_report(self, cost_per_slot_hour: Money) -> ServiceReport {
+        let fold = self.fold;
+        let backlog = self.backlog.expect("an owned cluster tracks its backlog");
+        ServiceReport {
+            served_local: fold.served_local,
+            served_cloud: fold.served_cloud,
+            rejected: fold.rejected,
+            deflected: self.deflected,
+            wait_hist: fold.wait_hist,
+            turnaround_hist: fold.turnaround_hist,
+            backlog_mean: backlog.mean(self.last_accrual),
+            backlog_peak: backlog.peak(),
+            cloud_cost: self.cloud_cost,
+            local_cost: cost_per_slot_hour * self.busy_hours,
+        }
+    }
+
+    #[inline(always)]
+    fn fire<S: EventSink>(&mut self, now: SimTime, ev: Ev, sink: &mut S) {
         match ev {
+            Ev::CloudDone(req) => sink.emit(now, TraceEvent::RequestFinished { req }),
             Ev::SlotReady => {
+                self.accrue(now);
                 self.booting -= 1;
-                self.slot_freed(now);
+                self.slot_freed(now, sink);
             }
-            Ev::ServiceDone => {
+            Ev::ServiceDone(req) => {
+                self.accrue(now);
+                sink.emit(now, TraceEvent::RequestFinished { req });
                 self.busy -= 1;
-                self.slot_freed(now);
+                self.slot_freed(now, sink);
             }
             Ev::IdleExpire => {
+                self.accrue(now);
                 // Slots are fungible, so the grace window is approximate:
                 // the slot that scheduled this check may have been reused
                 // since. Release one slot only if some slot is still idle
@@ -561,11 +690,13 @@ impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
     /// A slot just booted or finished a request: it takes the head of the
     /// backlog, or goes idle, honouring the floor and the idle-release
     /// grace window.
-    fn slot_freed(&mut self, now: SimTime) {
+    #[inline(always)]
+    fn slot_freed<S: EventSink>(&mut self, now: SimTime, sink: &mut S) {
         if let Some(request) = self.waiting.pop_front() {
-            self.start_service(request, now);
+            self.backlog_changed(now);
+            self.start_service(request, now, sink);
         } else if self.rented <= self.pool.min_slots {
-            self.idle_slots += 1; // the floor stays rented
+            self.idle_slots += 1; // the floor stays held
         } else if let Some(grace) = self.pool.idle_release {
             self.idle_slots += 1;
             self.events.push(now + grace, Ev::IdleExpire);
@@ -574,27 +705,144 @@ impl<F: FnMut(&RequestOutcome)> AutoScaleSim<F> {
         }
     }
 
+    fn backlog_changed(&mut self, now: SimTime) {
+        if let Some(backlog) = &mut self.backlog {
+            backlog.set(now, self.waiting.len() as f64);
+        }
+    }
+
     fn accrue(&mut self, now: SimTime) {
         self.slot_hours += self.rented as f64 * now.since(self.last_accrual).as_hours_f64();
         self.last_accrual = now;
     }
 
-    /// Puts `request` on a slot at `now`. The slot rental covers CPU, so
-    /// the request itself is charged only its data-management share.
-    fn start_service(&mut self, request: Waiting, now: SimTime) {
+    /// Books request `index`'s slot hours and charge as the pool takes
+    /// it. Slots start requests in the order the pool takes them (it
+    /// serves on arrival only with the backlog empty), so the sums run in
+    /// start order.
+    #[inline(always)]
+    fn take(&mut self, index: usize, job: Job) -> Waiting {
+        self.busy_hours += job.run_hours;
+        self.slot_charges += job.slot_cost;
+        Waiting {
+            index,
+            degrees: job.degrees,
+            at: job.at,
+            service: job.service,
+            cost: job.slot_cost,
+            attempts: job.attempts,
+        }
+    }
+
+    /// Puts `request` on a slot at `now`.
+    #[inline(always)]
+    fn start_service<S: EventSink>(&mut self, request: Waiting, now: SimTime, sink: &mut S) {
+        let index = request.index;
         self.busy += 1;
-        self.dm_cost += request.dm_cost;
         let finish = now + request.service;
+        let req = index as u32;
+        sink.emit(
+            now,
+            TraceEvent::RequestStarted {
+                req,
+                cloud: !self.pool.owned,
+            },
+        );
         self.fold.push(RequestOutcome {
-            index: request.index,
+            index,
             degrees: request.degrees,
             arrival_hours: request.at.as_hours_f64(),
             start_hours: now.as_hours_f64(),
             finish_hours: finish.as_hours_f64(),
-            venue: Venue::Cloud,
-            cost: request.dm_cost,
-            attempts: 1,
+            venue: if self.pool.owned {
+                Venue::Local
+            } else {
+                Venue::Cloud
+            },
+            cost: request.cost,
+            attempts: request.attempts,
         });
-        self.events.push(finish, Ev::ServiceDone);
+        self.events.push(finish, Ev::ServiceDone(req));
+    }
+}
+
+/// A request's decided fate, buffered until all its predecessors are
+/// decided too.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    Pending,
+    Served(RequestOutcome),
+    Rejected,
+}
+
+/// Drains completed [`RequestOutcome`]s to the visitor in arrival-index
+/// order, buffering only the out-of-order window (bounded by the peak
+/// backlog, not the request count), and folds each drained outcome into
+/// the report's histograms so the fold order matches arrival order.
+/// Rejected requests hold their place in the window (a rejection *is* a
+/// decision) but are only counted, never visited.
+#[derive(Clone)]
+struct OutcomeFold<F: FnMut(&RequestOutcome)> {
+    buf: VecDeque<Fate>,
+    next: usize,
+    wait_hist: Histogram,
+    turnaround_hist: Histogram,
+    served_local: u64,
+    served_cloud: u64,
+    rejected: u64,
+    visit: F,
+}
+
+impl<F: FnMut(&RequestOutcome)> OutcomeFold<F> {
+    fn new(visit: F) -> Self {
+        OutcomeFold {
+            buf: VecDeque::new(),
+            next: 0,
+            wait_hist: Histogram::new(),
+            turnaround_hist: Histogram::new(),
+            served_local: 0,
+            served_cloud: 0,
+            rejected: 0,
+            visit,
+        }
+    }
+
+    fn push(&mut self, o: RequestOutcome) {
+        let index = o.index;
+        self.decide(index, Fate::Served(o));
+    }
+
+    fn push_rejected(&mut self, index: usize) {
+        self.decide(index, Fate::Rejected);
+    }
+
+    fn decide(&mut self, index: usize, fate: Fate) {
+        debug_assert!(index >= self.next, "request {index} decided twice");
+        let at = index - self.next;
+        if at >= self.buf.len() {
+            self.buf.resize(at + 1, Fate::Pending);
+        }
+        self.buf[at] = fate;
+        while let Some(front) = self.buf.front() {
+            match *front {
+                Fate::Pending => break,
+                Fate::Served(o) => {
+                    self.buf.pop_front();
+                    self.next += 1;
+                    self.wait_hist.record(o.wait_hours());
+                    self.turnaround_hist.record(o.turnaround_hours());
+                    match o.venue {
+                        Venue::Local => self.served_local += 1,
+                        Venue::Cloud => self.served_cloud += 1,
+                    }
+                    (self.visit)(&o);
+                }
+                Fate::Rejected => {
+                    self.buf.pop_front();
+                    self.next += 1;
+                    self.rejected += 1;
+                }
+            }
+        }
     }
 }

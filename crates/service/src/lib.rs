@@ -38,8 +38,7 @@ pub use arrivals::{
     RateProfile, RequestClass,
 };
 pub use autoscale::{
-    simulate_autoscale, simulate_autoscale_each, simulate_autoscale_stream, AutoScaleConfig,
-    AutoScaleReport,
+    simulate_autoscale, simulate_autoscale_stream, AutoScaleConfig, AutoScaleReport,
 };
 pub use planner::{
     plan_capacity, plan_capacity_with, plan_capacity_with_cache, plan_json, plan_text,
@@ -47,7 +46,6 @@ pub use planner::{
 };
 pub use profile::{ProfileTable, RequestProfile};
 pub use simulator::{
-    service_trace_jsonl, simulate_service, simulate_service_each, simulate_service_stream,
-    simulate_service_with_sink, AdmissionPolicy, RequestOutcome, ServiceConfig, ServiceReport,
-    Venue,
+    service_trace_jsonl, simulate_service, simulate_service_stream, AdmissionPolicy,
+    RequestOutcome, ServiceConfig, ServiceReport, Venue,
 };

@@ -34,11 +34,11 @@
 use mcloud_cache::ResultCache;
 use mcloud_core::{encode_exec_config, Canon, Digest, DOMAIN_PLAN};
 use mcloud_cost::Money;
-use mcloud_simkit::WorkerPool;
+use mcloud_simkit::{NullSink, WorkerPool};
 use mcloud_sweep::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 
 use crate::arrivals::{class_stream, MergedStream, RateProfile, RequestClass};
-use crate::autoscale::{AutoScaleConfig, AutoScaleReport, AutoScaleSim, Decision, Job, Pool};
+use crate::autoscale::{AutoScaleConfig, AutoScaleReport, Decision, Job, Policy, Pool, PoolSim};
 use crate::profile::ProfileTable;
 use crate::simulator::{AdmissionPolicy, RequestOutcome};
 
@@ -411,7 +411,7 @@ pub fn simulate_grouped(
 /// event handling reads (its [`Pool`]), and have made the same
 /// [`Decision`] at every arrival so far, so they are in the same state.
 struct Cohort<F: FnMut(&RequestOutcome)> {
-    sim: AutoScaleSim<F>,
+    sim: PoolSim<F>,
     /// The cohort's entry in the group's job kinds.
     kind: usize,
     /// Indices of the member candidates in the group.
@@ -433,6 +433,7 @@ fn simulate_cohorts(
     tables: &mut Vec<ProfileTable>,
 ) -> Vec<AutoScaleReport> {
     let visit = |_: &RequestOutcome| {};
+    let policies: Vec<Policy> = part.iter().map(Policy::of).collect();
     // Job kinds: each distinct (slot size, profile table).
     let mut kinds: Vec<(u32, usize)> = Vec::new();
     let mut cohorts: Vec<Cohort<_>> = Vec::new();
@@ -459,7 +460,7 @@ fn simulate_cohorts(
         {
             Some(cohort) => cohort.members.push(m),
             None => cohorts.push(Cohort {
-                sim: AutoScaleSim::new(cfg, visit),
+                sim: PoolSim::rented(cfg, visit),
                 kind,
                 members: vec![m],
             }),
@@ -474,18 +475,23 @@ fn simulate_cohorts(
         jobs.extend(
             kinds
                 .iter()
-                .map(|&(procs, table)| Job::new(a, procs, &mut tables[table])),
+                .map(|&(procs, table)| Job::new(a, 1, tables[table].fixed(a.degrees, procs))),
         );
         for cohort in &mut cohorts {
             let job = jobs[cohort.kind];
-            cohort.sim.advance(job.at);
-            let first = cohort.sim.decide(&part[cohort.members[0]]);
+            cohort.sim.advance(job.at, &mut NullSink);
+            let first = cohort.sim.decide(&policies[cohort.members[0]]);
             if cohort.members[1..]
                 .iter()
-                .any(|&m| cohort.sim.decide(&part[m]) != first)
+                .any(|&m| cohort.sim.decide(&policies[m]) != first)
             {
                 decisions.clear();
-                decisions.extend(cohort.members.iter().map(|&m| cohort.sim.decide(&part[m])));
+                decisions.extend(
+                    cohort
+                        .members
+                        .iter()
+                        .map(|&m| cohort.sim.decide(&policies[m])),
+                );
                 let mut splits: Vec<(Decision, Vec<usize>)> = Vec::new();
                 for (m, d) in std::mem::take(&mut cohort.members)
                     .into_iter()
@@ -501,7 +507,7 @@ fn simulate_cohorts(
                 }
                 for (decision, members) in splits {
                     let mut sim = cohort.sim.clone();
-                    sim.apply(job, decision);
+                    sim.apply(job, decision, &mut NullSink);
                     forked.push(Cohort {
                         sim,
                         kind: cohort.kind,
@@ -509,16 +515,16 @@ fn simulate_cohorts(
                     });
                 }
             }
-            cohort.sim.apply(job, first);
+            cohort.sim.apply(job, first, &mut NullSink);
         }
         cohorts.append(&mut forked);
     }
 
     let mut reports: Vec<Option<AutoScaleReport>> = vec![None; part.len()];
     for mut cohort in cohorts {
-        cohort.sim.drain();
+        cohort.sim.drain(&mut NullSink);
         for &m in &cohort.members {
-            reports[m] = Some(cohort.sim.report(part[m].slot_cost_per_hour));
+            reports[m] = Some(cohort.sim.autoscale_report(part[m].slot_cost_per_hour));
         }
     }
     reports

@@ -8,18 +8,23 @@
 //! Question 1: "sometimes it needs more resources than it has, so it
 //! reaches out to the cloud from time to time".
 //!
+//! The service is the auto-scaled pool's state machine
+//! ([`crate::autoscale`]) over owned slots: they are idle from time zero,
+//! never rented or released, and bill per busy hour; a burst is an
+//! overflow served on the cloud.
+//!
 //! # Streaming aggregation
 //!
 //! The simulator never materializes a per-request result vector: outcomes
-//! are folded into [`Histogram`]s and a [`TimeWeighted`] backlog
-//! integrator as requests start, so simulating a month — or a decade — of
-//! traffic takes memory proportional to the *peak backlog*, not the
-//! request count. Callers that do want every [`RequestOutcome`] (tests,
-//! trace tooling) use [`simulate_service_each`], which streams them to a
-//! visitor in arrival order. The core ([`simulate_service_stream`])
-//! consumes any [`ArrivalStream`](crate::arrivals::ArrivalStream), so the
-//! demand side never has to exist as a `Vec` either: generator + simulator
-//! together run 10^6–10^8-request campaigns in backlog-bounded memory.
+//! are folded into [`Histogram`]s and a time-weighted backlog integrator
+//! as requests start, so simulating a month — or a decade — of traffic
+//! takes memory proportional to the *peak backlog*, not the request
+//! count. Callers that do want every [`RequestOutcome`] (tests, trace
+//! tooling) pass [`simulate_service_stream`] a visitor, which sees them
+//! in arrival order. It consumes any
+//! [`ArrivalStream`](crate::arrivals::ArrivalStream), so the demand side
+//! never has to exist as a `Vec` either: generator + simulator together
+//! run 10^6–10^8-request campaigns in backlog-bounded memory.
 //!
 //! # Admission control
 //!
@@ -31,18 +36,13 @@
 //! cloud resources at the cloud price. Either way the waiting queue — and
 //! with it the simulator's memory — stays bounded.
 
-use std::collections::VecDeque;
-
 use mcloud_core::ExecConfig;
 use mcloud_cost::Money;
-use mcloud_simkit::{
-    EventSink, Histogram, MetricClass, NullSink, Registry, SimRng, SimTime, TimeWeighted,
-    TraceEvent,
-};
+use mcloud_simkit::{EventSink, Histogram, MetricClass, NullSink, Registry, SimRng, TraceEvent};
 
 use crate::arrivals::Arrival;
-use crate::calendar::Calendar;
-use crate::profile::ProfileTable;
+use crate::autoscale::{drive, AutoScaleReport, Decision, Job, Policy, PoolSim};
+use crate::profile::{ProfileTable, RequestProfile};
 
 /// Where a request was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,7 +200,7 @@ impl RequestOutcome {
 /// in arrival order as requests are served, so the summary statistics
 /// (means, maxima, counts, costs) are bit-identical to what a
 /// materialized outcome vector would yield. Callers that need individual
-/// outcomes stream them through [`simulate_service_each`].
+/// outcomes stream them through [`simulate_service_stream`]'s visitor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Requests served on local slots.
@@ -263,47 +263,6 @@ impl ServiceReport {
     /// Total spend.
     pub fn total_cost(&self) -> Money {
         self.cloud_cost + self.local_cost
-    }
-
-    /// Mean wait for a slot, hours.
-    pub fn mean_wait_hours(&self) -> f64 {
-        self.wait_hist.mean()
-    }
-
-    /// Longest wait, hours.
-    pub fn max_wait_hours(&self) -> f64 {
-        self.wait_hist.max()
-    }
-
-    /// Mean turnaround, hours.
-    pub fn mean_turnaround_hours(&self) -> f64 {
-        self.turnaround_hist.mean()
-    }
-
-    /// Empirical `q`-quantile of turnaround, `0 <= q <= 1`. `q = 0`
-    /// returns the smallest observation and `q = 1` the largest, exactly;
-    /// interior quantiles are log-bucket midpoints (≤ ~9% relative
-    /// error). An empty report returns 0.
-    pub fn turnaround_quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        self.turnaround_hist.quantile(q)
-    }
-
-    /// Empirical `q`-quantile of slot wait, same conventions as
-    /// [`ServiceReport::turnaround_quantile`].
-    pub fn wait_quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        self.wait_hist.quantile(q)
-    }
-
-    /// Distribution of per-request slot waits, in hours.
-    pub fn wait_histogram(&self) -> &Histogram {
-        &self.wait_hist
-    }
-
-    /// Distribution of per-request turnarounds, in hours.
-    pub fn turnaround_histogram(&self) -> &Histogram {
-        &self.turnaround_hist
     }
 
     /// The report as a deterministic metrics [`Registry`]: the request
@@ -396,141 +355,76 @@ impl ServiceReport {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Ev {
-    LocalDone(usize),
-    /// Emits the finish event for a cloud request; scheduled only when a
-    /// trace sink is listening (cloud runs occupy no service state).
-    CloudDone(usize),
+/// The latency accessors every report type shares, over its `wait_hist`
+/// and `turnaround_hist` fields.
+macro_rules! latency_accessors {
+    ($($report:ty),*) => {$(
+        impl $report {
+            /// Mean wait for a slot, hours.
+            pub fn mean_wait_hours(&self) -> f64 {
+                self.wait_hist.mean()
+            }
+
+            /// Longest wait, hours.
+            pub fn max_wait_hours(&self) -> f64 {
+                self.wait_hist.max()
+            }
+
+            /// Mean turnaround (arrival to completion), hours.
+            pub fn mean_turnaround_hours(&self) -> f64 {
+                self.turnaround_hist.mean()
+            }
+
+            /// Empirical `q`-quantile of turnaround, `0 <= q <= 1`. `q = 0`
+            /// returns the smallest observation and `q = 1` the largest,
+            /// exactly; interior quantiles are log-bucket midpoints (≤ ~9%
+            /// relative error). An empty report returns 0.
+            pub fn turnaround_quantile(&self, q: f64) -> f64 {
+                assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+                self.turnaround_hist.quantile(q)
+            }
+
+            /// Empirical `q`-quantile of slot wait, same conventions as
+            /// `turnaround_quantile`.
+            pub fn wait_quantile(&self, q: f64) -> f64 {
+                assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+                self.wait_hist.quantile(q)
+            }
+
+            /// Distribution of per-request slot waits, in hours.
+            pub fn wait_histogram(&self) -> &Histogram {
+                &self.wait_hist
+            }
+
+            /// Distribution of per-request turnarounds, in hours.
+            pub fn turnaround_histogram(&self) -> &Histogram {
+                &self.turnaround_hist
+            }
+        }
+    )*};
 }
+
+latency_accessors!(ServiceReport, AutoScaleReport);
 
 /// Simulates the service over an arrival stream.
 ///
 /// # Panics
 /// Panics if the configuration fails validation.
 pub fn simulate_service(arrivals: &[Arrival], cfg: &ServiceConfig) -> ServiceReport {
-    simulate_service_each(arrivals, cfg, &mut NullSink, |_| {})
-}
-
-/// Like [`simulate_service`], but narrates each request's lifecycle into
-/// `sink` as [`TraceEvent::RequestQueued`] / [`TraceEvent::RequestStarted`]
-/// (with its venue) / [`TraceEvent::RequestFinished`] — the service-level
-/// spans that sit above the engine's per-task events.
-///
-/// # Panics
-/// Panics if the configuration fails validation.
-pub fn simulate_service_with_sink<S: EventSink>(
-    arrivals: &[Arrival],
-    cfg: &ServiceConfig,
-    sink: &mut S,
-) -> ServiceReport {
-    simulate_service_each(arrivals, cfg, sink, |_| {})
-}
-
-/// A request's decided fate, buffered until all its predecessors are
-/// decided too.
-#[derive(Debug, Clone, Copy)]
-enum Fate {
-    Pending,
-    Served(RequestOutcome),
-    Rejected,
-}
-
-/// Drains completed [`RequestOutcome`]s to the visitor in arrival-index
-/// order, buffering only the out-of-order window (bounded by the peak
-/// backlog, not the request count), and folds each drained outcome into
-/// the report's histograms so the fold order matches arrival order.
-/// Rejected requests hold their place in the window (a rejection *is* a
-/// decision) but are only counted, never visited.
-#[derive(Clone)]
-pub(crate) struct OutcomeFold<F: FnMut(&RequestOutcome)> {
-    buf: VecDeque<Fate>,
-    pub(crate) next: usize,
-    pub(crate) wait_hist: Histogram,
-    pub(crate) turnaround_hist: Histogram,
-    pub(crate) served_local: u64,
-    pub(crate) served_cloud: u64,
-    pub(crate) rejected: u64,
-    visit: F,
-}
-
-impl<F: FnMut(&RequestOutcome)> OutcomeFold<F> {
-    pub(crate) fn new(visit: F) -> Self {
-        OutcomeFold {
-            buf: VecDeque::new(),
-            next: 0,
-            wait_hist: Histogram::new(),
-            turnaround_hist: Histogram::new(),
-            served_local: 0,
-            served_cloud: 0,
-            rejected: 0,
-            visit,
-        }
-    }
-
-    pub(crate) fn push(&mut self, o: RequestOutcome) {
-        let index = o.index;
-        self.decide(index, Fate::Served(o));
-    }
-
-    pub(crate) fn push_rejected(&mut self, index: usize) {
-        self.decide(index, Fate::Rejected);
-    }
-
-    fn decide(&mut self, index: usize, fate: Fate) {
-        debug_assert!(index >= self.next, "request {index} decided twice");
-        let at = index - self.next;
-        if at >= self.buf.len() {
-            self.buf.resize(at + 1, Fate::Pending);
-        }
-        self.buf[at] = fate;
-        while let Some(front) = self.buf.front() {
-            match *front {
-                Fate::Pending => break,
-                Fate::Served(o) => {
-                    self.buf.pop_front();
-                    self.next += 1;
-                    self.wait_hist.record(o.wait_hours());
-                    self.turnaround_hist.record(o.turnaround_hours());
-                    match o.venue {
-                        Venue::Local => self.served_local += 1,
-                        Venue::Cloud => self.served_cloud += 1,
-                    }
-                    (self.visit)(&o);
-                }
-                Fate::Rejected => {
-                    self.buf.pop_front();
-                    self.next += 1;
-                    self.rejected += 1;
-                }
-            }
-        }
-    }
-}
-
-/// Slice front-end for [`simulate_service_stream`]: streams every
-/// [`RequestOutcome`] to `on_outcome` in arrival-index order. Kept for
-/// callers that already hold a materialized arrival vector.
-///
-/// # Panics
-/// Panics if the configuration fails validation or the arrivals are not
-/// sorted by time.
-pub fn simulate_service_each<S: EventSink>(
-    arrivals: &[Arrival],
-    cfg: &ServiceConfig,
-    sink: &mut S,
-    on_outcome: impl FnMut(&RequestOutcome),
-) -> ServiceReport {
-    simulate_service_stream(arrivals.iter().copied(), cfg, sink, on_outcome)
+    simulate_service_stream(arrivals.iter().copied(), cfg, &mut NullSink, |_| {})
 }
 
 /// The streaming core: consumes any time-sorted
-/// [`ArrivalStream`](crate::arrivals::ArrivalStream), narrates request
-/// lifecycles into `sink`, and hands every [`RequestOutcome`] to
-/// `on_outcome` in arrival-index order as soon as it (and all its
-/// predecessors) are decided. Nothing is materialized — neither the
-/// demand nor the outcomes — so memory stays proportional to the peak
-/// backlog even for 10^8-request campaigns.
+/// [`ArrivalStream`](crate::arrivals::ArrivalStream), narrates each
+/// request's lifecycle into `sink` as [`TraceEvent::RequestQueued`] /
+/// [`TraceEvent::RequestStarted`] (with its venue) /
+/// [`TraceEvent::RequestFinished`] (or [`TraceEvent::RequestRejected`]) —
+/// the service-level spans that sit above the engine's per-task events —
+/// and hands every [`RequestOutcome`] to `on_outcome` in arrival-index
+/// order as soon as it (and all its predecessors) are decided. Nothing is
+/// materialized — neither the demand nor the outcomes — so memory stays
+/// proportional to the peak backlog even for 10^8-request campaigns. A
+/// sink only listens: traced and untraced runs report the same.
 ///
 /// # Panics
 /// Panics if the configuration fails validation or the arrivals are not
@@ -541,246 +435,46 @@ pub fn simulate_service_stream<S: EventSink>(
     sink: &mut S,
     on_outcome: impl FnMut(&RequestOutcome),
 ) -> ServiceReport {
-    cfg.validate().expect("invalid service configuration");
+    let mut sim = PoolSim::owned(cfg, on_outcome);
     let mut profiles = ProfileTable::new(cfg.exec.clone());
-    let mut arrivals = arrivals.into_iter().peekable();
-
-    // Each request's attempt count is drawn when it arrives — arrivals
-    // are processed in index order, so the draw stream is identical to
-    // pre-rolling the whole vector. A zero rate draws nothing, so
-    // fault-free configurations replay historic byte-identical results.
+    // Each request's attempt count is drawn when it arrives, rejected
+    // ones included — arrivals are resolved in index order, so the draw
+    // stream is identical to pre-rolling the whole vector. A zero rate
+    // draws nothing, so fault-free configurations replay historic
+    // byte-identical results.
     let mut rng = (cfg.request_failure_prob > 0.0).then(|| SimRng::new(cfg.fault_seed));
-    let mut draw_attempts = || -> u32 {
-        let mut runs = 1u32;
-        if let Some(rng) = rng.as_mut() {
-            while runs <= cfg.request_retry_max && rng.chance(cfg.request_failure_prob) {
-                runs += 1;
-            }
-        }
-        runs
+    let unserved = RequestProfile {
+        makespan_hours: 0.0,
+        cost: Money::ZERO,
+        dm_cost: Money::ZERO,
     };
-
-    let mut events: Calendar<Ev> = Calendar::new();
-    let mut next_index = 0usize;
-    let mut last_arrival_hours = f64::NEG_INFINITY;
-    let mut free_slots = cfg.local_slots;
-    // FIFO backlog of (arrival index, arrival, pre-drawn attempt count);
-    // the arrival rides along because a stream cannot be re-indexed.
-    let mut waiting: VecDeque<(usize, Arrival, u32)> = VecDeque::new();
-    let mut fold = OutcomeFold::new(on_outcome);
-    let mut backlog = TimeWeighted::new();
-    let mut cloud_cost = Money::ZERO;
-    let mut deflected = 0u64;
-    let mut local_busy_hours = 0.0f64;
-    let mut last_now = SimTime::ZERO;
-
-    loop {
-        // Merge the sorted arrival stream against the event calendar
-        // without enqueueing every arrival up front. An arrival ties
-        // ahead of any completion at the same instant, exactly as if all
-        // arrivals had been pushed first with the lowest sequence numbers.
-        let arrival_due = match (arrivals.peek(), events.peek_time()) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (Some(a), Some(t)) => hours(a.at_hours) <= t,
-        };
-        if arrival_due {
-            let a = arrivals.next().expect("peeked arrival");
-            let i = next_index;
-            next_index += 1;
-            assert!(
-                last_arrival_hours <= a.at_hours,
-                "arrivals must be sorted by time"
-            );
-            last_arrival_hours = a.at_hours;
-            let now = hours(a.at_hours);
-            last_now = now;
-            let attempts = draw_attempts();
-            sink.emit(now, TraceEvent::RequestQueued { req: i as u32 });
-            if free_slots > 0 {
-                free_slots -= 1;
-                start_local(
-                    i,
-                    a,
-                    attempts,
-                    now,
-                    cfg,
-                    &mut profiles,
-                    &mut events,
-                    &mut fold,
-                    &mut local_busy_hours,
-                    sink,
-                );
-            } else if cfg.burst_threshold.is_some_and(|k| waiting.len() >= k) {
-                start_cloud(
-                    i,
-                    a,
-                    attempts,
-                    now,
-                    cfg,
-                    &mut profiles,
-                    &mut events,
-                    &mut fold,
-                    &mut cloud_cost,
-                    sink,
-                );
-            } else if cfg.queue_bound.is_some_and(|b| waiting.len() >= b) {
-                match cfg.admission {
-                    AdmissionPolicy::Reject => {
-                        sink.emit(now, TraceEvent::RequestRejected { req: i as u32 });
-                        fold.push_rejected(i);
-                    }
-                    AdmissionPolicy::Deflect => {
-                        deflected += 1;
-                        start_cloud(
-                            i,
-                            a,
-                            attempts,
-                            now,
-                            cfg,
-                            &mut profiles,
-                            &mut events,
-                            &mut fold,
-                            &mut cloud_cost,
-                            sink,
-                        );
-                    }
-                    // validate() rejects a bound without a policy.
-                    AdmissionPolicy::AdmitAll => unreachable!("bounded queue without a policy"),
-                }
-            } else {
-                waiting.push_back((i, a, attempts));
-                backlog.set(now, waiting.len() as f64);
-            }
-            continue;
-        }
-        let Some((now, ev)) = events.pop() else { break };
-        last_now = now;
-        match ev {
-            Ev::LocalDone(done) => {
-                sink.emit(now, TraceEvent::RequestFinished { req: done as u32 });
-                if let Some((i, a, attempts)) = waiting.pop_front() {
-                    backlog.set(now, waiting.len() as f64);
-                    start_local(
-                        i,
-                        a,
-                        attempts,
-                        now,
-                        cfg,
-                        &mut profiles,
-                        &mut events,
-                        &mut fold,
-                        &mut local_busy_hours,
-                        sink,
-                    );
-                } else {
-                    free_slots += 1;
+    drive(
+        &mut sim,
+        arrivals,
+        &Policy::service(cfg),
+        sink,
+        |a, decision| {
+            let mut attempts = 1u32;
+            if let Some(rng) = rng.as_mut() {
+                while attempts <= cfg.request_retry_max && rng.chance(cfg.request_failure_prob) {
+                    attempts += 1;
                 }
             }
-            Ev::CloudDone(done) => {
-                sink.emit(now, TraceEvent::RequestFinished { req: done as u32 });
+            // Only the venue the request runs at is profiled.
+            match decision {
+                Decision::Serve | Decision::Queue { .. } => {
+                    let profile = profiles.owned(a.degrees, cfg.local_procs_per_request);
+                    Job::new(a, attempts, profile).billed_per_hour(cfg.local_cost_per_slot_hour)
+                }
+                Decision::Burst | Decision::Deflect => {
+                    let profile = profiles.fixed(a.degrees, cfg.cloud_procs_per_request);
+                    Job::new(a, attempts, profile)
+                }
+                Decision::Reject => Job::new(a, attempts, unserved),
             }
-        }
-    }
-
-    debug_assert_eq!(fold.next, next_index, "every request is decided");
-    ServiceReport {
-        served_local: fold.served_local,
-        served_cloud: fold.served_cloud,
-        rejected: fold.rejected,
-        deflected,
-        wait_hist: fold.wait_hist,
-        turnaround_hist: fold.turnaround_hist,
-        backlog_mean: backlog.mean(last_now),
-        backlog_peak: backlog.peak(),
-        cloud_cost,
-        local_cost: cfg.local_cost_per_slot_hour * local_busy_hours,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn start_local<S: EventSink, F: FnMut(&RequestOutcome)>(
-    i: usize,
-    a: Arrival,
-    attempts: u32,
-    now: SimTime,
-    cfg: &ServiceConfig,
-    profiles: &mut ProfileTable,
-    events: &mut Calendar<Ev>,
-    fold: &mut OutcomeFold<F>,
-    local_busy_hours: &mut f64,
-    sink: &mut S,
-) {
-    let profile = profiles.owned(a.degrees, cfg.local_procs_per_request);
-    let run_hours = profile.makespan_hours * attempts as f64;
-    let start_h = now.as_hours_f64();
-    let finish = now + mcloud_simkit::SimDuration::from_hours_f64(run_hours);
-    *local_busy_hours += run_hours;
-    sink.emit(
-        now,
-        TraceEvent::RequestStarted {
-            req: i as u32,
-            cloud: false,
         },
     );
-    fold.push(RequestOutcome {
-        index: i,
-        degrees: a.degrees,
-        arrival_hours: hours(a.at_hours).as_hours_f64(),
-        start_hours: start_h,
-        finish_hours: finish.as_hours_f64(),
-        venue: Venue::Local,
-        cost: cfg.local_cost_per_slot_hour * run_hours,
-        attempts,
-    });
-    events.push(finish, Ev::LocalDone(i));
-}
-
-/// Serves a request on per-request cloud resources right now — the path
-/// shared by threshold bursts and admission-control deflections.
-#[allow(clippy::too_many_arguments)]
-fn start_cloud<S: EventSink, F: FnMut(&RequestOutcome)>(
-    i: usize,
-    a: Arrival,
-    attempts: u32,
-    now: SimTime,
-    cfg: &ServiceConfig,
-    profiles: &mut ProfileTable,
-    events: &mut Calendar<Ev>,
-    fold: &mut OutcomeFold<F>,
-    cloud_cost: &mut Money,
-    sink: &mut S,
-) {
-    let profile = profiles.fixed(a.degrees, cfg.cloud_procs_per_request);
-    let cost = profile.cost * attempts as f64;
-    let run_hours = profile.makespan_hours * attempts as f64;
-    *cloud_cost += cost;
-    let start_h = now.as_hours_f64();
-    sink.emit(
-        now,
-        TraceEvent::RequestStarted {
-            req: i as u32,
-            cloud: true,
-        },
-    );
-    fold.push(RequestOutcome {
-        index: i,
-        degrees: a.degrees,
-        arrival_hours: hours(a.at_hours).as_hours_f64(),
-        start_hours: start_h,
-        finish_hours: start_h + run_hours,
-        venue: Venue::Cloud,
-        cost,
-        attempts,
-    });
-    if sink.enabled() {
-        let finish = now + mcloud_simkit::SimDuration::from_hours_f64(run_hours);
-        events.push(finish, Ev::CloudDone(i));
-    }
-}
-
-fn hours(h: f64) -> SimTime {
-    SimTime::from_secs_f64(h * 3600.0)
+    sim.service_report(cfg.local_cost_per_slot_hour)
 }
 
 /// Serializes a service-level event stream as JSON Lines, one request
@@ -821,7 +515,7 @@ mod tests {
 
     fn outcomes_of(arrivals: &[Arrival], cfg: &ServiceConfig) -> Vec<RequestOutcome> {
         let mut v = Vec::new();
-        simulate_service_each(arrivals, cfg, &mut NullSink, |o| v.push(*o));
+        simulate_service_stream(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
         v
     }
 
@@ -830,7 +524,7 @@ mod tests {
         let arrivals = periodic(2.0, 24.0, 1.0);
         let cfg = ServiceConfig::default_burst();
         let mut sink = RecordingSink::new();
-        let traced = simulate_service_with_sink(&arrivals, &cfg, &mut sink);
+        let traced = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
         assert_eq!(traced, simulate_service(&arrivals, &cfg));
     }
 
@@ -880,7 +574,9 @@ mod tests {
         };
         let mut sink = RecordingSink::new();
         let mut outcomes = Vec::new();
-        let report = simulate_service_each(&arrivals, &cfg, &mut sink, |o| outcomes.push(*o));
+        let report = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |o| {
+            outcomes.push(*o)
+        });
         assert!(report.cloud_requests() > 0 && report.local_requests() > 0);
 
         let c = sink.counters();
@@ -1099,9 +795,9 @@ mod tests {
         let arrivals = periodic(0.5, 10.0, 1.0);
         let cfg = ServiceConfig::default_burst();
         let mut a = RecordingSink::new();
-        simulate_service_with_sink(&arrivals, &cfg, &mut a);
+        simulate_service_stream(arrivals.iter().copied(), &cfg, &mut a, |_| {});
         let mut b = RecordingSink::new();
-        simulate_service_with_sink(&arrivals, &cfg, &mut b);
+        simulate_service_stream(arrivals.iter().copied(), &cfg, &mut b, |_| {});
         let ja = service_trace_jsonl(a.events());
         assert_eq!(ja, service_trace_jsonl(b.events()));
         assert_eq!(ja.lines().count(), a.events().len());

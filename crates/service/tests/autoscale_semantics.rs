@@ -2,7 +2,7 @@
 
 use mcloud_cost::Money;
 use mcloud_service::{
-    bursty, periodic, poisson, simulate_autoscale, simulate_autoscale_each, AdmissionPolicy,
+    bursty, periodic, poisson, simulate_autoscale, simulate_autoscale_stream, AdmissionPolicy,
     Arrival, AutoScaleConfig, AutoScaleReport, ProfileTable, ServiceConfig,
 };
 use mcloud_simkit::{MetricClass, Registry, SimDuration, SimTime};
@@ -22,7 +22,9 @@ fn base() -> AutoScaleConfig {
 /// via the streaming visitor, since the report keeps only aggregates.
 fn run_with_busy(arrivals: &[Arrival], cfg: &AutoScaleConfig) -> (AutoScaleReport, f64) {
     let mut busy = 0.0;
-    let report = simulate_autoscale_each(arrivals, cfg, |o| busy += o.finish_hours - o.start_hours);
+    let report = simulate_autoscale_stream(arrivals.iter().copied(), cfg, |o| {
+        busy += o.finish_hours - o.start_hours
+    });
     (report, busy)
 }
 
@@ -90,7 +92,9 @@ fn an_arrival_ties_ahead_of_a_completion_at_the_same_instant() {
     );
 
     let mut starts = Vec::new();
-    let report = simulate_autoscale_each(&[at(1.0), at(b)], &cfg, |o| starts.push(o.start_hours));
+    let report = simulate_autoscale_stream([at(1.0), at(b)].iter().copied(), &cfg, |o| {
+        starts.push(o.start_hours)
+    });
     // B is handled before A's completion: it finds the only slot busy,
     // waits, and rents a second slot. A's completion then hands the
     // floor slot to B, and the second slot boots into an empty queue and
@@ -375,8 +379,9 @@ fn a_request_served_on_arrival_waits_exactly_zero() {
         ..base()
     };
     let mut waits = Vec::new();
-    let report =
-        simulate_autoscale_each(&unaligned_triples(), &cfg, |o| waits.push(o.wait_hours()));
+    let report = simulate_autoscale_stream(unaligned_triples().iter().copied(), &cfg, |o| {
+        waits.push(o.wait_hours())
+    });
     assert_eq!(report.deflected, 40);
     assert_eq!(waits.iter().filter(|&&w| w == 0.0).count(), 80);
     assert!(waits.iter().all(|&w| w == 0.0 || w > 1e-3), "{waits:?}");

@@ -10,8 +10,8 @@ use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mcloud_cost::Money;
 use mcloud_service::{
     mixed, periodic, plan_capacity_with_cache, plan_json, service_trace_jsonl,
-    simulate_autoscale_stream, simulate_service, simulate_service_with_sink, AdmissionPolicy,
-    Arrival, AutoScaleConfig, CapacityPlan, FlashCrowd, PlanSpec, ServiceConfig,
+    simulate_autoscale_stream, simulate_service, simulate_service_stream, AdmissionPolicy, Arrival,
+    AutoScaleConfig, CapacityPlan, FlashCrowd, PlanSpec, ServiceConfig,
 };
 use mcloud_simkit::{Histogram, RecordingSink};
 
@@ -60,7 +60,7 @@ fn golden_service_trace_burst_profile() {
         ..ServiceConfig::default_burst()
     };
     let mut sink = RecordingSink::new();
-    let report = simulate_service_with_sink(&arrivals, &cfg, &mut sink);
+    let report = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
     assert!(report.cloud_requests() > 0 && report.local_requests() > 0);
     check_golden(
         "service_trace_burst.jsonl",
@@ -314,7 +314,7 @@ fn golden_service_trace_deflect_with_retries() {
         .take_while(|a| a.at_hours < 48.0)
         .collect();
     let mut sink = RecordingSink::new();
-    let report = simulate_service_with_sink(&arrivals, &cfg, &mut sink);
+    let report = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
     assert!(report.deflected > 0 && report.local_requests() > 0);
     check_golden(
         "service_trace_deflect_retries.jsonl",

@@ -1,7 +1,8 @@
 //! Randomized-property tests of the service queue over random traffic.
 
 use mcloud_service::{
-    poisson, simulate_service, simulate_service_each, Arrival, RequestOutcome, ServiceConfig, Venue,
+    poisson, simulate_service, simulate_service_stream, Arrival, RequestOutcome, ServiceConfig,
+    Venue,
 };
 use mcloud_simkit::NullSink;
 
@@ -10,7 +11,7 @@ const CASES: u64 = 24;
 /// Streams every outcome out of the constant-memory simulator.
 fn outcomes_of(arrivals: &[Arrival], cfg: &ServiceConfig) -> Vec<RequestOutcome> {
     let mut v = Vec::new();
-    simulate_service_each(arrivals, cfg, &mut NullSink, |o| v.push(*o));
+    simulate_service_stream(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
     v
 }
 

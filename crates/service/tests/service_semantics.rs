@@ -2,10 +2,10 @@
 
 use mcloud_cost::Money;
 use mcloud_service::{
-    bursty, periodic, poisson, simulate_service, simulate_service_each, Arrival, RequestOutcome,
+    bursty, periodic, poisson, simulate_service, simulate_service_stream, Arrival, RequestOutcome,
     ServiceConfig, Venue,
 };
-use mcloud_simkit::NullSink;
+use mcloud_simkit::{NullSink, RecordingSink};
 
 fn at(hours: f64) -> Arrival {
     Arrival {
@@ -17,7 +17,7 @@ fn at(hours: f64) -> Arrival {
 /// Streams every outcome out of the constant-memory simulator.
 fn outcomes_of(arrivals: &[Arrival], cfg: &ServiceConfig) -> Vec<RequestOutcome> {
     let mut v = Vec::new();
-    simulate_service_each(arrivals, cfg, &mut NullSink, |o| v.push(*o));
+    simulate_service_stream(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
     v
 }
 
@@ -225,4 +225,46 @@ fn a_request_served_on_arrival_waits_exactly_zero() {
         text.contains("mcloud_request_wait_hours_bucket{le=\"0\"} 80\n"),
         "{text}"
     );
+}
+
+/// A trace sink only listens. Request 1 waits behind request 0 on the
+/// one slot, and request 2 finds it waiting and bursts a 4-degree mosaic
+/// that runs for hours after the last local finish; narrating that cloud
+/// finish must not stretch the span the backlog is averaged over.
+#[test]
+fn a_trace_sink_leaves_the_backlog_mean_alone() {
+    let cfg = ServiceConfig {
+        local_slots: 1,
+        burst_threshold: Some(1),
+        ..ServiceConfig::default_burst()
+    };
+    let arrivals = [
+        at(0.0),
+        at(0.1),
+        Arrival {
+            at_hours: 0.2,
+            degrees: 4.0,
+        },
+    ];
+    let untraced = simulate_service(&arrivals, &cfg);
+    assert_eq!(
+        (untraced.local_requests(), untraced.cloud_requests()),
+        (2, 1)
+    );
+    assert!(
+        (untraced.backlog_mean - 0.4407).abs() < 1e-4,
+        "{}",
+        untraced.backlog_mean
+    );
+    let mut sink = RecordingSink::new();
+    let traced = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
+    assert_eq!(sink.counters().requests_started, 3);
+    assert_eq!(
+        traced.backlog_mean.to_bits(),
+        untraced.backlog_mean.to_bits(),
+        "traced {} vs untraced {}",
+        traced.backlog_mean,
+        untraced.backlog_mean
+    );
+    assert_eq!(traced, untraced);
 }

@@ -72,7 +72,12 @@ fn main() {
     // sink type: queued -> started (venue) -> finished.
     let arrivals = periodic(0.5, 24.0, 1.0);
     let mut svc_sink = RecordingSink::new();
-    let svc = simulate_service_with_sink(&arrivals, &ServiceConfig::default_burst(), &mut svc_sink);
+    let svc = simulate_service_stream(
+        arrivals.iter().copied(),
+        &ServiceConfig::default_burst(),
+        &mut svc_sink,
+        |_| {},
+    );
     println!(
         "\nservice day   {} requests ({} local, {} cloud), {} span events",
         svc.requests(),
