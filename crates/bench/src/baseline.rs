@@ -55,8 +55,8 @@ use std::fmt::{self, Write as _};
 use std::time::Instant;
 
 use mcloud_core::{
-    simulate, simulate_batch, simulate_batch_on, simulate_with_scratch, BatchScratch, DataMode,
-    ExecConfig, IncrementalChain, Provisioning, SimScratch,
+    simulate, simulate_batch, simulate_batch_on, simulate_prepared, BatchScratch, DataMode,
+    ExecConfig, IncrementalChain, PreparedWorkflow, Provisioning, SimScratch,
 };
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, MosaicConfig};
@@ -267,12 +267,14 @@ pub fn measure_workload(w: &Workload, budget_ms: u64) -> Row {
     let events = warm.events_processed;
     let (_, delta) = alloc::measure(|| std::hint::black_box(simulate(&wf, &cfg)));
 
-    // Warm-scratch allocations: one simulation on buffers a previous run
-    // already grew — the steady-state cost a batch lane pays per run.
+    // Warm-scratch allocations: one simulation of the batch's prepared
+    // workflow on buffers a previous run already grew — the steady-state
+    // cost a batch lane pays per run.
+    let prep = PreparedWorkflow::new(&wf);
     let mut scratch = SimScratch::new();
-    std::hint::black_box(simulate_with_scratch(&wf, &cfg, &mut scratch));
+    std::hint::black_box(simulate_prepared(&prep, &cfg, &mut scratch));
     let (_, warm_delta) =
-        alloc::measure(|| std::hint::black_box(simulate_with_scratch(&wf, &cfg, &mut scratch)));
+        alloc::measure(|| std::hint::black_box(simulate_prepared(&prep, &cfg, &mut scratch)));
 
     // Timer overhead is negligible: even the smallest workload runs for
     // ~100 us.
@@ -503,10 +505,11 @@ fn bandwidth_axis(points: usize) -> Vec<ExecConfig> {
 pub fn measure_sweep_row(degrees: f64, points: usize, budget_ms: u64) -> Row {
     let wf = generate(&MosaicConfig::new(degrees));
     let cfgs = bandwidth_axis(points);
+    let prep = PreparedWorkflow::new(&wf);
     let chain_walk = || {
         let mut chain = IncrementalChain::new();
         for (i, cfg) in cfgs.iter().enumerate() {
-            std::hint::black_box(chain.run_point(&wf, cfg, cfgs.get(i + 1)));
+            std::hint::black_box(chain.run_point(&prep, cfg, cfgs.get(i + 1)));
         }
         chain.stats()
     };
@@ -514,10 +517,10 @@ pub fn measure_sweep_row(degrees: f64, points: usize, budget_ms: u64) -> Row {
     let stats = chain_walk();
 
     let mut scratch = SimScratch::new();
-    std::hint::black_box(simulate_with_scratch(&wf, &cfgs[0], &mut scratch)); // warm
+    std::hint::black_box(simulate_prepared(&prep, &cfgs[0], &mut scratch)); // warm
     let scratch_s = best_of(MIN_SWEEP_RUNS, budget_ms, || {
         for cfg in &cfgs {
-            std::hint::black_box(simulate_with_scratch(&wf, cfg, &mut scratch));
+            std::hint::black_box(simulate_prepared(&prep, cfg, &mut scratch));
         }
     });
     let incremental_s = best_of(MIN_SWEEP_RUNS, budget_ms, || {

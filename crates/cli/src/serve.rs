@@ -463,15 +463,8 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
             &error_doc(&too_large(content_length)),
         );
     }
-    while body.len() < content_length {
-        let mut chunk = vec![0u8; content_length - body.len()];
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| format!("reading body: {e}"))?;
-        if n == 0 {
-            return write_http(stream, 400, "text/plain", "truncated body\n");
-        }
-        body.extend_from_slice(&chunk[..n]);
+    if !read_to_len(stream, &mut body, content_length).map_err(|e| format!("reading body: {e}"))? {
+        return write_http(stream, 400, "text/plain", "truncated body\n");
     }
     let body = match String::from_utf8(body) {
         Ok(s) => s,
@@ -499,17 +492,51 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
     }
 }
 
+/// Smallest read offered while a body arrives (see [`read_to_len`]).
+const BODY_MIN_READ: usize = 4096;
+
+/// Reads from `stream` until `buf` holds `len` bytes; `false` if the
+/// stream ends first. The buffer is sized (and zeroed) once. Each read is
+/// offered twice what the last one returned, [`BODY_MIN_READ`] at least,
+/// so a body arriving in small segments is offered about twice its length
+/// in all, not the whole remainder on every read.
+fn read_to_len<S: Read>(stream: &mut S, buf: &mut Vec<u8>, len: usize) -> std::io::Result<bool> {
+    let mut filled = buf.len();
+    if filled >= len {
+        return Ok(true);
+    }
+    buf.resize(len, 0);
+    let mut window = BODY_MIN_READ;
+    while filled < len {
+        let end = len.min(filled + window);
+        let n = stream.read(&mut buf[filled..end])?;
+        if n == 0 {
+            buf.truncate(filled);
+            return Ok(false);
+        }
+        filled += n;
+        window = (2 * n).max(BODY_MIN_READ);
+    }
+    Ok(true)
+}
+
 /// Reads up to and including the blank line ending the request head;
 /// returns (head, any body bytes already consumed).
 fn read_http_head<S: Read>(stream: &mut S) -> Result<(String, Vec<u8>), String> {
     const HEAD_CAP: usize = 64 * 1024;
     let mut buf: Vec<u8> = Vec::new();
+    // Bytes already searched for the terminator. A terminator can straddle
+    // two reads, so each search starts 3 bytes before the new ones.
+    let mut searched: usize = 0;
     loop {
-        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        let from = searched.saturating_sub(3);
+        if let Some(at) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let end = from + at;
             let head = String::from_utf8(buf[..end].to_vec())
                 .map_err(|_| "request head is not UTF-8".to_string())?;
             return Ok((head, buf[end + 4..].to_vec()));
         }
+        searched = buf.len();
         if buf.len() > HEAD_CAP {
             return Err("request head too large".to_string());
         }
@@ -702,6 +729,83 @@ mod tests {
         let mut input = Cursor::new(format!("{MAX_REQUEST_BYTES}\n{{}}").into_bytes());
         let err = serve_session(&mut input, &mut Vec::new()).unwrap_err();
         assert!(err.starts_with("reading 16777216-byte frame"), "{err}");
+    }
+
+    /// A stream that hands out at most `segment` bytes per read and adds
+    /// up the buffer lengths it is offered.
+    struct Trickle {
+        input: Cursor<Vec<u8>>,
+        segment: usize,
+        offered: usize,
+        output: Vec<u8>,
+    }
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.offered += buf.len();
+            let n = buf.len().min(self.segment);
+            self.input.read(&mut buf[..n])
+        }
+    }
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn trickle(request: String, segment: usize) -> Trickle {
+        let mut s = Trickle {
+            input: Cursor::new(request.into_bytes()),
+            segment,
+            offered: 0,
+            output: Vec::new(),
+        };
+        handle_http(&mut s).expect("http");
+        s
+    }
+
+    #[test]
+    fn a_body_in_small_segments_is_offered_about_its_length() {
+        // A 1 MiB body in 1500-byte segments: offering the remainder on
+        // every read would add up to ~350x the body.
+        let body = format!("{}{{}}", " ".repeat(1 << 20));
+        let request = format!(
+            "POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let s = trickle(request, 1500);
+        let response = String::from_utf8(s.output).expect("utf8");
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(response.contains("mcloud_cache_hits_total"), "{response}");
+        assert!(
+            s.offered <= 4 * body.len(),
+            "{} bytes offered for a {}-byte body",
+            s.offered,
+            body.len()
+        );
+    }
+
+    #[test]
+    fn a_head_terminator_split_across_reads_is_found() {
+        for segment in [1, 2, 3, 5] {
+            let body = r#"{"args": ["--degrees", "0.2", "--procs", "2"]}"#;
+            let request = format!(
+                "POST /simulate HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let s = trickle(request, segment);
+            let response = String::from_utf8(s.output).expect("utf8");
+            assert!(
+                response.starts_with("HTTP/1.1 200 OK\r\n"),
+                "{segment}: {response}"
+            );
+            assert!(
+                response.contains("\"mcloud-report/v1\""),
+                "{segment}: {response}"
+            );
+        }
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! simulations. [`simulate_batch`] amortizes all per-simulation setup:
 //! each pool lane owns one long-lived [`SimScratch`], so steady-state
 //! batch work allocates (almost) nothing per run, and the pool itself is
-//! created once per process.
+//! created once per process. The workflow is prepared once per call
+//! ([`PreparedWorkflow`]) and its tables are shared by every lane.
 //!
 //! ## Determinism
 //!
-//! Every result is produced by `simulate_with_scratch`, which is a pure
+//! Every result is produced by `simulate_prepared`, which is a pure
 //! function of `(workflow, config)` — the scratch contributes capacity,
-//! never values (asserted by the scratch-equivalence test matrix). Results
+//! never values, and the prepared tables only what the workflow
+//! determines (asserted by the scratch-equivalence tests). Results
 //! are slotted by input index inside the pool. Which *lane* computes which
 //! item is scheduling-dependent; what the item's result is, and where it
 //! lands, is not. Hence batch output is byte-identical across worker
@@ -24,7 +26,8 @@ use mcloud_dag::Workflow;
 use mcloud_simkit::WorkerPool;
 
 use crate::config::ExecConfig;
-use crate::engine::{simulate_with_scratch, SimScratch};
+use crate::engine::{simulate_prepared, SimScratch};
+use crate::prepared::PreparedWorkflow;
 use crate::report::Report;
 
 /// Per-lane scratch storage for batch simulation. Create once, pass to
@@ -70,9 +73,8 @@ pub fn simulate_batch(
     cfgs: &[ExecConfig],
     scratch: &mut BatchScratch,
 ) -> Vec<Report> {
-    fan_out(cfgs, scratch, |scr, cfg| {
-        simulate_with_scratch(wf, cfg, scr)
-    })
+    let prep = PreparedWorkflow::new(wf);
+    fan_out(cfgs, scratch, |scr, cfg| simulate_prepared(&prep, cfg, scr))
 }
 
 /// [`simulate_batch`] on an explicit pool — the worker-count-independence
@@ -84,8 +86,9 @@ pub fn simulate_batch_on(
     cfgs: &[ExecConfig],
     scratch: &mut BatchScratch,
 ) -> Vec<Report> {
+    let prep = PreparedWorkflow::new(wf);
     let lanes = scratch.ensure(pool.lanes().max(1));
-    pool.map_with_state(lanes, cfgs, |scr, cfg| simulate_with_scratch(wf, cfg, scr))
+    pool.map_with_state(lanes, cfgs, |scr, cfg| simulate_prepared(&prep, cfg, scr))
 }
 
 /// [`simulate_batch`] with a live progress callback: `on_progress(done,
@@ -110,21 +113,25 @@ pub fn simulate_batch_progress(
         on_progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
         report
     };
+    let prep = PreparedWorkflow::new(wf);
     fan_out(cfgs, scratch, |scr, cfg| {
-        tick(simulate_with_scratch(wf, cfg, scr))
+        tick(simulate_prepared(&prep, cfg, scr))
     })
 }
 
 /// Simulates every workflow in `wfs` under one configuration, in input
 /// order, with the same pooling and determinism contract as
 /// [`simulate_batch`]. This is the shape CCR-style sweeps need, where the
-/// *workflow* varies instead of the configuration.
+/// *workflow* varies instead of the configuration (so each is prepared
+/// for its one run).
 pub fn simulate_batch_workflows(
     wfs: &[Workflow],
     cfg: &ExecConfig,
     scratch: &mut BatchScratch,
 ) -> Vec<Report> {
-    fan_out(wfs, scratch, |scr, wf| simulate_with_scratch(wf, cfg, scr))
+    fan_out(wfs, scratch, |scr, wf| {
+        simulate_prepared(&PreparedWorkflow::new(wf), cfg, scr)
+    })
 }
 
 /// Maps `f` over `items` with one warm scratch per lane: inline on the

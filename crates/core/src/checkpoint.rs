@@ -24,10 +24,9 @@
 //! P = 16) and P + 2 in regular mode, so a checkpoint could skip next to
 //! nothing.
 
-use mcloud_dag::Workflow;
-
 use crate::config::ExecConfig;
 use crate::engine::{run_probed, run_resumed, IncCtl, SimCheckpoint, SimScratch};
+use crate::prepared::PreparedWorkflow;
 use crate::report::Report;
 
 /// Counters an incremental sweep accumulates, for speedup accounting and
@@ -91,13 +90,14 @@ impl IncrementalChain {
     /// axis); it arms this run's witness so the *next* call can resume.
     ///
     /// The returned [`Report`] is byte-identical to
-    /// [`crate::simulate`]`(wf, cfg)`.
+    /// [`crate::simulate`]`(prep.workflow(), cfg)`. Every point of a chain
+    /// must be a run of the same workflow.
     ///
     /// # Panics
     /// Panics if the configuration fails [`ExecConfig::validate`].
     pub fn run_point(
         &mut self,
-        wf: &Workflow,
+        prep: &PreparedWorkflow<'_>,
         cfg: &ExecConfig,
         next: Option<&ExecConfig>,
     ) -> Report {
@@ -109,13 +109,13 @@ impl IncrementalChain {
             .filter(|_| self.armed_for.as_ref() == Some(cfg));
         let report = match restore {
             Some(ck) => {
-                let r = run_resumed(wf, cfg, &mut self.scratch, &ck, &mut ctl);
+                let r = run_resumed(prep, cfg, &mut self.scratch, &ck, &mut ctl);
                 self.stats.resumed += 1;
                 self.stats.reused_events += ck.pops;
                 self.spare = Some(ck);
                 r
             }
-            None => run_probed(wf, cfg, &mut self.scratch, &mut ctl),
+            None => run_probed(prep, cfg, &mut self.scratch, &mut ctl),
         };
         if ctl.snapshot_fresh {
             // The snapshot was recorded with the witness armed toward

@@ -24,6 +24,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use mcloud_cost::CostBreakdown;
 use mcloud_dag::{FileId, TaskId, Workflow};
@@ -34,14 +35,16 @@ use mcloud_simkit::{
 };
 
 use crate::config::{DataMode, ExecConfig, Provisioning};
+use crate::prepared::{PreparedWorkflow, Ranks};
 use crate::report::{KernelStats, Report};
 use crate::soa::{FileTable, InFlightTable, ReadySet, TaskTable};
 
 /// Simulates one execution plan over a workflow and reports the paper's
 /// metrics and costs.
 ///
-/// Builds a fresh [`SimScratch`] per call; batch callers should hold a
-/// scratch and use [`simulate_with_scratch`] to amortize the setup.
+/// Prepares the workflow and builds a fresh [`SimScratch`] per call;
+/// callers that run one workflow many times should prepare it once and
+/// use [`simulate_prepared`] to amortize the setup.
 ///
 /// # Panics
 /// Panics if the configuration fails [`ExecConfig::validate`].
@@ -49,14 +52,19 @@ pub fn simulate(wf: &Workflow, cfg: &ExecConfig) -> Report {
     simulate_with_sink(wf, cfg, &mut NullSink)
 }
 
-/// [`simulate`] against a caller-owned [`SimScratch`]: identical output
-/// (byte-for-byte), but a warm scratch makes the run allocation-free at
-/// steady state.
+/// [`simulate`] of a [`PreparedWorkflow`] against a caller-owned
+/// [`SimScratch`]: identical output (byte-for-byte), but the workflow's
+/// tables are derived once for every run of it, and a warm scratch makes
+/// the run allocation-free at steady state.
 ///
 /// # Panics
 /// Panics if the configuration fails [`ExecConfig::validate`].
-pub fn simulate_with_scratch(wf: &Workflow, cfg: &ExecConfig, scratch: &mut SimScratch) -> Report {
-    simulate_with_sink_scratch(wf, cfg, &mut NullSink, scratch)
+pub fn simulate_prepared(
+    prep: &PreparedWorkflow<'_>,
+    cfg: &ExecConfig,
+    scratch: &mut SimScratch,
+) -> Report {
+    simulate_prepared_with_sink(prep, cfg, &mut NullSink, scratch)
 }
 
 /// Simulates one execution plan while streaming every engine event into
@@ -68,23 +76,23 @@ pub fn simulate_with_scratch(wf: &Workflow, cfg: &ExecConfig, scratch: &mut SimS
 /// # Panics
 /// Panics if the configuration fails [`ExecConfig::validate`].
 pub fn simulate_with_sink<S: EventSink>(wf: &Workflow, cfg: &ExecConfig, sink: &mut S) -> Report {
-    let mut scratch = SimScratch::new();
-    simulate_with_sink_scratch(wf, cfg, sink, &mut scratch)
+    let prep = PreparedWorkflow::new(wf);
+    simulate_prepared_with_sink(&prep, cfg, sink, &mut SimScratch::new())
 }
 
-/// [`simulate_with_sink`] against a caller-owned [`SimScratch`] — the
-/// fully general entry point the other three forms wrap.
+/// [`simulate_with_sink`] of a [`PreparedWorkflow`] against a caller-owned
+/// [`SimScratch`] — the fully general entry point the other forms wrap.
 ///
 /// # Panics
 /// Panics if the configuration fails [`ExecConfig::validate`].
-pub fn simulate_with_sink_scratch<S: EventSink>(
-    wf: &Workflow,
+pub fn simulate_prepared_with_sink<S: EventSink>(
+    prep: &PreparedWorkflow<'_>,
     cfg: &ExecConfig,
     sink: &mut S,
     scratch: &mut SimScratch,
 ) -> Report {
     cfg.validate().expect("invalid execution configuration");
-    Engine::new(wf, cfg, sink, scratch).run()
+    Engine::new(prep, cfg, sink, scratch).run()
 }
 
 /// Simulates one execution plan with a [`RecordingSink`] attached and
@@ -144,6 +152,25 @@ enum Ev {
     Preemption,
 }
 
+impl Ev {
+    /// The completion of `task`'s private (remote-I/O) transfer of `file`
+    /// on `chan`.
+    fn private(chan: Channel, task: TaskId, file: FileId, attempt: u32) -> Ev {
+        match chan {
+            Channel::In => Ev::InputArrived {
+                task,
+                file,
+                attempt,
+            },
+            Channel::Out => Ev::OutputStagedOut {
+                task,
+                file,
+                attempt,
+            },
+        }
+    }
+}
+
 /// Emits a trace event only when the sink wants one. `EventSink::enabled`
 /// is a const `false` for [`NullSink`] (and inlined as such), so untraced
 /// runs skip both the event construction and the emit call entirely —
@@ -156,18 +183,17 @@ macro_rules! narrate {
     };
 }
 
-/// Reusable per-run engine state: every collection the engine touches
+/// Reusable per-run engine state: every collection the engine mutates
 /// during a simulation, owned outside the run so warm reuse costs no
 /// allocation. The per-task, per-file, and per-processor bookkeeping lives
 /// in struct-of-arrays tables (the `soa` module) so the hot loops walk
-/// contiguous memory.
+/// contiguous memory. Nothing here is derived from the workflow: what a
+/// run only reads is in its [`PreparedWorkflow`].
 ///
 /// A fresh scratch and a warm one produce byte-identical results: a run
-/// starts with an internal reset that rebuilds every value the
-/// engine reads from the workflow and configuration; only the *capacity*
-/// of the buffers survives between runs, and capacity is never observable
-/// in a report or trace. `simulate()` itself is now a thin wrapper that
-/// builds a scratch, runs once, and drops it.
+/// starts with an internal reset that zeroes every column to the
+/// workflow's size; only the *capacity* of the buffers survives between
+/// runs, and capacity is never observable in a report or trace.
 #[derive(Debug)]
 pub struct SimScratch {
     events: EventQueue<Ev>,
@@ -195,16 +221,7 @@ pub struct SimScratch {
     /// Billing buffer for fixed provisioning (`finish` fills it with one
     /// entry per provisioned instance).
     instance_seconds: Vec<f64>,
-    /// Remote I/O only (empty otherwise): each file's link time in
-    /// microseconds at this run's bandwidth, [`LINK_TIME_UNKNOWN`] until
-    /// first computed. A remote-I/O run moves every intermediate file once
-    /// out and once per consumer, so most link times repeat.
-    link_us: Vec<u64>,
 }
-
-/// A `SimScratch::link_us` entry not computed yet (no link time reaches
-/// it: `SimDuration::transfer_time` stays below 2^64 - 1 µs).
-const LINK_TIME_UNKNOWN: u64 = u64::MAX;
 
 impl Default for SimScratch {
     fn default() -> Self {
@@ -220,7 +237,6 @@ impl Default for SimScratch {
             run_seconds: Vec::new(),
             in_flight: InFlightTable::default(),
             instance_seconds: Vec::new(),
-            link_us: Vec::new(),
         }
     }
 }
@@ -241,7 +257,6 @@ impl Clone for SimScratch {
             run_seconds: self.run_seconds.clone(),
             in_flight: self.in_flight.clone(),
             instance_seconds: self.instance_seconds.clone(),
-            link_us: self.link_us.clone(),
         }
     }
 
@@ -256,7 +271,6 @@ impl Clone for SimScratch {
         self.run_seconds.clone_from(&src.run_seconds);
         self.in_flight.clone_from(&src.in_flight);
         self.instance_seconds.clone_from(&src.instance_seconds);
-        self.link_us.clone_from(&src.link_us);
     }
 }
 
@@ -267,8 +281,8 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// Rebuilds every engine input for a run of `wf` under `cfg`, keeping
-    /// buffer capacity. After a reset, no state from any previous run is
+    /// Zeroes every column a run of `wf` under `cfg` uses, keeping buffer
+    /// capacity. After a reset, no state from any previous run is
     /// observable.
     fn reset(&mut self, wf: &Workflow, cfg: &ExecConfig) {
         let capacity = match cfg.provisioning {
@@ -280,20 +294,14 @@ impl SimScratch {
         };
         self.events.reset();
         self.pool.reset(capacity);
-        self.tasks.reset(wf, cfg.policy);
-        self.files.reset(wf);
-        self.ready.reset(&self.tasks.priority);
+        self.tasks.reset(wf.num_tasks(), cfg.mode);
+        self.files.reset(wf.num_files(), cfg.mode);
+        self.ready.reset(wf.num_tasks());
         self.storage_blocked.clear();
         self.wait_hist.clear();
         self.run_seconds.clear();
         self.in_flight.reset(capacity as usize);
         self.instance_seconds.clear();
-        // Sized in remote-I/O runs only, so the shared-storage modes
-        // allocate nothing for it.
-        self.link_us.clear();
-        if cfg.mode == DataMode::RemoteIo {
-            self.link_us.resize(wf.num_files(), LINK_TIME_UNKNOWN);
-        }
     }
 }
 
@@ -408,16 +416,16 @@ fn build_links(cfg: &ExecConfig) -> (FcfsChannel, Option<FcfsChannel>) {
 
 /// Runs one sweep point from scratch with the witness armed, recording
 /// snapshots and the witness into `ctl`. Byte-identical to
-/// [`simulate_with_scratch`] for untraced configurations: the witness only
+/// [`simulate_prepared`] for untraced configurations: the witness only
 /// reads state the engine already computes.
 pub(crate) fn run_probed(
-    wf: &Workflow,
+    prep: &PreparedWorkflow<'_>,
     cfg: &ExecConfig,
     scr: &mut SimScratch,
     ctl: &mut IncCtl,
 ) -> Report {
     cfg.validate().expect("invalid execution configuration");
-    let mut engine = Engine::new(wf, cfg, NullSink, scr);
+    let mut engine = Engine::new(prep, cfg, NullSink, scr);
     engine.inc = Some(ctl);
     engine.run()
 }
@@ -428,7 +436,7 @@ pub(crate) fn run_probed(
 /// previous run's witness) that the two points are event-identical
 /// through the snapshot.
 pub(crate) fn run_resumed(
-    wf: &Workflow,
+    prep: &PreparedWorkflow<'_>,
     cfg: &ExecConfig,
     scr: &mut SimScratch,
     ck: &SimCheckpoint,
@@ -436,8 +444,6 @@ pub(crate) fn run_resumed(
 ) -> Report {
     cfg.validate().expect("invalid execution configuration");
     scr.clone_from(&ck.scratch);
-    // The memoized link times are the checkpointed run's bandwidth.
-    scr.link_us.fill(LINK_TIME_UNKNOWN);
     let mut st = ck.state.clone();
     // Pre-witness no transfer was ever submitted, so a fresh pair of
     // channels at the new bandwidth is exactly the state a from-scratch
@@ -445,14 +451,25 @@ pub(crate) fn run_resumed(
     let (link, link_out) = build_links(cfg);
     st.link = link;
     st.link_out = link_out;
-    let mut engine = Engine::resume(wf, cfg, NullSink, scr, st);
+    let mut engine = Engine::resume(prep, cfg, NullSink, scr, st);
     engine.inc = Some(ctl);
     engine.run_loop()
 }
 
 struct Engine<'a, S: EventSink> {
+    /// The workflow's shared read-only tables.
+    prep: &'a PreparedWorkflow<'a>,
+    /// `prep`'s workflow, for its adjacency and sizes.
     wf: &'a Workflow,
     cfg: &'a ExecConfig,
+    /// The ranks `cfg.policy` schedules by (`None`: a task's rank is its
+    /// id).
+    ranks: Option<&'a Ranks>,
+    /// Remote I/O only: each file's link time in microseconds at this
+    /// run's bandwidth. A remote-I/O run moves every intermediate file once
+    /// out and once per consumer, so most link times repeat; the other
+    /// modes move each file about once and compute it per transfer.
+    link_us: Option<Arc<[u64]>>,
     /// Receives the structured event stream (a no-op [`NullSink`] unless
     /// the caller attached an observer).
     sink: S,
@@ -522,6 +539,16 @@ struct Engine<'a, S: EventSink> {
     batched: bool,
 }
 
+/// File `f`'s link time: from the run's table when it has one (remote
+/// I/O), else computed for its `bytes` at `bandwidth_bps`.
+#[inline]
+fn link_time(link_us: Option<&[u64]>, f: FileId, bytes: u64, bandwidth_bps: f64) -> SimDuration {
+    match link_us {
+        Some(us) => SimDuration::from_micros(us[f.index()]),
+        None => SimDuration::transfer_time(bytes, bandwidth_bps),
+    }
+}
+
 /// Whether a run of `cfg` observed by `sink` batches its private
 /// transfers (see [`Engine::batched`]). Read once, when the engine is
 /// built.
@@ -530,19 +557,19 @@ fn batches_transfers<S: EventSink>(cfg: &ExecConfig, sink: &S) -> bool {
 }
 
 impl<'a, S: EventSink> Engine<'a, S> {
-    fn new(wf: &'a Workflow, cfg: &'a ExecConfig, sink: S, scr: &'a mut SimScratch) -> Self {
-        scr.reset(wf, cfg);
-        let batched = batches_transfers(cfg, &sink);
+    fn new(
+        prep: &'a PreparedWorkflow<'a>,
+        cfg: &'a ExecConfig,
+        sink: S,
+        scr: &'a mut SimScratch,
+    ) -> Self {
+        scr.reset(prep.workflow(), cfg);
         let (link, link_out) = build_links(cfg);
         let vm_ready_at = match cfg.provisioning {
             Provisioning::Fixed { .. } => SimTime::from_secs_f64(cfg.vm.startup_s),
             Provisioning::OnDemand => SimTime::ZERO,
         };
-        Engine {
-            wf,
-            cfg,
-            sink,
-            scr,
+        let start = EngineState {
             link,
             link_out,
             storage: TimeWeighted::new(),
@@ -580,17 +607,17 @@ impl<'a, S: EventSink> Engine<'a, S> {
             wasted_bytes_in: 0,
             wasted_bytes_out: 0,
             aborted: false,
-            inc: None,
-            batched,
-        }
+        };
+        Engine::resume(prep, cfg, sink, scr, start)
     }
 
     /// Rebuilds an engine mid-run from a restored scratch and captured
     /// state: the inverse of [`Engine::capture_state`] plus the scratch
     /// restore the caller already performed. `run_loop` continues exactly
-    /// where the checkpointed run stood.
+    /// where the checkpointed run stood. [`Engine::new`] is the same at
+    /// the state of `t = 0`.
     fn resume(
-        wf: &'a Workflow,
+        prep: &'a PreparedWorkflow<'a>,
         cfg: &'a ExecConfig,
         sink: S,
         scr: &'a mut SimScratch,
@@ -598,8 +625,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
     ) -> Self {
         let batched = batches_transfers(cfg, &sink);
         Engine {
-            wf,
+            prep,
+            wf: prep.workflow(),
             cfg,
+            ranks: prep.ranks(cfg.policy),
+            link_us: (cfg.mode == DataMode::RemoteIo).then(|| prep.link_times(cfg.bandwidth_bps)),
             sink,
             scr,
             link: st.link,
@@ -785,17 +815,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.schedule_next_preemption(SimTime::ZERO);
         match self.cfg.mode {
             DataMode::Regular | DataMode::DynamicCleanup => {
-                // Count each task's wait on external (non-prestaged) inputs.
+                // Each task waits on its external (non-prestaged) inputs.
                 if !self.cfg.prestaged_inputs {
-                    for t in self.wf.task_ids() {
-                        let missing = self
-                            .wf
-                            .inputs(t)
-                            .iter()
-                            .filter(|f| self.wf.producer(**f).is_none())
-                            .count();
-                        self.scr.tasks.missing_inputs[t.index()] = missing as u32;
-                    }
+                    self.scr
+                        .tasks
+                        .missing_inputs
+                        .copy_from_slice(self.prep.external_inputs());
                     // Stage in every external input up front, FCFS in file order.
                     // This burst is the run's pending peak: size the lane
                     // and slab for it once.
@@ -808,7 +833,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                             file: f,
                             attempt: 1,
                         };
-                        self.transfer(Channel::In, SimTime::ZERO, f, None, Some(ev));
+                        self.transfer(Channel::In, SimTime::ZERO, f, None, ev);
                     }
                 }
                 for t in self.wf.task_ids() {
@@ -820,7 +845,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 // task's `missing_inputs` and `outputs_remaining` are set
                 // when its transfers are submitted.)
                 for t in self.wf.task_ids() {
-                    if self.scr.tasks.pending_parents[t.index()] == 0 {
+                    if self.wf.parents(t).is_empty() {
                         self.stage_task_inputs(SimTime::ZERO, t);
                     }
                 }
@@ -967,7 +992,11 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 .expect("preemption event without an injector");
             (inj.preemption_victim(cap), inj.next_preemption(cap))
         };
-        if let Some(delay) = next {
+        // With nothing else pending, no event can change the run again
+        // (a storage cap blocks every remaining task): the chain would
+        // strike idle processors forever. It dies out instead, so the run
+        // ends and reports the deadlock.
+        if let Some(delay) = next.filter(|_| !self.scr.events.is_empty()) {
             self.scr.events.push(now + delay, Ev::Preemption);
         }
         self.preemptions += 1;
@@ -1026,7 +1055,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 file: f,
                 attempt: attempt + 1,
             };
-            self.transfer(Channel::In, now, f, None, Some(ev));
+            self.transfer(Channel::In, now, f, None, ev);
             return;
         }
         narrate!(
@@ -1060,7 +1089,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 file: f,
                 attempt: attempt + 1,
             };
-            self.transfer(Channel::Out, now, f, None, Some(ev));
+            self.transfer(Channel::Out, now, f, None, ev);
             return;
         }
         narrate!(
@@ -1127,42 +1156,58 @@ impl<'a, S: EventSink> Engine<'a, S> {
             .iter()
             .copied()
             .filter(move |&f| !(prestaged && wf.producer(f).is_none()));
-        self.scr.tasks.staged_in_bytes[t.index()] = staged.clone().map(|f| wf.bytes(f)).sum();
-        self.scr.tasks.missing_inputs[t.index()] = self.stage_private(Channel::In, now, t, staged);
+        let (delivered, bytes) = self.stage_private(Channel::In, now, t, staged);
+        self.scr.tasks.staged_in_bytes[t.index()] = bytes;
+        self.scr.tasks.missing_inputs[t.index()] = delivered;
         self.maybe_ready(now, t);
     }
 
     /// Submits task `t`'s private transfers of `files` on `chan`, in order,
-    /// and returns how many completion events they will deliver: one per
-    /// transfer, or, in a batched run, one for the whole batch (on its
-    /// last transfer; markers stand in for the others).
+    /// and returns how many completion events they will deliver and the
+    /// bytes they move. Each transfer delivers its own event, except in a
+    /// batched run: there the whole batch delivers one, on its last
+    /// transfer, and goes onto its lane in one push with markers standing
+    /// in for the others.
     fn stage_private(
         &mut self,
         chan: Channel,
         now: SimTime,
         t: TaskId,
-        files: impl Iterator<Item = FileId>,
-    ) -> u32 {
-        let mut files = files.peekable();
-        let mut delivered = 0;
-        while let Some(file) = files.next() {
-            let deliver = !self.batched || files.peek().is_none();
-            let ev = deliver.then_some(match chan {
-                Channel::In => Ev::InputArrived {
-                    task: t,
-                    file,
-                    attempt: 1,
-                },
-                Channel::Out => Ev::OutputStagedOut {
-                    task: t,
-                    file,
-                    attempt: 1,
-                },
-            });
-            delivered += u32::from(deliver);
-            self.transfer(chan, now, file, Some(t), ev);
+        files: impl DoubleEndedIterator<Item = FileId> + Clone,
+    ) -> (u32, u64) {
+        let wf = self.wf;
+        if !self.batched {
+            let (mut delivered, mut moved) = (0, 0);
+            for file in files {
+                moved += wf.bytes(file);
+                delivered += 1;
+                self.transfer(chan, now, file, Some(t), Ev::private(chan, t, file, 1));
+            }
+            return (delivered, moved);
         }
-        delivered
+        let Some(last) = files.clone().next_back() else {
+            return (0, 0);
+        };
+        self.note_transfer_submitted();
+        // Batching implies an untraced run, so the grants go unnarrated.
+        let (link_us, bandwidth_bps) = (self.link_us.as_deref(), self.cfg.bandwidth_bps);
+        let lane = self.lane(chan);
+        let link = match (chan, self.link_out.as_mut()) {
+            (Channel::Out, Some(out)) => out,
+            _ => &mut self.link,
+        };
+        let (mut count, mut moved) = (0, 0);
+        let finishes = files.map(|f| {
+            let bytes = wf.bytes(f);
+            count += 1;
+            moved += bytes;
+            let service = link_time(link_us, f, bytes, bandwidth_bps);
+            link.submit_for(now, bytes, service).finish
+        });
+        let ev = Ev::private(chan, t, last, 1);
+        self.scr.events.push_fifo_batch(lane, finishes, ev);
+        self.count_transfers(chan, moved, count);
+        (1, moved)
     }
 
     fn on_input_arrived(&mut self, now: SimTime, t: TaskId, f: FileId, attempt: u32) {
@@ -1172,12 +1217,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.aborted = true;
                 return;
             }
-            let ev = Ev::InputArrived {
-                task: t,
-                file: f,
-                attempt: attempt + 1,
-            };
-            self.transfer(Channel::In, now, f, Some(t), Some(ev));
+            let ev = Ev::private(Channel::In, t, f, attempt + 1);
+            self.transfer(Channel::In, now, f, Some(t), ev);
             return;
         }
         narrate!(
@@ -1204,12 +1245,8 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 self.aborted = true;
                 return;
             }
-            let ev = Ev::OutputStagedOut {
-                task: t,
-                file: f,
-                attempt: attempt + 1,
-            };
-            self.transfer(Channel::Out, now, f, Some(t), Some(ev));
+            let ev = Ev::private(Channel::Out, t, f, attempt + 1);
+            self.transfer(Channel::Out, now, f, Some(t), ev);
             return;
         }
         narrate!(
@@ -1244,8 +1281,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         }
         let wf = self.wf;
         for &c in wf.children(t) {
-            self.scr.tasks.pending_parents[c.index()] -= 1;
-            if self.scr.tasks.pending_parents[c.index()] == 0 {
+            if self.parent_finished(c) {
                 self.stage_task_inputs(now, c);
             }
         }
@@ -1253,20 +1289,47 @@ impl<'a, S: EventSink> Engine<'a, S> {
 
     // --- common ---------------------------------------------------------------
 
+    /// Counts one more finished parent of `t`; true once all of them
+    /// have finished.
+    fn parent_finished(&mut self, t: TaskId) -> bool {
+        let done = &mut self.scr.tasks.parents_done[t.index()];
+        *done += 1;
+        *done == self.prep.num_parents(t)
+    }
+
     fn maybe_ready(&mut self, now: SimTime, t: TaskId) {
-        if !self.scr.tasks.started(t)
-            && self.scr.tasks.pending_parents[t.index()] == 0
-            && self.scr.tasks.missing_inputs[t.index()] == 0
+        let tasks = &mut self.scr.tasks;
+        if !tasks.started[t.index()]
+            && tasks.parents_done[t.index()] == self.prep.num_parents(t)
+            && tasks.missing_inputs[t.index()] == 0
         {
-            self.scr.tasks.mark_started(t);
+            tasks.started[t.index()] = true;
             self.enqueue_ready(now, t);
+        }
+    }
+
+    /// Task `t`'s scheduling rank under this run's policy.
+    #[inline]
+    fn rank(&self, t: TaskId) -> u64 {
+        match self.ranks {
+            Some(r) => u64::from(r.rank[t.index()]),
+            None => u64::from(t.0),
+        }
+    }
+
+    /// The task holding scheduling rank `rank`.
+    #[inline]
+    fn task_at(&self, rank: u64) -> TaskId {
+        match self.ranks {
+            Some(r) => TaskId(r.task[rank as usize]),
+            None => TaskId(rank as u32),
         }
     }
 
     fn enqueue_ready(&mut self, now: SimTime, t: TaskId) {
         narrate!(self, now, TraceEvent::TaskReady { task: t.0 });
         self.scr.tasks.ready_time[t.index()] = now;
-        self.scr.ready.insert(self.scr.tasks.priority[t.index()]);
+        self.scr.ready.insert(self.rank(t));
         self.ready_occ.set(now, self.scr.ready.len() as f64);
     }
 
@@ -1277,49 +1340,32 @@ impl<'a, S: EventSink> Engine<'a, S> {
         self.ready_occ.set(now, self.scr.ready.len() as f64);
     }
 
-    /// Submits a transfer of file `f` on the link that carries `chan` —
+    /// Submits a transfer of file `f` on the link that carries `chan` and
+    /// schedules `ev` at the grant's finish on that link's FIFO lane. An
+    /// FCFS link finishes transfers in submission order, so its
+    /// completions never need the queue's heap. `task` attributes private
+    /// (remote-I/O) transfers to their task; shared staging passes `None`.
+    fn transfer(&mut self, chan: Channel, now: SimTime, f: FileId, task: Option<TaskId>, ev: Ev) {
+        self.note_transfer_submitted();
+        let finish = self.submit(chan, now, f, task);
+        let lane = self.lane(chan);
+        self.scr.events.push_fifo(lane, finish, ev);
+    }
+
+    /// Grants a transfer of file `f` on the link that carries `chan` —
     /// the outbound link for [`Channel::Out`] when `duplex_link` is set,
     /// the shared link otherwise — updates the byte accounting, narrates
-    /// the grant, and schedules `ev` (or, for `None`, a marker) at the
-    /// grant's finish on that link's FIFO lane. An FCFS link finishes
-    /// transfers in submission order, so its completions never need the
-    /// queue's heap. `task` attributes private (remote-I/O) transfers to
-    /// their task; shared staging passes `None`.
-    fn transfer(
-        &mut self,
-        chan: Channel,
-        now: SimTime,
-        f: FileId,
-        task: Option<TaskId>,
-        ev: Option<Ev>,
-    ) {
-        self.note_transfer_submitted();
+    /// the grant and returns its finish. The caller schedules the
+    /// completion on [`Engine::lane`]`(chan)`.
+    fn submit(&mut self, chan: Channel, now: SimTime, f: FileId, task: Option<TaskId>) -> SimTime {
         let bytes = self.wf.bytes(f);
-        let service = match self.scr.link_us.get_mut(f.index()) {
-            Some(&mut us) if us != LINK_TIME_UNKNOWN => SimDuration::from_micros(us),
-            memo => {
-                let service = SimDuration::transfer_time(bytes, self.cfg.bandwidth_bps);
-                if let Some(us) = memo {
-                    *us = service.as_micros();
-                }
-                service
-            }
-        };
-        let (link, lane) = match (chan, self.link_out.as_mut()) {
-            (Channel::Out, Some(out)) => (out, LANE_OUT),
-            _ => (&mut self.link, LANE_IN),
+        let service = link_time(self.link_us.as_deref(), f, bytes, self.cfg.bandwidth_bps);
+        let link = match (chan, self.link_out.as_mut()) {
+            (Channel::Out, Some(out)) => out,
+            _ => &mut self.link,
         };
         let grant = link.submit_for(now, bytes, service);
-        match chan {
-            Channel::In => {
-                self.bytes_in += bytes;
-                self.transfers_in += 1;
-            }
-            Channel::Out => {
-                self.bytes_out += bytes;
-                self.transfers_out += 1;
-            }
-        }
+        self.count_transfers(chan, bytes, 1);
         narrate!(
             self,
             now,
@@ -1331,9 +1377,28 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 task: task.map(|t| t.0),
             },
         );
-        match ev {
-            Some(ev) => self.scr.events.push_fifo(lane, grant.finish, ev),
-            None => self.scr.events.push_fifo_marker(lane, grant.finish),
+        grant.finish
+    }
+
+    /// Books `count` transfers of `bytes` in total on `chan`.
+    fn count_transfers(&mut self, chan: Channel, bytes: u64, count: u64) {
+        match chan {
+            Channel::In => {
+                self.bytes_in += bytes;
+                self.transfers_in += count;
+            }
+            Channel::Out => {
+                self.bytes_out += bytes;
+                self.transfers_out += count;
+            }
+        }
+    }
+
+    /// The FIFO lane of the link that carries `chan`.
+    fn lane(&self, chan: Channel) -> usize {
+        match chan {
+            Channel::Out if self.link_out.is_some() => LANE_OUT,
+            _ => LANE_IN,
         }
     }
 
@@ -1346,7 +1411,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
         if self.cfg.mode == DataMode::RemoteIo {
             return false; // capacity modeling targets the shared store
         }
-        self.storage.value() + self.scr.tasks.output_bytes[t.index()] as f64 > cap as f64
+        self.storage.value() + self.prep.output_bytes()[t.index()] as f64 > cap as f64
     }
 
     /// Moves the storage-blocked tasks that now fit back into the ready
@@ -1377,11 +1442,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
         if now < self.vm_ready_at {
             return; // VMs still booting; Ev::VmReady re-triggers dispatch.
         }
-        while let Some((rank, t)) = self.scr.ready.peek_min() {
+        while let Some(rank) = self.scr.ready.peek_min() {
+            let t = self.task_at(rank);
             if self.storage_would_overflow(t) {
                 self.remove_ready(now, rank);
                 self.scr.storage_blocked.push(Reverse((
-                    self.scr.tasks.output_bytes[t.index()],
+                    self.prep.output_bytes()[t.index()],
                     rank,
                     t,
                 )));
@@ -1417,8 +1483,12 @@ impl<'a, S: EventSink> Engine<'a, S> {
             }
             // A configured timeout truncates the attempt: it fails (and
             // bills) at the timeout instant instead of running to the end.
-            let runtime_s = self.attempt_seconds(t);
-            let runtime = SimDuration::from_secs_f64(runtime_s);
+            let timeout = self.cfg.retry.task_timeout_s;
+            let runtime = if timeout > 0.0 && self.wf.runtime_s(t) > timeout {
+                SimDuration::from_secs_f64(timeout)
+            } else {
+                self.prep.runtime(t)
+            };
             let finish_id = self
                 .scr
                 .events
@@ -1479,22 +1549,23 @@ impl<'a, S: EventSink> Engine<'a, S> {
         match self.cfg.mode {
             DataMode::Regular | DataMode::DynamicCleanup => {
                 // Outputs materialize on shared storage. (Consumers track
-                // intermediate availability through `pending_parents`, so
+                // intermediate availability through `parents_done`, so
                 // only the occupancy bookkeeping happens here.)
                 for &f in wf.outputs(t) {
                     self.storage_alloc(now, wf.bytes(f));
                     self.scr.files.mark_in_storage(f);
                 }
                 for &c in wf.children(t) {
-                    self.scr.tasks.pending_parents[c.index()] -= 1;
+                    self.scr.tasks.parents_done[c.index()] += 1;
                     self.maybe_ready(now, c);
                 }
                 if self.cfg.mode == DataMode::DynamicCleanup {
+                    let prep = self.prep;
+                    let cleanup_after = prep.cleanup_after();
                     for &f in wf.inputs(t) {
-                        self.scr.files.remaining_consumers[f.index()] -= 1;
-                        if self.scr.files.remaining_consumers[f.index()] == 0
-                            && !self.scr.files.is_staged_out(f)
-                        {
+                        let done = &mut self.scr.files.consumers_done[f.index()];
+                        *done += 1;
+                        if *done == cleanup_after[f.index()] {
                             self.remove_from_storage(now, f);
                         }
                     }
@@ -1512,7 +1583,7 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 }
                 // ...and every output is staged back to the user's site.
                 let outputs = wf.outputs(t).iter().copied();
-                match self.stage_private(Channel::Out, now, t, outputs) {
+                match self.stage_private(Channel::Out, now, t, outputs).0 {
                     0 => self.task_fully_done(now, t),
                     n => self.scr.tasks.outputs_remaining[t.index()] = n,
                 }
@@ -1533,14 +1604,14 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 file: f,
                 attempt: 1,
             };
-            self.transfer(Channel::Out, now, f, None, Some(ev));
+            self.transfer(Channel::Out, now, f, None, ev);
         }
     }
 
     fn finish(self, completed: bool) -> Report {
         let makespan = self.end_time.since(SimTime::ZERO);
         let makespan_s = makespan.as_secs_f64();
-        let task_runtime_seconds = self.wf.total_runtime_s();
+        let task_runtime_seconds = self.prep.total_runtime_s();
         let task_executions = self.scr.run_seconds.len() as u64;
 
         let (instance_seconds, processors, cpu_utilization): (&[f64], Option<u32>, f64) =

@@ -33,6 +33,7 @@ mod checkpoint;
 mod config;
 mod engine;
 mod gantt;
+mod prepared;
 mod profile;
 mod report;
 mod scenario;
@@ -49,10 +50,11 @@ pub use config::{
     PAPER_BANDWIDTH_BPS,
 };
 pub use engine::{
-    simulate, simulate_traced, simulate_with_scratch, simulate_with_sink,
-    simulate_with_sink_scratch, SimCheckpoint, SimScratch,
+    simulate, simulate_prepared, simulate_prepared_with_sink, simulate_traced, simulate_with_sink,
+    SimCheckpoint, SimScratch,
 };
 pub use gantt::gantt_text;
+pub use prepared::PreparedWorkflow;
 pub use profile::{
     attribute_profile_costs, profile_json, profile_svg, profile_text, profile_trace, ClassProfile,
     CostAttribution, LevelProfile, TaskProfile, WorkflowProfile, RESIDUAL_LABEL, SHARED_IN_LABEL,

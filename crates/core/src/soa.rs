@@ -11,24 +11,17 @@
 //! the cache with each touch. That layout — not algorithmic complexity — is
 //! what flattens the events/sec-vs-size curve the benchmark baseline gates.
 //!
-//! Everything here is plain data with `reset` methods that keep capacity, so
-//! the warm-scratch batch path stays allocation-free.
+//! Everything here is per-run mutable state: plain data whose `reset`
+//! methods are memsets that keep capacity, so the warm-scratch batch path
+//! stays allocation-free. What depends only on the workflow (priorities,
+//! parent counts, output sizes, cleanup thresholds) is in
+//! [`PreparedWorkflow`](crate::PreparedWorkflow), and the readiness
+//! counters count up toward its totals.
 
-use mcloud_dag::{FileId, TaskId, Workflow};
+use mcloud_dag::{FileId, TaskId};
 use mcloud_simkit::{EventId, SimTime};
 
-use crate::config::SchedulePolicy;
-
-/// Task flag: the task has entered the ready queue at least once (readiness
-/// must fire exactly once per task per run).
-pub(crate) const TASK_STARTED: u8 = 1 << 0;
-
-/// File flag: the file is a final deliverable (staged out at the end of a
-/// shared-storage run, so cleanup must not delete it early).
-pub(crate) const FILE_STAGED_OUT: u8 = 1 << 0;
-
-/// File flag: the file's bytes are currently counted in storage occupancy.
-pub(crate) const FILE_IN_STORAGE: u8 = 1 << 1;
+use crate::config::DataMode;
 
 /// Per-task state as parallel arrays indexed by `TaskId::index()`.
 ///
@@ -37,140 +30,103 @@ pub(crate) const FILE_IN_STORAGE: u8 = 1 << 1;
 /// restore into a warm table reuses its buffers.
 #[derive(Debug, Default)]
 pub(crate) struct TaskTable {
-    /// Parents not yet finished (readiness counter).
-    pub pending_parents: Vec<u32>,
+    /// Parents finished so far; the task may run once this reaches its
+    /// parent count.
+    pub parents_done: Vec<u32>,
     /// Input transfers not yet landed (readiness counter).
     pub missing_inputs: Vec<u32>,
-    /// [`TASK_STARTED`] and future state tags.
-    pub flags: Vec<u8>,
+    /// Whether the task has entered the ready queue (readiness must fire
+    /// exactly once per task per run).
+    pub started: Vec<bool>,
     /// Failed attempts so far (retry budgeting and backoff growth).
     pub failures: Vec<u32>,
     /// When the task last became runnable (queue-wait statistics).
     pub ready_time: Vec<SimTime>,
-    /// Scheduling priority: a unique permutation of `0..n` (lower runs
-    /// first), which is what lets [`ReadySet`] replace a binary heap.
-    pub priority: Vec<u64>,
-    /// Total output bytes, precomputed so the dispatch storage-cap check
-    /// is O(1).
-    pub output_bytes: Vec<u64>,
-    /// Bytes staged in for the current attempt (remote-I/O working set).
+    /// Bytes staged in for the current attempt (remote-I/O working set;
+    /// empty in the other modes).
     pub staged_in_bytes: Vec<u64>,
-    /// Private output transfers still in flight (remote I/O).
+    /// Private output transfers still in flight (remote I/O; empty in the
+    /// other modes).
     pub outputs_remaining: Vec<u32>,
 }
 
 impl TaskTable {
-    /// Rebuilds every column for a run of `wf` under `policy`, keeping
-    /// capacity. Priorities are always a permutation of `0..n`:
-    /// FIFO-by-id uses the identity, critical-path-first uses the rank of
-    /// each task in descending bottom-level order (ties by id).
-    pub fn reset(&mut self, wf: &Workflow, policy: SchedulePolicy) {
-        let n = wf.num_tasks();
-        self.pending_parents.clear();
-        self.pending_parents
-            .extend(wf.task_ids().map(|t| wf.parents(t).len() as u32));
-        self.missing_inputs.clear();
-        self.missing_inputs.resize(n, 0);
-        self.flags.clear();
-        self.flags.resize(n, 0);
-        self.failures.clear();
-        self.failures.resize(n, 0);
-        self.ready_time.clear();
-        self.ready_time.resize(n, SimTime::ZERO);
-        self.priority.clear();
-        match policy {
-            SchedulePolicy::FifoById => self.priority.extend(0..n as u64),
-            SchedulePolicy::CriticalPathFirst => {
-                let bl = wf.bottom_levels();
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by(|&a, &b| bl[b].total_cmp(&bl[a]).then(a.cmp(&b)));
-                self.priority.resize(n, 0);
-                for (rank, &t) in order.iter().enumerate() {
-                    self.priority[t] = rank as u64;
-                }
-            }
-        }
-        self.output_bytes.clear();
-        self.output_bytes.extend(
-            wf.task_ids()
-                .map(|t| wf.outputs(t).iter().map(|f| wf.bytes(*f)).sum::<u64>()),
-        );
-        self.staged_in_bytes.clear();
-        self.staged_in_bytes.resize(n, 0);
-        self.outputs_remaining.clear();
-        self.outputs_remaining.resize(n, 0);
-    }
-
-    #[inline]
-    pub fn started(&self, t: TaskId) -> bool {
-        self.flags[t.index()] & TASK_STARTED != 0
-    }
-
-    #[inline]
-    pub fn mark_started(&mut self, t: TaskId) {
-        self.flags[t.index()] |= TASK_STARTED;
+    /// Zeroes every column a run of `n` tasks in `mode` uses, keeping
+    /// capacity; the remote-I/O columns stay empty in the other modes.
+    pub fn reset(&mut self, n: usize, mode: DataMode) {
+        let remote = if mode == DataMode::RemoteIo { n } else { 0 };
+        zero(&mut self.parents_done, n);
+        zero(&mut self.missing_inputs, n);
+        zero(&mut self.started, n);
+        zero(&mut self.failures, n);
+        zero(&mut self.ready_time, n);
+        zero(&mut self.staged_in_bytes, remote);
+        zero(&mut self.outputs_remaining, remote);
     }
 }
 
 /// Per-file state as parallel arrays indexed by `FileId::index()`.
 #[derive(Debug, Default)]
 pub(crate) struct FileTable {
-    /// Consumers that have not yet finished (dynamic-cleanup deletion).
-    pub remaining_consumers: Vec<u32>,
-    /// [`FILE_STAGED_OUT`] | [`FILE_IN_STORAGE`].
-    pub flags: Vec<u8>,
+    /// Consumers finished so far (dynamic-cleanup deletion fires when
+    /// this reaches the file's consumer count; empty in the other modes).
+    pub consumers_done: Vec<u32>,
+    /// Whether the file's bytes are currently counted in storage
+    /// occupancy (shared-storage modes; remote I/O charges storage per
+    /// task, so it stays empty there).
+    in_storage: Vec<bool>,
 }
 
 impl FileTable {
-    pub fn reset(&mut self, wf: &Workflow) {
-        let nf = wf.num_files();
-        self.remaining_consumers.clear();
-        self.remaining_consumers
-            .extend(wf.file_ids().map(|f| wf.consumers(f).len() as u32));
-        self.flags.clear();
-        self.flags.resize(nf, 0);
-        for f in wf.staged_out_files() {
-            self.flags[f.index()] |= FILE_STAGED_OUT;
-        }
-    }
-
-    #[inline]
-    pub fn is_staged_out(&self, f: FileId) -> bool {
-        self.flags[f.index()] & FILE_STAGED_OUT != 0
+    /// Zeroes every column a run of `n` files in `mode` uses, keeping
+    /// capacity.
+    pub fn reset(&mut self, n: usize, mode: DataMode) {
+        let cleanup = if mode == DataMode::DynamicCleanup {
+            n
+        } else {
+            0
+        };
+        let shared = if mode == DataMode::RemoteIo { 0 } else { n };
+        zero(&mut self.consumers_done, cleanup);
+        zero(&mut self.in_storage, shared);
     }
 
     #[inline]
     pub fn mark_in_storage(&mut self, f: FileId) {
-        self.flags[f.index()] |= FILE_IN_STORAGE;
+        self.in_storage[f.index()] = true;
     }
 
     /// Clears the in-storage flag; returns whether it was set (i.e. whether
     /// the caller owes a storage free).
     #[inline]
     pub fn take_in_storage(&mut self, f: FileId) -> bool {
-        let was = self.flags[f.index()] & FILE_IN_STORAGE != 0;
-        self.flags[f.index()] &= !FILE_IN_STORAGE;
-        was
+        std::mem::take(&mut self.in_storage[f.index()])
     }
+}
+
+/// Sets `column` to `n` default values (zeroes, `false`s, `SimTime::ZERO`)
+/// in place: a memset that keeps the column's capacity.
+fn zero<T: Copy + Default>(column: &mut Vec<T>, n: usize) {
+    column.clear();
+    column.resize(n, T::default());
 }
 
 /// The ready queue as a two-level bitmap over priority ranks.
 ///
-/// Priorities are a unique permutation of `0..n` (see
-/// [`TaskTable::reset`]), so the binary-heap order `(priority, TaskId)` is
-/// decided by priority alone: the minimum set bit *is* the task the heap
-/// would pop. Replacing the heap changes no scheduling decision — it only
-/// replaces log(n) pointer-hopping sift steps per push/pop with one or two
-/// word writes, and the "find minimum" scan reads at most `n/4096 + 2`
-/// consecutive words.
+/// Ranks are a unique permutation of `0..n` (see
+/// [`PreparedWorkflow`](crate::PreparedWorkflow)), so the binary-heap order
+/// `(rank, TaskId)` is decided by rank alone: the minimum set bit *is* the
+/// task the heap would pop. Replacing the heap changes no scheduling
+/// decision — it only replaces log(n) pointer-hopping sift steps per
+/// push/pop with one or two word writes, and the "find minimum" scan reads
+/// at most `n/4096 + 2` consecutive words. The rank -> task map is the
+/// prepared workflow's; the set holds ranks only.
 #[derive(Debug, Default)]
 pub(crate) struct ReadySet {
     /// Bit per priority rank: set = that rank's task is ready.
     bits: Vec<u64>,
     /// Bit per `bits` word: set = that word is nonzero.
     summary: Vec<u64>,
-    /// Rank -> task id (inverse of the priority permutation).
-    task_of: Vec<u32>,
     /// Scan-start hint: every summary word before this index is zero
     /// (inserts lower it, `peek_min` advances it), so the min scan is
     /// O(1) amortized instead of restarting at word 0 per call.
@@ -179,20 +135,11 @@ pub(crate) struct ReadySet {
 }
 
 impl ReadySet {
-    /// Sizes the bitmap for `priority` (a permutation of `0..n`) and
-    /// rebuilds the rank -> task map, keeping capacity.
-    pub fn reset(&mut self, priority: &[u64]) {
-        let n = priority.len();
+    /// Empties the set and sizes it for ranks `0..n`, keeping capacity.
+    pub fn reset(&mut self, n: usize) {
         let words = n.div_ceil(64);
-        self.bits.clear();
-        self.bits.resize(words, 0);
-        self.summary.clear();
-        self.summary.resize(words.div_ceil(64), 0);
-        self.task_of.clear();
-        self.task_of.resize(n, 0);
-        for (t, &p) in priority.iter().enumerate() {
-            self.task_of[p as usize] = t as u32;
-        }
+        zero(&mut self.bits, words);
+        zero(&mut self.summary, words.div_ceil(64));
         self.cursor = 0;
         self.len = 0;
     }
@@ -228,9 +175,9 @@ impl ReadySet {
         self.len
     }
 
-    /// The highest-priority (lowest-rank) ready task, without removing it.
+    /// The lowest ready rank, without removing it.
     #[inline]
-    pub fn peek_min(&mut self) -> Option<(u64, TaskId)> {
+    pub fn peek_min(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -239,8 +186,7 @@ impl ReadySet {
             if s != 0 {
                 self.cursor = si;
                 let w = si * 64 + s.trailing_zeros() as usize;
-                let rank = (w * 64) as u64 + self.bits[w].trailing_zeros() as u64;
-                return Some((rank, TaskId(self.task_of[rank as usize])));
+                return Some((w * 64) as u64 + self.bits[w].trailing_zeros() as u64);
             }
         }
         unreachable!("positive len with an empty summary");
@@ -267,8 +213,7 @@ impl InFlightTable {
     pub fn reset(&mut self, capacity: usize) {
         self.task.clear();
         self.task.resize(capacity, IDLE);
-        self.started.clear();
-        self.started.resize(capacity, SimTime::ZERO);
+        zero(&mut self.started, capacity);
         self.finish.clear();
         self.finish.resize(capacity, EventId::NONE);
     }
@@ -327,13 +272,11 @@ macro_rules! impl_table_clone {
 
 impl_table_clone!(TaskTable {
     vecs: [
-        pending_parents,
+        parents_done,
         missing_inputs,
-        flags,
+        started,
         failures,
         ready_time,
-        priority,
-        output_bytes,
         staged_in_bytes,
         outputs_remaining,
     ],
@@ -341,12 +284,12 @@ impl_table_clone!(TaskTable {
 });
 
 impl_table_clone!(FileTable {
-    vecs: [remaining_consumers, flags],
+    vecs: [consumers_done, in_storage],
     scalars: []
 });
 
 impl_table_clone!(ReadySet {
-    vecs: [bits, summary, task_of],
+    vecs: [bits, summary],
     scalars: [cursor, len]
 });
 
@@ -361,41 +304,40 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    /// The bitmap pops exactly what a `BinaryHeap<Reverse<(priority, id)>>`
-    /// would, over a randomized interleave of inserts and pops with a
-    /// shuffled priority permutation.
+    /// The bitmap pops exactly what a `BinaryHeap<Reverse<rank>>` would,
+    /// over a randomized interleave of inserts and pops of a shuffled rank
+    /// permutation.
     #[test]
     fn ready_set_matches_binary_heap() {
         let n = 500usize;
         // A fixed "random" permutation (multiplicative shuffle; 7 and 500
         // are coprime so this is a bijection).
-        let priority: Vec<u64> = (0..n as u64).map(|t| (t * 7 + 3) % n as u64).collect();
+        let rank: Vec<u64> = (0..n as u64).map(|t| (t * 7 + 3) % n as u64).collect();
         let mut set = ReadySet::default();
-        set.reset(&priority);
-        let mut heap: BinaryHeap<Reverse<(u64, TaskId)>> = BinaryHeap::new();
+        set.reset(n);
+        let mut heap: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
         let mut state = 0x9E37_79B9_u64;
         let mut next_task = 0usize;
         for _ in 0..4 * n {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let push = state >> 33 & 1 == 0;
             if push && next_task < n {
-                let t = TaskId(next_task as u32);
-                heap.push(Reverse((priority[next_task], t)));
-                set.insert(priority[next_task]);
+                heap.push(Reverse(rank[next_task]));
+                set.insert(rank[next_task]);
                 next_task += 1;
             } else {
                 let want = heap.pop().map(|Reverse(x)| x);
                 let got = set.peek_min();
                 assert_eq!(got, want);
-                if let Some((rank, _)) = got {
-                    set.remove(rank);
+                if let Some(r) = got {
+                    set.remove(r);
                 }
             }
         }
         while let Some(Reverse(want)) = heap.pop() {
             let got = set.peek_min().unwrap();
             assert_eq!(got, want);
-            set.remove(got.0);
+            set.remove(got);
         }
         assert_eq!(set.peek_min(), None);
     }
@@ -403,14 +345,14 @@ mod tests {
     #[test]
     fn ready_set_reset_keeps_no_state() {
         let mut set = ReadySet::default();
-        set.reset(&[0, 1, 2, 3]);
+        set.reset(4);
         set.insert(2);
         set.insert(0);
-        set.reset(&[1, 0]);
+        set.reset(2);
         assert_eq!(set.peek_min(), None);
-        set.insert(0);
-        // Under the new permutation rank 0 belongs to task 1.
-        assert_eq!(set.peek_min(), Some((0, TaskId(1))));
+        assert_eq!(set.len(), 0);
+        set.insert(1);
+        assert_eq!(set.peek_min(), Some(1));
     }
 
     #[test]
@@ -428,15 +370,15 @@ mod tests {
 
     #[test]
     fn file_flags_take_semantics() {
-        let mut files = FileTable {
-            remaining_consumers: vec![0; 2],
-            flags: vec![0; 2],
-        };
+        let mut files = FileTable::default();
+        files.reset(2, DataMode::Regular);
         let f = FileId(1);
         assert!(!files.take_in_storage(f));
         files.mark_in_storage(f);
         assert!(files.take_in_storage(f));
         assert!(!files.take_in_storage(f));
-        assert!(!files.is_staged_out(f));
+        files.mark_in_storage(f);
+        files.reset(2, DataMode::Regular);
+        assert!(!files.take_in_storage(f), "reset left a file in storage");
     }
 }

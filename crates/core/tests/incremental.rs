@@ -8,7 +8,7 @@
 //! The seeded differential test over drawn configurations lives with the
 //! sweep drivers (`mcloud-sweep`).
 
-use mcloud_core::{simulate, DataMode, ExecConfig, IncrementalChain};
+use mcloud_core::{simulate, DataMode, ExecConfig, IncrementalChain, PreparedWorkflow};
 use mcloud_montage::{generate, MosaicConfig};
 
 /// Runs `cfgs` through a chain and asserts byte-identity with sequential
@@ -18,10 +18,11 @@ fn assert_chain_matches_scratch(
     cfgs: &[ExecConfig],
     label: &str,
 ) -> IncrementalChain {
+    let prep = PreparedWorkflow::new(wf);
     let mut chain = IncrementalChain::new();
     for (i, cfg) in cfgs.iter().enumerate() {
         let next = cfgs.get(i + 1);
-        let incremental = chain.run_point(wf, cfg, next);
+        let incremental = chain.run_point(&prep, cfg, next);
         let scratch = simulate(wf, cfg);
         assert_eq!(incremental, scratch, "{label}: point {i} drifted");
     }

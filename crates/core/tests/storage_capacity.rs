@@ -2,7 +2,7 @@
 //! cleanup (the paper's "Scheduling Data-Intensive Workflows onto
 //! Storage-Constrained Distributed Resources" lineage).
 
-use mcloud_core::{simulate, DataMode, ExecConfig};
+use mcloud_core::{simulate, DataMode, ExecConfig, FaultModel};
 use mcloud_dag::{Workflow, WorkflowBuilder};
 use mcloud_montage::montage_1_degree;
 
@@ -113,4 +113,24 @@ fn capacity_is_ignored_for_remote_io() {
     );
     // Every task output bounces through the user site: 2 chains x 2 files.
     assert_eq!(r.bytes_out, 40 * MB);
+}
+
+/// A cap that blocks every remaining task ends the run with the capacity
+/// error even while preemptions are armed: with nothing else pending, the
+/// preemption chain dies out instead of striking idle processors forever.
+#[test]
+#[should_panic(expected = "is insufficient")]
+fn a_deadlocked_cap_ends_the_run_under_preemptions() {
+    let wf = two_chains();
+    let faults = FaultModel {
+        task_failure_prob: 0.0,
+        transfer_failure_prob: 0.0,
+        proc_mttf_s: 5_000.0,
+        seed: 7,
+    };
+    // Each first task's output fits; the chains' second outputs never do.
+    let cfg = ExecConfig::fixed(2)
+        .with_storage_capacity(45 * MB)
+        .with_fault_model(faults);
+    simulate(&wf, &cfg);
 }

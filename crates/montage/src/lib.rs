@@ -37,7 +37,7 @@ mod trace;
 pub use generator::{
     generate, montage_16_degree, montage_1_degree, montage_2_degree, montage_4_degree,
     montage_8_degree, paper_figure3, shape_memo_stats, Band, MosaicConfig, ShapeMemoStats,
-    MONTAGE_PIPELINE,
+    MONTAGE_PIPELINE, SHAPE_MEMO_BYTES,
 };
 pub use grid::{overlap_count, overlap_pairs, Plate};
 pub use trace::{apply_runtime_overrides, apply_size_overrides};

@@ -9,7 +9,9 @@
 
 use std::collections::HashMap;
 
-use mcloud_core::{simulate_with_scratch, ExecConfig, Provisioning, Report, SimScratch};
+use mcloud_core::{
+    simulate_prepared, ExecConfig, PreparedWorkflow, Provisioning, Report, SimScratch,
+};
 use mcloud_cost::Money;
 use mcloud_montage::{generate, MosaicConfig};
 
@@ -60,18 +62,27 @@ impl ProfileTable {
     /// fixed provisioning, with the bill computed by the engine. Cached.
     pub fn fixed(&mut self, degrees: f64, processors: u32) -> RequestProfile {
         let key = (degrees.to_bits(), processors);
-        if let Some(p) = self.cache.get(&key) {
-            return *p;
+        if !self.cache.contains_key(&key) {
+            self.simulate_fixed(degrees, &[processors]);
         }
+        self.cache[&key]
+    }
+
+    /// Simulates the `degrees` request on each of `processors` (one
+    /// generated and prepared workflow for all of them) and caches every
+    /// profile.
+    fn simulate_fixed(&mut self, degrees: f64, processors: &[u32]) {
         let wf = generate(&MosaicConfig::new(degrees));
-        let cfg = ExecConfig {
-            provisioning: Provisioning::Fixed { processors },
-            ..self.exec.clone()
-        };
-        let report = simulate_with_scratch(&wf, &cfg, &mut self.scratch);
-        let profile = Self::profile_of(&report);
-        self.cache.insert(key, profile);
-        profile
+        let prep = PreparedWorkflow::new(&wf);
+        for &p in processors {
+            let cfg = ExecConfig {
+                provisioning: Provisioning::Fixed { processors: p },
+                ..self.exec.clone()
+            };
+            let report = simulate_prepared(&prep, &cfg, &mut self.scratch);
+            self.cache
+                .insert((degrees.to_bits(), p), Self::profile_of(&report));
+        }
     }
 
     fn profile_of(report: &Report) -> RequestProfile {
@@ -86,8 +97,14 @@ impl ProfileTable {
     /// later lookups (and clones of this table) simply hit it.
     pub fn warm_fixed(&mut self, degrees: &[f64], processors: &[u32]) {
         for &d in degrees {
+            let mut missing = Vec::new();
             for &p in processors {
-                self.fixed(d, p);
+                if !self.cache.contains_key(&(d.to_bits(), p)) && !missing.contains(&p) {
+                    missing.push(p);
+                }
+            }
+            if !missing.is_empty() {
+                self.simulate_fixed(d, &missing);
             }
         }
     }

@@ -89,6 +89,10 @@ impl Key {
         SimTime::from_micros((self.0 >> 64) as u64)
     }
 
+    fn seq(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
     /// The sequence number and slot, packed as in an [`EventId`].
     fn tag(self) -> u64 {
         self.0 as u64
@@ -255,8 +259,14 @@ impl<E> EventQueue<E> {
     /// Admits an event at `time` and stores `payload` in a slab slot.
     fn store(&mut self, time: SimTime, payload: E) -> Key {
         let seq = self.admit(time);
+        Key::new(time, seq, self.fill_slot(seq, payload))
+    }
+
+    /// Puts `payload`, the event numbered `seq`, in a free slab slot and
+    /// returns the slot.
+    fn fill_slot(&mut self, seq: u32, payload: E) -> u32 {
         let slot = self.free_head;
-        let slot = if slot == NIL {
+        if slot == NIL {
             let s = u32::try_from(self.slots.len())
                 .ok()
                 .filter(|&s| s != NIL)
@@ -271,8 +281,7 @@ impl<E> EventQueue<E> {
             }
             self.slot_seq[slot as usize] = seq;
             slot
-        };
-        Key::new(time, seq, slot)
+        }
     }
 
     /// Returns `slot` to the free list and hands back what it held.
@@ -321,8 +330,70 @@ impl<E> EventQueue<E> {
         self.push_lane(lane, time, None);
     }
 
+    /// Schedules a run of events on FIFO lane `lane`, one per time `times`
+    /// yields (they must not decrease): a marker at every time but the
+    /// last, and `payload` at the last. Exactly the marker
+    /// ([`push_fifo_marker`](Self::push_fifo_marker)) pushes followed by
+    /// one [`push_fifo`](Self::push_fifo) — the same sequence numbers, pop
+    /// order, [`len`](Self::len), [`popped`](Self::popped) and peak — for
+    /// one lane lookup, one no-past and lane-tail check, one reservation of
+    /// the sequence range and one peak update. The times are read as they
+    /// are pushed, so a caller can compute them on the fly.
+    ///
+    /// # Panics
+    /// Panics if `times` yields nothing or decreases anywhere, and as
+    /// [`push_fifo`](Self::push_fifo) if its first time is earlier than
+    /// the last popped time or than the lane's tail.
+    pub fn push_fifo_batch(
+        &mut self,
+        lane: usize,
+        times: impl IntoIterator<Item = SimTime>,
+        payload: E,
+    ) {
+        let mut times = times.into_iter();
+        let first = times.next().expect("a FIFO batch needs at least one event");
+        self.check_lane_tail(lane, first);
+        // `admit` checks the no-past rule and numbers the first event;
+        // every later one follows it in time and in sequence.
+        let first_seq = self.admit(first);
+        let queue = &mut self.lanes[lane];
+        let mut last = Key::new(first, first_seq, NIL);
+        for time in times {
+            assert!(
+                time >= last.time(),
+                "FIFO lane {lane} batch pushed out of order: {} < {}",
+                time,
+                last.time()
+            );
+            queue.push_back(last);
+            let seq = last.seq().checked_add(1).expect("event sequence overflow");
+            last = Key::new(time, seq, NIL);
+        }
+        let last_seq = last.seq();
+        // One step for the rest of the range: `live` only grows over the
+        // run, so one peak update sees the high-water mark one per event
+        // would.
+        let rest = last_seq - first_seq;
+        self.next_seq += u64::from(rest);
+        self.live += rest as usize;
+        self.peak_pending = self.peak_pending.max(self.live);
+        let slot = self.fill_slot(last_seq, payload);
+        self.lanes[lane].push_back(Key::new(last.time(), last_seq, slot));
+    }
+
     /// Appends an event (or, for `None`, a marker) to lane `lane`.
     fn push_lane(&mut self, lane: usize, time: SimTime, payload: Option<E>) {
+        self.check_lane_tail(lane, time);
+        let key = match payload {
+            Some(payload) => self.store(time, payload),
+            None => Key::new(time, self.admit(time), NIL),
+        };
+        self.lanes[lane].push_back(key);
+    }
+
+    /// Creates lane `lane` if needed and checks that an event at `time`
+    /// may follow its tail.
+    fn check_lane_tail(&mut self, lane: usize, time: SimTime) {
         if let Some(tail) = self.lane_mut(lane).back() {
             assert!(
                 time >= tail.time(),
@@ -331,11 +402,6 @@ impl<E> EventQueue<E> {
                 tail.time()
             );
         }
-        let key = match payload {
-            Some(payload) => self.store(time, payload),
-            None => Key::new(time, self.admit(time), NIL),
-        };
-        self.lanes[lane].push_back(key);
     }
 
     /// Makes room for `additional` more events on lane `lane` (creating
@@ -485,6 +551,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -745,6 +812,75 @@ mod tests {
         assert_eq!(q.popped(), 4);
         assert_eq!(q.now(), t(4.0));
         assert_eq!(q.peek_time(), None);
+    }
+
+    /// A batch push is the single pushes it stands for: two queues fed
+    /// the same seeded stream of heap pushes, pops and lane runs, one
+    /// pushing each run with `push_fifo_batch` and the other as markers
+    /// plus one `push_fifo`, agree on every pop (same-instant ties with
+    /// heap events included), on `len` after every step and on the final
+    /// `popped` and `peak_pending`.
+    #[test]
+    fn a_batch_push_matches_the_equivalent_single_pushes() {
+        let mut rng = crate::SimRng::new(0x0BA7_C4ED);
+        for case in 0..32 {
+            let mut batched = EventQueue::new();
+            let mut single = EventQueue::new();
+            let mut lane_tail = [SimTime::ZERO; 2];
+            let mut next = 0u64;
+            for _ in 0..200 {
+                let now = batched.now();
+                match rng.below(3) {
+                    0 => {
+                        // Coarse times, so ties with lane events are common.
+                        let time = now + SimDuration::from_micros(rng.below(4) * 10);
+                        batched.push(time, next);
+                        single.push(time, next);
+                        next += 1;
+                    }
+                    1 => {
+                        let lane = rng.below(2) as usize;
+                        let mut time = lane_tail[lane].max(now);
+                        let times: Vec<SimTime> = (0..1 + rng.below(6))
+                            .map(|_| {
+                                time += SimDuration::from_micros(rng.below(3) * 10);
+                                time
+                            })
+                            .collect();
+                        lane_tail[lane] = time;
+                        batched.push_fifo_batch(lane, times.iter().copied(), next);
+                        let (last, markers) = times.split_last().unwrap();
+                        for &t in markers {
+                            single.push_fifo_marker(lane, t);
+                        }
+                        single.push_fifo(lane, *last, next);
+                        next += 1;
+                    }
+                    _ => assert_eq!(batched.pop(), single.pop(), "case {case}"),
+                }
+                assert_eq!(batched.len(), single.len(), "case {case}");
+            }
+            let drained: Vec<_> = std::iter::from_fn(|| batched.pop()).collect();
+            let want: Vec<_> = std::iter::from_fn(|| single.pop()).collect();
+            assert_eq!(drained, want, "case {case}");
+            assert_eq!(batched.stats(), single.stats(), "case {case}");
+            assert_eq!(batched.now(), single.now(), "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "FIFO lane 0 batch pushed out of order")]
+    fn a_batch_must_not_decrease() {
+        let mut q = EventQueue::new();
+        q.push_fifo_batch(0, [t(1.0), t(3.0), t(2.0)], ());
+    }
+
+    #[test]
+    #[should_panic(expected = "FIFO lane 0 pushed out of order")]
+    fn a_batch_obeys_the_lane_tail() {
+        let mut q = EventQueue::new();
+        q.push_fifo(0, t(3.0), ());
+        q.push_fifo_batch(0, [t(2.0), t(4.0)], ());
     }
 
     #[test]

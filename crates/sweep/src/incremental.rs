@@ -14,7 +14,7 @@
 //! one chain per lane — so parallel speedup composes with within-chunk
 //! reuse without perturbing a single output byte.
 
-use mcloud_core::{ExecConfig, IncrementalChain, IncrementalStats, Report};
+use mcloud_core::{ExecConfig, IncrementalChain, IncrementalStats, PreparedWorkflow, Report};
 use mcloud_dag::Workflow;
 use mcloud_simkit::{configured_lanes, pool_map};
 
@@ -22,7 +22,8 @@ use crate::sweeps::{bandwidth_configs, processor_sweep, BandwidthPoint, Processo
 
 /// Runs `cfgs` through per-lane [`IncrementalChain`]s: the axis is split
 /// into `lanes` contiguous, balanced chunks, each walked in order by its
-/// own chain, fanned out on the persistent worker pool. Reports come
+/// own chain, fanned out on the persistent worker pool. The chains share
+/// one prepared workflow. Reports come
 /// back in input order and are byte-identical to sequential from-scratch
 /// simulation regardless of `lanes` (each chunk's first point simply
 /// falls back to `t = 0`).
@@ -33,12 +34,13 @@ pub(crate) fn run_chunked(
 ) -> (Vec<Report>, IncrementalStats) {
     let total = cfgs.len();
     let lanes = lanes.clamp(1, total.max(1));
+    let prep = PreparedWorkflow::new(wf);
     let run_chunk = |chunk: &[ExecConfig]| {
         let mut chain = IncrementalChain::new();
         let reports: Vec<Report> = chunk
             .iter()
             .enumerate()
-            .map(|(i, cfg)| chain.run_point(wf, cfg, chunk.get(i + 1)))
+            .map(|(i, cfg)| chain.run_point(&prep, cfg, chunk.get(i + 1)))
             .collect();
         (reports, chain.stats())
     };
