@@ -9,16 +9,18 @@
 //! ```
 //!
 //! Each experiment prints its series as an aligned table and writes
-//! `results/<id>.csv` at the workspace root. The `bench-json` subcommand
+//! `results/<id>.csv` at the workspace root; `all` also renders the
+//! paper's claims against those tables to `results/claims.md` (see
+//! `mcloud_bench::claims`). The `bench-json` subcommand
 //! instead measures the engine-throughput baseline (see
 //! `mcloud_bench::baseline`): `--out <path>` overrides where the JSON is
 //! written; `--check <path>` measures and compares against a committed
 //! baseline, exiting nonzero on allocation or throughput regressions.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mcloud_bench::{baseline, experiments as ex, results_dir};
+use mcloud_bench::{baseline, claims, experiments as ex, results_dir};
 use mcloud_sweep::{LinePlot, Table};
 
 struct Experiment {
@@ -354,16 +356,20 @@ fn bench_json(args: &[String]) -> ExitCode {
     }
 
     let path = out.unwrap_or_else(|| results_dir().join("..").join("BENCH_baseline.json"));
-    match std::fs::write(&path, baseline::to_json(&measured)) {
-        Ok(()) => {
-            println!("   -> wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("failed to write {}: {err}", path.display());
-            ExitCode::FAILURE
-        }
+    if wrote(&path, std::fs::write(&path, baseline::to_json(&measured))) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
+}
+
+/// Reports one written output; false (after printing why) on failure.
+fn wrote(path: &Path, result: std::io::Result<()>) -> bool {
+    match result {
+        Ok(()) => println!("   -> wrote {}", path.display()),
+        Err(ref err) => eprintln!("failed to write {}: {err}", path.display()),
+    }
+    result.is_ok()
 }
 
 fn main() -> ExitCode {
@@ -377,7 +383,8 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let selected: Vec<&Experiment> = if args.is_empty() || args.iter().any(|a| a == "all") {
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    let selected: Vec<&Experiment> = if all {
         EXPERIMENTS.iter().collect()
     } else {
         let mut picked = Vec::new();
@@ -399,36 +406,32 @@ fn main() -> ExitCode {
         let table = (e.run)();
         print!("{}", table.to_ascii());
         let path = out_dir.join(format!("{}.csv", e.id));
-        match table.write_csv(&path) {
-            Ok(()) => println!("   -> wrote {}", path.display()),
-            Err(err) => {
-                eprintln!("failed to write {}: {err}", path.display());
+        if !wrote(&path, table.write_csv(&path)) {
+            return ExitCode::FAILURE;
+        }
+        if TEXT_IDS.contains(&e.id) {
+            let path = out_dir.join(format!("{}.txt", e.id));
+            if !wrote(&path, std::fs::write(&path, table.to_ascii())) {
                 return ExitCode::FAILURE;
             }
         }
-        if TEXT_IDS.contains(&e.id) {
-            let txt_path = out_dir.join(format!("{}.txt", e.id));
-            match std::fs::write(&txt_path, table.to_ascii()) {
-                Ok(()) => println!("   -> wrote {}", txt_path.display()),
-                Err(err) => {
-                    eprintln!("failed to write {}: {err}", txt_path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Some(plots) = e.plots {
-            for (suffix, plot) in plots(&table) {
-                let svg_path = out_dir.join(format!("{}{suffix}.svg", e.id));
-                match plot.write_svg(&svg_path) {
-                    Ok(()) => println!("   -> wrote {}", svg_path.display()),
-                    Err(err) => {
-                        eprintln!("failed to write {}: {err}", svg_path.display());
-                        return ExitCode::FAILURE;
-                    }
-                }
+        for (suffix, plot) in e.plots.map_or(Vec::new(), |plots| plots(&table)) {
+            let path = out_dir.join(format!("{}{suffix}.svg", e.id));
+            if !wrote(&path, plot.write_svg(&path)) {
+                return ExitCode::FAILURE;
             }
         }
         println!();
+    }
+    if all {
+        // The claims recompute their source tables, so the file equals
+        // what `crates/bench/tests/claims.rs` renders.
+        println!("== claims - the paper's claims against the tables above");
+        let path = out_dir.join("claims.md");
+        let render = claims::render(&claims::Measured::compute());
+        if !wrote(&path, std::fs::write(&path, render)) {
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -845,161 +845,46 @@ pub fn burst_policy_table() -> Table {
 mod tests {
     use super::*;
 
+    // The paper's claims about these tables live in `crate::claims`; the
+    // tests below check only the tables' own shape.
+
+    /// A table's rows, each cell parsed as a number.
+    fn numeric_rows(t: &Table) -> Vec<Vec<f64>> {
+        let parse = |r: &Vec<String>| r.iter().map(|c| c.parse().unwrap()).collect();
+        t.rows().iter().map(parse).collect()
+    }
+
     #[test]
     fn fig4_shape_matches_paper() {
         let t = fig_processor_sweep(1.0);
         assert_eq!(t.len(), 8); // P = 1..128
-        let csv = t.to_csv();
-        let rows: Vec<&str> = csv.lines().skip(1).collect();
-        let cell = |row: &str, i: usize| -> f64 { row.split(',').nth(i).unwrap().parse().unwrap() };
-        // Total cost increases with processors; runtime decreases.
-        let first = rows.first().unwrap();
-        let last = rows.last().unwrap();
-        assert!(cell(last, 5) > cell(first, 5), "total cost must rise");
-        assert!(cell(last, 6) < cell(first, 6), "runtime must fall");
-        // Paper headline: ~$0.60 and ~5.5 h on 1 proc; ~ $4 and ~0.3 h on 128.
-        assert!(
-            (cell(first, 5) - 0.60).abs() < 0.10,
-            "1-proc cost {}",
-            cell(first, 5)
-        );
-        assert!(
-            (cell(first, 6) - 5.5).abs() < 0.5,
-            "1-proc hours {}",
-            cell(first, 6)
-        );
-        assert!(
-            (cell(last, 5) - 4.0).abs() < 0.8,
-            "128-proc cost {}",
-            cell(last, 5)
-        );
+
         // Cleanup storage never exceeds regular storage.
-        for row in &rows {
-            assert!(cell(row, 3) <= cell(row, 2) + 1e-9);
+        for row in numeric_rows(&t) {
+            assert!(row[3] <= row[2] + 1e-9);
         }
     }
 
     #[test]
     fn fig7_mode_ordering() {
         let t = fig_mode_metrics(1.0);
-        let csv = t.to_csv();
-        let rows: Vec<Vec<String>> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(str::to_string).collect())
-            .collect();
-        assert_eq!(rows.len(), 3);
-        let get = |mode: &str, col: usize| -> f64 {
-            rows.iter().find(|r| r[0] == mode).unwrap()[col]
-                .parse()
-                .unwrap()
-        };
-        // Storage space-time: remote-io < cleanup < regular (Fig 7 top).
-        assert!(get("remote-io", 1) < get("cleanup", 1));
-        assert!(get("cleanup", 1) < get("regular", 1));
-        // Transfers: remote-io moves the most, regular == cleanup (middle).
-        assert!(get("remote-io", 2) > get("regular", 2));
-        assert!((get("regular", 2) - get("cleanup", 2)).abs() < 1e-9);
-        assert!(get("remote-io", 3) > get("regular", 3));
-        // DM cost: remote-io highest, cleanup lowest (Fig 7 bottom).
-        assert!(get("remote-io", 7) > get("regular", 7));
-        assert!(get("cleanup", 7) <= get("regular", 7));
+        let modes: Vec<&str> = t.rows().iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(modes, ["remote-io", "regular", "cleanup"]);
     }
 
     #[test]
     fn fig10_cpu_exceeds_dm_only_for_shared_storage_modes() {
-        let t = fig10_cpu_vs_dm();
-        assert_eq!(t.len(), 9);
-        let csv = t.to_csv();
-        for line in csv.lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            let cpu: f64 = cells[2].parse().unwrap();
-            let dm: f64 = cells[3].parse().unwrap();
-            match cells[1] {
-                // "CPU cost is slightly higher than the data management
-                // costs for the remote I/O execution mode" - same order of
-                // magnitude; for regular/cleanup CPU dominates clearly.
-                "remote-io" => assert!(dm > 0.3 * cpu && dm < 3.0 * cpu, "{line}"),
-                _ => assert!(cpu > 5.0 * dm, "{line}"),
-            }
-        }
-    }
-
-    #[test]
-    fn ccr_table_is_in_band() {
-        let t = ccr_table();
-        for line in t.to_csv().lines().skip(1) {
-            let ccr: f64 = line.split(',').nth(1).unwrap().parse().unwrap();
-            assert!((0.04..=0.06).contains(&ccr), "{line}");
-        }
+        // The comparison itself is the Fig. 10 rows of `crate::claims`.
+        assert_eq!(fig10_cpu_vs_dm().len(), 9);
     }
 
     #[test]
     fn fig11_costs_rise_with_ccr() {
-        let t = fig11_ccr_sweep();
-        let csv = t.to_csv();
-        let rows: Vec<Vec<f64>> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').map(|c| c.parse().unwrap()).collect())
-            .collect();
-        for w in rows.windows(2) {
-            let (a, b) = (&w[0], &w[1]);
-            assert!(b[3] > a[3], "storage cost must rise with CCR");
-            assert!(b[5] > a[5], "transfer cost must rise with CCR");
-            assert!(b[6] > a[6], "total cost must rise with CCR");
-            assert!(b[7] >= a[7] - 1e-9, "runtime must not fall with CCR");
-            assert!(b[4] <= b[3] + 1e-12, "cleanup storage <= regular storage");
-        }
-    }
-
-    #[test]
-    fn q2b_break_even_is_tens_of_thousands() {
-        let t = q2b_hosting();
-        let csv = t.to_csv();
-        let value = |key: &str| -> f64 {
-            csv.lines()
-                .find(|l| l.starts_with(key) || l.contains(key))
-                .unwrap()
-                .rsplit(',')
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        assert_eq!(value("2MASS monthly storage"), 1800.0);
-        assert_eq!(value("one-time ingest"), 1200.0);
-        // Paper got 18,000 with a $0.10 saving; our simulated saving is
-        // smaller (~$0.034), so the break-even is larger - same order.
-        let be = value("break-even requests/month");
-        assert!((10_000.0..200_000.0).contains(&be), "break-even {be}");
-    }
-
-    #[test]
-    fn q3_matches_paper_magnitudes() {
-        let t = q3_whole_sky();
-        let csv = t.to_csv();
-        let value = |key: &str| -> f64 {
-            csv.lines()
-                .find(|l| l.contains(key))
-                .unwrap()
-                .rsplit(',')
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        // Paper: $34,632 staged / ~$34,125 hosted.
-        let staged = value("whole sky, 3900 plates, staged");
-        let hosted = value("whole sky, 3900 plates, hosted");
-        assert!((30_000.0..40_000.0).contains(&staged), "staged {staged}");
-        assert!(hosted < staged);
-        // Paper: 21.52 / 24.25 / 25.12 months.
-        for (deg, months) in [(1.0, 21.52), (2.0, 24.25), (4.0, 25.12)] {
-            let got = value(&format!("{deg}deg mosaic archival"));
+        // The rises themselves are the Fig. 11 rows of `crate::claims`.
+        for row in numeric_rows(&fig11_ccr_sweep()) {
             assert!(
-                (got - months).abs() / months < 0.15,
-                "{deg}deg: {got} vs {months}"
+                row[4] <= row[3] + 1e-12,
+                "cleanup storage <= regular storage"
             );
         }
     }

@@ -2,8 +2,9 @@
 //!
 //! The experiment layer: one function per table/figure of the paper's
 //! evaluation (Section 6), run by the `repro` binary (which prints the
-//! paper-style series and writes CSV), plus the allocation-counting
-//! baseline behind `repro bench-json`.
+//! paper-style series and writes CSV), the paper's claims checked against
+//! those tables (`claims`), plus the allocation-counting baseline behind
+//! `repro bench-json`.
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the one allocator module needs an
@@ -12,6 +13,7 @@
 
 pub mod alloc;
 pub mod baseline;
+pub mod claims;
 pub mod experiments;
 
 use std::path::PathBuf;

@@ -793,10 +793,16 @@ impl<'a, S: EventSink> Engine<'a, S> {
                 !self.scr.storage_blocked.is_empty(),
                 "simulation deadlocked without storage pressure (engine bug)"
             );
+            // A Regular run can shed footprint by switching to cleanup; a
+            // cleanup run (the only other mode the cap binds) cannot.
+            let advice = match self.cfg.mode {
+                DataMode::Regular => "raise the capacity or use DynamicCleanup",
+                _ => "raise the capacity; DynamicCleanup already frees each file after its last consumer",
+            };
             panic!(
                 "storage capacity {} bytes is insufficient: {} of {} tasks \
                  completed, {} permanently blocked (peak occupancy so far {:.0} \
-                 bytes); raise the capacity or use DynamicCleanup",
+                 bytes); {advice}",
                 self.cfg.storage_capacity_bytes.unwrap_or(0),
                 self.tasks_done,
                 self.wf.num_tasks(),

@@ -64,6 +64,18 @@ fn regular_mode_deadlocks_where_cleanup_survives() {
 }
 
 #[test]
+#[should_panic(expected = "raise the capacity; DynamicCleanup already frees")]
+fn a_deadlocked_cleanup_run_is_not_told_to_use_cleanup() {
+    // One chain's input plus its first output (20 MB) exceeds the cap, so
+    // no task can start even though cleanup frees files as it goes.
+    let wf = two_chains();
+    simulate(
+        &wf,
+        &ExecConfig::on_demand(DataMode::DynamicCleanup).with_storage_capacity(15 * MB),
+    );
+}
+
+#[test]
 fn cleanup_completes_at_the_same_cap_where_regular_deadlocks() {
     // ...while cleanup completes comfortably at the same cap — the whole
     // argument for the mode, made executable.

@@ -79,6 +79,11 @@ impl Table {
         &self.headers
     }
 
+    /// The data rows, each as wide as the header row.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
     /// A column parsed as `f64`, looked up by header name. Returns `None`
     /// if the header is unknown or any cell fails to parse.
     pub fn numeric_column(&self, header: &str) -> Option<Vec<f64>> {
