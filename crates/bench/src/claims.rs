@@ -5,7 +5,8 @@
 //! (or the ordering the paper states), the cells of the experiment tables
 //! it is measured by, and the sentence it checks. `repro all` renders the
 //! table to `results/claims.md`; `crates/bench/tests/claims.rs` checks
-//! every row and that the committed file is the current render.
+//! every row and that the committed file is the current render, and
+//! `crates/bench/tests/paper_headlines.rs` checks each headline's rows.
 //!
 //! Bands are open: a value on a band's edge is outside it. Orderings hold
 //! exactly. A row with a [`Claim::note`] is a known divergence: it must
@@ -291,6 +292,25 @@ fn holds(paper: &str, (pass, measured): Found) -> Verdict {
         tolerance,
         pass,
     }
+}
+
+/// Checks the rows of [`CLAIMS`] that `select` picks: each must pass, or
+/// fail when it carries a note. Panics naming the first row that does not,
+/// or when `select` picks no row.
+pub fn assert_rows(m: &Measured, select: impl Fn(&Claim) -> bool) {
+    let mut checked = 0;
+    for c in CLAIMS.iter().filter(|c| select(c)) {
+        let v = (c.check)(m);
+        let (source, quantity) = (c.source, c.quantity);
+        let (got, paper, band) = (&v.measured, &v.paper, &v.tolerance);
+        let want = if c.note.is_some() { "✗" } else { "✓" };
+        assert!(
+            v.pass == c.note.is_none(),
+            "{source}, {quantity}: measured {got} against {paper} ({band}); expected {want}"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no claim row selected");
 }
 
 /// `results/claims.md`: every claim, paper against measured.

@@ -844,6 +844,7 @@ pub fn burst_policy_table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
 
     // The paper's claims about these tables live in `crate::claims`; the
     // tests below check only the tables' own shape.
@@ -887,6 +888,22 @@ mod tests {
                 "cleanup storage <= regular storage"
             );
         }
+    }
+
+    #[test]
+    fn ccr_table_is_in_band() {
+        // The CCR rows' bands lie inside [0.04, 0.06].
+        claims::assert_rows(&claims::Measured::compute(), |c| c.source == "CCR");
+    }
+
+    #[test]
+    fn q2b_break_even_is_tens_of_thousands() {
+        claims::assert_rows(&claims::Measured::compute(), |c| c.source == "Q2b");
+    }
+
+    #[test]
+    fn q3_matches_paper_magnitudes() {
+        claims::assert_rows(&claims::Measured::compute(), |c| c.source == "Q3");
     }
 
     #[test]
