@@ -549,23 +549,46 @@ const CACHE_GRID_PROCS: u32 = 16;
 
 /// Measures the cache row against *local* [`mcloud_cache::ResultCache`]s
 /// (never the process-wide one, so the counters are exact and isolated):
-/// a cold and a warm batch pass over a dense 1° processor grid, a
-/// four-thread single-flight race on one cold key, a capacity-planner
-/// double-run, then timed whole-grid warm passes (best-of) for the
-/// throughput column.
+/// a cold and a warm batch pass over a dense 1° processor grid of
+/// scenarios, keyed by [`Scenario::digest`](mcloud_core::Scenario::digest)
+/// as `mcloud serve` keys them, a four-thread single-flight race on one
+/// cold key, a capacity-planner double-run, then timed whole-grid warm
+/// passes (best-of) for the throughput column.
 pub fn measure_cache(budget_ms: u64) -> Vec<Row> {
     use mcloud_cache::{simulate_batch_cached, simulate_cached, ResultCache, DEFAULT_BUDGET_BYTES};
+    use mcloud_core::{Scenario, ScenarioRecipe};
     use mcloud_service::{plan_capacity_with_cache, PlanSpec};
 
-    let wf = generate(&MosaicConfig::new(1.0));
-    let cfgs = processor_axis(CACHE_GRID_PROCS);
+    // Every scenario of the grid shares the 1° default recipe, so the
+    // cold pass asks for one workflow: this one.
+    let recipe = ScenarioRecipe::new(1.0);
+    let wf = generate(&MosaicConfig::new(recipe.degrees));
+    let workflow_of = |r: &ScenarioRecipe| {
+        assert_eq!(*r, recipe, "the grid has one recipe");
+        wf.clone()
+    };
+    let scenarios: Vec<Scenario> = processor_axis(CACHE_GRID_PROCS)
+        .into_iter()
+        .map(|exec| Scenario {
+            recipe: recipe.clone(),
+            exec,
+        })
+        .collect();
+    let batch = |cache: &ResultCache, scratch: &mut BatchScratch| {
+        std::hint::black_box(simulate_batch_cached(
+            &scenarios,
+            workflow_of,
+            scratch,
+            cache,
+        ));
+    };
 
     // Cold then warm batch pass: the miss and hit counters are exact.
     let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
     let mut scratch = BatchScratch::new();
-    std::hint::black_box(simulate_batch_cached(&wf, &cfgs, &mut scratch, &cache));
+    batch(&cache, &mut scratch);
     let cold_misses = cache.counters().misses;
-    std::hint::black_box(simulate_batch_cached(&wf, &cfgs, &mut scratch, &cache));
+    batch(&cache, &mut scratch);
     let warm_hits = cache.counters().hits_mem;
 
     // Single-flight: four threads race the same cold key on a fresh
@@ -575,7 +598,7 @@ pub fn measure_cache(budget_ms: u64) -> Vec<Row> {
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(|| {
-                std::hint::black_box(simulate_cached(&wf, &cfgs[0], &race));
+                std::hint::black_box(simulate_cached(&scenarios[0], workflow_of, &race));
             });
         }
     });
@@ -593,16 +616,14 @@ pub fn measure_cache(budget_ms: u64) -> Vec<Row> {
     let before = plan_cache.counters().hits_mem;
     let _ = plan();
 
-    let best_s = best_of(MIN_TIMED_RUNS, budget_ms, || {
-        std::hint::black_box(simulate_batch_cached(&wf, &cfgs, &mut scratch, &cache));
-    });
+    let best_s = best_of(MIN_TIMED_RUNS, budget_ms, || batch(&cache, &mut scratch));
     vec![Row::new("cache/1deg-procs-grid+plan-replay")
         .exact("cold_misses", cold_misses)
         .exact("warm_hits", warm_hits)
         .exact("single_flight_computes", race.counters().computes)
         .exact("plan_candidates", candidates.len() as u64)
         .exact("plan_warm_hits", plan_cache.counters().hits_mem - before)
-        .tolerant("warm_hits_per_sec", cfgs.len() as f64 / best_s, 0)]
+        .tolerant("warm_hits_per_sec", scenarios.len() as f64 / best_s, 0)]
 }
 
 /// Mosaic sizes of the `generate/` rows: the paper's smallest and largest

@@ -16,19 +16,27 @@
 //! - a binary [`Report`](mcloud_core::Report) codec
 //!   ([`encode_report`]/[`decode_report`]) whose round-trip is exact to
 //!   the bit, so a cached report is indistinguishable from a fresh one;
-//! - cache-aware simulation entries ([`simulate_batch_cached`],
-//!   [`simulate_cached`]) that slot in where `simulate_batch`/`simulate`
-//!   were called and skip every already-evaluated point.
+//! - cache-aware simulation entries ([`simulate_cached`],
+//!   [`simulate_batch_cached`]) keyed by
+//!   [`Scenario::digest`](mcloud_core::Scenario::digest): a hit builds no
+//!   workflow and runs no simulation, and a batch simulates only its
+//!   misses, through [`ResultCache::get_or_compute_batch`], the one
+//!   probe/dedupe/insert loop `mcloud serve`'s batches and the capacity
+//!   planner share.
 //!
 //! ```
 //! use mcloud_cache::{simulate_cached, ResultCache, DEFAULT_BUDGET_BYTES};
-//! use mcloud_core::ExecConfig;
-//! use mcloud_montage::montage_1_degree;
+//! use mcloud_core::{ExecConfig, Scenario, ScenarioRecipe};
+//! use mcloud_montage::{generate, MosaicConfig};
 //!
 //! let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
-//! let wf = montage_1_degree();
-//! let cold = simulate_cached(&wf, &ExecConfig::fixed(8), &cache);
-//! let warm = simulate_cached(&wf, &ExecConfig::fixed(8), &cache); // hash lookup
+//! let scenario = Scenario {
+//!     recipe: ScenarioRecipe::new(1.0),
+//!     exec: ExecConfig::fixed(8),
+//! };
+//! let workflow_of = |r: &ScenarioRecipe| generate(&MosaicConfig::new(r.degrees));
+//! let cold = simulate_cached(&scenario, workflow_of, &cache);
+//! let warm = simulate_cached(&scenario, workflow_of, &cache); // hash lookup
 //! assert_eq!(cold, warm);
 //! assert_eq!(cache.counters().hits_mem, 1);
 //! ```

@@ -110,9 +110,10 @@ pub struct CacheCounters {
     pub hits_disk: u64,
     /// Lookups that found neither tier populated.
     pub misses: u64,
-    /// [`ResultCache::get_or_compute`] calls that actually ran their
-    /// closure — the single-flight invariant is `computes` per distinct
-    /// in-flight digest, not per caller.
+    /// Values computed on a miss: each [`ResultCache::get_or_compute`]
+    /// call that ran its closure (one per distinct in-flight digest, not
+    /// per caller) plus each distinct missed key of a
+    /// [`ResultCache::get_or_compute_batch`] call.
     pub computes: u64,
     /// Concurrent callers that joined another caller's in-flight compute
     /// instead of running their own.
@@ -316,6 +317,49 @@ impl ResultCache {
         result
     }
 
+    /// The batch entry point: one value per key, in key order. Every key
+    /// is probed first; an entry `decode(i, bytes)` rejects counts as a
+    /// miss. The distinct missed keys (each first occurrence's index, in
+    /// input order) go to one `compute` call, which returns their values
+    /// in that order; each is inserted once, encoded by `encode`, and a
+    /// repeated key shares its twin's value. Misses are not coalesced
+    /// with concurrent callers: the batch's callers are sequential, and
+    /// a duplicate compute would store the same bytes.
+    pub fn get_or_compute_batch<T: Clone>(
+        &self,
+        keys: &[Digest],
+        decode: impl Fn(usize, &[u8]) -> Option<T>,
+        compute: impl FnOnce(&[usize]) -> Vec<T>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) -> Vec<T> {
+        let mut out: Vec<Option<T>> = Vec::with_capacity(keys.len());
+        let mut slot_of: HashMap<Digest, usize> = HashMap::new();
+        let mut misses: Vec<usize> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let hit = self.get(key).and_then(|bytes| decode(i, &bytes));
+            if hit.is_none() && !slot_of.contains_key(&key) {
+                slot_of.insert(key, misses.len());
+                misses.push(i);
+            }
+            out.push(hit);
+        }
+        if misses.is_empty() {
+            return out.into_iter().map(Option::unwrap).collect();
+        }
+        self.stats
+            .computes
+            .fetch_add(misses.len() as u64, Ordering::Relaxed);
+        let fresh = compute(&misses);
+        assert_eq!(fresh.len(), misses.len(), "one computed value per miss");
+        for (&i, value) in misses.iter().zip(&fresh) {
+            self.insert(keys[i], encode(value));
+        }
+        out.into_iter()
+            .zip(keys)
+            .map(|(hit, key)| hit.unwrap_or_else(|| fresh[slot_of[key]].clone()))
+            .collect()
+    }
+
     fn entry_path(&self, key: Digest) -> Option<PathBuf> {
         self.disk_dir
             .as_ref()
@@ -436,7 +480,7 @@ impl ResultCache {
         );
         r.set_counter(
             "mcloud_cache_computes_total",
-            "Single-flight closures actually run (one per distinct miss).",
+            "Values computed on a miss (one per distinct missed key, batch or single).",
             D,
             &[],
             c.computes,
@@ -605,6 +649,39 @@ mod tests {
         let ok = cache.get_or_compute(key(3), || Ok(vec![1])).unwrap();
         assert_eq!(ok.as_slice(), &[1]);
         assert_eq!(cache.counters().computes, 2);
+    }
+
+    #[test]
+    fn a_batch_computes_each_distinct_miss_once_in_key_order() {
+        let cache = ResultCache::new(1 << 20, None);
+        cache.insert(key(1), vec![10]);
+        cache.insert(key(2), vec![0xff]); // present, but the caller rejects it
+        let keys = [key(3), key(1), key(2), key(3), key(4)];
+        let mut asked = Vec::new();
+        let values = cache.get_or_compute_batch(
+            &keys,
+            |_, bytes| (bytes[0] != 0xff).then_some(bytes[0]),
+            |misses| {
+                asked.extend_from_slice(misses);
+                misses.iter().map(|&i| 30 + i as u8).collect()
+            },
+            |v| vec![*v],
+        );
+        assert_eq!(values, [30, 10, 32, 30, 34]);
+        assert_eq!(asked, [0, 2, 4], "first occurrences, in input order");
+        let c = cache.counters();
+        assert_eq!((c.hits_mem, c.misses, c.computes), (2, 3, 3));
+        assert_eq!(c.inserts, 4, "the rejected entry keeps its slot");
+        assert_eq!(cache.get(key(4)).unwrap().as_slice(), &[34]);
+        // A warm batch computes nothing.
+        let warm = cache.get_or_compute_batch(
+            &keys[..2],
+            |_, bytes| Some(bytes[0]),
+            |_| unreachable!("every key hits"),
+            |v| vec![*v],
+        );
+        assert_eq!(warm, [30, 10]);
+        assert_eq!(cache.counters().computes, 3);
     }
 
     #[test]

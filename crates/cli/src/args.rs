@@ -9,7 +9,6 @@ use std::collections::HashMap;
 #[derive(Debug, Default)]
 pub struct Args {
     values: HashMap<String, Vec<String>>,
-    consumed: std::cell::RefCell<Vec<String>>,
 }
 
 impl Args {
@@ -50,21 +49,16 @@ impl Args {
                 .or_default()
                 .push(value.unwrap_or_default());
         }
-        Ok(Args {
-            values,
-            consumed: Default::default(),
-        })
+        Ok(Args { values })
     }
 
     /// True when the flag appeared (with or without a value).
     pub fn has(&self, name: &str) -> bool {
-        self.consumed.borrow_mut().push(name.to_string());
         self.values.contains_key(name)
     }
 
     /// The flag's last string value, if present and non-empty.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.consumed.borrow_mut().push(name.to_string());
         self.values
             .get(name)
             .and_then(|v| v.last())
@@ -74,7 +68,6 @@ impl Args {
 
     /// All values of a repeatable flag.
     pub fn get_all(&self, name: &str) -> Vec<&str> {
-        self.consumed.borrow_mut().push(name.to_string());
         self.values
             .get(name)
             .map(|v| v.iter().map(String::as_str).collect())

@@ -5,7 +5,7 @@
 use mcloud_core::{
     attribute_profile_costs, profile_json, profile_svg, profile_text, profile_trace, simulate,
     simulate_traced, trace_from_jsonl, trace_to_chrome, trace_to_jsonl, DataMode, ExecConfig,
-    FaultModel, RetryPolicy, SchedulePolicy, VmOverhead,
+    FaultModel, Provisioning, RetryPolicy, Scenario, ScenarioRecipe, SchedulePolicy, VmOverhead,
 };
 use mcloud_cost::{ArchiveOrRecompute, Campaign, DatasetHosting, Pricing};
 use mcloud_dag::{from_dax, to_dax, to_dot, DotStyle, Workflow};
@@ -14,7 +14,7 @@ use mcloud_service::{
     bursty, class_stream, plan_capacity, poisson, simulate_service, simulate_service_stream,
     AdmissionPolicy, FlashCrowd, PlanSpec, RateProfile, RequestClass, ServiceConfig,
 };
-use mcloud_simkit::{NullSink, WorkerPool};
+use mcloud_simkit::{NullSink, TimedEvent, WorkerPool};
 use mcloud_sweep::{
     cheapest_within_deadline, geometric_processors, pareto_frontier, processor_sweep,
     processor_sweep_progress, CostTimePoint, Table,
@@ -88,7 +88,7 @@ fn parse_mode(s: &str) -> Result<DataMode, String> {
     }
 }
 
-pub(crate) fn parse_band(s: &str) -> Result<Band, String> {
+fn parse_band(s: &str) -> Result<Band, String> {
     match s {
         "j" | "J" => Ok(Band::J),
         "h" | "H" => Ok(Band::H),
@@ -97,29 +97,32 @@ pub(crate) fn parse_band(s: &str) -> Result<Band, String> {
     }
 }
 
-/// Shared workflow-building flags: `--degrees`, `--seed`, `--region`,
-/// `--band`.
-fn workflow_from(args: &Args) -> Result<Workflow, String> {
+/// The one flags-to-[`Scenario`] parse: the recipe flags (`--degrees`,
+/// `--seed`, `--region`, `--band`), `--procs` and the execution flags
+/// (mode, bandwidth, prestaged, billing, policy, VM overheads, faults,
+/// retries, outages). Every simulate-family command and serve op reads
+/// its scenario here; a flag absent from the command's table reads as
+/// unset.
+pub(crate) fn scenario_from(args: &Args) -> Result<Scenario, String> {
     let degrees: f64 = args.get_or("degrees", 1.0)?;
     if !(degrees.is_finite() && degrees > 0.0) {
         return Err(format!("--degrees must be positive, got {degrees}"));
     }
-    let mut cfg = MosaicConfig::new(degrees);
+    let mut recipe = ScenarioRecipe::new(degrees);
     if let Some(seed) = args.get_parsed::<u64>("seed")? {
-        cfg = cfg.seed(seed);
+        recipe.seed = seed;
     }
     if let Some(region) = args.get("region") {
-        cfg = cfg.region(region);
+        recipe.region = region.to_string();
     }
     if let Some(band) = args.get("band") {
-        cfg = cfg.band(parse_band(band)?);
+        recipe.band = parse_band(band)?.tag().to_string();
     }
-    Ok(generate(&cfg))
-}
 
-/// Shared execution flags: mode, bandwidth, prestaged, vm, faults, outages.
-pub(crate) fn exec_from(args: &Args) -> Result<ExecConfig, String> {
     let mut cfg = ExecConfig::paper_default();
+    if let Some(p) = args.get_parsed::<u32>("procs")? {
+        cfg.provisioning = Provisioning::Fixed { processors: p };
+    }
     if let Some(mode) = args.get("mode") {
         cfg = cfg.mode(parse_mode(mode)?);
     }
@@ -173,15 +176,32 @@ pub(crate) fn exec_from(args: &Args) -> Result<ExecConfig, String> {
             .map_err(|_| format!("bad outage duration '{dur}'"))?;
         cfg = cfg.with_outage(start, dur);
     }
-    Ok(cfg)
+    cfg.validate()?;
+    Ok(Scenario { recipe, exec: cfg })
 }
 
-pub(crate) const SIM_FLAGS: &[&str] = &[
-    "degrees",
-    "seed",
-    "region",
-    "band",
-    "procs",
+/// The one recipe-to-workflow function: generates the Montage mosaic a
+/// [`ScenarioRecipe`] names.
+///
+/// # Panics
+/// Panics if the recipe's band is not a band tag; [`scenario_from`]
+/// writes only tags.
+pub(crate) fn workflow_of(recipe: &ScenarioRecipe) -> Workflow {
+    let band = parse_band(&recipe.band).expect("a recipe holds a band tag");
+    generate(
+        &MosaicConfig::new(recipe.degrees)
+            .seed(recipe.seed)
+            .region(&recipe.region)
+            .band(band),
+    )
+}
+
+/// The recipe flags [`scenario_from`] reads.
+const RECIPE_FLAGS: &[&str] = &["degrees", "seed", "region", "band"];
+
+/// The execution flags [`scenario_from`] reads, `--procs` aside: the
+/// sweeping commands choose the processor counts themselves.
+const EXEC_FLAGS: &[&str] = &[
     "mode",
     "bandwidth-mbps",
     "prestaged",
@@ -197,8 +217,6 @@ pub(crate) const SIM_FLAGS: &[&str] = &[
     "retry-max",
     "fault-seed",
     "outage",
-    "trace-out",
-    "trace-format",
 ];
 
 /// Flags that name a host file (or shape one written there). The CLI
@@ -223,25 +241,46 @@ fn is_capacity_plan(rest: &[String]) -> bool {
     rest.iter().any(|a| a == "--slo-p99")
 }
 
-/// Every flag `simulate`, `profile` or `plan` accepts for the argument
-/// list `rest`: the one table both the CLI and the server's wire flags
-/// derive from.
+/// Every flag command `cmd` reads for the argument list `rest`, and no
+/// other: the one table both the CLI and the server's wire flags derive
+/// from.
 pub(crate) fn command_flags(cmd: &str, rest: &[String]) -> Vec<&'static str> {
-    let extra: &[&str] = match cmd {
-        "simulate" => &["profile-out", "metrics-out"],
-        "profile" => &["trace", "format", "out", "svg"],
-        "plan" if is_capacity_plan(rest) => return PLAN_CAPACITY_FLAGS.to_vec(),
-        "plan" => &["deadline-hours", "requests", "max-procs"],
+    let groups: &[&[&str]] = match cmd {
+        "simulate" => &[
+            RECIPE_FLAGS,
+            &["procs"],
+            EXEC_FLAGS,
+            &["trace-out", "trace-format", "profile-out", "metrics-out"],
+        ],
+        "trace" => &[RECIPE_FLAGS, &["procs"], EXEC_FLAGS, &["out", "format"]],
+        "profile" => &[
+            RECIPE_FLAGS,
+            &["procs"],
+            EXEC_FLAGS,
+            &["trace", "format", "out", "svg"],
+        ],
+        "plan" if is_capacity_plan(rest) => &[PLAN_CAPACITY_FLAGS],
+        "plan" => &[
+            RECIPE_FLAGS,
+            EXEC_FLAGS,
+            &["deadline-hours", "requests", "max-procs"],
+        ],
+        "sweep" => &[RECIPE_FLAGS, EXEC_FLAGS, &["max-procs", "progress"]],
+        "generate" => &[RECIPE_FLAGS, &["out", "dot"]],
+        "economics" => &[RECIPE_FLAGS, &["dataset-tb", "campaign"]],
         other => unreachable!("no flag table for '{other}'"),
     };
-    SIM_FLAGS.iter().chain(extra).copied().collect()
+    groups.concat()
 }
 
-/// Parses `--trace-format` (jsonl | chrome), defaulting to JSONL.
-fn parse_trace_format(args: &Args) -> Result<&'static str, String> {
-    match args.get("trace-format").unwrap_or("jsonl") {
-        "jsonl" | "json-lines" => Ok("jsonl"),
-        "chrome" | "perfetto" => Ok("chrome"),
+/// A trace export format: its name and its renderer.
+type TraceFormat = (&'static str, fn(&Workflow, &[TimedEvent]) -> String);
+
+/// Parses a trace format flag's value (jsonl | chrome), JSONL when unset.
+fn parse_trace_format(value: Option<&str>) -> Result<TraceFormat, String> {
+    match value.unwrap_or("jsonl") {
+        "jsonl" | "json-lines" => Ok(("jsonl", trace_to_jsonl)),
+        "chrome" | "perfetto" => Ok(("chrome", trace_to_chrome)),
         other => Err(format!("unknown trace format '{other}' (jsonl | chrome)")),
     }
 }
@@ -283,22 +322,16 @@ flags:
             .to_string());
     }
     let args = Args::parse(rest, &command_flags("simulate", rest))?;
-    let wf = workflow_from(&args)?;
-    let mut cfg = exec_from(&args)?;
-    if let Some(p) = args.get_parsed::<u32>("procs")? {
-        cfg.provisioning = mcloud_core::Provisioning::Fixed { processors: p };
-    }
+    let Scenario { recipe, exec: cfg } = scenario_from(&args)?;
+    let wf = workflow_of(&recipe);
     let mut trace_note = String::new();
     let trace_out = args.get("trace-out");
     let profile_out = args.get("profile-out");
     let r = if trace_out.is_some() || profile_out.is_some() {
         let (r, sink) = simulate_traced(&wf, &cfg);
         if let Some(path) = trace_out {
-            let format = parse_trace_format(&args)?;
-            let doc = match format {
-                "chrome" => trace_to_chrome(&wf, sink.events()),
-                _ => trace_to_jsonl(&wf, sink.events()),
-            };
+            let (format, render) = parse_trace_format(args.get("trace-format"))?;
+            let doc = render(&wf, sink.events());
             std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
             trace_note.push_str(&format!(
                 "trace         {} events ({format}) -> {path}\n",
@@ -421,27 +454,15 @@ The chrome format opens in Perfetto (ui.perfetto.dev) or chrome://tracing.
 flags:
   --out FILE        write the trace here and print a summary instead
   --format F        jsonl (default) | chrome
-  plus all `mcloud simulate` flags (--degrees, --procs, --mode, ...)"
+  plus the `mcloud simulate` scenario flags (--degrees, --procs, --mode, ...)"
             .to_string());
     }
-    let mut flags = SIM_FLAGS.to_vec();
-    flags.extend(["out", "format"]);
-    let args = Args::parse(rest, &flags)?;
-    let wf = workflow_from(&args)?;
-    let mut cfg = exec_from(&args)?;
-    if let Some(p) = args.get_parsed::<u32>("procs")? {
-        cfg.provisioning = mcloud_core::Provisioning::Fixed { processors: p };
-    }
-    let format = match args.get("format").unwrap_or("jsonl") {
-        "jsonl" | "json-lines" => "jsonl",
-        "chrome" | "perfetto" => "chrome",
-        other => return Err(format!("unknown trace format '{other}' (jsonl | chrome)")),
-    };
+    let args = Args::parse(rest, &command_flags("trace", rest))?;
+    let Scenario { recipe, exec: cfg } = scenario_from(&args)?;
+    let wf = workflow_of(&recipe);
+    let (format, render) = parse_trace_format(args.get("format"))?;
     let (r, sink) = simulate_traced(&wf, &cfg);
-    let doc = match format {
-        "chrome" => trace_to_chrome(&wf, sink.events()),
-        _ => trace_to_jsonl(&wf, sink.events()),
-    };
+    let doc = render(&wf, sink.events());
     match args.get("out") {
         Some(path) => {
             std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
@@ -500,15 +521,12 @@ flags:
   --format F        text (default) | json
   --out FILE        write the report here instead of stdout
   --svg FILE        also write a stacked phase-breakdown chart
-  plus all `mcloud simulate` flags (--degrees, --procs, --mode, ...)"
+  plus the `mcloud simulate` scenario flags (--degrees, --procs, --mode, ...)"
             .to_string());
     }
     let args = Args::parse(rest, &command_flags("profile", rest))?;
-    let wf = workflow_from(&args)?;
-    let mut cfg = exec_from(&args)?;
-    if let Some(p) = args.get_parsed::<u32>("procs")? {
-        cfg.provisioning = mcloud_core::Provisioning::Fixed { processors: p };
-    }
+    let Scenario { recipe, exec: cfg } = scenario_from(&args)?;
+    let wf = workflow_of(&recipe);
     // The report (billing totals) always comes from a deterministic
     // re-simulation of the configured plan; the events come from the
     // trace file when one is supplied.
@@ -642,7 +660,7 @@ per-request mode (default):
   --deadline-hours H   turnaround promise (required)
   --requests N         scale the bill to a campaign of N requests
   --max-procs P        top of the geometric sweep (default 128)
-  plus all `mcloud simulate` execution flags
+  plus the `mcloud simulate` scenario flags but --procs
 
 capacity mode (--slo-p99 selects it): search auto-scale pool
 configurations for the cheapest one meeting a p99 turnaround SLO
@@ -665,8 +683,8 @@ against a seeded demand forecast.
         return cmd_plan_capacity(rest);
     }
     let args = Args::parse(rest, &command_flags("plan", rest))?;
-    let wf = workflow_from(&args)?;
-    let cfg = exec_from(&args)?;
+    let Scenario { recipe, exec: cfg } = scenario_from(&args)?;
+    let wf = workflow_of(&recipe);
     let deadline: f64 = args.require("deadline-hours")?;
     let requests: u64 = args.get_or("requests", 1u64)?;
     let max_procs: u32 = args.get_or("max-procs", 128u32)?;
@@ -785,14 +803,12 @@ flags:
   --progress           live `sweep done/total` heartbeat on stderr, plus
                        a worker-lane summary after the sweep (wall-clock;
                        never part of the stdout table)
-  plus all `mcloud simulate` execution flags"
+  plus the `mcloud simulate` scenario flags but --procs"
             .to_string());
     }
-    let mut flags = SIM_FLAGS.to_vec();
-    flags.extend(["max-procs", "progress"]);
-    let args = Args::parse(rest, &flags)?;
-    let wf = workflow_from(&args)?;
-    let cfg = exec_from(&args)?;
+    let args = Args::parse(rest, &command_flags("sweep", rest))?;
+    let Scenario { recipe, exec: cfg } = scenario_from(&args)?;
+    let wf = workflow_of(&recipe);
     let max_procs: u32 = args.get_or("max-procs", 128u32)?;
     let ladder = geometric_processors(max_procs);
 
@@ -861,8 +877,8 @@ flags:
   --seed / --region / --band"
             .to_string());
     }
-    let args = Args::parse(rest, &["degrees", "seed", "region", "band", "out", "dot"])?;
-    let wf = workflow_from(&args)?;
+    let args = Args::parse(rest, &command_flags("generate", rest))?;
+    let wf = workflow_of(&scenario_from(&args)?.recipe);
     let dax = to_dax(&wf);
     let mut out = format!(
         "generated {}: {} tasks, {} files, {:.2} GB, depth {}\n",
@@ -945,18 +961,8 @@ flags:
   --campaign N         plates in a campaign (default 3900, the whole sky)"
             .to_string());
     }
-    let args = Args::parse(
-        rest,
-        &[
-            "degrees",
-            "seed",
-            "region",
-            "band",
-            "dataset-tb",
-            "campaign",
-        ],
-    )?;
-    let wf = workflow_from(&args)?;
+    let args = Args::parse(rest, &command_flags("economics", rest))?;
+    let wf = workflow_of(&scenario_from(&args)?.recipe);
     let pricing = Pricing::amazon_2008();
     let staged = simulate(&wf, &ExecConfig::paper_default());
     let hosted = simulate(&wf, &ExecConfig::paper_default().prestaged(true));
@@ -1276,6 +1282,53 @@ mod tests {
             let err = run_str(&format!("sweep --degrees 0.5 --max-procs 2 {flag}")).unwrap_err();
             assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
         }
+    }
+
+    /// Asserts that `cmdline` fails on `flag`, a flag its command would
+    /// otherwise accept and ignore.
+    fn assert_unknown_flag(cmdline: &str, flag: &str) {
+        let err = run_str(cmdline).unwrap_err();
+        assert!(
+            err.starts_with(&format!("unknown flag '{flag}'")),
+            "{cmdline}: {err}"
+        );
+    }
+
+    #[test]
+    fn sweep_refuses_flags_it_does_not_read() {
+        let sweep = "sweep --degrees 0.5 --max-procs 2";
+        assert_unknown_flag(&format!("{sweep} --procs 7"), "--procs");
+        assert_unknown_flag(
+            &format!("{sweep} --trace-out /nonexistent/t"),
+            "--trace-out",
+        );
+    }
+
+    #[test]
+    fn plan_refuses_flags_it_does_not_read() {
+        let plan = "plan --degrees 0.5 --deadline-hours 1";
+        assert_unknown_flag(&format!("{plan} --procs 3"), "--procs");
+        assert_unknown_flag(&format!("{plan} --trace-out /nonexistent/t"), "--trace-out");
+    }
+
+    #[test]
+    fn trace_refuses_the_simulate_trace_file_flags() {
+        let trace = "trace --degrees 0.5 --procs 2";
+        assert_unknown_flag(&format!("{trace} --trace-format chrome"), "--trace-format");
+        assert_unknown_flag(
+            &format!("{trace} --trace-out /nonexistent/t"),
+            "--trace-out",
+        );
+    }
+
+    #[test]
+    fn profile_refuses_the_simulate_trace_file_flags() {
+        let profile = "profile --degrees 0.5 --procs 2";
+        assert_unknown_flag(
+            &format!("{profile} --trace-out /nonexistent/t"),
+            "--trace-out",
+        );
+        assert_unknown_flag(&format!("{profile} --trace-format jsonl"), "--trace-format");
     }
 
     #[test]

@@ -23,22 +23,17 @@
 //! one — that equivalence is pinned, cold and disk-warm at 1 and 4
 //! lanes, by the golden table in `tests/goldens.rs`.
 
-use std::collections::HashMap;
 use std::io::{BufRead, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mcloud_cache::{decode_report, encode_report, DEFAULT_BUDGET_BYTES};
-use mcloud_core::{
-    report_json, simulate, simulate_batch, BatchScratch, Digest, Report, Scenario, ScenarioRecipe,
-};
-use mcloud_dag::Workflow;
-use mcloud_montage::{generate, Band, MosaicConfig};
+use mcloud_cache::{simulate_batch_cached, simulate_cached, DEFAULT_BUDGET_BYTES};
+use mcloud_core::{report_json, BatchScratch, Scenario};
 use mcloud_simkit::json::{self, Value};
 
 use crate::args::Args;
-use crate::commands::{command_flags, exec_from, parse_band, wants_help, FILE_FLAGS};
+use crate::commands::{command_flags, scenario_from, wants_help, workflow_of, FILE_FLAGS};
 
 /// Per-command help text.
 const HELP: &str = "\
@@ -318,120 +313,44 @@ fn wrap_output(out: &str) -> String {
     }
 }
 
-/// Parses one simulate arg-list into its content-addressed scenario.
-fn scenario_from(raw: &[String]) -> Result<Scenario, String> {
-    let args = Args::parse(raw, &wire_flags("simulate", raw))?;
-    let degrees: f64 = args.get_or("degrees", 1.0)?;
-    if !(degrees.is_finite() && degrees > 0.0) {
-        return Err(format!("--degrees must be positive, got {degrees}"));
-    }
-    let mut recipe = ScenarioRecipe::new(degrees);
-    if let Some(seed) = args.get_parsed::<u64>("seed")? {
-        recipe.seed = seed;
-    }
-    if let Some(region) = args.get("region") {
-        recipe.region = region.to_string();
-    }
-    if let Some(band) = args.get("band") {
-        recipe.band = match parse_band(band)? {
-            Band::J => "j",
-            Band::H => "h",
-            Band::K => "k",
-        }
-        .to_string();
-    }
-    let mut exec = exec_from(&args)?;
-    if let Some(p) = args.get_parsed::<u32>("procs")? {
-        exec.provisioning = mcloud_core::Provisioning::Fixed { processors: p };
-    }
-    exec.validate()?;
-    Ok(Scenario { recipe, exec })
-}
-
-/// Materializes a recipe's workflow (the expensive step a warm query
-/// skips entirely — the cache key is the recipe, not the DAG).
-fn generate_recipe(recipe: &ScenarioRecipe) -> Result<Workflow, String> {
-    let mut cfg = MosaicConfig::new(recipe.degrees).seed(recipe.seed);
-    cfg = cfg.region(&recipe.region);
-    cfg = cfg.band(parse_band(&recipe.band)?);
-    Ok(generate(&cfg))
+/// Parses one simulate arg-list, over the wire flags, into its
+/// content-addressed scenario.
+fn wire_scenario(raw: &[String]) -> Result<Scenario, String> {
+    scenario_from(&Args::parse(raw, &wire_flags("simulate", raw))?)
 }
 
 /// One scenario query: digest → single-flight cache lookup → report
 /// JSON. Cold queries generate and simulate; warm queries are a hash
 /// probe plus a decode.
 fn op_simulate(raw: &[String]) -> Result<String, String> {
-    let scenario = scenario_from(raw)?;
-    let cache = mcloud_cache::global();
-    let bytes = cache.get_or_compute(scenario.digest(), || {
-        let wf = generate_recipe(&scenario.recipe)?;
-        Ok(encode_report(&simulate(&wf, &scenario.exec)))
-    })?;
-    let report = decode_report(&bytes).map_err(|e| format!("corrupt cache entry: {e}"))?;
+    let scenario = wire_scenario(raw)?;
+    let report = simulate_cached(&scenario, workflow_of, mcloud_cache::global());
     Ok(report_json(&report))
 }
 
 /// Many scenarios in one frame: probe them all, then run the misses —
-/// deduplicated, grouped by workflow recipe — through the worker pool
-/// via `simulate_batch`. Results come back in request order.
+/// deduplicated, grouped by workflow recipe — through the worker pool.
+/// Results come back in request order.
 fn op_batch(request: &Value) -> Result<String, String> {
     let scenarios = request
         .get("scenarios")
         .and_then(Value::as_array)
-        .ok_or("batch needs a \"scenarios\" array of arg-lists")?;
-    let mut keys: Vec<Digest> = Vec::with_capacity(scenarios.len());
-    let mut parsed: Vec<Scenario> = Vec::with_capacity(scenarios.len());
-    for entry in scenarios {
-        let scenario = scenario_from(&owned_args(entry)?)?;
-        keys.push(scenario.digest());
-        parsed.push(scenario);
-    }
-
-    let cache = mcloud_cache::global();
-    let mut results: Vec<Option<Report>> = keys
+        .ok_or("batch needs a \"scenarios\" array of arg-lists")?
         .iter()
-        .map(|&key| cache.get(key).and_then(|bytes| decode_report(&bytes).ok()))
-        .collect();
-
-    // Misses, deduplicated by digest and grouped by recipe so each
-    // distinct workflow is generated once and its configs run as one
-    // pool batch.
-    let mut groups: Vec<(ScenarioRecipe, Vec<usize>)> = Vec::new();
-    let mut seen: HashMap<Digest, ()> = HashMap::new();
-    for i in 0..parsed.len() {
-        if results[i].is_some() || seen.contains_key(&keys[i]) {
-            continue;
-        }
-        seen.insert(keys[i], ());
-        match groups.iter_mut().find(|(r, _)| *r == parsed[i].recipe) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((parsed[i].recipe.clone(), vec![i])),
-        }
-    }
-    let mut scratch = BatchScratch::new();
-    for (recipe, idxs) in groups {
-        let wf = generate_recipe(&recipe)?;
-        let cfgs: Vec<mcloud_core::ExecConfig> =
-            idxs.iter().map(|&i| parsed[i].exec.clone()).collect();
-        let fresh = simulate_batch(&wf, &cfgs, &mut scratch);
-        for (&i, report) in idxs.iter().zip(fresh) {
-            cache.insert(keys[i], encode_report(&report));
-            results[i] = Some(report);
-        }
-    }
-
+        .map(|entry| wire_scenario(&owned_args(entry)?))
+        .collect::<Result<Vec<Scenario>, String>>()?;
+    let reports = simulate_batch_cached(
+        &scenarios,
+        workflow_of,
+        &mut BatchScratch::new(),
+        mcloud_cache::global(),
+    );
     let mut out = String::from("{\"ok\": true, \"results\": [");
-    for (i, (slot, &key)) in results.iter_mut().zip(&keys).enumerate() {
-        let report = match slot.take() {
-            Some(r) => r,
-            // A deduplicated duplicate: its twin's entry is now cached.
-            None => decode_report(&cache.get(key).ok_or("batch entry vanished")?)
-                .map_err(|e| format!("corrupt cache entry: {e}"))?,
-        };
+    for (i, report) in reports.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(report_json(&report).trim_end());
+        out.push_str(report_json(report).trim_end());
     }
     out.push_str("]}\n");
     Ok(out)
@@ -921,13 +840,41 @@ mod tests {
         );
     }
 
+    /// The scenario a wire arg list names.
+    fn scenario(args: &[&str]) -> Scenario {
+        wire_scenario(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).expect("scenario")
+    }
+
+    #[test]
+    fn wire_scenario_digests_are_pinned() {
+        // A changed digest orphans every disk-tier entry keyed by it: a
+        // parse refactor must leave these untouched, and an intended
+        // change must bump SCENARIO_SCHEMA_VERSION.
+        let hex = |args: &[&str]| scenario(args).digest().to_hex();
+        assert_eq!(hex(&[]), "473a7a2d0e99e6dd39cac235812d7759");
+        assert_eq!(hex(&["--band", "J"]), hex(&["--band", "j"]));
+        for (args, pin) in [
+            (&["--band", "j"][..], "473a7a2d0e99e6dd39cac235812d7759"),
+            (
+                &["--degrees", "2", "--region", "M42", "--seed", "7"],
+                "30d496fd814f247fe0398b5e0da723d1",
+            ),
+            (
+                &["--procs", "8", "--fault-rate", "0.05", "--retry-max", "3"],
+                "24afd76c4ffe3d8714253c8fce21bbf7",
+            ),
+            (
+                &["--mode", "cleanup", "--outage", "600:120"],
+                "3bb2f3002b30f1e1ec71ef3b0bd3ffdd",
+            ),
+        ] {
+            assert_eq!(hex(args), pin, "{args:?}");
+        }
+    }
+
     #[test]
     fn scenario_digest_tracks_the_flags() {
-        let s = |args: &[&str]| {
-            scenario_from(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
-                .expect("scenario")
-                .digest()
-        };
+        let s = |args: &[&str]| scenario(args).digest();
         let base = s(&["--degrees", "1", "--procs", "8"]);
         assert_eq!(base, s(&["--degrees", "1", "--procs", "8"]));
         assert_ne!(base, s(&["--degrees", "2", "--procs", "8"]));

@@ -229,7 +229,9 @@ pub struct ExecConfig {
     /// system with infinite capacity" (`None`); with a limit, a task may
     /// not start until its outputs fit, which is the storage-constrained
     /// setting that motivates dynamic cleanup (the paper's refs 15 and 16).
-    /// Only meaningful for the shared-storage modes.
+    /// Only meaningful for the shared-storage modes. The cap gates task
+    /// outputs only: the external inputs staged in at the start are never
+    /// held back, so they can push occupancy past the cap.
     pub storage_capacity_bytes: Option<u64>,
     /// Model the user<->storage connection as two independent
     /// `bandwidth_bps` channels (one per direction) instead of the
@@ -337,7 +339,9 @@ impl ExecConfig {
     }
 
     /// Caps the cloud storage resource at `bytes` (default unlimited, as
-    /// in the paper's Section 5 setup).
+    /// in the paper's Section 5 setup). Only task outputs wait for space;
+    /// staged-in external inputs are exempt and may push occupancy past
+    /// the cap (see [`ExecConfig::storage_capacity_bytes`]).
     pub fn with_storage_capacity(mut self, bytes: u64) -> Self {
         self.storage_capacity_bytes = Some(bytes);
         self

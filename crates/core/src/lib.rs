@@ -62,8 +62,7 @@ pub use profile::{
 };
 pub use report::{report_json, KernelStats, Report};
 pub use scenario::{
-    encode_exec_config, fingerprint_workflow, norm_f64_bits, workflow_exec_digest, Canon, Digest,
-    Scenario, ScenarioRecipe, DOMAIN_PLAN, DOMAIN_SCENARIO, DOMAIN_WORKFLOW, DOMAIN_WORKFLOW_EXEC,
-    SCENARIO_SCHEMA_VERSION,
+    encode_exec_config, fingerprint_workflow, norm_f64_bits, Canon, Digest, Scenario,
+    ScenarioRecipe, DOMAIN_PLAN, DOMAIN_SCENARIO, DOMAIN_WORKFLOW, SCENARIO_SCHEMA_VERSION,
 };
 pub use trace::{trace_from_jsonl, trace_to_chrome, trace_to_jsonl};

@@ -16,9 +16,9 @@
 //!   every encoding, so changing what a field *means* invalidates every
 //!   previously published digest at once;
 //! - a **domain byte** separating digest namespaces (a recipe-level
-//!   scenario, a materialized workflow fingerprint, a workflow+config
-//!   pair, a capacity-planner candidate), so equal payload bytes in
-//!   different roles can never collide;
+//!   scenario, a materialized workflow fingerprint, a capacity-planner
+//!   candidate), so equal payload bytes in different roles can never
+//!   collide;
 //! - an in-tree **SipHash-2-4 128-bit** digest with fixed keys — content
 //!   addressing needs a stable, well-mixed hash, not a keyed MAC.
 //!
@@ -41,10 +41,9 @@ pub const SCENARIO_SCHEMA_VERSION: u8 = 1;
 pub const DOMAIN_SCENARIO: u8 = 1;
 /// Digest namespace: a materialized workflow's structural fingerprint.
 pub const DOMAIN_WORKFLOW: u8 = 2;
-/// Digest namespace: a workflow fingerprint paired with an [`ExecConfig`]
-/// — the key `simulate_batch`-style consumers cache reports under.
-pub const DOMAIN_WORKFLOW_EXEC: u8 = 3;
 /// Digest namespace: a capacity-planner (spec, candidate) evaluation.
+/// Namespace 3 (a workflow fingerprint paired with an exec config) is
+/// retired and must not be reissued: disk tiers may still hold its keys.
 pub const DOMAIN_PLAN: u8 = 4;
 
 /// A 128-bit content address.
@@ -286,8 +285,8 @@ impl Scenario {
 }
 
 /// Appends every [`ExecConfig`] field, in declaration order, to a
-/// canonical encoding. Public so other crates (the cache's batch entry,
-/// the planner) can embed an exec config in their own digests.
+/// canonical encoding. Public so other crates (the planner) can embed an
+/// exec config in their own digests.
 pub fn encode_exec_config(c: &mut Canon, cfg: &ExecConfig) {
     use crate::config::{DataMode, Provisioning, SchedulePolicy};
     use mcloud_cost::ChargeGranularity;
@@ -384,16 +383,6 @@ pub fn fingerprint_workflow(wf: &Workflow) -> Digest {
         c.u64(f.bytes);
         c.bool(f.deliverable);
     }
-    c.finish()
-}
-
-/// Content address of one (workflow, exec-config) simulation
-/// ([`DOMAIN_WORKFLOW_EXEC`]) — the key the cache-aware batch entry
-/// stores each [`Report`](crate::Report) under.
-pub fn workflow_exec_digest(workflow: Digest, cfg: &ExecConfig) -> Digest {
-    let mut c = Canon::new(DOMAIN_WORKFLOW_EXEC);
-    c.digest(workflow);
-    encode_exec_config(&mut c, cfg);
     c.finish()
 }
 
@@ -620,7 +609,7 @@ mod tests {
         // Same payload, different domain: different digest.
         let mut a = Canon::new(DOMAIN_SCENARIO);
         a.u64(42);
-        let mut b = Canon::new(DOMAIN_WORKFLOW_EXEC);
+        let mut b = Canon::new(DOMAIN_PLAN);
         b.u64(42);
         assert_ne!(a.finish(), b.finish());
     }
@@ -629,10 +618,9 @@ mod tests {
     fn digest_is_stable_across_runs() {
         // Pin the digest of the paper-default 1-degree scenario: any
         // accidental change to the encoding or the hash shows up here
-        // (an intentional change must bump SCENARIO_SCHEMA_VERSION).
-        let hex = base().digest().to_hex();
-        assert_eq!(hex.len(), 32);
-        assert_eq!(base().digest(), base().digest());
+        // (an intentional change must bump SCENARIO_SCHEMA_VERSION). The
+        // CLI's wire-parse pins start from the same digest.
+        assert_eq!(base().digest().to_hex(), "473a7a2d0e99e6dd39cac235812d7759");
         // SipHash self-check on a known-length input: empty payload after
         // the (version, domain) prefix still mixes the prefix.
         assert_ne!(
@@ -653,12 +641,5 @@ mod tests {
         assert_ne!(a, c, "different size, different fingerprint");
         let d = fingerprint_workflow(&generate(&MosaicConfig::new(0.2).band(Band::K)));
         assert_ne!(a, d, "different band, different fingerprint");
-
-        let cfg = ExecConfig::paper_default();
-        assert_eq!(workflow_exec_digest(a, &cfg), workflow_exec_digest(b, &cfg));
-        assert_ne!(
-            workflow_exec_digest(a, &cfg),
-            workflow_exec_digest(a, &ExecConfig::fixed(8))
-        );
     }
 }

@@ -313,25 +313,12 @@ pub fn plan_capacity_with_cache(
         .iter()
         .map(|cfg| candidate_digest(&spec_canon, cfg))
         .collect();
-    let mut evaluated: Vec<Option<PlanCandidate>> = candidates
-        .iter()
-        .zip(&keys)
-        .map(|(cfg, &key)| {
-            cache
-                .get(key)
-                .and_then(|bytes| decode_outcome(&bytes, spec, cfg))
-        })
-        .collect();
-
-    let miss_idx: Vec<usize> = (0..candidates.len())
-        .filter(|&i| evaluated[i].is_none())
-        .collect();
-    if !miss_idx.is_empty() {
+    let evaluate = |misses: &[usize]| {
         // Warm one table over the missing (degrees × procs_per_slot)
         // grid, then clone the filled cache into every lane: no lane
         // re-simulates a profile another lane already needs.
         let degrees: Vec<f64> = spec.classes.iter().map(|c| c.degrees).collect();
-        let procs: Vec<u32> = miss_idx
+        let procs: Vec<u32> = misses
             .iter()
             .map(|&i| candidates[i].procs_per_slot)
             .collect();
@@ -339,15 +326,20 @@ pub fn plan_capacity_with_cache(
         proto.warm_fixed(&degrees, &procs);
 
         let miss_cfgs: Vec<AutoScaleConfig> =
-            miss_idx.iter().map(|&i| candidates[i].clone()).collect();
+            misses.iter().map(|&i| candidates[i].clone()).collect();
         let reports = simulate_grouped(spec, &miss_cfgs, &proto, WorkerPool::global().lanes());
-        for ((&i, cfg), report) in miss_idx.iter().zip(&miss_cfgs).zip(&reports) {
-            let candidate = score(spec, cfg, report);
-            cache.insert(keys[i], encode_outcome(&candidate));
-            evaluated[i] = Some(candidate);
-        }
-    }
-    let evaluated: Vec<PlanCandidate> = evaluated.into_iter().map(|c| c.unwrap()).collect();
+        miss_cfgs
+            .iter()
+            .zip(&reports)
+            .map(|(cfg, report)| score(spec, cfg, report))
+            .collect()
+    };
+    let evaluated = cache.get_or_compute_batch(
+        &keys,
+        |i, bytes| decode_outcome(bytes, spec, &candidates[i]),
+        evaluate,
+        encode_outcome,
+    );
 
     // Cost-vs-p99 trade-off via the sweep crate's frontier tools: a
     // rejecting candidate never qualifies, so its "time" is +inf.
@@ -1014,6 +1006,19 @@ mod tests {
         assert_eq!(plan_text(&spec, &cold), plan_text(&spec, &warm));
         assert_eq!(plan_json(&spec, &cold), plan_json(&spec, &warm));
         assert_eq!(cold.best, warm.best);
+    }
+
+    #[test]
+    fn a_cold_plan_counts_each_distinct_candidate_it_computes() {
+        let spec = quick_spec();
+        let mut candidates = spec.default_candidates()[..3].to_vec();
+        candidates.push(candidates[0].clone());
+        let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
+        let plan = plan_capacity_with_cache(&spec, candidates, &cache).expect("plan");
+        let c = cache.counters();
+        assert_eq!((c.misses, c.computes, c.inserts), (4, 3, 3));
+        let (first, twin) = (&plan.candidates[0], &plan.candidates[3]);
+        assert_eq!(encode_outcome(first), encode_outcome(twin));
     }
 
     #[test]
