@@ -214,6 +214,7 @@ impl ResultCache {
 
     /// Inserts into the memory tier (evicting LRU entries past the byte
     /// budget) and writes through to the disk tier when one is active.
+    /// Bytes that differ from the entry already under `key` replace it.
     pub fn insert(&self, key: Digest, bytes: Vec<u8>) -> Arc<Vec<u8>> {
         self.write_disk(key, &bytes);
         self.insert_mem(key, bytes)
@@ -226,19 +227,26 @@ impl ResultCache {
         let tick = shard.next_tick;
         shard.next_tick += 1;
         if let Some(old) = shard.map.remove(&key) {
-            // Content addressing: same key, same bytes. Keep the existing
-            // Arc (callers may already share it) and just refresh the LRU.
             shard.lru.remove(&old.tick);
-            shard.lru.insert(tick, key);
-            let keep = old.bytes.clone();
-            shard.map.insert(
-                key,
-                Entry {
-                    bytes: old.bytes,
-                    tick,
-                },
-            );
-            return keep;
+            if old.bytes == arc {
+                // Content addressing: same key, same bytes. Keep the
+                // existing Arc (callers may already share it) and just
+                // refresh the LRU.
+                shard.lru.insert(tick, key);
+                let keep = old.bytes.clone();
+                shard.map.insert(
+                    key,
+                    Entry {
+                        bytes: old.bytes,
+                        tick,
+                    },
+                );
+                return keep;
+            }
+            // Other bytes under the key: the old entry is one a caller's
+            // decoder rejected (written under an older outcome or codec
+            // version). Kept, it would be recomputed on every lookup.
+            shard.bytes -= old.bytes.len() as u64 + ENTRY_OVERHEAD;
         }
         shard.bytes += size;
         shard.map.insert(
@@ -671,8 +679,9 @@ mod tests {
         assert_eq!(asked, [0, 2, 4], "first occurrences, in input order");
         let c = cache.counters();
         assert_eq!((c.hits_mem, c.misses, c.computes), (2, 3, 3));
-        assert_eq!(c.inserts, 4, "the rejected entry keeps its slot");
+        assert_eq!(c.inserts, 5, "the rejected entry is replaced");
         assert_eq!(cache.get(key(4)).unwrap().as_slice(), &[34]);
+        assert_eq!(cache.get(key(2)).unwrap().as_slice(), &[32]);
         // A warm batch computes nothing.
         let warm = cache.get_or_compute_batch(
             &keys[..2],
@@ -682,6 +691,32 @@ mod tests {
         );
         assert_eq!(warm, [30, 10]);
         assert_eq!(cache.counters().computes, 3);
+    }
+
+    #[test]
+    fn a_rejected_entry_is_replaced_so_the_next_batch_hits() {
+        let cache = ResultCache::new(1 << 20, None);
+        cache.insert(key(7), vec![0xff; 3]); // present, but the caller rejects it
+        let stale_bytes = cache.bytes();
+        let decode = |_: usize, bytes: &[u8]| (bytes[0] != 0xff).then_some(bytes[0]);
+        let cold = cache.get_or_compute_batch(
+            &[key(7)],
+            decode,
+            |misses| misses.iter().map(|_| 7).collect(),
+            |v| vec![*v],
+        );
+        assert_eq!(cold, [7]);
+        assert_eq!(cache.entries(), 1);
+        assert_eq!(cache.bytes(), stale_bytes - 2, "the stale bytes are gone");
+        let warm = cache.get_or_compute_batch(
+            &[key(7)],
+            decode,
+            |_| unreachable!("the replaced entry hits"),
+            |v| vec![*v],
+        );
+        assert_eq!(warm, [7]);
+        let c = cache.counters();
+        assert_eq!((c.hits_mem, c.misses, c.computes), (2, 0, 1));
     }
 
     #[test]

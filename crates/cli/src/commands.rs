@@ -565,22 +565,36 @@ flags:
     }
 }
 
-/// Parses repeatable `--burst start:duration:multiplier` windows.
-fn parse_bursts(args: &Args) -> Result<Vec<(f64, f64, f64)>, String> {
-    let mut bursts = Vec::new();
-    for spec in args.get_all("burst") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "--burst expects start:duration:multiplier, got '{spec}'"
-            ));
-        }
-        let parse = |s: &str| -> Result<f64, String> {
-            s.parse().map_err(|_| format!("bad burst component '{s}'"))
-        };
-        bursts.push((parse(parts[0])?, parse(parts[1])?, parse(parts[2])?));
-    }
-    Ok(bursts)
+/// Parses a repeatable `--<flag> start:duration:multiplier` window flag
+/// (`--burst`, `--flash`).
+fn parse_windows(args: &Args, flag: &str) -> Result<Vec<(f64, f64, f64)>, String> {
+    args.get_all(flag)
+        .into_iter()
+        .map(|spec| {
+            let parts: Vec<&str> = spec.split(':').collect();
+            let [start, duration, multiplier] = parts[..] else {
+                return Err(format!(
+                    "--{flag} expects start:duration:multiplier, got '{spec}'"
+                ));
+            };
+            let parse = |s: &str| -> Result<f64, String> {
+                s.parse().map_err(|_| format!("bad {flag} component '{s}'"))
+            };
+            Ok((parse(start)?, parse(duration)?, parse(multiplier)?))
+        })
+        .collect()
+}
+
+/// The `--flash` windows as flash crowds.
+fn flash_crowds(args: &Args) -> Result<Vec<FlashCrowd>, String> {
+    Ok(parse_windows(args, "flash")?
+        .into_iter()
+        .map(|(start_hour, duration_hours, multiplier)| FlashCrowd {
+            start_hour,
+            duration_hours,
+            multiplier,
+        })
+        .collect())
 }
 
 /// Parses repeatable `--class degrees:rate:priority` request classes.
@@ -617,22 +631,7 @@ fn rate_profile_from(args: &Args, base_rate: f64) -> Result<RateProfile, String>
     let mut profile = RateProfile::constant(base_rate);
     profile.diurnal_amplitude = args.get_or("diurnal", 0.0)?;
     profile.seasonal_amplitude = args.get_or("seasonal", 0.0)?;
-    for spec in args.get_all("flash") {
-        let parts: Vec<&str> = spec.split(':').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "--flash expects start:duration:multiplier, got '{spec}'"
-            ));
-        }
-        let parse = |s: &str| -> Result<f64, String> {
-            s.parse().map_err(|_| format!("bad flash component '{s}'"))
-        };
-        profile.flash_crowds.push(FlashCrowd {
-            start_hour: parse(parts[0])?,
-            duration_hours: parse(parts[1])?,
-            multiplier: parse(parts[2])?,
-        });
-    }
+    profile.flash_crowds = flash_crowds(args)?;
     profile.validate()?;
     Ok(profile)
 }
@@ -754,22 +753,7 @@ fn cmd_plan_capacity(rest: &[String]) -> Result<String, String> {
     }
     spec.modulation.diurnal_amplitude = args.get_or("diurnal", 0.3)?;
     spec.modulation.seasonal_amplitude = args.get_or("seasonal", 0.0)?;
-    for spec_str in args.get_all("flash") {
-        let parts: Vec<&str> = spec_str.split(':').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "--flash expects start:duration:multiplier, got '{spec_str}'"
-            ));
-        }
-        let parse = |s: &str| -> Result<f64, String> {
-            s.parse().map_err(|_| format!("bad flash component '{s}'"))
-        };
-        spec.modulation.flash_crowds.push(FlashCrowd {
-            start_hour: parse(parts[0])?,
-            duration_hours: parse(parts[1])?,
-            multiplier: parse(parts[2])?,
-        });
-    }
+    spec.modulation.flash_crowds = flash_crowds(&args)?;
     let plan = plan_capacity(&spec)?;
     let doc = match args.get("format").unwrap_or("text") {
         "text" => mcloud_service::plan_text(&spec, &plan),
@@ -1073,7 +1057,7 @@ admission control (either mode):
     let horizon: f64 = args.get_or("horizon-hours", 720.0)?;
     let degrees: f64 = args.get_or("degrees", 1.0)?;
     let seed: u64 = args.get_or("seed", 2008u64)?;
-    let bursts = parse_bursts(&args)?;
+    let bursts = parse_windows(&args, "burst")?;
     let cfg = ServiceConfig {
         local_slots: args.get_or("slots", 2u32)?,
         local_procs_per_request: args.get_or("local-procs", 8u32)?,
@@ -1208,7 +1192,7 @@ flags:
     let horizon: f64 = args.get_or("horizon-hours", 720.0)?;
     let degrees: f64 = args.get_or("degrees", 1.0)?;
     let seed: u64 = args.get_or("seed", 2008u64)?;
-    let bursts = parse_bursts(&args)?;
+    let bursts = parse_windows(&args, "burst")?;
     let arrivals = if bursts.is_empty() {
         poisson(rate, horizon, degrees, seed)
     } else {
@@ -1462,6 +1446,29 @@ mod tests {
         let out = run_str("economics --degrees 1").unwrap();
         assert!(out.contains("break-even"), "{out}");
         assert!(out.contains("$1800.00"), "{out}"); // 12 TB monthly
+    }
+
+    #[test]
+    fn a_malformed_window_reads_one_error_on_every_command() {
+        for (window, expected) in [
+            (
+                "1:2",
+                "--flash expects start:duration:multiplier, got '1:2'",
+            ),
+            ("1:x:3", "bad flash component 'x'"),
+        ] {
+            for cmd in ["service", "plan --slo-p99 4"] {
+                let err = run_str(&format!("{cmd} --flash {window}")).unwrap_err();
+                assert_eq!(err, expected, "{cmd}");
+            }
+        }
+        for cmd in ["service", "autoscale"] {
+            let err = run_str(&format!("{cmd} --burst 1:2:3:4")).unwrap_err();
+            assert_eq!(
+                err, "--burst expects start:duration:multiplier, got '1:2:3:4'",
+                "{cmd}"
+            );
+        }
     }
 
     #[test]

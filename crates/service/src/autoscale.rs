@@ -410,26 +410,35 @@ struct Waiting {
 /// arrival loop: for each resolved arrival it fires the pool events
 /// before it ([`PoolSim::advance`]), asks a [`Policy`] what to do with it
 /// ([`PoolSim::decide`]) and carries that out ([`PoolSim::apply`]); then
-/// it drains the pool ([`PoolSim::drain`]) and reads a report. The state
-/// holds no configuration, only its [`Pool`], so configurations that
-/// share one and decide alike share one simulation (the capacity
-/// planner's cohorts), and a clone forks it where their decisions part.
-/// Trace events go to the sink each step is handed.
-#[derive(Clone)]
+/// it drains the pool ([`PoolSim::drain`]) and reads a report.
+///
+/// A simulation is two parts: the pool's dynamic state, which events and
+/// decisions move, and one [`Tally`] per decision history, which sums
+/// what a report reads. The state holds no configuration, only its
+/// [`Pool`], so configurations that share one and decide alike share one
+/// simulation (the capacity planner's cohorts). Where their decisions
+/// part, [`fork`](PoolSim::fork) copies the state; when two pools fall
+/// quiet, [`absorb`](PoolSim::absorb) lets one state go on for both, each
+/// history keeping its tally. Every tally receives every update, in
+/// order, so each sums exactly what its history run alone sums. Trace
+/// events go to the sink each step is handed.
 pub(crate) struct PoolSim<F: FnMut(&RequestOutcome)> {
+    state: PoolState,
+    tallies: Vec<Tally>,
+    visit: F,
+}
+
+/// What a pool's events and decisions move: its calendar, slot counts,
+/// backlog, outcome reorder window and clock.
+#[derive(Clone)]
+struct PoolState {
     pool: Pool,
     events: Calendar<Ev>,
-    // Pool state. Slots are fungible: we track counts, not identities.
+    // Slots are fungible: we track counts, not identities.
     idle_slots: u32, // held, booted, not serving
     booting: u32,
     busy: u32,
     rented: u32, // idle + booting + busy
-    peak_slots: u32,
-    rentals: u32,
-    /// Slot-hours held, accrued at every arrival and pool event.
-    slot_hours: f64,
-    /// Hours slots spend serving the requests taken so far.
-    busy_hours: f64,
     /// The last instant accounted for: the previous arrival or pool event.
     last_accrual: SimTime,
     /// FIFO backlog; the request rides along because a stream cannot be
@@ -438,13 +447,120 @@ pub(crate) struct PoolSim<F: FnMut(&RequestOutcome)> {
     /// The backlog's length over time; kept only for an owned cluster,
     /// whose report carries it.
     backlog: Option<TimeWeighted>,
-    fold: OutcomeFold<F>,
+    /// Fates decided ahead of an earlier request's, from request `folded`
+    /// on: buffered until every predecessor is decided, so the tallies
+    /// fold outcomes in arrival order. Bounded by the peak backlog, not
+    /// the request count.
+    window: VecDeque<Fate>,
+    /// Index of the first request not yet folded.
+    folded: usize,
     next_index: usize,
+}
+
+impl PoolState {
+    /// Makes this state a copy of `src`, reusing its own buffers.
+    fn copy_from(&mut self, src: &PoolState) {
+        let PoolState {
+            pool,
+            events,
+            idle_slots,
+            booting,
+            busy,
+            rented,
+            last_accrual,
+            waiting,
+            backlog,
+            window,
+            folded,
+            next_index,
+        } = src;
+        self.pool = *pool;
+        self.events.clone_from(events);
+        self.idle_slots = *idle_slots;
+        self.booting = *booting;
+        self.busy = *busy;
+        self.rented = *rented;
+        self.last_accrual = *last_accrual;
+        self.waiting.clone_from(waiting);
+        self.backlog.clone_from(backlog);
+        self.window.clone_from(window);
+        self.folded = *folded;
+        self.next_index = *next_index;
+    }
+}
+
+/// What one decision history sums: everything a report reads.
+#[derive(Debug, Clone)]
+pub(crate) struct Tally {
+    /// The planner's candidates that made this history's decisions; empty
+    /// outside the planner.
+    pub(crate) members: Vec<usize>,
+    /// Slot-hours held, accrued at every arrival and pool event.
+    slot_hours: f64,
+    /// Hours slots spend serving the requests taken so far.
+    busy_hours: f64,
     /// Charges of the requests slots took.
     slot_charges: Money,
-    deflected: u64,
     /// Spend on requests served on per-request cloud resources.
     cloud_cost: Money,
+    deflected: u64,
+    peak_slots: u32,
+    rentals: u32,
+    wait_hist: Histogram,
+    turnaround_hist: Histogram,
+    served_local: u64,
+    served_cloud: u64,
+    rejected: u64,
+}
+
+impl Tally {
+    /// A history that has only taken `pool`'s floor.
+    fn new(pool: Pool) -> Tally {
+        Tally {
+            members: Vec::new(),
+            slot_hours: 0.0,
+            busy_hours: 0.0,
+            slot_charges: Money::ZERO,
+            cloud_cost: Money::ZERO,
+            deflected: 0,
+            peak_slots: pool.min_slots,
+            rentals: pool.min_slots,
+            wait_hist: Histogram::new(),
+            turnaround_hist: Histogram::new(),
+            served_local: 0,
+            served_cloud: 0,
+            rejected: 0,
+        }
+    }
+
+    /// A copy of this history for `members`, whose decisions part here
+    /// from its other members'.
+    pub(crate) fn fork(&self, members: Vec<usize>) -> Tally {
+        Tally {
+            members,
+            wait_hist: self.wait_hist.clone(),
+            turnaround_hist: self.turnaround_hist.clone(),
+            ..*self
+        }
+    }
+
+    /// The report of a drained rented pool's history, its slot-hours
+    /// priced at `slot_cost_per_hour`.
+    pub(crate) fn autoscale_report(&self, slot_cost_per_hour: Money) -> AutoScaleReport {
+        AutoScaleReport {
+            requests: self.served_local + self.served_cloud,
+            rejected: self.rejected,
+            deflected: self.deflected,
+            wait_hist: self.wait_hist.clone(),
+            turnaround_hist: self.turnaround_hist.clone(),
+            slot_hours: self.slot_hours,
+            rental_cost: slot_cost_per_hour * self.slot_hours,
+            dm_cost: self.slot_charges,
+            deflect_cost: self.cloud_cost,
+            peak_slots: self.peak_slots,
+            rentals: self.rentals,
+        }
+    }
 }
 
 // The per-arrival steps are forced inline: the planner runs them once
@@ -464,7 +580,7 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
             owned: true,
         };
         let mut sim = Self::empty(pool, on_outcome);
-        sim.idle_slots = pool.min_slots;
+        sim.state.idle_slots = pool.min_slots;
         sim
     }
 
@@ -475,41 +591,103 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     pub(crate) fn rented(cfg: &AutoScaleConfig, on_outcome: F) -> Self {
         cfg.validate().expect("invalid autoscale configuration");
         let mut sim = Self::empty(Pool::of(cfg), on_outcome);
-        sim.booting = sim.pool.min_slots;
-        for _ in 0..sim.booting {
-            sim.events
-                .push(SimTime::ZERO + sim.pool.boot, Ev::SlotReady);
+        let state = &mut sim.state;
+        state.booting = state.pool.min_slots;
+        for _ in 0..state.booting {
+            state
+                .events
+                .push(SimTime::ZERO + state.pool.boot, Ev::SlotReady);
         }
         sim
     }
 
-    /// A pool holding its floor of slots, none of them idle or booting.
+    /// A pool holding its floor of slots, none of them idle or booting,
+    /// with one history.
     fn empty(pool: Pool, on_outcome: F) -> Self {
         PoolSim {
-            pool,
-            events: Calendar::new(),
-            idle_slots: 0,
-            booting: 0,
-            busy: 0,
-            rented: pool.min_slots,
-            peak_slots: pool.min_slots,
-            rentals: pool.min_slots,
-            slot_hours: 0.0,
-            busy_hours: 0.0,
-            last_accrual: SimTime::ZERO,
-            waiting: VecDeque::new(),
-            backlog: pool.owned.then(TimeWeighted::new),
-            fold: OutcomeFold::new(on_outcome),
-            next_index: 0,
-            slot_charges: Money::ZERO,
-            deflected: 0,
-            cloud_cost: Money::ZERO,
+            state: PoolState {
+                pool,
+                events: Calendar::new(),
+                idle_slots: 0,
+                booting: 0,
+                busy: 0,
+                rented: pool.min_slots,
+                last_accrual: SimTime::ZERO,
+                waiting: VecDeque::new(),
+                backlog: pool.owned.then(TimeWeighted::new),
+                window: VecDeque::new(),
+                folded: 0,
+                next_index: 0,
+            },
+            tallies: vec![Tally::new(pool)],
+            visit: on_outcome,
         }
     }
 
     /// The slot source this pool simulates.
     pub(crate) fn pool(&self) -> Pool {
-        self.pool
+        self.state.pool
+    }
+
+    /// The histories this simulation stands for.
+    pub(crate) fn tallies(&self) -> &[Tally] {
+        &self.tallies
+    }
+
+    /// The histories, for the planner to name members and deal them out.
+    pub(crate) fn tallies_mut(&mut self) -> &mut Vec<Tally> {
+        &mut self.tallies
+    }
+
+    /// Whether the pool has fallen quiet: nothing in its calendar (so
+    /// nothing busy, booting or due for release), nobody waiting, and only
+    /// its floor held. Every quiescent state of one [`Pool`] advanced to
+    /// one instant is the same state: calendars with no events behave
+    /// alike whatever their sequence counters read, and the outcome window
+    /// is empty once everyone is decided.
+    #[inline(always)]
+    pub(crate) fn quiescent(&self) -> bool {
+        let s = &self.state;
+        let quiet = s.events.is_empty() && s.waiting.is_empty() && s.rented == s.pool.min_slots;
+        debug_assert!(!quiet || (s.busy, s.booting, s.window.len()) == (0, 0, 0));
+        quiet
+    }
+
+    /// Goes on for `other`'s histories too: moves every tally of `other`,
+    /// a quiescent pool of the same [`Pool`] advanced to the same arrival
+    /// as this quiescent one, into this simulation. `other` is left with
+    /// no tally, its buffers kept for a [`fork`](Self::fork).
+    pub(crate) fn absorb(&mut self, other: &mut Self) {
+        let (s, o) = (&self.state, &other.state);
+        debug_assert!(self.quiescent() && other.quiescent());
+        debug_assert!(s.pool == o.pool);
+        debug_assert_eq!(
+            (s.last_accrual, s.next_index, s.folded),
+            (o.last_accrual, o.next_index, o.folded)
+        );
+        self.tallies.append(&mut other.tallies);
+    }
+
+    /// A copy of this pool's dynamic state with no tally, for histories
+    /// whose decisions part here from the others'. `spare`, a simulation
+    /// left with no tally by [`absorb`](Self::absorb), lends its buffers,
+    /// so a fork of a spare does not allocate.
+    pub(crate) fn fork(&self, spare: Option<Self>) -> Self
+    where
+        F: Clone,
+    {
+        match spare {
+            Some(mut fork) => {
+                debug_assert!(fork.tallies.is_empty());
+                fork.state.copy_from(&self.state);
+                fork
+            }
+            None => PoolSim {
+                state: self.state.clone(),
+                tallies: Vec::new(),
+                visit: self.visit.clone(),
+            },
+        }
     }
 
     /// Fires the pool events strictly before `now`, the next arrival's
@@ -518,8 +696,8 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     /// all-events-upfront order).
     #[inline(always)]
     pub(crate) fn advance<S: EventSink>(&mut self, now: SimTime, sink: &mut S) {
-        while self.events.peek_time().is_some_and(|t| t < now) {
-            let (t, ev) = self.events.pop().expect("peeked event");
+        while self.state.events.peek_time().is_some_and(|t| t < now) {
+            let (t, ev) = self.state.events.pop().expect("peeked event");
             self.fire(t, ev, sink);
         }
         self.accrue(now);
@@ -530,12 +708,13 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     /// threshold, then the queue bound, then the backlog.
     #[inline(always)]
     pub(crate) fn decide(&self, policy: &Policy) -> Decision {
-        if self.idle_slots > 0 {
+        let s = &self.state;
+        if s.idle_slots > 0 {
             // A slot only idles once the backlog is empty, so nobody is
             // waiting ahead of this request.
             return Decision::Serve;
         }
-        let waiting = self.waiting.len();
+        let waiting = s.waiting.len();
         if policy.burst_at.is_some_and(|k| waiting >= k) {
             return Decision::Burst;
         }
@@ -549,7 +728,7 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
         }
         // The trigger counts the backlog with this request in it.
         Decision::Queue {
-            rent: waiting + 1 >= policy.scale_up_queue && self.rented < policy.max_slots,
+            rent: waiting + 1 >= policy.scale_up_queue && s.rented < policy.max_slots,
         }
     }
 
@@ -558,53 +737,64 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     #[inline(always)]
     pub(crate) fn apply<S: EventSink>(&mut self, job: Job, decision: Decision, sink: &mut S) {
         let now = job.at;
-        let i = self.next_index;
-        self.next_index += 1;
+        let i = self.state.next_index;
+        self.state.next_index += 1;
         let req = i as u32;
         sink.emit(now, TraceEvent::RequestQueued { req });
         match decision {
             Decision::Reject => {
                 sink.emit(now, TraceEvent::RequestRejected { req });
-                self.fold.push_rejected(i);
+                self.settle(i, Fate::Rejected);
             }
             Decision::Burst | Decision::Deflect => {
                 // Full per-request cloud price: CPU plus data management.
-                self.deflected += u64::from(decision == Decision::Deflect);
-                self.cloud_cost += job.cloud_cost;
+                let deflected = u64::from(decision == Decision::Deflect);
+                for t in &mut self.tallies {
+                    t.deflected += deflected;
+                    t.cloud_cost += job.cloud_cost;
+                }
                 sink.emit(now, TraceEvent::RequestStarted { req, cloud: true });
                 // Served on arrival: arrival and start are one instant of
                 // the simulation clock.
                 let start_h = now.as_hours_f64();
-                self.fold.push(RequestOutcome {
-                    index: i,
-                    degrees: job.degrees,
-                    arrival_hours: start_h,
-                    start_hours: start_h,
-                    finish_hours: start_h + job.run_hours,
-                    venue: Venue::Cloud,
-                    cost: job.cloud_cost,
-                    attempts: job.attempts,
-                });
+                self.settle(
+                    i,
+                    Fate::Served(RequestOutcome {
+                        index: i,
+                        degrees: job.degrees,
+                        arrival_hours: start_h,
+                        start_hours: start_h,
+                        finish_hours: start_h + job.run_hours,
+                        venue: Venue::Cloud,
+                        cost: job.cloud_cost,
+                        attempts: job.attempts,
+                    }),
+                );
                 if sink.enabled() {
-                    self.events.push(now + job.service, Ev::CloudDone(req));
+                    self.state
+                        .events
+                        .push(now + job.service, Ev::CloudDone(req));
                 }
             }
             Decision::Serve => {
-                debug_assert!(self.waiting.is_empty());
-                self.idle_slots -= 1;
+                debug_assert!(self.state.waiting.is_empty());
+                self.state.idle_slots -= 1;
                 let request = self.take(i, job);
                 self.start_service(request, now, sink);
             }
             Decision::Queue { rent } => {
                 let request = self.take(i, job);
-                self.waiting.push_back(request);
+                self.state.waiting.push_back(request);
                 self.backlog_changed(now);
                 if rent {
-                    self.rented += 1;
-                    self.rentals += 1;
-                    self.booting += 1;
-                    self.peak_slots = self.peak_slots.max(self.rented);
-                    self.events.push(now + self.pool.boot, Ev::SlotReady);
+                    let s = &mut self.state;
+                    s.rented += 1;
+                    s.booting += 1;
+                    for t in &mut self.tallies {
+                        t.rentals += 1;
+                        t.peak_slots = t.peak_slots.max(s.rented);
+                    }
+                    s.events.push(now + s.pool.boot, Ev::SlotReady);
                 }
             }
         }
@@ -612,49 +802,43 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
 
     /// Fires every pending pool event: every request is then decided.
     pub(crate) fn drain<S: EventSink>(&mut self, sink: &mut S) {
-        while let Some((t, ev)) = self.events.pop() {
+        while let Some((t, ev)) = self.state.events.pop() {
             self.fire(t, ev, sink);
         }
-        debug_assert_eq!(self.busy, 0);
-        debug_assert_eq!(self.booting, 0);
-        debug_assert_eq!(self.fold.next, self.next_index, "every request is decided");
+        let s = &self.state;
+        debug_assert_eq!(s.busy, 0);
+        debug_assert_eq!(s.booting, 0);
+        debug_assert_eq!(s.folded, s.next_index, "every request is decided");
     }
 
-    /// The report of a drained rented pool, its slot-hours priced at
-    /// `slot_cost_per_hour`.
+    /// The one history of a run alone.
+    fn tally(&self) -> &Tally {
+        debug_assert_eq!(self.tallies.len(), 1, "a run alone has one history");
+        &self.tallies[0]
+    }
+
+    /// The report of a drained rented pool run alone, its slot-hours
+    /// priced at `slot_cost_per_hour`.
     pub(crate) fn autoscale_report(&self, slot_cost_per_hour: Money) -> AutoScaleReport {
-        let fold = &self.fold;
-        AutoScaleReport {
-            requests: fold.served_local + fold.served_cloud,
-            rejected: fold.rejected,
-            deflected: self.deflected,
-            wait_hist: fold.wait_hist.clone(),
-            turnaround_hist: fold.turnaround_hist.clone(),
-            slot_hours: self.slot_hours,
-            rental_cost: slot_cost_per_hour * self.slot_hours,
-            dm_cost: self.slot_charges,
-            deflect_cost: self.cloud_cost,
-            peak_slots: self.peak_slots,
-            rentals: self.rentals,
-        }
+        self.tally().autoscale_report(slot_cost_per_hour)
     }
 
     /// The report of a drained owned cluster, its busy hours priced at
     /// `cost_per_slot_hour`.
     pub(crate) fn service_report(self, cost_per_slot_hour: Money) -> ServiceReport {
-        let fold = self.fold;
-        let backlog = self.backlog.expect("an owned cluster tracks its backlog");
+        let tally = self.tally();
+        let backlog = (self.state.backlog.as_ref()).expect("an owned cluster tracks its backlog");
         ServiceReport {
-            served_local: fold.served_local,
-            served_cloud: fold.served_cloud,
-            rejected: fold.rejected,
-            deflected: self.deflected,
-            wait_hist: fold.wait_hist,
-            turnaround_hist: fold.turnaround_hist,
-            backlog_mean: backlog.mean(self.last_accrual),
+            served_local: tally.served_local,
+            served_cloud: tally.served_cloud,
+            rejected: tally.rejected,
+            deflected: tally.deflected,
+            wait_hist: tally.wait_hist.clone(),
+            turnaround_hist: tally.turnaround_hist.clone(),
+            backlog_mean: backlog.mean(self.state.last_accrual),
             backlog_peak: backlog.peak(),
-            cloud_cost: self.cloud_cost,
-            local_cost: cost_per_slot_hour * self.busy_hours,
+            cloud_cost: tally.cloud_cost,
+            local_cost: cost_per_slot_hour * tally.busy_hours,
         }
     }
 
@@ -664,13 +848,13 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
             Ev::CloudDone(req) => sink.emit(now, TraceEvent::RequestFinished { req }),
             Ev::SlotReady => {
                 self.accrue(now);
-                self.booting -= 1;
+                self.state.booting -= 1;
                 self.slot_freed(now, sink);
             }
             Ev::ServiceDone(req) => {
                 self.accrue(now);
                 sink.emit(now, TraceEvent::RequestFinished { req });
-                self.busy -= 1;
+                self.state.busy -= 1;
                 self.slot_freed(now, sink);
             }
             Ev::IdleExpire => {
@@ -679,9 +863,10 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
                 // the slot that scheduled this check may have been reused
                 // since. Release one slot only if some slot is still idle
                 // and the pool sits above its floor.
-                if self.idle_slots > 0 && self.rented > self.pool.min_slots {
-                    self.idle_slots -= 1;
-                    self.rented -= 1;
+                let s = &mut self.state;
+                if s.idle_slots > 0 && s.rented > s.pool.min_slots {
+                    s.idle_slots -= 1;
+                    s.rented -= 1;
                 }
             }
         }
@@ -692,28 +877,34 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     /// grace window.
     #[inline(always)]
     fn slot_freed<S: EventSink>(&mut self, now: SimTime, sink: &mut S) {
-        if let Some(request) = self.waiting.pop_front() {
+        let s = &mut self.state;
+        if let Some(request) = s.waiting.pop_front() {
             self.backlog_changed(now);
             self.start_service(request, now, sink);
-        } else if self.rented <= self.pool.min_slots {
-            self.idle_slots += 1; // the floor stays held
-        } else if let Some(grace) = self.pool.idle_release {
-            self.idle_slots += 1;
-            self.events.push(now + grace, Ev::IdleExpire);
+        } else if s.rented <= s.pool.min_slots {
+            s.idle_slots += 1; // the floor stays held
+        } else if let Some(grace) = s.pool.idle_release {
+            s.idle_slots += 1;
+            s.events.push(now + grace, Ev::IdleExpire);
         } else {
-            self.rented -= 1; // idle above the floor: release immediately
+            s.rented -= 1; // idle above the floor: release immediately
         }
     }
 
     fn backlog_changed(&mut self, now: SimTime) {
-        if let Some(backlog) = &mut self.backlog {
-            backlog.set(now, self.waiting.len() as f64);
+        let s = &mut self.state;
+        if let Some(backlog) = &mut s.backlog {
+            backlog.set(now, s.waiting.len() as f64);
         }
     }
 
     fn accrue(&mut self, now: SimTime) {
-        self.slot_hours += self.rented as f64 * now.since(self.last_accrual).as_hours_f64();
-        self.last_accrual = now;
+        let s = &mut self.state;
+        let held = s.rented as f64 * now.since(s.last_accrual).as_hours_f64();
+        for t in &mut self.tallies {
+            t.slot_hours += held;
+        }
+        s.last_accrual = now;
     }
 
     /// Books request `index`'s slot hours and charge as the pool takes
@@ -722,8 +913,10 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     /// start order.
     #[inline(always)]
     fn take(&mut self, index: usize, job: Job) -> Waiting {
-        self.busy_hours += job.run_hours;
-        self.slot_charges += job.slot_cost;
+        for t in &mut self.tallies {
+            t.busy_hours += job.run_hours;
+            t.slot_charges += job.slot_cost;
+        }
         Waiting {
             index,
             degrees: job.degrees,
@@ -738,31 +931,64 @@ impl<F: FnMut(&RequestOutcome)> PoolSim<F> {
     #[inline(always)]
     fn start_service<S: EventSink>(&mut self, request: Waiting, now: SimTime, sink: &mut S) {
         let index = request.index;
-        self.busy += 1;
+        let owned = self.state.pool.owned;
+        self.state.busy += 1;
         let finish = now + request.service;
         let req = index as u32;
-        sink.emit(
-            now,
-            TraceEvent::RequestStarted {
-                req,
-                cloud: !self.pool.owned,
-            },
-        );
-        self.fold.push(RequestOutcome {
+        sink.emit(now, TraceEvent::RequestStarted { req, cloud: !owned });
+        self.settle(
             index,
-            degrees: request.degrees,
-            arrival_hours: request.at.as_hours_f64(),
-            start_hours: now.as_hours_f64(),
-            finish_hours: finish.as_hours_f64(),
-            venue: if self.pool.owned {
-                Venue::Local
-            } else {
-                Venue::Cloud
-            },
-            cost: request.cost,
-            attempts: request.attempts,
-        });
-        self.events.push(finish, Ev::ServiceDone(req));
+            Fate::Served(RequestOutcome {
+                index,
+                degrees: request.degrees,
+                arrival_hours: request.at.as_hours_f64(),
+                start_hours: now.as_hours_f64(),
+                finish_hours: finish.as_hours_f64(),
+                venue: if owned { Venue::Local } else { Venue::Cloud },
+                cost: request.cost,
+                attempts: request.attempts,
+            }),
+        );
+        self.state.events.push(finish, Ev::ServiceDone(req));
+    }
+
+    /// Records request `index`'s fate, then folds every outcome whose
+    /// predecessors are all decided into each tally and hands it to the
+    /// visitor, in arrival order. A rejection holds its place in the
+    /// window (it *is* a decision) but is only counted, never visited.
+    #[inline(always)]
+    fn settle(&mut self, index: usize, fate: Fate) {
+        let s = &mut self.state;
+        debug_assert!(index >= s.folded, "request {index} decided twice");
+        let at = index - s.folded;
+        if at >= s.window.len() {
+            s.window.resize(at + 1, Fate::Pending);
+        }
+        s.window[at] = fate;
+        while let Some(&front) = s.window.front() {
+            match front {
+                Fate::Pending => break,
+                Fate::Served(o) => {
+                    let (wait, turnaround) = (o.wait_hours(), o.turnaround_hours());
+                    for t in &mut self.tallies {
+                        t.wait_hist.record(wait);
+                        t.turnaround_hist.record(turnaround);
+                        match o.venue {
+                            Venue::Local => t.served_local += 1,
+                            Venue::Cloud => t.served_cloud += 1,
+                        }
+                    }
+                    (self.visit)(&o);
+                }
+                Fate::Rejected => {
+                    for t in &mut self.tallies {
+                        t.rejected += 1;
+                    }
+                }
+            }
+            s.window.pop_front();
+            s.folded += 1;
+        }
     }
 }
 
@@ -773,76 +999,4 @@ enum Fate {
     Pending,
     Served(RequestOutcome),
     Rejected,
-}
-
-/// Drains completed [`RequestOutcome`]s to the visitor in arrival-index
-/// order, buffering only the out-of-order window (bounded by the peak
-/// backlog, not the request count), and folds each drained outcome into
-/// the report's histograms so the fold order matches arrival order.
-/// Rejected requests hold their place in the window (a rejection *is* a
-/// decision) but are only counted, never visited.
-#[derive(Clone)]
-struct OutcomeFold<F: FnMut(&RequestOutcome)> {
-    buf: VecDeque<Fate>,
-    next: usize,
-    wait_hist: Histogram,
-    turnaround_hist: Histogram,
-    served_local: u64,
-    served_cloud: u64,
-    rejected: u64,
-    visit: F,
-}
-
-impl<F: FnMut(&RequestOutcome)> OutcomeFold<F> {
-    fn new(visit: F) -> Self {
-        OutcomeFold {
-            buf: VecDeque::new(),
-            next: 0,
-            wait_hist: Histogram::new(),
-            turnaround_hist: Histogram::new(),
-            served_local: 0,
-            served_cloud: 0,
-            rejected: 0,
-            visit,
-        }
-    }
-
-    fn push(&mut self, o: RequestOutcome) {
-        let index = o.index;
-        self.decide(index, Fate::Served(o));
-    }
-
-    fn push_rejected(&mut self, index: usize) {
-        self.decide(index, Fate::Rejected);
-    }
-
-    fn decide(&mut self, index: usize, fate: Fate) {
-        debug_assert!(index >= self.next, "request {index} decided twice");
-        let at = index - self.next;
-        if at >= self.buf.len() {
-            self.buf.resize(at + 1, Fate::Pending);
-        }
-        self.buf[at] = fate;
-        while let Some(front) = self.buf.front() {
-            match *front {
-                Fate::Pending => break,
-                Fate::Served(o) => {
-                    self.buf.pop_front();
-                    self.next += 1;
-                    self.wait_hist.record(o.wait_hours());
-                    self.turnaround_hist.record(o.turnaround_hours());
-                    match o.venue {
-                        Venue::Local => self.served_local += 1,
-                        Venue::Cloud => self.served_cloud += 1,
-                    }
-                    (self.visit)(&o);
-                }
-                Fate::Rejected => {
-                    self.buf.pop_front();
-                    self.next += 1;
-                    self.rejected += 1;
-                }
-            }
-        }
-    }
 }

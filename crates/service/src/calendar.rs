@@ -18,12 +18,29 @@ use mcloud_simkit::SimTime;
 /// `EventQueue`, so swapping one for the other leaves every schedule
 /// unchanged. `E` must be `Ord` only to sit in the heap; distinct
 /// sequence numbers mean two payloads are never compared.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Calendar<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
     next_seq: u64,
     /// Time of the last popped event; nothing may be scheduled earlier.
     now: SimTime,
+}
+
+// By hand, so that `clone_from` reuses the heap's buffer.
+impl<E: Clone> Clone for Calendar<E> {
+    fn clone(&self) -> Self {
+        Calendar {
+            heap: self.heap.clone(),
+            next_seq: self.next_seq,
+            now: self.now,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.heap.clone_from(&src.heap);
+        self.next_seq = src.next_seq;
+        self.now = src.now;
+    }
 }
 
 impl<E: Ord> Calendar<E> {
@@ -54,6 +71,11 @@ impl<E: Ord> Calendar<E> {
     /// The time of the next event, if any.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+
+    /// Whether no event is pending.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Removes and returns the earliest event.

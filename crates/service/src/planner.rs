@@ -15,19 +15,29 @@
 //! candidate. Within a group, candidates run in *cohorts*: one pool
 //! simulation shared by candidates that agree on every field the pool's
 //! event handling reads (floor, boot delay, idle release, slot size,
-//! execution model) and have made the same decision at every arrival so
-//! far. The other fields (ceiling, scale-up trigger, queue bound and
-//! admission policy) act only through that decision, so a cohort fires
-//! its pool events once per arrival, asks each member what it does with
-//! the arrival, and splits, one copy of its state per further answer,
-//! only when the members disagree. Candidates whose difference never
-//! matters share a simulation to the end: with `min_slots == max_slots`
-//! the pool can never rent, so the scale-up trigger never matters, and a
-//! queue bound the backlog never reaches never acts. The slot price is
-//! applied per member when the reports are priced. A candidate's report
-//! is its own decisions played out, so it does not depend on its group
-//! or cohort, and results are byte-identical at any lane count; memory
-//! stays bounded by the candidates' backlogs. Each lane keeps a warm
+//! execution model) and whose pools are in the same state. The other
+//! fields (ceiling, scale-up trigger, queue bound and admission policy)
+//! act only through each arrival's decision, so a cohort fires its pool
+//! events once per arrival, asks each member what it does with the
+//! arrival, and splits, one copy of its state per further answer, only
+//! when the members disagree. Candidates whose difference never matters
+//! share a simulation to the end: with `min_slots == max_slots` the pool
+//! can never rent, so the scale-up trigger never matters, and a queue
+//! bound the backlog never reaches never acts. Split cohorts re-merge:
+//! a pool whose backlog and calendar are empty and which holds only its
+//! floor is quiescent, and every quiescent pool of one floor, boot delay
+//! and idle release is in the same state, so cohorts whose pools fall
+//! quiet at the same arrival go on as one.
+//!
+//! What a report sums is kept apart from the pool state, in a tally per
+//! decision history that names the candidates which made it; a merged
+//! cohort carries one tally per history it holds, and a later split
+//! deals the tallies out by member. Every tally receives the updates its
+//! history alone would, in the same order, and the slot price is applied
+//! per member when the reports are priced. So a candidate's report does
+//! not depend on its group or cohort, results are byte-identical at any
+//! lane count, and memory stays bounded by the candidates' backlogs, with
+//! at most one tally per candidate. Each lane keeps a warm
 //! [`ProfileTable`], so the engine profiles behind the service times are
 //! simulated once per plan, not once per candidate.
 
@@ -38,7 +48,9 @@ use mcloud_simkit::{NullSink, WorkerPool};
 use mcloud_sweep::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 
 use crate::arrivals::{class_stream, MergedStream, RateProfile, RequestClass};
-use crate::autoscale::{AutoScaleConfig, AutoScaleReport, Decision, Job, Policy, Pool, PoolSim};
+use crate::autoscale::{
+    AutoScaleConfig, AutoScaleReport, Decision, Job, Policy, Pool, PoolSim, Tally,
+};
 use crate::profile::ProfileTable;
 use crate::simulator::{AdmissionPolicy, RequestOutcome};
 
@@ -327,7 +339,7 @@ pub fn plan_capacity_with_cache(
 
         let miss_cfgs: Vec<AutoScaleConfig> =
             misses.iter().map(|&i| candidates[i].clone()).collect();
-        let reports = simulate_grouped(spec, &miss_cfgs, &proto, WorkerPool::global().lanes());
+        let (reports, _) = simulate_grouped(spec, &miss_cfgs, &proto, WorkerPool::global().lanes());
         miss_cfgs
             .iter()
             .zip(&reports)
@@ -370,10 +382,10 @@ pub fn plan_capacity_with_cache(
 /// each group pulls the stream once and runs its candidates in cohorts
 /// (see the module docs). Reports come back in candidate order, each
 /// equal to [`simulate_autoscale_stream`](crate::simulate_autoscale_stream)
-/// for that candidate alone, at any grouping. `profiles` is a table of
-/// the spec's execution model (warm it to skip profiling); every lane
-/// starts from a copy, and a candidate with another execution model gets
-/// a table of its own.
+/// for that candidate alone, at any grouping, with what the cohorts did,
+/// summed over the groups. `profiles` is a table of the spec's execution
+/// model (warm it to skip profiling); every lane starts from a copy, and
+/// a candidate with another execution model gets a table of its own.
 ///
 /// # Panics
 /// Panics if a candidate fails [`AutoScaleConfig::validate`].
@@ -382,7 +394,7 @@ pub fn simulate_grouped(
     cfgs: &[AutoScaleConfig],
     profiles: &ProfileTable,
     groups: usize,
-) -> Vec<AutoScaleReport> {
+) -> (Vec<AutoScaleReport>, CohortStats) {
     let n = cfgs.len();
     let groups = groups.clamp(1, n.max(1));
     let parts: Vec<&[AutoScaleConfig]> = (0..groups)
@@ -395,35 +407,61 @@ pub fn simulate_grouped(
     let per_group = pool.map_with_state(&mut tables, &parts, |tables, part| {
         simulate_cohorts(spec, part, tables)
     });
-    per_group.into_iter().flatten().collect()
+    let mut reports = Vec::with_capacity(n);
+    let mut stats = CohortStats::default();
+    for (part, s) in per_group {
+        reports.extend(part);
+        stats.steps += s.steps;
+        stats.forks += s.forks;
+        stats.merges += s.merges;
+        stats.histories += s.histories;
+    }
+    (reports, stats)
+}
+
+/// What a plan's cohorts did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CohortStats {
+    /// Cohort-steps: pool simulations advanced to an arrival, one per
+    /// cohort per arrival.
+    pub steps: u64,
+    /// Cohorts forked where members' decisions parted.
+    pub forks: u64,
+    /// Cohorts merged into another when both pools fell quiet.
+    pub merges: u64,
+    /// Decision histories at the end, each with its own tally: at most
+    /// one per candidate.
+    pub histories: u64,
 }
 
 /// Candidates sharing one pool simulation: they resolve arrivals alike
 /// (one slot size and execution model), agree on every field the pool's
-/// event handling reads (its [`Pool`]), and have made the same
-/// [`Decision`] at every arrival so far, so they are in the same state.
+/// event handling reads (its [`Pool`]), and are in the same pool state:
+/// they have made the same [`Decision`] at every arrival since their
+/// pools last fell quiet together. Each decision history among them has
+/// its own [`Tally`](crate::autoscale::Tally), which names its members.
 struct Cohort<F: FnMut(&RequestOutcome)> {
     sim: PoolSim<F>,
     /// The cohort's entry in the group's job kinds.
     kind: usize,
-    /// Indices of the member candidates in the group.
-    members: Vec<usize>,
 }
 
 /// Runs one group's candidates over one pull of the demand stream.
-/// Candidates start in one cohort per (job kind, [`Pool`]); each arrival
-/// is resolved into a [`Job`] once per job kind, and each cohort fires
-/// its pool events once and asks every member for its decision. Where
-/// the members disagree the cohort splits, one copy of its state per
-/// further decision. A report is the member's own decision sequence
-/// played out, priced at its own slot rate, so it equals running the
-/// candidate alone and does not depend on the other candidates.
-/// `tables` holds a profile table per execution model seen so far.
+/// Candidates start in one cohort per (job kind, [`Pool`]), each with one
+/// history. For each arrival, resolved into a [`Job`] once per job kind,
+/// every cohort fires its pool events once; cohorts of one (job kind,
+/// `Pool`) whose pools have fallen quiet then merge, since quiescent
+/// pools of one `Pool` are in one state, and each cohort asks every
+/// member for its decision and splits where they disagree. Every history
+/// tallies its own decisions played out, and a member's report is its
+/// history's tally priced at its own slot rate, so it equals running the
+/// candidate alone and does not depend on the other candidates. `tables`
+/// holds a profile table per execution model seen so far.
 fn simulate_cohorts(
     spec: &PlanSpec,
     part: &[AutoScaleConfig],
     tables: &mut Vec<ProfileTable>,
-) -> Vec<AutoScaleReport> {
+) -> (Vec<AutoScaleReport>, CohortStats) {
     let visit = |_: &RequestOutcome| {};
     let policies: Vec<Policy> = part.iter().map(Policy::of).collect();
     // Job kinds: each distinct (slot size, profile table).
@@ -446,21 +484,27 @@ fn simulate_cohorts(
                 kinds.len() - 1
             });
         let pool = Pool::of(cfg);
-        match cohorts
-            .iter_mut()
-            .find(|c| c.kind == kind && c.sim.pool() == pool)
-        {
-            Some(cohort) => cohort.members.push(m),
-            None => cohorts.push(Cohort {
-                sim: PoolSim::rented(cfg, visit),
-                kind,
-                members: vec![m],
-            }),
-        }
+        let c = cohorts
+            .iter()
+            .position(|c| c.kind == kind && c.sim.pool() == pool)
+            .unwrap_or_else(|| {
+                cohorts.push(Cohort {
+                    sim: PoolSim::rented(cfg, visit),
+                    kind,
+                });
+                cohorts.len() - 1
+            });
+        cohorts[c].sim.tallies_mut()[0].members.push(m);
     }
 
+    let mut stats = CohortStats::default();
     let mut jobs: Vec<Job> = Vec::with_capacity(kinds.len());
-    let mut decisions: Vec<Decision> = Vec::new();
+    let mut split = Split {
+        decided: vec![Decision::Serve; part.len()],
+        tallies: Vec::new(),
+        forks: Vec::new(),
+        spares: Vec::new(),
+    };
     let mut forked: Vec<Cohort<_>> = Vec::new();
     for a in spec.stream() {
         jobs.clear();
@@ -470,42 +514,21 @@ fn simulate_cohorts(
                 .map(|&(procs, table)| Job::new(a, 1, tables[table].fixed(a.degrees, procs))),
         );
         for cohort in &mut cohorts {
+            cohort.sim.advance(jobs[cohort.kind].at, &mut NullSink);
+        }
+        stats.steps += cohorts.len() as u64;
+        stats.merges += merge_quiescent(&mut cohorts, &mut split.spares);
+        for cohort in &mut cohorts {
             let job = jobs[cohort.kind];
-            cohort.sim.advance(job.at, &mut NullSink);
-            let first = cohort.sim.decide(&policies[cohort.members[0]]);
-            if cohort.members[1..]
+            let sim = &cohort.sim;
+            let first = sim.decide(&policies[sim.tallies()[0].members[0]]);
+            if sim
+                .tallies()
                 .iter()
-                .any(|&m| cohort.sim.decide(&policies[m]) != first)
+                .flat_map(|t| &t.members)
+                .any(|&m| sim.decide(&policies[m]) != first)
             {
-                decisions.clear();
-                decisions.extend(
-                    cohort
-                        .members
-                        .iter()
-                        .map(|&m| cohort.sim.decide(&policies[m])),
-                );
-                let mut splits: Vec<(Decision, Vec<usize>)> = Vec::new();
-                for (m, d) in std::mem::take(&mut cohort.members)
-                    .into_iter()
-                    .zip(&decisions)
-                {
-                    if *d == first {
-                        cohort.members.push(m);
-                    } else if let Some((_, members)) = splits.iter_mut().find(|(e, _)| e == d) {
-                        members.push(m);
-                    } else {
-                        splits.push((*d, vec![m]));
-                    }
-                }
-                for (decision, members) in splits {
-                    let mut sim = cohort.sim.clone();
-                    sim.apply(job, decision, &mut NullSink);
-                    forked.push(Cohort {
-                        sim,
-                        kind: cohort.kind,
-                        members,
-                    });
-                }
+                stats.forks += split.run(cohort, job, first, &policies, &mut forked);
             }
             cohort.sim.apply(job, first, &mut NullSink);
         }
@@ -515,14 +538,130 @@ fn simulate_cohorts(
     let mut reports: Vec<Option<AutoScaleReport>> = vec![None; part.len()];
     for mut cohort in cohorts {
         cohort.sim.drain(&mut NullSink);
-        for &m in &cohort.members {
-            reports[m] = Some(cohort.sim.autoscale_report(part[m].slot_cost_per_hour));
+        for tally in cohort.sim.tallies() {
+            stats.histories += 1;
+            for &m in &tally.members {
+                debug_assert!(reports[m].is_none(), "candidate {m} in two histories");
+                reports[m] = Some(tally.autoscale_report(part[m].slot_cost_per_hour));
+            }
         }
     }
-    reports
+    let reports = reports
         .into_iter()
-        .map(|r| r.expect("every candidate is in one cohort"))
-        .collect()
+        .map(|r| r.expect("every candidate is in one history"))
+        .collect();
+    (reports, stats)
+}
+
+/// Merges the cohorts whose pools have fallen quiet at this arrival:
+/// quiescent pools of one (job kind, [`Pool`]) are in one state, so the
+/// first such cohort goes on for the others' histories, and their states
+/// become `spares`. Returns the number of merges.
+fn merge_quiescent<F: FnMut(&RequestOutcome)>(
+    cohorts: &mut Vec<Cohort<F>>,
+    spares: &mut Vec<PoolSim<F>>,
+) -> u64 {
+    let mut merges = 0;
+    let mut i = 0;
+    while i < cohorts.len() {
+        let c = &cohorts[i];
+        let into = if c.sim.quiescent() {
+            (0..i).find(|&j| {
+                let o = &cohorts[j];
+                o.kind == c.kind && o.sim.pool() == c.sim.pool() && o.sim.quiescent()
+            })
+        } else {
+            None
+        };
+        match into {
+            Some(j) => {
+                let mut gone = cohorts.swap_remove(i);
+                cohorts[j].sim.absorb(&mut gone.sim);
+                spares.push(gone.sim);
+                merges += 1;
+            }
+            None => i += 1,
+        }
+    }
+    merges
+}
+
+/// A group's buffers for splitting cohorts, kept across arrivals so that
+/// a split allocates only where a history forks.
+struct Split<F: FnMut(&RequestOutcome)> {
+    /// The decision of each candidate of the group on this arrival.
+    decided: Vec<Decision>,
+    /// The splitting cohort's tallies, being dealt out.
+    tallies: Vec<Tally>,
+    /// This split's forks: a decision and its cohort's index in `forked`.
+    forks: Vec<(Decision, usize)>,
+    /// Pool simulations left with no history by a merge; a fork reuses
+    /// their buffers.
+    spares: Vec<PoolSim<F>>,
+}
+
+impl<F: FnMut(&RequestOutcome) + Clone> Split<F> {
+    /// Splits `cohort`, whose members disagree on `job`: the histories
+    /// that decide `first` stay, and each further decision gets a fork of
+    /// the state (built in a spare when one is left) holding the tallies
+    /// of the members that made it. A tally whose own members disagree is
+    /// cloned, once per further decision among them. The forks carry out
+    /// their decisions and land in `forked`. Returns the number of forks.
+    fn run(
+        &mut self,
+        cohort: &mut Cohort<F>,
+        job: Job,
+        first: Decision,
+        policies: &[Policy],
+        forked: &mut Vec<Cohort<F>>,
+    ) -> u64 {
+        let sim = &mut cohort.sim;
+        for &m in sim.tallies().iter().flat_map(|t| &t.members) {
+            self.decided[m] = sim.decide(&policies[m]);
+        }
+        std::mem::swap(&mut self.tallies, sim.tallies_mut());
+        self.forks.clear();
+        let decided = &self.decided;
+        let mut place = |tally: Tally, d: Decision| {
+            if d == first {
+                sim.tallies_mut().push(tally);
+                return;
+            }
+            let at = match self.forks.iter().find(|&&(e, _)| e == d) {
+                Some(&(_, at)) => at,
+                None => {
+                    forked.push(Cohort {
+                        sim: sim.fork(self.spares.pop()),
+                        kind: cohort.kind,
+                    });
+                    self.forks.push((d, forked.len() - 1));
+                    forked.len() - 1
+                }
+            };
+            forked[at].sim.tallies_mut().push(tally);
+        };
+        for mut tally in self.tallies.drain(..) {
+            let d = decided[tally.members[0]];
+            let mut rest: Vec<usize> = Vec::new();
+            tally.members.retain(|&m| {
+                decided[m] == d || {
+                    rest.push(m);
+                    false
+                }
+            });
+            while let Some(&m) = rest.first() {
+                let e = decided[m];
+                let (with, without) = rest.iter().partition(|&&m| decided[m] == e);
+                place(tally.fork(with), e);
+                rest = without;
+            }
+            place(tally, d);
+        }
+        for &(d, at) in &self.forks {
+            forked[at].sim.apply(job, d, &mut NullSink);
+        }
+        self.forks.len() as u64
+    }
 }
 
 fn score(spec: &PlanSpec, cfg: &AutoScaleConfig, report: &AutoScaleReport) -> PlanCandidate {
@@ -886,7 +1025,7 @@ mod tests {
             .collect();
         let profiles = ProfileTable::new(spec.exec.clone());
         for groups in [1, 2, 5, 74] {
-            let grouped = simulate_grouped(&spec, &cfgs, &profiles, groups);
+            let (grouped, _) = simulate_grouped(&spec, &cfgs, &profiles, groups);
             assert_eq!(grouped.len(), alone.len());
             // Whole reports, so every scorecard field agrees too.
             for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
@@ -939,7 +1078,7 @@ mod tests {
         assert!(alone.iter().any(|r| r.deflected > 0));
         let profiles = ProfileTable::new(spec.exec.clone());
         for groups in [1, 2, 5] {
-            let grouped = simulate_grouped(&spec, &cfgs, &profiles, groups);
+            let (grouped, _) = simulate_grouped(&spec, &cfgs, &profiles, groups);
             assert_eq!(grouped.len(), alone.len());
             for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
                 assert_eq!(g, a, "candidate {i} at {groups} groups");

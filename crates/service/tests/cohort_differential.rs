@@ -1,22 +1,27 @@
 //! Pins the capacity planner's cohorts to one pool per candidate.
 //!
 //! `simulate_grouped` lets candidates that decide alike share one pool
-//! simulation and forks it where their decisions part. On drawn specs
-//! and candidate lists, at 1, 2, 3 and 5 groups, every report it returns
-//! must equal `simulate_autoscale_stream` for that candidate alone, and
-//! that must equal the reference below: the pool as it was before the
-//! planner shared simulations, one per candidate, deciding and acting in
-//! one step. Its event calendar and in-order outcome fold are private to
-//! the crate, so they are rebuilt here from public parts; the rest is the
-//! old `AutoScaleSim::arrive` line for line.
+//! simulation, forks it where their decisions part, and merges two
+//! cohorts again once both pools have fallen quiet, each decision history
+//! keeping its own tally. On drawn specs and candidate lists, at 1, 2, 3
+//! and 5 groups, and for the candidates with boot delays and idle release
+//! on their own, every report it returns must equal
+//! `simulate_autoscale_stream` for that candidate alone, and that must
+//! equal the reference below: the pool as it was before the planner
+//! shared simulations, one per candidate, deciding and acting in one
+//! step. Its event calendar and in-order outcome fold are private to the
+//! crate, so they are rebuilt here from public parts; the rest is the old
+//! `AutoScaleSim::arrive` line for line.
 //!
 //! Candidates are drawn from a few pool families (floor, boot delay, idle
 //! release, slot size, execution model), each family after the first one
 //! field away from another, and vary every other field: ceiling,
 //! scale-up trigger, queue bound, admission policy and slot price; near
 //! twins of earlier candidates put members that differ in one field into
-//! one cohort. Debug builds check a few short specs; `--release` checks
-//! the full draw.
+//! one cohort, or into cohorts one field apart. Some boots outlast a
+//! request, so a pool can sit at its floor with a slot still booting.
+//! Debug builds check a few short specs; `--release` checks the full
+//! draw.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -273,7 +278,7 @@ fn draw_spec(rng: &mut SimRng) -> PlanSpec {
     let horizon = if full() {
         rng.f64_in(24.0, 24.0 * 91.0)
     } else {
-        rng.f64_in(24.0, 96.0)
+        rng.f64_in(24.0, 240.0)
     };
     let mut spec = PlanSpec::new(7.0, rng.f64_in(0.5, 6.0), horizon);
     spec.seed = rng.next_u64();
@@ -312,7 +317,7 @@ fn pick<T: Clone>(rng: &mut SimRng, from: &[T]) -> T {
 fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<AutoScaleConfig> {
     let execs = [spec.exec.clone(), spec.exec.clone().prestaged(true)];
     let mins = [0u32, 1, 2, 4];
-    let boots = [0.0, 120.0, 300.0];
+    let boots = [0.0, 120.0, 300.0, 7200.0];
     let idles = [0.0, 900.0, 3600.0];
     let procs = [8u32, 16];
     let prices = [0.8, 1.6, 2.4, 3.2];
@@ -339,13 +344,14 @@ fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<AutoScaleConfig> {
     while out.len() < count {
         let cfg = if !out.is_empty() && rng.chance(0.3) {
             let mut twin = pick(rng, &out);
-            match rng.below(7) {
+            match rng.below(8) {
                 0 => twin.slot_cost_per_hour = Money::from_dollars(pick(rng, &prices)),
                 1 => twin.idle_release_s = pick(rng, &idles),
                 2 => twin.boot_s = pick(rng, &boots),
                 3 => twin.procs_per_slot = pick(rng, &procs),
                 4 => twin.exec = pick(rng, &execs),
                 5 => twin.max_slots = twin.min_slots.max(1) + rng.below(12) as u32,
+                6 => twin.min_slots = pick(rng, &mins),
                 _ => {}
             }
             twin
@@ -378,9 +384,10 @@ fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<AutoScaleConfig> {
 
 #[test]
 fn cohorts_report_what_each_candidate_reports_alone() {
-    let draws = if full() { 24 } else { 6 };
+    let draws = if full() { 24 } else { 10 };
     let mut rng = SimRng::new(0x0c0f_0127);
     let (mut rejected, mut deflected, mut released, mut shared) = (0, 0, 0, 0);
+    let (mut merged, mut slow_merged) = (0, 0);
     for draw in 0..draws {
         let spec = draw_spec(&mut rng);
         let cfgs = draw_candidates(&mut rng, &spec);
@@ -410,12 +417,31 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         }
         let profiles = ProfileTable::new(spec.exec.clone());
         for groups in [1, 2, 3, 5] {
-            let grouped = simulate_grouped(&spec, &cfgs, &profiles, groups);
+            let (grouped, stats) = simulate_grouped(&spec, &cfgs, &profiles, groups);
             assert_eq!(grouped.len(), cfgs.len());
             for (i, (g, expected)) in grouped.iter().zip(&reference).enumerate() {
                 assert_eq!(g, expected, "draw {draw}: candidate {i} at {groups} groups");
             }
+            assert!(
+                stats.histories <= cfgs.len() as u64,
+                "draw {draw}: {stats:?}"
+            );
+            merged += stats.merges;
         }
+        // The candidates whose pools boot and release after a grace
+        // window, on their own: their cohorts re-merge only once every
+        // boot and every pending release has fired.
+        let (slow, slow_reference): (Vec<AutoScaleConfig>, Vec<&AutoScaleReport>) = cfgs
+            .iter()
+            .zip(&reference)
+            .filter(|(cfg, _)| cfg.boot_s > 0.0 && cfg.idle_release_s > 0.0)
+            .map(|(cfg, r)| (cfg.clone(), r))
+            .unzip();
+        let (grouped, stats) = simulate_grouped(&spec, &slow, &profiles, 1);
+        for (i, (g, expected)) in grouped.iter().zip(slow_reference).enumerate() {
+            assert_eq!(g, expected, "draw {draw}: slow candidate {i}");
+        }
+        slow_merged += stats.merges;
         // Candidates that end alike were one cohort's members.
         shared += (0..cfgs.len())
             .filter(|&i| {
@@ -433,4 +459,9 @@ fn cohorts_report_what_each_candidate_reports_alone() {
     );
     assert!(released > 0, "no candidate released and re-rented a slot");
     assert!(shared > 0, "no two candidates shared a pool history");
+    assert!(merged > 0, "no two cohorts re-merged");
+    assert!(
+        slow_merged > 0,
+        "no two cohorts with boot delays and idle release re-merged"
+    );
 }
