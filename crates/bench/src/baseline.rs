@@ -376,9 +376,11 @@ fn service_scale_scenario() -> (
     mcloud_service::RateProfile,
     f64,
     u64,
-    mcloud_service::ServiceConfig,
+    mcloud_service::PoolConfig,
 ) {
-    use mcloud_service::{AdmissionPolicy, FlashCrowd, RateProfile, RequestClass, ServiceConfig};
+    use mcloud_service::{
+        AdmissionPolicy, FlashCrowd, PoolConfig, RateProfile, RequestClass, Slots,
+    };
     let class = |rate_per_hour, degrees, priority| RequestClass {
         rate_per_hour,
         degrees,
@@ -399,12 +401,12 @@ fn service_scale_scenario() -> (
     // or the burst path would drain the queue before it ever reached the
     // bound): the diurnal peak and the flash crowd overflow the 24-deep
     // queue, so the row pins real rejected counts.
-    let cfg = ServiceConfig {
-        local_slots: 12,
+    let cfg = PoolConfig {
+        slots: Slots::owned(12),
         burst_threshold: None,
         queue_bound: Some(24),
         admission: AdmissionPolicy::Reject,
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
     ("quarter-mixed-reject", classes, profile, 2190.0, 2008, cfg)
 }
@@ -413,12 +415,12 @@ fn service_scale_scenario() -> (
 /// deterministic request counters, then timed replays (best-of) for the
 /// throughput column.
 pub fn measure_service_scale(budget_ms: u64) -> Vec<Row> {
-    use mcloud_service::{class_stream, simulate_service_stream};
+    use mcloud_service::{class_stream, simulate_pool};
     use mcloud_simkit::NullSink;
 
     let (scenario, classes, profile, horizon, seed, cfg) = service_scale_scenario();
     let run = || {
-        simulate_service_stream(
+        simulate_pool(
             class_stream(&classes, &profile, horizon, seed),
             &cfg,
             &mut NullSink,
@@ -430,10 +432,10 @@ pub fn measure_service_scale(budget_ms: u64) -> Vec<Row> {
         std::hint::black_box(run());
     });
     vec![Row::new(format!("service/{scenario}"))
-        .exact("offered", report.offered() as u64)
-        .exact("admitted", report.requests() as u64)
-        .exact("rejected", report.rejected_requests() as u64)
-        .exact("deflected", report.deflected_requests() as u64)
+        .exact("offered", report.offered())
+        .exact("admitted", report.requests())
+        .exact("rejected", report.rejected)
+        .exact("deflected", report.deflected)
         .tolerant(
             "service_requests_per_sec",
             report.offered() as f64 / best_s,

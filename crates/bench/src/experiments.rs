@@ -618,7 +618,8 @@ pub fn bandwidth_sweep(degrees: f64, processors: u32) -> Table {
 /// of bursty traffic — the dynamic version of Question 2's "provisions a
 /// certain amount of resources over a period of time".
 pub fn autoscale_table() -> Table {
-    use mcloud_service::{bursty, simulate_autoscale, AutoScaleConfig};
+    use mcloud_service::{bursty, simulate_pool, PoolConfig, Slots};
+    use mcloud_simkit::NullSink;
     let arrivals = bursty(
         0.5,
         720.0,
@@ -634,44 +635,18 @@ pub fn autoscale_table() -> Table {
         "mean_wait_h",
         "max_wait_h",
     ]);
-    let base = AutoScaleConfig::default_pool();
-    let plans: Vec<(&str, AutoScaleConfig)> = vec![
-        (
-            "fixed 1 slot",
-            AutoScaleConfig {
-                min_slots: 1,
-                max_slots: 1,
-                ..base.clone()
-            },
-        ),
-        (
-            "fixed 4 slots",
-            AutoScaleConfig {
-                min_slots: 4,
-                max_slots: 4,
-                ..base.clone()
-            },
-        ),
-        (
-            "autoscale 1..8",
-            AutoScaleConfig {
-                min_slots: 1,
-                max_slots: 8,
-                ..base.clone()
-            },
-        ),
-        (
-            "autoscale 0..8",
-            AutoScaleConfig {
-                min_slots: 0,
-                max_slots: 8,
-                scale_up_queue: 1,
-                ..base
-            },
-        ),
+    let pool = |min, max, up| PoolConfig {
+        slots: Slots::rented(min, max, up),
+        ..PoolConfig::default_rented()
+    };
+    let plans = [
+        ("fixed 1 slot", pool(1, 1, 2)),
+        ("fixed 4 slots", pool(4, 4, 2)),
+        ("autoscale 1..8", pool(1, 8, 2)),
+        ("autoscale 0..8", pool(0, 8, 1)),
     ];
     for (label, cfg) in plans {
-        let r = simulate_autoscale(&arrivals, &cfg);
+        let r = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |_| {});
         t.push_row(vec![
             label.to_string(),
             r.peak_slots.to_string(),
@@ -800,7 +775,8 @@ pub fn tiered_egress_table() -> Table {
 /// Extension: service-level burst policies over a month of bursty traffic
 /// (the paper's motivating "sporadic overloads" scenario, quantified).
 pub fn burst_policy_table() -> Table {
-    use mcloud_service::{bursty, simulate_service, ServiceConfig};
+    use mcloud_service::{bursty, simulate_pool, PoolConfig, Slots};
+    use mcloud_simkit::NullSink;
     let horizon = 30.0 * 24.0;
     let arrivals = bursty(
         0.5,
@@ -823,16 +799,16 @@ pub fn burst_policy_table() -> Table {
         ("at_2_waiting", Some(2)),
         ("immediately", Some(0usize)),
     ] {
-        let cfg = ServiceConfig {
-            local_slots: 2,
+        let cfg = PoolConfig {
+            slots: Slots::owned(2),
             burst_threshold: threshold,
-            ..ServiceConfig::default_burst()
+            ..PoolConfig::default_owned()
         };
-        let r = simulate_service(&arrivals, &cfg);
+        let r = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |_| {});
         t.push_row(vec![
             label.to_string(),
-            r.local_requests().to_string(),
-            r.cloud_requests().to_string(),
+            r.served_local.to_string(),
+            r.served_cloud.to_string(),
             format!("{:.2}", r.cloud_cost.dollars()),
             format!("{:.2}", r.mean_wait_hours()),
             format!("{:.2}", r.turnaround_quantile(0.95)),

@@ -1,7 +1,7 @@
 //! Acceptance gate for the streaming service layer: peak memory must not
 //! scale with the request count.
 //!
-//! The pre-streaming `simulate_service` materialized one `RequestOutcome`
+//! The pre-streaming service simulator materialized one `RequestOutcome`
 //! per arrival, so a month-scale stream held the whole campaign in memory
 //! at once. The streaming fold replaces that vector with registered
 //! histograms plus a reorder buffer bounded by the *backlog*, so a 10x
@@ -12,10 +12,14 @@
 use mcloud_bench::alloc;
 use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mcloud_service::{
-    class_stream, plan_capacity_with_cache, poisson, simulate_service, simulate_service_stream,
-    AdmissionPolicy, Arrival, AutoScaleConfig, PlanSpec, RateProfile, RequestClass, ServiceConfig,
+    class_stream, plan_capacity_with_cache, poisson, simulate_pool, AdmissionPolicy, Arrival,
+    PlanSpec, PoolConfig, PoolReport, RateProfile, RequestClass, Slots,
 };
 use mcloud_simkit::NullSink;
+
+fn run(arrivals: &[Arrival], cfg: &PoolConfig) -> PoolReport {
+    simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |_| {})
+}
 
 fn arrivals(horizon_hours: f64) -> Vec<Arrival> {
     // ~2 requests/hour of 1-degree mosaics: a steady stream with enough
@@ -28,7 +32,7 @@ fn arrivals(horizon_hours: f64) -> Vec<Arrival> {
 /// only this test's own allocations.
 #[test]
 fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
-    let cfg = ServiceConfig::default_burst();
+    let cfg = PoolConfig::default_owned();
     let small = arrivals(1_000.0);
     let large = arrivals(10_000.0);
     assert!(
@@ -40,14 +44,12 @@ fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
 
     // Warm-up so lazily initialized runtime structures (allocator arenas,
     // profile caches) don't bill to the measured runs.
-    std::hint::black_box(simulate_service(&small, &cfg));
+    std::hint::black_box(run(&small, &cfg));
 
-    let (report_small, delta_small) =
-        alloc::measure(|| std::hint::black_box(simulate_service(&small, &cfg)));
-    let (report_large, delta_large) =
-        alloc::measure(|| std::hint::black_box(simulate_service(&large, &cfg)));
-    assert_eq!(report_small.requests(), small.len());
-    assert_eq!(report_large.requests(), large.len());
+    let (report_small, delta_small) = alloc::measure(|| std::hint::black_box(run(&small, &cfg)));
+    let (report_large, delta_large) = alloc::measure(|| std::hint::black_box(run(&large, &cfg)));
+    assert_eq!(report_small.requests(), small.len() as u64);
+    assert_eq!(report_large.requests(), large.len() as u64);
 
     // The old materializing implementation held one ~88-byte outcome per
     // request, so 10x the requests meant ~10x the peak. Streaming keeps
@@ -77,7 +79,7 @@ fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
     // Above, the arrivals were pre-materialized to isolate the
     // simulator's own working set. The year-long campaign of the golden
     // table (crates/cli/tests/goldens.rs) runs the composed pipeline: a
-    // seeded class stream feeding simulate_service_stream directly,
+    // seeded class stream feeding simulate_pool directly,
     // arrivals never collected. A 10x longer campaign must hold the same
     // peak heap. Default sizing keeps the test fast in debug builds;
     // MCLOUD_SERVICE_SCALE=full (set by CI's release `perf` job) runs the
@@ -106,16 +108,16 @@ fn service_peak_memory_is_backlog_bounded_not_request_bounded() {
         seasonal_amplitude: 0.25,
         flash_crowds: Vec::new(),
     };
-    let stream_cfg = ServiceConfig {
-        local_slots: 64,
+    let stream_cfg = PoolConfig {
+        slots: Slots::owned(64),
         burst_threshold: None,
         queue_bound: Some(32),
         admission: AdmissionPolicy::Reject,
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
     let (short_h, long_h) = if full { (876.0, 8760.0) } else { (87.6, 876.0) };
     let campaign = |horizon: f64| {
-        simulate_service_stream(
+        simulate_pool(
             class_stream(&classes, &profile, horizon, 2008),
             &stream_cfg,
             &mut NullSink,
@@ -171,16 +173,10 @@ fn planner_peak_memory_is_backlog_bounded_not_request_bounded() {
     }];
     // A bounded queue keeps the backlog, and with it the simulation's
     // working set, the same size over any horizon.
-    let candidate = AutoScaleConfig {
-        min_slots: 2,
-        max_slots: 8,
+    let candidate = PoolConfig {
         queue_bound: Some(16),
         admission: AdmissionPolicy::Deflect,
-        boot_s: spec.boot_s,
-        procs_per_slot: spec.procs_per_slot,
-        slot_cost_per_hour: spec.slot_cost_per_hour,
-        exec: spec.exec.clone(),
-        ..AutoScaleConfig::default_pool()
+        ..spec.rented(2, 8, 2)
     };
     // One candidate is one work item, which the worker pool runs inline
     // on this thread, where the per-thread counters see it. A fresh

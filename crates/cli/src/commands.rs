@@ -11,8 +11,8 @@ use mcloud_cost::{ArchiveOrRecompute, Campaign, DatasetHosting, Pricing};
 use mcloud_dag::{from_dax, to_dax, to_dot, DotStyle, Workflow};
 use mcloud_montage::{generate, Band, MosaicConfig};
 use mcloud_service::{
-    bursty, class_stream, plan_capacity, poisson, simulate_service, simulate_service_stream,
-    AdmissionPolicy, FlashCrowd, PlanSpec, RateProfile, RequestClass, ServiceConfig,
+    bursty, class_stream, plan_capacity, poisson, simulate_pool, AdmissionPolicy, FlashCrowd,
+    PlanSpec, PoolConfig, RateProfile, RequestClass, Slots,
 };
 use mcloud_simkit::{NullSink, TimedEvent, WorkerPool};
 use mcloud_sweep::{
@@ -1058,18 +1058,17 @@ admission control (either mode):
     let degrees: f64 = args.get_or("degrees", 1.0)?;
     let seed: u64 = args.get_or("seed", 2008u64)?;
     let bursts = parse_windows(&args, "burst")?;
-    let cfg = ServiceConfig {
-        local_slots: args.get_or("slots", 2u32)?,
-        local_procs_per_request: args.get_or("local-procs", 8u32)?,
-        cloud_procs_per_request: args.get_or("cloud-procs", 16u32)?,
+    let cfg = PoolConfig {
+        slots: Slots::owned(args.get_or("slots", 2u32)?),
+        procs_per_slot: args.get_or("local-procs", 8u32)?,
+        cloud_procs: args.get_or("cloud-procs", 16u32)?,
         burst_threshold: args.get_parsed::<usize>("threshold")?,
-        exec: ExecConfig::paper_default(),
-        local_cost_per_slot_hour: mcloud_cost::Money::ZERO,
         request_failure_prob: args.get_or("request-failure-prob", 0.0)?,
         request_retry_max: args.get_or("request-retry-max", 0u32)?,
         fault_seed: args.get_or("fault-seed", 2008u64)?,
         queue_bound: args.get_parsed::<usize>("queue-bound")?,
         admission: parse_admission(&args)?,
+        exec: ExecConfig::paper_default(),
     };
     cfg.validate()?;
 
@@ -1095,14 +1094,14 @@ admission control (either mode):
         };
         let profile = rate_profile_from(&args, 1.0)?; // base ignored per class
         let stream = class_stream(&classes, &profile, horizon, seed);
-        simulate_service_stream(stream, &cfg, &mut NullSink, |_| {})
+        simulate_pool(stream, &cfg, &mut NullSink, |_| {})
     } else {
         let arrivals = if bursts.is_empty() {
             poisson(rate, horizon, degrees, seed)
         } else {
             bursty(rate, horizon, degrees, &bursts, seed)
         };
-        simulate_service(&arrivals, &cfg)
+        simulate_pool(arrivals, &cfg, &mut NullSink, |_| {})
     };
 
     if let Some(path) = args.get("metrics-out") {
@@ -1115,14 +1114,14 @@ admission control (either mode):
          served          {} local, {} cloud\n",
         report.offered(),
         report.offered() as f64 / horizon,
-        report.local_requests(),
-        report.cloud_requests(),
+        report.served_local,
+        report.served_cloud,
     );
     if cfg.queue_bound.is_some() {
         out.push_str(&format!(
             "admission       {} rejected, {} deflected (queue bound {})\n",
-            report.rejected_requests(),
-            report.deflected_requests(),
+            report.rejected,
+            report.deflected,
             cfg.queue_bound.unwrap_or(0),
         ));
     }
@@ -1198,22 +1197,24 @@ flags:
     } else {
         bursty(rate, horizon, degrees, &bursts, seed)
     };
-    use mcloud_service::{simulate_autoscale, AutoScaleConfig};
     let procs: u32 = args.get_or("procs-per-slot", 16u32)?;
-    let cfg = AutoScaleConfig {
-        min_slots: args.get_or("min-slots", 1u32)?,
-        max_slots: args.get_or("max-slots", 8u32)?,
-        scale_up_queue: args.get_or("scale-up-queue", 2usize)?,
-        boot_s: args.get_or("boot-s", 120.0)?,
-        idle_release_s: args.get_or("idle-release-s", 0.0)?,
+    let cfg = PoolConfig {
+        slots: Slots::Rented {
+            min: args.get_or("min-slots", 1u32)?,
+            max: args.get_or("max-slots", 8u32)?,
+            scale_up_queue: args.get_or("scale-up-queue", 2usize)?,
+            boot_s: args.get_or("boot-s", 120.0)?,
+            idle_release_s: args.get_or("idle-release-s", 0.0)?,
+            cost_per_hour: mcloud_cost::Money::from_dollars(procs as f64 * 0.10),
+        },
         procs_per_slot: procs,
-        slot_cost_per_hour: mcloud_cost::Money::from_dollars(procs as f64 * 0.10),
+        cloud_procs: procs,
         queue_bound: args.get_parsed::<usize>("queue-bound")?,
         admission: parse_admission(&args)?,
-        exec: ExecConfig::paper_default(),
+        ..PoolConfig::default_rented()
     };
     cfg.validate()?;
-    let r = simulate_autoscale(&arrivals, &cfg);
+    let r = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |_| {});
     let mut out = format!(
         "traffic        {} requests over {horizon:.0} h\n\
          pool           peak {} slots, {} rentals, {:.0} slot-hours\n\
@@ -1223,7 +1224,7 @@ flags:
         r.peak_slots,
         r.rentals,
         r.slot_hours,
-        r.rental_cost,
+        r.slot_cost,
         r.dm_cost,
         r.total_cost(),
         r.mean_wait_hours(),
@@ -1232,7 +1233,7 @@ flags:
     if cfg.queue_bound.is_some() {
         out.push_str(&format!(
             "admission      {} rejected, {} deflected ({} deflect spend)\n",
-            r.rejected, r.deflected, r.deflect_cost,
+            r.rejected, r.deflected, r.cloud_cost,
         ));
     }
     Ok(out)
@@ -1618,6 +1619,6 @@ mod tests {
         assert!(out.contains("peak"), "{out}");
         assert!(out.contains("rental"), "{out}");
         let err = run_str("autoscale --min-slots 4 --max-slots 1").unwrap_err();
-        assert!(err.contains("max_slots"), "{err}");
+        assert!(err.contains("need 0 < max (1) >= min (4)"), "{err}");
     }
 }

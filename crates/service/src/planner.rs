@@ -2,8 +2,8 @@
 //!
 //! The paper prices one workflow; a service operator's question is the
 //! inverse: *given* a demand forecast and a p99 turnaround SLO, what is
-//! the cheapest pool that meets it? This module searches a grid of
-//! [`AutoScaleConfig`] candidates — floor, ceiling, scale-up trigger, and
+//! the cheapest pool that meets it? This module searches a grid of rented
+//! [`PoolConfig`] candidates — floor, ceiling, scale-up trigger, and
 //! overflow policy — replaying the same seeded arrival stream against
 //! each, and recommends the cheapest candidate whose p99 turnaround
 //! meets the SLO without rejecting a single request.
@@ -48,11 +48,11 @@ use mcloud_simkit::{NullSink, WorkerPool};
 use mcloud_sweep::{cheapest_within_deadline, pareto_frontier, CostTimePoint};
 
 use crate::arrivals::{class_stream, MergedStream, RateProfile, RequestClass};
-use crate::autoscale::{
-    AutoScaleConfig, AutoScaleReport, Decision, Job, Policy, Pool, PoolSim, Tally,
-};
 use crate::profile::ProfileTable;
-use crate::simulator::{AdmissionPolicy, RequestOutcome};
+use crate::simulator::{
+    check_rate, AdmissionPolicy, Decision, Job, Policy, Pool, PoolConfig, PoolReport, PoolSim,
+    RequestOutcome, Slots, Tally,
+};
 
 /// What the planner is asked to plan for: a demand forecast plus the SLO
 /// and the slot economics shared by every candidate pool.
@@ -88,7 +88,15 @@ impl PlanSpec {
     /// 1), 5% survey-scale 4-degree (priority 0), under a 30% diurnal
     /// swing, against the default pool economics.
     pub fn new(slo_p99_hours: f64, rate_per_hour: f64, horizon_hours: f64) -> Self {
-        let pool = AutoScaleConfig::default_pool();
+        let pool = PoolConfig::default_rented();
+        let Slots::Rented {
+            boot_s,
+            cost_per_hour,
+            ..
+        } = pool.slots
+        else {
+            unreachable!("the default pool rents its slots")
+        };
         PlanSpec {
             slo_p99_hours,
             classes: vec![
@@ -117,8 +125,8 @@ impl PlanSpec {
             horizon_hours,
             seed: 2008,
             procs_per_slot: pool.procs_per_slot,
-            slot_cost_per_hour: pool.slot_cost_per_hour,
-            boot_s: pool.boot_s,
+            slot_cost_per_hour: cost_per_hour,
+            boot_s,
             exec: pool.exec,
         }
     }
@@ -151,6 +159,10 @@ impl PlanSpec {
         if self.procs_per_slot == 0 {
             return Err("procs_per_slot must be positive".to_string());
         }
+        check_rate("slot_cost_per_hour", self.slot_cost_per_hour)?;
+        if !(self.boot_s.is_finite() && self.boot_s >= 0.0) {
+            return Err(format!("invalid boot_s {}", self.boot_s));
+        }
         // Probe the modulation with a valid stand-in base rate (the real
         // base is each class's own rate, already checked above).
         RateProfile {
@@ -177,31 +189,45 @@ impl PlanSpec {
         self.classes.iter().map(|c| c.rate_per_hour).sum()
     }
 
+    /// A rented pool of `min..=max` slots that rents one more when
+    /// `scale_up_queue` requests wait, on the spec's slot economics:
+    /// its slot size, rate, boot delay and execution model, immediate idle
+    /// release and an unbounded admit-all queue.
+    pub fn rented(&self, min: u32, max: u32, scale_up_queue: usize) -> PoolConfig {
+        PoolConfig {
+            slots: Slots::Rented {
+                min,
+                max,
+                scale_up_queue,
+                boot_s: self.boot_s,
+                idle_release_s: 0.0,
+                cost_per_hour: self.slot_cost_per_hour,
+            },
+            procs_per_slot: self.procs_per_slot,
+            cloud_procs: self.procs_per_slot,
+            exec: self.exec.clone(),
+            ..PoolConfig::default_rented()
+        }
+    }
+
     /// The default candidate grid: floors {0, 1, 2, 4} x ceilings
     /// {2, 4, 8, 16} x scale-up triggers {1, 2, 4} x overflow policies
     /// {unbounded admit-all, bounded deflect}, minus combinations that
-    /// fail [`AutoScaleConfig::validate`]. Order is deterministic; the
+    /// fail [`PoolConfig::validate`]. Order is deterministic; the
     /// planner's tie-breaks refer to it.
-    pub fn default_candidates(&self) -> Vec<AutoScaleConfig> {
+    pub fn default_candidates(&self) -> Vec<PoolConfig> {
         let mut out = Vec::new();
-        for &min_slots in &[0u32, 1, 2, 4] {
-            for &max_slots in &[2u32, 4, 8, 16] {
+        for &min in &[0u32, 1, 2, 4] {
+            for &max in &[2u32, 4, 8, 16] {
                 for &scale_up_queue in &[1usize, 2, 4] {
                     for &(queue_bound, admission) in &[
                         (None, AdmissionPolicy::AdmitAll),
                         (Some(16usize), AdmissionPolicy::Deflect),
                     ] {
-                        let cfg = AutoScaleConfig {
-                            min_slots,
-                            max_slots,
-                            scale_up_queue,
-                            boot_s: self.boot_s,
-                            idle_release_s: 0.0,
-                            procs_per_slot: self.procs_per_slot,
-                            slot_cost_per_hour: self.slot_cost_per_hour,
+                        let cfg = PoolConfig {
                             queue_bound,
                             admission,
-                            exec: self.exec.clone(),
+                            ..self.rented(min, max, scale_up_queue)
                         };
                         if cfg.validate().is_ok() {
                             out.push(cfg);
@@ -218,7 +244,7 @@ impl PlanSpec {
 #[derive(Debug, Clone)]
 pub struct PlanCandidate {
     /// The pool configuration that was simulated.
-    pub cfg: AutoScaleConfig,
+    pub cfg: PoolConfig,
     /// Requests served (pool plus deflections).
     pub requests: u64,
     /// Requests turned away by admission control.
@@ -292,12 +318,14 @@ pub fn plan_capacity(spec: &PlanSpec) -> Result<CapacityPlan, String> {
 /// since the spec is part of every key; but overlapping *candidate
 /// lists* under the same spec share work).
 ///
-/// Returns `Err` for an invalid spec or an empty candidate list; a
+/// Returns `Err` for an invalid spec, an empty candidate list, or a
+/// candidate the cohorts cannot run exactly (owned slots, request faults,
+/// a burst threshold, or `cloud_procs` other than `procs_per_slot`); a
 /// *feasible-but-unmet* SLO is not an error — the plan comes back with
 /// `best: None` and the scorecards explain why.
 pub fn plan_capacity_with(
     spec: &PlanSpec,
-    candidates: Vec<AutoScaleConfig>,
+    candidates: Vec<PoolConfig>,
 ) -> Result<CapacityPlan, String> {
     plan_capacity_with_cache(spec, candidates, mcloud_cache::global())
 }
@@ -306,7 +334,7 @@ pub fn plan_capacity_with(
 /// tests use to get exact, isolated hit/miss counts.
 pub fn plan_capacity_with_cache(
     spec: &PlanSpec,
-    candidates: Vec<AutoScaleConfig>,
+    candidates: Vec<PoolConfig>,
     cache: &ResultCache,
 ) -> Result<CapacityPlan, String> {
     spec.validate()?;
@@ -315,6 +343,7 @@ pub fn plan_capacity_with_cache(
     }
     for cfg in &candidates {
         cfg.validate()?;
+        plannable(cfg)?;
     }
 
     // Probe the cache for every candidate before paying for anything:
@@ -337,8 +366,7 @@ pub fn plan_capacity_with_cache(
         let mut proto = ProfileTable::new(spec.exec.clone());
         proto.warm_fixed(&degrees, &procs);
 
-        let miss_cfgs: Vec<AutoScaleConfig> =
-            misses.iter().map(|&i| candidates[i].clone()).collect();
+        let miss_cfgs: Vec<PoolConfig> = misses.iter().map(|&i| candidates[i].clone()).collect();
         let (reports, _) = simulate_grouped(spec, &miss_cfgs, &proto, WorkerPool::global().lanes());
         miss_cfgs
             .iter()
@@ -377,27 +405,62 @@ pub fn plan_capacity_with_cache(
     })
 }
 
+/// Why the cohorts cannot run `cfg` exactly, naming the field, if they
+/// cannot. A group resolves each arrival into one [`Job`] per slot size
+/// and execution model and feeds it to every decision, so a candidate
+/// must rent its slots, serve bursts and deflections at its slot size,
+/// never burst, and draw no request faults; the plan cache's keys cover
+/// no other field.
+fn plannable(cfg: &PoolConfig) -> Result<(), String> {
+    if let Slots::Owned { .. } = cfg.slots {
+        return Err("the planner sizes rented pools: slots must be Slots::Rented".to_string());
+    }
+    if cfg.request_failure_prob != 0.0 {
+        return Err(format!(
+            "the planner draws no request faults: request_failure_prob must be 0, got {}",
+            cfg.request_failure_prob
+        ));
+    }
+    if cfg.burst_threshold.is_some() {
+        return Err("the planner's pools never burst: burst_threshold must be None".to_string());
+    }
+    if cfg.cloud_procs != cfg.procs_per_slot {
+        return Err(format!(
+            "the planner deflects at the slot size: cloud_procs ({}) must equal \
+             procs_per_slot ({})",
+            cfg.cloud_procs, cfg.procs_per_slot
+        ));
+    }
+    Ok(())
+}
+
 /// Simulates every candidate against the spec's demand stream in
 /// `groups` contiguous groups fanned out on the global [`WorkerPool`];
 /// each group pulls the stream once and runs its candidates in cohorts
 /// (see the module docs). Reports come back in candidate order, each
-/// equal to [`simulate_autoscale_stream`](crate::simulate_autoscale_stream)
-/// for that candidate alone, at any grouping, with what the cohorts did,
-/// summed over the groups. `profiles` is a table of the spec's execution
-/// model (warm it to skip profiling); every lane starts from a copy, and
-/// a candidate with another execution model gets a table of its own.
+/// equal to [`simulate_pool`](crate::simulate_pool) for that candidate
+/// alone, at any grouping, with what the cohorts did, summed over the
+/// groups. `profiles` is a table of the spec's execution model (warm it
+/// to skip profiling); every lane starts from a copy, and a candidate
+/// with another execution model gets a table of its own.
 ///
 /// # Panics
-/// Panics if a candidate fails [`AutoScaleConfig::validate`].
+/// Panics if a candidate fails [`PoolConfig::validate`], or is one
+/// [`plan_capacity_with`] refuses.
 pub fn simulate_grouped(
     spec: &PlanSpec,
-    cfgs: &[AutoScaleConfig],
+    cfgs: &[PoolConfig],
     profiles: &ProfileTable,
     groups: usize,
-) -> (Vec<AutoScaleReport>, CohortStats) {
+) -> (Vec<PoolReport>, CohortStats) {
+    for cfg in cfgs {
+        if let Err(e) = plannable(cfg) {
+            panic!("candidate the cohorts cannot run: {e}");
+        }
+    }
     let n = cfgs.len();
     let groups = groups.clamp(1, n.max(1));
-    let parts: Vec<&[AutoScaleConfig]> = (0..groups)
+    let parts: Vec<&[PoolConfig]> = (0..groups)
         .map(|g| &cfgs[g * n / groups..(g + 1) * n / groups])
         .collect();
     let pool = WorkerPool::global();
@@ -439,7 +502,7 @@ pub struct CohortStats {
 /// event handling reads (its [`Pool`]), and are in the same pool state:
 /// they have made the same [`Decision`] at every arrival since their
 /// pools last fell quiet together. Each decision history among them has
-/// its own [`Tally`](crate::autoscale::Tally), which names its members.
+/// its own [`Tally`](crate::simulator::Tally), which names its members.
 struct Cohort<F: FnMut(&RequestOutcome)> {
     sim: PoolSim<F>,
     /// The cohort's entry in the group's job kinds.
@@ -459,9 +522,9 @@ struct Cohort<F: FnMut(&RequestOutcome)> {
 /// holds a profile table per execution model seen so far.
 fn simulate_cohorts(
     spec: &PlanSpec,
-    part: &[AutoScaleConfig],
+    part: &[PoolConfig],
     tables: &mut Vec<ProfileTable>,
-) -> (Vec<AutoScaleReport>, CohortStats) {
+) -> (Vec<PoolReport>, CohortStats) {
     let visit = |_: &RequestOutcome| {};
     let policies: Vec<Policy> = part.iter().map(Policy::of).collect();
     // Job kinds: each distinct (slot size, profile table).
@@ -489,7 +552,7 @@ fn simulate_cohorts(
             .position(|c| c.kind == kind && c.sim.pool() == pool)
             .unwrap_or_else(|| {
                 cohorts.push(Cohort {
-                    sim: PoolSim::rented(cfg, visit),
+                    sim: PoolSim::new(cfg, visit),
                     kind,
                 });
                 cohorts.len() - 1
@@ -535,14 +598,14 @@ fn simulate_cohorts(
         cohorts.append(&mut forked);
     }
 
-    let mut reports: Vec<Option<AutoScaleReport>> = vec![None; part.len()];
+    let mut reports: Vec<Option<PoolReport>> = vec![None; part.len()];
     for mut cohort in cohorts {
         cohort.sim.drain(&mut NullSink);
         for tally in cohort.sim.tallies() {
             stats.histories += 1;
             for &m in &tally.members {
                 debug_assert!(reports[m].is_none(), "candidate {m} in two histories");
-                reports[m] = Some(tally.autoscale_report(part[m].slot_cost_per_hour));
+                reports[m] = Some(tally.report(&part[m], cohort.sim.end()));
             }
         }
     }
@@ -664,11 +727,11 @@ impl<F: FnMut(&RequestOutcome) + Clone> Split<F> {
     }
 }
 
-fn score(spec: &PlanSpec, cfg: &AutoScaleConfig, report: &AutoScaleReport) -> PlanCandidate {
+fn score(spec: &PlanSpec, cfg: &PoolConfig, report: &PoolReport) -> PlanCandidate {
     let p99 = report.turnaround_quantile(0.99);
     PlanCandidate {
         cfg: cfg.clone(),
-        requests: report.requests,
+        requests: report.requests(),
         rejected: report.rejected,
         deflected: report.deflected,
         p99_turnaround_hours: p99,
@@ -711,16 +774,28 @@ fn spec_canon(spec: &PlanSpec) -> Canon {
 }
 
 /// Content address of one (spec, candidate) evaluation: the spec's
-/// canonical bytes followed by every [`AutoScaleConfig`] field.
-fn candidate_digest(spec: &Canon, cfg: &AutoScaleConfig) -> Digest {
+/// canonical bytes followed by every field a [`plannable`] candidate can
+/// vary.
+fn candidate_digest(spec: &Canon, cfg: &PoolConfig) -> Digest {
+    let Slots::Rented {
+        min,
+        max,
+        scale_up_queue,
+        boot_s,
+        idle_release_s,
+        cost_per_hour,
+    } = cfg.slots
+    else {
+        unreachable!("plannable candidates rent their slots")
+    };
     let mut c = spec.clone();
-    c.u32(cfg.min_slots);
-    c.u32(cfg.max_slots);
-    c.u64(cfg.scale_up_queue as u64);
-    c.f64(cfg.boot_s);
-    c.f64(cfg.idle_release_s);
+    c.u32(min);
+    c.u32(max);
+    c.u64(scale_up_queue as u64);
+    c.f64(boot_s);
+    c.f64(idle_release_s);
     c.u32(cfg.procs_per_slot);
-    c.f64(cfg.slot_cost_per_hour.dollars());
+    c.f64(cost_per_hour.dollars());
     match cfg.queue_bound {
         None => c.u8(0),
         Some(b) => {
@@ -767,7 +842,7 @@ fn encode_outcome(c: &PlanCandidate) -> Vec<u8> {
 
 /// Inverse of [`encode_outcome`]; `None` (treated as a miss) for any
 /// malformed or differently-versioned entry.
-fn decode_outcome(bytes: &[u8], spec: &PlanSpec, cfg: &AutoScaleConfig) -> Option<PlanCandidate> {
+fn decode_outcome(bytes: &[u8], spec: &PlanSpec, cfg: &PoolConfig) -> Option<PlanCandidate> {
     let expected = 4 + 1 + 8 * 3 + 8 * 2 + 4 + 8;
     if bytes.len() != expected || &bytes[..4] != OUTCOME_MAGIC || bytes[4] != OUTCOME_VERSION {
         return None;
@@ -802,7 +877,7 @@ fn decode_outcome(bytes: &[u8], spec: &PlanSpec, cfg: &AutoScaleConfig) -> Optio
     })
 }
 
-fn policy_label(cfg: &AutoScaleConfig) -> &'static str {
+fn policy_label(cfg: &PoolConfig) -> &'static str {
     match cfg.admission {
         AdmissionPolicy::AdmitAll => "admit",
         AdmissionPolicy::Reject => "reject",
@@ -810,10 +885,23 @@ fn policy_label(cfg: &AutoScaleConfig) -> &'static str {
     }
 }
 
-fn bound_label(cfg: &AutoScaleConfig) -> String {
+fn bound_label(cfg: &PoolConfig) -> String {
     match cfg.queue_bound {
         None => "-".to_string(),
         Some(b) => b.to_string(),
+    }
+}
+
+/// A plannable candidate's floor, ceiling and scale-up trigger.
+fn sizing(cfg: &PoolConfig) -> (u32, u32, usize) {
+    match cfg.slots {
+        Slots::Rented {
+            min,
+            max,
+            scale_up_queue,
+            ..
+        } => (min, max, scale_up_queue),
+        Slots::Owned { .. } => unreachable!("plannable candidates rent their slots"),
     }
 }
 
@@ -855,11 +943,12 @@ pub fn plan_text(spec: &PlanSpec, plan: &CapacityPlan) -> String {
     );
     let frontier: std::collections::BTreeSet<usize> = plan.frontier.iter().copied().collect();
     for (i, c) in plan.candidates.iter().enumerate() {
+        let (min, max, up) = sizing(&c.cfg);
         out.push_str(&format!(
             "  {:>3}  {:>3}  {:>3} {:>5}  {:<7} {:>8.3} {:>8.3} {:>8} {:>9} {:>5} {:>9.2}  {:>3}  {:>8}\n",
-            c.cfg.min_slots,
-            c.cfg.max_slots,
-            c.cfg.scale_up_queue,
+            min,
+            max,
+            up,
             bound_label(&c.cfg),
             policy_label(&c.cfg),
             c.p99_turnaround_hours,
@@ -873,15 +962,19 @@ pub fn plan_text(spec: &PlanSpec, plan: &CapacityPlan) -> String {
         ));
     }
     out.push('\n');
-    match plan.best_candidate() {
-        Some(c) => out.push_str(&format!(
-            "recommendation: min={} max={} up={} bound={} policy={} -- p99 {:.3} h meets the \
-             {:.2} h SLO at ${:.2} ({} candidates qualify; this is the cheapest)\n",
-            c.cfg.min_slots,
-            c.cfg.max_slots,
-            c.cfg.scale_up_queue,
+    let label = |c: &PlanCandidate| {
+        let (min, max, up) = sizing(&c.cfg);
+        format!(
+            "min={min} max={max} up={up} bound={} policy={}",
             bound_label(&c.cfg),
             policy_label(&c.cfg),
+        )
+    };
+    match plan.best_candidate() {
+        Some(c) => out.push_str(&format!(
+            "recommendation: {} -- p99 {:.3} h meets the \
+             {:.2} h SLO at ${:.2} ({} candidates qualify; this is the cheapest)\n",
+            label(c),
             c.p99_turnaround_hours,
             spec.slo_p99_hours,
             c.total_cost.dollars(),
@@ -890,15 +983,11 @@ pub fn plan_text(spec: &PlanSpec, plan: &CapacityPlan) -> String {
         None => match plan.best_effort() {
             Some(c) => out.push_str(&format!(
                 "no candidate meets the {:.2} h p99 SLO; best achievable is p99 {:.3} h at \
-                 ${:.2} (min={} max={} up={} bound={} policy={})\n",
+                 ${:.2} ({})\n",
                 spec.slo_p99_hours,
                 c.p99_turnaround_hours,
                 c.total_cost.dollars(),
-                c.cfg.min_slots,
-                c.cfg.max_slots,
-                c.cfg.scale_up_queue,
-                bound_label(&c.cfg),
-                policy_label(&c.cfg),
+                label(c),
             )),
             None => out.push_str(
                 "no candidate serves the demand without rejections; raise the ceilings or \
@@ -943,15 +1032,16 @@ pub fn plan_json(spec: &PlanSpec, plan: &CapacityPlan) -> String {
     let frontier: std::collections::BTreeSet<usize> = plan.frontier.iter().copied().collect();
     out.push_str("  \"candidates\": [\n");
     for (i, c) in plan.candidates.iter().enumerate() {
+        let (min, max, up) = sizing(&c.cfg);
         out.push_str(&format!(
             "    {{\"min_slots\": {}, \"max_slots\": {}, \"scale_up_queue\": {}, \
              \"queue_bound\": {}, \"policy\": \"{}\", \"p99_turnaround_hours\": {:.6}, \
              \"mean_turnaround_hours\": {:.6}, \"requests\": {}, \"rejected\": {}, \
              \"deflected\": {}, \"peak_slots\": {}, \"total_cost_dollars\": {:.2}, \
              \"meets_slo\": {}, \"frontier\": {}}}{}\n",
-            c.cfg.min_slots,
-            c.cfg.max_slots,
-            c.cfg.scale_up_queue,
+            min,
+            max,
+            up,
             c.cfg
                 .queue_bound
                 .map_or("null".to_string(), |b| b.to_string()),
@@ -984,8 +1074,12 @@ pub fn plan_json(spec: &PlanSpec, plan: &CapacityPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_autoscale_stream, FlashCrowd};
+    use crate::{simulate_pool, FlashCrowd};
     use mcloud_cache::DEFAULT_BUDGET_BYTES;
+
+    fn run_alone(spec: &PlanSpec, cfg: &PoolConfig) -> PoolReport {
+        simulate_pool(spec.stream(), cfg, &mut NullSink, |_| {})
+    }
 
     fn quick_spec() -> PlanSpec {
         // Small horizon so the grid evaluates fast in debug builds. The
@@ -1019,10 +1113,7 @@ mod tests {
         });
         let cfgs = spec.default_candidates();
         assert_eq!(cfgs.len(), 74);
-        let alone: Vec<AutoScaleReport> = cfgs
-            .iter()
-            .map(|cfg| simulate_autoscale_stream(spec.stream(), cfg, |_| {}))
-            .collect();
+        let alone: Vec<PoolReport> = cfgs.iter().map(|cfg| run_alone(&spec, cfg)).collect();
         let profiles = ProfileTable::new(spec.exec.clone());
         for groups in [1, 2, 5, 74] {
             let (grouped, _) = simulate_grouped(&spec, &cfgs, &profiles, groups);
@@ -1045,34 +1136,28 @@ mod tests {
             duration_hours: 6.0,
             multiplier: 4.0,
         });
-        let base = AutoScaleConfig {
-            boot_s: spec.boot_s,
-            slot_cost_per_hour: spec.slot_cost_per_hour,
-            exec: spec.exec.clone(),
-            ..AutoScaleConfig::default_pool()
-        };
         let policies = [
             (None, AdmissionPolicy::AdmitAll),
             (Some(2), AdmissionPolicy::Reject),
             (Some(4), AdmissionPolicy::Deflect),
         ];
-        let cfgs: Vec<AutoScaleConfig> = policies
+        let cfgs: Vec<PoolConfig> = policies
             .iter()
             .cycle()
             .take(8)
             .enumerate()
-            .map(|(k, &(queue_bound, admission))| AutoScaleConfig {
-                procs_per_slot: if k % 2 == 0 { 8 } else { 16 },
-                max_slots: 2 + 2 * (k as u32 % 3),
-                queue_bound,
-                admission,
-                ..base.clone()
+            .map(|(k, &(queue_bound, admission))| {
+                let procs = if k % 2 == 0 { 8 } else { 16 };
+                PoolConfig {
+                    procs_per_slot: procs,
+                    cloud_procs: procs,
+                    queue_bound,
+                    admission,
+                    ..spec.rented(1, 2 + 2 * (k as u32 % 3), 2)
+                }
             })
             .collect();
-        let alone: Vec<AutoScaleReport> = cfgs
-            .iter()
-            .map(|cfg| simulate_autoscale_stream(spec.stream(), cfg, |_| {}))
-            .collect();
+        let alone: Vec<PoolReport> = cfgs.iter().map(|cfg| run_alone(&spec, cfg)).collect();
         // The overflow paths are exercised, not just configured.
         assert!(alone.iter().any(|r| r.rejected > 0));
         assert!(alone.iter().any(|r| r.deflected > 0));
@@ -1163,7 +1248,7 @@ mod tests {
     #[test]
     fn plan_digests_track_the_spec_but_ignore_the_unused_base_rate() {
         let spec = quick_spec();
-        let cfg = AutoScaleConfig::default_pool();
+        let cfg = PoolConfig::default_rented();
         let d0 = candidate_digest(&spec_canon(&spec), &cfg);
 
         let mut s = spec.clone();
@@ -1185,7 +1270,9 @@ mod tests {
         assert_eq!(candidate_digest(&spec_canon(&s), &cfg), d0);
 
         let mut c2 = cfg.clone();
-        c2.max_slots += 1;
+        if let Slots::Rented { max, .. } = &mut c2.slots {
+            *max += 1;
+        }
         assert_ne!(candidate_digest(&spec_canon(&spec), &c2), d0);
 
         let mut c2 = cfg;
@@ -1250,6 +1337,66 @@ mod tests {
             (2, "71b75442039808e9302e3a9bb0e1967a".to_string()),
             "plan outcomes changed: bump OUTCOME_VERSION and re-pin"
         );
+    }
+
+    /// `plan_capacity_with` on the quick spec's first default candidate
+    /// as `change` leaves it.
+    fn plan_one(change: impl FnOnce(&mut PoolConfig)) -> Result<CapacityPlan, String> {
+        let spec = quick_spec();
+        let mut cfg = spec.default_candidates().swap_remove(0);
+        change(&mut cfg);
+        plan_capacity_with(&spec, vec![cfg])
+    }
+
+    #[test]
+    fn the_planner_refuses_owned_slots() {
+        let err = plan_one(|c| c.slots = Slots::owned(2)).unwrap_err();
+        assert!(err.contains("slots must be Slots::Rented"), "{err}");
+    }
+
+    #[test]
+    fn the_planner_refuses_request_faults() {
+        let err = plan_one(|c| c.request_failure_prob = 0.1).unwrap_err();
+        assert!(err.contains("request_failure_prob must be 0"), "{err}");
+        // A retry budget and seed with no fault rate draw nothing.
+        assert!(plan_one(|c| (c.request_retry_max, c.fault_seed) = (3, 7)).is_ok());
+    }
+
+    #[test]
+    fn the_planner_refuses_a_burst_threshold() {
+        let err = plan_one(|c| c.burst_threshold = Some(2)).unwrap_err();
+        assert!(err.contains("burst_threshold must be None"), "{err}");
+    }
+
+    #[test]
+    fn the_planner_refuses_cloud_procs_other_than_the_slot_size() {
+        let err = plan_one(|c| c.cloud_procs = 8).unwrap_err();
+        assert!(
+            err.contains("cloud_procs (8) must equal procs_per_slot (16)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn specs_refuse_a_non_finite_or_negative_slot_rate() {
+        // `Money::from_dollars` refuses non-finite amounts, but arithmetic
+        // on money can still reach them.
+        for dollars in [f64::NAN, f64::INFINITY, -0.5] {
+            let mut spec = quick_spec();
+            spec.slot_cost_per_hour = Money::from_dollars(1.0) * dollars;
+            let err = plan_capacity(&spec).unwrap_err();
+            assert!(err.contains("slot_cost_per_hour must be a finite"), "{err}");
+        }
+    }
+
+    #[test]
+    fn specs_refuse_a_non_finite_or_negative_boot_delay() {
+        for boot_s in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut spec = quick_spec();
+            spec.boot_s = boot_s;
+            let err = plan_capacity(&spec).unwrap_err();
+            assert!(err.contains("invalid boot_s"), "{err}");
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Semantics of the auto-scaled standing pool.
+//! Semantics of the auto-scaled standing pool: a pool of rented slots.
 
 use mcloud_cost::Money;
 use mcloud_service::{
-    bursty, periodic, poisson, simulate_autoscale, simulate_autoscale_stream, AdmissionPolicy,
-    Arrival, AutoScaleConfig, AutoScaleReport, ProfileTable, ServiceConfig,
+    bursty, periodic, poisson, simulate_pool, AdmissionPolicy, Arrival, PoolConfig, PoolReport,
+    ProfileTable, Slots,
 };
-use mcloud_simkit::{MetricClass, Registry, SimDuration, SimTime};
+use mcloud_simkit::{MetricClass, NullSink, Registry, SimDuration, SimTime};
 
 fn at(hours: f64) -> Arrival {
     Arrival {
@@ -14,15 +14,56 @@ fn at(hours: f64) -> Arrival {
     }
 }
 
-fn base() -> AutoScaleConfig {
-    AutoScaleConfig::default_pool()
+/// The rented-slot fields the tests vary; the rate stays the default
+/// pool's $1.6 per slot-hour.
+struct Rent {
+    min: u32,
+    max: u32,
+    up: usize,
+    boot_s: f64,
+    idle_s: f64,
+}
+
+/// The default pool's slots: 1..8, scale up at 2 waiting, 2-minute
+/// boots, immediate release.
+const BASE: Rent = Rent {
+    min: 1,
+    max: 8,
+    up: 2,
+    boot_s: 120.0,
+    idle_s: 0.0,
+};
+
+const RATE: f64 = 1.6;
+
+/// The default rented pool on `r`'s slots.
+fn pool(r: Rent) -> PoolConfig {
+    PoolConfig {
+        slots: Slots::Rented {
+            min: r.min,
+            max: r.max,
+            scale_up_queue: r.up,
+            boot_s: r.boot_s,
+            idle_release_s: r.idle_s,
+            cost_per_hour: Money::from_dollars(RATE),
+        },
+        ..PoolConfig::default_rented()
+    }
+}
+
+fn base() -> PoolConfig {
+    pool(BASE)
+}
+
+fn run(arrivals: &[Arrival], cfg: &PoolConfig) -> PoolReport {
+    simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |_| {})
 }
 
 /// Run the pool and also sum the per-request busy time (finish - start)
 /// via the streaming visitor, since the report keeps only aggregates.
-fn run_with_busy(arrivals: &[Arrival], cfg: &AutoScaleConfig) -> (AutoScaleReport, f64) {
+fn run_with_busy(arrivals: &[Arrival], cfg: &PoolConfig) -> (PoolReport, f64) {
     let mut busy = 0.0;
-    let report = simulate_autoscale_stream(arrivals.iter().copied(), cfg, |o| {
+    let report = simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |o| {
         busy += o.finish_hours - o.start_hours
     });
     (report, busy)
@@ -33,10 +74,10 @@ fn light_traffic_stays_at_the_floor() {
     // One request every 2 h against a ~0.55 h service time: one slot is
     // plenty, the scaler never grows the pool.
     let arrivals = periodic(2.0, 24.0, 1.0);
-    let report = simulate_autoscale(&arrivals, &base());
+    let report = run(&arrivals, &base());
     assert_eq!(report.peak_slots, 1);
     assert_eq!(report.rentals, 1);
-    assert_eq!(report.requests, arrivals.len() as u64);
+    assert_eq!(report.requests(), arrivals.len() as u64);
     assert_eq!(report.offered(), arrivals.len() as u64);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.deflected, 0);
@@ -49,17 +90,11 @@ fn overload_scales_up_then_back_down() {
     // Eight simultaneous arrivals against a 1-slot floor: the scaler
     // rents more slots and the backlog drains in parallel.
     let arrivals: Vec<Arrival> = (0..8).map(|_| at(0.0)).collect();
-    let scaled = simulate_autoscale(&arrivals, &base());
+    let scaled = run(&arrivals, &base());
     assert!(scaled.peak_slots > 1, "must scale up");
     assert!(scaled.peak_slots <= 8);
 
-    let fixed_one = simulate_autoscale(
-        &arrivals,
-        &AutoScaleConfig {
-            max_slots: 1,
-            ..base()
-        },
-    );
+    let fixed_one = run(&arrivals, &pool(Rent { max: 1, ..BASE }));
     assert!(
         scaled.max_wait_hours() < fixed_one.max_wait_hours() / 2.0,
         "scaling must slash the backlog: {} vs {}",
@@ -75,11 +110,11 @@ fn an_arrival_ties_ahead_of_a_completion_at_the_same_instant() {
     // A one-slot floor that rents on the first waiting request. Request
     // A starts on the booted floor slot at 1 h; request B arrives at the
     // exact microsecond A's service ends.
-    let cfg = AutoScaleConfig {
-        max_slots: 2,
-        scale_up_queue: 1,
-        ..base()
-    };
+    let cfg = pool(Rent {
+        max: 2,
+        up: 1,
+        ..BASE
+    });
     let service_h = ProfileTable::new(cfg.exec.clone())
         .fixed(1.0, cfg.procs_per_slot)
         .makespan_hours;
@@ -92,7 +127,7 @@ fn an_arrival_ties_ahead_of_a_completion_at_the_same_instant() {
     );
 
     let mut starts = Vec::new();
-    let report = simulate_autoscale_stream([at(1.0), at(b)].iter().copied(), &cfg, |o| {
+    let report = simulate_pool([at(1.0), at(b)], &cfg, &mut NullSink, |o| {
         starts.push(o.start_hours)
     });
     // B is handled before A's completion: it finds the only slot busy,
@@ -102,26 +137,26 @@ fn an_arrival_ties_ahead_of_a_completion_at_the_same_instant() {
     // floor slot without renting (rentals 1, peak 1).
     assert_eq!(report.rentals, 2);
     assert_eq!(report.peak_slots, 2);
-    assert_eq!(report.requests, 2);
+    assert_eq!(report.requests(), 2);
     assert_eq!(starts[1].to_bits(), a_done.as_hours_f64().to_bits());
 }
 
 #[test]
 fn boot_delay_is_visible_in_waits() {
     let arrivals: Vec<Arrival> = (0..4).map(|_| at(0.0)).collect();
-    let fast = simulate_autoscale(
+    let fast = run(
         &arrivals,
-        &AutoScaleConfig {
+        &pool(Rent {
             boot_s: 0.0,
-            ..base()
-        },
+            ..BASE
+        }),
     );
-    let slow = simulate_autoscale(
+    let slow = run(
         &arrivals,
-        &AutoScaleConfig {
+        &pool(Rent {
             boot_s: 1800.0,
-            ..base()
-        },
+            ..BASE
+        }),
     );
     assert!(slow.mean_wait_hours() > fast.mean_wait_hours());
 }
@@ -132,12 +167,12 @@ fn rental_accounting_is_consistent() {
     let cfg = base();
     let (report, busy) = run_with_busy(&arrivals, &cfg);
     assert!(report
-        .rental_cost
-        .approx_eq(cfg.slot_cost_per_hour * report.slot_hours, 1e-9));
-    assert_eq!(report.deflect_cost, Money::ZERO);
+        .slot_cost
+        .approx_eq(Money::from_dollars(RATE) * report.slot_hours, 1e-9));
+    assert_eq!(report.cloud_cost, Money::ZERO);
     assert!(report
         .total_cost()
-        .approx_eq(report.rental_cost + report.dm_cost, 1e-12));
+        .approx_eq(report.slot_cost + report.dm_cost, 1e-12));
     // Slot-hours at least cover the served work.
     assert!(report.slot_hours + 1e-9 >= busy);
     // DM costs are small but nonzero (transfers happen per request).
@@ -146,14 +181,14 @@ fn rental_accounting_is_consistent() {
 
 #[test]
 fn zero_floor_pools_rent_on_demand() {
-    let cfg = AutoScaleConfig {
-        min_slots: 0,
-        scale_up_queue: 1,
-        ..base()
-    };
+    let cfg = pool(Rent {
+        min: 0,
+        up: 1,
+        ..BASE
+    });
     let arrivals = vec![at(0.0), at(10.0)];
     let (report, busy) = run_with_busy(&arrivals, &cfg);
-    assert_eq!(report.requests, 2);
+    assert_eq!(report.requests(), 2);
     assert_eq!(report.peak_slots, 1);
     assert_eq!(report.rentals, 2, "slot released between distant requests");
     // Rented time is near the service time, not the horizon: the point of
@@ -166,18 +201,20 @@ fn idle_grace_keeps_the_slot_warm() {
     // Same two distant requests; a generous idle grace period keeps the
     // slot rented across the gap, trading rental hours for one fewer
     // boot.
-    let eager = AutoScaleConfig {
-        min_slots: 0,
-        scale_up_queue: 1,
-        ..base()
-    };
-    let patient = AutoScaleConfig {
-        idle_release_s: 12.0 * 3600.0,
-        ..eager.clone()
-    };
+    let eager = pool(Rent {
+        min: 0,
+        up: 1,
+        ..BASE
+    });
+    let patient = pool(Rent {
+        min: 0,
+        up: 1,
+        idle_s: 12.0 * 3600.0,
+        ..BASE
+    });
     let arrivals = vec![at(0.0), at(10.0)];
-    let eager_report = simulate_autoscale(&arrivals, &eager);
-    let patient_report = simulate_autoscale(&arrivals, &patient);
+    let eager_report = run(&arrivals, &eager);
+    let patient_report = run(&arrivals, &patient);
     assert_eq!(eager_report.rentals, 2);
     assert_eq!(patient_report.rentals, 1, "grace period spans the gap");
     assert!(patient_report.slot_hours > eager_report.slot_hours);
@@ -188,118 +225,98 @@ fn idle_grace_keeps_the_slot_warm() {
 
 #[test]
 fn bounded_queue_rejects_overflow() {
-    let cfg = AutoScaleConfig {
-        min_slots: 1,
-        max_slots: 1,
+    let cfg = PoolConfig {
         queue_bound: Some(2),
         admission: AdmissionPolicy::Reject,
-        ..base()
+        ..pool(Rent { max: 1, ..BASE })
     };
     // Six simultaneous arrivals (after the floor slot's 2-minute boot)
     // against one slot and a 2-deep queue: one in service, two queued,
     // three turned away.
     let arrivals: Vec<Arrival> = (0..6).map(|_| at(0.1)).collect();
-    let report = simulate_autoscale(&arrivals, &cfg);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.offered(), 6);
     assert_eq!(report.rejected, 3);
-    assert_eq!(report.requests, 3);
+    assert_eq!(report.requests(), 3);
     assert_eq!(report.deflected, 0);
 }
 
 #[test]
 fn deflected_overflow_is_served_and_priced() {
-    let cfg = AutoScaleConfig {
-        min_slots: 1,
-        max_slots: 1,
+    let cfg = PoolConfig {
         queue_bound: Some(2),
         admission: AdmissionPolicy::Deflect,
-        ..base()
+        ..pool(Rent { max: 1, ..BASE })
     };
     let arrivals: Vec<Arrival> = (0..6).map(|_| at(0.1)).collect();
-    let report = simulate_autoscale(&arrivals, &cfg);
+    let report = run(&arrivals, &cfg);
     assert_eq!(report.offered(), 6);
     assert_eq!(report.rejected, 0);
     assert_eq!(report.deflected, 3);
-    assert_eq!(report.requests, 6, "deflected requests are still served");
-    assert!(report.deflect_cost > Money::ZERO);
-    assert!(report.total_cost().approx_eq(
-        report.rental_cost + report.dm_cost + report.deflect_cost,
-        1e-9
-    ));
+    assert_eq!(report.requests(), 6, "deflected requests are still served");
+    assert!(report.cloud_cost > Money::ZERO);
+    assert!(report
+        .total_cost()
+        .approx_eq(report.slot_cost + report.dm_cost + report.cloud_cost, 1e-9));
 }
 
 #[test]
 fn autoscale_is_deterministic() {
     let arrivals = bursty(1.0, 72.0, 1.0, &[(10.0, 6.0, 8.0)], 11);
     let cfg = base();
-    assert_eq!(
-        simulate_autoscale(&arrivals, &cfg),
-        simulate_autoscale(&arrivals, &cfg)
-    );
+    assert_eq!(run(&arrivals, &cfg), run(&arrivals, &cfg));
 }
 
 #[test]
 fn wider_ceilings_never_hurt_latency() {
     let arrivals = bursty(1.0, 72.0, 1.0, &[(10.0, 6.0, 10.0)], 3);
-    let narrow = simulate_autoscale(
-        &arrivals,
-        &AutoScaleConfig {
-            max_slots: 2,
-            ..base()
-        },
-    );
-    let wide = simulate_autoscale(
-        &arrivals,
-        &AutoScaleConfig {
-            max_slots: 16,
-            ..base()
-        },
-    );
+    let narrow = run(&arrivals, &pool(Rent { max: 2, ..BASE }));
+    let wide = run(&arrivals, &pool(Rent { max: 16, ..BASE }));
     assert!(wide.max_wait_hours() <= narrow.max_wait_hours() + 1e-9);
 }
 
 #[test]
-#[should_panic(expected = "invalid autoscale configuration")]
+#[should_panic(expected = "invalid pool configuration")]
 fn zero_floor_with_lazy_trigger_rejected() {
-    let cfg = AutoScaleConfig {
-        min_slots: 0,
-        scale_up_queue: 3,
-        ..base()
-    };
-    simulate_autoscale(&[at(0.0)], &cfg);
+    let cfg = pool(Rent {
+        min: 0,
+        up: 3,
+        ..BASE
+    });
+    run(&[at(0.0)], &cfg);
 }
 
 #[test]
-#[should_panic(expected = "max_slots")]
+#[should_panic(expected = "need 0 < max (2) >= min (4)")]
 fn ceiling_below_floor_rejected() {
-    let cfg = AutoScaleConfig {
-        min_slots: 4,
-        max_slots: 2,
-        ..base()
-    };
-    simulate_autoscale(&[at(0.0)], &cfg);
+    let cfg = pool(Rent {
+        min: 4,
+        max: 2,
+        ..BASE
+    });
+    run(&[at(0.0)], &cfg);
 }
 
 #[test]
 #[should_panic(expected = "needs an overflow policy")]
 fn bounded_queue_without_policy_rejected() {
-    let cfg = AutoScaleConfig {
+    let cfg = PoolConfig {
         queue_bound: Some(4),
         admission: AdmissionPolicy::AdmitAll,
         ..base()
     };
-    simulate_autoscale(&[at(0.0)], &cfg);
+    run(&[at(0.0)], &cfg);
 }
 
 #[test]
 #[should_panic(expected = "requires a queue_bound")]
 fn policy_without_bound_rejected() {
-    let cfg = AutoScaleConfig {
+    let cfg = PoolConfig {
         queue_bound: None,
         admission: AdmissionPolicy::Reject,
         ..base()
     };
-    simulate_autoscale(&[at(0.0)], &cfg);
+    run(&[at(0.0)], &cfg);
 }
 
 #[test]
@@ -308,49 +325,53 @@ fn unreachable_scale_up_trigger_rejected() {
     // A zero floor scales up at queue depth 1, but a queue bound of 0
     // means the backlog can never reach depth 1: every request would
     // overflow forever. The validator must refuse this up front.
-    let cfg = AutoScaleConfig {
-        min_slots: 0,
-        scale_up_queue: 1,
+    let cfg = PoolConfig {
         queue_bound: Some(0),
         admission: AdmissionPolicy::Reject,
-        ..base()
+        ..pool(Rent {
+            min: 0,
+            up: 1,
+            ..BASE
+        })
     };
-    simulate_autoscale(&[at(0.0)], &cfg);
+    run(&[at(0.0)], &cfg);
 }
 
 #[test]
 fn both_pool_models_word_the_admission_errors_alike() {
-    // One rule, checked in one place, for the service and the pool; only
-    // the pool's name for the no-policy setting differs.
-    let bounded = "a bounded queue (queue_bound = 4) needs an overflow policy: with admission = ";
-    let stranded = " a full queue would strand arrivals forever — use Reject or Deflect";
+    // One rule, checked in one place, worded once, for owned and rented
+    // slots alike.
+    let bounded = "a bounded queue (queue_bound = 4) needs an overflow policy: with admission = \
+                   AdmitAll a full queue would strand arrivals forever — use Reject or Deflect";
     let unbounded = "an overflow policy (Reject/Deflect) requires a queue_bound; \
                      an unbounded queue never overflows";
-    let pool = |queue_bound, admission| AutoScaleConfig {
-        queue_bound,
-        admission,
-        ..base()
-    };
-    let service = |queue_bound, admission| ServiceConfig {
-        queue_bound,
-        admission,
-        ..ServiceConfig::default_burst()
-    };
-    assert_eq!(
-        pool(Some(4), AdmissionPolicy::AdmitAll).validate(),
-        Err(format!(
-            "{bounded}AdmitAll (rejects and deflects disabled){stranded}"
-        ))
-    );
-    assert_eq!(
-        service(Some(4), AdmissionPolicy::AdmitAll).validate(),
-        Err(format!("{bounded}AdmitAll{stranded}"))
-    );
-    for policy in [AdmissionPolicy::Reject, AdmissionPolicy::Deflect] {
-        assert_eq!(pool(None, policy).validate(), Err(unbounded.to_string()));
-        assert_eq!(service(None, policy).validate(), Err(unbounded.to_string()));
-        assert_eq!(pool(Some(4), policy).validate(), Ok(()));
-        assert_eq!(service(Some(4), policy).validate(), Ok(()));
+    for base in [base(), PoolConfig::default_owned()] {
+        let cfg = |queue_bound, admission| PoolConfig {
+            queue_bound,
+            admission,
+            ..base.clone()
+        };
+        let admit_all = cfg(Some(4), AdmissionPolicy::AdmitAll).validate();
+        assert_eq!(admit_all, Err(bounded.to_string()));
+        for policy in [AdmissionPolicy::Reject, AdmissionPolicy::Deflect] {
+            assert_eq!(cfg(None, policy).validate(), Err(unbounded.to_string()));
+            assert_eq!(cfg(Some(4), policy).validate(), Ok(()));
+        }
+    }
+}
+
+#[test]
+fn a_non_finite_or_negative_rental_rate_is_refused() {
+    // `Money::from_dollars` refuses non-finite amounts, but arithmetic on
+    // money can still reach them; a negative rate would rank as the
+    // cheapest pool.
+    for dollars in [f64::NAN, f64::INFINITY, -0.5] {
+        let mut cfg = base();
+        if let Slots::Rented { cost_per_hour, .. } = &mut cfg.slots {
+            *cost_per_hour = Money::from_dollars(1.0) * dollars;
+        }
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("cost_per_hour must be a finite"), "{err}");
     }
 }
 
@@ -372,14 +393,13 @@ fn unaligned_triples() -> Vec<Arrival> {
 /// Prometheus `le="0"` bucket counts every one of them.
 #[test]
 fn a_request_served_on_arrival_waits_exactly_zero() {
-    let cfg = AutoScaleConfig {
-        max_slots: 1,
+    let cfg = PoolConfig {
         queue_bound: Some(1),
         admission: AdmissionPolicy::Deflect,
-        ..base()
+        ..pool(Rent { max: 1, ..BASE })
     };
     let mut waits = Vec::new();
-    let report = simulate_autoscale_stream(unaligned_triples().iter().copied(), &cfg, |o| {
+    let report = simulate_pool(unaligned_triples(), &cfg, &mut NullSink, |o| {
         waits.push(o.wait_hours())
     });
     assert_eq!(report.deflected, 40);

@@ -5,23 +5,27 @@
 //! cohorts again once both pools have fallen quiet, each decision history
 //! keeping its own tally. On drawn specs and candidate lists, at 1, 2, 3
 //! and 5 groups, and for the candidates with boot delays and idle release
-//! on their own, every report it returns must equal
-//! `simulate_autoscale_stream` for that candidate alone, and that must
-//! equal the reference below: the pool as it was before the planner
-//! shared simulations, one per candidate, deciding and acting in one
-//! step. Its event calendar and in-order outcome fold are private to the
-//! crate, so they are rebuilt here from public parts; the rest is the old
-//! `AutoScaleSim::arrive` line for line.
+//! on their own, every whole report it returns, backlog and span
+//! included, must equal `simulate_pool` for that candidate alone, and
+//! that must equal the reference below: the pool as it was before the
+//! planner shared simulations, one per candidate, deciding and acting in
+//! one step. Its event calendar and in-order outcome fold are private to
+//! the crate, so they are rebuilt here from public parts; the rest is the
+//! old `AutoScaleSim::arrive` line for line. The reference kept no
+//! backlog or span, so those lines are left out of its comparison.
 //!
-//! Candidates are drawn from a few pool families (floor, boot delay, idle
+//! Specs and candidates are `draws::draw_spec` and
+//! `draws::draw_candidates`: a few pool families (floor, boot delay, idle
 //! release, slot size, execution model), each family after the first one
-//! field away from another, and vary every other field: ceiling,
+//! field away from another, varying every other field: ceiling,
 //! scale-up trigger, queue bound, admission policy and slot price; near
 //! twins of earlier candidates put members that differ in one field into
 //! one cohort, or into cohorts one field apart. Some boots outlast a
 //! request, so a pool can sit at its floor with a slot still booting.
 //! Debug builds check a few short specs; `--release` checks the full
 //! draw.
+
+mod draws;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -30,10 +34,22 @@ use mcloud_core::ExecConfig;
 use mcloud_cost::Money;
 use mcloud_service::planner::simulate_grouped;
 use mcloud_service::{
-    simulate_autoscale_stream, AdmissionPolicy, Arrival, AutoScaleConfig, AutoScaleReport,
-    FlashCrowd, PlanSpec, ProfileTable, RequestOutcome, Venue,
+    simulate_pool, AdmissionPolicy, Arrival, PoolConfig, PoolReport, ProfileTable, RequestOutcome,
+    Slots, Venue,
 };
-use mcloud_simkit::{Histogram, SimDuration, SimRng, SimTime};
+use mcloud_simkit::{Histogram, NullSink, SimDuration, SimRng, SimTime};
+
+use draws::{draw_candidates, draw_spec, full, Rented, RENTED_SEED};
+
+/// `report` without the lines the reference did not keep.
+fn kept(report: &PoolReport) -> PoolReport {
+    PoolReport {
+        span_hours: 0.0,
+        backlog_mean: 0.0,
+        backlog_peak: 0.0,
+        ..report.clone()
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
@@ -53,7 +69,7 @@ struct Waiting {
 
 /// One pool per configuration, as it was before cohorts.
 struct Reference<'c> {
-    cfg: &'c AutoScaleConfig,
+    cfg: &'c Rented,
     /// Pending events by (time, push order).
     events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
     pushed: u64,
@@ -75,11 +91,11 @@ struct Reference<'c> {
 
 impl<'c> Reference<'c> {
     fn run(
-        cfg: &'c AutoScaleConfig,
+        cfg: &'c Rented,
         arrivals: impl Iterator<Item = Arrival>,
         profiles: &mut ProfileTable,
-    ) -> AutoScaleReport {
-        cfg.validate().expect("drawn candidates are valid");
+    ) -> PoolReport {
+        cfg.pool().validate().expect("drawn candidates are valid");
         let mut sim = Reference {
             cfg,
             events: BinaryHeap::new(),
@@ -236,7 +252,7 @@ impl<'c> Reference<'c> {
 
     /// Folds the outcomes in arrival order, as the report's histograms
     /// are folded.
-    fn report(self) -> AutoScaleReport {
+    fn report(self) -> PoolReport {
         assert_eq!((self.busy, self.booting), (0, 0), "the pool drained");
         let (mut wait_hist, mut turnaround_hist) = (Histogram::new(), Histogram::new());
         let (mut requests, mut rejected) = (0, 0);
@@ -250,142 +266,30 @@ impl<'c> Reference<'c> {
                 None => rejected += 1,
             }
         }
-        AutoScaleReport {
-            requests,
+        PoolReport {
+            served_local: 0,
+            served_cloud: requests,
             rejected,
             deflected: self.deflected,
             wait_hist,
             turnaround_hist,
+            span_hours: 0.0,
+            backlog_mean: 0.0,
+            backlog_peak: 0.0,
             slot_hours: self.slot_hours,
-            rental_cost: self.cfg.slot_cost_per_hour * self.slot_hours,
-            dm_cost: self.dm_cost,
-            deflect_cost: self.deflect_cost,
             peak_slots: self.peak_slots,
             rentals: self.rentals,
+            slot_cost: self.cfg.slot_cost_per_hour * self.slot_hours,
+            dm_cost: self.dm_cost,
+            cloud_cost: self.deflect_cost,
         }
     }
-}
-
-/// Full draw in release builds; a few short specs in debug builds, where
-/// the engine profiles behind each execution model dominate.
-fn full() -> bool {
-    !cfg!(debug_assertions)
-}
-
-/// A seeded demand: quarter-long or shorter horizons, jittered class
-/// rates, up to three flash crowds.
-fn draw_spec(rng: &mut SimRng) -> PlanSpec {
-    let horizon = if full() {
-        rng.f64_in(24.0, 24.0 * 91.0)
-    } else {
-        rng.f64_in(24.0, 240.0)
-    };
-    let mut spec = PlanSpec::new(7.0, rng.f64_in(0.5, 6.0), horizon);
-    spec.seed = rng.next_u64();
-    for class in &mut spec.classes {
-        class.rate_per_hour *= rng.f64_in(0.5, 1.5);
-    }
-    for _ in 0..rng.below(4) {
-        spec.modulation.flash_crowds.push(FlashCrowd {
-            start_hour: rng.f64_in(0.0, horizon),
-            duration_hours: rng.f64_in(1.0, 24.0),
-            multiplier: rng.f64_in(1.0, 8.0),
-        });
-    }
-    spec
-}
-
-/// The fields a pool's event handling reads.
-#[derive(Clone)]
-struct Family {
-    min_slots: u32,
-    boot_s: f64,
-    idle_release_s: f64,
-    procs_per_slot: u32,
-    exec: ExecConfig,
-}
-
-fn pick<T: Clone>(rng: &mut SimRng, from: &[T]) -> T {
-    from[rng.below(from.len() as u64) as usize].clone()
-}
-
-/// A candidate list: one to four families, each after the first a copy
-/// of an earlier one with one field redrawn, and candidates of those
-/// families with every policy field and the slot price drawn. Some
-/// candidates are near twins of earlier ones: a copy with at most one
-/// field redrawn, so that a cohort holds members that differ only there.
-fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<AutoScaleConfig> {
-    let execs = [spec.exec.clone(), spec.exec.clone().prestaged(true)];
-    let mins = [0u32, 1, 2, 4];
-    let boots = [0.0, 120.0, 300.0, 7200.0];
-    let idles = [0.0, 900.0, 3600.0];
-    let procs = [8u32, 16];
-    let prices = [0.8, 1.6, 2.4, 3.2];
-    let mut families = vec![Family {
-        min_slots: pick(rng, &mins),
-        boot_s: pick(rng, &boots),
-        idle_release_s: pick(rng, &idles),
-        procs_per_slot: pick(rng, &procs),
-        exec: pick(rng, &execs),
-    }];
-    for _ in 0..rng.below(4) {
-        let mut f = pick(rng, &families);
-        match rng.below(5) {
-            0 => f.min_slots = pick(rng, &mins),
-            1 => f.boot_s = pick(rng, &boots),
-            2 => f.idle_release_s = pick(rng, &idles),
-            3 => f.procs_per_slot = pick(rng, &procs),
-            _ => f.exec = pick(rng, &execs),
-        }
-        families.push(f);
-    }
-    let count = 8 + rng.below(if full() { 40 } else { 16 }) as usize;
-    let mut out: Vec<AutoScaleConfig> = Vec::with_capacity(count);
-    while out.len() < count {
-        let cfg = if !out.is_empty() && rng.chance(0.3) {
-            let mut twin = pick(rng, &out);
-            match rng.below(8) {
-                0 => twin.slot_cost_per_hour = Money::from_dollars(pick(rng, &prices)),
-                1 => twin.idle_release_s = pick(rng, &idles),
-                2 => twin.boot_s = pick(rng, &boots),
-                3 => twin.procs_per_slot = pick(rng, &procs),
-                4 => twin.exec = pick(rng, &execs),
-                5 => twin.max_slots = twin.min_slots.max(1) + rng.below(12) as u32,
-                6 => twin.min_slots = pick(rng, &mins),
-                _ => {}
-            }
-            twin
-        } else {
-            let f = pick(rng, &families);
-            let (queue_bound, admission) = match rng.below(3) {
-                0 => (None, AdmissionPolicy::AdmitAll),
-                1 => (Some(rng.below(12) as usize), AdmissionPolicy::Reject),
-                _ => (Some(rng.below(24) as usize), AdmissionPolicy::Deflect),
-            };
-            AutoScaleConfig {
-                min_slots: f.min_slots,
-                max_slots: f.min_slots.max(1) + rng.below(12) as u32,
-                scale_up_queue: 1 + rng.below(6) as usize,
-                boot_s: f.boot_s,
-                idle_release_s: f.idle_release_s,
-                procs_per_slot: f.procs_per_slot,
-                slot_cost_per_hour: Money::from_dollars(pick(rng, &prices)),
-                queue_bound,
-                admission,
-                exec: f.exec,
-            }
-        };
-        if cfg.validate().is_ok() {
-            out.push(cfg);
-        }
-    }
-    out
 }
 
 #[test]
 fn cohorts_report_what_each_candidate_reports_alone() {
     let draws = if full() { 24 } else { 10 };
-    let mut rng = SimRng::new(0x0c0f_0127);
+    let mut rng = SimRng::new(RENTED_SEED);
     let (mut rejected, mut deflected, mut released, mut shared) = (0, 0, 0, 0);
     let (mut merged, mut slow_merged) = (0, 0);
     for draw in 0..draws {
@@ -394,7 +298,7 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         // One table per execution model, shared by the reference runs:
         // profiles are pure functions of (degrees, slot size, model).
         let mut tables: Vec<(ExecConfig, ProfileTable)> = Vec::new();
-        let reference: Vec<AutoScaleReport> = cfgs
+        let reference: Vec<PoolReport> = cfgs
             .iter()
             .map(|cfg| {
                 let t = match tables.iter().position(|(exec, _)| exec == &cfg.exec) {
@@ -405,12 +309,15 @@ fn cohorts_report_what_each_candidate_reports_alone() {
                         tables.len() - 1
                     }
                 };
-                Reference::run(cfg, spec.stream(), &mut tables[t].1)
+                Reference::run(&Rented::of(cfg), spec.stream(), &mut tables[t].1)
             })
             .collect();
-        for (i, (cfg, expected)) in cfgs.iter().zip(&reference).enumerate() {
-            let alone = simulate_autoscale_stream(spec.stream(), cfg, |_| {});
-            assert_eq!(&alone, expected, "draw {draw}: candidate {i} alone");
+        let alone: Vec<PoolReport> = cfgs
+            .iter()
+            .map(|cfg| simulate_pool(spec.stream(), cfg, &mut NullSink, |_| {}))
+            .collect();
+        for (i, (alone, expected)) in alone.iter().zip(&reference).enumerate() {
+            assert_eq!(&kept(alone), expected, "draw {draw}: candidate {i} alone");
             rejected += expected.rejected;
             deflected += expected.deflected;
             released += u64::from(expected.rentals > expected.peak_slots);
@@ -419,7 +326,7 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         for groups in [1, 2, 3, 5] {
             let (grouped, stats) = simulate_grouped(&spec, &cfgs, &profiles, groups);
             assert_eq!(grouped.len(), cfgs.len());
-            for (i, (g, expected)) in grouped.iter().zip(&reference).enumerate() {
+            for (i, (g, expected)) in grouped.iter().zip(&alone).enumerate() {
                 assert_eq!(g, expected, "draw {draw}: candidate {i} at {groups} groups");
             }
             assert!(
@@ -431,14 +338,17 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         // The candidates whose pools boot and release after a grace
         // window, on their own: their cohorts re-merge only once every
         // boot and every pending release has fired.
-        let (slow, slow_reference): (Vec<AutoScaleConfig>, Vec<&AutoScaleReport>) = cfgs
+        let (slow, slow_alone): (Vec<PoolConfig>, Vec<&PoolReport>) = cfgs
             .iter()
-            .zip(&reference)
-            .filter(|(cfg, _)| cfg.boot_s > 0.0 && cfg.idle_release_s > 0.0)
+            .zip(&alone)
+            .filter(|(cfg, _)| {
+                matches!(cfg.slots, Slots::Rented { boot_s, idle_release_s, .. }
+                    if boot_s > 0.0 && idle_release_s > 0.0)
+            })
             .map(|(cfg, r)| (cfg.clone(), r))
             .unzip();
         let (grouped, stats) = simulate_grouped(&spec, &slow, &profiles, 1);
-        for (i, (g, expected)) in grouped.iter().zip(slow_reference).enumerate() {
+        for (i, (g, expected)) in grouped.iter().zip(slow_alone).enumerate() {
             assert_eq!(g, expected, "draw {draw}: slow candidate {i}");
         }
         slow_merged += stats.merges;

@@ -9,11 +9,10 @@ use std::path::PathBuf;
 use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mcloud_cost::Money;
 use mcloud_service::{
-    mixed, periodic, plan_capacity_with_cache, plan_json, service_trace_jsonl,
-    simulate_autoscale_stream, simulate_service, simulate_service_stream, AdmissionPolicy, Arrival,
-    AutoScaleConfig, CapacityPlan, FlashCrowd, PlanSpec, ServiceConfig,
+    mixed, periodic, plan_capacity_with_cache, plan_json, service_trace_jsonl, simulate_pool,
+    AdmissionPolicy, Arrival, CapacityPlan, FlashCrowd, PlanSpec, PoolConfig, Slots,
 };
-use mcloud_simkit::{Histogram, RecordingSink};
+use mcloud_simkit::{Histogram, NullSink, RecordingSink};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -54,14 +53,14 @@ fn golden_service_trace_burst_profile() {
     // threshold: the stream exercises queueing, local service, and cloud
     // bursts — every service-layer event kind.
     let arrivals = periodic(0.25, 12.0, 1.0);
-    let cfg = ServiceConfig {
-        local_slots: 1,
+    let cfg = PoolConfig {
+        slots: Slots::owned(1),
         burst_threshold: Some(2),
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
     let mut sink = RecordingSink::new();
-    let report = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
-    assert!(report.cloud_requests() > 0 && report.local_requests() > 0);
+    let report = simulate_pool(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
+    assert!(report.served_cloud > 0 && report.served_local > 0);
     check_golden(
         "service_trace_burst.jsonl",
         &service_trace_jsonl(sink.events()),
@@ -135,7 +134,7 @@ fn plan_pin(spec: &PlanSpec, plan: &CapacityPlan) -> String {
 }
 
 /// A fresh private cache per plan, so every pin is a cold evaluation.
-fn cold_plan(spec: &PlanSpec, candidates: Vec<AutoScaleConfig>) -> CapacityPlan {
+fn cold_plan(spec: &PlanSpec, candidates: Vec<PoolConfig>) -> CapacityPlan {
     let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
     plan_capacity_with_cache(spec, candidates, &cache).expect("plan")
 }
@@ -151,45 +150,28 @@ fn golden_plans_of_seeded_flash_crowds() {
 /// Pools the default grid never builds: an idle-release grace window
 /// (the `IdleExpire` path), `Reject` admission, and a zero floor that
 /// rents on the first waiting request.
-fn custom_candidates(spec: &PlanSpec) -> Vec<AutoScaleConfig> {
-    let base = AutoScaleConfig {
-        boot_s: spec.boot_s,
-        procs_per_slot: spec.procs_per_slot,
-        slot_cost_per_hour: spec.slot_cost_per_hour,
-        exec: spec.exec.clone(),
-        ..AutoScaleConfig::default_pool()
+fn custom_candidates(spec: &PlanSpec) -> Vec<PoolConfig> {
+    // `spec.rented(min, max, up)`, its slots released after `idle_s`.
+    let idle = |min, max, up, idle_s| {
+        let mut cfg = spec.rented(min, max, up);
+        if let Slots::Rented { idle_release_s, .. } = &mut cfg.slots {
+            *idle_release_s = idle_s;
+        }
+        cfg
     };
     vec![
-        AutoScaleConfig {
-            idle_release_s: 1800.0,
-            ..base.clone()
-        },
-        AutoScaleConfig {
-            min_slots: 0,
-            scale_up_queue: 1,
-            idle_release_s: 3600.0,
-            ..base.clone()
-        },
-        AutoScaleConfig {
-            min_slots: 0,
-            max_slots: 4,
-            scale_up_queue: 1,
-            ..base.clone()
-        },
-        AutoScaleConfig {
-            max_slots: 2,
+        idle(1, 8, 2, 1800.0),
+        idle(0, 8, 1, 3600.0),
+        spec.rented(0, 4, 1),
+        PoolConfig {
             queue_bound: Some(3),
             admission: AdmissionPolicy::Reject,
-            ..base.clone()
+            ..spec.rented(1, 2, 2)
         },
-        AutoScaleConfig {
-            min_slots: 0,
-            max_slots: 2,
-            scale_up_queue: 1,
-            idle_release_s: 600.0,
+        PoolConfig {
             queue_bound: Some(1),
             admission: AdmissionPolicy::Reject,
-            ..base
+            ..idle(0, 2, 1, 600.0)
         },
     ]
 }
@@ -203,17 +185,17 @@ fn golden_plan_of_custom_candidates() {
     // The scorecards omit rentals and slot-hours; pin each candidate's
     // whole report too.
     for (i, cfg) in candidates.iter().enumerate() {
-        let r = simulate_autoscale_stream(spec.stream(), cfg, |_| {});
+        let r = simulate_pool(spec.stream(), cfg, &mut NullSink, |_| {});
         out.push_str(&format!(
             "report {i}: requests={} rejected={} deflected={} slot_hours={} rental={} dm={} \
              deflect={} peak={} rentals={}\n",
-            r.requests,
+            r.requests(),
             r.rejected,
             r.deflected,
             bits(r.slot_hours),
-            bits(r.rental_cost.dollars()),
+            bits(r.slot_cost.dollars()),
             bits(r.dm_cost.dollars()),
-            bits(r.deflect_cost.dollars()),
+            bits(r.cloud_cost.dollars()),
             r.peak_slots,
             r.rentals
         ));
@@ -226,20 +208,24 @@ fn golden_plan_of_custom_candidates() {
 /// Service scenarios over one seeded week of mixed traffic: cloud
 /// bursting, `Deflect` and `Reject` admission, and retries under a fault
 /// model.
-fn service_scenarios() -> Vec<(&'static str, ServiceConfig)> {
-    let base = ServiceConfig::default_burst();
+fn service_scenarios() -> Vec<(&'static str, PoolConfig)> {
+    let base = PoolConfig::default_owned();
+    let billed = |dollars| Slots::Owned {
+        count: 2,
+        cost_per_busy_hour: Money::from_dollars(dollars),
+    };
     vec![
         (
             "burst",
-            ServiceConfig {
-                local_slots: 1,
+            PoolConfig {
+                slots: Slots::owned(1),
                 burst_threshold: Some(2),
                 ..base.clone()
             },
         ),
         (
             "deflect",
-            ServiceConfig {
+            PoolConfig {
                 burst_threshold: None,
                 queue_bound: Some(2),
                 admission: AdmissionPolicy::Deflect,
@@ -248,21 +234,21 @@ fn service_scenarios() -> Vec<(&'static str, ServiceConfig)> {
         ),
         (
             "reject",
-            ServiceConfig {
+            PoolConfig {
+                slots: billed(0.4),
                 burst_threshold: None,
                 queue_bound: Some(2),
                 admission: AdmissionPolicy::Reject,
-                local_cost_per_slot_hour: Money::from_dollars(0.4),
                 ..base.clone()
             },
         ),
         (
             "retries",
-            ServiceConfig {
+            PoolConfig {
+                slots: billed(0.1),
                 request_failure_prob: 0.3,
                 request_retry_max: 2,
                 fault_seed: 2008,
-                local_cost_per_slot_hour: Money::from_dollars(0.1),
                 ..base
             },
         ),
@@ -278,7 +264,7 @@ fn golden_service_reports() {
     let arrivals = service_arrivals();
     let mut out = String::new();
     for (name, cfg) in service_scenarios() {
-        let r = simulate_service(&arrivals, &cfg);
+        let r = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |_| {});
         out.push_str(&format!(
             "{name}: local={} cloud={} rejected={} deflected={} backlog_mean={} \
              backlog_peak={} cloud_cost={} local_cost={}\n",
@@ -289,7 +275,7 @@ fn golden_service_reports() {
             bits(r.backlog_mean),
             bits(r.backlog_peak),
             bits(r.cloud_cost.dollars()),
-            bits(r.local_cost.dollars())
+            bits(r.slot_cost.dollars())
         ));
         out.push_str(&hist_pin("wait", &r.wait_hist));
         out.push_str(&hist_pin("turnaround", &r.turnaround_hist));
@@ -303,7 +289,7 @@ fn golden_service_trace_deflect_with_retries() {
     // Two days of deflections under a fault model: local and cloud
     // completions (cloud finishes are scheduled only when traced)
     // interleave with retried local runs.
-    let cfg = ServiceConfig {
+    let cfg = PoolConfig {
         request_failure_prob: 0.3,
         request_retry_max: 2,
         fault_seed: 7,
@@ -314,8 +300,8 @@ fn golden_service_trace_deflect_with_retries() {
         .take_while(|a| a.at_hours < 48.0)
         .collect();
     let mut sink = RecordingSink::new();
-    let report = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
-    assert!(report.deflected > 0 && report.local_requests() > 0);
+    let report = simulate_pool(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
+    assert!(report.deflected > 0 && report.served_local > 0);
     check_golden(
         "service_trace_deflect_retries.jsonl",
         &service_trace_jsonl(sink.events()),

@@ -1,25 +1,28 @@
 //! Randomized-property tests of the service queue over random traffic.
 
 use mcloud_service::{
-    poisson, simulate_service, simulate_service_stream, Arrival, RequestOutcome, ServiceConfig,
-    Venue,
+    poisson, simulate_pool, Arrival, PoolConfig, PoolReport, RequestOutcome, Slots, Venue,
 };
 use mcloud_simkit::NullSink;
+
+fn run(arrivals: &[Arrival], cfg: &PoolConfig) -> PoolReport {
+    simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |_| {})
+}
 
 const CASES: u64 = 24;
 
 /// Streams every outcome out of the constant-memory simulator.
-fn outcomes_of(arrivals: &[Arrival], cfg: &ServiceConfig) -> Vec<RequestOutcome> {
+fn outcomes_of(arrivals: &[Arrival], cfg: &PoolConfig) -> Vec<RequestOutcome> {
     let mut v = Vec::new();
-    simulate_service_stream(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
+    simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
     v
 }
 
-fn cfg(slots: u32, threshold: Option<usize>) -> ServiceConfig {
-    ServiceConfig {
-        local_slots: slots,
+fn cfg(slots: u32, threshold: Option<usize>) -> PoolConfig {
+    PoolConfig {
+        slots: Slots::owned(slots),
         burst_threshold: threshold,
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     }
 }
 
@@ -75,12 +78,12 @@ fn venue_extremes() {
         let rate = param(case, 0.5, 4.0);
         let arrivals = poisson(rate, 30.0, 1.0, 0x5E_0002 ^ case);
         assert!(!arrivals.is_empty(), "case {case}: no arrivals");
-        let local_only = simulate_service(&arrivals, &cfg(2, None));
-        assert_eq!(local_only.cloud_requests(), 0, "case {case}");
+        let local_only = run(&arrivals, &cfg(2, None));
+        assert_eq!(local_only.served_cloud, 0, "case {case}");
         assert_eq!(local_only.total_cost().dollars(), 0.0, "case {case}");
 
-        let cloud_only = simulate_service(&arrivals, &cfg(0, Some(0)));
-        assert_eq!(cloud_only.local_requests(), 0, "case {case}");
+        let cloud_only = run(&arrivals, &cfg(0, Some(0)));
+        assert_eq!(cloud_only.served_local, 0, "case {case}");
         assert!(cloud_only.total_cost().dollars() > 0.0, "case {case}");
         // Cloud has unlimited capacity: nobody ever waits.
         assert!(cloud_only.mean_wait_hours() < 1e-9, "case {case}");
@@ -95,12 +98,9 @@ fn threshold_monotonicity() {
         let rate = param(case, 1.0, 6.0);
         let arrivals = poisson(rate, 40.0, 1.0, 0x5E_0003 ^ case);
         assert!(arrivals.len() >= 4, "case {case}: too few arrivals");
-        let tight = simulate_service(&arrivals, &cfg(1, Some(1)));
-        let loose = simulate_service(&arrivals, &cfg(1, Some(4)));
-        assert!(
-            tight.cloud_requests() >= loose.cloud_requests(),
-            "case {case}"
-        );
+        let tight = run(&arrivals, &cfg(1, Some(1)));
+        let loose = run(&arrivals, &cfg(1, Some(4)));
+        assert!(tight.served_cloud >= loose.served_cloud, "case {case}");
         assert!(
             tight.max_wait_hours() <= loose.max_wait_hours() + 1e-9,
             "case {case}"

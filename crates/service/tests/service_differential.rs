@@ -1,7 +1,7 @@
 //! Pins the service simulator to its own event loop as it was before it
 //! ran on the shared pool state machine.
 //!
-//! `simulate_service_stream` is the pool machine over owned slots: idle
+//! `simulate_pool` over owned slots is the pool machine with slots idle
 //! from time zero, never rented, billed per busy hour, with a burst
 //! threshold checked before the queue bound. The reference below is the
 //! service's former hand-written loop; its event calendar and in-order
@@ -9,33 +9,57 @@
 //! public parts, and its slot and cloud starts return what they used to
 //! write through references. On drawn configurations and arrival
 //! streams, the whole report must match bit for bit, and so must the
-//! streamed outcomes and the recorded trace events.
+//! streamed outcomes and the recorded trace events. The former loop kept
+//! no span, held slot-hours or slot counts, so those lines are left out
+//! of the comparison.
 //!
 //! The reference schedules its cloud finishes only when traced, and
 //! those moved the backlog's time horizon, so a traced reference run
 //! reported a different `backlog_mean`. The simulator's traced run must
 //! therefore report what the reference reports untraced.
 //!
-//! Configurations cover 0-4 local slots (0 bursting everything), burst
-//! thresholds `None` and 0-3, queue bounds with `Reject` and `Deflect`,
-//! request faults with retries, local and cloud slot sizes that differ,
-//! and a nonzero local slot-hour price. Streams start with an arrival at
-//! exactly t = 0 and hold same-instant ties. Debug builds check a few
-//! short draws; `--release` checks the full draw.
+//! Configurations and streams are `draws::draw_owned` and
+//! `draws::draw_arrivals`. Debug builds check a few short draws;
+//! `--release` checks the full draw.
+
+mod draws;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use mcloud_core::ExecConfig;
 use mcloud_cost::Money;
 use mcloud_service::{
-    simulate_service_stream, AdmissionPolicy, Arrival, ProfileTable, RequestOutcome, ServiceConfig,
-    ServiceReport, Venue,
+    simulate_pool, AdmissionPolicy, Arrival, PoolConfig, PoolReport, ProfileTable, RequestOutcome,
+    Slots, Venue,
 };
 use mcloud_simkit::{
     EventSink, Histogram, NullSink, RecordingSink, SimDuration, SimRng, SimTime, TimeWeighted,
     TimedEvent, TraceEvent,
 };
+
+use draws::{draw_arrivals, draw_owned, full, OWNED_SEED};
+
+/// The owned slots' count and busy-hour price.
+fn owned(cfg: &PoolConfig) -> (u32, Money) {
+    match cfg.slots {
+        Slots::Owned {
+            count,
+            cost_per_busy_hour,
+        } => (count, cost_per_busy_hour),
+        Slots::Rented { .. } => panic!("the former loop ran owned slots"),
+    }
+}
+
+/// `report` without the lines the former loop did not keep.
+fn kept(report: &PoolReport) -> PoolReport {
+    PoolReport {
+        span_hours: 0.0,
+        slot_hours: 0.0,
+        peak_slots: 0,
+        rentals: 0,
+        ..report.clone()
+    }
+}
 
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
@@ -47,9 +71,9 @@ enum Ev {
 /// arrival order at the end, as the in-order fold does while running.
 fn reference<S: EventSink>(
     arrivals: &[Arrival],
-    cfg: &ServiceConfig,
+    cfg: &PoolConfig,
     sink: &mut S,
-) -> (ServiceReport, Vec<RequestOutcome>) {
+) -> (PoolReport, Vec<RequestOutcome>) {
     cfg.validate().expect("drawn configurations are valid");
     let mut profiles = ProfileTable::new(cfg.exec.clone());
     let mut rng = (cfg.request_failure_prob > 0.0).then(|| SimRng::new(cfg.fault_seed));
@@ -70,7 +94,7 @@ fn reference<S: EventSink>(
         pushed += 1;
     };
     let mut next = 0usize;
-    let mut free_slots = cfg.local_slots;
+    let mut free_slots = owned(cfg).0;
     let mut waiting: VecDeque<(usize, Arrival, u32)> = VecDeque::new();
     let mut outcomes: Vec<Option<RequestOutcome>> = Vec::new();
     let mut backlog = TimeWeighted::new();
@@ -167,17 +191,22 @@ fn reference<S: EventSink>(
             None => rejected += 1,
         }
     }
-    let report = ServiceReport {
+    let report = PoolReport {
         served_local,
         served_cloud,
         rejected,
         deflected,
         wait_hist,
         turnaround_hist,
+        span_hours: 0.0,
         backlog_mean: backlog.mean(last_now),
         backlog_peak: backlog.peak(),
+        slot_hours: 0.0,
+        peak_slots: 0,
+        rentals: 0,
+        slot_cost: owned(cfg).1 * local_busy_hours,
+        dm_cost: Money::ZERO,
         cloud_cost,
-        local_cost: cfg.local_cost_per_slot_hour * local_busy_hours,
     };
     (report, outcomes.into_iter().flatten().collect())
 }
@@ -189,11 +218,11 @@ fn start_local<S: EventSink>(
     a: Arrival,
     attempts: u32,
     now: SimTime,
-    cfg: &ServiceConfig,
+    cfg: &PoolConfig,
     profiles: &mut ProfileTable,
     sink: &mut S,
 ) -> (RequestOutcome, f64, SimTime) {
-    let profile = profiles.owned(a.degrees, cfg.local_procs_per_request);
+    let profile = profiles.owned(a.degrees, cfg.procs_per_slot);
     let run_hours = profile.makespan_hours * attempts as f64;
     let start_h = now.as_hours_f64();
     let finish = now + SimDuration::from_hours_f64(run_hours);
@@ -211,7 +240,7 @@ fn start_local<S: EventSink>(
         start_hours: start_h,
         finish_hours: finish.as_hours_f64(),
         venue: Venue::Local,
-        cost: cfg.local_cost_per_slot_hour * run_hours,
+        cost: owned(cfg).1 * run_hours,
         attempts,
     };
     (outcome, run_hours, finish)
@@ -224,11 +253,11 @@ fn start_cloud<S: EventSink>(
     a: Arrival,
     attempts: u32,
     now: SimTime,
-    cfg: &ServiceConfig,
+    cfg: &PoolConfig,
     profiles: &mut ProfileTable,
     sink: &mut S,
 ) -> (RequestOutcome, Option<SimTime>) {
-    let profile = profiles.fixed(a.degrees, cfg.cloud_procs_per_request);
+    let profile = profiles.fixed(a.degrees, cfg.cloud_procs);
     let cost = profile.cost * attempts as f64;
     let run_hours = profile.makespan_hours * attempts as f64;
     let start_h = now.as_hours_f64();
@@ -259,68 +288,6 @@ fn hours(h: f64) -> SimTime {
     SimTime::from_secs_f64(h * 3600.0)
 }
 
-/// Full draw in release builds; a few short streams in debug builds.
-fn full() -> bool {
-    !cfg!(debug_assertions)
-}
-
-fn pick<T: Copy>(rng: &mut SimRng, from: &[T]) -> T {
-    from[rng.below(from.len() as u64) as usize]
-}
-
-fn draw_config(rng: &mut SimRng) -> ServiceConfig {
-    let local_slots = rng.below(5) as u32;
-    let burst_threshold = if local_slots == 0 {
-        Some(0)
-    } else {
-        pick(rng, &[None, None, None, Some(0), Some(1), Some(2), Some(3)])
-    };
-    let (queue_bound, admission) = match rng.below(3) {
-        0 => (None, AdmissionPolicy::AdmitAll),
-        1 => (Some(rng.below(4) as usize), AdmissionPolicy::Reject),
-        _ => (Some(rng.below(4) as usize), AdmissionPolicy::Deflect),
-    };
-    let faulty = rng.chance(0.5);
-    ServiceConfig {
-        local_slots,
-        local_procs_per_request: pick(rng, &[4, 8, 16]),
-        cloud_procs_per_request: pick(rng, &[4, 8, 16]),
-        burst_threshold,
-        exec: ExecConfig::paper_default(),
-        local_cost_per_slot_hour: Money::from_dollars(pick(rng, &[0.0, 0.1, 0.4])),
-        request_failure_prob: if faulty { rng.f64_in(0.05, 0.6) } else { 0.0 },
-        request_retry_max: if faulty { 1 + rng.below(3) as u32 } else { 0 },
-        fault_seed: rng.next_u64(),
-        queue_bound,
-        admission,
-    }
-}
-
-/// A stream opening at exactly t = 0, with same-instant ties, short gaps
-/// that build a backlog and long ones that drain it.
-fn draw_arrivals(rng: &mut SimRng) -> Vec<Arrival> {
-    let n = if full() {
-        20 + rng.below(400)
-    } else {
-        10 + rng.below(40)
-    };
-    let mut t = 0.0;
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(Arrival {
-            at_hours: t,
-            degrees: pick(rng, &[0.5, 1.0, 1.0, 2.0]),
-        });
-        t += match rng.below(5) {
-            0 => 0.0,
-            1 | 2 => rng.f64_in(0.0, 0.05),
-            3 => rng.f64_in(0.05, 0.3),
-            _ => rng.f64_in(0.3, 2.0),
-        };
-    }
-    out
-}
-
 /// Bit-exact text of a value: `Debug` prints every float in its shortest
 /// round-trip form.
 fn bits<T: std::fmt::Debug>(v: &T) -> String {
@@ -330,25 +297,29 @@ fn bits<T: std::fmt::Debug>(v: &T) -> String {
 #[test]
 fn the_service_matches_its_former_event_loop() {
     let draws = if full() { 400 } else { 24 };
-    let mut rng = SimRng::new(0x5e7_1ce);
+    let mut rng = SimRng::new(OWNED_SEED);
     let (mut bursts, mut rejects, mut deflects, mut retries, mut queued) = (0, 0, 0, 0, 0);
     for draw in 0..draws {
-        let cfg = draw_config(&mut rng);
+        let cfg = draw_owned(&mut rng);
         let arrivals = draw_arrivals(&mut rng);
 
         let (expected, expected_outcomes) = reference(&arrivals, &cfg, &mut NullSink);
         let mut outcomes = Vec::new();
-        let report = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut NullSink, |o| {
+        let report = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |o| {
             outcomes.push(*o)
         });
-        assert_eq!(bits(&report), bits(&expected), "draw {draw}: {cfg:?}");
+        assert_eq!(
+            bits(&kept(&report)),
+            bits(&expected),
+            "draw {draw}: {cfg:?}"
+        );
         assert_eq!(bits(&outcomes), bits(&expected_outcomes), "draw {draw}");
 
         let mut expected_trace = RecordingSink::new();
         reference(&arrivals, &cfg, &mut expected_trace);
         let mut trace = RecordingSink::new();
-        let traced = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut trace, |_| {});
-        assert_eq!(bits(&traced), bits(&expected), "draw {draw}: traced");
+        let traced = simulate_pool(arrivals.iter().copied(), &cfg, &mut trace, |_| {});
+        assert_eq!(bits(&traced), bits(&report), "draw {draw}: traced");
         let events: &[TimedEvent] = trace.events();
         assert_eq!(events, expected_trace.events(), "draw {draw}: trace");
 

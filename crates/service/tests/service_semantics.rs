@@ -1,11 +1,16 @@
-//! Hand-checkable semantics of the service queueing simulator.
+//! Hand-checkable semantics of the service queueing simulator: a pool of
+//! owned slots that bursts to the cloud.
 
 use mcloud_cost::Money;
 use mcloud_service::{
-    bursty, periodic, poisson, simulate_service, simulate_service_stream, Arrival, RequestOutcome,
-    ServiceConfig, Venue,
+    bursty, periodic, poisson, simulate_pool, Arrival, PoolConfig, PoolReport, RequestOutcome,
+    Slots, Venue,
 };
 use mcloud_simkit::{NullSink, RecordingSink};
+
+fn run(arrivals: &[Arrival], cfg: &PoolConfig) -> PoolReport {
+    simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |_| {})
+}
 
 fn at(hours: f64) -> Arrival {
     Arrival {
@@ -15,19 +20,19 @@ fn at(hours: f64) -> Arrival {
 }
 
 /// Streams every outcome out of the constant-memory simulator.
-fn outcomes_of(arrivals: &[Arrival], cfg: &ServiceConfig) -> Vec<RequestOutcome> {
+fn outcomes_of(arrivals: &[Arrival], cfg: &PoolConfig) -> Vec<RequestOutcome> {
     let mut v = Vec::new();
-    simulate_service_stream(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
+    simulate_pool(arrivals.iter().copied(), cfg, &mut NullSink, |o| v.push(*o));
     v
 }
 
 /// Config with one local slot and no bursting: a pure FIFO M/D/1-style
 /// queue over the 1-degree profile (~0.83 h on 8 processors).
-fn single_slot_no_burst() -> ServiceConfig {
-    ServiceConfig {
-        local_slots: 1,
+fn single_slot_no_burst() -> PoolConfig {
+    PoolConfig {
+        slots: Slots::owned(1),
         burst_threshold: None,
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     }
 }
 
@@ -35,8 +40,8 @@ fn single_slot_no_burst() -> ServiceConfig {
 fn fifo_queue_on_one_slot() {
     // Three requests at t=0,0,0: they serialize on the single slot.
     let arrivals = vec![at(0.0), at(0.0), at(0.0)];
-    let report = simulate_service(&arrivals, &single_slot_no_burst());
-    assert_eq!(report.cloud_requests(), 0);
+    let report = run(&arrivals, &single_slot_no_burst());
+    assert_eq!(report.served_cloud, 0);
     let outcomes = outcomes_of(&arrivals, &single_slot_no_burst());
     let m = outcomes[0].turnaround_hours();
     assert!((outcomes[0].start_hours - 0.0).abs() < 1e-9);
@@ -50,9 +55,9 @@ fn fifo_queue_on_one_slot() {
 fn spaced_requests_never_wait() {
     // Period longer than the service time: no queueing at all.
     let arrivals = periodic(2.0, 20.0, 1.0);
-    let report = simulate_service(&arrivals, &single_slot_no_burst());
+    let report = run(&arrivals, &single_slot_no_burst());
     assert!(report.mean_wait_hours() < 1e-9);
-    assert_eq!(report.local_requests(), report.requests());
+    assert_eq!(report.served_local, report.requests());
 }
 
 #[test]
@@ -60,14 +65,14 @@ fn burst_threshold_routes_overflow_to_cloud() {
     // Four simultaneous requests, one slot, burst when >=1 waiting:
     // r0 local, r1 queues (0 waiting at its arrival), r2 and r3 burst.
     let arrivals = vec![at(0.0), at(0.0), at(0.0), at(0.0)];
-    let cfg = ServiceConfig {
-        local_slots: 1,
+    let cfg = PoolConfig {
+        slots: Slots::owned(1),
         burst_threshold: Some(1),
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
-    let report = simulate_service(&arrivals, &cfg);
-    assert_eq!(report.local_requests(), 2);
-    assert_eq!(report.cloud_requests(), 2);
+    let report = run(&arrivals, &cfg);
+    assert_eq!(report.served_local, 2);
+    assert_eq!(report.served_cloud, 2);
     let outcomes = outcomes_of(&arrivals, &cfg);
     assert_eq!(outcomes[0].venue, Venue::Local);
     assert_eq!(outcomes[1].venue, Venue::Local);
@@ -84,13 +89,13 @@ fn burst_threshold_routes_overflow_to_cloud() {
 #[test]
 fn burst_everything_when_no_local_cluster() {
     let arrivals = vec![at(0.0), at(0.5), at(1.0)];
-    let cfg = ServiceConfig {
-        local_slots: 0,
+    let cfg = PoolConfig {
+        slots: Slots::owned(0),
         burst_threshold: Some(0),
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
-    let report = simulate_service(&arrivals, &cfg);
-    assert_eq!(report.cloud_requests(), 3);
+    let report = run(&arrivals, &cfg);
+    assert_eq!(report.served_cloud, 3);
     assert!(report.mean_wait_hours() < 1e-9);
 }
 
@@ -99,16 +104,16 @@ fn cloud_bursting_bounds_turnaround_under_overload() {
     // A heavy burst over a small cluster: without bursting turnaround
     // degrades linearly with backlog; with bursting it stays bounded.
     let arrivals = bursty(0.5, 100.0, 1.0, &[(10.0, 5.0, 20.0)], 99);
-    let no_burst = simulate_service(&arrivals, &single_slot_no_burst());
-    let with_burst = simulate_service(
+    let no_burst = run(&arrivals, &single_slot_no_burst());
+    let with_burst = run(
         &arrivals,
-        &ServiceConfig {
-            local_slots: 1,
+        &PoolConfig {
+            slots: Slots::owned(1),
             burst_threshold: Some(2),
-            ..ServiceConfig::default_burst()
+            ..PoolConfig::default_owned()
         },
     );
-    assert!(with_burst.cloud_requests() > 0);
+    assert!(with_burst.served_cloud > 0);
     assert!(
         with_burst.turnaround_quantile(0.95) < no_burst.turnaround_quantile(0.95) / 2.0,
         "bursting must slash tail latency: {} vs {}",
@@ -122,53 +127,49 @@ fn cloud_bursting_bounds_turnaround_under_overload() {
 #[test]
 fn amortized_local_cost_is_accounted() {
     let arrivals = vec![at(0.0), at(5.0)];
-    let cfg = ServiceConfig {
-        local_slots: 1,
+    let cfg = PoolConfig {
+        slots: Slots::Owned {
+            count: 1,
+            cost_per_busy_hour: Money::from_dollars(1.0),
+        },
         burst_threshold: None,
-        local_cost_per_slot_hour: Money::from_dollars(1.0),
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
-    let report = simulate_service(&arrivals, &cfg);
+    let report = run(&arrivals, &cfg);
     let busy: f64 = outcomes_of(&arrivals, &cfg)
         .iter()
         .map(|o| o.finish_hours - o.start_hours)
         .sum();
-    assert!(report.local_cost.approx_eq(Money::from_dollars(busy), 1e-9));
-    assert!(report.total_cost().approx_eq(report.local_cost, 1e-12));
+    assert!(report.slot_cost.approx_eq(Money::from_dollars(busy), 1e-9));
+    assert!(report.total_cost().approx_eq(report.slot_cost, 1e-12));
 }
 
 #[test]
 fn service_simulation_is_deterministic() {
     let arrivals = poisson(3.0, 50.0, 1.0, 11);
-    let cfg = ServiceConfig::default_burst();
-    assert_eq!(
-        simulate_service(&arrivals, &cfg),
-        simulate_service(&arrivals, &cfg)
-    );
+    let cfg = PoolConfig::default_owned();
+    assert_eq!(run(&arrivals, &cfg), run(&arrivals, &cfg));
 }
 
 #[test]
 fn every_request_is_served_exactly_once() {
     let arrivals = poisson(4.0, 100.0, 1.0, 3);
-    let report = simulate_service(&arrivals, &ServiceConfig::default_burst());
-    let outcomes = outcomes_of(&arrivals, &ServiceConfig::default_burst());
+    let report = run(&arrivals, &PoolConfig::default_owned());
+    let outcomes = outcomes_of(&arrivals, &PoolConfig::default_owned());
     assert_eq!(outcomes.len(), arrivals.len());
-    assert_eq!(report.requests(), arrivals.len());
+    assert_eq!(report.requests(), arrivals.len() as u64);
     for (i, o) in outcomes.iter().enumerate() {
         assert_eq!(o.index, i);
         assert!(o.start_hours >= o.arrival_hours - 1e-9);
         assert!(o.finish_hours > o.start_hours);
     }
-    assert_eq!(
-        report.local_requests() + report.cloud_requests(),
-        report.requests()
-    );
+    assert_eq!(report.served_local + report.served_cloud, report.requests());
 }
 
 #[test]
 fn quantiles_are_sane() {
     let arrivals = poisson(2.0, 100.0, 1.0, 5);
-    let report = simulate_service(&arrivals, &single_slot_no_burst());
+    let report = run(&arrivals, &single_slot_no_burst());
     let q50 = report.turnaround_quantile(0.5);
     let q95 = report.turnaround_quantile(0.95);
     let q100 = report.turnaround_quantile(1.0);
@@ -177,21 +178,21 @@ fn quantiles_are_sane() {
 }
 
 #[test]
-#[should_panic(expected = "invalid service configuration")]
+#[should_panic(expected = "invalid pool configuration")]
 fn zero_slots_without_full_burst_rejected() {
-    let cfg = ServiceConfig {
-        local_slots: 0,
+    let cfg = PoolConfig {
+        slots: Slots::owned(0),
         burst_threshold: None,
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
-    simulate_service(&[at(0.0)], &cfg);
+    run(&[at(0.0)], &cfg);
 }
 
 #[test]
 #[should_panic(expected = "sorted")]
 fn unsorted_arrivals_rejected() {
     let arrivals = vec![at(5.0), at(1.0)];
-    simulate_service(&arrivals, &ServiceConfig::default_burst());
+    run(&arrivals, &PoolConfig::default_owned());
 }
 
 /// A request served on arrival, on the idle local slot or burst to the
@@ -208,7 +209,7 @@ fn a_request_served_on_arrival_waits_exactly_zero() {
             [at(t), at(t + 1e-4 / 7.0), at(t + 2e-4 / 7.0)]
         })
         .collect();
-    let cfg = ServiceConfig {
+    let cfg = PoolConfig {
         burst_threshold: Some(1),
         ..single_slot_no_burst()
     };
@@ -218,8 +219,8 @@ fn a_request_served_on_arrival_waits_exactly_zero() {
     assert!(outcomes
         .iter()
         .all(|o| o.wait_hours() == 0.0 || o.wait_hours() > 1e-3));
-    let report = simulate_service(&arrivals, &cfg);
-    assert_eq!(report.cloud_requests(), 40);
+    let report = run(&arrivals, &cfg);
+    assert_eq!(report.served_cloud, 40);
     let text = report.prometheus_text();
     assert!(
         text.contains("mcloud_request_wait_hours_bucket{le=\"0\"} 80\n"),
@@ -233,10 +234,10 @@ fn a_request_served_on_arrival_waits_exactly_zero() {
 /// finish must not stretch the span the backlog is averaged over.
 #[test]
 fn a_trace_sink_leaves_the_backlog_mean_alone() {
-    let cfg = ServiceConfig {
-        local_slots: 1,
+    let cfg = PoolConfig {
+        slots: Slots::owned(1),
         burst_threshold: Some(1),
-        ..ServiceConfig::default_burst()
+        ..PoolConfig::default_owned()
     };
     let arrivals = [
         at(0.0),
@@ -246,18 +247,15 @@ fn a_trace_sink_leaves_the_backlog_mean_alone() {
             degrees: 4.0,
         },
     ];
-    let untraced = simulate_service(&arrivals, &cfg);
-    assert_eq!(
-        (untraced.local_requests(), untraced.cloud_requests()),
-        (2, 1)
-    );
+    let untraced = run(&arrivals, &cfg);
+    assert_eq!((untraced.served_local, untraced.served_cloud), (2, 1));
     assert!(
         (untraced.backlog_mean - 0.4407).abs() < 1e-4,
         "{}",
         untraced.backlog_mean
     );
     let mut sink = RecordingSink::new();
-    let traced = simulate_service_stream(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
+    let traced = simulate_pool(arrivals.iter().copied(), &cfg, &mut sink, |_| {});
     assert_eq!(sink.counters().requests_started, 3);
     assert_eq!(
         traced.backlog_mean.to_bits(),
@@ -267,4 +265,21 @@ fn a_trace_sink_leaves_the_backlog_mean_alone() {
         untraced.backlog_mean
     );
     assert_eq!(traced, untraced);
+}
+
+#[test]
+fn a_non_finite_or_negative_busy_hour_rate_is_refused() {
+    // `Money::from_dollars` refuses non-finite amounts, but arithmetic on
+    // money can still reach them.
+    for dollars in [f64::NAN, f64::INFINITY, -0.5] {
+        let cfg = PoolConfig {
+            slots: Slots::Owned {
+                count: 2,
+                cost_per_busy_hour: Money::from_dollars(1.0) * dollars,
+            },
+            ..PoolConfig::default_owned()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("cost_per_busy_hour must be a finite"), "{err}");
+    }
 }

@@ -28,11 +28,17 @@ fn main() {
     println!("\ncost-vs-p99 frontier:");
     for &i in &plan.frontier {
         let c = &plan.candidates[i];
+        let Slots::Rented {
+            min,
+            max,
+            scale_up_queue,
+            ..
+        } = c.cfg.slots
+        else {
+            unreachable!("the planner sizes rented pools")
+        };
         println!(
-            "  min={} max={} up={} policy p99={:.2} h for ${:.2}",
-            c.cfg.min_slots,
-            c.cfg.max_slots,
-            c.cfg.scale_up_queue,
+            "  min={min} max={max} up={scale_up_queue} policy p99={:.2} h for ${:.2}",
             c.p99_turnaround_hours,
             c.total_cost.dollars()
         );

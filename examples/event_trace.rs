@@ -72,17 +72,17 @@ fn main() {
     // sink type: queued -> started (venue) -> finished.
     let arrivals = periodic(0.5, 24.0, 1.0);
     let mut svc_sink = RecordingSink::new();
-    let svc = simulate_service_stream(
+    let svc = simulate_pool(
         arrivals.iter().copied(),
-        &ServiceConfig::default_burst(),
+        &PoolConfig::default_owned(),
         &mut svc_sink,
         |_| {},
     );
     println!(
         "\nservice day   {} requests ({} local, {} cloud), {} span events",
         svc.requests(),
-        svc.local_requests(),
-        svc.cloud_requests(),
+        svc.served_local,
+        svc.served_cloud,
         svc_sink.events().len()
     );
     print!(

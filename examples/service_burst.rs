@@ -49,16 +49,16 @@ fn main() {
         ("burst immediately".to_string(), Some(0)),
     ];
     for (label, threshold) in policies {
-        let cfg = ServiceConfig {
-            local_slots: 2,
+        let cfg = PoolConfig {
+            slots: Slots::owned(2),
             burst_threshold: threshold,
-            ..ServiceConfig::default_burst()
+            ..PoolConfig::default_owned()
         };
-        let report = simulate_service(&arrivals, &cfg);
+        let report = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |_| {});
         table.push_row(vec![
             label,
-            report.local_requests().to_string(),
-            report.cloud_requests().to_string(),
+            report.served_local.to_string(),
+            report.served_cloud.to_string(),
             report.cloud_cost.to_string(),
             format!("{:.2}", report.mean_wait_hours()),
             format!("{:.2}", report.turnaround_quantile(0.95)),

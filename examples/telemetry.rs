@@ -8,7 +8,7 @@
 //!    runs, machines, and `MCLOUD_WORKERS` settings, so CI pins them as a
 //!    golden file;
 //! 2. the **service layer's** streamed request statistics from
-//!    `ServiceReport::registry` — histograms folded as requests complete,
+//!    `PoolReport::registry` — histograms folded as requests complete,
 //!    never materialized;
 //! 3. the **worker pool's** wall-clock lane counters — scheduling-
 //!    dependent by design, so they carry the wall-clock metric class and
@@ -38,7 +38,12 @@ fn main() {
 
     // Layer 3: the service queue, statistics folded in constant memory.
     let arrivals = poisson(2.0, 200.0, 1.0, 7);
-    let svc = simulate_service(&arrivals, &ServiceConfig::default_burst());
+    let svc = simulate_pool(
+        arrivals.iter().copied(),
+        &PoolConfig::default_owned(),
+        &mut NullSink,
+        |_| {},
+    );
     println!("\n=== service (deterministic; streamed folds) ===");
     print!("{}", svc.prometheus_text());
     println!(

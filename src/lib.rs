@@ -65,11 +65,9 @@ pub mod prelude {
     };
     pub use mcloud_service::{
         bursty, bursty_stream, class_stream, mixed, mixed_stream, periodic, plan_capacity,
-        plan_json, plan_text, poisson, service_trace_jsonl, simulate_autoscale,
-        simulate_autoscale_stream, simulate_service, simulate_service_stream, AdmissionPolicy,
-        Arrival, ArrivalStream, AutoScaleConfig, AutoScaleReport, CapacityPlan, FlashCrowd,
-        MergedStream, PlanCandidate, PlanSpec, RateProfile, RequestClass, RequestOutcome,
-        ServiceConfig, ServiceReport, Venue,
+        plan_json, plan_text, poisson, service_trace_jsonl, simulate_pool, AdmissionPolicy,
+        Arrival, ArrivalStream, CapacityPlan, FlashCrowd, MergedStream, PlanCandidate, PlanSpec,
+        PoolConfig, PoolReport, RateProfile, RequestClass, RequestOutcome, Slots, Venue,
     };
     pub use mcloud_simkit::{
         Channel, EventSink, Histogram, MetricClass, NullSink, RecordingSink, Registry, TimedEvent,
