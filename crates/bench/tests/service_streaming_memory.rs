@@ -13,7 +13,7 @@ use mcloud_bench::alloc;
 use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mcloud_service::{
     class_stream, plan_capacity_with_cache, poisson, simulate_pool, AdmissionPolicy, Arrival,
-    PlanSpec, PoolConfig, PoolReport, RateProfile, RequestClass, Slots,
+    PlanSpec, PoolConfig, PoolReport, PoolSizing, RateProfile, RequestClass, Slots,
 };
 use mcloud_simkit::NullSink;
 
@@ -173,10 +173,10 @@ fn planner_peak_memory_is_backlog_bounded_not_request_bounded() {
     }];
     // A bounded queue keeps the backlog, and with it the simulation's
     // working set, the same size over any horizon.
-    let candidate = PoolConfig {
+    let candidate = PoolSizing {
         queue_bound: Some(16),
         admission: AdmissionPolicy::Deflect,
-        ..spec.rented(2, 8, 2)
+        ..PoolSizing::new(2, 8, 2)
     };
     // One candidate is one work item, which the worker pool runs inline
     // on this thread, where the per-thread counters see it. A fresh
@@ -187,9 +187,7 @@ fn planner_peak_memory_is_backlog_bounded_not_request_bounded() {
             ..spec.clone()
         };
         let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
-        alloc::measure(|| {
-            plan_capacity_with_cache(&spec, vec![candidate.clone()], &cache).expect("plan")
-        })
+        alloc::measure(|| plan_capacity_with_cache(&spec, vec![candidate], &cache).expect("plan"))
     };
     let (short_h, long_h) = (1_000.0, 10_000.0);
     std::hint::black_box(plan(short_h)); // warm-up

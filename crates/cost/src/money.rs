@@ -73,17 +73,26 @@ impl Neg for Money {
     }
 }
 
+/// Scaling by a factor.
+///
+/// # Panics
+/// Panics on a NaN or infinite result, as [`Money::from_dollars`] does.
 impl Mul<f64> for Money {
     type Output = Money;
     fn mul(self, rhs: f64) -> Money {
-        Money(self.0 * rhs)
+        Money::from_dollars(self.0 * rhs)
     }
 }
 
+/// Dividing by a count or factor.
+///
+/// # Panics
+/// Panics on a NaN or infinite result (a division by zero among them), as
+/// [`Money::from_dollars`] does.
 impl Div<f64> for Money {
     type Output = Money;
     fn div(self, rhs: f64) -> Money {
-        Money(self.0 / rhs)
+        Money::from_dollars(self.0 / rhs)
     }
 }
 
@@ -146,6 +155,24 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan() {
         Money::from_dollars(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn scaling_to_infinity_panics() {
+        let _ = Money::from_dollars(1.0) * f64::INFINITY;
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn scaling_by_nan_panics() {
+        let _ = Money::ZERO * f64::NAN;
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn dividing_by_zero_panics() {
+        let _ = Money::from_dollars(1.0) / 0.0;
     }
 
     #[test]

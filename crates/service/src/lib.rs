@@ -50,8 +50,8 @@ pub use arrivals::{
     RateProfile, RequestClass,
 };
 pub use planner::{
-    plan_capacity, plan_capacity_with, plan_capacity_with_cache, plan_json, plan_text,
-    CapacityPlan, PlanCandidate, PlanSpec,
+    plan_capacity, plan_capacity_with_cache, plan_json, plan_text, CapacityPlan, PlanCandidate,
+    PlanSpec, PoolSizing,
 };
 pub use profile::{ProfileTable, RequestProfile};
 pub use simulator::{

@@ -2,44 +2,45 @@
 //!
 //! The paper prices one workflow; a service operator's question is the
 //! inverse: *given* a demand forecast and a p99 turnaround SLO, what is
-//! the cheapest pool that meets it? This module searches a grid of rented
-//! [`PoolConfig`] candidates — floor, ceiling, scale-up trigger, and
-//! overflow policy — replaying the same seeded arrival stream against
-//! each, and recommends the cheapest candidate whose p99 turnaround
-//! meets the SLO without rejecting a single request.
+//! the cheapest pool that meets it? This module searches a grid of
+//! [`PoolSizing`] candidates — floor, ceiling, scale-up trigger, idle
+//! release and overflow policy — each a rented pool on the spec's slot
+//! size, price, boot delay and execution model ([`PlanSpec::pool`]),
+//! replaying the same seeded arrival stream against each, and recommends
+//! the cheapest candidate whose p99 turnaround meets the SLO without
+//! rejecting a single request.
 //!
 //! Candidates are evaluated one contiguous group per lane of the
 //! process-wide [`WorkerPool`]: each group generates the arrival stream
 //! from the spec's seed once and resolves each arrival's profile and
-//! clock times once per slot size and execution model, not once per
-//! candidate. Within a group, candidates run in *cohorts*: one pool
-//! simulation shared by candidates that agree on every field the pool's
-//! event handling reads (floor, boot delay, idle release, slot size,
-//! execution model) and whose pools are in the same state. The other
-//! fields (ceiling, scale-up trigger, queue bound and admission policy)
-//! act only through each arrival's decision, so a cohort fires its pool
-//! events once per arrival, asks each member what it does with the
-//! arrival, and splits, one copy of its state per further answer, only
-//! when the members disagree. Candidates whose difference never matters
-//! share a simulation to the end: with `min_slots == max_slots` the pool
-//! can never rent, so the scale-up trigger never matters, and a queue
-//! bound the backlog never reaches never acts. Split cohorts re-merge:
-//! a pool whose backlog and calendar are empty and which holds only its
-//! floor is quiescent, and every quiescent pool of one floor, boot delay
-//! and idle release is in the same state, so cohorts whose pools fall
-//! quiet at the same arrival go on as one.
+//! clock times once, not once per candidate. Within a group, candidates
+//! run in *cohorts*: one pool simulation shared by candidates that agree
+//! on every field the pool's event handling reads (floor and idle
+//! release) and whose pools are in the same state. The other fields
+//! (ceiling, scale-up trigger, queue bound and admission policy) act only
+//! through each arrival's decision, so a cohort fires its pool events
+//! once per arrival, asks each member what it does with the arrival, and
+//! splits, one copy of its state per further answer, only when the
+//! members disagree. Candidates whose difference never matters share a
+//! simulation to the end: with `min_slots == max_slots` the pool can
+//! never rent, so the scale-up trigger never matters, and a queue bound
+//! the backlog never reaches never acts. Split cohorts re-merge: a pool
+//! whose backlog and calendar are empty and which holds only its floor is
+//! quiescent, and every quiescent pool of one floor and idle release is
+//! in the same state, so cohorts whose pools fall quiet at the same
+//! arrival go on as one.
 //!
 //! What a report sums is kept apart from the pool state, in a tally per
 //! decision history that names the candidates which made it; a merged
 //! cohort carries one tally per history it holds, and a later split
 //! deals the tallies out by member. Every tally receives the updates its
 //! history alone would, in the same order, and the slot price is applied
-//! per member when the reports are priced. So a candidate's report does
-//! not depend on its group or cohort, results are byte-identical at any
-//! lane count, and memory stays bounded by the candidates' backlogs, with
-//! at most one tally per candidate. Each lane keeps a warm
-//! [`ProfileTable`], so the engine profiles behind the service times are
-//! simulated once per plan, not once per candidate.
+//! when the reports are priced. So a candidate's report does not depend
+//! on its group or cohort, results are byte-identical at any lane count,
+//! and memory stays bounded by the candidates' backlogs, with at most one
+//! tally per candidate. Each lane keeps a warm [`ProfileTable`], so the
+//! engine profiles behind the service times are simulated once per plan,
+//! not once per candidate.
 
 use mcloud_cache::ResultCache;
 use mcloud_core::{encode_exec_config, Canon, Digest, DOMAIN_PLAN};
@@ -189,33 +190,41 @@ impl PlanSpec {
         self.classes.iter().map(|c| c.rate_per_hour).sum()
     }
 
-    /// A rented pool of `min..=max` slots that rents one more when
-    /// `scale_up_queue` requests wait, on the spec's slot economics:
-    /// its slot size, rate, boot delay and execution model, immediate idle
-    /// release and an unbounded admit-all queue.
-    pub fn rented(&self, min: u32, max: u32, scale_up_queue: usize) -> PoolConfig {
+    /// Candidate `sizing`'s pool: rented slots of the spec's size, price
+    /// and boot delay, sized by `sizing`, deflecting at the slot size, with
+    /// requests profiled under the spec's execution model. Every runnable
+    /// candidate configuration is built here.
+    pub fn pool(&self, sizing: &PoolSizing) -> PoolConfig {
         PoolConfig {
             slots: Slots::Rented {
-                min,
-                max,
-                scale_up_queue,
+                min: sizing.min_slots,
+                max: sizing.max_slots,
+                scale_up_queue: sizing.scale_up_queue,
                 boot_s: self.boot_s,
-                idle_release_s: 0.0,
+                idle_release_s: sizing.idle_release_s,
                 cost_per_hour: self.slot_cost_per_hour,
             },
             procs_per_slot: self.procs_per_slot,
             cloud_procs: self.procs_per_slot,
+            queue_bound: sizing.queue_bound,
+            admission: sizing.admission,
             exec: self.exec.clone(),
             ..PoolConfig::default_rented()
         }
     }
 
+    /// The SLO verdict on a candidate's numbers: it serves every request
+    /// (no rejects) with a p99 turnaround within the SLO.
+    fn meets_slo(&self, rejected: u64, p99_turnaround_hours: f64) -> bool {
+        rejected == 0 && p99_turnaround_hours <= self.slo_p99_hours
+    }
+
     /// The default candidate grid: floors {0, 1, 2, 4} x ceilings
     /// {2, 4, 8, 16} x scale-up triggers {1, 2, 4} x overflow policies
-    /// {unbounded admit-all, bounded deflect}, minus combinations that
-    /// fail [`PoolConfig::validate`]. Order is deterministic; the
-    /// planner's tie-breaks refer to it.
-    pub fn default_candidates(&self) -> Vec<PoolConfig> {
+    /// {unbounded admit-all, bounded deflect}, minus combinations whose
+    /// [`pool`](Self::pool) fails [`PoolConfig::validate`]. Order is
+    /// deterministic; the planner's tie-breaks refer to it.
+    pub fn default_candidates(&self) -> Vec<PoolSizing> {
         let mut out = Vec::new();
         for &min in &[0u32, 1, 2, 4] {
             for &max in &[2u32, 4, 8, 16] {
@@ -224,13 +233,13 @@ impl PlanSpec {
                         (None, AdmissionPolicy::AdmitAll),
                         (Some(16usize), AdmissionPolicy::Deflect),
                     ] {
-                        let cfg = PoolConfig {
+                        let sizing = PoolSizing {
                             queue_bound,
                             admission,
-                            ..self.rented(min, max, scale_up_queue)
+                            ..PoolSizing::new(min, max, scale_up_queue)
                         };
-                        if cfg.validate().is_ok() {
-                            out.push(cfg);
+                        if self.pool(&sizing).validate().is_ok() {
+                            out.push(sizing);
                         }
                     }
                 }
@@ -240,11 +249,47 @@ impl PlanSpec {
     }
 }
 
-/// One evaluated pool configuration.
+/// One plan candidate: what the planner searches over. The rest of the
+/// pool, its slot size, price, boot delay and execution model, is the
+/// spec's ([`PlanSpec::pool`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PoolSizing {
+    /// Slots kept rented at all times.
+    pub min_slots: u32,
+    /// Hard ceiling on rented slots.
+    pub max_slots: u32,
+    /// Rent another slot when this many requests are waiting.
+    pub scale_up_queue: usize,
+    /// Seconds a slot may sit idle above the floor before it is released;
+    /// 0 releases immediately.
+    pub idle_release_s: f64,
+    /// Cap on the number of waiting requests; `None` is unbounded.
+    pub queue_bound: Option<usize>,
+    /// Overflow policy applied when `queue_bound` is reached.
+    pub admission: AdmissionPolicy,
+}
+
+impl PoolSizing {
+    /// `min_slots..=max_slots` slots, one more rented when
+    /// `scale_up_queue` requests wait, released as soon as they idle
+    /// above the floor, behind an unbounded admit-all queue.
+    pub fn new(min_slots: u32, max_slots: u32, scale_up_queue: usize) -> PoolSizing {
+        PoolSizing {
+            min_slots,
+            max_slots,
+            scale_up_queue,
+            idle_release_s: 0.0,
+            queue_bound: None,
+            admission: AdmissionPolicy::AdmitAll,
+        }
+    }
+}
+
+/// One evaluated candidate.
 #[derive(Debug, Clone)]
 pub struct PlanCandidate {
-    /// The pool configuration that was simulated.
-    pub cfg: PoolConfig,
+    /// The candidate that was simulated, on the spec's slots.
+    pub sizing: PoolSizing,
     /// Requests served (pool plus deflections).
     pub requests: u64,
     /// Requests turned away by admission control.
@@ -299,10 +344,10 @@ impl CapacityPlan {
 }
 
 /// Searches [`PlanSpec::default_candidates`] for the cheapest pool
-/// meeting the spec's p99 SLO. See [`plan_capacity_with`].
+/// meeting the spec's p99 SLO, memoized in the process-wide
+/// [`ResultCache`](mcloud_cache). See [`plan_capacity_with_cache`].
 pub fn plan_capacity(spec: &PlanSpec) -> Result<CapacityPlan, String> {
-    let candidates = spec.default_candidates();
-    plan_capacity_with(spec, candidates)
+    plan_capacity_with_cache(spec, spec.default_candidates(), mcloud_cache::global())
 }
 
 /// Evaluates the given candidates against the spec's demand stream (in
@@ -310,40 +355,29 @@ pub fn plan_capacity(spec: &PlanSpec) -> Result<CapacityPlan, String> {
 /// count) and picks the cheapest one that serves every request with a
 /// p99 turnaround within the SLO. Ties go to the earlier candidate.
 ///
-/// Candidate outcomes are memoized in the process-wide
-/// [`ResultCache`](mcloud_cache): each (spec, candidate) pair is
-/// content-addressed, so re-planning an unchanged spec replays the grid
-/// from lookups — no profile warming, no simulation — and a tweaked spec
-/// re-evaluates only what its digest no longer covers (i.e. everything,
-/// since the spec is part of every key; but overlapping *candidate
-/// lists* under the same spec share work).
+/// Candidate outcomes are memoized in `cache`: each (spec, candidate)
+/// pair is content-addressed, so re-planning an unchanged spec replays
+/// the grid from lookups — no profile warming, no simulation — and a
+/// tweaked spec re-evaluates only what its digest no longer covers (i.e.
+/// everything, since the spec is part of every key; but overlapping
+/// *candidate lists* under the same spec share work). A private cache
+/// gives benches and tests exact, isolated hit/miss counts.
 ///
 /// Returns `Err` for an invalid spec, an empty candidate list, or a
-/// candidate the cohorts cannot run exactly (owned slots, request faults,
-/// a burst threshold, or `cloud_procs` other than `procs_per_slot`); a
+/// candidate whose [`PlanSpec::pool`] fails [`PoolConfig::validate`]; a
 /// *feasible-but-unmet* SLO is not an error — the plan comes back with
 /// `best: None` and the scorecards explain why.
-pub fn plan_capacity_with(
-    spec: &PlanSpec,
-    candidates: Vec<PoolConfig>,
-) -> Result<CapacityPlan, String> {
-    plan_capacity_with_cache(spec, candidates, mcloud_cache::global())
-}
-
-/// [`plan_capacity_with`] against an explicit cache — what benches and
-/// tests use to get exact, isolated hit/miss counts.
 pub fn plan_capacity_with_cache(
     spec: &PlanSpec,
-    candidates: Vec<PoolConfig>,
+    candidates: Vec<PoolSizing>,
     cache: &ResultCache,
 ) -> Result<CapacityPlan, String> {
     spec.validate()?;
     if candidates.is_empty() {
         return Err("no candidates to evaluate".to_string());
     }
-    for cfg in &candidates {
-        cfg.validate()?;
-        plannable(cfg)?;
+    for sizing in &candidates {
+        spec.pool(sizing).validate()?;
     }
 
     // Probe the cache for every candidate before paying for anything:
@@ -352,31 +386,27 @@ pub fn plan_capacity_with_cache(
     let spec_canon = spec_canon(spec);
     let keys: Vec<Digest> = candidates
         .iter()
-        .map(|cfg| candidate_digest(&spec_canon, cfg))
+        .map(|sizing| candidate_digest(&spec_canon, spec, sizing))
         .collect();
     let evaluate = |misses: &[usize]| {
-        // Warm one table over the missing (degrees × procs_per_slot)
-        // grid, then clone the filled cache into every lane: no lane
-        // re-simulates a profile another lane already needs.
+        // Warm one table over the classes' sizes at the slot size, then
+        // clone the filled cache into every lane: no lane re-simulates a
+        // profile another lane already needs.
         let degrees: Vec<f64> = spec.classes.iter().map(|c| c.degrees).collect();
-        let procs: Vec<u32> = misses
-            .iter()
-            .map(|&i| candidates[i].procs_per_slot)
-            .collect();
         let mut proto = ProfileTable::new(spec.exec.clone());
-        proto.warm_fixed(&degrees, &procs);
+        proto.warm_fixed(&degrees, &[spec.procs_per_slot]);
 
-        let miss_cfgs: Vec<PoolConfig> = misses.iter().map(|&i| candidates[i].clone()).collect();
-        let (reports, _) = simulate_grouped(spec, &miss_cfgs, &proto, WorkerPool::global().lanes());
-        miss_cfgs
+        let missed: Vec<PoolSizing> = misses.iter().map(|&i| candidates[i]).collect();
+        let (reports, _) = simulate_grouped(spec, &missed, &proto, WorkerPool::global().lanes());
+        missed
             .iter()
             .zip(&reports)
-            .map(|(cfg, report)| score(spec, cfg, report))
+            .map(|(&sizing, report)| score(spec, sizing, report))
             .collect()
     };
     let evaluated = cache.get_or_compute_batch(
         &keys,
-        |i, bytes| decode_outcome(bytes, spec, &candidates[i]),
+        |i, bytes| decode_outcome(bytes, spec, candidates[i]),
         evaluate,
         encode_outcome,
     );
@@ -405,70 +435,37 @@ pub fn plan_capacity_with_cache(
     })
 }
 
-/// Why the cohorts cannot run `cfg` exactly, naming the field, if they
-/// cannot. A group resolves each arrival into one [`Job`] per slot size
-/// and execution model and feeds it to every decision, so a candidate
-/// must rent its slots, serve bursts and deflections at its slot size,
-/// never burst, and draw no request faults; the plan cache's keys cover
-/// no other field.
-fn plannable(cfg: &PoolConfig) -> Result<(), String> {
-    if let Slots::Owned { .. } = cfg.slots {
-        return Err("the planner sizes rented pools: slots must be Slots::Rented".to_string());
-    }
-    if cfg.request_failure_prob != 0.0 {
-        return Err(format!(
-            "the planner draws no request faults: request_failure_prob must be 0, got {}",
-            cfg.request_failure_prob
-        ));
-    }
-    if cfg.burst_threshold.is_some() {
-        return Err("the planner's pools never burst: burst_threshold must be None".to_string());
-    }
-    if cfg.cloud_procs != cfg.procs_per_slot {
-        return Err(format!(
-            "the planner deflects at the slot size: cloud_procs ({}) must equal \
-             procs_per_slot ({})",
-            cfg.cloud_procs, cfg.procs_per_slot
-        ));
-    }
-    Ok(())
-}
-
 /// Simulates every candidate against the spec's demand stream in
 /// `groups` contiguous groups fanned out on the global [`WorkerPool`];
 /// each group pulls the stream once and runs its candidates in cohorts
 /// (see the module docs). Reports come back in candidate order, each
-/// equal to [`simulate_pool`](crate::simulate_pool) for that candidate
-/// alone, at any grouping, with what the cohorts did, summed over the
-/// groups. `profiles` is a table of the spec's execution model (warm it
-/// to skip profiling); every lane starts from a copy, and a candidate
-/// with another execution model gets a table of its own.
+/// equal to [`simulate_pool`](crate::simulate_pool) for that candidate's
+/// [`PlanSpec::pool`] alone, at any grouping, with what the cohorts did,
+/// summed over the groups. `profiles` is a table of the spec's execution
+/// model (warm it to skip profiling); every lane starts from a copy.
 ///
 /// # Panics
-/// Panics if a candidate fails [`PoolConfig::validate`], or is one
-/// [`plan_capacity_with`] refuses.
+/// Panics if a candidate's pool fails [`PoolConfig::validate`], or if
+/// `profiles` simulates another execution model than the spec's.
 pub fn simulate_grouped(
     spec: &PlanSpec,
-    cfgs: &[PoolConfig],
+    sizings: &[PoolSizing],
     profiles: &ProfileTable,
     groups: usize,
 ) -> (Vec<PoolReport>, CohortStats) {
-    for cfg in cfgs {
-        if let Err(e) = plannable(cfg) {
-            panic!("candidate the cohorts cannot run: {e}");
-        }
-    }
-    let n = cfgs.len();
+    assert!(
+        profiles.exec() == &spec.exec,
+        "the profile table must simulate the spec's execution model"
+    );
+    let n = sizings.len();
     let groups = groups.clamp(1, n.max(1));
-    let parts: Vec<&[PoolConfig]> = (0..groups)
-        .map(|g| &cfgs[g * n / groups..(g + 1) * n / groups])
+    let parts: Vec<&[PoolSizing]> = (0..groups)
+        .map(|g| &sizings[g * n / groups..(g + 1) * n / groups])
         .collect();
     let pool = WorkerPool::global();
-    let mut tables: Vec<Vec<ProfileTable>> = (0..pool.lanes().max(1))
-        .map(|_| vec![profiles.clone()])
-        .collect();
-    let per_group = pool.map_with_state(&mut tables, &parts, |tables, part| {
-        simulate_cohorts(spec, part, tables)
+    let mut tables = vec![profiles.clone(); pool.lanes().max(1)];
+    let per_group = pool.map_with_state(&mut tables, &parts, |table, part| {
+        simulate_cohorts(spec, part, table)
     });
     let mut reports = Vec::with_capacity(n);
     let mut stats = CohortStats::default();
@@ -497,93 +494,56 @@ pub struct CohortStats {
     pub histories: u64,
 }
 
-/// Candidates sharing one pool simulation: they resolve arrivals alike
-/// (one slot size and execution model), agree on every field the pool's
-/// event handling reads (its [`Pool`]), and are in the same pool state:
-/// they have made the same [`Decision`] at every arrival since their
-/// pools last fell quiet together. Each decision history among them has
-/// its own [`Tally`](crate::simulator::Tally), which names its members.
-struct Cohort<F: FnMut(&RequestOutcome)> {
-    sim: PoolSim<F>,
-    /// The cohort's entry in the group's job kinds.
-    kind: usize,
-}
-
 /// Runs one group's candidates over one pull of the demand stream.
-/// Candidates start in one cohort per (job kind, [`Pool`]), each with one
-/// history. For each arrival, resolved into a [`Job`] once per job kind,
-/// every cohort fires its pool events once; cohorts of one (job kind,
-/// `Pool`) whose pools have fallen quiet then merge, since quiescent
-/// pools of one `Pool` are in one state, and each cohort asks every
-/// member for its decision and splits where they disagree. Every history
-/// tallies its own decisions played out, and a member's report is its
-/// history's tally priced at its own slot rate, so it equals running the
-/// candidate alone and does not depend on the other candidates. `tables`
-/// holds a profile table per execution model seen so far.
+/// Candidates start in one cohort per [`Pool`], each cohort a pool
+/// simulation shared by candidates in the same state: they have made the
+/// same [`Decision`] at every arrival since their pools last fell quiet
+/// together. Each decision history among a cohort's members has its own
+/// [`Tally`], which names them. For each arrival, resolved into a [`Job`]
+/// once, every cohort fires its pool events once; cohorts of one `Pool`
+/// whose pools have fallen quiet then merge, since quiescent pools of one
+/// `Pool` are in one state, and each cohort asks every member for its
+/// decision and splits where they disagree. Every history tallies its own
+/// decisions played out, so a member's report equals running the
+/// candidate alone and does not depend on the other candidates. `table`
+/// profiles the spec's execution model.
 fn simulate_cohorts(
     spec: &PlanSpec,
-    part: &[PoolConfig],
-    tables: &mut Vec<ProfileTable>,
+    part: &[PoolSizing],
+    table: &mut ProfileTable,
 ) -> (Vec<PoolReport>, CohortStats) {
     let visit = |_: &RequestOutcome| {};
-    let policies: Vec<Policy> = part.iter().map(Policy::of).collect();
-    // Job kinds: each distinct (slot size, profile table).
-    let mut kinds: Vec<(u32, usize)> = Vec::new();
-    let mut cohorts: Vec<Cohort<_>> = Vec::new();
-    for (m, cfg) in part.iter().enumerate() {
-        let table = tables
-            .iter()
-            .position(|t| t.exec() == &cfg.exec)
-            .unwrap_or_else(|| {
-                tables.push(ProfileTable::new(cfg.exec.clone()));
-                tables.len() - 1
-            });
-        let kind_key = (cfg.procs_per_slot, table);
-        let kind = kinds
-            .iter()
-            .position(|&k| k == kind_key)
-            .unwrap_or_else(|| {
-                kinds.push(kind_key);
-                kinds.len() - 1
-            });
+    let cfgs: Vec<PoolConfig> = part.iter().map(|sizing| spec.pool(sizing)).collect();
+    let policies: Vec<Policy> = cfgs.iter().map(Policy::of).collect();
+    let mut cohorts: Vec<PoolSim<_>> = Vec::new();
+    for (m, cfg) in cfgs.iter().enumerate() {
         let pool = Pool::of(cfg);
         let c = cohorts
             .iter()
-            .position(|c| c.kind == kind && c.sim.pool() == pool)
+            .position(|c| c.pool() == pool)
             .unwrap_or_else(|| {
-                cohorts.push(Cohort {
-                    sim: PoolSim::new(cfg, visit),
-                    kind,
-                });
+                cohorts.push(PoolSim::new(cfg, visit));
                 cohorts.len() - 1
             });
-        cohorts[c].sim.tallies_mut()[0].members.push(m);
+        cohorts[c].tallies_mut()[0].members.push(m);
     }
 
     let mut stats = CohortStats::default();
-    let mut jobs: Vec<Job> = Vec::with_capacity(kinds.len());
     let mut split = Split {
         decided: vec![Decision::Serve; part.len()],
         tallies: Vec::new(),
         forks: Vec::new(),
         spares: Vec::new(),
     };
-    let mut forked: Vec<Cohort<_>> = Vec::new();
+    let mut forked: Vec<PoolSim<_>> = Vec::new();
     for a in spec.stream() {
-        jobs.clear();
-        jobs.extend(
-            kinds
-                .iter()
-                .map(|&(procs, table)| Job::new(a, 1, tables[table].fixed(a.degrees, procs))),
-        );
-        for cohort in &mut cohorts {
-            cohort.sim.advance(jobs[cohort.kind].at, &mut NullSink);
+        let job = Job::new(a, 1, table.fixed(a.degrees, spec.procs_per_slot));
+        for sim in &mut cohorts {
+            sim.advance(job.at, &mut NullSink);
         }
         stats.steps += cohorts.len() as u64;
         stats.merges += merge_quiescent(&mut cohorts, &mut split.spares);
-        for cohort in &mut cohorts {
-            let job = jobs[cohort.kind];
-            let sim = &cohort.sim;
+        for sim in &mut cohorts {
             let first = sim.decide(&policies[sim.tallies()[0].members[0]]);
             if sim
                 .tallies()
@@ -591,21 +551,21 @@ fn simulate_cohorts(
                 .flat_map(|t| &t.members)
                 .any(|&m| sim.decide(&policies[m]) != first)
             {
-                stats.forks += split.run(cohort, job, first, &policies, &mut forked);
+                stats.forks += split.run(sim, job, first, &policies, &mut forked);
             }
-            cohort.sim.apply(job, first, &mut NullSink);
+            sim.apply(job, first, &mut NullSink);
         }
         cohorts.append(&mut forked);
     }
 
     let mut reports: Vec<Option<PoolReport>> = vec![None; part.len()];
-    for mut cohort in cohorts {
-        cohort.sim.drain(&mut NullSink);
-        for tally in cohort.sim.tallies() {
+    for mut sim in cohorts {
+        sim.drain(&mut NullSink);
+        for tally in sim.tallies() {
             stats.histories += 1;
             for &m in &tally.members {
                 debug_assert!(reports[m].is_none(), "candidate {m} in two histories");
-                reports[m] = Some(tally.report(&part[m], cohort.sim.end()));
+                reports[m] = Some(tally.report(&cfgs[m], sim.end()));
             }
         }
     }
@@ -617,21 +577,21 @@ fn simulate_cohorts(
 }
 
 /// Merges the cohorts whose pools have fallen quiet at this arrival:
-/// quiescent pools of one (job kind, [`Pool`]) are in one state, so the
-/// first such cohort goes on for the others' histories, and their states
-/// become `spares`. Returns the number of merges.
+/// quiescent pools of one [`Pool`] are in one state, so the first such
+/// cohort goes on for the others' histories, and their states become
+/// `spares`. Returns the number of merges.
 fn merge_quiescent<F: FnMut(&RequestOutcome)>(
-    cohorts: &mut Vec<Cohort<F>>,
+    cohorts: &mut Vec<PoolSim<F>>,
     spares: &mut Vec<PoolSim<F>>,
 ) -> u64 {
     let mut merges = 0;
     let mut i = 0;
     while i < cohorts.len() {
         let c = &cohorts[i];
-        let into = if c.sim.quiescent() {
+        let into = if c.quiescent() {
             (0..i).find(|&j| {
                 let o = &cohorts[j];
-                o.kind == c.kind && o.sim.pool() == c.sim.pool() && o.sim.quiescent()
+                o.pool() == c.pool() && o.quiescent()
             })
         } else {
             None
@@ -639,8 +599,8 @@ fn merge_quiescent<F: FnMut(&RequestOutcome)>(
         match into {
             Some(j) => {
                 let mut gone = cohorts.swap_remove(i);
-                cohorts[j].sim.absorb(&mut gone.sim);
-                spares.push(gone.sim);
+                cohorts[j].absorb(&mut gone);
+                spares.push(gone);
                 merges += 1;
             }
             None => i += 1,
@@ -664,7 +624,7 @@ struct Split<F: FnMut(&RequestOutcome)> {
 }
 
 impl<F: FnMut(&RequestOutcome) + Clone> Split<F> {
-    /// Splits `cohort`, whose members disagree on `job`: the histories
+    /// Splits the cohort `sim`, whose members disagree on `job`: the histories
     /// that decide `first` stay, and each further decision gets a fork of
     /// the state (built in a spare when one is left) holding the tallies
     /// of the members that made it. A tally whose own members disagree is
@@ -672,13 +632,12 @@ impl<F: FnMut(&RequestOutcome) + Clone> Split<F> {
     /// their decisions and land in `forked`. Returns the number of forks.
     fn run(
         &mut self,
-        cohort: &mut Cohort<F>,
+        sim: &mut PoolSim<F>,
         job: Job,
         first: Decision,
         policies: &[Policy],
-        forked: &mut Vec<Cohort<F>>,
+        forked: &mut Vec<PoolSim<F>>,
     ) -> u64 {
-        let sim = &mut cohort.sim;
         for &m in sim.tallies().iter().flat_map(|t| &t.members) {
             self.decided[m] = sim.decide(&policies[m]);
         }
@@ -693,15 +652,12 @@ impl<F: FnMut(&RequestOutcome) + Clone> Split<F> {
             let at = match self.forks.iter().find(|&&(e, _)| e == d) {
                 Some(&(_, at)) => at,
                 None => {
-                    forked.push(Cohort {
-                        sim: sim.fork(self.spares.pop()),
-                        kind: cohort.kind,
-                    });
+                    forked.push(sim.fork(self.spares.pop()));
                     self.forks.push((d, forked.len() - 1));
                     forked.len() - 1
                 }
             };
-            forked[at].sim.tallies_mut().push(tally);
+            forked[at].tallies_mut().push(tally);
         };
         for mut tally in self.tallies.drain(..) {
             let d = decided[tally.members[0]];
@@ -721,16 +677,16 @@ impl<F: FnMut(&RequestOutcome) + Clone> Split<F> {
             place(tally, d);
         }
         for &(d, at) in &self.forks {
-            forked[at].sim.apply(job, d, &mut NullSink);
+            forked[at].apply(job, d, &mut NullSink);
         }
         self.forks.len() as u64
     }
 }
 
-fn score(spec: &PlanSpec, cfg: &PoolConfig, report: &PoolReport) -> PlanCandidate {
+fn score(spec: &PlanSpec, sizing: PoolSizing, report: &PoolReport) -> PlanCandidate {
     let p99 = report.turnaround_quantile(0.99);
     PlanCandidate {
-        cfg: cfg.clone(),
+        sizing,
         requests: report.requests(),
         rejected: report.rejected,
         deflected: report.deflected,
@@ -738,7 +694,7 @@ fn score(spec: &PlanSpec, cfg: &PoolConfig, report: &PoolReport) -> PlanCandidat
         mean_turnaround_hours: report.mean_turnaround_hours(),
         peak_slots: report.peak_slots,
         total_cost: report.total_cost(),
-        meets_slo: report.rejected == 0 && p99 <= spec.slo_p99_hours,
+        meets_slo: spec.meets_slo(report.rejected, p99),
     }
 }
 
@@ -774,41 +730,32 @@ fn spec_canon(spec: &PlanSpec) -> Canon {
 }
 
 /// Content address of one (spec, candidate) evaluation: the spec's
-/// canonical bytes followed by every field a [`plannable`] candidate can
-/// vary.
-fn candidate_digest(spec: &Canon, cfg: &PoolConfig) -> Digest {
-    let Slots::Rented {
-        min,
-        max,
-        scale_up_queue,
-        boot_s,
-        idle_release_s,
-        cost_per_hour,
-    } = cfg.slots
-    else {
-        unreachable!("plannable candidates rent their slots")
-    };
-    let mut c = spec.clone();
-    c.u32(min);
-    c.u32(max);
-    c.u64(scale_up_queue as u64);
-    c.f64(boot_s);
-    c.f64(idle_release_s);
-    c.u32(cfg.procs_per_slot);
-    c.f64(cost_per_hour.dollars());
-    match cfg.queue_bound {
+/// canonical bytes `canon` followed by the candidate's pool. The spec's
+/// boot delay, slot size, price and execution model are written again
+/// among the candidate's fields, where a candidate once carried its own,
+/// so that keys a disk tier holds stay valid.
+fn candidate_digest(canon: &Canon, spec: &PlanSpec, sizing: &PoolSizing) -> Digest {
+    let mut c = canon.clone();
+    c.u32(sizing.min_slots);
+    c.u32(sizing.max_slots);
+    c.u64(sizing.scale_up_queue as u64);
+    c.f64(spec.boot_s);
+    c.f64(sizing.idle_release_s);
+    c.u32(spec.procs_per_slot);
+    c.f64(spec.slot_cost_per_hour.dollars());
+    match sizing.queue_bound {
         None => c.u8(0),
         Some(b) => {
             c.u8(1);
             c.u64(b as u64);
         }
     }
-    c.u8(match cfg.admission {
+    c.u8(match sizing.admission {
         AdmissionPolicy::AdmitAll => 0,
         AdmissionPolicy::Reject => 1,
         AdmissionPolicy::Deflect => 2,
     });
-    encode_exec_config(&mut c, &cfg.exec);
+    encode_exec_config(&mut c, &spec.exec);
     c.finish()
 }
 
@@ -823,7 +770,7 @@ const OUTCOME_MAGIC: &[u8; 4] = b"MCPO";
 const OUTCOME_VERSION: u8 = 2;
 
 /// Serializes a scorecard's measured fields (everything except the
-/// config, which the probing caller already holds, and `meets_slo`,
+/// candidate, which the probing caller already holds, and `meets_slo`,
 /// which is recomputed from the decoded numbers so the cached and fresh
 /// paths provably agree).
 fn encode_outcome(c: &PlanCandidate) -> Vec<u8> {
@@ -842,7 +789,7 @@ fn encode_outcome(c: &PlanCandidate) -> Vec<u8> {
 
 /// Inverse of [`encode_outcome`]; `None` (treated as a miss) for any
 /// malformed or differently-versioned entry.
-fn decode_outcome(bytes: &[u8], spec: &PlanSpec, cfg: &PoolConfig) -> Option<PlanCandidate> {
+fn decode_outcome(bytes: &[u8], spec: &PlanSpec, sizing: PoolSizing) -> Option<PlanCandidate> {
     let expected = 4 + 1 + 8 * 3 + 8 * 2 + 4 + 8;
     if bytes.len() != expected || &bytes[..4] != OUTCOME_MAGIC || bytes[4] != OUTCOME_VERSION {
         return None;
@@ -865,7 +812,7 @@ fn decode_outcome(bytes: &[u8], spec: &PlanSpec, cfg: &PoolConfig) -> Option<Pla
         return None;
     }
     Some(PlanCandidate {
-        cfg: cfg.clone(),
+        sizing,
         requests,
         rejected,
         deflected,
@@ -873,35 +820,22 @@ fn decode_outcome(bytes: &[u8], spec: &PlanSpec, cfg: &PoolConfig) -> Option<Pla
         mean_turnaround_hours,
         peak_slots,
         total_cost: Money::from_dollars(cost_dollars),
-        meets_slo: rejected == 0 && p99_turnaround_hours <= spec.slo_p99_hours,
+        meets_slo: spec.meets_slo(rejected, p99_turnaround_hours),
     })
 }
 
-fn policy_label(cfg: &PoolConfig) -> &'static str {
-    match cfg.admission {
+fn policy_label(sizing: &PoolSizing) -> &'static str {
+    match sizing.admission {
         AdmissionPolicy::AdmitAll => "admit",
         AdmissionPolicy::Reject => "reject",
         AdmissionPolicy::Deflect => "deflect",
     }
 }
 
-fn bound_label(cfg: &PoolConfig) -> String {
-    match cfg.queue_bound {
+fn bound_label(sizing: &PoolSizing) -> String {
+    match sizing.queue_bound {
         None => "-".to_string(),
         Some(b) => b.to_string(),
-    }
-}
-
-/// A plannable candidate's floor, ceiling and scale-up trigger.
-fn sizing(cfg: &PoolConfig) -> (u32, u32, usize) {
-    match cfg.slots {
-        Slots::Rented {
-            min,
-            max,
-            scale_up_queue,
-            ..
-        } => (min, max, scale_up_queue),
-        Slots::Owned { .. } => unreachable!("plannable candidates rent their slots"),
     }
 }
 
@@ -943,14 +877,14 @@ pub fn plan_text(spec: &PlanSpec, plan: &CapacityPlan) -> String {
     );
     let frontier: std::collections::BTreeSet<usize> = plan.frontier.iter().copied().collect();
     for (i, c) in plan.candidates.iter().enumerate() {
-        let (min, max, up) = sizing(&c.cfg);
+        let s = &c.sizing;
         out.push_str(&format!(
             "  {:>3}  {:>3}  {:>3} {:>5}  {:<7} {:>8.3} {:>8.3} {:>8} {:>9} {:>5} {:>9.2}  {:>3}  {:>8}\n",
-            min,
-            max,
-            up,
-            bound_label(&c.cfg),
-            policy_label(&c.cfg),
+            s.min_slots,
+            s.max_slots,
+            s.scale_up_queue,
+            bound_label(s),
+            policy_label(s),
             c.p99_turnaround_hours,
             c.mean_turnaround_hours,
             c.requests,
@@ -963,11 +897,14 @@ pub fn plan_text(spec: &PlanSpec, plan: &CapacityPlan) -> String {
     }
     out.push('\n');
     let label = |c: &PlanCandidate| {
-        let (min, max, up) = sizing(&c.cfg);
+        let s = &c.sizing;
         format!(
-            "min={min} max={max} up={up} bound={} policy={}",
-            bound_label(&c.cfg),
-            policy_label(&c.cfg),
+            "min={} max={} up={} bound={} policy={}",
+            s.min_slots,
+            s.max_slots,
+            s.scale_up_queue,
+            bound_label(s),
+            policy_label(s),
         )
     };
     match plan.best_candidate() {
@@ -1032,20 +969,18 @@ pub fn plan_json(spec: &PlanSpec, plan: &CapacityPlan) -> String {
     let frontier: std::collections::BTreeSet<usize> = plan.frontier.iter().copied().collect();
     out.push_str("  \"candidates\": [\n");
     for (i, c) in plan.candidates.iter().enumerate() {
-        let (min, max, up) = sizing(&c.cfg);
+        let s = &c.sizing;
         out.push_str(&format!(
             "    {{\"min_slots\": {}, \"max_slots\": {}, \"scale_up_queue\": {}, \
              \"queue_bound\": {}, \"policy\": \"{}\", \"p99_turnaround_hours\": {:.6}, \
              \"mean_turnaround_hours\": {:.6}, \"requests\": {}, \"rejected\": {}, \
              \"deflected\": {}, \"peak_slots\": {}, \"total_cost_dollars\": {:.2}, \
              \"meets_slo\": {}, \"frontier\": {}}}{}\n",
-            min,
-            max,
-            up,
-            c.cfg
-                .queue_bound
-                .map_or("null".to_string(), |b| b.to_string()),
-            policy_label(&c.cfg),
+            s.min_slots,
+            s.max_slots,
+            s.scale_up_queue,
+            s.queue_bound.map_or("null".to_string(), |b| b.to_string()),
+            policy_label(s),
             c.p99_turnaround_hours,
             c.mean_turnaround_hours,
             c.requests,
@@ -1077,8 +1012,8 @@ mod tests {
     use crate::{simulate_pool, FlashCrowd};
     use mcloud_cache::DEFAULT_BUDGET_BYTES;
 
-    fn run_alone(spec: &PlanSpec, cfg: &PoolConfig) -> PoolReport {
-        simulate_pool(spec.stream(), cfg, &mut NullSink, |_| {})
+    fn run_alone(spec: &PlanSpec, sizing: &PoolSizing) -> PoolReport {
+        simulate_pool(spec.stream(), &spec.pool(sizing), &mut NullSink, |_| {})
     }
 
     fn quick_spec() -> PlanSpec {
@@ -1111,60 +1046,14 @@ mod tests {
             duration_hours: 6.0,
             multiplier: 4.0,
         });
-        let cfgs = spec.default_candidates();
-        assert_eq!(cfgs.len(), 74);
-        let alone: Vec<PoolReport> = cfgs.iter().map(|cfg| run_alone(&spec, cfg)).collect();
+        let sizings = spec.default_candidates();
+        assert_eq!(sizings.len(), 74);
+        let alone: Vec<PoolReport> = sizings.iter().map(|s| run_alone(&spec, s)).collect();
         let profiles = ProfileTable::new(spec.exec.clone());
         for groups in [1, 2, 5, 74] {
-            let (grouped, _) = simulate_grouped(&spec, &cfgs, &profiles, groups);
+            let (grouped, _) = simulate_grouped(&spec, &sizings, &profiles, groups);
             assert_eq!(grouped.len(), alone.len());
             // Whole reports, so every scorecard field agrees too.
-            for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
-                assert_eq!(g, a, "candidate {i} at {groups} groups");
-            }
-        }
-    }
-
-    #[test]
-    fn grouped_lockstep_is_exact_for_mixed_slot_sizes() {
-        // Two slot sizes interleaved, so a group resolves each arrival
-        // twice and every candidate must get the job for its own size;
-        // each overflow policy appears with both sizes.
-        let mut spec = quick_spec();
-        spec.modulation.flash_crowds.push(FlashCrowd {
-            start_hour: 20.0,
-            duration_hours: 6.0,
-            multiplier: 4.0,
-        });
-        let policies = [
-            (None, AdmissionPolicy::AdmitAll),
-            (Some(2), AdmissionPolicy::Reject),
-            (Some(4), AdmissionPolicy::Deflect),
-        ];
-        let cfgs: Vec<PoolConfig> = policies
-            .iter()
-            .cycle()
-            .take(8)
-            .enumerate()
-            .map(|(k, &(queue_bound, admission))| {
-                let procs = if k % 2 == 0 { 8 } else { 16 };
-                PoolConfig {
-                    procs_per_slot: procs,
-                    cloud_procs: procs,
-                    queue_bound,
-                    admission,
-                    ..spec.rented(1, 2 + 2 * (k as u32 % 3), 2)
-                }
-            })
-            .collect();
-        let alone: Vec<PoolReport> = cfgs.iter().map(|cfg| run_alone(&spec, cfg)).collect();
-        // The overflow paths are exercised, not just configured.
-        assert!(alone.iter().any(|r| r.rejected > 0));
-        assert!(alone.iter().any(|r| r.deflected > 0));
-        let profiles = ProfileTable::new(spec.exec.clone());
-        for groups in [1, 2, 5] {
-            let (grouped, _) = simulate_grouped(&spec, &cfgs, &profiles, groups);
-            assert_eq!(grouped.len(), alone.len());
             for (i, (g, a)) in grouped.iter().zip(&alone).enumerate() {
                 assert_eq!(g, a, "candidate {i} at {groups} groups");
             }
@@ -1236,7 +1125,7 @@ mod tests {
     fn a_cold_plan_counts_each_distinct_candidate_it_computes() {
         let spec = quick_spec();
         let mut candidates = spec.default_candidates()[..3].to_vec();
-        candidates.push(candidates[0].clone());
+        candidates.push(candidates[0]);
         let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
         let plan = plan_capacity_with_cache(&spec, candidates, &cache).expect("plan");
         let c = cache.counters();
@@ -1245,39 +1134,76 @@ mod tests {
         assert_eq!(encode_outcome(first), encode_outcome(twin));
     }
 
+    fn digest(spec: &PlanSpec, sizing: &PoolSizing) -> Digest {
+        candidate_digest(&spec_canon(spec), spec, sizing)
+    }
+
     #[test]
     fn plan_digests_track_the_spec_but_ignore_the_unused_base_rate() {
         let spec = quick_spec();
-        let cfg = PoolConfig::default_rented();
-        let d0 = candidate_digest(&spec_canon(&spec), &cfg);
+        let sizing = PoolSizing::new(1, 8, 2);
+        let d0 = digest(&spec, &sizing);
 
         let mut s = spec.clone();
         s.seed += 1;
-        assert_ne!(candidate_digest(&spec_canon(&s), &cfg), d0);
+        assert_ne!(digest(&s, &sizing), d0);
 
         let mut s = spec.clone();
         s.slo_p99_hours = 6.5;
-        assert_ne!(candidate_digest(&spec_canon(&s), &cfg), d0);
+        assert_ne!(digest(&s, &sizing), d0);
 
         let mut s = spec.clone();
         s.classes[0].rate_per_hour += 0.25;
-        assert_ne!(candidate_digest(&spec_canon(&s), &cfg), d0);
+        assert_ne!(digest(&s, &sizing), d0);
 
         // The one normalization rule: class_stream ignores the profile's
         // base rate, so the digest must too.
         let mut s = spec.clone();
         s.modulation.base_rate_per_hour = 42.0;
-        assert_eq!(candidate_digest(&spec_canon(&s), &cfg), d0);
+        assert_eq!(digest(&s, &sizing), d0);
 
-        let mut c2 = cfg.clone();
-        if let Slots::Rented { max, .. } = &mut c2.slots {
-            *max += 1;
-        }
-        assert_ne!(candidate_digest(&spec_canon(&spec), &c2), d0);
+        let mut s = spec.clone();
+        s.boot_s += 1.0;
+        assert_ne!(digest(&s, &sizing), d0);
 
-        let mut c2 = cfg;
-        c2.queue_bound = Some(16);
-        assert_ne!(candidate_digest(&spec_canon(&spec), &c2), d0);
+        let bigger = PoolSizing {
+            max_slots: 9,
+            ..sizing
+        };
+        assert_ne!(digest(&spec, &bigger), d0);
+
+        let bounded = PoolSizing {
+            queue_bound: Some(16),
+            ..sizing
+        };
+        assert_ne!(digest(&spec, &bounded), d0);
+    }
+
+    /// Plan cache keys outlive the process in a disk tier, so the bytes a
+    /// candidate's digest covers, and their order, are pinned: the first,
+    /// the first deflecting and the last default candidate of the quick
+    /// spec.
+    #[test]
+    fn default_candidate_digests_are_pinned() {
+        let spec = quick_spec();
+        let canon = spec_canon(&spec);
+        let candidates = spec.default_candidates();
+        let deflect = candidates
+            .iter()
+            .position(|c| c.admission == AdmissionPolicy::Deflect)
+            .expect("the grid deflects");
+        let hex: Vec<String> = [0, deflect, candidates.len() - 1]
+            .iter()
+            .map(|&i| candidate_digest(&canon, &spec, &candidates[i]).to_hex())
+            .collect();
+        assert_eq!(
+            hex,
+            [
+                "4bd576bc0e1d0731c78b02e3c99f6f04",
+                "b00cacc09a46d73c3ff47075a246d469",
+                "1283f6de0652f602af9e6560445972d2",
+            ]
+        );
     }
 
     #[test]
@@ -1287,7 +1213,7 @@ mod tests {
         let plan =
             plan_capacity_with_cache(&spec, spec.default_candidates(), &cache).expect("plan");
         for c in &plan.candidates {
-            let back = decode_outcome(&encode_outcome(c), &spec, &c.cfg).expect("round-trip");
+            let back = decode_outcome(&encode_outcome(c), &spec, c.sizing).expect("round-trip");
             assert_eq!(back.requests, c.requests);
             assert_eq!(back.rejected, c.rejected);
             assert_eq!(back.deflected, c.deflected);
@@ -1305,11 +1231,11 @@ mod tests {
         }
         // Corrupt entries read as misses, never as garbage candidates.
         let good = encode_outcome(&plan.candidates[0]);
-        let cfg = &plan.candidates[0].cfg;
-        assert!(decode_outcome(&good[..good.len() - 1], &spec, cfg).is_none());
+        let sizing = plan.candidates[0].sizing;
+        assert!(decode_outcome(&good[..good.len() - 1], &spec, sizing).is_none());
         let mut wrong_version = good.clone();
         wrong_version[4] ^= 1;
-        assert!(decode_outcome(&wrong_version, &spec, cfg).is_none());
+        assert!(decode_outcome(&wrong_version, &spec, sizing).is_none());
     }
 
     /// Disk-tier entries are keyed by spec and candidate, not by what the
@@ -1339,54 +1265,30 @@ mod tests {
         );
     }
 
-    /// `plan_capacity_with` on the quick spec's first default candidate
-    /// as `change` leaves it.
-    fn plan_one(change: impl FnOnce(&mut PoolConfig)) -> Result<CapacityPlan, String> {
-        let spec = quick_spec();
-        let mut cfg = spec.default_candidates().swap_remove(0);
-        change(&mut cfg);
-        plan_capacity_with(&spec, vec![cfg])
-    }
-
-    #[test]
-    fn the_planner_refuses_owned_slots() {
-        let err = plan_one(|c| c.slots = Slots::owned(2)).unwrap_err();
-        assert!(err.contains("slots must be Slots::Rented"), "{err}");
-    }
-
-    #[test]
-    fn the_planner_refuses_request_faults() {
-        let err = plan_one(|c| c.request_failure_prob = 0.1).unwrap_err();
-        assert!(err.contains("request_failure_prob must be 0"), "{err}");
-        // A retry budget and seed with no fault rate draw nothing.
-        assert!(plan_one(|c| (c.request_retry_max, c.fault_seed) = (3, 7)).is_ok());
-    }
-
-    #[test]
-    fn the_planner_refuses_a_burst_threshold() {
-        let err = plan_one(|c| c.burst_threshold = Some(2)).unwrap_err();
-        assert!(err.contains("burst_threshold must be None"), "{err}");
-    }
-
-    #[test]
-    fn the_planner_refuses_cloud_procs_other_than_the_slot_size() {
-        let err = plan_one(|c| c.cloud_procs = 8).unwrap_err();
-        assert!(
-            err.contains("cloud_procs (8) must equal procs_per_slot (16)"),
-            "{err}"
-        );
-    }
-
     #[test]
     fn specs_refuse_a_non_finite_or_negative_slot_rate() {
-        // `Money::from_dollars` refuses non-finite amounts, but arithmetic
-        // on money can still reach them.
-        for dollars in [f64::NAN, f64::INFINITY, -0.5] {
-            let mut spec = quick_spec();
-            spec.slot_cost_per_hour = Money::from_dollars(1.0) * dollars;
-            let err = plan_capacity(&spec).unwrap_err();
-            assert!(err.contains("slot_cost_per_hour must be a finite"), "{err}");
-        }
+        // A negative rate would rank as the cheapest pool. Non-finite
+        // rates cannot be written down: money arithmetic refuses them
+        // (`a_nan_slot_rate_cannot_be_computed`,
+        // `an_infinite_slot_rate_cannot_be_computed`).
+        let mut spec = quick_spec();
+        spec.slot_cost_per_hour = Money::from_dollars(1.0) * -0.5;
+        let err = plan_capacity(&spec).unwrap_err();
+        assert!(err.contains("slot_cost_per_hour must be a finite"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn a_nan_slot_rate_cannot_be_computed() {
+        let mut spec = quick_spec();
+        spec.slot_cost_per_hour = Money::from_dollars(1.0) * f64::NAN;
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn an_infinite_slot_rate_cannot_be_computed() {
+        let mut spec = quick_spec();
+        spec.slot_cost_per_hour = Money::from_dollars(1.0) * f64::INFINITY;
     }
 
     #[test]

@@ -278,11 +278,11 @@ impl PoolConfig {
     }
 }
 
-/// Refuses a price that is not a finite, non-negative dollar rate: NaN
-/// or negative spend would otherwise rank as the cheapest pool.
+/// Refuses a negative price, which would otherwise rank as the cheapest
+/// pool. `Money` is finite by construction.
 pub(crate) fn check_rate(name: &str, rate: Money) -> Result<(), String> {
     let dollars = rate.dollars();
-    if dollars.is_finite() && dollars >= 0.0 {
+    if dollars >= 0.0 {
         Ok(())
     } else {
         Err(format!(
@@ -610,8 +610,8 @@ pub(crate) struct Job {
 
 impl Job {
     /// `arrival` run `attempts` times at `profile`'s venue; a slot serving
-    /// it charges the data-management share, as a rented slot's rental
-    /// covers the CPU.
+    /// it charges the data-management share of every attempt, as a rented
+    /// slot's rental covers the CPU.
     pub(crate) fn new(arrival: Arrival, attempts: u32, profile: RequestProfile) -> Job {
         let run_hours = profile.makespan_hours * attempts as f64;
         Job {
@@ -620,7 +620,7 @@ impl Job {
             attempts,
             run_hours,
             service: SimDuration::from_hours_f64(run_hours),
-            slot_cost: profile.dm_cost,
+            slot_cost: profile.dm_cost * attempts as f64,
             cloud_cost: profile.cost * attempts as f64,
         }
     }

@@ -362,17 +362,62 @@ fn both_pool_models_word_the_admission_errors_alike() {
 
 #[test]
 fn a_non_finite_or_negative_rental_rate_is_refused() {
-    // `Money::from_dollars` refuses non-finite amounts, but arithmetic on
-    // money can still reach them; a negative rate would rank as the
-    // cheapest pool.
-    for dollars in [f64::NAN, f64::INFINITY, -0.5] {
-        let mut cfg = base();
-        if let Slots::Rented { cost_per_hour, .. } = &mut cfg.slots {
-            *cost_per_hour = Money::from_dollars(1.0) * dollars;
-        }
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("cost_per_hour must be a finite"), "{err}");
+    // A negative rate would rank as the cheapest pool. Non-finite rates
+    // cannot be written down: money arithmetic refuses them (the two
+    // tests below).
+    let mut cfg = base();
+    if let Slots::Rented { cost_per_hour, .. } = &mut cfg.slots {
+        *cost_per_hour = Money::from_dollars(1.0) * -0.5;
     }
+    let err = cfg.validate().unwrap_err();
+    assert!(err.contains("cost_per_hour must be a finite"), "{err}");
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn a_nan_rental_rate_cannot_be_computed() {
+    let mut cfg = base();
+    if let Slots::Rented { cost_per_hour, .. } = &mut cfg.slots {
+        *cost_per_hour = Money::from_dollars(1.0) * f64::NAN;
+    }
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn an_infinite_rental_rate_cannot_be_computed() {
+    let mut cfg = base();
+    if let Slots::Rented { cost_per_hour, .. } = &mut cfg.slots {
+        *cost_per_hour = Money::from_dollars(1.0) * f64::INFINITY;
+    }
+}
+
+#[test]
+fn data_management_is_charged_per_attempt() {
+    // The rental covers the CPU of every run; each rerun of a failed
+    // request moves its data again, so a slot charges the data
+    // management of every attempt.
+    let cfg = PoolConfig {
+        request_failure_prob: 0.5,
+        request_retry_max: 3,
+        fault_seed: 7,
+        ..PoolConfig::default_rented()
+    };
+    let arrivals = periodic(2.0, 32.0, 1.0);
+    assert_eq!(arrivals.len(), 15);
+    let dm = ProfileTable::new(cfg.exec.clone())
+        .fixed(1.0, cfg.procs_per_slot)
+        .dm_cost;
+    assert!(dm > Money::ZERO);
+    // Slots take requests in arrival order, so the outcomes visit them in
+    // the order the report sums them.
+    let (mut expected, mut retried) = (Money::ZERO, 0);
+    let report = simulate_pool(arrivals.iter().copied(), &cfg, &mut NullSink, |o| {
+        expected += dm * f64::from(o.attempts);
+        retried += u32::from(o.attempts > 1);
+    });
+    assert_eq!(report.requests(), 15);
+    assert!(retried > 0, "no request was rerun");
+    assert_eq!(report.dm_cost, expected);
 }
 
 /// Arrival triples at instants that are not whole microseconds: on one

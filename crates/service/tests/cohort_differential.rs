@@ -15,13 +15,14 @@
 //! backlog or span, so those lines are left out of its comparison.
 //!
 //! Specs and candidates are `draws::draw_spec` and
-//! `draws::draw_candidates`: a few pool families (floor, boot delay, idle
-//! release, slot size, execution model), each family after the first one
-//! field away from another, varying every other field: ceiling,
-//! scale-up trigger, queue bound, admission policy and slot price; near
-//! twins of earlier candidates put members that differ in one field into
-//! one cohort, or into cohorts one field apart. Some boots outlast a
-//! request, so a pool can sit at its floor with a slot still booting.
+//! `draws::draw_candidates`. A spec fixes the slots every candidate
+//! rents (boot delay, slot size, price, execution model); some boots
+//! outlast a request, so a pool can sit at its floor with a slot still
+//! booting. A candidate list is a few pool families (floor and idle
+//! release), each family after the first one field away from another,
+//! varying every other field: ceiling, scale-up trigger, queue bound and
+//! admission policy; near twins of earlier candidates put members that
+//! differ in one field into one cohort, or into cohorts one field apart.
 //! Debug builds check a few short specs; `--release` checks the full
 //! draw.
 
@@ -30,16 +31,15 @@ mod draws;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use mcloud_core::ExecConfig;
 use mcloud_cost::Money;
 use mcloud_service::planner::simulate_grouped;
 use mcloud_service::{
-    simulate_pool, AdmissionPolicy, Arrival, PoolConfig, PoolReport, ProfileTable, RequestOutcome,
-    Slots, Venue,
+    simulate_pool, AdmissionPolicy, Arrival, PlanSpec, PoolReport, PoolSizing, ProfileTable,
+    RequestOutcome, Venue,
 };
 use mcloud_simkit::{Histogram, NullSink, SimDuration, SimRng, SimTime};
 
-use draws::{draw_candidates, draw_spec, full, Rented, RENTED_SEED};
+use draws::{draw_candidates, draw_spec, full, RENTED_SEED};
 
 /// `report` without the lines the reference did not keep.
 fn kept(report: &PoolReport) -> PoolReport {
@@ -68,8 +68,9 @@ struct Waiting {
 }
 
 /// One pool per configuration, as it was before cohorts.
-struct Reference<'c> {
-    cfg: &'c Rented,
+struct Reference<'s> {
+    spec: &'s PlanSpec,
+    cfg: PoolSizing,
     /// Pending events by (time, push order).
     events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
     pushed: u64,
@@ -89,14 +90,13 @@ struct Reference<'c> {
     deflect_cost: Money,
 }
 
-impl<'c> Reference<'c> {
-    fn run(
-        cfg: &'c Rented,
-        arrivals: impl Iterator<Item = Arrival>,
-        profiles: &mut ProfileTable,
-    ) -> PoolReport {
-        cfg.pool().validate().expect("drawn candidates are valid");
+impl<'s> Reference<'s> {
+    fn run(spec: &'s PlanSpec, cfg: PoolSizing, profiles: &mut ProfileTable) -> PoolReport {
+        spec.pool(&cfg)
+            .validate()
+            .expect("drawn candidates are valid");
         let mut sim = Reference {
+            spec,
             cfg,
             events: BinaryHeap::new(),
             pushed: 0,
@@ -114,11 +114,11 @@ impl<'c> Reference<'c> {
             deflected: 0,
             deflect_cost: Money::ZERO,
         };
-        let boot = SimTime::ZERO + SimDuration::from_secs_f64(cfg.boot_s);
+        let boot = SimTime::ZERO + SimDuration::from_secs_f64(spec.boot_s);
         for _ in 0..cfg.min_slots {
             sim.push(boot, Ev::SlotReady);
         }
-        for a in arrivals {
+        for a in spec.stream() {
             sim.arrive(a, profiles);
         }
         while let Some(Reverse((t, _, ev))) = sim.events.pop() {
@@ -134,7 +134,7 @@ impl<'c> Reference<'c> {
 
     fn arrive(&mut self, a: Arrival, profiles: &mut ProfileTable) {
         let now = SimTime::from_secs_f64(a.at_hours * 3600.0);
-        let profile = profiles.fixed(a.degrees, self.cfg.procs_per_slot);
+        let profile = profiles.fixed(a.degrees, self.spec.procs_per_slot);
         let service = SimDuration::from_hours_f64(profile.makespan_hours);
         while let Some(&Reverse((t, _, ev))) = self.events.peek() {
             if t >= now {
@@ -186,7 +186,8 @@ impl<'c> Reference<'c> {
                 self.rentals += 1;
                 self.booting += 1;
                 self.peak_slots = self.peak_slots.max(self.rented);
-                self.push(now + SimDuration::from_secs_f64(cfg.boot_s), Ev::SlotReady);
+                let boot = SimDuration::from_secs_f64(self.spec.boot_s);
+                self.push(now + boot, Ev::SlotReady);
             }
         }
     }
@@ -279,7 +280,7 @@ impl<'c> Reference<'c> {
             slot_hours: self.slot_hours,
             peak_slots: self.peak_slots,
             rentals: self.rentals,
-            slot_cost: self.cfg.slot_cost_per_hour * self.slot_hours,
+            slot_cost: self.spec.slot_cost_per_hour * self.slot_hours,
             dm_cost: self.dm_cost,
             cloud_cost: self.deflect_cost,
         }
@@ -294,27 +295,17 @@ fn cohorts_report_what_each_candidate_reports_alone() {
     let (mut merged, mut slow_merged) = (0, 0);
     for draw in 0..draws {
         let spec = draw_spec(&mut rng);
-        let cfgs = draw_candidates(&mut rng, &spec);
-        // One table per execution model, shared by the reference runs:
-        // profiles are pure functions of (degrees, slot size, model).
-        let mut tables: Vec<(ExecConfig, ProfileTable)> = Vec::new();
-        let reference: Vec<PoolReport> = cfgs
+        let sizings = draw_candidates(&mut rng, &spec);
+        // One table for the reference runs: profiles are pure functions
+        // of (degrees, slot size, execution model).
+        let mut table = ProfileTable::new(spec.exec.clone());
+        let reference: Vec<PoolReport> = sizings
             .iter()
-            .map(|cfg| {
-                let t = match tables.iter().position(|(exec, _)| exec == &cfg.exec) {
-                    Some(t) => t,
-                    None => {
-                        let table = ProfileTable::new(cfg.exec.clone());
-                        tables.push((cfg.exec.clone(), table));
-                        tables.len() - 1
-                    }
-                };
-                Reference::run(&Rented::of(cfg), spec.stream(), &mut tables[t].1)
-            })
+            .map(|&sizing| Reference::run(&spec, sizing, &mut table))
             .collect();
-        let alone: Vec<PoolReport> = cfgs
+        let alone: Vec<PoolReport> = sizings
             .iter()
-            .map(|cfg| simulate_pool(spec.stream(), cfg, &mut NullSink, |_| {}))
+            .map(|sizing| simulate_pool(spec.stream(), &spec.pool(sizing), &mut NullSink, |_| {}))
             .collect();
         for (i, (alone, expected)) in alone.iter().zip(&reference).enumerate() {
             assert_eq!(&kept(alone), expected, "draw {draw}: candidate {i} alone");
@@ -324,13 +315,13 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         }
         let profiles = ProfileTable::new(spec.exec.clone());
         for groups in [1, 2, 3, 5] {
-            let (grouped, stats) = simulate_grouped(&spec, &cfgs, &profiles, groups);
-            assert_eq!(grouped.len(), cfgs.len());
+            let (grouped, stats) = simulate_grouped(&spec, &sizings, &profiles, groups);
+            assert_eq!(grouped.len(), sizings.len());
             for (i, (g, expected)) in grouped.iter().zip(&alone).enumerate() {
                 assert_eq!(g, expected, "draw {draw}: candidate {i} at {groups} groups");
             }
             assert!(
-                stats.histories <= cfgs.len() as u64,
+                stats.histories <= sizings.len() as u64,
                 "draw {draw}: {stats:?}"
             );
             merged += stats.merges;
@@ -338,14 +329,10 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         // The candidates whose pools boot and release after a grace
         // window, on their own: their cohorts re-merge only once every
         // boot and every pending release has fired.
-        let (slow, slow_alone): (Vec<PoolConfig>, Vec<&PoolReport>) = cfgs
+        let (slow, slow_alone): (Vec<PoolSizing>, Vec<&PoolReport>) = sizings
             .iter()
             .zip(&alone)
-            .filter(|(cfg, _)| {
-                matches!(cfg.slots, Slots::Rented { boot_s, idle_release_s, .. }
-                    if boot_s > 0.0 && idle_release_s > 0.0)
-            })
-            .map(|(cfg, r)| (cfg.clone(), r))
+            .filter(|(sizing, _)| spec.boot_s > 0.0 && sizing.idle_release_s > 0.0)
             .unzip();
         let (grouped, stats) = simulate_grouped(&spec, &slow, &profiles, 1);
         for (i, (g, expected)) in grouped.iter().zip(slow_alone).enumerate() {
@@ -353,7 +340,7 @@ fn cohorts_report_what_each_candidate_reports_alone() {
         }
         slow_merged += stats.merges;
         // Candidates that end alike were one cohort's members.
-        shared += (0..cfgs.len())
+        shared += (0..sizings.len())
             .filter(|&i| {
                 (0..i).any(|j| {
                     reference[j].slot_hours == reference[i].slot_hours

@@ -8,7 +8,9 @@
 
 use mcloud_core::ExecConfig;
 use mcloud_cost::Money;
-use mcloud_service::{AdmissionPolicy, Arrival, FlashCrowd, PlanSpec, PoolConfig, Slots};
+use mcloud_service::{
+    AdmissionPolicy, Arrival, FlashCrowd, PlanSpec, PoolConfig, PoolSizing, Slots,
+};
 use mcloud_simkit::SimRng;
 
 /// The seed of the owned-pool draw.
@@ -91,8 +93,10 @@ pub fn draw_arrivals(rng: &mut SimRng) -> Vec<Arrival> {
     out
 }
 
-/// A seeded demand: quarter-long or shorter horizons, jittered class
-/// rates, up to three flash crowds.
+/// A seeded demand and the slots every candidate rents: quarter-long or
+/// shorter horizons, jittered class rates, up to three flash crowds; a
+/// boot delay (from none to one that outlasts a request), slot size,
+/// price and execution model.
 pub fn draw_spec(rng: &mut SimRng) -> PlanSpec {
     let horizon = if full() {
         rng.f64_in(24.0, 24.0 * 91.0)
@@ -111,127 +115,52 @@ pub fn draw_spec(rng: &mut SimRng) -> PlanSpec {
             multiplier: rng.f64_in(1.0, 8.0),
         });
     }
+    // Drawn after the demand, so every demand stays what it has been.
+    spec.boot_s = pick(rng, &[0.0, 120.0, 300.0, 7200.0]);
+    spec.procs_per_slot = pick(rng, &[8, 16]);
+    spec.slot_cost_per_hour = Money::from_dollars(pick(rng, &[0.8, 1.6, 2.4, 3.2]));
+    spec.exec = pick(rng, &[spec.exec.clone(), spec.exec.clone().prestaged(true)]);
     spec
 }
 
-/// The fields a pool's event handling reads.
-#[derive(Clone)]
+/// The candidate fields a pool's event handling reads.
+#[derive(Clone, Copy)]
 struct Family {
     min_slots: u32,
-    boot_s: f64,
     idle_release_s: f64,
-    procs_per_slot: u32,
-    exec: ExecConfig,
 }
 
-/// A plannable rented pool's fields, flat: what the candidate draw
-/// varies and the reference pools read.
-#[derive(Clone)]
-pub struct Rented {
-    pub min_slots: u32,
-    pub max_slots: u32,
-    pub scale_up_queue: usize,
-    pub boot_s: f64,
-    pub idle_release_s: f64,
-    pub procs_per_slot: u32,
-    pub slot_cost_per_hour: Money,
-    pub queue_bound: Option<usize>,
-    pub admission: AdmissionPolicy,
-    pub exec: ExecConfig,
-}
-
-impl Rented {
-    /// The fields of `cfg`, a pool of rented slots.
-    pub fn of(cfg: &PoolConfig) -> Rented {
-        let Slots::Rented {
-            min,
-            max,
-            scale_up_queue,
-            boot_s,
-            idle_release_s,
-            cost_per_hour,
-        } = cfg.slots
-        else {
-            panic!("not a rented pool: {cfg:?}")
-        };
-        Rented {
-            min_slots: min,
-            max_slots: max,
-            scale_up_queue,
-            boot_s,
-            idle_release_s,
-            procs_per_slot: cfg.procs_per_slot,
-            slot_cost_per_hour: cost_per_hour,
-            queue_bound: cfg.queue_bound,
-            admission: cfg.admission,
-            exec: cfg.exec.clone(),
-        }
-    }
-
-    /// The pool: these rented slots, deflecting at the slot size.
-    pub fn pool(&self) -> PoolConfig {
-        PoolConfig {
-            slots: Slots::Rented {
-                min: self.min_slots,
-                max: self.max_slots,
-                scale_up_queue: self.scale_up_queue,
-                boot_s: self.boot_s,
-                idle_release_s: self.idle_release_s,
-                cost_per_hour: self.slot_cost_per_hour,
-            },
-            procs_per_slot: self.procs_per_slot,
-            cloud_procs: self.procs_per_slot,
-            queue_bound: self.queue_bound,
-            admission: self.admission,
-            exec: self.exec.clone(),
-            ..PoolConfig::default_rented()
-        }
-    }
-}
-
-/// A rented candidate list: one to four families, each after the first
-/// a copy of an earlier one with one field redrawn, and candidates of
-/// those families with every policy field and the slot price drawn. Some
-/// candidates are near twins of earlier ones: a copy with at most one
-/// field redrawn, so that a cohort holds members that differ only there.
-pub fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<PoolConfig> {
-    let execs = [spec.exec.clone(), spec.exec.clone().prestaged(true)];
+/// A candidate list for `spec`: one to four families (floor and idle
+/// release), each after the first a copy of an earlier one with one field
+/// redrawn, and candidates of those families with every policy field
+/// drawn. Some candidates are near twins of earlier ones: a copy with at
+/// most one field redrawn, so that a cohort holds members that differ
+/// only there.
+pub fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<PoolSizing> {
     let mins = [0u32, 1, 2, 4];
-    let boots = [0.0, 120.0, 300.0, 7200.0];
     let idles = [0.0, 900.0, 3600.0];
-    let procs = [8u32, 16];
-    let prices = [0.8, 1.6, 2.4, 3.2];
     let mut families = vec![Family {
         min_slots: pick(rng, &mins),
-        boot_s: pick(rng, &boots),
         idle_release_s: pick(rng, &idles),
-        procs_per_slot: pick(rng, &procs),
-        exec: pick(rng, &execs),
     }];
     for _ in 0..rng.below(4) {
         let mut f = pick(rng, &families);
-        match rng.below(5) {
-            0 => f.min_slots = pick(rng, &mins),
-            1 => f.boot_s = pick(rng, &boots),
-            2 => f.idle_release_s = pick(rng, &idles),
-            3 => f.procs_per_slot = pick(rng, &procs),
-            _ => f.exec = pick(rng, &execs),
+        if rng.chance(0.5) {
+            f.min_slots = pick(rng, &mins);
+        } else {
+            f.idle_release_s = pick(rng, &idles);
         }
         families.push(f);
     }
     let count = 8 + rng.below(if full() { 40 } else { 16 }) as usize;
-    let mut out: Vec<Rented> = Vec::with_capacity(count);
+    let mut out: Vec<PoolSizing> = Vec::with_capacity(count);
     while out.len() < count {
-        let cfg = if !out.is_empty() && rng.chance(0.3) {
+        let sizing = if !out.is_empty() && rng.chance(0.3) {
             let mut twin = pick(rng, &out);
-            match rng.below(8) {
-                0 => twin.slot_cost_per_hour = Money::from_dollars(pick(rng, &prices)),
-                1 => twin.idle_release_s = pick(rng, &idles),
-                2 => twin.boot_s = pick(rng, &boots),
-                3 => twin.procs_per_slot = pick(rng, &procs),
-                4 => twin.exec = pick(rng, &execs),
-                5 => twin.max_slots = twin.min_slots.max(1) + rng.below(12) as u32,
-                6 => twin.min_slots = pick(rng, &mins),
+            match rng.below(4) {
+                0 => twin.idle_release_s = pick(rng, &idles),
+                1 => twin.max_slots = twin.min_slots.max(1) + rng.below(12) as u32,
+                2 => twin.min_slots = pick(rng, &mins),
                 _ => {}
             }
             twin
@@ -242,22 +171,18 @@ pub fn draw_candidates(rng: &mut SimRng, spec: &PlanSpec) -> Vec<PoolConfig> {
                 1 => (Some(rng.below(12) as usize), AdmissionPolicy::Reject),
                 _ => (Some(rng.below(24) as usize), AdmissionPolicy::Deflect),
             };
-            Rented {
+            PoolSizing {
                 min_slots: f.min_slots,
                 max_slots: f.min_slots.max(1) + rng.below(12) as u32,
                 scale_up_queue: 1 + rng.below(6) as usize,
-                boot_s: f.boot_s,
                 idle_release_s: f.idle_release_s,
-                procs_per_slot: f.procs_per_slot,
-                slot_cost_per_hour: Money::from_dollars(pick(rng, &prices)),
                 queue_bound,
                 admission,
-                exec: f.exec,
             }
         };
-        if cfg.pool().validate().is_ok() {
-            out.push(cfg);
+        if spec.pool(&sizing).validate().is_ok() {
+            out.push(sizing);
         }
     }
-    out.iter().map(Rented::pool).collect()
+    out
 }

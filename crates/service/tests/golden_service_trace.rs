@@ -10,7 +10,7 @@ use mcloud_cache::{ResultCache, DEFAULT_BUDGET_BYTES};
 use mcloud_cost::Money;
 use mcloud_service::{
     mixed, periodic, plan_capacity_with_cache, plan_json, service_trace_jsonl, simulate_pool,
-    AdmissionPolicy, Arrival, CapacityPlan, FlashCrowd, PlanSpec, PoolConfig, Slots,
+    AdmissionPolicy, Arrival, CapacityPlan, FlashCrowd, PlanSpec, PoolConfig, PoolSizing, Slots,
 };
 use mcloud_simkit::{Histogram, NullSink, RecordingSink};
 
@@ -134,7 +134,7 @@ fn plan_pin(spec: &PlanSpec, plan: &CapacityPlan) -> String {
 }
 
 /// A fresh private cache per plan, so every pin is a cold evaluation.
-fn cold_plan(spec: &PlanSpec, candidates: Vec<PoolConfig>) -> CapacityPlan {
+fn cold_plan(spec: &PlanSpec, candidates: Vec<PoolSizing>) -> CapacityPlan {
     let cache = ResultCache::new(DEFAULT_BUDGET_BYTES, None);
     plan_capacity_with_cache(spec, candidates, &cache).expect("plan")
 }
@@ -150,25 +150,22 @@ fn golden_plans_of_seeded_flash_crowds() {
 /// Pools the default grid never builds: an idle-release grace window
 /// (the `IdleExpire` path), `Reject` admission, and a zero floor that
 /// rents on the first waiting request.
-fn custom_candidates(spec: &PlanSpec) -> Vec<PoolConfig> {
-    // `spec.rented(min, max, up)`, its slots released after `idle_s`.
-    let idle = |min, max, up, idle_s| {
-        let mut cfg = spec.rented(min, max, up);
-        if let Slots::Rented { idle_release_s, .. } = &mut cfg.slots {
-            *idle_release_s = idle_s;
-        }
-        cfg
+fn custom_candidates() -> Vec<PoolSizing> {
+    // `PoolSizing::new(min, max, up)`, its slots released after `idle_s`.
+    let idle = |min, max, up, idle_s| PoolSizing {
+        idle_release_s: idle_s,
+        ..PoolSizing::new(min, max, up)
     };
     vec![
         idle(1, 8, 2, 1800.0),
         idle(0, 8, 1, 3600.0),
-        spec.rented(0, 4, 1),
-        PoolConfig {
+        PoolSizing::new(0, 4, 1),
+        PoolSizing {
             queue_bound: Some(3),
             admission: AdmissionPolicy::Reject,
-            ..spec.rented(1, 2, 2)
+            ..PoolSizing::new(1, 2, 2)
         },
-        PoolConfig {
+        PoolSizing {
             queue_bound: Some(1),
             admission: AdmissionPolicy::Reject,
             ..idle(0, 2, 1, 600.0)
@@ -179,13 +176,13 @@ fn custom_candidates(spec: &PlanSpec) -> Vec<PoolConfig> {
 #[test]
 fn golden_plan_of_custom_candidates() {
     let spec = &flash_specs()[2];
-    let candidates = custom_candidates(spec);
+    let candidates = custom_candidates();
     let plan = cold_plan(spec, candidates.clone());
     let mut out = plan_pin(spec, &plan);
     // The scorecards omit rentals and slot-hours; pin each candidate's
     // whole report too.
-    for (i, cfg) in candidates.iter().enumerate() {
-        let r = simulate_pool(spec.stream(), cfg, &mut NullSink, |_| {});
+    for (i, sizing) in candidates.iter().enumerate() {
+        let r = simulate_pool(spec.stream(), &spec.pool(sizing), &mut NullSink, |_| {});
         out.push_str(&format!(
             "report {i}: requests={} rejected={} deflected={} slot_hours={} rental={} dm={} \
              deflect={} peak={} rentals={}\n",

@@ -17,7 +17,7 @@
 
 mod draws;
 
-use mcloud_service::{simulate_pool, Arrival, PoolConfig, PoolReport, Slots};
+use mcloud_service::{simulate_pool, Arrival, PoolConfig, PoolReport};
 use mcloud_simkit::{NullSink, SimRng};
 
 use draws::{draw_arrivals, draw_candidates, draw_owned, draw_spec, full, OWNED_SEED, RENTED_SEED};
@@ -64,12 +64,14 @@ fn rented_pools_obey_littles_law() {
     let (mut booted, mut instant) = (0, 0);
     for draw in 0..draws {
         let spec = draw_spec(&mut rng);
-        for (i, cfg) in draw_candidates(&mut rng, &spec).iter().enumerate() {
-            let report = check(spec.stream(), cfg, &format!("rented draw {draw}: {i}"));
+        for (i, sizing) in draw_candidates(&mut rng, &spec).iter().enumerate() {
+            let what = format!("rented draw {draw}: {i}");
+            let report = check(spec.stream(), &spec.pool(sizing), &what);
             if report.backlog_peak > 0.0 {
-                match cfg.slots {
-                    Slots::Rented { boot_s, .. } if boot_s > 0.0 => booted += 1,
-                    _ => instant += 1,
+                if spec.boot_s > 0.0 {
+                    booted += 1;
+                } else {
+                    instant += 1;
                 }
             }
         }

@@ -269,17 +269,33 @@ fn a_trace_sink_leaves_the_backlog_mean_alone() {
 
 #[test]
 fn a_non_finite_or_negative_busy_hour_rate_is_refused() {
-    // `Money::from_dollars` refuses non-finite amounts, but arithmetic on
-    // money can still reach them.
-    for dollars in [f64::NAN, f64::INFINITY, -0.5] {
-        let cfg = PoolConfig {
-            slots: Slots::Owned {
-                count: 2,
-                cost_per_busy_hour: Money::from_dollars(1.0) * dollars,
-            },
-            ..PoolConfig::default_owned()
-        };
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("cost_per_busy_hour must be a finite"), "{err}");
-    }
+    // Non-finite rates cannot be written down: money arithmetic refuses
+    // them (the two tests below).
+    let cfg = PoolConfig {
+        slots: Slots::Owned {
+            count: 2,
+            cost_per_busy_hour: Money::from_dollars(1.0) * -0.5,
+        },
+        ..PoolConfig::default_owned()
+    };
+    let err = cfg.validate().unwrap_err();
+    assert!(err.contains("cost_per_busy_hour must be a finite"), "{err}");
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn a_nan_busy_hour_rate_cannot_be_computed() {
+    let _ = Slots::Owned {
+        count: 2,
+        cost_per_busy_hour: Money::from_dollars(1.0) * f64::NAN,
+    };
+}
+
+#[test]
+#[should_panic(expected = "finite")]
+fn an_infinite_busy_hour_rate_cannot_be_computed() {
+    let _ = Slots::Owned {
+        count: 2,
+        cost_per_busy_hour: Money::from_dollars(1.0) / 0.0,
+    };
 }

@@ -28,17 +28,13 @@ fn main() {
     println!("\ncost-vs-p99 frontier:");
     for &i in &plan.frontier {
         let c = &plan.candidates[i];
-        let Slots::Rented {
-            min,
-            max,
-            scale_up_queue,
-            ..
-        } = c.cfg.slots
-        else {
-            unreachable!("the planner sizes rented pools")
-        };
+        let s = &c.sizing;
         println!(
-            "  min={min} max={max} up={scale_up_queue} policy p99={:.2} h for ${:.2}",
+            "  min={} max={} up={} {:?} p99={:.2} h for ${:.2}",
+            s.min_slots,
+            s.max_slots,
+            s.scale_up_queue,
+            s.admission,
             c.p99_turnaround_hours,
             c.total_cost.dollars()
         );

@@ -67,7 +67,8 @@ pub mod prelude {
         bursty, bursty_stream, class_stream, mixed, mixed_stream, periodic, plan_capacity,
         plan_json, plan_text, poisson, service_trace_jsonl, simulate_pool, AdmissionPolicy,
         Arrival, ArrivalStream, CapacityPlan, FlashCrowd, MergedStream, PlanCandidate, PlanSpec,
-        PoolConfig, PoolReport, RateProfile, RequestClass, RequestOutcome, Slots, Venue,
+        PoolConfig, PoolReport, PoolSizing, RateProfile, RequestClass, RequestOutcome, Slots,
+        Venue,
     };
     pub use mcloud_simkit::{
         Channel, EventSink, Histogram, MetricClass, NullSink, RecordingSink, Registry, TimedEvent,
