@@ -868,8 +868,9 @@ pub enum Check {
     /// Any change fails: the column is a pure function of the simulated
     /// event sequence, so drift in either direction is semantic.
     Exact,
-    /// An increase fails; a decrease is an improvement (re-baseline to
-    /// lock it in).
+    /// An increase fails; a decrease is an improvement, shown as a
+    /// [`STALE_PIN`] note until a re-baseline locks it in: a pin left
+    /// above what the tree measures lets that much regression through.
     NoIncrease,
     /// `new` above the cap fails, whatever the committed value.
     Cap(f64),
@@ -988,6 +989,10 @@ const BANDWIDTH_SPEEDUP: Check =
 const PLAN_REPLAY: Check =
     Check::RatioFloor("plan_candidates", PLAN_REPLAY_GATE_PCT as f64 / 100.0);
 
+/// The verdict of a [`Check::NoIncrease`] cell that measures below its
+/// committed value: it passes, and [`stale_pins`] lists it.
+pub const STALE_PIN: &str = "ok (below the pin: re-pin it)";
+
 /// One cell of the delta table: a rule applied to one row.
 struct Cell {
     row: String,
@@ -1028,6 +1033,7 @@ fn judge(
         Check::Info => Ok("info"),
         _ if !in_force => Ok("skip"),
         Check::Exact => fail(new != old, "changed (semantics drift?)".into()),
+        Check::NoIncrease if new < old => Ok(STALE_PIN),
         Check::NoIncrease => fail(new > old, "increased".into()),
         Check::Cap(cap) => fail(new > cap, format!("above the absolute cap of {cap}")),
         Check::Floor(tol) => fail(
@@ -1102,6 +1108,18 @@ fn cells(current: &Baseline, committed: &Baseline) -> Vec<Cell> {
 pub fn delta_summary(current: &Baseline, committed: &Baseline) -> Vec<String> {
     cells(current, committed)
         .iter()
+        .map(Cell::to_string)
+        .collect()
+}
+
+/// The [`delta_summary`] lines of the [`Check::NoIncrease`] cells that
+/// measure below their committed values: pins that no longer catch a
+/// regression back up to them. `repro bench-json --check` prints them as
+/// notes; they never fail the gate.
+pub fn stale_pins(current: &Baseline, committed: &Baseline) -> Vec<String> {
+    cells(current, committed)
+        .iter()
+        .filter(|c| c.verdict == Ok(STALE_PIN))
         .map(Cell::to_string)
         .collect()
 }
@@ -1310,6 +1328,30 @@ mod tests {
             let expected: Vec<String> = expected.iter().map(|(r, m)| format!("{r} {m}")).collect();
             assert_eq!(failing(&current, &committed), expected, "{what}");
         }
+    }
+
+    #[test]
+    fn a_measurement_below_a_no_increase_pin_is_a_note_not_a_failure() {
+        let committed = sample();
+        let mut current = sample();
+        assert!(stale_pins(&current, &committed).is_empty());
+        set(&mut current, W1, "allocs_per_sim", 32.0);
+        set(&mut current, GEN, "alloc_bytes_per_generate", 3_000_000.0);
+        // Exact and tolerant columns below their values are not pins.
+        set(&mut current, W1, "events_per_sec", 1.0e9);
+        assert!(compare(&current, &committed).is_empty());
+        let notes = stale_pins(&current, &committed);
+        assert_eq!(notes.len(), 2, "{notes:#?}");
+        assert!(
+            notes[0].contains(W1) && notes[0].contains("42 -> 32"),
+            "{notes:?}"
+        );
+        assert!(
+            notes[1].contains(GEN) && notes[1].ends_with(STALE_PIN),
+            "{notes:?}"
+        );
+        let summary = delta_summary(&current, &committed);
+        assert!(notes.iter().all(|n| summary.contains(n)));
     }
 
     #[test]

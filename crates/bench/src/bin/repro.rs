@@ -328,6 +328,11 @@ fn bench_json(args: &[String]) -> ExitCode {
             }
         };
         let violations = baseline::compare(&measured, &committed);
+        // Notes, not failures: a NoIncrease pin above what the tree
+        // measures lets a regression up to it pass unseen.
+        for line in baseline::stale_pins(&measured, &committed) {
+            println!("note: {line}");
+        }
         // The delta table prints on *both* verdicts: a green CI log should
         // still show how far each metric sits from its committed value, so
         // drift is visible before it crosses a tolerance.

@@ -156,6 +156,38 @@ impl FcfsChannel {
         }
     }
 
+    /// Where a run of transfers submitted back to back at `now` would
+    /// start, if [`book_run`](Self::book_run) can book it: the later of
+    /// `now` and [`busy_until`](Self::busy_until). `None` when the channel
+    /// has blackout windows, which stretch each transfer separately:
+    /// such a run goes through [`submit_for`](Self::submit_for) one
+    /// transfer at a time.
+    pub fn run_start(&self, now: SimTime) -> Option<SimTime> {
+        self.blackouts.is_empty().then(|| self.busy_until.max(now))
+    }
+
+    /// Books a run of `count` transfers submitted back to back at `now`,
+    /// moving `bytes` in `service` of link time all told, in O(1). With
+    /// no blackout windows this is exactly `count` consecutive
+    /// [`submit_for`](Self::submit_for) calls: each transfer starts when
+    /// its predecessor finishes, so the `i`-th finishes at
+    /// [`run_start`](Self::run_start)`(now)` plus the link times of the
+    /// first `i`, and the counters grow by the run's sums: the channel is
+    /// busy until the start plus `service`.
+    ///
+    /// # Panics
+    /// Panics if the channel has blackout windows (see
+    /// [`run_start`](Self::run_start)).
+    pub fn book_run(&mut self, now: SimTime, count: u64, bytes: u64, service: SimDuration) {
+        let start = self
+            .run_start(now)
+            .expect("a channel with blackout windows books transfers one at a time");
+        self.busy_until = start + service;
+        self.total_bytes += bytes;
+        self.busy_time += service;
+        self.transfers += count;
+    }
+
     /// The instant from which the channel is idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
@@ -302,6 +334,28 @@ mod tests {
         let b = link.submit(t(0.0), 1_250_000);
         assert_eq!(b.start, a.finish);
         assert_eq!(b.finish, t(14.0));
+    }
+
+    #[test]
+    fn a_booked_run_is_its_transfers_back_to_back() {
+        let mut link = FcfsChannel::new(MBPS10);
+        link.submit(t(0.0), 12_500_000); // busy until 10
+        assert_eq!(link.run_start(t(4.0)), Some(t(10.0)));
+        // 1 s, then a zero-byte file, then 2 s.
+        link.book_run(t(4.0), 3, 3_750_000, SimDuration::from_secs(3));
+        assert_eq!(link.busy_until(), t(13.0));
+        assert_eq!(link.transfers(), 4);
+        assert_eq!(link.total_bytes(), 16_250_000);
+        assert_eq!(link.busy_time(), SimDuration::from_secs(13));
+    }
+
+    #[test]
+    #[should_panic(expected = "books transfers one at a time")]
+    fn a_channel_with_blackouts_books_no_runs() {
+        let mut link = FcfsChannel::new(MBPS10);
+        link.add_blackout(t(5.0), t(8.0));
+        assert_eq!(link.run_start(t(0.0)), None);
+        link.book_run(t(0.0), 1, 1_250_000, SimDuration::from_secs(1));
     }
 
     #[test]

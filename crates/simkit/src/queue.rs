@@ -23,6 +23,9 @@
 //!   number, is pending until its turn, and counts in
 //!   [`popped`](EventQueue::popped) and the peak) but is never delivered:
 //!   [`pop`](EventQueue::pop) consumes it and moves on to the next event.
+//!   A run of markers at a lane's head is consumed in one pass, up to the
+//!   lane's first payload or the smallest key among the heap top and the
+//!   other lanes' heads, rather than one search of every head per marker.
 //! * **A binary heap** of compact `(time, seq, slot)` keys for every other
 //!   event. In a workflow simulation these are the compute completions,
 //!   retries and preemptions — at most about one per processor — so the
@@ -484,26 +487,74 @@ impl<E> EventQueue<E> {
     /// markers was left.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let (key, head) = self.earliest()?;
+            let (mut key, head) = self.earliest()?;
             match head {
                 Head::Heap => {
                     self.heap.pop();
                 }
                 Head::Lane(i) => {
+                    if key.slot() == NIL {
+                        // Markers: counted, not delivered. The payload
+                        // that ends their run may be the next event.
+                        match self.consume_markers(i) {
+                            Some(next) => key = next,
+                            None => continue,
+                        }
+                    }
                     self.lanes[i].pop_front();
                 }
             }
             self.live -= 1;
             self.last_popped = key.time();
             self.popped += 1;
-            if key.slot() == NIL {
-                continue; // a marker: counted, not delivered
-            }
             match self.release(key.slot()) {
                 Slot::Live(payload) => return Some((key.time(), payload)),
                 _ => unreachable!("pending key without a payload"),
             }
         }
+    }
+
+    /// Consumes, in one pass, the run of markers at the head of lane
+    /// `lane` that come before every other pending event: the run ends at
+    /// the lane's first payload or at the smallest key among the heap top
+    /// and the other lanes' heads, whichever is first. Each marker counts
+    /// as popped and the clock moves to the last one, exactly as one pop
+    /// per marker would leave them. Returns the key of the payload that
+    /// ended the run when it precedes the bound: then it is the earliest
+    /// pending event, still at the head of `lane`. The caller has just
+    /// found a marker at the head of `lane` to be the earliest pending
+    /// event (so cancelled keys are off the heap top), and at least that
+    /// one is consumed.
+    fn consume_markers(&mut self, lane: usize) -> Option<Key> {
+        let mut bound = self.heap.peek().map(|&Reverse(k)| k);
+        for (i, other) in self.lanes.iter().enumerate() {
+            if let Some(&k) = other.front() {
+                if i != lane && bound.is_none_or(|b| k < b) {
+                    bound = Some(k);
+                }
+            }
+        }
+        let queue = &mut self.lanes[lane];
+        let mut consumed = 0;
+        let mut last = self.last_popped;
+        let mut next = None;
+        while let Some(&k) = queue.front() {
+            if bound.is_some_and(|b| k > b) {
+                break;
+            }
+            if k.slot() != NIL {
+                next = Some(k);
+                break;
+            }
+            queue.pop_front();
+            consumed += 1;
+            last = k.time();
+        }
+        debug_assert!(consumed > 0, "no marker led lane {lane}");
+        self.live -= consumed;
+        self.popped += consumed as u64;
+        self.last_popped = last;
+        next
     }
 
     /// The timestamp of the next pending event (a marker included), if

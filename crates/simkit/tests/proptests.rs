@@ -133,6 +133,90 @@ fn channel_finishes_in_submission_order() {
     }
 }
 
+/// Booking a run of transfers submitted at one instant is `k` consecutive
+/// `submit_for` calls: the run starts at `run_start`, each transfer
+/// finishes at that start plus the link times so far, and the channel's
+/// counters end where the single calls leave them. Runs are submitted
+/// both before and after the link frees up and carry zero-byte files; a
+/// channel with blackout windows offers no run start, and its runs take
+/// the per-transfer fallback.
+#[test]
+fn run_booking_matches_consecutive_submits() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(0x51_0008 ^ case);
+        let bandwidth = 1_000_000.0 * (1 + rng.below(100)) as f64;
+        let mut booked = FcfsChannel::new(bandwidth);
+        let mut window_end = 0u64;
+        if rng.chance(0.3) {
+            for _ in 0..1 + rng.below(4) {
+                let start = window_end + 1 + rng.below(2_000_000);
+                window_end = start + 1 + rng.below(1_000_000);
+                let (start, end) = (
+                    SimTime::from_micros(start),
+                    SimTime::from_micros(window_end),
+                );
+                booked.add_blackout(start, end);
+            }
+        }
+        let blackouts = window_end > 0;
+        let mut single = booked.clone();
+        let mut now = SimTime::ZERO;
+        for run in 0..1 + rng.below(40) {
+            // Half the runs arrive while the link is still busy.
+            now = if rng.chance(0.5) {
+                let back = rng.below(500_000);
+                now.max(SimTime::from_micros(
+                    single.busy_until().as_micros().saturating_sub(back),
+                ))
+            } else {
+                single.busy_until() + SimDuration::from_micros(rng.below(500_000))
+            };
+            let files: Vec<(u64, SimDuration)> = (0..1 + rng.below(8))
+                .map(|_| {
+                    let bytes = if rng.chance(0.3) {
+                        0
+                    } else {
+                        rng.below(500_000)
+                    };
+                    (bytes, SimDuration::transfer_time(bytes, bandwidth))
+                })
+                .collect();
+            let want: Vec<SimTime> = files
+                .iter()
+                .map(|&(bytes, service)| single.submit_for(now, bytes, service).finish)
+                .collect();
+            let got: Vec<SimTime> = match booked.run_start(now) {
+                Some(start) => {
+                    assert!(!blackouts, "case {case}: a run start despite blackouts");
+                    let mut finish = start;
+                    let finishes = files
+                        .iter()
+                        .map(|&(_, service)| {
+                            finish += service;
+                            finish
+                        })
+                        .collect();
+                    let bytes = files.iter().map(|&(b, _)| b).sum();
+                    booked.book_run(now, files.len() as u64, bytes, finish.since(start));
+                    finishes
+                }
+                None => {
+                    assert!(blackouts, "case {case}: no run start without blackouts");
+                    files
+                        .iter()
+                        .map(|&(bytes, service)| booked.submit_for(now, bytes, service).finish)
+                        .collect()
+                }
+            };
+            assert_eq!(got, want, "case {case}, run {run}: finishes differ");
+            assert_eq!(booked.busy_until(), single.busy_until(), "case {case}");
+            assert_eq!(booked.total_bytes(), single.total_bytes(), "case {case}");
+            assert_eq!(booked.busy_time(), single.busy_time(), "case {case}");
+            assert_eq!(booked.transfers(), single.transfers(), "case {case}");
+        }
+    }
+}
+
 /// Step-function integral matches a brute-force Riemann sum over the
 /// same updates.
 #[test]

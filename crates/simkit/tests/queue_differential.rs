@@ -12,8 +12,14 @@
 //! pops. The marker streams also push payload-free lane markers, which
 //! the reference keeps as heap entries without a payload: they take their
 //! `(time, seq)` place among all other events and count as pending and
-//! as popped, but a pop never returns one. Each case is seeded from its
-//! index, so a failure message identifies a reproducible stream.
+//! as popped, but a pop never returns one. The batch streams add runs of
+//! 1-8 entries pushed with one `push_fifo_batch` (markers, then one
+//! payload), on times coarse enough to tie with the heap and the other
+//! lane, and compare the popped item, `len`, `popped`, the clock,
+//! `peek_time` and the stats after every operation: the queue consumes a
+//! lane's run of markers in one pass, bounded by the other heads, and
+//! each of those steps can go wrong on its own. Each case is seeded from
+//! its index, so a failure message identifies a reproducible stream.
 //!
 //! Every heap-only stream's final [`QueueStats`] is also compared against
 //! a committed golden file per test under `tests/golden/`. Those counters
@@ -33,7 +39,7 @@ const CASES: u64 = 64;
 /// The kernel's documented order, implemented the obvious way: one binary
 /// heap of ascending `(time, insertion seq)` for every event, lane or not,
 /// with lazy cancellation. A marker is an entry with no payload.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct ReferenceQueue {
     heap: BinaryHeap<Reverse<(SimTime, u64, Option<usize>)>>,
     /// Indexed by seq; set when an event is cancelled *or* consumed, so
@@ -95,6 +101,18 @@ impl ReferenceQueue {
     }
 }
 
+/// What a stream pushes onto its lanes.
+#[derive(Clone, Copy, PartialEq)]
+enum LanePushes {
+    /// Events with payloads only.
+    Plain,
+    /// Half the lane pushes are markers.
+    Markers,
+    /// As `Markers`, and half the lane operations instead push a run of
+    /// 1-8 entries with one `push_fifo_batch`.
+    Batches,
+}
+
 /// Drives one operation stream through both queues and returns the
 /// queue's stats after the drain. `gap` draws the inter-event spacing in
 /// microseconds; `cancel_pct` is the share of operations (out of 100) that
@@ -102,14 +120,17 @@ impl ReferenceQueue {
 /// the heap or to one of `lanes` FIFO lanes, drawn uniformly; a lane's
 /// times never decrease. With `lanes == 0` no lane choice is drawn, so a
 /// heap-only stream's draws, and its golden line, do not depend on the
-/// lane code. With `markers`, half the lane pushes are markers.
+/// lane code. `pushes` says what goes onto the lanes; with
+/// [`LanePushes::Batches`] `peek_time` is also compared after every
+/// operation, on clones so the comparison does not drop cancelled keys
+/// early.
 fn drive_round(
     rng: &mut SimRng,
     q: &mut EventQueue<usize>,
     gap: &dyn Fn(&mut SimRng) -> u64,
     cancel_pct: u64,
     lanes: usize,
-    markers: bool,
+    pushes: LanePushes,
     case: u64,
 ) -> QueueStats {
     let mut reference = ReferenceQueue::default();
@@ -135,11 +156,27 @@ fn drive_round(
                     let seq = reference.push(time, Some(payload));
                     ids.push((id, seq));
                 }
+                Some(lane) if pushes == LanePushes::Batches && rng.chance(0.5) => {
+                    let mut tail = lane_tail[lane].max(now);
+                    let times: Vec<SimTime> = (0..1 + rng.below(8))
+                        .map(|_| {
+                            tail = tail.saturating_add(gap(rng));
+                            SimTime::from_micros(tail)
+                        })
+                        .collect();
+                    lane_tail[lane] = tail;
+                    q.push_fifo_batch(lane, times.iter().copied(), payload);
+                    let (last, markers) = times.split_last().unwrap();
+                    for &time in markers {
+                        reference.push(time, None);
+                    }
+                    reference.push(*last, Some(payload));
+                }
                 Some(lane) => {
                     let tail = &mut lane_tail[lane];
                     *tail = (*tail).max(now).saturating_add(gap(rng));
                     let time = SimTime::from_micros(*tail);
-                    if markers && rng.chance(0.5) {
+                    if pushes != LanePushes::Plain && rng.chance(0.5) {
                         q.push_fifo_marker(lane, time);
                         reference.push(time, None);
                     } else {
@@ -162,8 +199,7 @@ fn drive_round(
             let model = reference.pop();
             assert_eq!(real, model, "case {case}: pop diverged");
             // Consumed markers advance the clock too, even when nothing
-            // is returned.
-            assert_eq!(q.now(), reference.now, "case {case}: clock diverged");
+            // is returned (`check_state` compares it below).
             now = q.now().as_micros();
         } else {
             assert_eq!(
@@ -172,18 +208,30 @@ fn drive_round(
                 "case {case}: peek diverged"
             );
         }
-        assert_eq!(q.len() as u64, reference.live, "case {case}: len diverged");
+        check_state(q, &reference, pushes == LanePushes::Batches, case);
     }
     // Drain both to the end: tails are where bookkeeping errors would
     // surface as lost or duplicated events.
     loop {
         let real = q.pop();
         assert_eq!(real, reference.pop(), "case {case}: drain diverged");
+        check_state(q, &reference, pushes == LanePushes::Batches, case);
         if real.is_none() {
             break;
         }
     }
     assert!(q.is_empty(), "case {case}: queue not empty after drain");
+    q.stats()
+}
+
+/// Asserts that the queue's observable state matches the reference's:
+/// `len`, `popped`, the clock and the stats, plus, with `peek`,
+/// `peek_time` (taken on clones, so neither side drops dead keys it
+/// would otherwise have kept).
+fn check_state(q: &EventQueue<usize>, reference: &ReferenceQueue, peek: bool, case: u64) {
+    assert_eq!(q.len() as u64, reference.live, "case {case}: len diverged");
+    assert_eq!(q.popped(), reference.popped, "case {case}: popped diverged");
+    assert_eq!(q.now(), reference.now, "case {case}: clock diverged");
     let s = q.stats();
     assert_eq!(
         (s.popped, s.cancelled, s.peak_pending),
@@ -194,7 +242,13 @@ fn drive_round(
         ),
         "case {case}: stats diverged"
     );
-    s
+    if peek {
+        assert_eq!(
+            q.clone().peek_time(),
+            reference.clone().peek_time(),
+            "case {case}: peek diverged"
+        );
+    }
 }
 
 /// Appends one golden line for `stats`.
@@ -239,7 +293,15 @@ fn run_cases(name: &str, seed: u64, gap: impl Fn(&mut SimRng) -> u64, cancel_pct
     for case in 0..CASES {
         let mut rng = SimRng::new(seed ^ case);
         let mut q = EventQueue::new();
-        let stats = drive_round(&mut rng, &mut q, &gap, cancel_pct, 0, false, case);
+        let stats = drive_round(
+            &mut rng,
+            &mut q,
+            &gap,
+            cancel_pct,
+            0,
+            LanePushes::Plain,
+            case,
+        );
         stats_line(&mut golden, case, stats);
     }
     check_stats_golden(name, &golden);
@@ -304,7 +366,7 @@ fn reset_reuses_the_queue_equivalently() {
         let mut q = EventQueue::new();
         for (round, gap) in gaps.iter().enumerate() {
             let label = case * 10 + round as u64;
-            let stats = drive_round(&mut rng, &mut q, gap, 20, 0, false, label);
+            let stats = drive_round(&mut rng, &mut q, gap, 20, 0, LanePushes::Plain, label);
             stats_line(&mut golden, label, stats);
             q.reset();
         }
@@ -313,45 +375,51 @@ fn reset_reuses_the_queue_equivalently() {
 }
 
 /// Runs `CASES` lane streams against the reference (no golden: the
-/// reference itself checks the stats); with `markers`, half the lane
-/// pushes are markers.
+/// reference itself checks the stats); `pushes` says what goes onto the
+/// lanes.
 fn run_lane_cases(
     seed: u64,
     gap: impl Fn(&mut SimRng) -> u64,
     cancel_pct: u64,
     lanes: usize,
-    markers: bool,
+    pushes: LanePushes,
 ) {
     for case in 0..CASES {
         let mut rng = SimRng::new(seed ^ case);
         let mut q = EventQueue::new();
-        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, markers, case);
+        drive_round(&mut rng, &mut q, &gap, cancel_pct, lanes, pushes, case);
     }
 }
 
 #[test]
 fn one_lane_mixed_with_the_heap_matches_the_reference() {
-    run_lane_cases(0xD1F_0101, |rng| rng.below(1_000), 20, 1, false);
+    run_lane_cases(0xD1F_0101, |rng| rng.below(1_000), 20, 1, LanePushes::Plain);
 }
 
 #[test]
 fn two_lanes_tied_with_the_heap_match_the_reference() {
     // Every push at one instant: lanes and heap interleave by seq alone.
-    run_lane_cases(0xD1F_0102, |_| 0, 20, 2, false);
+    run_lane_cases(0xD1F_0102, |_| 0, 20, 2, LanePushes::Plain);
     // Gaps of 0-2 us: frequent ties among lane heads and the heap top.
-    run_lane_cases(0xD1F_0103, |rng| rng.below(3), 20, 2, false);
+    run_lane_cases(0xD1F_0103, |rng| rng.below(3), 20, 2, LanePushes::Plain);
 }
 
 #[test]
 fn lanes_running_far_ahead_of_the_heap_match_the_reference() {
     // Heavy-tailed gaps let lane tails run far ahead of the heap's
     // cluster, as link completions queued hours ahead do in a workflow.
-    run_lane_cases(0xD1F_0104, |rng| 1u64 << rng.below(24), 20, 2, false);
+    run_lane_cases(
+        0xD1F_0104,
+        |rng| 1u64 << rng.below(24),
+        20,
+        2,
+        LanePushes::Plain,
+    );
 }
 
 #[test]
 fn cancellations_between_lane_pops_match_the_reference() {
-    run_lane_cases(0xD1F_0105, |rng| rng.below(200), 40, 2, false);
+    run_lane_cases(0xD1F_0105, |rng| rng.below(200), 40, 2, LanePushes::Plain);
 }
 
 #[test]
@@ -366,7 +434,7 @@ fn reset_between_lane_rounds_matches_a_fresh_queue() {
                 &|rng| rng.below(300),
                 20,
                 lanes,
-                false,
+                LanePushes::Plain,
                 case,
             );
             q.reset();
@@ -376,19 +444,31 @@ fn reset_between_lane_rounds_matches_a_fresh_queue() {
 
 #[test]
 fn markers_on_one_lane_match_the_reference() {
-    run_lane_cases(0xD1F_0201, |rng| rng.below(1_000), 20, 1, true);
+    run_lane_cases(
+        0xD1F_0201,
+        |rng| rng.below(1_000),
+        20,
+        1,
+        LanePushes::Markers,
+    );
 }
 
 #[test]
 fn markers_tied_with_the_heap_and_other_lanes_match_the_reference() {
     // Every push at one instant: markers keep their place by seq alone.
-    run_lane_cases(0xD1F_0202, |_| 0, 20, 2, true);
-    run_lane_cases(0xD1F_0203, |rng| rng.below(3), 20, 2, true);
+    run_lane_cases(0xD1F_0202, |_| 0, 20, 2, LanePushes::Markers);
+    run_lane_cases(0xD1F_0203, |rng| rng.below(3), 20, 2, LanePushes::Markers);
 }
 
 #[test]
 fn markers_running_far_ahead_with_cancellations_match_the_reference() {
-    run_lane_cases(0xD1F_0204, |rng| 1u64 << rng.below(24), 40, 2, true);
+    run_lane_cases(
+        0xD1F_0204,
+        |rng| 1u64 << rng.below(24),
+        40,
+        2,
+        LanePushes::Markers,
+    );
 }
 
 #[test]
@@ -396,17 +476,60 @@ fn reset_between_marker_rounds_matches_a_fresh_queue() {
     for case in 0..CASES {
         let mut rng = SimRng::new(0xD1F_0205 ^ case);
         let mut q = EventQueue::new();
-        for (lanes, markers) in [(2, true), (1, false), (0, false), (2, true)] {
+        let rounds = [
+            (2, LanePushes::Batches),
+            (1, LanePushes::Markers),
+            (0, LanePushes::Plain),
+            (2, LanePushes::Batches),
+        ];
+        for (lanes, pushes) in rounds {
             drive_round(
                 &mut rng,
                 &mut q,
                 &|rng| rng.below(300),
                 20,
                 lanes,
-                markers,
+                pushes,
                 case,
             );
             q.reset();
         }
     }
+}
+
+#[test]
+fn batches_on_one_lane_match_the_reference() {
+    run_lane_cases(
+        0xD1F_0301,
+        |rng| rng.below(3) * 10,
+        20,
+        1,
+        LanePushes::Batches,
+    );
+}
+
+#[test]
+fn batches_tied_with_the_heap_and_the_other_lane_match_the_reference() {
+    // Every push at one instant: a run of markers ends at the other
+    // heads by seq alone.
+    run_lane_cases(0xD1F_0302, |_| 0, 20, 2, LanePushes::Batches);
+    // Coarse times: runs tie with the heap top and the other lane's head.
+    run_lane_cases(
+        0xD1F_0303,
+        |rng| rng.below(3) * 10,
+        20,
+        2,
+        LanePushes::Batches,
+    );
+}
+
+#[test]
+fn batches_running_far_ahead_with_cancellations_match_the_reference() {
+    run_lane_cases(
+        0xD1F_0304,
+        |rng| 1u64 << rng.below(24),
+        40,
+        2,
+        LanePushes::Batches,
+    );
 }
