@@ -5,38 +5,22 @@
 //! (or the ordering the paper states), the cells of the experiment tables
 //! it is measured by, and the sentence it checks. `repro all` renders the
 //! table to `results/claims.md`; `crates/bench/tests/claims.rs` checks
-//! every row and that the committed file is the current render, and
-//! `crates/bench/tests/paper_headlines.rs` checks each headline's rows.
+//! every row, the results tests that the committed file is the current
+//! render, and `crates/bench/tests/paper_headlines.rs` each headline's
+//! rows.
 //!
 //! Bands are open: a value on a band's edge is outside it. Orderings hold
 //! exactly. A row with a [`Claim::note`] is a known divergence: it must
 //! read ✗, and the note says why.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use mcloud_sweep::Table;
 
-use crate::experiments as ex;
+use crate::registry;
 use Band::{Below, Exact, Range, Rel};
-
-/// An experiment run: it returns its table.
-type Run = fn() -> Table;
-
-/// The experiments the claims read, by `repro` experiment id.
-const SOURCES: &[(&str, Run)] = &[
-    ("fig4", || ex::fig_processor_sweep(1.0)),
-    ("fig5", || ex::fig_processor_sweep(2.0)),
-    ("fig6", || ex::fig_processor_sweep(4.0)),
-    ("fig7", || ex::fig_mode_metrics(1.0)),
-    ("fig8", || ex::fig_mode_metrics(2.0)),
-    ("fig9", || ex::fig_mode_metrics(4.0)),
-    ("fig10", ex::fig10_cpu_vs_dm),
-    ("ccr", ex::ccr_table),
-    ("fig11", ex::fig11_ccr_sweep),
-    ("q2b", ex::q2b_hosting),
-    ("q3", ex::q3_whole_sky),
-];
 
 const Q1_1DEG: &str = "“60 cents for the 1 processor computation versus almost 4$ with 128 processors ... longest execution time of 5.5 hours. The runtime on 128 processors is only 18 minutes.”";
 const Q1_2DEG: &str = "“the cost of running the workflow on 1 processor is $2.25 with a runtime of 20.5 hours whereas ... 128 processors results in a runtime of less than 40 minutes with a cost of less than $8.”";
@@ -196,29 +180,37 @@ const MODES: [&str; 3] = ["fig7", "fig8", "fig9"];
 const DEGS: [&str; 3] = ["1deg", "2deg", "4deg"];
 const ALL_MODES: [&str; 3] = ["remote-io", "regular", "cleanup"];
 
-/// The tables [`CLAIMS`] read, by experiment id.
-#[derive(Debug)]
-pub struct Measured(BTreeMap<&'static str, Table>);
+/// The tables [`CLAIMS`] read, by experiment id. A table not inserted is
+/// computed through [`registry::find`] the first time a claim reads it.
+#[derive(Debug, Default)]
+pub struct Measured(RefCell<BTreeMap<&'static str, Table>>);
 
 impl Measured {
-    /// Runs every experiment the claims read.
-    pub fn compute() -> Self {
-        Measured(SOURCES.iter().map(|&(id, run)| (id, run())).collect())
+    /// Holds `table` as experiment `id`'s, so no claim recomputes it.
+    pub fn insert(&self, id: &'static str, table: Table) {
+        self.0.borrow_mut().insert(id, table);
+    }
+
+    /// `f` of the table of experiment `id`.
+    fn read<R>(&self, id: &str, f: impl FnOnce(&Table) -> R) -> R {
+        let e = registry::find(id).unwrap_or_else(|| panic!("no experiment {id}"));
+        f(self.0.borrow_mut().entry(e.id).or_insert_with(e.run))
     }
 
     /// The number in `column` of the row of `table` whose leading cells
     /// are `key`.
     fn get(&self, table: &str, key: &[&str], column: &str) -> f64 {
-        let t = &self.0[table];
-        let col = t.headers().iter().position(|h| h == column);
-        let row = t
-            .rows()
-            .iter()
-            .find(|r| r.iter().zip(key).all(|(a, b)| a == b));
-        match (row, col) {
-            (Some(row), Some(col)) => row[col].parse().expect("numeric cell"),
-            _ => panic!("{table} has no cell {key:?} / {column}"),
-        }
+        self.read(table, |t| {
+            let col = t.headers().iter().position(|h| h == column);
+            let row = t
+                .rows()
+                .iter()
+                .find(|r| r.iter().zip(key).all(|(a, b)| a == b));
+            match (row, col) {
+                (Some(row), Some(col)) => row[col].parse().expect("numeric cell"),
+                _ => panic!("{table} has no cell {key:?} / {column}"),
+            }
+        })
     }
 
     /// Two cells of one row, divided.
@@ -227,9 +219,7 @@ impl Measured {
     }
 
     fn column(&self, table: &str, column: &str) -> Vec<f64> {
-        self.0[table]
-            .numeric_column(column)
-            .expect("numeric column")
+        self.read(table, |t| t.numeric_column(column).expect("numeric column"))
     }
 }
 

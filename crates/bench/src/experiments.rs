@@ -869,17 +869,17 @@ mod tests {
     #[test]
     fn ccr_table_is_in_band() {
         // The CCR rows' bands lie inside [0.04, 0.06].
-        claims::assert_rows(&claims::Measured::compute(), |c| c.source == "CCR");
+        claims::assert_rows(&claims::Measured::default(), |c| c.source == "CCR");
     }
 
     #[test]
     fn q2b_break_even_is_tens_of_thousands() {
-        claims::assert_rows(&claims::Measured::compute(), |c| c.source == "Q2b");
+        claims::assert_rows(&claims::Measured::default(), |c| c.source == "Q2b");
     }
 
     #[test]
     fn q3_matches_paper_magnitudes() {
-        claims::assert_rows(&claims::Measured::compute(), |c| c.source == "Q3");
+        claims::assert_rows(&claims::Measured::default(), |c| c.source == "Q3");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # mcloud-bench
 //!
 //! The experiment layer: one function per table/figure of the paper's
-//! evaluation (Section 6), run by the `repro` binary (which prints the
-//! paper-style series and writes CSV), the paper's claims checked against
-//! those tables (`claims`), plus the allocation-counting baseline behind
-//! `repro bench-json`.
+//! evaluation (Section 6), listed once in `registry` and run by the
+//! `repro` binary (which prints the paper-style series and writes CSV),
+//! the paper's claims checked against those tables (`claims`), plus the
+//! allocation-counting baseline behind `repro bench-json`.
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the one allocator module needs an
@@ -15,6 +15,7 @@ pub mod alloc;
 pub mod baseline;
 pub mod claims;
 pub mod experiments;
+pub mod registry;
 
 use std::path::PathBuf;
 

@@ -141,6 +141,43 @@ const ROWS: &[Row] = &[
             ("p.txt", None),
         ],
     },
+    // Traced and untraced remote-I/O runs report the same metrics, kernel
+    // queue counters included. Untraced, each stage-in and stage-out is
+    // one delivered event (queue markers stand in for the rest); traced,
+    // every transfer is. The plain run books each batch as one run on the
+    // link, the outage run takes the per-transfer fallback, and the
+    // prestaged run filters the archive inputs out of each batch.
+    Row {
+        name: "parity-remote-io",
+        runs: &[
+            "simulate --degrees 2 --mode remote-io --procs 8 --metrics-out m.prom",
+            "simulate --degrees 2 --mode remote-io --procs 8 --metrics-out m.prom \
+                 --trace-out t.jsonl",
+        ],
+        stdin: None,
+        files: &[("m.prom", None)],
+    },
+    Row {
+        name: "parity-remote-io-outage",
+        runs: &[
+            "simulate --degrees 2 --mode remote-io --procs 8 --outage 120:900 \
+                 --metrics-out m.prom",
+            "simulate --degrees 2 --mode remote-io --procs 8 --outage 120:900 \
+                 --metrics-out m.prom --trace-out t.jsonl",
+        ],
+        stdin: None,
+        files: &[("m.prom", None)],
+    },
+    Row {
+        name: "parity-remote-io-prestaged",
+        runs: &[
+            "simulate --degrees 2 --mode remote-io --procs 8 --prestaged --metrics-out m.prom",
+            "simulate --degrees 2 --mode remote-io --procs 8 --prestaged --metrics-out m.prom \
+                 --trace-out t.jsonl",
+        ],
+        stdin: None,
+        files: &[("m.prom", None)],
+    },
     profile_row!(
         "regular",
         "regular",
